@@ -1,18 +1,18 @@
 """Build and inspect the RY/CZ generator circuit.
 
-Walks through the simulator primitives: preparing states, applying gates,
-running the layered circuit, measuring, and taking exact gradients with
-the parameter-shift rule.
+Walks through the real-amplitude engine: one-layer circuits as single
+gates, the entangling block as a sign vector, the layered circuit,
+measuring, and exact gradients from one adjoint sweep, checked against
+the parameter-shift rule and a finite difference.
 """
 
 import numpy as np
 
 from qbde.qsim import (
     GeneratorParams,
-    apply_cz,
-    apply_ry,
+    adjoint_gradient,
     entangler_pairs,
-    new_zero_state,
+    entangler_signs,
     prob_jacobian,
     probabilities,
     run_generator_circuit,
@@ -20,19 +20,21 @@ from qbde.qsim import (
 )
 
 # ---------------------------------------------------------------------
-# States and single gates.  Qubit 1 is the most significant bit, so for
-# two qubits the basis order is |00>, |01>, |10>, |11>.
+# Single gates as one-layer circuits.  Row 0 of the angles rotates each
+# qubit of |0...0>; qubit 1 is the most significant bit, so for two
+# qubits the basis order is |00>, |01>, |10>, |11>.  RY and CZ are real,
+# so the amplitudes are plain floats.
 # ---------------------------------------------------------------------
-state = new_zero_state(2)
-print("|00> amplitudes:", state.amplitudes.real)
+print("|00> amplitudes:", run_generator_circuit(GeneratorParams(2, [[0.0, 0.0]])))
+print("RY(pi/2) on qubit 1:",
+      run_generator_circuit(GeneratorParams(2, [[np.pi / 2, 0.0]])))
 
-state = apply_ry(state, 1, np.pi / 2)          # equal superposition on qubit 1
-print("after RY(pi/2) on qubit 1:", state.amplitudes.real)
-
-state = apply_ry(state, 2, np.pi)              # flip qubit 2
-state = apply_cz(state, 1, 2)                  # phase flip on the |11> part
-print("after RY(pi) on qubit 2 and CZ:", state.amplitudes.real)
-print("probabilities:", probabilities(state))
+# A second row applies the entangling block (one CZ for two qubits), then
+# its own rotations: here none, so the CZ's phase flip on |11> shows.
+amps = run_generator_circuit(GeneratorParams(2, [[np.pi / 2, np.pi], [0.0, 0.0]]))
+print("RY(pi/2) x RY(pi), then CZ:", np.round(amps, 6))
+print("probabilities:", np.round(probabilities(amps), 6))
+print("CZ block as a sign vector:", entangler_signs(2))
 
 # ---------------------------------------------------------------------
 # The layered circuit: one input-preparation RY row, then alternating
@@ -47,32 +49,41 @@ print("uniform circuit probabilities:",
 
 rng = np.random.default_rng(7)
 params = GeneratorParams(3, rng.uniform(-np.pi, np.pi, size=(4, 3)))
-p = probabilities(run_generator_circuit(params))
+amps = run_generator_circuit(params)
+p = probabilities(amps)
 print("\nrandom 3-qubit, depth-3 circuit:")
 print("  probabilities:", np.round(p, 4), " sum =", round(float(p.sum()), 12))
 
 # ---------------------------------------------------------------------
 # Measurement: seeded sampling returns a reproducible histogram.
 # ---------------------------------------------------------------------
-counts = sample(run_generator_circuit(params), 10_000, np.random.default_rng(0))
+counts = sample(p, 10_000, np.random.default_rng(0))
 print("  10k-shot histogram:", counts)
 print("  empirical vs exact max gap:",
       round(float(np.max(np.abs(counts / 10_000 - p))), 4))
 
 # ---------------------------------------------------------------------
-# Exact gradients: the parameter-shift rule evaluates the circuit at
-# angle +- pi/2 and differences the probabilities.  Compare against a
-# central finite difference.
+# Exact gradients.  Training needs dp . dp/dtheta, where dp is the loss
+# gradient with respect to the probabilities.  One adjoint sweep back
+# from the final state gives it for every angle at once; the
+# parameter-shift rule needs two circuit runs per angle for the full
+# jacobian.  Compare both with a central finite difference.
 # ---------------------------------------------------------------------
-jac = prob_jacobian(params)
+dp = rng.normal(size=8)
+adjoint = adjoint_gradient(params, amps, dp)
+shift = (dp @ prob_jacobian(params)).reshape(params.angles.shape)
 h = 1e-6
-shifted = params.angles.copy()
-shifted[1, 0] += h
-up = probabilities(run_generator_circuit(GeneratorParams(3, shifted)))
-shifted[1, 0] -= 2 * h
-down = probabilities(run_generator_circuit(GeneratorParams(3, shifted)))
-fd = (up - down) / (2 * h)
-col = 1 * 3 + 0  # layer-major column for (layer 1, qubit 1)
-print("\nparameter-shift column for (layer 1, qubit 1):", np.round(jac[:, col], 6))
-print("finite-difference check:                        ", np.round(fd, 6))
-print("max deviation:", float(np.max(np.abs(jac[:, col] - fd))))
+fd = np.empty_like(params.angles)
+for layer, qubit in np.ndindex(params.angles.shape):
+    shifted = params.angles.copy()
+    shifted[layer, qubit] += h
+    up = dp @ probabilities(run_generator_circuit(GeneratorParams(3, shifted)))
+    shifted[layer, qubit] -= 2 * h
+    down = dp @ probabilities(run_generator_circuit(GeneratorParams(3, shifted)))
+    fd[layer, qubit] = (up - down) / (2 * h)
+print("\ngradient of dp . p for layer 1 (qubits 1..3):")
+print("  adjoint sweep:        ", np.round(adjoint[1], 6))
+print("  parameter shift:      ", np.round(shift[1], 6))
+print("  finite difference:    ", np.round(fd[1], 6))
+print("max |adjoint - shift| over all angles:", float(np.max(np.abs(adjoint - shift))))
+print("max |adjoint - finite difference|:   ", float(np.max(np.abs(adjoint - fd))))

@@ -4,11 +4,8 @@ Normal / Low_threat / High_threat verdicts."""
 
 from .qsim import (
     GeneratorParams,
-    StateVector,
-    apply_cz,
-    apply_ry,
+    adjoint_gradient,
     entangler_pairs,
-    new_zero_state,
     prob_jacobian,
     probabilities,
     run_generator_circuit,

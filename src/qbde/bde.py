@@ -26,10 +26,10 @@ import numpy as np
 
 from .errors import SchemaError
 from .optim import Adam
+from .qgan import SIGMOID_CLAMP, _sigmoid
 
 INPUT_LEN = 16
 EMBED_LEN = 32
-SIGMOID_CLAMP = 1e-7
 
 VERDICT_NORMAL = "Normal"
 VERDICT_LOW = "Low_threat"
@@ -65,16 +65,6 @@ class BdeNet:
                 self.fc_w, self.fc_b]
 
 
-def _sigmoid(z):
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Width-3, stride-1 convolution with zero padding 1 on (m, C_in, L)."""
     m, _, length = x.shape
@@ -103,10 +93,10 @@ def _forward_batch(net: BdeNet, x: np.ndarray):
     a2 = np.maximum(z2, 0.0)
     p2, tr2 = _maxpool2(a2)                         # (m, 8, 4)
     emb = p2.reshape(x.shape[0], EMBED_LEN)
-    z_out = emb @ net.fc_w + net.fc_b[0]
-    score = np.clip(_sigmoid(z_out), SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
+    z_raw = _sigmoid(emb @ net.fc_w + net.fc_b[0])
+    score = np.clip(z_raw, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
     cache = {"x3": x3, "z1": z1, "p1": p1, "tr1": tr1, "z2": z2, "tr2": tr2,
-             "emb": emb, "z_raw": _sigmoid(z_out)}
+             "emb": emb, "z_raw": z_raw}
     return score, emb, cache
 
 

@@ -129,10 +129,7 @@ def _parse_sections(text: str, path: str | Path) -> dict[str, dict[str, str]]:
 
 
 def load_checkpoint(path: str | Path) -> tuple[TrainConfig, TrainState]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise
+    text = Path(path).read_text(encoding="utf-8")
     sec = _parse_sections(text, path)
     try:
         c = sec["config"]

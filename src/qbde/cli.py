@@ -30,7 +30,7 @@ import numpy as np
 from . import bde, features, qgan
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, SchemaError
-from .qsim import MAX_QUBITS, sample, run_generator_circuit
+from .qsim import MAX_QUBITS, probabilities, run_generator_circuit, sample
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -244,6 +244,17 @@ def _train_config(cfg: RunConfig) -> qgan.TrainConfig:
                             hidden=(cfg.hidden1, cfg.hidden2))
 
 
+def _check_resumable(path: Path, state: qgan.TrainState, cfg: RunConfig) -> None:
+    """A resumed run continues the checkpoint's circuit and discriminator,
+    so their shapes must be the ones the run config asks for."""
+    have = (state.params.angles.shape, state.net.layer_sizes)
+    want = ((cfg.k + 1, cfg.n_qubits),
+            [2**cfg.n_qubits, cfg.hidden1, cfg.hidden2, 1])
+    if have != want:
+        raise ConfigError(f"{path}: checkpoint angle shape and discriminator "
+                          f"layers {have} differ from the config's {want}")
+
+
 def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -257,6 +268,7 @@ def cmd_train(cfg: RunConfig) -> int:
         state = None
         if cfg.resume:
             _, state = load_checkpoint(ckpt)
+            _check_resumable(ckpt, state, cfg)
         trace = qgan.train(data, train_cfg, state=state)
         save_checkpoint(ckpt, train_cfg, trace.state, digest=digest)
         loss_path = out_dir / f"loss_{user}.csv"
@@ -281,11 +293,11 @@ def cmd_train(cfg: RunConfig) -> int:
 def _reference_distributions(state, cfg: RunConfig) -> np.ndarray:
     """Scoring references: the exact output distribution, or in sampled
     mode a stack of measured histograms (nearest one wins per test row)."""
+    probs = probabilities(run_generator_circuit(state.params))
     if not cfg.sampled:
-        return qgan.generator_output(state.params)[None, :]
+        return probs[None, :]
     rng = np.random.default_rng(cfg.seed + 2)
-    psi = run_generator_circuit(state.params)
-    return np.stack([sample(psi, cfg.shots, rng) / cfg.shots
+    return np.stack([sample(probs, cfg.shots, rng) / cfg.shots
                      for _ in range(cfg.reference_samples)])
 
 

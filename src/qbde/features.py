@@ -22,6 +22,7 @@ Each (user, day) with any activity becomes one 16-feature vector.  The
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
@@ -124,7 +125,10 @@ class Dataset:
 def _parse_size(text: str) -> int:
     if text is None or text.strip() == "":
         return 0
-    return int(float(text))
+    size = float(text)
+    if not math.isfinite(size):
+        raise ValueError(f"non-finite size {text!r}")
+    return int(size)
 
 
 def _row_events(source: str, row: dict) -> list[LogEvent]:

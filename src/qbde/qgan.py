@@ -12,9 +12,9 @@ Losses, with batch size m and the sigmoid output clamped to
 * generator:      L_G = -(1/m) sum_l log D(g_l)          (non-saturating)
 * discriminator:  L_D = -(1/m) sum_l [log D(x_l) + log(1 - D(g_l))]
 
-Generator gradients chain the discriminator's input gradient through the
-parameter-shift jacobian of the circuit probabilities, so the whole loop
-is exact and framework free.
+Generator gradients chain the discriminator's input gradient through one
+adjoint sweep of the circuit (``qsim.adjoint_gradient``), so the whole
+loop is exact and framework free.
 """
 
 from __future__ import annotations
@@ -25,7 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .optim import Adam
-from .qsim import GeneratorParams, prob_jacobian, probabilities, run_generator_circuit
+from .qsim import (GeneratorParams, adjoint_gradient, probabilities,
+                   run_generator_circuit)
+# Re-exported: the per-layer benchmark traces it here, expecting 0 calls.
+from .qsim import prob_jacobian  # noqa: F401
 
 SIGMOID_CLAMP = 1e-7
 CROSS_ENTROPY_CLAMP = 1e-12
@@ -178,22 +181,39 @@ def disc_grads(net: DiscriminatorNet, real: np.ndarray,
             [a + b for a, b in zip(db_r, db_g)])
 
 
+def adversarial_grads(net: DiscriminatorNet, real: np.ndarray,
+                      generated: np.ndarray) -> tuple:
+    """``loss_d``, ``loss_g`` and ``disc_grads`` of one batch whose m fake
+    rows are all the one generator output ``generated``: one forward over
+    ``real``, one over that row, and its means over m rows are its own."""
+    real = np.atleast_2d(real)
+    if real.shape[0] == 0:
+        raise ValueError("batches must be non-empty")
+    m = real.shape[0]
+    y_real, cache_r = _forward(net, real)
+    y_gen, cache_g = _forward(net, generated)
+    ld = float(-np.mean(np.log(y_real)) - np.log(1.0 - y_gen[0]))
+    lg = float(-np.log(y_gen[0]))
+    # d(-log s(z))/dz = s(z) - 1;  d(-log(1 - s(z)))/dz = s(z)
+    dw_r, db_r, _ = _backward(net, cache_r, (cache_r["y_raw"] - 1.0) / m)
+    dw_g, db_g, _ = _backward(net, cache_g, cache_g["y_raw"])
+    return (ld, lg, [a + b for a, b in zip(dw_r, dw_g)],
+            [a + b for a, b in zip(db_r, db_g)])
+
+
 def gen_grads(params: GeneratorParams, net: DiscriminatorNet,
-              jacobian: np.ndarray | None = None,
-              probs: np.ndarray | None = None) -> np.ndarray:
+              amplitudes: np.ndarray | None = None) -> np.ndarray:
     """Gradient of L_G w.r.t. every rotation angle, shape like ``params.angles``.
 
-    Chain rule: the discriminator's input gradient of -log D(p) times the
-    parameter-shift jacobian of p.  ``jacobian``/``probs`` can be passed in
-    when already computed for the current parameters.
+    Chain rule: the discriminator's input gradient of -log D(p), pulled
+    back through the circuit by one adjoint sweep.  ``amplitudes`` can be
+    passed in when the circuit already ran for the current parameters.
     """
-    if probs is None:
-        probs = generator_output(params)
-    _, cache = _forward(net, probs[None, :])
+    if amplitudes is None:
+        amplitudes = run_generator_circuit(params)
+    _, cache = _forward(net, probabilities(amplitudes))
     _, _, dx = _backward(net, cache, cache["y_raw"] - 1.0)
-    if jacobian is None:
-        jacobian = prob_jacobian(params)
-    return (dx[0] @ jacobian).reshape(params.angles.shape)
+    return adjoint_gradient(params, amplitudes, dx[0])
 
 
 def cross_entropy_to_target(generated: np.ndarray, target: np.ndarray) -> float:
@@ -296,11 +316,11 @@ def train(real_data: np.ndarray, cfg: TrainConfig,
 
     ``real_data`` is an (N, 2**n) array of probability vectors.  One epoch
     shuffles the data and walks it in batches of ``cfg.batch``; each batch
-    takes one discriminator step, then one generator step.  Recorded
-    losses are the values seen before the updates of each batch; the
-    cross-entropy column compares the generator to the data mean after
-    each epoch.  Passing a ``state`` resumes a previous run and is
-    bit-identical to never having stopped.
+    takes one discriminator step, then one generator step against the
+    updated discriminator.  Recorded losses are the values seen before the
+    updates of each batch; the cross-entropy column compares the generator
+    to the data mean after each epoch.  Passing a ``state`` resumes a
+    previous run and is bit-identical to never having stopped.
     """
     data = np.atleast_2d(np.asarray(real_data, dtype=float))
     if data.size == 0:
@@ -327,14 +347,13 @@ def train(real_data: np.ndarray, cfg: TrainConfig,
         ld_sum = 0.0
         for start in range(0, n_rows, cfg.batch):
             batch = data[order[start:start + cfg.batch]]
-            probs = generator_output(state.params)
-            fake = np.tile(probs, (batch.shape[0], 1))
-            ld_sum += loss_d(state.net, batch, fake)
-            lg_sum += loss_g(state.net, fake)
-            dw, db = disc_grads(state.net, batch, fake)
+            amplitudes = run_generator_circuit(state.params)
+            ld, lg, dw, db = adversarial_grads(state.net, batch,
+                                               probabilities(amplitudes))
+            ld_sum += ld
+            lg_sum += lg
             state.opt_d.step(disc_params, [*dw, *db])
-            grad = gen_grads(state.params, state.net,
-                             jacobian=prob_jacobian(state.params), probs=probs)
+            grad = gen_grads(state.params, state.net, amplitudes)
             state.opt_g.step([state.params.angles], [grad])
         state.epoch += 1
         trace.loss_g.append(lg_sum / iters)

@@ -1,4 +1,5 @@
-"""Dense state-vector simulation of RY/CZ generator circuits.
+"""Real-amplitude simulation of RY/CZ generator circuits, with adjoint
+gradients.
 
 Conventions, fixed across the package:
 
@@ -9,6 +10,10 @@ Conventions, fixed across the package:
   (1,2), (2,3), ..., (n-1,n), (n,1), or an open chain without the
   wrap-around pair.  For n <= 2 the ring degenerates to the chain.
 
+RY and CZ are real, so amplitudes are real floats.  One forward sweep
+gives the final state; one reverse (adjoint) sweep from it gives every
+angle's gradient (Jones & Gacon, arXiv:2009.02823).
+
 All public operations are pure: they return new values and never mutate
 their inputs.
 """
@@ -16,29 +21,13 @@ their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 MAX_QUBITS = 12  # dense amplitudes stay desk-scale
 
 ENTANGLERS = ("ring", "chain")
-
-
-@dataclass
-class StateVector:
-    """Amplitudes of an n-qubit pure state, length 2**n, complex."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (2**self.n_qubits,):
-            raise ValueError(
-                f"expected {2**self.n_qubits} amplitudes for {self.n_qubits} "
-                f"qubits, got shape {self.amplitudes.shape}"
-            )
 
 
 @dataclass
@@ -79,58 +68,6 @@ class GeneratorParams:
         return self.angles.size
 
 
-def new_zero_state(n_qubits: int) -> StateVector:
-    """|0...0> on ``n_qubits`` qubits."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps)
-
-
-def _check_qubit(n_qubits: int, qubit: int) -> None:
-    if not 1 <= qubit <= n_qubits:
-        raise ValueError(f"qubit index {qubit} out of range 1..{n_qubits}")
-
-
-def _ry_inplace(amps: np.ndarray, qubit: int, angle: float) -> None:
-    # View the target qubit as the middle axis; qubits 1..qubit-1 are the
-    # more significant leading axis.
-    c = math.cos(angle / 2.0)
-    s = math.sin(angle / 2.0)
-    view = amps.reshape(2 ** (qubit - 1), 2, -1)
-    lo = view[:, 0, :].copy()
-    hi = view[:, 1, :].copy()
-    view[:, 0, :] = c * lo - s * hi
-    view[:, 1, :] = s * lo + c * hi
-
-
-def apply_ry(state: StateVector, qubit: int, angle: float) -> StateVector:
-    """Rotate ``qubit`` (1-based) about Y by ``angle`` radians."""
-    _check_qubit(state.n_qubits, qubit)
-    amps = state.amplitudes.copy()
-    _ry_inplace(amps, qubit, angle)
-    return StateVector(state.n_qubits, amps)
-
-
-def _cz_mask(n_qubits: int, qubit_a: int, qubit_b: int) -> np.ndarray:
-    bit_a = 1 << (n_qubits - qubit_a)
-    bit_b = 1 << (n_qubits - qubit_b)
-    idx = np.arange(2**n_qubits)
-    return (idx & bit_a != 0) & (idx & bit_b != 0)
-
-
-def apply_cz(state: StateVector, qubit_a: int, qubit_b: int) -> StateVector:
-    """Controlled-Z between two distinct qubits; symmetric in its arguments."""
-    _check_qubit(state.n_qubits, qubit_a)
-    _check_qubit(state.n_qubits, qubit_b)
-    if qubit_a == qubit_b:
-        raise ValueError("CZ needs two distinct qubits")
-    amps = state.amplitudes.copy()
-    amps[_cz_mask(state.n_qubits, qubit_a, qubit_b)] *= -1.0
-    return StateVector(state.n_qubits, amps)
-
-
 def entangler_pairs(n_qubits: int, topology: str = "ring") -> list[tuple[int, int]]:
     """Qubit pairs of one entangling block.
 
@@ -145,44 +82,83 @@ def entangler_pairs(n_qubits: int, topology: str = "ring") -> list[tuple[int, in
     return pairs
 
 
-def _entangler_masks(n_qubits: int, topology: str) -> list[np.ndarray]:
-    return [_cz_mask(n_qubits, a, b) for a, b in entangler_pairs(n_qubits, topology)]
+def entangler_signs(n_qubits: int, topology: str = "ring") -> np.ndarray:
+    """Diagonal of one entangling block, its own inverse: each CZ negates
+    the basis states where both of its qubits are 1."""
+    idx = np.arange(2**n_qubits)
+    signs = np.ones(2**n_qubits)
+    for a, b in entangler_pairs(n_qubits, topology):
+        signs[(idx >> (n_qubits - a)) & (idx >> (n_qubits - b)) & 1 == 1] *= -1.0
+    return signs
 
 
-def _run_raw(n_qubits: int, angles: np.ndarray, cz_masks: list[np.ndarray]) -> np.ndarray:
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[0] = 1.0
-    for qubit in range(1, n_qubits + 1):
-        _ry_inplace(amps, qubit, angles[0, qubit - 1])
-    for layer in range(1, angles.shape[0]):
-        for mask in cz_masks:
-            amps[mask] *= -1.0
-        for qubit in range(1, n_qubits + 1):
-            _ry_inplace(amps, qubit, angles[layer, qubit - 1])
-    return amps
+def _rotate(states: np.ndarray, n_qubits: int, qubit: int,
+            angle: float) -> np.ndarray:
+    """RY(angle) on ``qubit`` of every row of ``states``."""
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    # The target qubit is the third axis; more significant qubits lead.
+    rows = states.shape[0]
+    view = states.reshape(rows, 2 ** (qubit - 1), 2, 2 ** (n_qubits - qubit))
+    return (np.array([[c, -s], [s, c]]) @ view).reshape(rows, -1)
 
 
-def run_generator_circuit(params: GeneratorParams) -> StateVector:
-    """Output state of the full circuit.
+def run_generator_circuit(params: GeneratorParams) -> np.ndarray:
+    """Real amplitudes of the circuit's output state, length 2**n.
 
     Layer 0 rotates |0...0> into the input state; each remaining layer
     applies the entangling block and then its RY rotations.
     """
-    masks = _entangler_masks(params.n_qubits, params.entangler)
-    return StateVector(params.n_qubits, _run_raw(params.n_qubits, params.angles, masks))
+    n = params.n_qubits
+    signs = entangler_signs(n, params.entangler)
+    state = np.zeros((1, 2**n))
+    state[0, 0] = 1.0
+    for layer, row in enumerate(params.angles):
+        if layer:
+            state = state * signs
+        for qubit, angle in enumerate(row, start=1):
+            state = _rotate(state, n, qubit, angle)
+    return state[0]
 
 
-def probabilities(state: StateVector) -> np.ndarray:
-    """Born probabilities |amplitude_j|**2 as a real vector."""
-    return np.abs(state.amplitudes) ** 2
+def probabilities(amplitudes: np.ndarray) -> np.ndarray:
+    """Born probabilities amplitude_j**2 of a real state."""
+    return np.square(amplitudes)
 
 
-def sample(state: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Histogram of ``shots`` measurements over the 2**n basis outcomes."""
+def adjoint_gradient(params: GeneratorParams, amplitudes: np.ndarray,
+                     dp: np.ndarray) -> np.ndarray:
+    """dp . dp/dtheta for every angle, shaped like ``params.angles``.
+
+    ``amplitudes`` is ``run_generator_circuit(params)`` and ``dp`` the
+    loss gradient with respect to the output probabilities.  The sweep
+    undoes the circuit layer by layer on two rows: the state, and the
+    adjoint dp*psi (half of d loss / d psi) pulled back to the same point.
+    dRY(t)/dt = RY(t) Y/2 with Y = [[0, -1], [1, 0]], and one layer's
+    rotations commute, so each of its angles gets adjoint . Y_q state
+    before the layer is undone.
+    """
+    n = params.n_qubits
+    signs = entangler_signs(n, params.entangler)
+    idx = np.arange(2**n)
+    bits = 1 << np.arange(n - 1, -1, -1)[:, None]       # qubit q in row q-1
+    flip, flip_sign = idx ^ bits, np.where(idx & bits, 1.0, -1.0)   # Y_q
+    pair = np.stack([amplitudes, np.asarray(dp, dtype=float) * amplitudes])
+    grad = np.empty_like(params.angles)
+    for layer in range(params.depth, -1, -1):
+        grad[layer] = (flip_sign * pair[0][flip]) @ pair[1]
+        if layer == 0:
+            break
+        for qubit, angle in enumerate(params.angles[layer], start=1):
+            pair = _rotate(pair, n, qubit, -angle)
+        pair = pair * signs
+    return grad
+
+
+def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Histogram of ``shots`` measurements drawn from output probabilities."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    p = probabilities(state)
-    return rng.multinomial(shots, p / p.sum())
+    return rng.multinomial(shots, probs / np.sum(probs))
 
 
 def prob_jacobian(params: GeneratorParams) -> np.ndarray:
@@ -190,15 +166,14 @@ def prob_jacobian(params: GeneratorParams) -> np.ndarray:
     parameter-shift rule [p(t + pi/2) - p(t - pi/2)] / 2 (exact for RY).
 
     Shape (2**n, (depth+1)*n); columns are layer-major, i.e. column
-    layer*n + (qubit-1).
+    layer*n + (qubit-1).  The independent oracle for ``adjoint_gradient``.
     """
-    masks = _entangler_masks(params.n_qubits, params.entangler)
     jac = np.empty((2**params.n_qubits, params.angles.size))
     for col, (layer, qubit) in enumerate(np.ndindex(params.angles.shape)):
         shifted = params.angles.copy()
         shifted[layer, qubit] += np.pi / 2
-        p_plus = np.abs(_run_raw(params.n_qubits, shifted, masks)) ** 2
+        p_plus = probabilities(run_generator_circuit(replace(params, angles=shifted)))
         shifted[layer, qubit] -= np.pi
-        p_minus = np.abs(_run_raw(params.n_qubits, shifted, masks)) ** 2
+        p_minus = probabilities(run_generator_circuit(replace(params, angles=shifted)))
         jac[:, col] = (p_plus - p_minus) / 2.0
     return jac

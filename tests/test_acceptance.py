@@ -14,7 +14,7 @@ import pytest
 from qbde import bde, features, qgan
 from qbde.bde import read_score_csv, read_summary
 from qbde.cli import EXIT_OK, main
-from qbde.qsim import GeneratorParams, entangler_pairs, new_zero_state, probabilities, run_generator_circuit
+from qbde.qsim import GeneratorParams, entangler_pairs, probabilities, run_generator_circuit
 
 LOG2 = math.log(2.0)
 
@@ -147,8 +147,8 @@ def test_circuit_oracle_equivalence():
         n = int(rng.integers(1, 4))
         depth = int(rng.integers(1, 6))
         params = GeneratorParams(n, rng.uniform(-np.pi, np.pi, (depth + 1, n)))
-        got = run_generator_circuit(params).amplitudes
-        want = _dense_unitary(params) @ new_zero_state(n).amplitudes
+        got = run_generator_circuit(params)
+        want = _dense_unitary(params) @ np.eye(2**n)[0]
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - start
     _verdict("circuit-oracle-equivalence",

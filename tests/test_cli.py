@@ -263,3 +263,42 @@ def test_different_seed_changes_outputs(tmp_path):
     out_a = run_pipeline(tmp_path / "a", seed=0)
     out_b = run_pipeline(tmp_path / "b", seed=8)
     assert (out_a / "scores.csv").read_bytes() != (out_b / "scores.csv").read_bytes()
+
+
+@pytest.mark.parametrize("size", ["inf", "1e400", "-inf", "nan"])
+def test_ingest_counts_non_finite_device_size_as_malformed(tmp_path, size):
+    flags = fast_flags(tmp_path)
+    assert main(["synth", *flags]) == EXIT_OK
+    device = tmp_path / "data" / "device.csv"
+    lines = device.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    row = dict(zip(header, lines[1].split(",")))
+    row["size"] = size
+    device.write_text("\n".join([*lines, ",".join(row[h] for h in header)]) + "\n",
+                      encoding="utf-8")
+    assert main(["ingest", *flags]) == EXIT_OK
+    report = (tmp_path / "out" / "parse_report.txt").read_text()
+    assert "file.device.malformed = 1\n" in report
+
+
+@pytest.mark.parametrize("override", [["--k", "3"], ["--k", "1"]])
+def test_resume_with_another_depth_is_config_error(tmp_path, override):
+    flags = fast_flags(tmp_path)
+    main(["synth", *flags])
+    main(["ingest", *flags])
+    assert main(["train", *flags, "--epochs", "1"]) == EXIT_OK
+    ckpt = tmp_path / "out" / "qgan.ckpt"
+    before = ckpt.read_bytes()
+    assert main(["train", *flags, "--epochs", "1", "--resume",
+                 *override]) == EXIT_CONFIG
+    assert ckpt.read_bytes() == before
+
+
+def test_resume_with_another_discriminator_is_config_error(tmp_path):
+    flags = fast_flags(tmp_path)
+    main(["synth", *flags])
+    main(["ingest", *flags])
+    assert main(["train", *flags, "--epochs", "1"]) == EXIT_OK
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(cfgfile.read_text() + "hidden1 = 16\n", encoding="utf-8")
+    assert main(["train", *flags, "--epochs", "1", "--resume"]) == EXIT_CONFIG

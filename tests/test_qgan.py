@@ -8,6 +8,7 @@ import pytest
 from qbde.qgan import (
     DiscriminatorNet,
     TrainConfig,
+    adversarial_grads,
     cross_entropy_to_target,
     disc_forward,
     disc_grads,
@@ -193,6 +194,29 @@ def test_disc_grads_duplicate_rows_match_mean():
     four = disc_grads(net, np.tile(x, (4, 1)), np.tile(g, (4, 1)))
     for a, b in zip(one[0] + one[1], four[0] + four[1]):
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 3, 16])
+def test_adversarial_grads_match_tiled_batch(m):
+    # One forward over the generated row stands for m identical rows.
+    rng = np.random.default_rng(20 + m)
+    for _ in range(5):
+        net = small_net(rng, n_in=16, hidden=(12, 7))
+        real = rng.dirichlet(np.ones(16), size=m)
+        g = rng.dirichlet(np.ones(16))
+        fake = np.tile(g, (m, 1))
+        ld, lg, dw, db = adversarial_grads(net, real, g)
+        assert abs(ld - loss_d(net, real, fake)) < 1e-12
+        assert abs(lg - loss_g(net, fake)) < 1e-12
+        ref_dw, ref_db = disc_grads(net, real, fake)
+        for a, b in zip(dw + db, ref_dw + ref_db):
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_adversarial_grads_rejects_empty_batch():
+    with pytest.raises(ValueError):
+        adversarial_grads(zero_net(4), np.empty((0, 4)), np.full(4, 0.25))
 
 
 def test_gen_grads_match_finite_differences():

@@ -1,15 +1,15 @@
-"""Gate-level and circuit-level checks against independent oracles."""
+"""Circuit-engine checks against independent oracles: dense matrix algebra
+for the forward sweep, parameter shift and finite differences for the
+adjoint sweep."""
 
 import numpy as np
 import pytest
 
 from qbde.qsim import (
     GeneratorParams,
-    StateVector,
-    apply_cz,
-    apply_ry,
+    adjoint_gradient,
     entangler_pairs,
-    new_zero_state,
+    entangler_signs,
     prob_jacobian,
     probabilities,
     run_generator_circuit,
@@ -42,15 +42,23 @@ def cz_matrix(n, a, b):
     return np.diag(diag)
 
 
-def circuit_unitary(params):
-    n = params.n_qubits
+def entangler_matrix(n, topology):
     ue = np.eye(2**n)
-    for a, b in entangler_pairs(n, params.entangler):
+    for a, b in entangler_pairs(n, topology):
         ue = cz_matrix(n, a, b) @ ue
-    u = layer_matrix(n, params.angles[0])
+    return ue
+
+
+def circuit_unitary(params):
+    ue = entangler_matrix(params.n_qubits, params.entangler)
+    u = layer_matrix(params.n_qubits, params.angles[0])
     for layer in range(1, params.depth + 1):
-        u = layer_matrix(n, params.angles[layer]) @ ue @ u
+        u = layer_matrix(params.n_qubits, params.angles[layer]) @ ue @ u
     return u
+
+
+def zero_state(n):
+    return np.eye(2**n)[0]
 
 
 def random_params(rng, n, depth, entangler="ring"):
@@ -58,121 +66,143 @@ def random_params(rng, n, depth, entangler="ring"):
                            entangler)
 
 
+def one_layer(angles_row):
+    """The circuit with only the input-preparation row: one RY per qubit."""
+    return GeneratorParams(len(angles_row), np.array([angles_row], dtype=float))
+
+
 # --------------------------------------------------------------------------
-# State preparation and single gates
+# The zero state and single gates, as one-layer circuits
 # --------------------------------------------------------------------------
 
 def test_zero_state_n4():
-    state = new_zero_state(4)
-    assert state.amplitudes[0] == 1.0
-    assert np.all(state.amplitudes[1:] == 0.0)
+    amps = run_generator_circuit(one_layer([0.0] * 4))
+    assert amps[0] == 1.0
+    assert np.all(amps[1:] == 0.0)
 
 
 def test_zero_state_n1():
-    np.testing.assert_array_equal(new_zero_state(1).amplitudes, [1.0, 0.0])
+    np.testing.assert_array_equal(run_generator_circuit(one_layer([0.0])),
+                                  [1.0, 0.0])
 
 
 def test_zero_state_probabilities():
-    np.testing.assert_array_equal(probabilities(new_zero_state(2)), [1, 0, 0, 0])
+    np.testing.assert_array_equal(
+        probabilities(run_generator_circuit(one_layer([0.0, 0.0]))), [1, 0, 0, 0])
 
 
 @pytest.mark.parametrize("n", [0, -3, 13])
 def test_zero_state_rejects_bad_qubit_count(n):
     with pytest.raises(ValueError):
-        new_zero_state(n)
+        GeneratorParams(n, np.zeros((1, max(n, 0))))
+
+
+def test_amplitudes_are_real():
+    amps = run_generator_circuit(random_params(np.random.default_rng(1), 3, 4))
+    assert amps.dtype == np.float64
+    assert amps.shape == (8,)
 
 
 def test_ry_zero_angle_is_identity():
+    # An appended all-zero row leaves only its entangling block behind.
     rng = np.random.default_rng(1)
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    amps /= np.linalg.norm(amps)
-    state = StateVector(3, amps)
-    out = apply_ry(state, 2, 0.0)
-    np.testing.assert_allclose(out.amplitudes, amps, atol=1e-15)
-
-
-def test_ry_pi_flips_zero_to_one():
-    out = apply_ry(new_zero_state(1), 1, np.pi)
-    np.testing.assert_allclose(out.amplitudes, [0.0, 1.0], atol=1e-15)
-
-
-def test_ry_half_pi_makes_equal_superposition():
-    out = apply_ry(new_zero_state(1), 1, np.pi / 2)
-    np.testing.assert_allclose(out.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)],
+    params = random_params(rng, 3, 2)
+    padded = GeneratorParams(3, np.vstack([params.angles, np.zeros(3)]))
+    np.testing.assert_allclose(run_generator_circuit(padded),
+                               entangler_signs(3) * run_generator_circuit(params),
                                atol=1e-15)
 
 
 def test_ry_qubit_out_of_range():
+    # a rotation row wider than the register names a qubit that is not there
     with pytest.raises(ValueError):
-        apply_ry(new_zero_state(2), 3, 0.1)
+        GeneratorParams(2, np.zeros((1, 3)))
+
+
+def test_ry_pi_flips_zero_to_one():
+    np.testing.assert_allclose(run_generator_circuit(one_layer([np.pi])),
+                               [0.0, 1.0], atol=1e-15)
+
+
+def test_ry_half_pi_makes_equal_superposition():
+    np.testing.assert_allclose(run_generator_circuit(one_layer([np.pi / 2])),
+                               [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
 
 
 def test_ry_matches_dense_oracle_on_each_qubit():
     rng = np.random.default_rng(7)
     for n in (1, 2, 3):
-        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        amps /= np.linalg.norm(amps)
         for q in range(1, n + 1):
             theta = rng.uniform(-np.pi, np.pi)
-            got = apply_ry(StateVector(n, amps), q, theta).amplitudes
+            row = [theta if i == q else 0.0 for i in range(1, n + 1)]
             full = np.eye(1)
             for i in range(1, n + 1):
                 full = np.kron(full, ry_matrix(theta) if i == q else np.eye(2))
-            np.testing.assert_allclose(got, full @ amps, atol=1e-12)
+            np.testing.assert_allclose(run_generator_circuit(one_layer(row)),
+                                       full @ zero_state(n), atol=1e-12)
+
+
+def test_ry_layer_matches_dense_oracle():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 4):
+        row = rng.uniform(-np.pi, np.pi, size=n)
+        np.testing.assert_allclose(run_generator_circuit(one_layer(row)),
+                                   layer_matrix(n, row) @ zero_state(n),
+                                   atol=1e-12)
 
 
 def test_cz_negates_only_the_11_component():
-    state = apply_ry(apply_ry(new_zero_state(2), 1, np.pi), 2, np.pi)  # |11>
-    out = apply_cz(state, 1, 2)
-    np.testing.assert_allclose(out.amplitudes, [0, 0, 0, -1], atol=1e-12)
+    # |11> from the input row, then CZ, then an all-zero row
+    out = run_generator_circuit(GeneratorParams(2, [[np.pi, np.pi], [0.0, 0.0]]))
+    np.testing.assert_allclose(out, [0, 0, 0, -1], atol=1e-12)
 
 
 def test_cz_leaves_01_alone():
-    state = apply_ry(new_zero_state(2), 2, np.pi)  # |01>
-    out = apply_cz(state, 1, 2)
-    np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
+    out = run_generator_circuit(GeneratorParams(2, [[0.0, np.pi], [0.0, 0.0]]))
+    np.testing.assert_allclose(out, [0, 1, 0, 0], atol=1e-15)
+
+
+@pytest.mark.parametrize("topology", ["ring", "chain"])
+def test_entangler_signs_match_dense_cz_product(topology):
+    for n in range(1, 6):
+        np.testing.assert_array_equal(np.diag(entangler_matrix(n, topology)),
+                                      entangler_signs(n, topology))
 
 
 def test_cz_is_an_involution_and_symmetric():
-    rng = np.random.default_rng(3)
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    amps /= np.linalg.norm(amps)
-    state = StateVector(3, amps)
-    twice = apply_cz(apply_cz(state, 1, 3), 1, 3)
-    np.testing.assert_allclose(twice.amplitudes, amps, atol=1e-15)
-    np.testing.assert_allclose(apply_cz(state, 3, 1).amplitudes,
-                               apply_cz(state, 1, 3).amplitudes, atol=1e-15)
+    for topology in ("ring", "chain"):
+        for n in range(1, 6):
+            signs = entangler_signs(n, topology)
+            np.testing.assert_array_equal(signs * signs, np.ones(2**n))
+            swapped = np.eye(2**n)
+            for a, b in entangler_pairs(n, topology):
+                swapped = cz_matrix(n, b, a) @ swapped
+            np.testing.assert_array_equal(np.diag(swapped), signs)
 
 
 def test_cz_rejects_equal_or_bad_indices():
-    state = new_zero_state(2)
+    # every CZ of a block joins two distinct qubits of the register
+    for topology in ("ring", "chain"):
+        for n in range(1, 13):
+            for a, b in entangler_pairs(n, topology):
+                assert a != b and 1 <= a <= n and 1 <= b <= n
     with pytest.raises(ValueError):
-        apply_cz(state, 1, 1)
-    with pytest.raises(ValueError):
-        apply_cz(state, 1, 5)
+        entangler_signs(3, "star")
 
 
 def test_gates_preserve_norm_and_invert():
+    # Rows [A, 0, -A reversed] undo A: the zero row's block cancels the
+    # next block (CZ blocks square to one), leaving RY(-t) after RY(t).
     rng = np.random.default_rng(11)
-    state = new_zero_state(3)
-    applied = []
     for _ in range(30):
-        if rng.random() < 0.7:
-            q, theta = int(rng.integers(1, 4)), float(rng.uniform(-np.pi, np.pi))
-            state = apply_ry(state, q, theta)
-            applied.append(("ry", q, theta))
-        else:
-            a, b = rng.choice([1, 2, 3], size=2, replace=False)
-            state = apply_cz(state, int(a), int(b))
-            applied.append(("cz", int(a), int(b)))
-        assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-10
-    for op in reversed(applied):  # undo everything: RY(-t), CZ is self-inverse
-        if op[0] == "ry":
-            state = apply_ry(state, op[1], -op[2])
-        else:
-            state = apply_cz(state, op[1], op[2])
-    expect = new_zero_state(3).amplitudes
-    np.testing.assert_allclose(state.amplitudes, expect, atol=1e-12)
+        n, depth = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        params = random_params(rng, n, depth)
+        amps = run_generator_circuit(params)
+        assert abs(np.sum(amps**2) - 1.0) < 1e-10
+        undo = np.vstack([params.angles, np.zeros(n), -params.angles[::-1]])
+        np.testing.assert_allclose(
+            run_generator_circuit(GeneratorParams(n, undo)), zero_state(n),
+            atol=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -181,8 +211,7 @@ def test_gates_preserve_norm_and_invert():
 
 def test_all_zero_angles_keep_the_zero_state():
     params = GeneratorParams(3, np.zeros((4, 3)))
-    out = run_generator_circuit(params)
-    np.testing.assert_allclose(out.amplitudes, new_zero_state(3).amplitudes,
+    np.testing.assert_allclose(run_generator_circuit(params), zero_state(3),
                                atol=1e-15)
 
 
@@ -198,8 +227,8 @@ def test_circuit_matches_dense_unitary_product(n, depth, entangler):
     rng = np.random.default_rng(100 * n + depth)
     for _ in range(5):
         params = random_params(rng, n, depth, entangler)
-        got = run_generator_circuit(params).amplitudes
-        want = circuit_unitary(params) @ new_zero_state(n).amplitudes
+        got = run_generator_circuit(params)
+        want = circuit_unitary(params) @ zero_state(n)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -240,34 +269,36 @@ def test_circuit_is_deterministic():
 # --------------------------------------------------------------------------
 
 def test_sample_point_mass():
-    counts = sample(new_zero_state(4), 100, np.random.default_rng(0))
+    p = probabilities(run_generator_circuit(one_layer([0.0] * 4)))
+    counts = sample(p, 100, np.random.default_rng(0))
     assert counts[0] == 100
     assert counts.sum() == 100
 
 
 def test_sample_is_seed_deterministic():
-    state = run_generator_circuit(random_params(np.random.default_rng(2), 3, 2))
-    c1 = sample(state, 5000, np.random.default_rng(123))
-    c2 = sample(state, 5000, np.random.default_rng(123))
+    p = probabilities(run_generator_circuit(
+        random_params(np.random.default_rng(2), 3, 2)))
+    c1 = sample(p, 5000, np.random.default_rng(123))
+    c2 = sample(p, 5000, np.random.default_rng(123))
     np.testing.assert_array_equal(c1, c2)
 
 
 def test_sample_rejects_zero_shots():
     with pytest.raises(ValueError):
-        sample(new_zero_state(2), 0, np.random.default_rng(0))
+        sample(np.array([1.0, 0.0, 0.0, 0.0]), 0, np.random.default_rng(0))
 
 
 def test_sample_uniform_chi_square():
     scipy_stats = pytest.importorskip("scipy.stats")
     angles = np.full((1, 4), np.pi / 2)
-    state = run_generator_circuit(GeneratorParams(4, angles))
-    counts = sample(state, 100_000, np.random.default_rng(42))
+    p = probabilities(run_generator_circuit(GeneratorParams(4, angles)))
+    counts = sample(p, 100_000, np.random.default_rng(42))
     _, p_value = scipy_stats.chisquare(counts)
     assert p_value > 0.01
 
 
 # --------------------------------------------------------------------------
-# Parameter-shift jacobian
+# Parameter-shift jacobian (the oracle)
 # --------------------------------------------------------------------------
 
 def fd_jacobian(params, h=1e-5):
@@ -308,3 +339,49 @@ def test_jacobian_columns_sum_to_zero():
     params = random_params(np.random.default_rng(23), 3, 3)
     np.testing.assert_allclose(prob_jacobian(params).sum(axis=0),
                                np.zeros(params.n_params), atol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# Adjoint sweep
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("entangler", ["ring", "chain"])
+def test_adjoint_matches_parameter_shift(entangler):
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for _ in range(100):
+        n, depth = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        params = random_params(rng, n, depth, entangler)
+        dp = rng.normal(size=2**n)
+        got = adjoint_gradient(params, run_generator_circuit(params), dp)
+        assert got.shape == params.angles.shape
+        want = (dp @ prob_jacobian(params)).reshape(params.angles.shape)
+        worst = max(worst, float(np.max(np.abs(got - want))))
+    assert worst < 1e-12
+
+
+def test_adjoint_single_qubit_analytic():
+    # L = p_1 = sin^2(t/2), so dL/dt = sin(t)/2
+    for theta in (0.0, 0.3, np.pi / 2, 2.0):
+        params = GeneratorParams(1, np.array([[theta]]))
+        grad = adjoint_gradient(params, run_generator_circuit(params),
+                                np.array([0.0, 1.0]))
+        np.testing.assert_allclose(grad, [[np.sin(theta) / 2]], atol=1e-15)
+
+
+def test_adjoint_of_a_constant_loss_vanishes():
+    # dp = ones is the gradient of sum(p) = 1
+    params = random_params(np.random.default_rng(37), 4, 8)
+    grad = adjoint_gradient(params, run_generator_circuit(params), np.ones(16))
+    np.testing.assert_allclose(grad, np.zeros_like(params.angles), atol=1e-12)
+
+
+def test_adjoint_leaves_its_inputs_alone():
+    rng = np.random.default_rng(41)
+    params = random_params(rng, 3, 3)
+    amps = run_generator_circuit(params)
+    dp = rng.normal(size=8)
+    keep = (params.angles.copy(), amps.copy(), dp.copy())
+    adjoint_gradient(params, amps, dp)
+    for before, after in zip(keep, (params.angles, amps, dp)):
+        np.testing.assert_array_equal(before, after)
