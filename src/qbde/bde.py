@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .errors import SchemaError
 from .optim import Adam
 from .qgan import SIGMOID_CLAMP, _sigmoid
@@ -65,76 +66,60 @@ class BdeNet:
                 self.fc_w, self.fc_b]
 
 
-def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Width-3, stride-1 convolution with zero padding 1 on (m, C_in, L)."""
-    m, _, length = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1)))
-    out = np.zeros((m, w.shape[0], length))
-    for k in range(3):
-        out += np.einsum("oi,mil->mol", w[:, :, k], xp[:, :, k:k + length])
-    return out + b[None, :, None]
+def _conv_index(c_in: int, c_out: int, length: int):
+    """A width-3, zero-pad-1 convolution as a banded (c_in*L, c_out*L) matrix:
+    its flat positions, the flat weight each holds, and the matrix shape."""
+    o, i, k, t = np.indices((c_out, c_in, 3, length)).reshape(4, -1)
+    s = t + k - 1
+    keep = (s >= 0) & (s < length)
+    pos = (i * length + s) * (c_out * length) + o * length + t
+    return pos[keep], ((o * c_in + i) * 3 + k)[keep], (c_in * length, c_out * length)
 
 
-def _maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    left, right = x[:, :, 0::2], x[:, :, 1::2]
-    take_right = right > left  # ties resolve to the left slot
-    return np.where(take_right, right, left), take_right
+_CONV1 = _conv_index(1, 4, INPUT_LEN)
+_CONV2 = _conv_index(4, 8, INPUT_LEN // 2)
+
+
+def _conv_matrix(w: np.ndarray, index) -> np.ndarray:
+    """The live weights scattered into the layer's (C_in*L, C_out*L) matrix."""
+    mat = np.zeros(index[2])
+    np.put(mat, index[0], w.ravel()[index[1]])
+    return mat
+
+
+def _pool(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max over (even, odd) position pairs; ties resolve to the left."""
+    left, right = a[:, 0::2], a[:, 1::2]
+    return np.maximum(left, right), right > left
+
+
+def _unpool(dp: np.ndarray, take_right: np.ndarray) -> np.ndarray:
+    out = np.zeros((len(dp), 2 * dp.shape[1]))
+    out[:, 0::2] = np.where(take_right, 0.0, dp)
+    out[:, 1::2] = np.where(take_right, dp, 0.0)
+    return out
 
 
 def _forward_batch(net: BdeNet, x: np.ndarray):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != INPUT_LEN:
         raise ValueError(f"expected input length {INPUT_LEN}, got {x.shape[1]}")
-    x3 = x[:, None, :]                              # (m, 1, 16)
-    z1 = _conv1d(x3, net.conv1_w, net.conv1_b)      # (m, 4, 16)
-    a1 = np.maximum(z1, 0.0)
-    p1, tr1 = _maxpool2(a1)                         # (m, 4, 8)
-    z2 = _conv1d(p1, net.conv2_w, net.conv2_b)      # (m, 8, 8)
-    a2 = np.maximum(z2, 0.0)
-    p2, tr2 = _maxpool2(a2)                         # (m, 8, 4)
-    emb = p2.reshape(x.shape[0], EMBED_LEN)
+    t2 = _conv_matrix(net.conv2_w, _CONV2)                  # (4*8, 8*8)
+    z1 = x @ _conv_matrix(net.conv1_w, _CONV1) + np.repeat(net.conv1_b, INPUT_LEN)
+    p1, tr1 = _pool(np.maximum(z1, 0.0))                    # (m, 4*8)
+    z2 = p1 @ t2 + np.repeat(net.conv2_b, INPUT_LEN // 2)   # (m, 8*8)
+    emb, tr2 = _pool(np.maximum(z2, 0.0))                   # (m, 8*4)
     z_raw = _sigmoid(emb @ net.fc_w + net.fc_b[0])
     score = np.clip(z_raw, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
-    cache = {"x3": x3, "z1": z1, "p1": p1, "tr1": tr1, "z2": z2, "tr2": tr2,
-             "emb": emb, "z_raw": z_raw}
+    cache = {"x": x, "t2": t2, "z1": z1, "p1": p1, "tr1": tr1, "z2": z2,
+             "tr2": tr2, "z_raw": z_raw}
     return score, emb, cache
 
 
-def _conv1d_backward(dout, xin, w):
-    """Gradients of _conv1d: dout (m, C_out, L), xin the unpadded input."""
-    m, _, length = xin.shape
-    xp = np.pad(xin, ((0, 0), (0, 0), (1, 1)))
-    dw = np.stack([np.einsum("mol,mil->oi", dout, xp[:, :, k:k + length])
-                   for k in range(3)], axis=2)
-    db = dout.sum(axis=(0, 2))
-    dxp = np.zeros_like(xp)
-    for k in range(3):
-        dxp[:, :, k:k + length] += np.einsum("oi,mol->mil", w[:, :, k], dout)
-    return dw, db, dxp[:, :, 1:-1]
-
-
-def _unpool2(dp, take_right, shape):
-    dx = np.zeros(shape)
-    dx[:, :, 0::2] = np.where(take_right, 0.0, dp)
-    dx[:, :, 1::2] = np.where(take_right, dp, 0.0)
-    return dx
-
-
-def _backward_batch(net: BdeNet, cache: dict, dz_out: np.ndarray) -> list[np.ndarray]:
-    """Gradients w.r.t. every parameter from the output pre-activation
-    gradient ``dz_out`` (one entry per sample)."""
-    emb = cache["emb"]
-    dfc_w = dz_out @ emb
-    dfc_b = np.array([dz_out.sum()])
-    demb = np.outer(dz_out, net.fc_w)
-    dp2 = demb.reshape(-1, 8, 4)
-    da2 = _unpool2(dp2, cache["tr2"], cache["z2"].shape)
-    dz2 = da2 * (cache["z2"] > 0)
-    dw2, db2, dp1 = _conv1d_backward(dz2, cache["p1"], net.conv2_w)
-    da1 = _unpool2(dp1, cache["tr1"], cache["z1"].shape)
-    dz1 = da1 * (cache["z1"] > 0)
-    dw1, db1, _ = _conv1d_backward(dz1, cache["x3"], net.conv1_w)
-    return [dw1, db1, dw2, db2, dfc_w, dfc_b]
+def _conv_grads(dz: np.ndarray, xin: np.ndarray, w: np.ndarray, index):
+    """Weight and bias gradients from the output gradient and the layer input."""
+    dw = np.bincount(index[1], weights=(xin.T @ dz).take(index[0]), minlength=w.size)
+    return dw.reshape(w.shape), dz.sum(axis=0).reshape(w.shape[0], -1).sum(axis=1)
 
 
 def bde_forward(net: BdeNet, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -145,12 +130,17 @@ def bde_forward(net: BdeNet, x: np.ndarray) -> tuple[float, np.ndarray]:
 
 def bce_loss_and_grads(net: BdeNet, x: np.ndarray,
                        y: np.ndarray) -> tuple[float, list[np.ndarray]]:
-    """Binary cross-entropy over a labelled batch and its gradients."""
-    score, _, cache = _forward_batch(net, x)
+    """Binary cross-entropy over a labelled batch and its gradients, in
+    ``param_list()`` order."""
+    score, emb, c = _forward_batch(net, x)
     y = np.asarray(y, dtype=float)
     loss = float(-np.mean(y * np.log(score) + (1 - y) * np.log(1 - score)))
-    dz = (cache["z_raw"] - y) / len(y)
-    return loss, _backward_batch(net, cache, dz)
+    dz = (c["z_raw"] - y) / len(y)   # gradient at the output pre-activation
+    dz2 = _unpool(np.outer(dz, net.fc_w), c["tr2"]) * (c["z2"] > 0)
+    dw2, db2 = _conv_grads(dz2, c["p1"], net.conv2_w, _CONV2)
+    dz1 = _unpool(dz2 @ c["t2"].T, c["tr1"]) * (c["z1"] > 0)
+    dw1, db1 = _conv_grads(dz1, c["x"], net.conv1_w, _CONV1)
+    return loss, [dw1, db1, dw2, db2, dz @ emb, np.array([dz.sum()])]
 
 
 @dataclass
@@ -176,15 +166,18 @@ def train_bde(real: np.ndarray, generated: np.ndarray,
     x = np.vstack([real, generated])
     y = np.concatenate([np.ones(len(real)), np.zeros(len(generated))])
     rng = np.random.default_rng(cfg.seed)
-    net = BdeNet.create(rng)
+    init = BdeNet.create(rng).param_list()
+    # Adam steps one flat vector; the six parameters are views of it.
+    flat = np.concatenate([p.ravel() for p in init])
+    ends = np.cumsum([p.size for p in init])[:-1]
+    net = BdeNet(*(v.reshape(p.shape) for v, p in zip(np.split(flat, ends), init)))
     opt = Adam(cfg.lr)
-    params = net.param_list()
     for _ in range(cfg.epochs):
         order = rng.permutation(len(x))
         for start in range(0, len(x), cfg.batch):
             idx = order[start:start + cfg.batch]
             _, grads = bce_loss_and_grads(net, x[idx], y[idx])
-            opt.step(params, grads)
+            opt.step([flat], [np.concatenate([g.ravel() for g in grads])])
     return net
 
 
@@ -224,15 +217,21 @@ class ScoreRecord:
     th_f: float = 0.0
 
 
+def _recon_batch(x: np.ndarray, refs: np.ndarray, net: BdeNet):
+    """R_d and R_n of every row of ``x`` against its nearest (L1) row of
+    ``refs``, plus that index; rows and references share one forward pass."""
+    dist = np.abs(x[:, None, :] - refs[None, :, :]).sum(axis=2)
+    nearest = np.argmin(dist, axis=1)
+    _, emb, _ = _forward_batch(net, np.vstack([x, refs]))
+    r_n = np.abs(emb[:len(x)] - emb[len(x):][nearest]).sum(axis=1)
+    return dist[np.arange(len(x)), nearest], r_n, nearest
+
+
 def recon_errors(x: np.ndarray, reference: np.ndarray,
                  net: BdeNet) -> tuple[float, float]:
     """L1 reconstruction errors in feature space and in embedding space."""
-    x = np.asarray(x, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    r_d = float(np.abs(x - reference).sum())
-    _, fx = bde_forward(net, x)
-    _, fg = bde_forward(net, reference)
-    return r_d, float(np.abs(fx - fg).sum())
+    r_d, r_n, _ = _recon_batch(np.atleast_2d(x), np.atleast_2d(reference), net)
+    return float(r_d[0]), float(r_n[0])
 
 
 def behavior_score(r_d: float, r_n: float, lam: float) -> float:
@@ -290,15 +289,12 @@ def score_rows(rows, references: np.ndarray, net: BdeNet, lam: float,
     row is scored against its nearest candidate (the single-reference case
     reduces to plain scoring).
     """
-    refs = np.atleast_2d(np.asarray(references, dtype=float))
-    records = []
-    for row in rows:
-        x = to_vector(row)
-        nearest = int(np.argmin(np.abs(x - refs).sum(axis=1)))
-        r_d, r_n = recon_errors(x, refs[nearest], net)
-        records.append(ScoreRecord(row.user, row.day, r_d, r_n,
-                                   behavior_score(r_d, r_n, lam), "", row.label))
-    return records
+    rows = list(rows)
+    x = np.reshape([to_vector(row) for row in rows], (len(rows), INPUT_LEN))
+    r_d, r_n, _ = _recon_batch(x, np.atleast_2d(references), net)
+    return [ScoreRecord(row.user, row.day, float(rd), float(rn),
+                        behavior_score(float(rd), float(rn), lam), "", row.label)
+            for row, rd, rn in zip(rows, r_d, r_n)]
 
 
 def apply_verdicts(records: list[ScoreRecord], th: Thresholds) -> None:
@@ -318,7 +314,7 @@ SCORE_COLUMNS = ["user", "day", "r_d", "r_n", "d", "th_d", "th_f",
 
 def write_score_csv(path: str | Path, records: list[ScoreRecord],
                     comment: str | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         if comment:
             handle.write(f"# {comment}\n")
         writer = csv.writer(handle, lineterminator="\n")
@@ -383,7 +379,8 @@ def write_summary(path: str | Path, records: list[ScoreRecord],
         lines.append(f"accuracy = {repr(accuracy(verdicts, truth))}")
         for key, value in confusion(verdicts, truth).items():
             lines.append(f"confusion.{key} = {value}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def read_summary(path: str | Path) -> dict[str, str]:

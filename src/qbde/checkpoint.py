@@ -11,6 +11,7 @@ indistinguishable from an uninterrupted one.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +28,29 @@ def _hex(x: float) -> str:
     return float(x).hex()
 
 
+@contextmanager
+def atomic_open(path: str | Path):
+    """Write through a sibling temp file that replaces ``path`` on success."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as handle:
+            yield handle
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _put_array(lines: list[str], key: str, arr: np.ndarray) -> None:
     lines.append(f"{key}.shape = {' '.join(str(d) for d in arr.shape)}")
-    lines.append(f"{key}.data = {' '.join(_hex(x) for x in arr.ravel())}")
+    lines.append(f"{key}.data = {' '.join(map(float.hex, arr.ravel().tolist()))}")
 
 
-def _get_array(sec: dict[str, str], key: str) -> np.ndarray:
+def _get_array(sec: dict[str, str], key: str, want=None, where="") -> np.ndarray:
     shape = tuple(int(d) for d in sec[f"{key}.shape"].split())
-    data = [float.fromhex(tok) for tok in sec[f"{key}.data"].split()]
-    return np.array(data, dtype=float).reshape(shape)
+    if min(shape, default=1) < 1 or want not in (None, shape):
+        raise SchemaError(f"{where}{key}.shape = {shape}, want {want or 'sizes >= 1'}")
+    data = np.fromiter(map(float.fromhex, sec[f"{key}.data"].split()), float)
+    return data.reshape(shape)
 
 
 def _put_adam(lines: list[str], name: str, opt: Adam) -> None:
@@ -48,13 +63,15 @@ def _put_adam(lines: list[str], name: str, opt: Adam) -> None:
             _put_array(lines, f"v{i}", v)
 
 
-def _get_adam(sec: dict[str, str], lr: float, cfg: TrainConfig) -> Adam:
+def _get_adam(sec: dict[str, str], name: str, lr: float, cfg: TrainConfig,
+              params: list[np.ndarray]) -> Adam:
     opt = Adam(lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
     opt.t = int(sec["t"])
     if "n_arrays" in sec:
-        n = int(sec["n_arrays"])
-        opt.m = [_get_array(sec, f"m{i}") for i in range(n)]
-        opt.v = [_get_array(sec, f"v{i}") for i in range(n)]
+        if int(sec["n_arrays"]) != len(params):
+            raise SchemaError(f"{name}.n_arrays = {sec['n_arrays']}, want {len(params)}")
+        opt.m = [_get_array(sec, f"m{i}", p.shape, f"{name}.") for i, p in enumerate(params)]
+        opt.v = [_get_array(sec, f"v{i}", p.shape, f"{name}.") for i, p in enumerate(params)]
     return opt
 
 
@@ -105,7 +122,8 @@ def save_checkpoint(path: str | Path, cfg: TrainConfig, state: TrainState,
     lines.append(f"has_uint32 = {rng_state['has_uint32']}")
     lines.append(f"uinteger = {rng_state['uinteger']}")
 
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def _parse_sections(text: str, path: str | Path) -> dict[str, dict[str, str]]:
@@ -160,8 +178,8 @@ def load_checkpoint(path: str | Path) -> tuple[TrainConfig, TrainState]:
             leak=float.fromhex(d["leak"]),
         )
 
-        opt_g = _get_adam(sec["opt_g"], cfg.lr_g, cfg)
-        opt_d = _get_adam(sec["opt_d"], cfg.lr_d, cfg)
+        opt_g = _get_adam(sec["opt_g"], "opt_g", cfg.lr_g, cfg, [params.angles])
+        opt_d = _get_adam(sec["opt_d"], "opt_d", cfg.lr_d, cfg, net.param_list())
 
         r = sec["rng"]
         rng = np.random.default_rng(0)

@@ -2,16 +2,19 @@
 thresholds, verdicts and report files."""
 
 import math
-from datetime import date
+from datetime import date, timedelta
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qbde.bde import (
+    SIGMOID_CLAMP,
     BdeNet,
     BdeTrainConfig,
     ScoreRecord,
     Thresholds,
+    _recon_batch,
     accuracy,
     apply_verdicts,
     bce_loss_and_grads,
@@ -24,11 +27,13 @@ from qbde.bde import (
     read_score_csv,
     read_summary,
     recon_errors,
+    score_rows,
     train_bde,
     write_score_csv,
     write_summary,
 )
 from qbde.errors import SchemaError
+from qbde.optim import Adam
 
 
 def zero_net():
@@ -146,6 +151,91 @@ def test_gradients_match_finite_differences():
         assert np.max(np.abs(got - want) / denom) < 1e-5
 
 
+def reference_loss_and_grads(net, xs, ys):
+    """Batch cross-entropy and its gradients, forward and backward written
+    out as loops over every sample, channel, position and tap."""
+    w1, b1, w2, b2, fc_w, fc_b = net.param_list()
+    grads = [np.zeros_like(p) for p in net.param_list()]
+    dw1, db1, dw2, db2, dfc_w, dfc_b = grads
+
+    def conv(signal, w, b):
+        out = np.zeros((w.shape[0], signal.shape[1]))
+        for o in range(w.shape[0]):
+            for t in range(signal.shape[1]):
+                out[o, t] = b[o]
+                for i in range(w.shape[1]):
+                    for k in range(3):
+                        if 0 <= t + k - 1 < signal.shape[1]:
+                            out[o, t] += w[o, i, k] * signal[i, t + k - 1]
+        return out
+
+    def conv_back(dz, signal, w, dw, db):
+        dsig = np.zeros_like(signal)
+        for o in range(w.shape[0]):
+            for t in range(signal.shape[1]):
+                db[o] += dz[o, t]
+                for i in range(w.shape[1]):
+                    for k in range(3):
+                        if 0 <= t + k - 1 < signal.shape[1]:
+                            dw[o, i, k] += dz[o, t] * signal[i, t + k - 1]
+                            dsig[i, t + k - 1] += dz[o, t] * w[o, i, k]
+        return dsig
+
+    def relu_pool(z):
+        out = np.zeros((z.shape[0], z.shape[1] // 2))
+        slot = np.zeros(out.shape, dtype=int)
+        for c in range(z.shape[0]):
+            for t in range(out.shape[1]):
+                left, right = max(z[c, 2 * t], 0.0), max(z[c, 2 * t + 1], 0.0)
+                slot[c, t] = 1 if right > left else 0
+                out[c, t] = max(left, right)
+        return out, slot
+
+    def unpool_relu(dp, slot, z):
+        dz = np.zeros_like(z)
+        for c in range(dp.shape[0]):
+            for t in range(dp.shape[1]):
+                j = 2 * t + slot[c, t]
+                dz[c, j] = dp[c, t] if z[c, j] > 0 else 0.0
+        return dz
+
+    loss = 0.0
+    m = len(xs)
+    for x, y in zip(xs, ys):
+        z1 = conv(x[None, :], w1, b1)
+        p1, s1 = relu_pool(z1)
+        z2 = conv(p1, w2, b2)
+        p2, s2 = relu_pool(z2)
+        emb = p2.reshape(-1)
+        z = sum(emb[j] * fc_w[j] for j in range(32)) + fc_b[0]
+        score = 1.0 / (1.0 + math.exp(-z))
+        loss -= (y * math.log(score) + (1 - y) * math.log(1 - score)) / m
+        dz = (score - y) / m
+        for j in range(32):
+            dfc_w[j] += dz * emb[j]
+        dfc_b[0] += dz
+        dp2 = (dz * fc_w).reshape(8, 4)
+        dp1 = conv_back(unpool_relu(dp2, s2, z2), p1, w2, dw2, db2)
+        conv_back(unpool_relu(dp1, s1, z1), x[None, :], w1, dw1, db1)
+    return loss, grads
+
+
+def test_loss_and_gradients_match_nested_loop_oracle():
+    rng = np.random.default_rng(31)
+    for trial in range(8):
+        net = random_net(100 + trial)
+        x = rng.uniform(0, 1, (int(rng.integers(1, 9)), 16))
+        y = (rng.random(len(x)) > 0.5).astype(float)
+        loss, grads = bce_loss_and_grads(net, x, y)
+        for row in x:
+            assert SIGMOID_CLAMP < bde_forward(net, row)[0] < 1.0 - SIGMOID_CLAMP
+        want_loss, want_grads = reference_loss_and_grads(net, x, y)
+        assert abs(loss - want_loss) <= 1e-12
+        for got, want in zip(grads, want_grads):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 # --------------------------------------------------------------------------
 # Training
 # --------------------------------------------------------------------------
@@ -182,6 +272,38 @@ def test_train_is_seed_deterministic():
         np.testing.assert_array_equal(a, b)
 
 
+def test_train_steps_one_flat_vector_like_per_array_adam():
+    rng = np.random.default_rng(9)
+    real = rng.uniform(0, 1, (13, 16))
+    fake = rng.uniform(0, 1, (11, 16))
+    cfg = BdeTrainConfig(epochs=6, batch=5, seed=4)
+    net = train_bde(real, fake, cfg)
+    x = np.vstack([real, fake])
+    y = np.concatenate([np.ones(13), np.zeros(11)])
+    order_rng = np.random.default_rng(cfg.seed)
+    ref = BdeNet.create(order_rng)
+    opt = Adam(cfg.lr)
+    for _ in range(cfg.epochs):
+        order = order_rng.permutation(len(x))
+        for start in range(0, len(x), cfg.batch):
+            idx = order[start:start + cfg.batch]
+            opt.step(ref.param_list(), bce_loss_and_grads(ref, x[idx], y[idx])[1])
+    for got, want in zip(net.param_list(), ref.param_list()):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_adam_on_a_flat_vector_is_bit_identical_to_per_array_adam():
+    rng = np.random.default_rng(10)
+    arrays = [a.copy() for a in random_net(12).param_list()]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    per_array, whole = Adam(0.01), Adam(0.01)
+    for _ in range(100):
+        grads = [rng.normal(size=a.shape) for a in arrays]
+        per_array.step(arrays, grads)
+        whole.step([flat], [np.concatenate([g.ravel() for g in grads])])
+        assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
+
+
 def test_train_rejects_empty_sets():
     with pytest.raises(ValueError):
         train_bde(np.empty((0, 16)), np.ones((2, 16)))
@@ -212,6 +334,29 @@ def test_recon_errors_zero_net_embedding():
     r_d, r_n = recon_errors(x, g, zero_net())
     assert r_n == 0.0
     assert r_d > 0.0
+
+
+@pytest.mark.parametrize("n_refs", [1, 64])
+def test_batched_scores_match_per_row_recon_errors(n_refs):
+    rng = np.random.default_rng(40 + n_refs)
+    net = random_net(19)
+    refs = rng.dirichlet(np.ones(16), size=n_refs)
+    vectors = [*rng.dirichlet(np.ones(16), size=50), refs[-1].copy()]
+    rows = [SimpleNamespace(user="U1", day=date(2011, 1, 1) + timedelta(i),
+                            label=None, vec=v) for i, v in enumerate(vectors)]
+    records = score_rows(rows, refs, net, 0.3, lambda row: row.vec)
+    _, _, batch_nearest = _recon_batch(np.array(vectors), refs, net)
+    assert len(records) == len(rows)
+    for row, rec, got_nearest in zip(rows, records, batch_nearest):
+        nearest = int(np.argmin(np.abs(row.vec - refs).sum(axis=1)))
+        assert got_nearest == nearest
+        r_d, r_n = recon_errors(row.vec, refs[nearest], net)
+        assert rec.r_d == r_d
+        assert rec.r_d == min(np.abs(row.vec - ref).sum() for ref in refs)
+        assert abs(rec.r_n - r_n) <= 1e-12
+        assert rec.d == behavior_score(rec.r_d, rec.r_n, 0.3)
+        assert (rec.user, rec.day) == (row.user, row.day)
+    assert (records[-1].r_d, records[-1].r_n) == (0.0, 0.0)
 
 
 def test_behavior_score_endpoints_and_arithmetic():
@@ -300,6 +445,18 @@ def test_score_csv_round_trip(tmp_path):
     assert back[0]["user"] == "U1"
     assert back[4]["d"] == pytest.approx(records[4].d)
     assert all(row["th_f"] == 2 * row["th_d"] for row in back)
+
+
+def test_failed_score_csv_write_keeps_previous_file(tmp_path):
+    records = sample_records()
+    path = tmp_path / "scores.csv"
+    write_score_csv(path, records, comment="first")
+    before = path.read_bytes()
+    records[3].day = None  # fails after the header and three rows are written
+    with pytest.raises(AttributeError):
+        write_score_csv(path, records, comment="second")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["scores.csv"]
 
 
 def test_score_csv_schema_error_names_line(tmp_path):

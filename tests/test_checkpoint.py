@@ -1,9 +1,12 @@
-"""Bit-exact checkpoint round trips and resumable training."""
+"""Bit-exact checkpoint round trips, resumable training and atomic writes."""
+
+import builtins
 
 import numpy as np
 import pytest
 
-from qbde.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from qbde import checkpoint
+from qbde.checkpoint import MAGIC, _put_array, atomic_open, load_checkpoint, save_checkpoint
 from qbde.errors import SchemaError
 from qbde.qgan import TrainConfig, train
 
@@ -90,3 +93,57 @@ def test_fresh_state_round_trip(tmp_path):
     _, back = load_checkpoint(path)
     assert back.opt_g.m is None
     np.testing.assert_array_equal(back.params.angles, state.params.angles)
+
+
+def test_array_lines_match_per_element_hex():
+    rng = np.random.default_rng(3)
+    arr = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40),
+                          [0.0, -0.0, 5e-324, 1.0, -2.5, np.pi]]).reshape(2, 23)
+    lines = []
+    _put_array(lines, "a", arr)
+    assert lines == ["a.shape = 2 23",
+                     "a.data = " + " ".join(float(x).hex() for x in arr.ravel())]
+
+
+class _FailingHandle:
+    """Writes half of what it is given, then fails like a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[:len(text) // 2])
+        raise OSError("no space left on device")
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    _, cfg, state = trained_state(tmp_path)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, state, digest="before")
+    before = path.read_bytes()
+    monkeypatch.setattr(checkpoint, "open", raising=False,
+                        value=lambda *a, **k: _FailingHandle(builtins.open(*a, **k)))
+    with pytest.raises(OSError):
+        save_checkpoint(path, cfg, state, digest="after")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_atomic_open_replaces_only_on_success(tmp_path):
+    path = tmp_path / "report.txt"
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as handle:
+            handle.write("half a rep")
+            raise RuntimeError("crash mid-write")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    with atomic_open(path) as handle:
+        handle.write("new\n")
+    assert path.read_text(encoding="utf-8") == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]

@@ -1,5 +1,7 @@
 """Subcommand behavior, exit codes, config handling, pipeline determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -302,3 +304,48 @@ def test_resume_with_another_discriminator_is_config_error(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(cfgfile.read_text() + "hidden1 = 16\n", encoding="utf-8")
     assert main(["train", *flags, "--epochs", "1", "--resume"]) == EXIT_CONFIG
+
+
+def _detect_with_tampered_checkpoint(tmp_path, capsys, pattern, repl):
+    flags = fast_flags(tmp_path)
+    for step in ("synth", "ingest", "train"):
+        assert main([step, *flags]) == EXIT_OK
+    ckpt = tmp_path / "out" / "qgan.ckpt"
+    text, n = re.subn(pattern, repl, ckpt.read_text(), count=1, flags=re.M)
+    assert n == 1
+    ckpt.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    code = main(["detect", *flags])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pattern, repl, key", [
+    (r"^b0\.shape = 64$", "b0.shape = -1", "b0.shape"),
+    (r"^m0\.shape = 3 4$", "m0.shape = -1 4", "opt_g.m0.shape"),
+    (r"^w1\.shape = 32 64$", "w1.shape = 0 64", "w1.shape"),
+], ids=["negative", "negative-moment", "zero"])
+def test_checkpoint_with_non_positive_dimension_is_validation_error(
+        tmp_path, capsys, pattern, repl, key):
+    code, err = _detect_with_tampered_checkpoint(tmp_path, capsys, pattern, repl)
+    assert code == EXIT_VALIDATION
+    assert key in err
+
+
+@pytest.mark.parametrize("pattern, repl, key", [
+    (r"^m3\.shape = 64\nm3\.data = .*$", "m3.shape = 1\nm3.data = 0x0.0p+0",
+     "opt_d.m3.shape"),
+    (r"^v0\.shape = 3 4\nv0\.data = .*$", "v0.shape = 12\nv0.data = "
+     + " ".join(["0x0.0p+0"] * 12), "opt_g.v0.shape"),
+], ids=["opt_d-m3", "opt_g-v0-flattened"])
+def test_checkpoint_moment_shape_mismatch_is_validation_error(
+        tmp_path, capsys, pattern, repl, key):
+    code, err = _detect_with_tampered_checkpoint(tmp_path, capsys, pattern, repl)
+    assert code == EXIT_VALIDATION
+    assert key in err
+
+
+def test_checkpoint_moment_count_mismatch_is_validation_error(tmp_path, capsys):
+    code, err = _detect_with_tampered_checkpoint(
+        tmp_path, capsys, r"^n_arrays = 6$", "n_arrays = 5")
+    assert code == EXIT_VALIDATION
+    assert "opt_d.n_arrays" in err
