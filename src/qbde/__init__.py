@@ -28,7 +28,6 @@ from .features import (
     FEATURE_NAMES,
     BehaviorVector,
     Dataset,
-    LogEvent,
     SynthConfig,
     extract_daily,
     normalize,

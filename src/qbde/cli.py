@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bde, features, qgan
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .errors import ConfigError, SchemaError
 from .qsim import MAX_QUBITS, probabilities, run_generator_circuit, sample
 
@@ -201,8 +201,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
                                 digest)
     features.write_features_csv(out_dir / "features_test.csv", dataset.test,
                                 digest)
-    with open(out_dir / "norm_stats.csv", "w", newline="",
-              encoding="utf-8") as handle:
+    with atomic_open(out_dir / "norm_stats.csv") as handle:
         handle.write(f"# {digest}\n")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["user", "feature", "min", "max"])
@@ -215,8 +214,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
              f"split.test_rows = {len(dataset.test)}",
              f"split.excluded_abnormal = {len(dataset.excluded)}",
              f"normalize.clipped_values = {len(dataset.clipped)}"]
-    (out_dir / "parse_report.txt").write_text(
-        report.to_text() + "\n".join(extra) + "\n", encoding="utf-8")
+    with atomic_open(out_dir / "parse_report.txt") as handle:
+        handle.write(report.to_text() + "\n".join(extra) + "\n")
     print(f"ingested {report.total_events()} events -> {len(dataset.train)} train "
           f"/ {len(dataset.test)} test rows "
           f"({len(dataset.excluded)} abnormal excluded from training)")

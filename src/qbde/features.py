@@ -23,12 +23,15 @@ from __future__ import annotations
 
 import csv
 import math
+import re
+import sys
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .errors import SchemaError
 
 FEATURE_NAMES = (
@@ -42,21 +45,8 @@ _FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 LOG_FILES = ("login.csv", "http.csv", "device.csv", "email.csv", "file.csv")
 TIMESTAMP_FMT = "%m/%d/%Y %H:%M:%S"
 
-EVENT_KINDS = frozenset({
-    "login", "logoff", "http", "device_connect", "device_disconnect",
-    "email_send", "file_op",
-})
-
 LABEL_NORMAL = "normal"
 LABEL_ABNORMAL = "abnormal"
-
-
-@dataclass
-class LogEvent:
-    timestamp: datetime
-    user: str
-    kind: str
-    attrs: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -122,8 +112,48 @@ class Dataset:
 # Parsing
 # --------------------------------------------------------------------------
 
+# Event kinds by code (the position here), each with the (working-time,
+# off-hours) pair of features it counts toward.
+_KIND_TO_FEATURE = {
+    "login": ("login_on", "login_out"),
+    "logoff": ("loginoff_on", "loginoff_out"),
+    "http": ("http_on", "http_out"),
+    "device_connect": ("connect_on", "connect_out"),
+    "device_disconnect": ("disconnect_on", "disconnect_out"),
+    "email_send": ("send_on", "send_out"),
+    "file_op": ("file_on", "file_off"),
+}
+KINDS = tuple(_KIND_TO_FEATURE)
+_KIND_FEATURES = np.array([[_FEATURE_INDEX[on], _FEATURE_INDEX[out]]
+                           for on, out in _KIND_TO_FEATURE.values()])
+_IGNORED, _UNKNOWN = -1, -2
+_N_DAYS = date.max.toordinal() + 1  # above every day ordinal
+
+_CANONICAL_STAMP = re.compile(r"(\d\d/\d\d/\d\d\d\d) (\d\d):(\d\d):(\d\d)", re.ASCII)
+_HOUR_S = {f"{h:02d}": 3600 * h for h in range(24)}
+_MINUTE_S = {f"{m:02d}": 60 * m for m in range(60)}
+_SECOND_S = {f"{s:02d}": s for s in range(60)}
+
+
+@dataclass
+class Events:
+    """Parsed events as parallel columns in file order: user (an index into
+    ``user_names``), day ordinal, second of the day, kind (an index into
+    ``KINDS``) and device transfer size (0 for other kinds)."""
+
+    user_names: list
+    user: np.ndarray
+    day: np.ndarray
+    second: np.ndarray
+    kind: np.ndarray
+    size: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+
 def _parse_size(text: str) -> int:
-    if text is None or text.strip() == "":
+    if text.strip() == "":
         return 0
     size = float(text)
     if not math.isfinite(size):
@@ -131,81 +161,104 @@ def _parse_size(text: str) -> int:
     return int(size)
 
 
-def _row_events(source: str, row: dict) -> list[LogEvent]:
-    """Map one CSV row to events; raises ValueError for malformed rows and
-    returns [] for rows that are valid but carry no mapped activity."""
-    user = (row.get("user") or "").strip()
-    stamp = (row.get("date") or "").strip()
-    if not user or not stamp:
-        raise ValueError("missing user or date")
-    when = datetime.strptime(stamp, TIMESTAMP_FMT)
-    activity = (row.get("activity") or "").strip().lower()
-
-    if source == "login":
-        if activity == "logon":
-            return [LogEvent(when, user, "login")]
-        if activity == "logoff":
-            return [LogEvent(when, user, "logoff")]
-        raise LookupError(activity)
-    if source == "http":
-        return [LogEvent(when, user, "http")]
-    if source == "device":
-        size = _parse_size(row.get("size", ""))
-        if activity == "connect":
-            return [LogEvent(when, user, "device_connect", {"size": size})]
-        if activity == "disconnect":
-            return [LogEvent(when, user, "device_disconnect", {"size": size})]
-        raise LookupError(activity)
-    if source == "email":
-        if activity in ("send", ""):
-            return [LogEvent(when, user, "email_send")]
-        if activity == "view":
-            return []  # received mail is tracked nowhere in the feature set
-        raise LookupError(activity)
-    if source == "file":
-        if activity == "" or activity.startswith("file") or activity in (
-                "open", "write", "copy", "delete"):
-            return [LogEvent(when, user, "file_op")]
-        raise LookupError(activity)
-    raise ValueError(f"unknown source {source!r}")
+def _activity_kind(source: str, activity: str) -> int:
+    """Kind code of a raw activity value, ``_IGNORED`` for received mail
+    (no feature counts it) or ``_UNKNOWN``."""
+    act = activity.strip().lower()
+    if source == "email" and act == "view":
+        return _IGNORED
+    kind = {"login": {"logon": "login", "logoff": "logoff"}.get(act),
+            "http": "http",
+            "device": {"connect": "device_connect",
+                       "disconnect": "device_disconnect"}.get(act),
+            "email": "email_send" if act in ("send", "") else None,
+            "file": "file_op" if act in ("", "open", "write", "copy", "delete")
+            or act.startswith("file") else None}[source]
+    return _UNKNOWN if kind is None else KINDS.index(kind)
 
 
-def parse_logs(log_dir: str | Path) -> tuple[list[LogEvent], ParseReport]:
-    """Read the five standard CSV files under ``log_dir``.
+def _parse_file(path: Path, source: str, report: ParseReport, users: dict,
+                days: dict, flat: list) -> None:
+    """Stream one log, extending ``flat`` by (user, day, second, kind, size)
+    per event and counting its rows in ``report``.  A canonical ASCII
+    ``MM/DD/YYYY HH:MM:SS`` stamp is read field by field, its date through
+    ``days`` (filled by strptime, which rejects 02/30); any other stamp
+    gets strptime's verdict."""
+    start, n_bad, n_unknown, n_ignored = len(flat), 0, 0, 0
+    kinds: dict[str, int] = {}
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, [])
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: line 1: {exc}") from exc
+        # a repeated name reads its last column; a missing one reads as
+        # empty, like a column past the end of a short row
+        where = {name: i for i, name in enumerate(header)}
+        i_user, i_date, i_act, i_size = (where.get(name, sys.maxsize) for name in
+                                         ("user", "date", "activity", "size"))
+        while True:
+            try:
+                for rec in reader:
+                    if not rec:
+                        continue  # a blank line is not a row
+                    n = len(rec)
+                    user = rec[i_user].strip() if i_user < n else ""
+                    stamp = rec[i_date].strip() if i_date < n else ""
+                    try:
+                        if not user or not stamp:
+                            raise ValueError("missing user or date")
+                        match = _CANONICAL_STAMP.fullmatch(stamp)
+                        if match:
+                            date_part, hh, mm, ss = match.groups()
+                            day = days.get(date_part) or days.setdefault(
+                                date_part,
+                                datetime.strptime(date_part, "%m/%d/%Y").toordinal())
+                            second = _HOUR_S[hh] + _MINUTE_S[mm] + _SECOND_S[ss]
+                        else:
+                            when = datetime.strptime(stamp, TIMESTAMP_FMT)
+                            day = when.toordinal()
+                            second = (when.hour * 60 + when.minute) * 60 + when.second
+                        size = _parse_size(rec[i_size] if i_size < n else "") \
+                            if source == "device" else 0
+                    except (KeyError, ValueError):  # KeyError: hour 24, say
+                        n_bad += 1
+                        continue
+                    raw = rec[i_act] if i_act < n else ""
+                    kind = kinds.get(raw)
+                    if kind is None:
+                        kind = kinds[raw] = _activity_kind(source, raw)
+                    if kind < 0:
+                        n_unknown += kind == _UNKNOWN
+                        n_ignored += kind == _IGNORED
+                        continue
+                    flat += (users.setdefault(user, len(users)), day, second, kind, size)
+                break
+            except csv.Error:  # a field over csv.field_size_limit(), say;
+                n_bad += 1     # the reader resumes at the next line
+    n_events = (len(flat) - start) // 5
+    report.rows[source] = n_events + n_bad + n_unknown + n_ignored
+    report.events[source] = n_events
+    report.malformed[source] = n_bad
+    report.unknown_activity[source] = n_unknown
+    report.ignored[source] = n_ignored
 
-    Malformed rows (bad timestamp, missing user) and rows with unknown
-    activity values are counted in the report and skipped; a missing or
-    unreadable file raises ``OSError``.
+
+def parse_logs(log_dir: str | Path) -> tuple[Events, ParseReport]:
+    """Stream the five standard CSV files under ``log_dir`` once each.
+
+    Rows read as ``csv.DictReader`` reads them.  Malformed rows (bad
+    timestamp or size, missing user, a field csv rejects) and rows with
+    unknown activity values are counted in the report and skipped; a
+    missing or unreadable file raises ``OSError``.
     """
-    log_dir = Path(log_dir)
-    events: list[LogEvent] = []
-    report = ParseReport()
+    report, users, days, flat = ParseReport(), {}, {}, []
     for filename in LOG_FILES:
-        source = filename.split(".")[0]
-        n_rows = n_events = n_bad = n_unknown = n_ignored = 0
-        with open(log_dir / filename, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            for row in reader:
-                n_rows += 1
-                try:
-                    mapped = _row_events(source, row)
-                except LookupError:
-                    n_unknown += 1
-                    continue
-                except ValueError:
-                    n_bad += 1
-                    continue
-                if not mapped:
-                    n_ignored += 1
-                    continue
-                events.extend(mapped)
-                n_events += len(mapped)
-        report.rows[source] = n_rows
-        report.events[source] = n_events
-        report.malformed[source] = n_bad
-        report.unknown_activity[source] = n_unknown
-        report.ignored[source] = n_ignored
-    return events, report
+        _parse_file(Path(log_dir) / filename, filename.split(".")[0], report,
+                    users, days, flat)
+    table = np.array(flat, dtype=float).reshape(-1, 5)
+    user, day, second, kind = table[:, :4].T.astype(np.int64)
+    return Events(list(users), user, day, second, kind, table[:, 4]), report
 
 
 # --------------------------------------------------------------------------
@@ -236,40 +289,31 @@ def parse_working_hours(value) -> tuple[time, time]:
     return start, end
 
 
-_KIND_TO_FEATURE = {
-    "login": ("login_on", "login_out"),
-    "logoff": ("loginoff_on", "loginoff_out"),
-    "http": ("http_on", "http_out"),
-    "device_connect": ("connect_on", "connect_out"),
-    "device_disconnect": ("disconnect_on", "disconnect_out"),
-    "email_send": ("send_on", "send_out"),
-    "file_op": ("file_on", "file_off"),
-}
-
-
-def extract_daily(events: list[LogEvent],
+def extract_daily(events: Events,
                   working_hours=("08:00", "18:00")) -> list[BehaviorVector]:
     """Aggregate events into one 16-feature vector per (user, day).
 
     Only days with at least one event produce a vector; output is sorted
-    by (user, day) so the result is independent of event order.
+    by (user, day).  Counts and size totals are summed in event order.
     """
-    start, end = parse_working_hours(working_hours)
-    table: dict[tuple[str, date], np.ndarray] = {}
-    for ev in events:
-        key = (ev.user, ev.timestamp.date())
-        vec = table.get(key)
-        if vec is None:
-            vec = np.zeros(N_FEATURES)
-            vec[_FEATURE_INDEX["weekend"]] = 1.0 if key[1].weekday() >= 5 else 0.0
-            table[key] = vec
-        on = start <= ev.timestamp.time() < end
-        name_on, name_out = _KIND_TO_FEATURE[ev.kind]
-        vec[_FEATURE_INDEX[name_on if on else name_out]] += 1.0
-        if ev.kind in ("device_connect", "device_disconnect"):
-            vec[_FEATURE_INDEX["size"]] += ev.attrs.get("size", 0)
-    return [BehaviorVector(user, day, table[(user, day)])
-            for user, day in sorted(table)]
+    start, end = ((t.hour * 60 + t.minute) * 60 + t.second + t.microsecond / 1e6
+                  for t in parse_working_hours(working_hours))
+    off = (events.second < start) | (events.second >= end)
+    names = sorted(events.user_names)
+    rank = {name: i for i, name in enumerate(names)}
+    user = np.array([rank[name] for name in events.user_names], dtype=np.int64)
+    keys, key_of = np.unique(user[events.user] * _N_DAYS + events.day,
+                             return_inverse=True)
+    n = len(keys)
+    feature = _KIND_FEATURES[events.kind, off.astype(np.intp)]
+    counts = np.bincount(key_of * N_FEATURES + feature, minlength=n * N_FEATURES)
+    table = counts.reshape(n, N_FEATURES).astype(float)
+    day = keys % _N_DAYS
+    table[:, _FEATURE_INDEX["weekend"]] = (day - 1) % 7 >= 5  # day 1 is a Monday
+    table[:, _FEATURE_INDEX["size"]] = np.bincount(key_of, weights=events.size,
+                                                   minlength=n)
+    return [BehaviorVector(names[u], date.fromordinal(d), vec)
+            for u, d, vec in zip((keys // _N_DAYS).tolist(), day.tolist(), table)]
 
 
 # --------------------------------------------------------------------------
@@ -356,7 +400,7 @@ def to_simplex(values: np.ndarray) -> tuple[np.ndarray, float]:
 
 def write_features_csv(path: str | Path, rows: list[BehaviorVector],
                        comment: str | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         if comment:
             handle.write(f"# {comment}\n")
         writer = csv.writer(handle, lineterminator="\n")
@@ -367,16 +411,34 @@ def write_features_csv(path: str | Path, rows: list[BehaviorVector],
                              row.label or ""])
 
 
+def _records(path: str | Path, handle):
+    """(line number, fields) of each CSV record outside ``#`` comment
+    lines; a record csv rejects raises ``SchemaError`` naming its line."""
+    lineno = 0
+
+    def lines():
+        nonlocal lineno
+        for lineno, line in enumerate(handle, start=1):
+            if not line.startswith("#"):
+                yield line
+
+    reader = csv.reader(lines())
+    try:
+        for rec in reader:
+            yield lineno, rec
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
+
+
 def read_features_csv(path: str | Path) -> list[BehaviorVector]:
     rows = []
     with open(path, newline="", encoding="utf-8") as handle:
-        filtered = (line for line in handle if not line.startswith("#"))
-        reader = csv.reader(filtered)
-        header = next(reader, None)
+        records = _records(path, handle)
+        _, header = next(records, (0, None))
         if header is None or header[:2] != ["user", "day"] or \
                 tuple(header[2:2 + N_FEATURES]) != FEATURE_NAMES:
             raise SchemaError(f"{path}: not a features CSV")
-        for lineno, rec in enumerate(reader, start=2):
+        for lineno, rec in records:
             if len(rec) != N_FEATURES + 3:
                 raise SchemaError(f"{path}: line {lineno}: expected "
                                   f"{N_FEATURES + 3} columns, got {len(rec)}")
@@ -392,11 +454,11 @@ def read_features_csv(path: str | Path) -> list[BehaviorVector]:
 def read_labels_csv(path: str | Path) -> dict[tuple[str, date], str]:
     labels = {}
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(line for line in handle if not line.startswith("#"))
-        header = next(reader, None)
+        records = _records(path, handle)
+        _, header = next(records, (0, None))
         if header != ["user", "day", "label"]:
             raise SchemaError(f"{path}: not a labels CSV")
-        for lineno, rec in enumerate(reader, start=2):
+        for lineno, rec in records:
             if len(rec) != 3:
                 raise SchemaError(f"{path}: line {lineno}: expected 3 columns")
             labels[(rec[0], date.fromisoformat(rec[1]))] = rec[2]
@@ -514,10 +576,10 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
             vec[_FEATURE_INDEX["weekend"]] = 1.0 if day.weekday() >= 5 else 0.0
             labels[(user, day)] = LABEL_ABNORMAL if abnormal else LABEL_NORMAL
 
-            def stamp(on: bool) -> str:
+            def stamp(on: bool) -> datetime:
                 sec = _window_seconds(rng, on, start_h, end_h)
                 return datetime.combine(day, time(sec // 3600, sec % 3600 // 60,
-                                                  sec % 60)).strftime(TIMESTAMP_FMT)
+                                                  sec % 60))
 
             for feat, source, extra in (
                     ("login_on", "login", ["Logon"]),
@@ -575,13 +637,14 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     }
     paths, row_counts = {}, {}
     for source, rows in tables.items():
-        rows.sort(key=lambda r: (datetime.strptime(r[0], TIMESTAMP_FMT), r[1:]))
+        rows.sort()  # by time, then the other fields
         path = out_dir / f"{source}.csv"
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(headers[source])
-            for i, row in enumerate(rows):
-                writer.writerow([f"{source[0].upper()}{i:07d}", *row])
+            for i, (when, *rest) in enumerate(rows):
+                writer.writerow([f"{source[0].upper()}{i:07d}",
+                                 when.strftime(TIMESTAMP_FMT), *rest])
         paths[source] = path
         row_counts[source] = len(rows)
 

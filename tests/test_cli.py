@@ -1,10 +1,13 @@
 """Subcommand behavior, exit codes, config handling, pipeline determinism."""
 
+import builtins
+import csv
 import re
 
 import numpy as np
 import pytest
 
+from qbde import checkpoint
 from qbde.bde import read_score_csv, read_summary
 from qbde.checkpoint import load_checkpoint
 from qbde.cli import (
@@ -349,3 +352,82 @@ def test_checkpoint_moment_count_mismatch_is_validation_error(tmp_path, capsys):
         tmp_path, capsys, r"^n_arrays = 6$", "n_arrays = 5")
     assert code == EXIT_VALIDATION
     assert "opt_d.n_arrays" in err
+
+
+def _oversize_field(path, line, column):
+    """Replace one field of ``path`` with one past ``csv.field_size_limit()``."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[line - 1].split(",")
+    fields[column] = "x" * (csv.field_size_limit() + 1)
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_ingest_counts_oversized_field_as_malformed(tmp_path):
+    flags = fast_flags(tmp_path)
+    assert main(["synth", *flags]) == EXIT_OK
+    _oversize_field(tmp_path / "data" / "http.csv", 3, -1)
+    assert main(["ingest", *flags]) == EXIT_OK
+    report = (tmp_path / "out" / "parse_report.txt").read_text()
+    assert "file.http.malformed = 1\n" in report
+
+
+def test_oversized_labels_field_is_validation_error(tmp_path, capsys):
+    flags = fast_flags(tmp_path)
+    assert main(["synth", *flags]) == EXIT_OK
+    _oversize_field(tmp_path / "data" / "labels.csv", 5, 2)
+    assert main(["ingest", *flags]) == EXIT_VALIDATION
+    assert "labels.csv: line 5:" in capsys.readouterr().err
+
+
+def test_oversized_features_field_is_validation_error(tmp_path, capsys):
+    flags = fast_flags(tmp_path)
+    for step in ("synth", "ingest"):
+        assert main([step, *flags]) == EXIT_OK
+    _oversize_field(tmp_path / "out" / "features_train.csv", 4, 0)
+    assert main(["train", *flags]) == EXIT_VALIDATION
+    assert "features_train.csv: line 4:" in capsys.readouterr().err
+
+
+class _FailingHandle:
+    """Writes half of what it is given, then fails like a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[:len(text) // 2])
+        raise OSError("no space left on device")
+
+
+INGEST_OUTPUTS = ("features_raw.csv", "features_train.csv", "features_test.csv",
+                  "norm_stats.csv", "parse_report.txt")
+
+
+@pytest.mark.parametrize("failing", INGEST_OUTPUTS)
+def test_failed_ingest_keeps_previous_outputs(tmp_path, monkeypatch, failing):
+    flags = fast_flags(tmp_path)
+    for step in ("synth", "ingest"):
+        assert main([step, *flags]) == EXIT_OK
+    out = tmp_path / "out"
+    before = {name: (out / name).read_bytes() for name in INGEST_OUTPUTS}
+    assert main(["synth", *flags, "--seed", "5"]) == EXIT_OK
+
+    def failing_open(path, *args, **kwargs):
+        handle = builtins.open(path, *args, **kwargs)
+        return _FailingHandle(handle) if str(path).endswith(failing + ".tmp") else handle
+
+    monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+    assert main(["ingest", *flags, "--seed", "5"]) == EXIT_IO
+    after = {name: (out / name).read_bytes() for name in INGEST_OUTPUTS}
+    assert after[failing] == before[failing]
+    # outputs written before the failure are whole files of the new run
+    done = INGEST_OUTPUTS[:INGEST_OUTPUTS.index(failing)]
+    assert all(after[name] != before[name] for name in done)
+    assert not list(out.glob("*.tmp"))

@@ -1,16 +1,26 @@
 """Parsing, aggregation, normalization and the synthetic generator."""
 
-from datetime import date, datetime
+import csv
+import math
+import tempfile
+from dataclasses import dataclass
+from datetime import date, datetime, time, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbde.errors import SchemaError
 from qbde.features import (
     FEATURE_NAMES,
+    KINDS,
+    LOG_FILES,
     N_FEATURES,
+    TIMESTAMP_FMT,
     BehaviorVector,
     Dataset,
+    ParseReport,
     SynthConfig,
     attach_labels,
     extract_daily,
@@ -23,7 +33,6 @@ from qbde.features import (
     synth_generate,
     to_simplex,
     write_features_csv,
-    LogEvent,
 )
 
 FI = {name: i for i, name in enumerate(FEATURE_NAMES)}
@@ -46,6 +55,21 @@ def minimal_logs(tmp_path, login_rows=(), http_rows=(), device_rows=(),
                 ["id,date,user,pc,filename,activity", *file_rows])
 
 
+def event_at(events, i):
+    """Event ``i`` of the parsed columns as (user, timestamp, kind, size)."""
+    when = datetime.fromordinal(int(events.day[i])) + timedelta(
+        seconds=int(events.second[i]))
+    return (events.user_names[events.user[i]], when, KINDS[events.kind[i]],
+            events.size[i])
+
+
+def daily(tmp_path, **rows):
+    """Feature rows of log files holding ``rows``."""
+    tmp_path.mkdir(exist_ok=True)
+    minimal_logs(tmp_path, **rows)
+    return extract_daily(parse_logs(tmp_path)[0])
+
+
 # --------------------------------------------------------------------------
 # parse_logs
 # --------------------------------------------------------------------------
@@ -54,16 +78,17 @@ def test_parse_login_row(tmp_path):
     minimal_logs(tmp_path, login_rows=["L1,01/02/2011 08:15:00,U1,PC-1,Logon"])
     events, report = parse_logs(tmp_path)
     assert len(events) == 1
-    assert events[0].kind == "login"
-    assert events[0].user == "U1"
-    assert events[0].timestamp == datetime(2011, 1, 2, 8, 15)
+    user, when, kind, _ = event_at(events, 0)
+    assert kind == "login"
+    assert user == "U1"
+    assert when == datetime(2011, 1, 2, 8, 15)
     assert report.total_events() == 1
 
 
 def test_parse_headers_only(tmp_path):
     minimal_logs(tmp_path)
     events, report = parse_logs(tmp_path)
-    assert events == []
+    assert len(events) == 0
     assert report.total_events() == 0
     assert sum(report.malformed.values()) == 0
 
@@ -87,7 +112,7 @@ def test_parse_unknown_activity_counted_not_fatal(tmp_path):
     ])
     events, report = parse_logs(tmp_path)
     assert len(events) == 1
-    assert events[0].attrs["size"] == 1000
+    assert events.size[0] == 1000
     assert report.unknown_activity["device"] == 1
 
 
@@ -114,16 +139,16 @@ def test_parse_device_without_size_column(tmp_path):
         "D1,01/02/2011 08:15:00,U1,PC-1,Connect",
     ])
     events, _ = parse_logs(tmp_path)
-    assert events[0].attrs["size"] == 0
+    assert events.size[0] == 0
 
 
 # --------------------------------------------------------------------------
 # extract_daily
 # --------------------------------------------------------------------------
 
-def test_extract_single_weekday_login():
-    ev = LogEvent(datetime(2011, 1, 4, 9, 0), "U1", "login")  # a Tuesday
-    rows = extract_daily([ev])
+def test_extract_single_weekday_login(tmp_path):
+    # a Tuesday
+    rows = daily(tmp_path, login_rows=["L1,01/04/2011 09:00:00,U1,PC-1,Logon"])
     assert len(rows) == 1
     vec = rows[0].features
     assert vec[FI["login_on"]] == 1
@@ -131,50 +156,48 @@ def test_extract_single_weekday_login():
     assert vec.sum() == 1
 
 
-def test_extract_saturday_evening_login():
-    ev = LogEvent(datetime(2011, 1, 8, 20, 0), "U1", "login")  # a Saturday
-    vec = extract_daily([ev])[0].features
+def test_extract_saturday_evening_login(tmp_path):
+    # a Saturday
+    vec = daily(tmp_path, login_rows=["L1,01/08/2011 20:00:00,U1,PC-1,Logon"])[0].features
     assert vec[FI["login_out"]] == 1
     assert vec[FI["weekend"]] == 1
     assert vec[FI["login_on"]] == 0
 
 
-def test_extract_splits_http_by_window():
-    events = [LogEvent(datetime(2011, 1, 4, 10, 0), "U1", "http"),
-              LogEvent(datetime(2011, 1, 4, 23, 0), "U1", "http")]
-    vec = extract_daily(events)[0].features
+def test_extract_splits_http_by_window(tmp_path):
+    vec = daily(tmp_path, http_rows=["H1,01/04/2011 10:00:00,U1,PC-1,a.com",
+                                     "H2,01/04/2011 23:00:00,U1,PC-1,a.com"])[0].features
     assert vec[FI["http_on"]] == 1
     assert vec[FI["http_out"]] == 1
 
 
-def test_extract_window_boundaries():
-    mk = lambda h, m: LogEvent(datetime(2011, 1, 4, h, m), "U1", "http")
-    vec = extract_daily([mk(8, 0), mk(17, 59), mk(18, 0), mk(7, 59)])[0].features
+def test_extract_window_boundaries(tmp_path):
+    http_rows = [f"H{i},01/04/2011 {hm}:00,U1,PC-1,a.com"
+                 for i, hm in enumerate(["08:00", "17:59", "18:00", "07:59"])]
+    vec = daily(tmp_path, http_rows=http_rows)[0].features
     assert vec[FI["http_on"]] == 2   # 08:00 inclusive, 18:00 exclusive
     assert vec[FI["http_out"]] == 2
 
 
-def test_extract_sums_device_sizes():
-    events = [
-        LogEvent(datetime(2011, 1, 4, 10, 0), "U1", "device_connect", {"size": 100}),
-        LogEvent(datetime(2011, 1, 4, 11, 0), "U1", "device_connect", {"size": 250}),
-        LogEvent(datetime(2011, 1, 4, 11, 5), "U1", "device_disconnect", {"size": 0}),
-    ]
-    vec = extract_daily(events)[0].features
+def test_extract_sums_device_sizes(tmp_path):
+    vec = daily(tmp_path, device_rows=[
+        "D1,01/04/2011 10:00:00,U1,PC-1,100,Connect",
+        "D2,01/04/2011 11:00:00,U1,PC-1,250,Connect",
+        "D3,01/04/2011 11:05:00,U1,PC-1,0,Disconnect",
+    ])[0].features
     assert vec[FI["size"]] == 350
     assert vec[FI["connect_on"]] == 2
     assert vec[FI["disconnect_on"]] == 1
 
 
-def test_extract_sorted_and_order_independent():
-    events = [
-        LogEvent(datetime(2011, 1, 5, 9, 0), "U2", "login"),
-        LogEvent(datetime(2011, 1, 4, 9, 0), "U1", "login"),
-        LogEvent(datetime(2011, 1, 6, 9, 0), "U1", "login"),
-    ]
-    keys = [(r.user, r.day) for r in extract_daily(events)]
+def test_extract_sorted_and_order_independent(tmp_path):
+    login_rows = ["L1,01/05/2011 09:00:00,U2,PC-2,Logon",
+                  "L2,01/04/2011 09:00:00,U1,PC-1,Logon",
+                  "L3,01/06/2011 09:00:00,U1,PC-1,Logon"]
+    keys = [(r.user, r.day) for r in daily(tmp_path / "a", login_rows=login_rows)]
     assert keys == sorted(keys)
-    keys_rev = [(r.user, r.day) for r in extract_daily(events[::-1])]
+    keys_rev = [(r.user, r.day)
+                for r in daily(tmp_path / "b", login_rows=login_rows[::-1])]
     assert keys == keys_rev
 
 
@@ -312,6 +335,17 @@ def test_synth_is_byte_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_synth_rows_are_in_time_order(tmp_path):
+    synth_generate(SynthConfig(n_users=3, n_days=4, seed=6, out_dir=tmp_path))
+    for name in LOG_FILES:
+        with open(tmp_path / name, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))[1:]
+        keys = [(datetime.strptime(r[1], TIMESTAMP_FMT), r[2:]) for r in rows]
+        assert keys == sorted(keys)
+        assert [r[0] for r in rows] == [f"{name[0].upper()}{i:07d}"
+                                        for i in range(len(rows))]
+
+
 def test_synth_anomaly_count_matches_labels(tmp_path):
     result = synth_generate(SynthConfig(n_days=300, anomaly_rate=0.05, seed=0,
                                         out_dir=tmp_path))
@@ -328,12 +362,23 @@ def test_synth_rejects_out_of_range_rate(tmp_path):
 
 
 def test_working_time_partition_counts(tmp_path):
-    result = synth_generate(SynthConfig(n_days=15, seed=4, out_dir=tmp_path))
+    stamps = ["01/03/2011 00:00:00", "01/03/2011 07:59:59", "01/03/2011 08:00:00",
+              "01/03/2011 12:30:00", "01/03/2011 17:59:59", "01/03/2011 18:00:00",
+              "01/04/2011 23:59:59", "01/08/2011 10:00:00"]
+    minimal_logs(
+        tmp_path,
+        login_rows=[f"L{i},{t},U{i % 2},PC,{('Logon', 'Logoff')[i % 3 == 0]}"
+                    for i, t in enumerate(stamps)],
+        http_rows=[f"H{i},{t},U{i % 3 % 2},PC,a.com" for i, t in enumerate(stamps * 2)],
+        email_rows=[f"E{i},{t},U1,PC,a@x.com,{('Send', 'View')[i % 4 == 0]}"
+                    for i, t in enumerate(stamps)],
+        file_rows=[f"F{i},{t},U0,PC,doc,File Write" for i, t in enumerate(stamps[::2])])
     events, _ = parse_logs(tmp_path)
     rows = extract_daily(events)
     per_day_kind = {}
-    for ev in events:
-        key = (ev.user, ev.timestamp.date(), ev.kind)
+    for i in range(len(events)):
+        user, when, kind, _ = event_at(events, i)
+        key = (user, when.date(), kind)
         per_day_kind[key] = per_day_kind.get(key, 0) + 1
     pairs = {"login": ("login_on", "login_out"),
              "http": ("http_on", "http_out"),
@@ -343,6 +388,270 @@ def test_working_time_partition_counts(tmp_path):
         for kind, (on, out) in pairs.items():
             total = per_day_kind.get((row.user, row.day, kind), 0)
             assert row.features[FI[on]] + row.features[FI[out]] == total
+
+
+# --------------------------------------------------------------------------
+# Per-event oracle: csv.DictReader, strptime and one object per event
+# --------------------------------------------------------------------------
+
+ORACLE_KIND_TO_FEATURE = {
+    "login": ("login_on", "login_out"),
+    "logoff": ("loginoff_on", "loginoff_out"),
+    "http": ("http_on", "http_out"),
+    "device_connect": ("connect_on", "connect_out"),
+    "device_disconnect": ("disconnect_on", "disconnect_out"),
+    "email_send": ("send_on", "send_out"),
+    "file_op": ("file_on", "file_off"),
+}
+
+
+@dataclass
+class LogEvent:
+    timestamp: datetime
+    user: str
+    kind: str
+    size: int = 0
+
+
+def oracle_size(text):
+    if text is None or text.strip() == "":
+        return 0
+    size = float(text)
+    if not math.isfinite(size):
+        raise ValueError(f"non-finite size {text!r}")
+    return int(size)
+
+
+def oracle_row_events(source, row):
+    """One CSV row as events: ValueError for a malformed row, LookupError
+    for an unknown activity, [] for a valid row no feature counts."""
+    user = (row.get("user") or "").strip()
+    stamp = (row.get("date") or "").strip()
+    if not user or not stamp:
+        raise ValueError("missing user or date")
+    when = datetime.strptime(stamp, TIMESTAMP_FMT)
+    activity = (row.get("activity") or "").strip().lower()
+    if source == "login":
+        if activity in ("logon", "logoff"):
+            return [LogEvent(when, user, "login" if activity == "logon" else "logoff")]
+        raise LookupError(activity)
+    if source == "http":
+        return [LogEvent(when, user, "http")]
+    if source == "device":
+        size = oracle_size(row.get("size", ""))
+        if activity in ("connect", "disconnect"):
+            return [LogEvent(when, user, f"device_{activity}", size)]
+        raise LookupError(activity)
+    if source == "email":
+        if activity in ("send", ""):
+            return [LogEvent(when, user, "email_send")]
+        if activity == "view":
+            return []
+        raise LookupError(activity)
+    if activity == "" or activity.startswith("file") or activity in (
+            "open", "write", "copy", "delete"):
+        return [LogEvent(when, user, "file_op")]
+    raise LookupError(activity)
+
+
+def oracle_parse_logs(log_dir):
+    events, report = [], ParseReport()
+    for filename in LOG_FILES:
+        source = filename.split(".")[0]
+        counts = dict.fromkeys(("rows", "events", "malformed", "unknown_activity",
+                                "ignored"), 0)
+        with open(Path(log_dir) / filename, newline="", encoding="utf-8") as handle:
+            for row in csv.DictReader(handle):
+                counts["rows"] += 1
+                try:
+                    mapped = oracle_row_events(source, row)
+                except LookupError:
+                    counts["unknown_activity"] += 1
+                    continue
+                except ValueError:
+                    counts["malformed"] += 1
+                    continue
+                if not mapped:
+                    counts["ignored"] += 1
+                    continue
+                events.extend(mapped)
+                counts["events"] += len(mapped)
+        for name, count in counts.items():
+            getattr(report, name)[source] = count
+    return events, report
+
+
+def oracle_extract_daily(events, working_hours=("08:00", "18:00")):
+    start, end = parse_working_hours(working_hours)
+    table = {}
+    for ev in events:
+        key = (ev.user, ev.timestamp.date())
+        vec = table.get(key)
+        if vec is None:
+            vec = np.zeros(N_FEATURES)
+            vec[FI["weekend"]] = 1.0 if key[1].weekday() >= 5 else 0.0
+            table[key] = vec
+        on = start <= ev.timestamp.time() < end
+        name_on, name_out = ORACLE_KIND_TO_FEATURE[ev.kind]
+        vec[FI[name_on if on else name_out]] += 1.0
+        if ev.kind in ("device_connect", "device_disconnect"):
+            vec[FI["size"]] += ev.size
+    return [BehaviorVector(user, day, table[(user, day)])
+            for user, day in sorted(table)]
+
+
+def assert_matches_oracle(log_dir, working_hours=("08:00", "18:00")):
+    """parse_logs and extract_daily agree with the oracle: report text,
+    every event in order, and the features CSV byte for byte."""
+    want_events, want_report = oracle_parse_logs(log_dir)
+    events, report = parse_logs(log_dir)
+    assert report.to_text() == want_report.to_text()
+    assert [event_at(events, i) for i in range(len(events))] == [
+        (ev.user, ev.timestamp, ev.kind, ev.size) for ev in want_events]
+    out = Path(log_dir)
+    with np.errstate(over="ignore"):
+        want_rows = oracle_extract_daily(want_events, working_hours)
+    write_features_csv(out / "want.csv", want_rows)
+    write_features_csv(out / "got.csv", extract_daily(events, working_hours))
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+LOG_COLUMNS = {
+    "login": ["id", "date", "user", "pc", "activity"],
+    "http": ["id", "date", "user", "pc", "url"],
+    "device": ["id", "date", "user", "pc", "size", "activity"],
+    "email": ["id", "date", "user", "pc", "to", "activity"],
+    "file": ["id", "date", "user", "pc", "filename", "activity"],
+}
+
+
+def digits(stamp, zero):
+    """``stamp`` with its ASCII digits swapped for the ten from ``zero`` on."""
+    return stamp.translate({ord("0") + i: zero + i for i in range(10)})
+
+
+# Stamps that are not canonical, or canonical but invalid.
+ODD_STAMPS = [
+    "1/2/2011 8:15:00", "01/02/2011 8:5:0", "1/ 2/2011 08:15:00",
+    "00/10/2011 08:15:00", "01/00/2011 08:15:00", "02/30/2011 08:15:00",
+    "02/29/2012 08:15:00", "13/01/2011 08:15:00", "01/02/0000 08:15:00",
+    "01/02/0001 00:00:00", "12/31/9999 23:59:59",
+    "01/02/2011 24:00:00", "01/02/2011 23:59:60", "01/02/2011 23:59:61",
+    "01/02/2011 12:60:00", "01/02/2011  08:15:00", "01/02/2011\t08:15:00",
+    "01/02/2011 08:15", "01/02/2011 08:15:00.5", "01/02/2011 08:15:00 PM",
+    "01-02-2011 08:15:00", "2011/01/02 08:15:00", "not-a-date",
+    digits("01/02/2011 08:15:00", 0x660), digits("01/02/2011 08:15:00", 0xFF10),
+    "01/02/2011 " + digits("08", 0x660) + ":15:00",
+    "01/02/" + digits("2011", 0x660) + " 08:15:00",  # strptime takes this one
+    "\u00a001/02/2011 08:15:00",
+]
+
+
+def mostly(good, odd):
+    """A strategy drawing from ``good`` about three times in four."""
+    return st.integers(0, 3).flatmap(lambda k: odd if k == 3 else good)
+
+
+# Valid stamps fall on a few days, so days collect many events.
+STAMPS = mostly(
+    st.builds("01/{:02d}/2011 {:02d}:{:02d}:{:02d}".format, st.integers(1, 3),
+              st.integers(0, 23), st.integers(0, 59), st.integers(0, 59)),
+    st.one_of(
+        st.builds("{:02d}/{:02d}/{:04d} {:02d}:{:02d}:{:02d}".format,
+                  st.sampled_from([0, 1, 2, 12, 13]),
+                  st.sampled_from([0, 1, 2, 8, 29, 30, 32]),
+                  st.sampled_from([0, 1, 2011, 2012]),
+                  st.sampled_from([0, 7, 8, 17, 18, 23, 24]),
+                  st.sampled_from([0, 59, 60]), st.sampled_from([0, 59, 60, 61])),
+        st.sampled_from(ODD_STAMPS),
+        st.sampled_from(["", "   ", " 01/02/2011 09:00:00 ", "\t01/03/2011 20:00:00"])))
+ACTIVITIES = {
+    "login": ["Logon", "Logoff", " logon ", "LOGOFF"],
+    "http": [""],
+    "device": ["Connect", "Disconnect", "connect "],
+    "email": ["Send", "View", "", "SEND"],
+    "file": ["File Open", "File Write", "file_x", "FILE", "open", "write", "copy",
+             "delete", ""],
+}
+ODD_ACTIVITY = st.sampled_from(["", "  ", "Teleport", "View", "Logon", "Connect",
+                                "File Open", "send"])
+# Sums of 1e16 and 1, or of +-1.7e308, depend on the order of the terms.
+SIZES = mostly(st.sampled_from(["1", "100", "1e16", "1.7e308", "-1.7e308"]),
+               st.sampled_from(["", "0", " 250 ", "1e3", "-5.7", "1e300", "inf", "-inf",
+                                "nan", "1e400", "abc", "1_000", "\u0663", "  "]))
+USERS = mostly(st.sampled_from(["U1", "U2"]),
+               st.sampled_from(["U10", " U1 ", "a", "B", "", "  ", "\u00fc", "U\x00"]))
+
+
+def fields(source):
+    return {"user": USERS, "date": STAMPS, "size": SIZES,
+            "activity": mostly(st.sampled_from(ACTIVITIES[source]), ODD_ACTIVITY)}
+
+
+OTHER_FIELD = st.sampled_from(["x", "", "a,b", 'q"uote'])
+KEY_COLUMNS = ["user", "date", "activity", "size"]
+
+
+@st.composite
+def log_lines(draw, source):
+    """The records of one log: a header that may miss or repeat a key
+    column, then rows that may be blank, short or long."""
+    columns = list(LOG_COLUMNS[source])
+    field = fields(source)
+    if draw(st.integers(0, 4)) == 3:
+        columns.remove(draw(st.sampled_from([c for c in KEY_COLUMNS if c in columns])))
+    if draw(st.integers(0, 4)) == 3:
+        columns.insert(draw(st.integers(0, len(columns))),
+                       draw(st.sampled_from(KEY_COLUMNS)))
+    lines = [[]] if draw(st.integers(0, 19)) == 13 else []  # a blank first line
+    lines.append(columns)
+    for _ in range(draw(st.integers(0, 20))):
+        if draw(st.integers(0, 9)) == 7:
+            lines.append([])
+        row = [draw(field.get(name, OTHER_FIELD)) for name in columns]
+        change = draw(st.sampled_from([0, 0, 0, 0, 0, 0, -1, -3, 1, 2]))
+        lines.append(row[:change] if change < 0 else row + ["extra"] * change)
+    return [] if draw(st.integers(0, 29)) == 17 else lines
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(logs=st.fixed_dictionaries({s: log_lines(s) for s in LOG_COLUMNS}),
+       working_hours=st.sampled_from([
+           "08:00-18:00", "00:00-23:59", "09:30-17:15", (0, 23),
+           (time(8, 0, 0, 1), time(18, 0, 0, 500000))]))
+def test_parse_and_extract_match_per_event_oracle(logs, working_hours):
+    with tempfile.TemporaryDirectory() as tmp:
+        for source, lines in logs.items():
+            with open(Path(tmp) / f"{source}.csv", "w", newline="",
+                      encoding="utf-8") as handle:
+                csv.writer(handle, lineterminator="\n").writerows(lines)
+        assert_matches_oracle(tmp, working_hours)
+
+
+def test_odd_stamps_get_strptime_verdict(tmp_path):
+    stamps = ODD_STAMPS + ["01/04/2011 09:00:00", " 01/04/2011 09:00:00 "]
+    minimal_logs(tmp_path, login_rows=[f'L{i},"{t}",U1,PC,Logon'
+                                       for i, t in enumerate(stamps)])
+    _, report = parse_logs(tmp_path)
+    assert 0 < report.malformed["login"] < len(stamps) - 2
+    assert_matches_oracle(tmp_path)
+
+
+def test_size_totals_follow_event_order(tmp_path):
+    sizes = ["1e16", "1", "1", "1.7e308", "1.7e308", "-1.7e308"]
+    vec = daily(tmp_path, device_rows=[f"D{i},01/04/2011 10:00:0{i},U1,PC,{size},Connect"
+                                       for i, size in enumerate(sizes)])[0].features
+    # in file order the running total overflows; summed from the end it is 1.7e308
+    assert vec[FI["size"]] == math.inf
+    assert_matches_oracle(tmp_path)
+
+
+def test_oversized_field_row_is_malformed_and_reading_resumes(tmp_path):
+    minimal_logs(tmp_path, http_rows=[
+        "H1,01/04/2011 09:00:00,U1,PC," + "x" * (csv.field_size_limit() + 1),
+        "H2,01/04/2011 10:00:00,U1,PC,a.com"])
+    events, report = parse_logs(tmp_path)
+    assert (report.rows["http"], report.malformed["http"], len(events)) == (2, 1, 1)
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from qbde.qgan import (
     DiscriminatorNet,
+    _sigmoid,
     TrainConfig,
     adversarial_grads,
     cross_entropy_to_target,
@@ -66,6 +67,29 @@ def test_forward_is_clamped():
 def test_forward_rejects_wrong_length():
     with pytest.raises(ValueError):
         disc_forward(zero_net(8), np.zeros(5))
+
+
+def masked_sigmoid(z):
+    """The two-branch form: exp of -z where z >= 0, of z elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_masked_form():
+    rng = np.random.default_rng(0)
+    sigmas = np.geomspace(1e-3, 800.0, 50)
+    z = np.concatenate([rng.normal(0.0, s, 1000) for s in sigmas] + [np.array(
+        [0.0, -0.0, 710.0, -710.0, 745.5, -745.5, 1e308, -1e308,
+         np.inf, -np.inf, np.nan])])
+    with np.errstate(all="ignore"):
+        want = masked_sigmoid(z)
+    got = _sigmoid(z)
+    assert got.shape == z.shape == (50_011,)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_loss_g_constant_half():
