@@ -24,8 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_open
-from .errors import SchemaError
+from .checkpoint import Section, atomic_open, read_csv, read_kv, write_kv
 from .optim import Adam
 from .qgan import SIGMOID_CLAMP, _sigmoid
 
@@ -310,6 +309,7 @@ def apply_verdicts(records: list[ScoreRecord], th: Thresholds) -> None:
 
 SCORE_COLUMNS = ["user", "day", "r_d", "r_n", "d", "th_d", "th_f",
                  "verdict", "label"]
+SUMMARY_MAGIC = "qbde-detection-summary"
 
 
 def write_score_csv(path: str | Path, records: list[ScoreRecord],
@@ -326,27 +326,15 @@ def write_score_csv(path: str | Path, records: list[ScoreRecord],
 
 
 def read_score_csv(path: str | Path) -> list[dict]:
-    out = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(line for line in handle if not line.startswith("#"))
-        header = next(reader, None)
-        if header != SCORE_COLUMNS:
-            raise SchemaError(f"{path}: not a score CSV")
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != len(SCORE_COLUMNS):
-                raise SchemaError(f"{path}: line {lineno}: expected "
-                                  f"{len(SCORE_COLUMNS)} columns")
-            try:
-                out.append({
-                    "user": rec[0], "day": date.fromisoformat(rec[1]),
-                    "r_d": float(rec[2]), "r_n": float(rec[3]),
-                    "d": float(rec[4]), "th_d": float(rec[5]),
-                    "th_f": float(rec[6]), "verdict": rec[7],
-                    "label": rec[8] or None,
-                })
-            except ValueError as exc:
-                raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
-    return out
+    return read_csv(
+        path, "score", lambda header: header == SCORE_COLUMNS, len(SCORE_COLUMNS),
+        lambda rec: {
+            "user": rec[0], "day": date.fromisoformat(rec[1]),
+            "r_d": float(rec[2]), "r_n": float(rec[3]),
+            "d": float(rec[4]), "th_d": float(rec[5]),
+            "th_f": float(rec[6]), "verdict": rec[7],
+            "label": rec[8] or None,
+        })
 
 
 def write_summary(path: str | Path, records: list[ScoreRecord],
@@ -356,43 +344,29 @@ def write_summary(path: str | Path, records: list[ScoreRecord],
     """Machine-readable detection summary: verdict counts, per-user
     thresholds and, when ground truth is present, accuracy and confusion
     counts."""
-    lines = ["qbde-detection-summary"]
-    if comment:
-        lines.append(f"config_digest = {comment}")
+    entries = {"config_digest": comment} if comment else {}
     users = sorted(thresholds)
-    lines.append(f"lambda = {repr(thresholds[users[0]].lam)}")
-    lines.append(f"users = {' '.join(users)}")
+    entries["lambda"] = repr(thresholds[users[0]].lam)
+    entries["users"] = " ".join(users)
     for user in users:
-        lines.append(f"th_d.{user} = {repr(thresholds[user].th_d)}")
-        lines.append(f"th_f.{user} = {repr(thresholds[user].th_f)}")
-    lines.append(f"test_records = {len(records)}")
+        entries[f"th_d.{user}"] = repr(thresholds[user].th_d)
+        entries[f"th_f.{user}"] = repr(thresholds[user].th_f)
+    entries["test_records"] = len(records)
     for verdict in VERDICTS:
-        lines.append(f"count.{verdict} = "
-                     f"{sum(1 for r in records if r.verdict == verdict)}")
-    lines.append(f"train_records = {len(train_records)}")
-    lines.append(f"train_abnormal_verdicts = "
-                 f"{sum(1 for r in train_records if r.verdict != VERDICT_NORMAL)}")
+        entries[f"count.{verdict}"] = sum(1 for r in records if r.verdict == verdict)
+    entries["train_records"] = len(train_records)
+    entries["train_abnormal_verdicts"] = sum(1 for r in train_records
+                                             if r.verdict != VERDICT_NORMAL)
     labelled = [r for r in records if r.label is not None]
     if labelled:
         verdicts = [r.verdict for r in labelled]
         truth = [r.label for r in labelled]
-        lines.append(f"accuracy = {repr(accuracy(verdicts, truth))}")
+        entries["accuracy"] = repr(accuracy(verdicts, truth))
         for key, value in confusion(verdicts, truth).items():
-            lines.append(f"confusion.{key} = {value}")
-    with atomic_open(path) as handle:
-        handle.write("\n".join(lines) + "\n")
+            entries[f"confusion.{key}"] = value
+    write_kv(path, SUMMARY_MAGIC, {"": entries})
 
 
-def read_summary(path: str | Path) -> dict[str, str]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "qbde-detection-summary":
-        raise SchemaError(f"{path}: not a detection summary")
-    out = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        key, sep, value = line.partition(" = ")
-        if not sep:
-            raise SchemaError(f"{path}: line {lineno}: unparseable {line!r}")
-        out[key] = value
-    return out
+def read_summary(path: str | Path) -> Section:
+    """The summary's entries; a missing one raises ``SchemaError``."""
+    return read_kv(path, SUMMARY_MAGIC)[""]

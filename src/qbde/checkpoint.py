@@ -1,8 +1,12 @@
-"""Versioned text checkpoints for GAN training state.
+"""Text file formats: ``key = value`` files, CSVs and checkpoints.
 
-Layout: a ``qbde-ckpt-v1`` magic line, then ``[section]`` headers with
-``key = value`` entries.  Floats are written with ``float.hex`` and arrays
-as a ``key.shape`` line plus a ``key.data`` line of hex floats, so a
+``read_kv`` and ``write_kv`` read and write every ``key = value`` file:
+``run.cfg``, checkpoints, and the synth, parse and detection reports.
+``read_csv`` reads the features, labels and score CSVs, and
+``atomic_open`` writes every output that must not be left half-written.  A
+checkpoint has the ``qbde-ckpt-v1`` magic line and one ``[section]`` per
+part of the training state.  Floats are written with ``float.hex`` and
+arrays as a ``key.shape`` line plus a ``key.data`` line of hex floats, so a
 save/load round trip is bit-exact.  Besides the generator angles,
 discriminator weights, train config and seed, the file carries the
 optimiser moments and the RNG state: that is what makes a resumed run
@@ -11,7 +15,9 @@ indistinguishable from an uninterrupted one.
 
 from __future__ import annotations
 
+import csv
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +30,15 @@ from .qsim import GeneratorParams
 MAGIC = "qbde-ckpt-v1"
 
 
-def _hex(x: float) -> str:
-    return float(x).hex()
+# [config] holds TrainConfig's fields in their declared order
+_DECODE = {"int": int, "float": float.fromhex, "str": str,
+           "tuple[int, ...]": lambda text: tuple(int(h) for h in text.split())}
+
+
+def _encode(kind: str, value) -> str:
+    if kind == "float":
+        return float(value).hex()
+    return " ".join(map(str, value)) if kind == "tuple[int, ...]" else str(value)
 
 
 @contextmanager
@@ -40,157 +53,202 @@ def atomic_open(path: str | Path):
         tmp.unlink(missing_ok=True)
 
 
-def _put_array(lines: list[str], key: str, arr: np.ndarray) -> None:
-    lines.append(f"{key}.shape = {' '.join(str(d) for d in arr.shape)}")
-    lines.append(f"{key}.data = {' '.join(map(float.hex, arr.ravel().tolist()))}")
+def read_csv(path: str | Path, kind: str, header_ok, n_columns: int,
+             convert) -> list:
+    """``convert(fields)`` of each record after a header that ``header_ok``
+    accepts, skipping ``#`` comment lines.  A record that csv rejects, that
+    has another column count, or on which ``convert`` raises
+    ``ValueError`` raises ``SchemaError`` naming the file and line."""
+    out, lineno = [], 0
+
+    def lines():
+        nonlocal lineno
+        for lineno, line in enumerate(handle, start=1):
+            if not line.startswith("#"):
+                yield line
+
+    with open(path, newline="", encoding="utf-8") as handle:
+        records = csv.reader(lines())
+        try:
+            header = next(records, None)
+            if header is None or not header_ok(header):
+                raise SchemaError(f"{path}: not a {kind} CSV")
+            for rec in records:
+                if len(rec) != n_columns:
+                    raise SchemaError(f"{path}: line {lineno}: expected "
+                                      f"{n_columns} columns, got {len(rec)}")
+                out.append(convert(rec))
+        except (csv.Error, ValueError) as exc:
+            raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
+    return out
 
 
-def _get_array(sec: dict[str, str], key: str, want=None, where="") -> np.ndarray:
+class Section(dict):
+    """String entries of one section; looking up a missing one raises
+    ``SchemaError`` that names it after ``where`` (file and section)."""
+
+    def __init__(self, where: str):
+        super().__init__()
+        self.where = where
+
+    def __missing__(self, key):
+        raise SchemaError(f"{self.where}{key} is missing")
+
+
+def read_kv(path: str | Path, magic: str | None = None) -> Section:
+    """Sections of a ``key = value`` file, by name; entries before the
+    first ``[section]`` header are in section ``""``.  Blank and ``#``
+    lines are skipped, and a repeated key keeps its last value."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
+    if magic is not None:
+        if not lines or lines[0].strip() != magic:
+            raise SchemaError(f"{path}: not a {magic} file")
+        lines[0] = ""
+    sections = Section(f"{path}: section ")
+    current = sections[""] = Section(f"{path}: ")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1]
+            current = sections.setdefault(name, Section(f"{path}: {name}."))
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise SchemaError(f"{path}:{lineno}: unparseable line {line!r}")
+        # a repeated key moves to its last place: aliases apply in file order
+        current.pop(key.strip(), None)
+        current[key.strip()] = value.strip()
+    return sections
+
+
+def format_kv(magic: str, sections: dict[str, dict]) -> str:
+    """``magic``, then each section's ``key = value`` lines in order, under
+    a ``[name]`` header unless the name is ``""``."""
+    lines = [magic]
+    for name, entries in sections.items():
+        if name:
+            lines.append(f"[{name}]")
+        lines.extend(f"{key} = {value}" for key, value in entries.items())
+    return "\n".join(lines) + "\n"
+
+
+def write_kv(path: str | Path, magic: str, sections: dict[str, dict]) -> None:
+    with atomic_open(path) as handle:
+        handle.write(format_kv(magic, sections))
+
+
+def _put_array(key: str, arr: np.ndarray) -> dict[str, str]:
+    return {f"{key}.shape": " ".join(str(d) for d in arr.shape),
+            f"{key}.data": " ".join(map(float.hex, arr.ravel().tolist()))}
+
+
+def _get_array(sec: Section, key: str, want=None) -> np.ndarray:
     shape = tuple(int(d) for d in sec[f"{key}.shape"].split())
     if min(shape, default=1) < 1 or want not in (None, shape):
-        raise SchemaError(f"{where}{key}.shape = {shape}, want {want or 'sizes >= 1'}")
+        raise SchemaError(f"{sec.where}{key}.shape = {shape}, "
+                          f"want {want or 'sizes >= 1'}")
     data = np.fromiter(map(float.fromhex, sec[f"{key}.data"].split()), float)
     return data.reshape(shape)
 
 
-def _put_adam(lines: list[str], name: str, opt: Adam) -> None:
-    lines.append(f"[{name}]")
-    lines.append(f"t = {opt.t}")
+def _get_int(sec: Section, key: str, lo: int, hi: float) -> int:
+    value = int(sec[key])
+    if not lo <= value < hi:
+        raise SchemaError(f"{sec.where}{key} = {value}, want {lo}..{hi - 1}")
+    return value
+
+
+def _put_adam(opt: Adam) -> dict:
+    entries = {"t": opt.t}
     if opt.m is not None:
-        lines.append(f"n_arrays = {len(opt.m)}")
+        entries["n_arrays"] = len(opt.m)
         for i, (m, v) in enumerate(zip(opt.m, opt.v)):
-            _put_array(lines, f"m{i}", m)
-            _put_array(lines, f"v{i}", v)
+            entries.update(_put_array(f"m{i}", m) | _put_array(f"v{i}", v))
+    return entries
 
 
-def _get_adam(sec: dict[str, str], name: str, lr: float, cfg: TrainConfig,
+def _get_adam(sec: Section, lr: float, cfg: TrainConfig,
               params: list[np.ndarray]) -> Adam:
     opt = Adam(lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    opt.t = int(sec["t"])
+    opt.t = _get_int(sec, "t", 0, np.inf)
     if "n_arrays" in sec:
         if int(sec["n_arrays"]) != len(params):
-            raise SchemaError(f"{name}.n_arrays = {sec['n_arrays']}, want {len(params)}")
-        opt.m = [_get_array(sec, f"m{i}", p.shape, f"{name}.") for i, p in enumerate(params)]
-        opt.v = [_get_array(sec, f"v{i}", p.shape, f"{name}.") for i, p in enumerate(params)]
+            raise SchemaError(f"{sec.where}n_arrays = {sec['n_arrays']}, "
+                              f"want {len(params)}")
+        opt.m = [_get_array(sec, f"m{i}", p.shape) for i, p in enumerate(params)]
+        opt.v = [_get_array(sec, f"v{i}", p.shape) for i, p in enumerate(params)]
     return opt
 
 
 def save_checkpoint(path: str | Path, cfg: TrainConfig, state: TrainState,
                     digest: str | None = None) -> None:
-    lines = [MAGIC]
-    lines.append("[meta]")
-    lines.append(f"epoch = {state.epoch}")
-    if digest:
-        lines.append(f"config_digest = {digest}")
-
-    lines.append("[config]")
-    lines.append(f"batch = {cfg.batch}")
-    lines.append(f"epochs = {cfg.epochs}")
-    lines.append(f"lr_g = {_hex(cfg.lr_g)}")
-    lines.append(f"lr_d = {_hex(cfg.lr_d)}")
-    lines.append(f"depth = {cfg.depth}")
-    lines.append(f"seed = {cfg.seed}")
-    lines.append(f"beta1 = {_hex(cfg.beta1)}")
-    lines.append(f"beta2 = {_hex(cfg.beta2)}")
-    lines.append(f"adam_eps = {_hex(cfg.adam_eps)}")
-    lines.append(f"hidden = {' '.join(str(h) for h in cfg.hidden)}")
-    lines.append(f"entangler = {cfg.entangler}")
-    lines.append(f"init_spread = {_hex(cfg.init_spread)}")
-
-    lines.append("[generator]")
-    lines.append(f"n_qubits = {state.params.n_qubits}")
-    lines.append(f"entangler = {state.params.entangler}")
-    _put_array(lines, "angles", state.params.angles)
-
-    lines.append("[discriminator]")
-    lines.append(f"leak = {_hex(state.net.leak)}")
-    lines.append(f"n_layers = {len(state.net.weights)}")
-    for i, (w, b) in enumerate(zip(state.net.weights, state.net.biases)):
-        _put_array(lines, f"w{i}", w)
-        _put_array(lines, f"b{i}", b)
-
-    _put_adam(lines, "opt_g", state.opt_g)
-    _put_adam(lines, "opt_d", state.opt_d)
-
     rng_state = state.rng.bit_generator.state
     if rng_state["bit_generator"] != "PCG64":
         raise SchemaError("only PCG64 generators can be checkpointed")
-    lines.append("[rng]")
-    lines.append("bit_generator = PCG64")
-    lines.append(f"state = {rng_state['state']['state']}")
-    lines.append(f"inc = {rng_state['state']['inc']}")
-    lines.append(f"has_uint32 = {rng_state['has_uint32']}")
-    lines.append(f"uinteger = {rng_state['uinteger']}")
-
-    with atomic_open(path) as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def _parse_sections(text: str, path: str | Path) -> dict[str, dict[str, str]]:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != MAGIC:
-        raise SchemaError(f"{path}: not a {MAGIC} checkpoint")
-    sections: dict[str, dict[str, str]] = {}
-    current: dict[str, str] | None = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = sections.setdefault(line[1:-1], {})
-            continue
-        if "=" not in line or current is None:
-            raise SchemaError(f"{path}:{lineno}: unparseable line {line!r}")
-        key, _, value = line.partition("=")
-        current[key.strip()] = value.strip()
-    return sections
+    meta = {"epoch": state.epoch}
+    if digest:
+        meta["config_digest"] = digest
+    discriminator = {"leak": _encode("float", state.net.leak),
+                     "n_layers": len(state.net.weights)}
+    for i, (w, b) in enumerate(zip(state.net.weights, state.net.biases)):
+        discriminator.update(_put_array(f"w{i}", w) | _put_array(f"b{i}", b))
+    write_kv(path, MAGIC, {
+        "meta": meta,
+        "config": {f.name: _encode(f.type, getattr(cfg, f.name))
+                   for f in fields(cfg)},
+        "generator": {"n_qubits": state.params.n_qubits,
+                      "entangler": state.params.entangler,
+                      **_put_array("angles", state.params.angles)},
+        "discriminator": discriminator,
+        "opt_g": _put_adam(state.opt_g),
+        "opt_d": _put_adam(state.opt_d),
+        "rng": {"bit_generator": "PCG64",
+                "state": rng_state["state"]["state"],
+                "inc": rng_state["state"]["inc"],
+                "has_uint32": rng_state["has_uint32"],
+                "uinteger": rng_state["uinteger"]},
+    })
 
 
 def load_checkpoint(path: str | Path) -> tuple[TrainConfig, TrainState]:
-    text = Path(path).read_text(encoding="utf-8")
-    sec = _parse_sections(text, path)
+    sec = read_kv(path, MAGIC)
     try:
         c = sec["config"]
-        cfg = TrainConfig(
-            batch=int(c["batch"]),
-            epochs=int(c["epochs"]),
-            lr_g=float.fromhex(c["lr_g"]),
-            lr_d=float.fromhex(c["lr_d"]),
-            depth=int(c["depth"]),
-            seed=int(c["seed"]),
-            beta1=float.fromhex(c["beta1"]),
-            beta2=float.fromhex(c["beta2"]),
-            adam_eps=float.fromhex(c["adam_eps"]),
-            hidden=tuple(int(h) for h in c["hidden"].split()),
-            entangler=c["entangler"],
-            init_spread=float.fromhex(c["init_spread"]),
-        )
+        cfg = TrainConfig(**{f.name: _DECODE[f.type](c[f.name])
+                             for f in fields(TrainConfig)})
 
         g = sec["generator"]
         params = GeneratorParams(int(g["n_qubits"]), _get_array(g, "angles"),
                                  g["entangler"])
 
         d = sec["discriminator"]
-        n_layers = int(d["n_layers"])
+        n_layers = _get_int(d, "n_layers", 1, np.inf)
         net = DiscriminatorNet(
             weights=[_get_array(d, f"w{i}") for i in range(n_layers)],
             biases=[_get_array(d, f"b{i}") for i in range(n_layers)],
             leak=float.fromhex(d["leak"]),
         )
 
-        opt_g = _get_adam(sec["opt_g"], "opt_g", cfg.lr_g, cfg, [params.angles])
-        opt_d = _get_adam(sec["opt_d"], "opt_d", cfg.lr_d, cfg, net.param_list())
+        opt_g = _get_adam(sec["opt_g"], cfg.lr_g, cfg, [params.angles])
+        opt_d = _get_adam(sec["opt_d"], cfg.lr_d, cfg, net.param_list())
 
+        # the ranges numpy's PCG64 state setter accepts
         r = sec["rng"]
         rng = np.random.default_rng(0)
         rng.bit_generator.state = {
             "bit_generator": r["bit_generator"],
-            "state": {"state": int(r["state"]), "inc": int(r["inc"])},
-            "has_uint32": int(r["has_uint32"]),
-            "uinteger": int(r["uinteger"]),
+            "state": {"state": _get_int(r, "state", 0, 2**128),
+                      "inc": _get_int(r, "inc", 0, 2**128)},
+            "has_uint32": _get_int(r, "has_uint32", -2**31, 2**31),
+            "uinteger": _get_int(r, "uinteger", 0, 2**32),
         }
 
         epoch = int(sec["meta"]["epoch"])
-    except (KeyError, ValueError) as exc:
-        raise SchemaError(f"{path}: missing or malformed field ({exc})") from exc
+    except (ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: malformed field ({exc})") from exc
     return cfg, TrainState(params, net, opt_g, opt_d, rng, epoch)

@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bde, features, qgan
-from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
+from .checkpoint import (atomic_open, load_checkpoint, read_kv,
+                         save_checkpoint, write_kv)
 from .errors import ConfigError, SchemaError
 from .qsim import MAX_QUBITS, probabilities, run_generator_circuit, sample
 
@@ -136,19 +137,18 @@ def load_config(path: str | Path | None) -> RunConfig:
     if path is None:
         return cfg
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        sections = read_kv(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        key = _ALIASES.get(key, key)
-        if not sep or key not in _FIELD_TYPES:
-            raise ConfigError(f"{path}:{lineno}: unknown setting {raw.strip()!r}")
-        setattr(cfg, key, _coerce(key, value))
+    except SchemaError as exc:
+        raise ConfigError(str(exc)) from exc
+    for key, value in sections.pop("").items():
+        name = _ALIASES.get(key, key)
+        if name not in _FIELD_TYPES:
+            raise ConfigError(f"{path}: unknown setting {key!r}")
+        setattr(cfg, name, _coerce(name, value))
+    if sections:
+        raise ConfigError(f"{path}: unknown section [{next(iter(sections))}]")
     return cfg
 
 
@@ -172,14 +172,14 @@ def cmd_synth(cfg: RunConfig) -> int:
     result = features.synth_generate(features.SynthConfig(
         n_users=cfg.n_users, n_days=cfg.n_days, anomaly_rate=cfg.anomaly_rate,
         seed=cfg.seed, out_dir=cfg.input_dir, working_hours=cfg.working_hours))
-    lines = ["qbde-synth-report", f"config_digest = {cfg.digest()}"]
-    for source in sorted(result.row_counts):
-        lines.append(f"rows.{source} = {result.row_counts[source]}")
     n_abn = sum(1 for v in result.labels.values() if v == features.LABEL_ABNORMAL)
-    lines.append(f"days.total = {len(result.labels)}")
-    lines.append(f"days.abnormal = {n_abn}")
-    (Path(cfg.input_dir) / "synth_report.txt").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8")
+    write_kv(Path(cfg.input_dir) / "synth_report.txt", "qbde-synth-report", {"": {
+        "config_digest": cfg.digest(),
+        **{f"rows.{source}": result.row_counts[source]
+           for source in sorted(result.row_counts)},
+        "days.total": len(result.labels),
+        "days.abnormal": n_abn,
+    }})
     print(f"wrote {len(result.row_counts)} log files under {cfg.input_dir} "
           f"({len(result.labels)} user-days, {n_abn} abnormal)")
     return EXIT_OK
@@ -209,13 +209,13 @@ def cmd_ingest(cfg: RunConfig) -> int:
             lo, hi = dataset.stats[user]
             for j, name in enumerate(features.FEATURE_NAMES):
                 writer.writerow([user, name, repr(float(lo[j])), repr(float(hi[j]))])
-    extra = [f"config_digest = {digest}",
-             f"split.train_rows = {len(dataset.train)}",
-             f"split.test_rows = {len(dataset.test)}",
-             f"split.excluded_abnormal = {len(dataset.excluded)}",
-             f"normalize.clipped_values = {len(dataset.clipped)}"]
     with atomic_open(out_dir / "parse_report.txt") as handle:
-        handle.write(report.to_text() + "\n".join(extra) + "\n")
+        handle.write(report.to_text({
+            "config_digest": digest,
+            "split.train_rows": len(dataset.train),
+            "split.test_rows": len(dataset.test),
+            "split.excluded_abnormal": len(dataset.excluded),
+            "normalize.clipped_values": len(dataset.clipped)}))
     print(f"ingested {report.total_events()} events -> {len(dataset.train)} train "
           f"/ {len(dataset.test)} test rows "
           f"({len(dataset.excluded)} abnormal excluded from training)")

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_open
+from .checkpoint import atomic_open, format_kv, read_csv
 from .errors import SchemaError
 
 FEATURE_NAMES = (
@@ -79,16 +79,15 @@ class ParseReport:
     def total_events(self) -> int:
         return sum(self.events.values())
 
-    def to_text(self) -> str:
-        lines = ["qbde-parse-report"]
+    def to_text(self, extra: dict | None = None) -> str:
+        """The ``qbde-parse-report`` text: these counts, then ``extra``."""
+        entries = {}
         for name in sorted(self.rows):
-            lines.append(f"file.{name}.rows = {self.rows[name]}")
-            lines.append(f"file.{name}.events = {self.events[name]}")
-            lines.append(f"file.{name}.malformed = {self.malformed[name]}")
-            lines.append(f"file.{name}.unknown_activity = {self.unknown_activity[name]}")
-            lines.append(f"file.{name}.ignored = {self.ignored[name]}")
-        lines.append(f"events.total = {self.total_events()}")
-        return "\n".join(lines) + "\n"
+            for count in ("rows", "events", "malformed", "unknown_activity",
+                          "ignored"):
+                entries[f"file.{name}.{count}"] = getattr(self, count)[name]
+        entries["events.total"] = self.total_events()
+        return format_kv("qbde-parse-report", {"": entries | (extra or {})})
 
 
 @dataclass
@@ -411,58 +410,21 @@ def write_features_csv(path: str | Path, rows: list[BehaviorVector],
                              row.label or ""])
 
 
-def _records(path: str | Path, handle):
-    """(line number, fields) of each CSV record outside ``#`` comment
-    lines; a record csv rejects raises ``SchemaError`` naming its line."""
-    lineno = 0
-
-    def lines():
-        nonlocal lineno
-        for lineno, line in enumerate(handle, start=1):
-            if not line.startswith("#"):
-                yield line
-
-    reader = csv.reader(lines())
-    try:
-        for rec in reader:
-            yield lineno, rec
-    except csv.Error as exc:
-        raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
-
-
 def read_features_csv(path: str | Path) -> list[BehaviorVector]:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        records = _records(path, handle)
-        _, header = next(records, (0, None))
-        if header is None or header[:2] != ["user", "day"] or \
-                tuple(header[2:2 + N_FEATURES]) != FEATURE_NAMES:
-            raise SchemaError(f"{path}: not a features CSV")
-        for lineno, rec in records:
-            if len(rec) != N_FEATURES + 3:
-                raise SchemaError(f"{path}: line {lineno}: expected "
-                                  f"{N_FEATURES + 3} columns, got {len(rec)}")
-            try:
-                day = date.fromisoformat(rec[1])
-                feats = np.array([float(x) for x in rec[2:2 + N_FEATURES]])
-            except ValueError as exc:
-                raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
-            rows.append(BehaviorVector(rec[0], day, feats, rec[-1] or None))
-    return rows
+    return read_csv(
+        path, "features",
+        lambda header: header[:2] == ["user", "day"]
+        and tuple(header[2:2 + N_FEATURES]) == FEATURE_NAMES,
+        N_FEATURES + 3,
+        lambda rec: BehaviorVector(
+            rec[0], date.fromisoformat(rec[1]),
+            np.array([float(x) for x in rec[2:2 + N_FEATURES]]), rec[-1] or None))
 
 
 def read_labels_csv(path: str | Path) -> dict[tuple[str, date], str]:
-    labels = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        records = _records(path, handle)
-        _, header = next(records, (0, None))
-        if header != ["user", "day", "label"]:
-            raise SchemaError(f"{path}: not a labels CSV")
-        for lineno, rec in records:
-            if len(rec) != 3:
-                raise SchemaError(f"{path}: line {lineno}: expected 3 columns")
-            labels[(rec[0], date.fromisoformat(rec[1]))] = rec[2]
-    return labels
+    return dict(read_csv(
+        path, "labels", lambda header: header == ["user", "day", "label"], 3,
+        lambda rec: ((rec[0], date.fromisoformat(rec[1])), rec[2])))
 
 
 def attach_labels(rows: list[BehaviorVector],

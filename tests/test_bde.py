@@ -467,6 +467,19 @@ def test_score_csv_schema_error_names_line(tmp_path):
         read_score_csv(path)
 
 
+def test_score_csv_error_counts_the_comment_line(tmp_path):
+    records = sample_records()
+    apply_verdicts(records, fit_thresholds([r.d for r in records[:3]]))
+    path = tmp_path / "scores.csv"
+    write_score_csv(path, records, comment="digest")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "# digest"
+    lines[3] = lines[3].replace(repr(records[1].r_d), "x", 1)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="line 4: could not convert"):
+        read_score_csv(path)
+
+
 def test_summary_round_trip(tmp_path):
     records = sample_records()
     th = fit_thresholds([r.d for r in records[:3]])

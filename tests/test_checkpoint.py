@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from qbde import checkpoint
-from qbde.checkpoint import MAGIC, _put_array, atomic_open, load_checkpoint, save_checkpoint
+from qbde.checkpoint import (
+    MAGIC,
+    _put_array,
+    atomic_open,
+    format_kv,
+    load_checkpoint,
+    save_checkpoint,
+)
 from qbde.errors import SchemaError
 from qbde.qgan import TrainConfig, train
 
@@ -99,8 +106,7 @@ def test_array_lines_match_per_element_hex():
     rng = np.random.default_rng(3)
     arr = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40),
                           [0.0, -0.0, 5e-324, 1.0, -2.5, np.pi]]).reshape(2, 23)
-    lines = []
-    _put_array(lines, "a", arr)
+    lines = format_kv(MAGIC, {"": _put_array("a", arr)}).splitlines()[1:]
     assert lines == ["a.shape = 2 23",
                      "a.data = " + " ".join(float(x).hex() for x in arr.ravel())]
 

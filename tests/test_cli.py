@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbde import checkpoint
 from qbde.bde import read_score_csv, read_summary
@@ -69,6 +70,13 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path.write_text("frobnicate = 1\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "a.cfg"
+    path.write_bytes(b"seed = 1\ninput_dir = caf\xe9\n")
+    assert main(["synth", "--config", str(path)]) == EXIT_CONFIG
+    assert "configuration error:" in capsys.readouterr().err
 
 
 def test_cli_flag_overrides_file(tmp_path):
@@ -256,6 +264,47 @@ def test_report_with_empty_test_set(tmp_path, capsys):
     assert "no test records" in capsys.readouterr().out
 
 
+SUMMARY = ("qbde-detection-summary\nconfig_digest = abc\nlambda = 0.1\n"
+           "users = U0000\nth_d.U0000 = 0.5\nth_f.U0000 = 1.0\n"
+           "test_records = 1\ncount.Normal = 0\ncount.Low_threat = 1\n"
+           "count.High_threat = 0\ntrain_records = 0\n"
+           "train_abnormal_verdicts = 0\naccuracy = 1.0\nconfusion.TP = 1\n"
+           "confusion.TN = 0\nconfusion.FP = 0\nconfusion.FN = 0\n")
+SCORES = ("# abc\nuser,day,r_d,r_n,d,th_d,th_f,verdict,label\n"
+          "U0000,2011-01-02,0.7,0.7,0.7,0.5,1.0,Low_threat,abnormal\n")
+
+
+def _report_out(tmp_path, scores=SCORES, summary=SUMMARY):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "scores.csv").write_text(scores, encoding="utf-8")
+    (out / "detect_summary.txt").write_text(summary, encoding="utf-8")
+    return out
+
+
+def test_report_of_complete_summary(tmp_path, capsys):
+    assert main(["report", "--out", str(_report_out(tmp_path))]) == EXIT_OK
+    assert "accuracy: 1.0000  (TP 1, TN 0, FP 0, FN 0)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["lambda", "users", "th_f.U0000",
+                                 "count.High_threat", "confusion.FN"])
+def test_report_of_incomplete_summary_is_validation_error(tmp_path, capsys, key):
+    summary = re.sub(rf"^{re.escape(key)} = .*\n", "", SUMMARY, flags=re.M)
+    assert summary != SUMMARY
+    out = _report_out(tmp_path, summary=summary)
+    assert main(["report", "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "detect_summary.txt" in err and key in err
+
+
+def test_oversized_scores_field_is_validation_error(tmp_path, capsys):
+    out = _report_out(tmp_path)
+    _oversize_field(out / "scores.csv", 3, 7)
+    assert main(["report", "--out", str(out)]) == EXIT_VALIDATION
+    assert "scores.csv: line 3:" in capsys.readouterr().err
+
+
 def test_full_pipeline_is_byte_deterministic(tmp_path):
     out_a = run_pipeline(tmp_path / "a", seed=7)
     out_b = run_pipeline(tmp_path / "b", seed=7)
@@ -309,7 +358,8 @@ def test_resume_with_another_discriminator_is_config_error(tmp_path):
     assert main(["train", *flags, "--epochs", "1", "--resume"]) == EXIT_CONFIG
 
 
-def _detect_with_tampered_checkpoint(tmp_path, capsys, pattern, repl):
+def _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl,
+                                 argv=("detect",)):
     flags = fast_flags(tmp_path)
     for step in ("synth", "ingest", "train"):
         assert main([step, *flags]) == EXIT_OK
@@ -318,7 +368,7 @@ def _detect_with_tampered_checkpoint(tmp_path, capsys, pattern, repl):
     assert n == 1
     ckpt.write_text(text, encoding="utf-8")
     capsys.readouterr()
-    code = main(["detect", *flags])
+    code = main([*argv, *flags])
     return code, capsys.readouterr().err
 
 
@@ -329,7 +379,31 @@ def _detect_with_tampered_checkpoint(tmp_path, capsys, pattern, repl):
 ], ids=["negative", "negative-moment", "zero"])
 def test_checkpoint_with_non_positive_dimension_is_validation_error(
         tmp_path, capsys, pattern, repl, key):
-    code, err = _detect_with_tampered_checkpoint(tmp_path, capsys, pattern, repl)
+    code, err = _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl)
+    assert code == EXIT_VALIDATION
+    assert key in err
+
+
+@pytest.mark.parametrize("argv", [("detect",), ("train", "--resume")],
+                         ids=["detect", "resume"])
+@pytest.mark.parametrize("pattern, repl, key", [
+    (r"^n_layers = 3$", "n_layers = 0", "discriminator.n_layers"),
+    (r"^n_layers = 3$", "n_layers = -1", "discriminator.n_layers"),
+    (r"^state = \d+$", "state = -1", "rng.state"),
+    (r"^state = \d+$", f"state = {2**128}", "rng.state"),
+    (r"^inc = \d+$", "inc = -1", "rng.inc"),
+    (r"^inc = \d+$", f"inc = {2**128 + 1}", "rng.inc"),
+    (r"^uinteger = \d+$", "uinteger = -1", "rng.uinteger"),
+    (r"^has_uint32 = \d+$", f"has_uint32 = {10**40}", "rng.has_uint32"),
+    (r"^beta1 = .*$", "beta1 = " + "1" * 40, "betas"),
+    (r"^t = \d+$", "t = -1", "opt_g.t"),
+], ids=["no-layers", "negative-layers", "negative-state", "huge-state",
+        "negative-inc", "huge-inc", "negative-uinteger", "huge-has_uint32",
+        "huge-beta1", "negative-adam-step"])
+def test_checkpoint_with_out_of_range_value_is_validation_error(
+        tmp_path, capsys, pattern, repl, key, argv):
+    code, err = _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl,
+                                              argv)
     assert code == EXIT_VALIDATION
     assert key in err
 
@@ -342,13 +416,13 @@ def test_checkpoint_with_non_positive_dimension_is_validation_error(
 ], ids=["opt_d-m3", "opt_g-v0-flattened"])
 def test_checkpoint_moment_shape_mismatch_is_validation_error(
         tmp_path, capsys, pattern, repl, key):
-    code, err = _detect_with_tampered_checkpoint(tmp_path, capsys, pattern, repl)
+    code, err = _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl)
     assert code == EXIT_VALIDATION
     assert key in err
 
 
 def test_checkpoint_moment_count_mismatch_is_validation_error(tmp_path, capsys):
-    code, err = _detect_with_tampered_checkpoint(
+    code, err = _run_with_tampered_checkpoint(
         tmp_path, capsys, r"^n_arrays = 6$", "n_arrays = 5")
     assert code == EXIT_VALIDATION
     assert "opt_d.n_arrays" in err
@@ -378,6 +452,18 @@ def test_oversized_labels_field_is_validation_error(tmp_path, capsys):
     _oversize_field(tmp_path / "data" / "labels.csv", 5, 2)
     assert main(["ingest", *flags]) == EXIT_VALIDATION
     assert "labels.csv: line 5:" in capsys.readouterr().err
+
+
+def test_labels_with_invalid_date_is_validation_error(tmp_path, capsys):
+    flags = fast_flags(tmp_path)
+    assert main(["synth", *flags]) == EXIT_OK
+    labels = tmp_path / "data" / "labels.csv"
+    lines = labels.read_text(encoding="utf-8").splitlines()
+    user, _, label = lines[2].split(",")
+    lines[2] = f"{user},2011-13-04,{label}"
+    labels.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["ingest", *flags]) == EXIT_VALIDATION
+    assert "labels.csv: line 3: month must be in 1..12" in capsys.readouterr().err
 
 
 def test_oversized_features_field_is_validation_error(tmp_path, capsys):
@@ -431,3 +517,61 @@ def test_failed_ingest_keeps_previous_outputs(tmp_path, monkeypatch, failing):
     done = INGEST_OUTPUTS[:INGEST_OUTPUTS.index(failing)]
     assert all(after[name] != before[name] for name in done)
     assert not list(out.glob("*.tmp"))
+
+
+# --------------------------------------------------------------------------
+# Fuzzed key = value files
+# --------------------------------------------------------------------------
+
+KV_MUTATIONS = ("drop", "empty", "-1", "0", "x", "1" * 40, "repeat", "no =")
+# each mutated file, and the commands that read it
+KV_COMMANDS = {
+    "run.cfg": [["report"]],
+    "out/qgan.ckpt": [["detect"], ["train", "--resume", "--epochs", "1"]],
+    "out/detect_summary.txt": [["report"]],
+}
+
+
+@pytest.fixture(scope="module")
+def kv_run(tmp_path_factory):
+    """A finished small pipeline, and the bytes of every file in it."""
+    work = tmp_path_factory.mktemp("kv")
+    flags = fast_flags(work)
+    cfg = work / "run.cfg"
+    cfg.write_text("# fuzzed\n" + cfg.read_text(encoding="utf-8")
+                   + "lambda = 0.1\nworking_hours = 08:00-18:00\nsampled = false\n",
+                   encoding="utf-8")
+    for step in ("synth", "ingest", "train", "detect"):
+        assert main([step, *flags]) == EXIT_OK
+    return work, {p: p.read_bytes() for p in work.rglob("*") if p.is_file()}
+
+
+def _mutate(text, i, how):
+    lines = text.splitlines()
+    key = lines[i].partition(" = ")[0]
+    if how == "drop":
+        del lines[i]
+    elif how == "repeat":
+        lines.insert(i, lines[i])
+    elif how == "no =":
+        lines.insert(i, "a line without an equals sign")
+    else:
+        lines[i] = f"{key} = {'' if how == 'empty' else how}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(target=st.sampled_from(sorted(KV_COMMANDS)),
+       how=st.sampled_from(KV_MUTATIONS), data=st.data())
+def test_mutated_kv_file_never_escapes_main(kv_run, target, how, data):
+    work, files = kv_run
+    for path in {p for p in work.rglob("*") if p.is_file()} - set(files):
+        path.unlink()
+    for path, content in files.items():
+        path.write_bytes(content)
+    text = files[work / target].decode("utf-8")
+    i = data.draw(st.integers(0, len(text.splitlines()) - 1), label="line")
+    (work / target).write_text(_mutate(text, i, how), encoding="utf-8")
+    for argv in KV_COMMANDS[target]:
+        assert main([*argv, "--config", str(work / "run.cfg")]) in (
+            EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION)
