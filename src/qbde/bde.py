@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Section, atomic_open, read_csv, read_kv, write_kv
-from .optim import Adam
+from .optim import Adam, flat_views, flatten
 from .qgan import SIGMOID_CLAMP, _sigmoid
 
 INPUT_LEN = 16
@@ -167,16 +167,15 @@ def train_bde(real: np.ndarray, generated: np.ndarray,
     rng = np.random.default_rng(cfg.seed)
     init = BdeNet.create(rng).param_list()
     # Adam steps one flat vector; the six parameters are views of it.
-    flat = np.concatenate([p.ravel() for p in init])
-    ends = np.cumsum([p.size for p in init])[:-1]
-    net = BdeNet(*(v.reshape(p.shape) for v, p in zip(np.split(flat, ends), init)))
+    flat = flatten(init)
+    net = BdeNet(*flat_views(flat, init))
     opt = Adam(cfg.lr)
     for _ in range(cfg.epochs):
         order = rng.permutation(len(x))
         for start in range(0, len(x), cfg.batch):
             idx = order[start:start + cfg.batch]
             _, grads = bce_loss_and_grads(net, x[idx], y[idx])
-            opt.step([flat], [np.concatenate([g.ravel() for g in grads])])
+            opt.step([flat], [flatten(grads)])
     return net
 
 

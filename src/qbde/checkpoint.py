@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .optim import Adam
+from .optim import Adam, flat_views, flatten
 from .qgan import DiscriminatorNet, TrainConfig, TrainState
 from .qsim import GeneratorParams
 
@@ -163,25 +163,31 @@ def _get_int(sec: Section, key: str, lo: int, hi: float) -> int:
     return value
 
 
-def _put_adam(opt: Adam) -> dict:
+def _put_adam(opt: Adam, params: list[np.ndarray]) -> dict:
+    """Adam's state with one moment array per array of ``params``, however
+    the optimiser lays its moments out (the discriminator's: one vector)."""
     entries = {"t": opt.t}
     if opt.m is not None:
-        entries["n_arrays"] = len(opt.m)
-        for i, (m, v) in enumerate(zip(opt.m, opt.v)):
+        entries["n_arrays"] = len(params)
+        moments = (flat_views(flatten(mv), params) for mv in (opt.m, opt.v))
+        for i, (m, v) in enumerate(zip(*moments)):
             entries.update(_put_array(f"m{i}", m) | _put_array(f"v{i}", v))
     return entries
 
 
 def _get_adam(sec: Section, lr: float, cfg: TrainConfig,
-              params: list[np.ndarray]) -> Adam:
+              params: list[np.ndarray], stepped: list[np.ndarray]) -> Adam:
+    """``_put_adam``'s inverse: moments read per array of ``params`` and laid
+    out like ``stepped``, the arrays the optimiser steps."""
     opt = Adam(lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
     opt.t = _get_int(sec, "t", 0, np.inf)
     if "n_arrays" in sec:
         if int(sec["n_arrays"]) != len(params):
             raise SchemaError(f"{sec.where}n_arrays = {sec['n_arrays']}, "
                               f"want {len(params)}")
-        opt.m = [_get_array(sec, f"m{i}", p.shape) for i, p in enumerate(params)]
-        opt.v = [_get_array(sec, f"v{i}", p.shape) for i, p in enumerate(params)]
+        moments = ([_get_array(sec, f"{mv}{i}", p.shape)
+                    for i, p in enumerate(params)] for mv in "mv")
+        opt.m, opt.v = (flat_views(flatten(arrays), stepped) for arrays in moments)
     return opt
 
 
@@ -205,8 +211,8 @@ def save_checkpoint(path: str | Path, cfg: TrainConfig, state: TrainState,
                       "entangler": state.params.entangler,
                       **_put_array("angles", state.params.angles)},
         "discriminator": discriminator,
-        "opt_g": _put_adam(state.opt_g),
-        "opt_d": _put_adam(state.opt_d),
+        "opt_g": _put_adam(state.opt_g, [state.params.angles]),
+        "opt_d": _put_adam(state.opt_d, state.net.param_list()),
         "rng": {"bit_generator": "PCG64",
                 "state": rng_state["state"]["state"],
                 "inc": rng_state["state"]["inc"],
@@ -234,8 +240,10 @@ def load_checkpoint(path: str | Path) -> tuple[TrainConfig, TrainState]:
             leak=float.fromhex(d["leak"]),
         )
 
-        opt_g = _get_adam(sec["opt_g"], cfg.lr_g, cfg, [params.angles])
-        opt_d = _get_adam(sec["opt_d"], cfg.lr_d, cfg, net.param_list())
+        opt_g = _get_adam(sec["opt_g"], cfg.lr_g, cfg, [params.angles],
+                          [params.angles])
+        opt_d = _get_adam(sec["opt_d"], cfg.lr_d, cfg, net.param_list(),
+                          [net.flat])
 
         # the ranges numpy's PCG64 state setter accepts
         r = sec["rng"]

@@ -189,6 +189,11 @@ def cmd_ingest(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     events, report = features.parse_logs(cfg.input_dir)
+    for user in events.user_names:
+        # ids are keys and space-separated lists in detect_summary.txt
+        if any(c.isspace() or c == "=" for c in user):
+            raise SchemaError(f"{cfg.input_dir}: user id {user!r} contains "
+                              f"whitespace or '='")
     rows = features.extract_daily(events, cfg.working_hours)
     labels_path = Path(cfg.input_dir) / "labels.csv"
     if labels_path.exists():
@@ -271,11 +276,11 @@ def cmd_train(cfg: RunConfig) -> int:
         trace = qgan.train(data, train_cfg, state=state)
         save_checkpoint(ckpt, train_cfg, trace.state, digest=digest)
         loss_path = out_dir / f"loss_{user}.csv"
-        fresh = not (cfg.resume and loss_path.exists())
-        with open(loss_path, "w" if fresh else "a", newline="",
-                  encoding="utf-8") as handle:
+        with atomic_open(loss_path) as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            if fresh:
+            if cfg.resume and loss_path.exists():  # append to a copy
+                handle.write(loss_path.read_bytes().decode("utf-8"))
+            else:
                 handle.write(f"# {digest}\n")
                 writer.writerow(["epoch", "loss_g", "loss_d", "cross_entropy"])
             first = trace.state.epoch - len(trace.loss_g) + 1

@@ -601,7 +601,7 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     for source, rows in tables.items():
         rows.sort()  # by time, then the other fields
         path = out_dir / f"{source}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as handle:
+        with atomic_open(path) as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(headers[source])
             for i, (when, *rest) in enumerate(rows):
@@ -611,7 +611,7 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
         row_counts[source] = len(rows)
 
     labels_path = out_dir / "labels.csv"
-    with open(labels_path, "w", newline="", encoding="utf-8") as handle:
+    with atomic_open(labels_path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["user", "day", "label"])
         for (user, day), label in sorted(labels.items()):

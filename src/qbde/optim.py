@@ -1,4 +1,5 @@
-"""Adaptive moment estimation over lists of parameter arrays."""
+"""Adaptive moment estimation over lists of parameter arrays, and the flat
+vector layout that lets one call step a whole network."""
 
 from __future__ import annotations
 
@@ -39,3 +40,17 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p -= self.lr * (m / corr1) / (np.sqrt(v / corr2) + self.eps)
+
+
+def flatten(arrays: list[np.ndarray]) -> np.ndarray:
+    """One float vector holding ``arrays`` one after another."""
+    return np.concatenate([a.ravel() for a in arrays], dtype=float)
+
+
+def flat_views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Views of consecutive parts of ``flat``, shaped like ``like``'s arrays."""
+    views, start = [], 0
+    for a in like:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return views

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .optim import Adam
+from .optim import Adam, flat_views, flatten
 from .qsim import (GeneratorParams, adjoint_gradient, probabilities,
                    run_generator_circuit)
 # Re-exported: the per-layer benchmark traces it here, expecting 0 calls.
@@ -43,11 +43,14 @@ class DiscriminatorNet:
     """Fully connected net: in -> hidden layers (leaky ReLU) -> 1 (sigmoid).
 
     ``weights[i]`` has shape (out_i, in_i); ``biases[i]`` has shape (out_i,).
+    Both are views of ``flat``, a copy of the arrays passed in (all weights,
+    then all biases) and the one vector the optimiser steps.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     leak: float = 0.01
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = self.layer_sizes
@@ -56,6 +59,9 @@ class DiscriminatorNet:
                 raise ValueError("weight/bias shapes are inconsistent")
         if sizes[-1] != 1:
             raise ValueError("output layer must have a single unit")
+        flat = flatten(self.param_list())
+        self.weights, self.biases = self.split(flat)
+        self.flat = flat
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -78,8 +84,13 @@ class DiscriminatorNet:
         return cls(weights, biases)
 
     def param_list(self) -> list[np.ndarray]:
-        """Optimiser view: all weights then all biases, fixed order."""
+        """All weights then all biases, the order of ``flat``."""
         return [*self.weights, *self.biases]
+
+    def split(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Weight and bias views of a vector laid out like ``flat``."""
+        views = flat_views(flat, self.param_list())
+        return views[:len(self.weights)], views[len(self.weights):]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -95,33 +106,41 @@ def _forward(net: DiscriminatorNet, x: np.ndarray) -> tuple[np.ndarray, dict]:
     pre, post = [], [x]
     a = x
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = a @ w.T + b
+        z = a.dot(w.T) + b
         a = np.where(z > 0, z, net.leak * z)
         pre.append(z)
         post.append(a)
-    z_out = (a @ net.weights[-1].T + net.biases[-1]).ravel()
+    z_out = (a.dot(net.weights[-1].T) + net.biases[-1]).ravel()
     y_raw = _sigmoid(z_out)
     y = np.clip(y_raw, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
     return y, {"pre": pre, "post": post, "y_raw": y_raw}
 
 
 def _backward(net: DiscriminatorNet, cache: dict,
-              dz_out: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+              dz_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backprop from the output pre-activation gradient ``dz_out`` (one per
-    sample) to weight, bias and input gradients."""
+    sample) to the parameter gradient, laid out like ``net.flat``, and the
+    input gradient."""
     pre, post = cache["pre"], cache["post"]
+    grad = np.empty_like(net.flat)
+    dw, db = net.split(grad)
     dz = dz_out[:, None]
-    dw = [dz.T @ post[-1]]
-    db = [dz.sum(axis=0)]
-    da = dz @ net.weights[-1]
-    for i in range(len(pre) - 1, -1, -1):
-        dz = da * np.where(pre[i] > 0, 1.0, net.leak)
-        dw.append(dz.T @ post[i])
-        db.append(dz.sum(axis=0))
-        da = dz @ net.weights[i]
-    dw.reverse()
-    db.reverse()
-    return dw, db, da
+    for i in range(len(net.weights) - 1, -1, -1):
+        np.dot(dz.T, post[i], out=dw[i])
+        dz.sum(axis=0, out=db[i])
+        da = dz.dot(net.weights[i])
+        if i:
+            dz = da * np.where(pre[i - 1] > 0, 1.0, net.leak)
+    return grad, da
+
+
+def _input_grad(net: DiscriminatorNet, cache: dict,
+                dz_out: np.ndarray) -> np.ndarray:
+    """The input gradient of ``_backward`` without the parameter gradient."""
+    da = dz_out[:, None].dot(net.weights[-1])
+    for i in range(len(net.weights) - 2, -1, -1):
+        da = (da * np.where(cache["pre"][i] > 0, 1.0, net.leak)).dot(net.weights[i])
+    return da
 
 
 def disc_forward(net: DiscriminatorNet, x: np.ndarray) -> float:
@@ -171,30 +190,28 @@ def disc_grads(net: DiscriminatorNet, real: np.ndarray,
     _, cache_r = _forward(net, real)
     _, cache_g = _forward(net, generated)
     # d(-log s(z))/dz = s(z) - 1;  d(-log(1 - s(z)))/dz = s(z)
-    dw_r, db_r, _ = _backward(net, cache_r, (cache_r["y_raw"] - 1.0) / m)
-    dw_g, db_g, _ = _backward(net, cache_g, cache_g["y_raw"] / m)
-    return ([a + b for a, b in zip(dw_r, dw_g)],
-            [a + b for a, b in zip(db_r, db_g)])
+    grad_r, _ = _backward(net, cache_r, (cache_r["y_raw"] - 1.0) / m)
+    grad_g, _ = _backward(net, cache_g, cache_g["y_raw"] / m)
+    return net.split(grad_r + grad_g)
 
 
 def adversarial_grads(net: DiscriminatorNet, real: np.ndarray,
-                      generated: np.ndarray) -> tuple:
-    """``loss_d``, ``loss_g`` and ``disc_grads`` of one batch whose m fake
-    rows are all the one generator output ``generated``: one forward over
-    ``real``, one over that row, and its means over m rows are its own."""
+                      generated: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """``loss_d``, ``loss_g`` and ``disc_grads`` (laid out like ``net.flat``)
+    of one batch whose m fake rows are all the one generator output
+    ``generated``: one forward and one backward pass over the m real rows
+    and that row, whose means over m rows are its own."""
     real = np.atleast_2d(real)
     if real.shape[0] == 0:
         raise ValueError("batches must be non-empty")
     m = real.shape[0]
-    y_real, cache_r = _forward(net, real)
-    y_gen, cache_g = _forward(net, generated)
-    ld = float(-np.mean(np.log(y_real)) - np.log(1.0 - y_gen[0]))
-    lg = float(-np.log(y_gen[0]))
+    y, cache = _forward(net, np.vstack([real, generated]))
+    ld = float(-np.mean(np.log(y[:m])) - np.log(1.0 - y[m]))
+    lg = float(-np.log(y[m]))
     # d(-log s(z))/dz = s(z) - 1;  d(-log(1 - s(z)))/dz = s(z)
-    dw_r, db_r, _ = _backward(net, cache_r, (cache_r["y_raw"] - 1.0) / m)
-    dw_g, db_g, _ = _backward(net, cache_g, cache_g["y_raw"])
-    return (ld, lg, [a + b for a, b in zip(dw_r, dw_g)],
-            [a + b for a, b in zip(db_r, db_g)])
+    y_raw = cache["y_raw"]
+    grad, _ = _backward(net, cache, np.append((y_raw[:m] - 1.0) / m, y_raw[m]))
+    return ld, lg, grad
 
 
 def gen_grads(params: GeneratorParams, net: DiscriminatorNet,
@@ -208,7 +225,7 @@ def gen_grads(params: GeneratorParams, net: DiscriminatorNet,
     if amplitudes is None:
         amplitudes = run_generator_circuit(params)
     _, cache = _forward(net, probabilities(amplitudes))
-    _, _, dx = _backward(net, cache, cache["y_raw"] - 1.0)
+    dx = _input_grad(net, cache, cache["y_raw"] - 1.0)
     return adjoint_gradient(params, amplitudes, dx[0])
 
 
@@ -337,7 +354,6 @@ def train(real_data: np.ndarray, cfg: TrainConfig,
     n_rows = data.shape[0]
     iters = math.ceil(n_rows / cfg.batch)
     trace = TrainTrace(state=state)
-    disc_params = state.net.param_list()
 
     for _ in range(cfg.epochs):
         order = state.rng.permutation(n_rows)
@@ -346,11 +362,11 @@ def train(real_data: np.ndarray, cfg: TrainConfig,
         for start in range(0, n_rows, cfg.batch):
             batch = data[order[start:start + cfg.batch]]
             amplitudes = run_generator_circuit(state.params)
-            ld, lg, dw, db = adversarial_grads(state.net, batch,
+            ld, lg, grad_d = adversarial_grads(state.net, batch,
                                                probabilities(amplitudes))
             ld_sum += ld
             lg_sum += lg
-            state.opt_d.step(disc_params, [*dw, *db])
+            state.opt_d.step([state.net.flat], [grad_d])
             grad = gen_grads(state.params, state.net, amplitudes)
             state.opt_g.step([state.params.angles], [grad])
         state.epoch += 1

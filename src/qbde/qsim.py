@@ -10,9 +10,9 @@ Conventions, fixed across the package:
   (1,2), (2,3), ..., (n-1,n), (n,1), or an open chain without the
   wrap-around pair.  For n <= 2 the ring degenerates to the chain.
 
-RY and CZ are real, so amplitudes are real floats.  One forward sweep
-gives the final state; one reverse (adjoint) sweep from it gives every
-angle's gradient (Jones & Gacon, arXiv:2009.02823).
+RY and CZ are real, so amplitudes and each layer's matrix are real.  One
+forward sweep gives the final state; one reverse (adjoint) sweep from it
+gives every angle's gradient (Jones & Gacon, arXiv:2009.02823).
 
 All public operations are pure: they return new values and never mutate
 their inputs.
@@ -20,8 +20,8 @@ their inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,10 +46,8 @@ class GeneratorParams:
     def __post_init__(self):
         self.angles = np.asarray(self.angles, dtype=float)
         if self.angles.ndim != 2 or self.angles.shape[1] != self.n_qubits:
-            raise ValueError(
-                f"angles must have shape (depth+1, {self.n_qubits}), "
-                f"got {self.angles.shape}"
-            )
+            raise ValueError(f"angles must have shape (depth+1, {self.n_qubits}),"
+                             f" got {self.angles.shape}")
         if self.angles.shape[0] < 1:
             raise ValueError("angles needs at least the input-preparation row")
         if not np.all(np.isfinite(self.angles)):
@@ -69,11 +67,9 @@ class GeneratorParams:
 
 
 def entangler_pairs(n_qubits: int, topology: str = "ring") -> list[tuple[int, int]]:
-    """Qubit pairs of one entangling block.
-
-    The wrap-around pair (n, 1) is dropped for n <= 2: CZ is symmetric, so
-    on two qubits the ring would apply the same gate twice and cancel.
-    """
+    """Qubit pairs of one entangling block.  The wrap-around pair (n, 1) is
+    dropped for n <= 2: CZ is symmetric, so on two qubits the ring would
+    apply the same gate twice and cancel."""
     if topology not in ENTANGLERS:
         raise ValueError(f"entangler must be one of {ENTANGLERS}")
     pairs = [(i, i + 1) for i in range(1, n_qubits)]
@@ -82,42 +78,54 @@ def entangler_pairs(n_qubits: int, topology: str = "ring") -> list[tuple[int, in
     return pairs
 
 
+@lru_cache(maxsize=None)
 def entangler_signs(n_qubits: int, topology: str = "ring") -> np.ndarray:
     """Diagonal of one entangling block, its own inverse: each CZ negates
-    the basis states where both of its qubits are 1."""
-    idx = np.arange(2**n_qubits)
-    signs = np.ones(2**n_qubits)
+    the basis states where both of its qubits are 1.  Cached, read-only."""
+    idx, signs = np.arange(2**n_qubits), np.ones(2**n_qubits)
     for a, b in entangler_pairs(n_qubits, topology):
         signs[(idx >> (n_qubits - a)) & (idx >> (n_qubits - b)) & 1 == 1] *= -1.0
+    signs.flags.writeable = False
     return signs
 
 
-def _rotate(states: np.ndarray, n_qubits: int, qubit: int,
-            angle: float) -> np.ndarray:
-    """RY(angle) on ``qubit`` of every row of ``states``."""
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    # The target qubit is the third axis; more significant qubits lead.
-    rows = states.shape[0]
-    view = states.reshape(rows, 2 ** (qubit - 1), 2, 2 ** (n_qubits - qubit))
-    return (np.array([[c, -s], [s, c]]) @ view).reshape(rows, -1)
+@lru_cache(maxsize=1)
+def _layers(n: int, entangler: str, raw: bytes) -> np.ndarray:
+    """The circuit of angles ``raw`` (``angles.tobytes()``) as ``depth+1``
+    read-only 2**n x 2**n matrices acting on row vectors: ``state @ M[l]``
+    applies layer l and ``state @ M[l].T`` undoes it.  The last build is
+    cached, so a batch step's forward and adjoint sweeps share it."""
+    half = np.frombuffer(raw).reshape(-1, n, 1) / 2.0
+    pick, xor, signs = _tables(n, entangler, len(half))
+    cs = np.concatenate([np.cos(half), np.sin(half)], axis=-1).reshape(len(half), -1)
+    mats = np.take(np.take(cs, pick, axis=1).prod(axis=1), xor, axis=1) * signs
+    mats.flags.writeable = False
+    return mats
+
+
+@lru_cache(maxsize=8)
+def _tables(n: int, entangler: str, n_layers: int) -> tuple[np.ndarray, ...]:
+    """Gathers and signs that build the layers from each row's (cos, sin)
+    pairs.  RY(t).T = [[c, s], [-s, c]], so the Kronecker product of a row
+    holds at (i, j) c_q where bit q of i and j agree, else s_q, negated per
+    qubit that is 1 in i and 0 in j; layers 1..depth also take CZ signs."""
+    idx = np.arange(2**n)
+    bits = (idx >> np.arange(n - 1, -1, -1)[:, None]) & 1   # qubit q in row q-1
+    sign = np.prod(1.0 - 2.0 * (bits[:, :, None] & 1 - bits[:, None, :]), axis=0)
+    signs = np.repeat([sign, entangler_signs(n, entangler)[:, None] * sign],
+                      [1, n_layers - 1], axis=0)
+    return 2 * np.arange(n)[:, None] + bits, idx[:, None] ^ idx, signs
 
 
 def run_generator_circuit(params: GeneratorParams) -> np.ndarray:
-    """Real amplitudes of the circuit's output state, length 2**n.
-
-    Layer 0 rotates |0...0> into the input state; each remaining layer
-    applies the entangling block and then its RY rotations.
-    """
-    n = params.n_qubits
-    signs = entangler_signs(n, params.entangler)
-    state = np.zeros((1, 2**n))
-    state[0, 0] = 1.0
-    for layer, row in enumerate(params.angles):
-        if layer:
-            state = state * signs
-        for qubit, angle in enumerate(row, start=1):
-            state = _rotate(state, n, qubit, angle)
-    return state[0]
+    """Real amplitudes of the circuit's output state, length 2**n.  Layer 0
+    rotates |0...0> into the input state; each later layer applies the
+    entangling block and then its RY rotations."""
+    mats = _layers(params.n_qubits, params.entangler, params.angles.tobytes())
+    state = mats[0, 0].copy()  # |0...0> @ M[0]
+    for mat in mats[1:]:
+        state = state.dot(mat)
+    return state
 
 
 def probabilities(amplitudes: np.ndarray) -> np.ndarray:
@@ -127,31 +135,23 @@ def probabilities(amplitudes: np.ndarray) -> np.ndarray:
 
 def adjoint_gradient(params: GeneratorParams, amplitudes: np.ndarray,
                      dp: np.ndarray) -> np.ndarray:
-    """dp . dp/dtheta for every angle, shaped like ``params.angles``.
-
-    ``amplitudes`` is ``run_generator_circuit(params)`` and ``dp`` the
-    loss gradient with respect to the output probabilities.  The sweep
-    undoes the circuit layer by layer on two rows: the state, and the
-    adjoint dp*psi (half of d loss / d psi) pulled back to the same point.
-    dRY(t)/dt = RY(t) Y/2 with Y = [[0, -1], [1, 0]], and one layer's
-    rotations commute, so each of its angles gets adjoint . Y_q state
-    before the layer is undone.
-    """
-    n = params.n_qubits
-    signs = entangler_signs(n, params.entangler)
+    """dp . dp/dtheta for every angle, shaped like ``params.angles``, where
+    ``amplitudes`` is ``run_generator_circuit(params)`` and ``dp`` the loss
+    gradient with respect to the output probabilities.  The sweep undoes
+    the layers on two rows: the state, and the adjoint dp*psi (half of
+    d loss / d psi) pulled back to the same point.  dRY(t)/dt = RY(t) Y/2
+    with Y = [[0, -1], [1, 0]], and a layer's rotations commute, so each of
+    its angles gets adjoint . Y_q state before the layer is undone."""
+    n, depth = params.n_qubits, params.depth
+    mats = _layers(n, params.entangler, params.angles.tobytes())
+    pairs = np.empty((depth + 1, 2, 2**n))  # (state, adjoint) before each layer
+    pairs[depth] = amplitudes, np.asarray(dp, dtype=float) * amplitudes
+    for layer in range(depth, 0, -1):
+        pairs[layer - 1] = pairs[layer].dot(mats[layer].T)
     idx = np.arange(2**n)
     bits = 1 << np.arange(n - 1, -1, -1)[:, None]       # qubit q in row q-1
     flip, flip_sign = idx ^ bits, np.where(idx & bits, 1.0, -1.0)   # Y_q
-    pair = np.stack([amplitudes, np.asarray(dp, dtype=float) * amplitudes])
-    grad = np.empty_like(params.angles)
-    for layer in range(params.depth, -1, -1):
-        grad[layer] = (flip_sign * pair[0][flip]) @ pair[1]
-        if layer == 0:
-            break
-        for qubit, angle in enumerate(params.angles[layer], start=1):
-            pair = _rotate(pair, n, qubit, -angle)
-        pair = pair * signs
-    return grad
+    return ((flip_sign * pairs[:, 0, flip]) @ pairs[:, 1, :, None])[..., 0]
 
 
 def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,9 +12,11 @@ from qbde.checkpoint import (
     atomic_open,
     format_kv,
     load_checkpoint,
+    read_kv,
     save_checkpoint,
 )
 from qbde.errors import SchemaError
+from qbde.optim import flat_views
 from qbde.qgan import TrainConfig, train
 
 
@@ -69,6 +71,36 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert first.loss_d + second.loss_d == full.loss_d
     assert first.cross_entropy + second.cross_entropy == full.cross_entropy
     np.testing.assert_array_equal(second.params.angles, full.params.angles)
+
+
+def test_per_array_moments_keep_their_layout_and_resume(tmp_path):
+    # The discriminator's Adam steps one flat vector; its checkpoint still
+    # holds one moment array per weight and bias, as when it stepped six.
+    rng = np.random.default_rng(2)
+    data = rng.dirichlet(np.ones(4), size=8)
+    full = train(data, TrainConfig(batch=4, epochs=10, depth=2, seed=3))
+    cfg_a = TrainConfig(batch=4, epochs=6, depth=2, seed=3)
+    first = train(data, cfg_a)
+    flat_path = tmp_path / "flat.ckpt"
+    save_checkpoint(flat_path, cfg_a, first.state)
+    opt_d, arrays = first.state.opt_d, first.state.net.param_list()
+    opt_d.m, opt_d.v = flat_views(opt_d.m[0], arrays), flat_views(opt_d.v[0], arrays)
+    path = tmp_path / "per_array.ckpt"
+    save_checkpoint(path, cfg_a, first.state)
+    assert path.read_bytes() == flat_path.read_bytes()
+    sec = read_kv(path, MAGIC)["opt_d"]
+    assert sec["n_arrays"] == "6"
+    for i, arr in enumerate(arrays):
+        for key in (f"m{i}", f"v{i}"):
+            assert sec[f"{key}.shape"] == " ".join(map(str, arr.shape))
+    _, resumed_state = load_checkpoint(path)
+    second = train(data, TrainConfig(batch=4, epochs=4, depth=2, seed=3),
+                   state=resumed_state)
+    assert first.loss_g + second.loss_g == full.loss_g
+    assert first.loss_d + second.loss_d == full.loss_d
+    np.testing.assert_array_equal(second.params.angles, full.params.angles)
+    np.testing.assert_array_equal(second.net.flat, full.net.flat)
+    np.testing.assert_array_equal(second.state.opt_d.m[0], full.state.opt_d.m[0])
 
 
 def test_rejects_wrong_magic(tmp_path):

@@ -519,6 +519,79 @@ def test_failed_ingest_keeps_previous_outputs(tmp_path, monkeypatch, failing):
     assert not list(out.glob("*.tmp"))
 
 
+SYNTH_OUTPUTS = ("login.csv", "http.csv", "device.csv", "email.csv", "file.csv",
+                 "labels.csv")
+
+
+def _fail_writes_to(monkeypatch, name):
+    """Make the atomic write of ``name`` fail halfway through."""
+    def failing_open(path, *args, **kwargs):
+        handle = builtins.open(path, *args, **kwargs)
+        return _FailingHandle(handle) if str(path).endswith(name + ".tmp") else handle
+
+    monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+
+
+@pytest.mark.parametrize("failing", SYNTH_OUTPUTS)
+def test_failed_synth_keeps_previous_outputs(tmp_path, monkeypatch, failing):
+    flags = fast_flags(tmp_path)
+    assert main(["synth", *flags]) == EXIT_OK
+    data = tmp_path / "data"
+    before = {name: (data / name).read_bytes() for name in SYNTH_OUTPUTS}
+    _fail_writes_to(monkeypatch, failing)
+    assert main(["synth", *flags, "--seed", "5"]) == EXIT_IO
+    after = {name: (data / name).read_bytes() for name in SYNTH_OUTPUTS}
+    assert after[failing] == before[failing]
+    done = SYNTH_OUTPUTS[:SYNTH_OUTPUTS.index(failing)]
+    assert all(after[name] != before[name] for name in done)
+    assert not list(data.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("extra", [["--seed", "5"], ["--resume"]],
+                         ids=["fresh", "resume"])
+def test_failed_train_keeps_previous_loss_file(tmp_path, monkeypatch, extra):
+    flags = fast_flags(tmp_path)
+    for step in ("synth", "ingest", "train"):
+        assert main([step, *flags]) == EXIT_OK
+    out = tmp_path / "out"
+    before = (out / "loss_U0000.csv").read_bytes()
+    _fail_writes_to(monkeypatch, "loss_U0000.csv")
+    assert main(["train", *flags, *extra]) == EXIT_IO
+    assert (out / "loss_U0000.csv").read_bytes() == before
+    assert not list(out.glob("*.tmp"))
+
+
+def test_resumed_loss_file_is_the_old_bytes_plus_new_rows(tmp_path):
+    flags = fast_flags(tmp_path)
+    for step in ("synth", "ingest", "train"):
+        assert main([step, *flags]) == EXIT_OK
+    loss = tmp_path / "out" / "loss_U0000.csv"
+    before = loss.read_bytes()
+    assert main(["train", *flags, "--resume"]) == EXIT_OK
+    after = loss.read_bytes()
+    assert after.startswith(before)
+    assert [int(line.split(b",")[0]) for line in after[len(before):].splitlines()] \
+        == [5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("user", ["U 00", "U\t00", "U=00", "U\n00", "U\r\n00"],
+                         ids=["space", "tab", "equals", "newline", "crlf"])
+def test_ingest_rejects_user_id_that_breaks_the_summary(tmp_path, capsys, user):
+    # detect_summary.txt lists the users space-separated and keys their
+    # thresholds th_d.<user>, so such an id could never be reported
+    flags = fast_flags(tmp_path)
+    assert main(["synth", *flags]) == EXIT_OK
+    for path in (tmp_path / "data").glob("*.csv"):
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = [[user if f == "U0000" else f for f in rec]
+                    for rec in csv.reader(handle)]
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+    assert main(["ingest", *flags]) == EXIT_VALIDATION
+    assert repr(user) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "features_raw.csv").exists()
+
+
 # --------------------------------------------------------------------------
 # Fuzzed key = value files
 # --------------------------------------------------------------------------

@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from qbde.optim import Adam
 from qbde.qgan import (
     DiscriminatorNet,
+    _backward,
+    _forward,
+    _input_grad,
     _sigmoid,
     TrainConfig,
     adversarial_grads,
@@ -15,11 +19,12 @@ from qbde.qgan import (
     disc_grads,
     gen_grads,
     generator_output,
+    init_train_state,
     loss_d,
     loss_g,
     train,
 )
-from qbde.qsim import GeneratorParams
+from qbde.qsim import GeneratorParams, probabilities, run_generator_circuit
 
 LOG2 = math.log(2.0)
 
@@ -229,7 +234,8 @@ def test_adversarial_grads_match_tiled_batch(m):
         real = rng.dirichlet(np.ones(16), size=m)
         g = rng.dirichlet(np.ones(16))
         fake = np.tile(g, (m, 1))
-        ld, lg, dw, db = adversarial_grads(net, real, g)
+        ld, lg, grad = adversarial_grads(net, real, g)
+        dw, db = net.split(grad)
         assert abs(ld - loss_d(net, real, fake)) < 1e-12
         assert abs(lg - loss_g(net, fake)) < 1e-12
         ref_dw, ref_db = disc_grads(net, real, fake)
@@ -241,6 +247,17 @@ def test_adversarial_grads_match_tiled_batch(m):
 def test_adversarial_grads_rejects_empty_batch():
     with pytest.raises(ValueError):
         adversarial_grads(zero_net(4), np.empty((0, 4)), np.full(4, 0.25))
+
+
+def test_input_grad_equals_dx_of_full_backward():
+    rng = np.random.default_rng(21)
+    for rows, hidden in [(1, (6, 5)), (4, (12, 7)), (17, (64, 32)), (3, (9,))]:
+        net = small_net(rng, n_in=16, hidden=hidden)
+        _, cache = _forward(net, rng.dirichlet(np.ones(16), size=rows))
+        dz = rng.normal(size=rows)
+        grad, dx = _backward(net, cache, dz)
+        assert grad.shape == net.flat.shape
+        np.testing.assert_array_equal(_input_grad(net, cache, dz), dx)
 
 
 def test_gen_grads_match_finite_differences():
@@ -343,6 +360,40 @@ def test_train_trace_length_and_simplex_outputs():
     p = generator_output(trace.params)
     assert np.all(p >= 0)
     assert p.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_train_steps_one_flat_discriminator_vector_like_per_array_adam():
+    rng = np.random.default_rng(22)
+    data = rng.dirichlet(np.ones(16), size=13)
+    cfg = TrainConfig(batch=5, epochs=4, depth=3, seed=6, hidden=(12, 7))
+    trace = train(data, cfg)
+    ref = init_train_state(4, cfg)
+    opt_d = Adam(cfg.lr_d, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    for _ in range(cfg.epochs):
+        order = ref.rng.permutation(len(data))
+        for start in range(0, len(data), cfg.batch):
+            amplitudes = run_generator_circuit(ref.params)
+            _, _, grad = adversarial_grads(ref.net, data[order[start:start + cfg.batch]],
+                                           probabilities(amplitudes))
+            dw, db = ref.net.split(grad)
+            opt_d.step(ref.net.param_list(), [*dw, *db])  # one array at a time
+            ref.opt_g.step([ref.params.angles],
+                           [gen_grads(ref.params, ref.net, amplitudes)])
+    np.testing.assert_array_equal(trace.params.angles, ref.params.angles)
+    for got, want in zip(trace.net.param_list(), ref.net.param_list()):
+        np.testing.assert_array_equal(got, want)
+    (m,), (v,) = trace.state.opt_d.m, trace.state.opt_d.v
+    np.testing.assert_array_equal(m, np.concatenate([a.ravel() for a in opt_d.m]))
+    np.testing.assert_array_equal(v, np.concatenate([a.ravel() for a in opt_d.v]))
+
+
+def test_net_arrays_are_views_of_the_flat_vector():
+    net = small_net(np.random.default_rng(23), n_in=8)
+    net.flat[:] = np.arange(net.flat.size)
+    np.testing.assert_array_equal(
+        np.concatenate([a.ravel() for a in net.param_list()]), net.flat)
+    net.weights[1][0, 0] = -1.0
+    assert -1.0 in net.flat
 
 
 def test_train_loads_point_mass_target():

@@ -5,6 +5,7 @@ adjoint sweep."""
 import numpy as np
 import pytest
 
+from qbde import qsim
 from qbde.qsim import (
     GeneratorParams,
     adjoint_gradient,
@@ -230,6 +231,42 @@ def test_circuit_matches_dense_unitary_product(n, depth, entangler):
         got = run_generator_circuit(params)
         want = circuit_unitary(params) @ zero_state(n)
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("topology", ["ring", "chain"])
+def test_layer_matrices_are_orthogonal_and_match_dense_kron(topology):
+    # state @ M[layer] applies a layer, so M[layer] is its dense matrix
+    # transposed: the RY kron alone for layer 0, after the CZ block later.
+    rng = np.random.default_rng(31)
+    for n in range(1, 6):
+        for depth in (1, 3):
+            params = random_params(rng, n, depth, topology)
+            mats = qsim._layers(n, topology, params.angles.tobytes())
+            assert mats.shape == (depth + 1, 2**n, 2**n)
+            ue = entangler_matrix(n, topology)
+            for layer, mat in enumerate(mats):
+                dense = layer_matrix(n, params.angles[layer])
+                want = (dense @ ue if layer else dense).T
+                np.testing.assert_allclose(mat, want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(mat @ mat.T, np.eye(2**n),
+                                           rtol=0, atol=1e-12)
+
+
+def test_cached_arrays_are_read_only():
+    signs = entangler_signs(4, "chain")
+    with pytest.raises(ValueError):
+        signs[0] = 5.0
+    with pytest.raises(ValueError):
+        signs *= -1.0
+    params = random_params(np.random.default_rng(32), 3, 2)
+    mats = qsim._layers(3, "ring", params.angles.tobytes())
+    with pytest.raises(ValueError):
+        mats[1] *= 2.0
+    # the cache still holds what the dense oracle says
+    np.testing.assert_array_equal(entangler_signs(4, "chain"),
+                                  np.diag(entangler_matrix(4, "chain")))
+    np.testing.assert_allclose(run_generator_circuit(params),
+                               circuit_unitary(params) @ zero_state(3), atol=1e-12)
 
 
 def test_entangler_pairs_topologies():
