@@ -16,6 +16,7 @@ indistinguishable from an uninterrupted one.
 from __future__ import annotations
 
 import csv
+import shutil
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
@@ -42,11 +43,14 @@ def _encode(kind: str, value) -> str:
 
 
 @contextmanager
-def atomic_open(path: str | Path):
-    """Write through a sibling temp file that replaces ``path`` on success."""
+def atomic_open(path: str | Path, append: bool = False):
+    """Write through a sibling temp file that replaces ``path`` on success;
+    to append, the temp file starts as a byte copy of ``path``."""
     tmp = Path(f"{path}.tmp")
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as handle:
+        if append:
+            shutil.copyfile(path, tmp)
+        with open(tmp, "a" if append else "w", newline="", encoding="utf-8") as handle:
             yield handle
         tmp.replace(path)
     finally:

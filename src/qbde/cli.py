@@ -276,11 +276,10 @@ def cmd_train(cfg: RunConfig) -> int:
         trace = qgan.train(data, train_cfg, state=state)
         save_checkpoint(ckpt, train_cfg, trace.state, digest=digest)
         loss_path = out_dir / f"loss_{user}.csv"
-        with atomic_open(loss_path) as handle:
+        fresh = not (cfg.resume and loss_path.exists())
+        with atomic_open(loss_path, append=not fresh) as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            if cfg.resume and loss_path.exists():  # append to a copy
-                handle.write(loss_path.read_bytes().decode("utf-8"))
-            else:
+            if fresh:
                 handle.write(f"# {digest}\n")
                 writer.writerow(["epoch", "loss_g", "loss_d", "cross_entropy"])
             first = trace.state.epoch - len(trace.loss_g) + 1

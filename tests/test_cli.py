@@ -566,6 +566,8 @@ def test_resumed_loss_file_is_the_old_bytes_plus_new_rows(tmp_path):
     for step in ("synth", "ingest", "train"):
         assert main([step, *flags]) == EXIT_OK
     loss = tmp_path / "out" / "loss_U0000.csv"
+    with open(loss, "ab") as handle:
+        handle.write(b"# \xe9 not UTF-8, copied as bytes\n")
     before = loss.read_bytes()
     assert main(["train", *flags, "--resume"]) == EXIT_OK
     after = loss.read_bytes()
