@@ -16,7 +16,6 @@ twice that; scores land in Normal, Low_threat or High_threat.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Section, atomic_open, read_csv, read_kv, write_kv
+from .checkpoint import Section, read_csv, read_kv, write_csv, write_kv
 from .optim import Adam, flat_views, flatten
 from .qgan import SIGMOID_CLAMP, _sigmoid
 
@@ -313,15 +312,10 @@ SUMMARY_MAGIC = "qbde-detection-summary"
 
 def write_score_csv(path: str | Path, records: list[ScoreRecord],
                     comment: str | None = None) -> None:
-    with atomic_open(path) as handle:
-        if comment:
-            handle.write(f"# {comment}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SCORE_COLUMNS)
-        for rec in records:
-            writer.writerow([rec.user, rec.day.isoformat(), repr(rec.r_d),
-                             repr(rec.r_n), repr(rec.d), repr(rec.th_d),
-                             repr(rec.th_f), rec.verdict, rec.label or ""])
+    write_csv(path, SCORE_COLUMNS,
+              ([rec.user, rec.day.isoformat(), rec.r_d, rec.r_n, rec.d, rec.th_d,
+                rec.th_f, rec.verdict, rec.label or ""] for rec in records),
+              comment)
 
 
 def read_score_csv(path: str | Path) -> list[dict]:

@@ -2,8 +2,9 @@
 
 ``read_kv`` and ``write_kv`` read and write every ``key = value`` file:
 ``run.cfg``, checkpoints, and the synth, parse and detection reports.
-``read_csv`` reads the features, labels and score CSVs, and
-``atomic_open`` writes every output that must not be left half-written.  A
+``read_csv`` and ``write_csv`` read and write every CSV: the synth logs,
+labels, features, normalisation stats, losses and scores.  Both writers go
+through ``atomic_open``, so no output is ever left half-written.  A
 checkpoint has the ``qbde-ckpt-v1`` magic line and one ``[section]`` per
 part of the training state.  Floats are written with ``float.hex`` and
 arrays as a ``key.shape`` line plus a ``key.data`` line of hex floats, so a
@@ -55,6 +56,20 @@ def atomic_open(path: str | Path, append: bool = False):
         tmp.replace(path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_csv(path: str | Path, header: list, rows, comment: str | None = None,
+              append: bool = False) -> None:
+    """Stream ``rows`` into ``path`` through ``atomic_open``, after a
+    ``# comment`` line and ``header``, both left out when appending.
+    Floats are written with ``repr``, so they read back exactly."""
+    with atomic_open(path, append) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        if not append:
+            if comment:
+                handle.write(f"# {comment}\n")
+            writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_csv(path: str | Path, kind: str, header_ok, n_columns: int,
@@ -243,6 +258,11 @@ def load_checkpoint(path: str | Path) -> tuple[TrainConfig, TrainState]:
             biases=[_get_array(d, f"b{i}") for i in range(n_layers)],
             leak=float.fromhex(d["leak"]),
         )
+        have = (params.angles.shape[0], net.layer_sizes, params.entangler)
+        want = (cfg.depth + 1, [2**params.n_qubits, *cfg.hidden, 1], cfg.entangler)
+        if have != want:
+            raise SchemaError(f"{path}: angle rows, discriminator layers and "
+                              f"entangler {have} disagree with [config] {want}")
 
         opt_g = _get_adam(sec["opt_g"], cfg.lr_g, cfg, [params.angles],
                           [params.angles])

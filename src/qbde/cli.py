@@ -18,7 +18,6 @@ outputs.  Exit codes: 0 success, 2 configuration, 3 I/O, 4 validation.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import sys
@@ -28,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bde, features, qgan
-from .checkpoint import (atomic_open, load_checkpoint, read_kv,
-                         save_checkpoint, write_kv)
+from .checkpoint import (load_checkpoint, read_kv, save_checkpoint, write_csv,
+                         write_kv)
 from .errors import ConfigError, SchemaError
 from .qsim import MAX_QUBITS, probabilities, run_generator_circuit, sample
 
@@ -69,28 +68,42 @@ class RunConfig:
     resume: bool = False
 
     def validate(self) -> None:
+        """Every setting is checked here, before any command writes a file:
+        the ones the phases' own configs check by building those configs."""
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ConfigError(f"n_qubits must be in 1..{MAX_QUBITS}")
         if 2**self.n_qubits != features.N_FEATURES:
             raise ConfigError(
                 f"2**n_qubits must equal the feature count "
                 f"({features.N_FEATURES}); got n_qubits={self.n_qubits}")
-        if self.k < 1:
-            raise ConfigError("k (circuit depth) must be >= 1")
-        if self.batch < 1 or self.epochs < 0:
-            raise ConfigError("batch must be >= 1 and epochs >= 0")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError("lambda must be in [0, 1]")
-        if not 0.0 <= self.anomaly_rate <= 0.2:
-            raise ConfigError("anomaly_rate must be in [0, 0.2]")
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
         if self.reference_samples < 1:
             raise ConfigError("reference_samples must be >= 1")
         try:
             features.parse_working_hours(self.working_hours)
+            features.split([], self.train_days, self.test_days)
+            self.synth_config(), self.train_config(), self.bde_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def synth_config(self) -> features.SynthConfig:
+        return features.SynthConfig(
+            n_users=self.n_users, n_days=self.n_days,
+            anomaly_rate=self.anomaly_rate, seed=self.seed,
+            out_dir=self.input_dir, working_hours=self.working_hours)
+
+    def train_config(self) -> qgan.TrainConfig:
+        return qgan.TrainConfig(batch=self.batch, epochs=self.epochs,
+                                lr_g=self.lr_g, lr_d=self.lr_d, depth=self.k,
+                                seed=self.seed,
+                                hidden=(self.hidden1, self.hidden2))
+
+    def bde_config(self) -> bde.BdeTrainConfig:
+        return bde.BdeTrainConfig(epochs=self.bde_epochs, batch=self.bde_batch,
+                                  lr=self.bde_lr, seed=self.seed + 1)
 
     @property
     def checkpoint_path(self) -> Path:
@@ -169,9 +182,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 # --------------------------------------------------------------------------
 
 def cmd_synth(cfg: RunConfig) -> int:
-    result = features.synth_generate(features.SynthConfig(
-        n_users=cfg.n_users, n_days=cfg.n_days, anomaly_rate=cfg.anomaly_rate,
-        seed=cfg.seed, out_dir=cfg.input_dir, working_hours=cfg.working_hours))
+    result = features.synth_generate(cfg.synth_config())
     n_abn = sum(1 for v in result.labels.values() if v == features.LABEL_ABNORMAL)
     write_kv(Path(cfg.input_dir) / "synth_report.txt", "qbde-synth-report", {"": {
         "config_digest": cfg.digest(),
@@ -206,21 +217,18 @@ def cmd_ingest(cfg: RunConfig) -> int:
                                 digest)
     features.write_features_csv(out_dir / "features_test.csv", dataset.test,
                                 digest)
-    with atomic_open(out_dir / "norm_stats.csv") as handle:
-        handle.write(f"# {digest}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["user", "feature", "min", "max"])
-        for user in sorted(dataset.stats):
-            lo, hi = dataset.stats[user]
-            for j, name in enumerate(features.FEATURE_NAMES):
-                writer.writerow([user, name, repr(float(lo[j])), repr(float(hi[j]))])
-    with atomic_open(out_dir / "parse_report.txt") as handle:
-        handle.write(report.to_text({
-            "config_digest": digest,
-            "split.train_rows": len(dataset.train),
-            "split.test_rows": len(dataset.test),
-            "split.excluded_abnormal": len(dataset.excluded),
-            "normalize.clipped_values": len(dataset.clipped)}))
+    write_csv(out_dir / "norm_stats.csv", ["user", "feature", "min", "max"],
+              ([user, name, lo, hi]
+               for user, (los, his) in sorted(dataset.stats.items())
+               for name, lo, hi in zip(features.FEATURE_NAMES, los.tolist(),
+                                       his.tolist())), digest)
+    write_kv(out_dir / "parse_report.txt", "qbde-parse-report", {"": {
+        **report.entries(),
+        "config_digest": digest,
+        "split.train_rows": len(dataset.train),
+        "split.test_rows": len(dataset.test),
+        "split.excluded_abnormal": len(dataset.excluded),
+        "normalize.clipped_values": len(dataset.clipped)}})
     print(f"ingested {report.total_events()} events -> {len(dataset.train)} train "
           f"/ {len(dataset.test)} test rows "
           f"({len(dataset.excluded)} abnormal excluded from training)")
@@ -242,51 +250,54 @@ def _simplex_matrix(rows) -> np.ndarray:
     return np.stack([features.to_simplex(row.features)[0] for row in rows])
 
 
-def _train_config(cfg: RunConfig) -> qgan.TrainConfig:
-    return qgan.TrainConfig(batch=cfg.batch, epochs=cfg.epochs, lr_g=cfg.lr_g,
-                            lr_d=cfg.lr_d, depth=cfg.k, seed=cfg.seed,
-                            hidden=(cfg.hidden1, cfg.hidden2))
+def _train_rows(out_dir: Path) -> list[features.BehaviorVector]:
+    path = out_dir / "features_train.csv"
+    rows = features.read_features_csv(path)
+    if not rows:
+        raise SchemaError(f"{path}: no training rows")
+    return rows
 
 
-def _check_resumable(path: Path, state: qgan.TrainState, cfg: RunConfig) -> None:
-    """A resumed run continues the checkpoint's circuit and discriminator,
-    so their shapes must be the ones the run config asks for."""
-    have = (state.params.angles.shape, state.net.layer_sizes)
-    want = ((cfg.k + 1, cfg.n_qubits),
-            [2**cfg.n_qubits, cfg.hidden1, cfg.hidden2, 1])
+def _load_state(cfg: RunConfig, path: Path) -> qgan.TrainState:
+    """The checkpoint's training state, if it was trained with the settings
+    the run config gives (its epoch count aside): resuming continues them,
+    and the outputs' config digest vouches for them."""
+    have, state = load_checkpoint(path)
+    want = dataclasses.replace(cfg.train_config(), epochs=have.epochs)
     if have != want:
-        raise ConfigError(f"{path}: checkpoint angle shape and discriminator "
-                          f"layers {have} differ from the config's {want}")
+        differ = ", ".join(f"{name} = {getattr(have, name)!r} (config: "
+                           f"{getattr(want, name)!r})" for name in vars(want)
+                           if getattr(have, name) != getattr(want, name))
+        raise ConfigError(f"{path}: checkpoint trained with {differ}")
+    return state
 
 
 def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = features.read_features_csv(out_dir / "features_train.csv")
+    rows = _train_rows(out_dir)
     users = _users_of(rows)
     digest = cfg.digest()
+    train_cfg = cfg.train_config()
     for user in users:
         data = _simplex_matrix([r for r in rows if r.user == user])
-        train_cfg = _train_config(cfg)
         ckpt = _ckpt_path(cfg, user, users)
-        state = None
-        if cfg.resume:
-            _, state = load_checkpoint(ckpt)
-            _check_resumable(ckpt, state, cfg)
+        state = _load_state(cfg, ckpt) if cfg.resume else None
         trace = qgan.train(data, train_cfg, state=state)
-        save_checkpoint(ckpt, train_cfg, trace.state, digest=digest)
         loss_path = out_dir / f"loss_{user}.csv"
-        fresh = not (cfg.resume and loss_path.exists())
-        with atomic_open(loss_path, append=not fresh) as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            if fresh:
-                handle.write(f"# {digest}\n")
-                writer.writerow(["epoch", "loss_g", "loss_d", "cross_entropy"])
-            first = trace.state.epoch - len(trace.loss_g) + 1
-            for i in range(len(trace.loss_g)):
-                writer.writerow([first + i, repr(trace.loss_g[i]),
-                                 repr(trace.loss_d[i]),
-                                 repr(trace.cross_entropy[i])])
+
+        def loss_rows_then_checkpoint():
+            last = trace.state.epoch
+            yield from zip(range(last - len(trace.loss_g) + 1, last + 1),
+                           trace.loss_g, trace.loss_d, trace.cross_entropy)
+            # saved after the new rows are in the loss file's temp copy and
+            # before that copy replaces the loss file, so a failed write of
+            # either file leaves the pair as it was
+            save_checkpoint(ckpt, train_cfg, trace.state, digest=digest)
+
+        write_csv(loss_path, ["epoch", "loss_g", "loss_d", "cross_entropy"],
+                  loss_rows_then_checkpoint(), digest,
+                  append=cfg.resume and loss_path.exists())
         final = (f"cross_entropy={trace.cross_entropy[-1]:.4f}"
                  if trace.cross_entropy else "no epochs run")
         print(f"trained {user}: {len(trace.loss_g)} epochs, {final} -> {ckpt}")
@@ -306,7 +317,7 @@ def _reference_distributions(state, cfg: RunConfig) -> np.ndarray:
 
 def cmd_detect(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
-    train_rows = features.read_features_csv(out_dir / "features_train.csv")
+    train_rows = _train_rows(out_dir)
     test_rows = features.read_features_csv(out_dir / "features_test.csv")
     users = _users_of(train_rows)
     digest = cfg.digest()
@@ -318,14 +329,12 @@ def cmd_detect(cfg: RunConfig) -> int:
     train_records: list[bde.ScoreRecord] = []
     thresholds: dict[str, bde.Thresholds] = {}
     for user in users:
-        _, state = load_checkpoint(_ckpt_path(cfg, user, users))
+        state = _load_state(cfg, _ckpt_path(cfg, user, users))
         references = _reference_distributions(state, cfg)
         user_train = [r for r in train_rows if r.user == user]
         real = _simplex_matrix(user_train)
         generated = np.tile(references, (-(-len(real) // len(references)), 1))
-        net = bde.train_bde(real, generated[:len(real)], bde.BdeTrainConfig(
-            epochs=cfg.bde_epochs, batch=cfg.bde_batch, lr=cfg.bde_lr,
-            seed=cfg.seed + 1))
+        net = bde.train_bde(real, generated[:len(real)], cfg.bde_config())
         user_train_recs = bde.score_rows(user_train, references, net, cfg.lam,
                                          to_vec)
         th = bde.fit_thresholds([rec.d for rec in user_train_recs], cfg.lam)

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_open, format_kv, read_csv
+from .checkpoint import read_csv, write_csv
 from .errors import SchemaError
 
 FEATURE_NAMES = (
@@ -79,15 +79,15 @@ class ParseReport:
     def total_events(self) -> int:
         return sum(self.events.values())
 
-    def to_text(self, extra: dict | None = None) -> str:
-        """The ``qbde-parse-report`` text: these counts, then ``extra``."""
+    def entries(self) -> dict:
+        """These counts as ``qbde-parse-report`` entries."""
         entries = {}
         for name in sorted(self.rows):
             for count in ("rows", "events", "malformed", "unknown_activity",
                           "ignored"):
                 entries[f"file.{name}.{count}"] = getattr(self, count)[name]
         entries["events.total"] = self.total_events()
-        return format_kv("qbde-parse-report", {"": entries | (extra or {})})
+        return entries
 
 
 @dataclass
@@ -399,15 +399,17 @@ def to_simplex(values: np.ndarray) -> tuple[np.ndarray, float]:
 
 def write_features_csv(path: str | Path, rows: list[BehaviorVector],
                        comment: str | None = None) -> None:
-    with atomic_open(path) as handle:
-        if comment:
-            handle.write(f"# {comment}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["user", "day", *FEATURE_NAMES, "label"])
-        for row in rows:
-            writer.writerow([row.user, row.day.isoformat(),
-                             *(repr(float(x)) for x in row.features),
-                             row.label or ""])
+    write_csv(path, ["user", "day", *FEATURE_NAMES, "label"],
+              ([row.user, row.day.isoformat(), *row.features.tolist(),
+                row.label or ""] for row in rows), comment)
+
+
+def _feature_row(rec: list[str]) -> BehaviorVector:
+    values = np.array([float(x) for x in rec[2:2 + N_FEATURES]])
+    if not np.isfinite(values).all():
+        raise ValueError("feature values must be finite")
+    return BehaviorVector(rec[0], date.fromisoformat(rec[1]), values,
+                          rec[-1] or None)
 
 
 def read_features_csv(path: str | Path) -> list[BehaviorVector]:
@@ -415,10 +417,7 @@ def read_features_csv(path: str | Path) -> list[BehaviorVector]:
         path, "features",
         lambda header: header[:2] == ["user", "day"]
         and tuple(header[2:2 + N_FEATURES]) == FEATURE_NAMES,
-        N_FEATURES + 3,
-        lambda rec: BehaviorVector(
-            rec[0], date.fromisoformat(rec[1]),
-            np.array([float(x) for x in rec[2:2 + N_FEATURES]]), rec[-1] or None))
+        N_FEATURES + 3, _feature_row)
 
 
 def read_labels_csv(path: str | Path) -> dict[tuple[str, date], str]:
@@ -601,20 +600,15 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     for source, rows in tables.items():
         rows.sort()  # by time, then the other fields
         path = out_dir / f"{source}.csv"
-        with atomic_open(path) as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(headers[source])
-            for i, (when, *rest) in enumerate(rows):
-                writer.writerow([f"{source[0].upper()}{i:07d}",
-                                 when.strftime(TIMESTAMP_FMT), *rest])
+        write_csv(path, headers[source],
+                  ([f"{source[0].upper()}{i:07d}", when.strftime(TIMESTAMP_FMT),
+                    *rest] for i, (when, *rest) in enumerate(rows)))
         paths[source] = path
         row_counts[source] = len(rows)
 
     labels_path = out_dir / "labels.csv"
-    with atomic_open(labels_path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["user", "day", "label"])
-        for (user, day), label in sorted(labels.items()):
-            writer.writerow([user, day.isoformat(), label])
+    write_csv(labels_path, ["user", "day", "label"],
+              ([user, day.isoformat(), label]
+               for (user, day), label in sorted(labels.items())))
     paths["labels"] = labels_path
     return SynthResult(paths, labels, truth, row_counts)

@@ -266,6 +266,8 @@ class TrainConfig:
             raise ValueError("learning rates must be > 0")
         if self.depth < 1:
             raise ValueError("circuit depth must be >= 1")
+        if min(self.hidden, default=1) < 1:
+            raise ValueError("hidden layer sizes must be >= 1")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("Adam betas must be in [0, 1)")
 

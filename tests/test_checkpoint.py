@@ -1,6 +1,8 @@
 """Bit-exact checkpoint round trips, resumable training and atomic writes."""
 
+import ast
 import builtins
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from qbde.checkpoint import (
     load_checkpoint,
     read_kv,
     save_checkpoint,
+    write_csv,
 )
 from qbde.errors import SchemaError
 from qbde.optim import flat_views
@@ -185,3 +188,43 @@ def test_atomic_open_replaces_only_on_success(tmp_path):
         handle.write("new\n")
     assert path.read_text(encoding="utf-8") == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+
+def test_write_csv_bytes(tmp_path):
+    path = tmp_path / "table.csv"
+    rows = [["U1", 'a "quoted", field', 1 / 3], ["U2", "", -0.0]]
+    write_csv(path, ["user", "note", "x"], iter(rows), comment="digest")
+    head = b'# digest\nuser,note,x\n'
+    body = b'U1,"a ""quoted"", field",0.3333333333333333\nU2,,-0.0\n'
+    assert path.read_bytes() == head + body
+    write_csv(path, ["ignored"], [["U3", "line\nbreak", 1e-300]], append=True)
+    assert path.read_bytes() == head + body + b'U3,"line\nbreak",1e-300\n'
+    write_csv(path, ["user", "x"], [])
+    assert path.read_bytes() == b"user,x\n"
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    name = ast.unparse(call.func)
+    if name.endswith(("atomic_open", "write_text", "write_bytes")) \
+            or name == "csv.writer":
+        return True
+    if name != "open" and not name.endswith(".open"):
+        return False
+    # builtin open(path, mode) or path.open(mode); the default mode reads
+    modes = call.args[1:2] if name == "open" else call.args[:1]
+    modes += [k.value for k in call.keywords if k.arg == "mode"]
+    return any(not isinstance(m, ast.Constant) or set(m.value) & set("wax+")
+               for m in modes)
+
+
+def test_only_the_checkpoint_module_writes_files():
+    # every output goes through write_kv or write_csv, so it is atomic
+    src = Path(checkpoint.__file__).parent
+    writers = [f"{path.name}:{node.lineno}"
+               for path in sorted(src.glob("*.py")) if path.name != "checkpoint.py"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call) and _writes_a_file(node)]
+    assert writers == []
+    tree = ast.parse(Path(checkpoint.__file__).read_text(encoding="utf-8"))
+    assert sum(isinstance(node, ast.Call) and _writes_a_file(node)
+               for node in ast.walk(tree)) > 0

@@ -102,6 +102,17 @@ def test_bad_lambda_is_config_error(tmp_path):
     assert main(["detect", "--lambda", "1.5", "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("setting", [
+    "hidden1 = 0", "lr_g = 0", "bde_lr = 0", "bde_batch = 0", "bde_epochs = -1",
+    "train_days = 0", "test_days = -1", "n_users = 0", "n_days = 0"])
+def test_bad_setting_is_config_error_before_any_file_is_written(tmp_path, setting):
+    flags = fast_flags(tmp_path)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(cfgfile.read_text() + setting + "\n", encoding="utf-8")
+    assert main(["synth", *flags]) == EXIT_CONFIG
+    assert not (tmp_path / "data").exists()
+
+
 def test_missing_features_is_io_error(tmp_path):
     assert main(["train", "--out", str(tmp_path / "nope")]) == EXIT_IO
 
@@ -358,6 +369,28 @@ def test_resume_with_another_discriminator_is_config_error(tmp_path):
     assert main(["train", *flags, "--epochs", "1", "--resume"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv, override, key", [
+    (["train", "--resume"], "lr_g = 0.5", "lr_g"),
+    (["detect"], "lr_g = 0.5", "lr_g"),
+    (["detect"], "k = 3", "depth"),
+], ids=["resume-lr_g", "detect-lr_g", "detect-depth"])
+def test_checkpoint_trained_with_other_settings_is_config_error(
+        tmp_path, capsys, argv, override, key):
+    # the outputs' config digest would vouch for settings the run never used
+    flags = fast_flags(tmp_path)
+    for step in ("synth", "ingest", "train"):
+        assert main([step, *flags]) == EXIT_OK
+    out = tmp_path / "out"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(cfgfile.read_text() + override + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([*argv, *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(out / "qgan.ckpt") in err and f"{key} = " in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl,
                                  argv=("detect",)):
     flags = fast_flags(tmp_path)
@@ -397,9 +430,13 @@ def test_checkpoint_with_non_positive_dimension_is_validation_error(
     (r"^has_uint32 = \d+$", f"has_uint32 = {10**40}", "rng.has_uint32"),
     (r"^beta1 = .*$", "beta1 = " + "1" * 40, "betas"),
     (r"^t = \d+$", "t = -1", "opt_g.t"),
+    (r"^depth = 2$", "depth = 3", "disagree with [config]"),
+    (r"^hidden = 64 32$", "hidden = 16 32", "disagree with [config]"),
+    (r"^entangler = ring$", "entangler = chain", "disagree with [config]"),
 ], ids=["no-layers", "negative-layers", "negative-state", "huge-state",
         "negative-inc", "huge-inc", "negative-uinteger", "huge-has_uint32",
-        "huge-beta1", "negative-adam-step"])
+        "huge-beta1", "negative-adam-step", "config-depth", "config-hidden",
+        "config-entangler"])
 def test_checkpoint_with_out_of_range_value_is_validation_error(
         tmp_path, capsys, pattern, repl, key, argv):
     code, err = _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl,
@@ -473,6 +510,32 @@ def test_oversized_features_field_is_validation_error(tmp_path, capsys):
     _oversize_field(tmp_path / "out" / "features_train.csv", 4, 0)
     assert main(["train", *flags]) == EXIT_VALIDATION
     assert "features_train.csv: line 4:" in capsys.readouterr().err
+
+
+def test_header_only_training_features_are_validation_error(tmp_path, capsys):
+    flags = fast_flags(tmp_path)
+    run_pipeline(tmp_path)
+    train = tmp_path / "out" / "features_train.csv"
+    train.write_text("".join(train.read_text().splitlines(True)[:2]),
+                     encoding="utf-8")
+    for step in ("train", "detect"):
+        capsys.readouterr()
+        assert main([step, *flags]) == EXIT_VALIDATION
+        assert f"{train}: no training rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_feature_is_validation_error(tmp_path, capsys, value):
+    flags = fast_flags(tmp_path)
+    out = run_pipeline(tmp_path)
+    before = (out / "scores.csv").read_bytes()
+    test = out / "features_test.csv"
+    test.write_text(_mutate_csv(test.read_text(), 3, "field", 4, value),
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert main(["detect", *flags]) == EXIT_VALIDATION
+    assert f"{test}: line 4: feature values must be finite" in capsys.readouterr().err
+    assert (out / "scores.csv").read_bytes() == before
 
 
 class _FailingHandle:
@@ -561,6 +624,25 @@ def test_failed_train_keeps_previous_loss_file(tmp_path, monkeypatch, extra):
     assert not list(out.glob("*.tmp"))
 
 
+def test_failed_train_keeps_checkpoint_and_loss_file_together(tmp_path, monkeypatch):
+    flags = fast_flags(tmp_path)
+    for step in ("synth", "ingest"):
+        assert main([step, *flags]) == EXIT_OK
+    assert main(["train", *flags, "--epochs", "3"]) == EXIT_OK
+    out = tmp_path / "out"
+    pair = ("qgan.ckpt", "loss_U0000.csv")
+    before = {name: (out / name).read_bytes() for name in pair}
+    for failing in pair:
+        with monkeypatch.context() as patch:
+            _fail_writes_to(patch, failing)
+            assert main(["train", *flags, "--resume", "--epochs", "3"]) == EXIT_IO
+        assert {name: (out / name).read_bytes() for name in pair} == before
+    assert main(["train", *flags, "--resume", "--epochs", "3"]) == EXIT_OK
+    assert load_checkpoint(out / "qgan.ckpt")[1].epoch == 6
+    loss = (out / "loss_U0000.csv").read_text().splitlines()[2:]
+    assert [int(line.split(",")[0]) for line in loss] == [1, 2, 3, 4, 5, 6]
+
+
 def test_resumed_loss_file_is_the_old_bytes_plus_new_rows(tmp_path):
     flags = fast_flags(tmp_path)
     for step in ("synth", "ingest", "train"):
@@ -621,6 +703,15 @@ def kv_run(tmp_path_factory):
     return work, {p: p.read_bytes() for p in work.rglob("*") if p.is_file()}
 
 
+def _restore(kv_run):
+    """Put back every file of the finished pipeline, and only those."""
+    work, files = kv_run
+    for path in {p for p in work.rglob("*") if p.is_file()} - set(files):
+        path.unlink()
+    for path, content in files.items():
+        path.write_bytes(content)
+
+
 def _mutate(text, i, how):
     lines = text.splitlines()
     key = lines[i].partition(" = ")[0]
@@ -640,13 +731,61 @@ def _mutate(text, i, how):
        how=st.sampled_from(KV_MUTATIONS), data=st.data())
 def test_mutated_kv_file_never_escapes_main(kv_run, target, how, data):
     work, files = kv_run
-    for path in {p for p in work.rglob("*") if p.is_file()} - set(files):
-        path.unlink()
-    for path, content in files.items():
-        path.write_bytes(content)
+    _restore(kv_run)
     text = files[work / target].decode("utf-8")
     i = data.draw(st.integers(0, len(text.splitlines()) - 1), label="line")
     (work / target).write_text(_mutate(text, i, how), encoding="utf-8")
     for argv in KV_COMMANDS[target]:
         assert main([*argv, "--config", str(work / "run.cfg")]) in (
             EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION)
+
+
+# --------------------------------------------------------------------------
+# Fuzzed CSV inputs
+# --------------------------------------------------------------------------
+
+CSV_VALUES = ("", "-1", "0", "x", "1" * 40, "inf", "-inf", "nan")
+CSV_MUTATIONS = ("drop", "truncate", "repeat", "no comma", "field")
+# each mutated file, and the commands that read it
+CSV_COMMANDS = {
+    "data/labels.csv": [["ingest"], ["detect"]],
+    "out/features_train.csv": [["train"], ["detect"]],
+    "out/features_test.csv": [["detect"]],
+}
+
+
+def _mutate_csv(text, i, how, j, value):
+    lines = text.splitlines()
+    if how == "drop":
+        del lines[i]
+    elif how == "truncate":
+        del lines[i:]
+    elif how == "repeat":
+        lines.insert(i, lines[i])
+    elif how == "no comma":
+        lines.insert(i, "a line without a comma")
+    else:
+        fields = lines[i].split(",")
+        fields[j % len(fields)] = value
+        lines[i] = ",".join(fields)
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(target=st.sampled_from(sorted(CSV_COMMANDS)),
+       how=st.sampled_from(CSV_MUTATIONS), value=st.sampled_from(CSV_VALUES),
+       j=st.integers(0, 18), data=st.data())
+def test_mutated_csv_file_never_escapes_main(kv_run, target, how, value, j, data):
+    work, files = kv_run
+    _restore(kv_run)
+    text = files[work / target].decode("utf-8")
+    i = data.draw(st.integers(0, len(text.splitlines()) - 1), label="line")
+    (work / target).write_text(_mutate_csv(text, i, how, j, value),
+                               encoding="utf-8")
+    for argv in CSV_COMMANDS[target]:
+        assert main([*argv, "--config", str(work / "run.cfg")]) in (
+            EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION)
+        for name in ("scores.csv", "scores_train.csv"):
+            for rec in read_score_csv(work / "out" / name):
+                assert all(np.isfinite(rec[key])
+                           for key in ("r_d", "r_n", "d", "th_d", "th_f"))

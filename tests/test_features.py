@@ -501,11 +501,11 @@ def oracle_extract_daily(events, working_hours=("08:00", "18:00")):
 
 
 def assert_matches_oracle(log_dir, working_hours=("08:00", "18:00")):
-    """parse_logs and extract_daily agree with the oracle: report text,
+    """parse_logs and extract_daily agree with the oracle: report counts,
     every event in order, and the features CSV byte for byte."""
     want_events, want_report = oracle_parse_logs(log_dir)
     events, report = parse_logs(log_dir)
-    assert report.to_text() == want_report.to_text()
+    assert report.entries() == want_report.entries()
     assert [event_at(events, i) for i in range(len(events))] == [
         (ev.user, ev.timestamp, ev.kind, ev.size) for ev in want_events]
     out = Path(log_dir)
