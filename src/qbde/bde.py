@@ -174,7 +174,7 @@ def train_bde(real: np.ndarray, generated: np.ndarray,
         for start in range(0, len(x), cfg.batch):
             idx = order[start:start + cfg.batch]
             _, grads = bce_loss_and_grads(net, x[idx], y[idx])
-            opt.step([flat], [flatten(grads)])
+            opt.step(flat, flatten(grads))
     return net
 
 

@@ -5,13 +5,14 @@
 ``read_csv`` and ``write_csv`` read and write every CSV: the synth logs,
 labels, features, normalisation stats, losses and scores.  Both writers go
 through ``atomic_open``, so no output is ever left half-written.  A
-checkpoint has the ``qbde-ckpt-v1`` magic line and one ``[section]`` per
+checkpoint has the ``qbde-ckpt-v2`` magic line and one ``[section]`` per
 part of the training state.  Floats are written with ``float.hex`` and
 arrays as a ``key.shape`` line plus a ``key.data`` line of hex floats, so a
 save/load round trip is bit-exact.  Besides the generator angles,
 discriminator weights, train config and seed, the file carries the
 optimiser moments and the RNG state: that is what makes a resumed run
-indistinguishable from an uninterrupted one.
+indistinguishable from an uninterrupted one.  A ``qbde-ckpt-v1`` file,
+which also stored settings that are now constants, is refused.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from .optim import Adam, flat_views, flatten
 from .qgan import DiscriminatorNet, TrainConfig, TrainState
 from .qsim import GeneratorParams
 
-MAGIC = "qbde-ckpt-v1"
+MAGIC = "qbde-ckpt-v2"
 
 
 # [config] holds TrainConfig's fields in their declared order
-_DECODE = {"int": int, "float": float.fromhex, "str": str,
+_DECODE = {"int": int, "float": float.fromhex,
            "tuple[int, ...]": lambda text: tuple(int(h) for h in text.split())}
 
 
@@ -183,22 +184,22 @@ def _get_int(sec: Section, key: str, lo: int, hi: float) -> int:
 
 
 def _put_adam(opt: Adam, params: list[np.ndarray]) -> dict:
-    """Adam's state with one moment array per array of ``params``, however
-    the optimiser lays its moments out (the discriminator's: one vector)."""
+    """Adam's state with one moment array per array of ``params``, the
+    parts of the one array it steps."""
     entries = {"t": opt.t}
     if opt.m is not None:
         entries["n_arrays"] = len(params)
-        moments = (flat_views(flatten(mv), params) for mv in (opt.m, opt.v))
+        moments = (flat_views(mv.ravel(), params) for mv in (opt.m, opt.v))
         for i, (m, v) in enumerate(zip(*moments)):
             entries.update(_put_array(f"m{i}", m) | _put_array(f"v{i}", v))
     return entries
 
 
-def _get_adam(sec: Section, lr: float, cfg: TrainConfig,
-              params: list[np.ndarray], stepped: list[np.ndarray]) -> Adam:
-    """``_put_adam``'s inverse: moments read per array of ``params`` and laid
-    out like ``stepped``, the arrays the optimiser steps."""
-    opt = Adam(lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+def _get_adam(sec: Section, lr: float, params: list[np.ndarray],
+              stepped: np.ndarray) -> Adam:
+    """``_put_adam``'s inverse: moments read per array of ``params`` and
+    shaped like ``stepped``, the array the optimiser steps."""
+    opt = Adam(lr)
     opt.t = _get_int(sec, "t", 0, np.inf)
     if "n_arrays" in sec:
         if int(sec["n_arrays"]) != len(params):
@@ -206,7 +207,8 @@ def _get_adam(sec: Section, lr: float, cfg: TrainConfig,
                               f"want {len(params)}")
         moments = ([_get_array(sec, f"{mv}{i}", p.shape)
                     for i, p in enumerate(params)] for mv in "mv")
-        opt.m, opt.v = (flat_views(flatten(arrays), stepped) for arrays in moments)
+        opt.m, opt.v = (flatten(arrays).reshape(stepped.shape)
+                        for arrays in moments)
     return opt
 
 
@@ -218,8 +220,7 @@ def save_checkpoint(path: str | Path, cfg: TrainConfig, state: TrainState,
     meta = {"epoch": state.epoch}
     if digest:
         meta["config_digest"] = digest
-    discriminator = {"leak": _encode("float", state.net.leak),
-                     "n_layers": len(state.net.weights)}
+    discriminator = {"n_layers": len(state.net.weights)}
     for i, (w, b) in enumerate(zip(state.net.weights, state.net.biases)):
         discriminator.update(_put_array(f"w{i}", w) | _put_array(f"b{i}", b))
     write_kv(path, MAGIC, {
@@ -227,7 +228,6 @@ def save_checkpoint(path: str | Path, cfg: TrainConfig, state: TrainState,
         "config": {f.name: _encode(f.type, getattr(cfg, f.name))
                    for f in fields(cfg)},
         "generator": {"n_qubits": state.params.n_qubits,
-                      "entangler": state.params.entangler,
                       **_put_array("angles", state.params.angles)},
         "discriminator": discriminator,
         "opt_g": _put_adam(state.opt_g, [state.params.angles]),
@@ -248,26 +248,22 @@ def load_checkpoint(path: str | Path) -> tuple[TrainConfig, TrainState]:
                              for f in fields(TrainConfig)})
 
         g = sec["generator"]
-        params = GeneratorParams(int(g["n_qubits"]), _get_array(g, "angles"),
-                                 g["entangler"])
+        params = GeneratorParams(int(g["n_qubits"]), _get_array(g, "angles"))
 
         d = sec["discriminator"]
         n_layers = _get_int(d, "n_layers", 1, np.inf)
         net = DiscriminatorNet(
             weights=[_get_array(d, f"w{i}") for i in range(n_layers)],
             biases=[_get_array(d, f"b{i}") for i in range(n_layers)],
-            leak=float.fromhex(d["leak"]),
         )
-        have = (params.angles.shape[0], net.layer_sizes, params.entangler)
-        want = (cfg.depth + 1, [2**params.n_qubits, *cfg.hidden, 1], cfg.entangler)
+        have = (params.angles.shape[0], net.layer_sizes)
+        want = (cfg.depth + 1, [2**params.n_qubits, *cfg.hidden, 1])
         if have != want:
-            raise SchemaError(f"{path}: angle rows, discriminator layers and "
-                              f"entangler {have} disagree with [config] {want}")
+            raise SchemaError(f"{path}: angle rows and discriminator layers "
+                              f"{have} disagree with [config] {want}")
 
-        opt_g = _get_adam(sec["opt_g"], cfg.lr_g, cfg, [params.angles],
-                          [params.angles])
-        opt_d = _get_adam(sec["opt_d"], cfg.lr_d, cfg, net.param_list(),
-                          [net.flat])
+        opt_g = _get_adam(sec["opt_g"], cfg.lr_g, [params.angles], params.angles)
+        opt_d = _get_adam(sec["opt_d"], cfg.lr_d, net.param_list(), net.flat)
 
         # the ranges numpy's PCG64 state setter accepts
         r = sec["rng"]

@@ -200,11 +200,11 @@ def cmd_ingest(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     events, report = features.parse_logs(cfg.input_dir)
-    for user in events.user_names:
-        # ids are keys and space-separated lists in detect_summary.txt
-        if any(c.isspace() or c == "=" for c in user):
-            raise SchemaError(f"{cfg.input_dir}: user id {user!r} contains "
-                              f"whitespace or '='")
+    try:
+        for user in events.user_names:
+            features.check_user_id(user)
+    except ValueError as exc:
+        raise SchemaError(f"{cfg.input_dir}: {exc}") from exc
     rows = features.extract_daily(events, cfg.working_hours)
     labels_path = Path(cfg.input_dir) / "labels.csv"
     if labels_path.exists():

@@ -155,8 +155,8 @@ def _parse_size(text: str) -> int:
     if text.strip() == "":
         return 0
     size = float(text)
-    if not math.isfinite(size):
-        raise ValueError(f"non-finite size {text!r}")
+    if not 0.0 <= size < math.inf:
+        raise ValueError(f"size {text!r} is not a finite byte count >= 0")
     return int(size)
 
 
@@ -293,7 +293,8 @@ def extract_daily(events: Events,
     """Aggregate events into one 16-feature vector per (user, day).
 
     Only days with at least one event produce a vector; output is sorted
-    by (user, day).  Counts and size totals are summed in event order.
+    by (user, day).  Counts and size totals are summed in event order; a
+    size total that overflows raises ``SchemaError`` naming user and day.
     """
     start, end = ((t.hour * 60 + t.minute) * 60 + t.second + t.microsecond / 1e6
                   for t in parse_working_hours(working_hours))
@@ -309,8 +310,12 @@ def extract_daily(events: Events,
     table = counts.reshape(n, N_FEATURES).astype(float)
     day = keys % _N_DAYS
     table[:, _FEATURE_INDEX["weekend"]] = (day - 1) % 7 >= 5  # day 1 is a Monday
-    table[:, _FEATURE_INDEX["size"]] = np.bincount(key_of, weights=events.size,
-                                                   minlength=n)
+    sizes = np.bincount(key_of, weights=events.size, minlength=n)
+    if not np.isfinite(sizes).all():
+        u, d = divmod(int(keys[np.argmin(np.isfinite(sizes))]), _N_DAYS)
+        raise SchemaError(f"user {names[u]} on {date.fromordinal(d)}: device "
+                          f"size total is not finite")
+    table[:, _FEATURE_INDEX["size"]] = sizes
     return [BehaviorVector(names[u], date.fromordinal(d), vec)
             for u, d, vec in zip((keys // _N_DAYS).tolist(), day.tolist(), table)]
 
@@ -404,12 +409,20 @@ def write_features_csv(path: str | Path, rows: list[BehaviorVector],
                 row.label or ""] for row in rows), comment)
 
 
+def check_user_id(user: str) -> str:
+    """``user``, if it can be a key and an item of a space-separated list
+    in ``detect_summary.txt``: no whitespace and no ``=``."""
+    if any(c.isspace() or c == "=" for c in user):
+        raise ValueError(f"user id {user!r} contains whitespace or '='")
+    return user
+
+
 def _feature_row(rec: list[str]) -> BehaviorVector:
     values = np.array([float(x) for x in rec[2:2 + N_FEATURES]])
     if not np.isfinite(values).all():
         raise ValueError("feature values must be finite")
-    return BehaviorVector(rec[0], date.fromisoformat(rec[1]), values,
-                          rec[-1] or None)
+    return BehaviorVector(check_user_id(rec[0]), date.fromisoformat(rec[1]),
+                          values, rec[-1] or None)
 
 
 def read_features_csv(path: str | Path) -> list[BehaviorVector]:

@@ -1,45 +1,40 @@
-"""Adaptive moment estimation over lists of parameter arrays, and the flat
+"""Adaptive moment estimation over one parameter array, and the flat
 vector layout that lets one call step a whole network."""
 
 from __future__ import annotations
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    """First/second-moment gradient steps, applied to arrays in place.
+    """First/second-moment gradient steps, applied to one array in place.
 
     Moment buffers and the step counter are plain attributes so training
     state can be checkpointed and restored exactly.
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float):
         if lr <= 0:
             raise ValueError("learning rate must be > 0")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
-        self.m: list[np.ndarray] | None = None
-        self.v: list[np.ndarray] | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
-        if len(params) != len(self.m):
-            raise ValueError("parameter list changed size between steps")
+            self.m = np.zeros_like(param)
+            self.v = np.zeros_like(param)
         self.t += 1
-        corr1 = 1.0 - self.beta1**self.t
-        corr2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / corr1) / (np.sqrt(v / corr2) + self.eps)
+        corr1 = 1.0 - BETA1**self.t
+        corr2 = 1.0 - BETA2**self.t
+        self.m *= BETA1
+        self.m += (1.0 - BETA1) * grad
+        self.v *= BETA2
+        self.v += (1.0 - BETA2) * grad * grad
+        param -= self.lr * (self.m / corr1) / (np.sqrt(self.v / corr2) + EPS)
 
 
 def flatten(arrays: list[np.ndarray]) -> np.ndarray:

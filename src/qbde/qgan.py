@@ -32,6 +32,8 @@ from .qsim import prob_jacobian  # noqa: F401
 
 SIGMOID_CLAMP = 1e-7
 CROSS_ENTROPY_CLAMP = 1e-12
+LEAK = 0.01         # slope of the hidden layers' leaky rectifier below 0
+INIT_SPREAD = 0.1   # layers 1..K start uniform in [-spread, spread]
 
 
 # --------------------------------------------------------------------------
@@ -49,7 +51,6 @@ class DiscriminatorNet:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    leak: float = 0.01
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -107,7 +108,7 @@ def _forward(net: DiscriminatorNet, x: np.ndarray) -> tuple[np.ndarray, dict]:
     a = x
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         z = a.dot(w.T) + b
-        a = np.where(z > 0, z, net.leak * z)
+        a = np.where(z > 0, z, LEAK * z)
         pre.append(z)
         post.append(a)
     z_out = (a.dot(net.weights[-1].T) + net.biases[-1]).ravel()
@@ -130,7 +131,7 @@ def _backward(net: DiscriminatorNet, cache: dict,
         dz.sum(axis=0, out=db[i])
         da = dz.dot(net.weights[i])
         if i:
-            dz = da * np.where(pre[i - 1] > 0, 1.0, net.leak)
+            dz = da * np.where(pre[i - 1] > 0, 1.0, LEAK)
     return grad, da
 
 
@@ -139,7 +140,7 @@ def _input_grad(net: DiscriminatorNet, cache: dict,
     """The input gradient of ``_backward`` without the parameter gradient."""
     da = dz_out[:, None].dot(net.weights[-1])
     for i in range(len(net.weights) - 2, -1, -1):
-        da = (da * np.where(cache["pre"][i] > 0, 1.0, net.leak)).dot(net.weights[i])
+        da = (da * np.where(cache["pre"][i] > 0, 1.0, LEAK)).dot(net.weights[i])
     return da
 
 
@@ -250,12 +251,7 @@ class TrainConfig:
     lr_d: float = 0.01
     depth: int = 8
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     hidden: tuple[int, ...] = (64, 32)
-    entangler: str = "ring"
-    init_spread: float = 0.1  # layers 1..K start uniform in [-spread, spread]
 
     def __post_init__(self):
         if self.batch < 1:
@@ -268,8 +264,6 @@ class TrainConfig:
             raise ValueError("circuit depth must be >= 1")
         if min(self.hidden, default=1) < 1:
             raise ValueError("hidden layer sizes must be >= 1")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("Adam betas must be in [0, 1)")
 
 
 @dataclass
@@ -311,13 +305,11 @@ def init_train_state(n_qubits: int, cfg: TrainConfig) -> TrainState:
     rng = np.random.default_rng(cfg.seed)
     angles = np.empty((cfg.depth + 1, n_qubits))
     angles[0, :] = np.pi / 2
-    angles[1:, :] = rng.uniform(-cfg.init_spread, cfg.init_spread,
+    angles[1:, :] = rng.uniform(-INIT_SPREAD, INIT_SPREAD,
                                 size=(cfg.depth, n_qubits))
-    params = GeneratorParams(n_qubits, angles, cfg.entangler)
+    params = GeneratorParams(n_qubits, angles)
     net = DiscriminatorNet.create(2**n_qubits, cfg.hidden, rng)
-    opt_g = Adam(cfg.lr_g, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    opt_d = Adam(cfg.lr_d, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    return TrainState(params, net, opt_g, opt_d, rng)
+    return TrainState(params, net, Adam(cfg.lr_g), Adam(cfg.lr_d), rng)
 
 
 def _check_simplex_rows(data: np.ndarray) -> None:
@@ -368,9 +360,9 @@ def train(real_data: np.ndarray, cfg: TrainConfig,
                                                probabilities(amplitudes))
             ld_sum += ld
             lg_sum += lg
-            state.opt_d.step([state.net.flat], [grad_d])
+            state.opt_d.step(state.net.flat, grad_d)
             grad = gen_grads(state.params, state.net, amplitudes)
-            state.opt_g.step([state.params.angles], [grad])
+            state.opt_g.step(state.params.angles, grad)
         state.epoch += 1
         trace.loss_g.append(lg_sum / iters)
         trace.loss_d.append(ld_sum / iters)

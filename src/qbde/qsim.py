@@ -6,9 +6,9 @@ Conventions, fixed across the package:
 * Qubits are numbered 1..n and qubit 1 is the most significant bit of a
   basis index, so for n=2 the basis order is |00>, |01>, |10>, |11>.
 * RY(t) = [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]].
-* The entangling block is a fixed layer of CZ gates: a ring
-  (1,2), (2,3), ..., (n-1,n), (n,1), or an open chain without the
-  wrap-around pair.  For n <= 2 the ring degenerates to the chain.
+* The entangling block is a fixed ring of CZ gates
+  (1,2), (2,3), ..., (n-1,n), (n,1).  For n <= 2 the ring degenerates to
+  the open chain without the wrap-around pair.
 
 RY and CZ are real, so amplitudes and each layer's matrix are real.  One
 forward sweep gives the final state; one reverse (adjoint) sweep from it
@@ -27,8 +27,6 @@ import numpy as np
 
 MAX_QUBITS = 12  # dense amplitudes stay desk-scale
 
-ENTANGLERS = ("ring", "chain")
-
 
 @dataclass
 class GeneratorParams:
@@ -41,7 +39,6 @@ class GeneratorParams:
 
     n_qubits: int
     angles: np.ndarray
-    entangler: str = "ring"
 
     def __post_init__(self):
         self.angles = np.asarray(self.angles, dtype=float)
@@ -54,8 +51,6 @@ class GeneratorParams:
             raise ValueError("angles must be finite")
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}")
-        if self.entangler not in ENTANGLERS:
-            raise ValueError(f"entangler must be one of {ENTANGLERS}")
 
     @property
     def depth(self) -> int:
@@ -66,37 +61,35 @@ class GeneratorParams:
         return self.angles.size
 
 
-def entangler_pairs(n_qubits: int, topology: str = "ring") -> list[tuple[int, int]]:
+def entangler_pairs(n_qubits: int) -> list[tuple[int, int]]:
     """Qubit pairs of one entangling block.  The wrap-around pair (n, 1) is
     dropped for n <= 2: CZ is symmetric, so on two qubits the ring would
     apply the same gate twice and cancel."""
-    if topology not in ENTANGLERS:
-        raise ValueError(f"entangler must be one of {ENTANGLERS}")
     pairs = [(i, i + 1) for i in range(1, n_qubits)]
-    if topology == "ring" and n_qubits > 2:
+    if n_qubits > 2:
         pairs.append((n_qubits, 1))
     return pairs
 
 
 @lru_cache(maxsize=None)
-def entangler_signs(n_qubits: int, topology: str = "ring") -> np.ndarray:
+def entangler_signs(n_qubits: int) -> np.ndarray:
     """Diagonal of one entangling block, its own inverse: each CZ negates
     the basis states where both of its qubits are 1.  Cached, read-only."""
     idx, signs = np.arange(2**n_qubits), np.ones(2**n_qubits)
-    for a, b in entangler_pairs(n_qubits, topology):
+    for a, b in entangler_pairs(n_qubits):
         signs[(idx >> (n_qubits - a)) & (idx >> (n_qubits - b)) & 1 == 1] *= -1.0
     signs.flags.writeable = False
     return signs
 
 
 @lru_cache(maxsize=1)
-def _layers(n: int, entangler: str, raw: bytes) -> np.ndarray:
+def _layers(n: int, raw: bytes) -> np.ndarray:
     """The circuit of angles ``raw`` (``angles.tobytes()``) as ``depth+1``
     read-only 2**n x 2**n matrices acting on row vectors: ``state @ M[l]``
     applies layer l and ``state @ M[l].T`` undoes it.  The last build is
     cached, so a batch step's forward and adjoint sweeps share it."""
     half = np.frombuffer(raw).reshape(-1, n, 1) / 2.0
-    pick, xor, signs = _tables(n, entangler, len(half))
+    pick, xor, signs = _tables(n, len(half))
     cs = np.concatenate([np.cos(half), np.sin(half)], axis=-1).reshape(len(half), -1)
     mats = np.take(np.take(cs, pick, axis=1).prod(axis=1), xor, axis=1) * signs
     mats.flags.writeable = False
@@ -104,7 +97,7 @@ def _layers(n: int, entangler: str, raw: bytes) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _tables(n: int, entangler: str, n_layers: int) -> tuple[np.ndarray, ...]:
+def _tables(n: int, n_layers: int) -> tuple[np.ndarray, ...]:
     """Gathers and signs that build the layers from each row's (cos, sin)
     pairs.  RY(t).T = [[c, s], [-s, c]], so the Kronecker product of a row
     holds at (i, j) c_q where bit q of i and j agree, else s_q, negated per
@@ -112,7 +105,7 @@ def _tables(n: int, entangler: str, n_layers: int) -> tuple[np.ndarray, ...]:
     idx = np.arange(2**n)
     bits = (idx >> np.arange(n - 1, -1, -1)[:, None]) & 1   # qubit q in row q-1
     sign = np.prod(1.0 - 2.0 * (bits[:, :, None] & 1 - bits[:, None, :]), axis=0)
-    signs = np.repeat([sign, entangler_signs(n, entangler)[:, None] * sign],
+    signs = np.repeat([sign, entangler_signs(n)[:, None] * sign],
                       [1, n_layers - 1], axis=0)
     return 2 * np.arange(n)[:, None] + bits, idx[:, None] ^ idx, signs
 
@@ -121,7 +114,7 @@ def run_generator_circuit(params: GeneratorParams) -> np.ndarray:
     """Real amplitudes of the circuit's output state, length 2**n.  Layer 0
     rotates |0...0> into the input state; each later layer applies the
     entangling block and then its RY rotations."""
-    mats = _layers(params.n_qubits, params.entangler, params.angles.tobytes())
+    mats = _layers(params.n_qubits, params.angles.tobytes())
     state = mats[0, 0].copy()  # |0...0> @ M[0]
     for mat in mats[1:]:
         state = state.dot(mat)
@@ -143,7 +136,7 @@ def adjoint_gradient(params: GeneratorParams, amplitudes: np.ndarray,
     with Y = [[0, -1], [1, 0]], and a layer's rotations commute, so each of
     its angles gets adjoint . Y_q state before the layer is undone."""
     n, depth = params.n_qubits, params.depth
-    mats = _layers(n, params.entangler, params.angles.tobytes())
+    mats = _layers(n, params.angles.tobytes())
     pairs = np.empty((depth + 1, 2, 2**n))  # (state, adjoint) before each layer
     pairs[depth] = amplitudes, np.asarray(dp, dtype=float) * amplitudes
     for layer in range(depth, 0, -1):

@@ -127,7 +127,7 @@ def _dense_unitary(params: GeneratorParams) -> np.ndarray:
 
     n = params.n_qubits
     ue = np.eye(2**n)
-    for a, b in entangler_pairs(n, params.entangler):
+    for a, b in entangler_pairs(n):
         diag = np.ones(2**n)
         for j in range(2**n):
             if j & (1 << (n - a)) and j & (1 << (n - b)):

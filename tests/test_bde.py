@@ -282,12 +282,14 @@ def test_train_steps_one_flat_vector_like_per_array_adam():
     y = np.concatenate([np.ones(13), np.zeros(11)])
     order_rng = np.random.default_rng(cfg.seed)
     ref = BdeNet.create(order_rng)
-    opt = Adam(cfg.lr)
+    opts = [Adam(cfg.lr) for _ in ref.param_list()]
     for _ in range(cfg.epochs):
         order = order_rng.permutation(len(x))
         for start in range(0, len(x), cfg.batch):
             idx = order[start:start + cfg.batch]
-            opt.step(ref.param_list(), bce_loss_and_grads(ref, x[idx], y[idx])[1])
+            grads = bce_loss_and_grads(ref, x[idx], y[idx])[1]
+            for opt, arr, g in zip(opts, ref.param_list(), grads):
+                opt.step(arr, g)
     for got, want in zip(net.param_list(), ref.param_list()):
         np.testing.assert_array_equal(got, want)
 
@@ -296,11 +298,12 @@ def test_adam_on_a_flat_vector_is_bit_identical_to_per_array_adam():
     rng = np.random.default_rng(10)
     arrays = [a.copy() for a in random_net(12).param_list()]
     flat = np.concatenate([a.ravel() for a in arrays])
-    per_array, whole = Adam(0.01), Adam(0.01)
+    per_array, whole = [Adam(0.01) for _ in arrays], Adam(0.01)
     for _ in range(100):
         grads = [rng.normal(size=a.shape) for a in arrays]
-        per_array.step(arrays, grads)
-        whole.step([flat], [np.concatenate([g.ravel() for g in grads])])
+        for opt, arr, g in zip(per_array, arrays, grads):
+            opt.step(arr, g)
+        whole.step(flat, np.concatenate([g.ravel() for g in grads]))
         assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
 
 

@@ -3,6 +3,7 @@
 import builtins
 import csv
 import re
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -330,20 +331,46 @@ def test_different_seed_changes_outputs(tmp_path):
     assert (out_a / "scores.csv").read_bytes() != (out_b / "scores.csv").read_bytes()
 
 
-@pytest.mark.parametrize("size", ["inf", "1e400", "-inf", "nan"])
-def test_ingest_counts_non_finite_device_size_as_malformed(tmp_path, size):
+def _synth_with_device_rows(tmp_path, *sizes):
+    """Synth logs plus copies of the first device row with these sizes;
+    returns the flags and the copied row's user and day."""
     flags = fast_flags(tmp_path)
     assert main(["synth", *flags]) == EXIT_OK
     device = tmp_path / "data" / "device.csv"
     lines = device.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
     row = dict(zip(header, lines[1].split(",")))
-    row["size"] = size
-    device.write_text("\n".join([*lines, ",".join(row[h] for h in header)]) + "\n",
-                      encoding="utf-8")
+    added = [",".join(size if h == "size" else row[h] for h in header)
+             for size in sizes]
+    device.write_text("\n".join([*lines, *added]) + "\n", encoding="utf-8")
+    day = datetime.strptime(row["date"], "%m/%d/%Y %H:%M:%S").date()
+    return flags, row["user"], day
+
+
+@pytest.mark.parametrize("size", ["inf", "1e400", "-inf", "nan"])
+def test_ingest_counts_non_finite_device_size_as_malformed(tmp_path, size):
+    flags, _, _ = _synth_with_device_rows(tmp_path, size)
     assert main(["ingest", *flags]) == EXIT_OK
     report = (tmp_path / "out" / "parse_report.txt").read_text()
     assert "file.device.malformed = 1\n" in report
+
+
+@pytest.mark.parametrize("size", ["-5", "-0.5", "-1e308"])
+def test_ingest_counts_negative_device_size_as_malformed(tmp_path, size):
+    flags, _, _ = _synth_with_device_rows(tmp_path, size)
+    assert main(["ingest", *flags]) == EXIT_OK
+    report = (tmp_path / "out" / "parse_report.txt").read_text()
+    assert "file.device.malformed = 1\n" in report
+
+
+def test_ingest_rejects_overflowing_device_size_total(tmp_path, capsys):
+    # each size is finite, their sum is not
+    flags, user, day = _synth_with_device_rows(tmp_path, "1e308", "1e308")
+    capsys.readouterr()
+    assert main(["ingest", *flags]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"user {user} on {day}: device size total is not finite" in err
+    assert not (tmp_path / "out" / "features_raw.csv").exists()
 
 
 @pytest.mark.parametrize("override", [["--k", "3"], ["--k", "1"]])
@@ -428,15 +455,13 @@ def test_checkpoint_with_non_positive_dimension_is_validation_error(
     (r"^inc = \d+$", f"inc = {2**128 + 1}", "rng.inc"),
     (r"^uinteger = \d+$", "uinteger = -1", "rng.uinteger"),
     (r"^has_uint32 = \d+$", f"has_uint32 = {10**40}", "rng.has_uint32"),
-    (r"^beta1 = .*$", "beta1 = " + "1" * 40, "betas"),
     (r"^t = \d+$", "t = -1", "opt_g.t"),
     (r"^depth = 2$", "depth = 3", "disagree with [config]"),
     (r"^hidden = 64 32$", "hidden = 16 32", "disagree with [config]"),
-    (r"^entangler = ring$", "entangler = chain", "disagree with [config]"),
+    (r"^qbde-ckpt-v2$", "qbde-ckpt-v1", "qgan.ckpt: not a qbde-ckpt-v2 file"),
 ], ids=["no-layers", "negative-layers", "negative-state", "huge-state",
         "negative-inc", "huge-inc", "negative-uinteger", "huge-has_uint32",
-        "huge-beta1", "negative-adam-step", "config-depth", "config-hidden",
-        "config-entangler"])
+        "negative-adam-step", "config-depth", "config-hidden", "v1-format"])
 def test_checkpoint_with_out_of_range_value_is_validation_error(
         tmp_path, capsys, pattern, repl, key, argv):
     code, err = _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl,
@@ -674,6 +699,26 @@ def test_ingest_rejects_user_id_that_breaks_the_summary(tmp_path, capsys, user):
     assert main(["ingest", *flags]) == EXIT_VALIDATION
     assert repr(user) in capsys.readouterr().err
     assert not (tmp_path / "out" / "features_raw.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [("train",), ("detect",)],
+                         ids=["train", "detect"])
+def test_features_with_user_id_that_breaks_the_summary_are_rejected(
+        tmp_path, capsys, argv):
+    flags = fast_flags(tmp_path)
+    for step in ("synth", "ingest", "train"):
+        assert main([step, *flags]) == EXIT_OK
+    out = tmp_path / "out"
+    for name in ("features_train.csv", "features_test.csv"):
+        path = out / name
+        path.write_text(path.read_text(encoding="utf-8").replace("U0000", "U 00"),
+                        encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main([*argv, *flags]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{out / 'features_train.csv'}: line 3: user id 'U 00'" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # --------------------------------------------------------------------------

@@ -417,8 +417,8 @@ def oracle_size(text):
     if text is None or text.strip() == "":
         return 0
     size = float(text)
-    if not math.isfinite(size):
-        raise ValueError(f"non-finite size {text!r}")
+    if not math.isfinite(size) or size < 0:
+        raise ValueError(f"size {text!r} is not a finite byte count >= 0")
     return int(size)
 
 
@@ -511,6 +511,10 @@ def assert_matches_oracle(log_dir, working_hours=("08:00", "18:00")):
     out = Path(log_dir)
     with np.errstate(over="ignore"):
         want_rows = oracle_extract_daily(want_events, working_hours)
+    if not all(np.isfinite(row.features).all() for row in want_rows):
+        with pytest.raises(SchemaError, match="device size total is not finite"):
+            extract_daily(events, working_hours)
+        return
     write_features_csv(out / "want.csv", want_rows)
     write_features_csv(out / "got.csv", extract_daily(events, working_hours))
     assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
@@ -575,7 +579,7 @@ ACTIVITIES = {
 }
 ODD_ACTIVITY = st.sampled_from(["", "  ", "Teleport", "View", "Logon", "Connect",
                                 "File Open", "send"])
-# Sums of 1e16 and 1, or of +-1.7e308, depend on the order of the terms.
+# Sums of 1e16 and 1 depend on the order of the terms; two 1.7e308 overflow.
 SIZES = mostly(st.sampled_from(["1", "100", "1e16", "1.7e308", "-1.7e308"]),
                st.sampled_from(["", "0", " 250 ", "1e3", "-5.7", "1e300", "inf", "-inf",
                                 "nan", "1e400", "abc", "1_000", "\u0663", "  "]))
@@ -638,11 +642,16 @@ def test_odd_stamps_get_strptime_verdict(tmp_path):
 
 
 def test_size_totals_follow_event_order(tmp_path):
-    sizes = ["1e16", "1", "1", "1.7e308", "1.7e308", "-1.7e308"]
+    sizes = ["1e16", "1", "1"]
     vec = daily(tmp_path, device_rows=[f"D{i},01/04/2011 10:00:0{i},U1,PC,{size},Connect"
                                        for i, size in enumerate(sizes)])[0].features
-    # in file order the running total overflows; summed from the end it is 1.7e308
-    assert vec[FI["size"]] == math.inf
+    # in file order each 1 rounds away; summed from the end they make 1e16 + 2
+    assert vec[FI["size"]] == 1e16
+    assert_matches_oracle(tmp_path)
+    # two finite sizes whose total is not: the oracle sums to inf, and
+    # extract_daily refuses the day
+    minimal_logs(tmp_path, device_rows=[
+        f"D{i},01/04/2011 10:00:0{i},U1,PC,1.7e308,Connect" for i in range(2)])
     assert_matches_oracle(tmp_path)
 
 

@@ -368,7 +368,7 @@ def test_train_steps_one_flat_discriminator_vector_like_per_array_adam():
     cfg = TrainConfig(batch=5, epochs=4, depth=3, seed=6, hidden=(12, 7))
     trace = train(data, cfg)
     ref = init_train_state(4, cfg)
-    opt_d = Adam(cfg.lr_d, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    opts_d = [Adam(cfg.lr_d) for _ in ref.net.param_list()]
     for _ in range(cfg.epochs):
         order = ref.rng.permutation(len(data))
         for start in range(0, len(data), cfg.batch):
@@ -376,15 +376,17 @@ def test_train_steps_one_flat_discriminator_vector_like_per_array_adam():
             _, _, grad = adversarial_grads(ref.net, data[order[start:start + cfg.batch]],
                                            probabilities(amplitudes))
             dw, db = ref.net.split(grad)
-            opt_d.step(ref.net.param_list(), [*dw, *db])  # one array at a time
-            ref.opt_g.step([ref.params.angles],
-                           [gen_grads(ref.params, ref.net, amplitudes)])
+            for opt, arr, g in zip(opts_d, ref.net.param_list(), [*dw, *db]):
+                opt.step(arr, g)  # one array at a time
+            ref.opt_g.step(ref.params.angles,
+                           gen_grads(ref.params, ref.net, amplitudes))
     np.testing.assert_array_equal(trace.params.angles, ref.params.angles)
     for got, want in zip(trace.net.param_list(), ref.net.param_list()):
         np.testing.assert_array_equal(got, want)
-    (m,), (v,) = trace.state.opt_d.m, trace.state.opt_d.v
-    np.testing.assert_array_equal(m, np.concatenate([a.ravel() for a in opt_d.m]))
-    np.testing.assert_array_equal(v, np.concatenate([a.ravel() for a in opt_d.v]))
+    np.testing.assert_array_equal(trace.state.opt_d.m,
+                                  np.concatenate([o.m.ravel() for o in opts_d]))
+    np.testing.assert_array_equal(trace.state.opt_d.v,
+                                  np.concatenate([o.v.ravel() for o in opts_d]))
 
 
 def test_net_arrays_are_views_of_the_flat_vector():

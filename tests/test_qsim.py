@@ -43,15 +43,15 @@ def cz_matrix(n, a, b):
     return np.diag(diag)
 
 
-def entangler_matrix(n, topology):
+def entangler_matrix(n):
     ue = np.eye(2**n)
-    for a, b in entangler_pairs(n, topology):
+    for a, b in entangler_pairs(n):
         ue = cz_matrix(n, a, b) @ ue
     return ue
 
 
 def circuit_unitary(params):
-    ue = entangler_matrix(params.n_qubits, params.entangler)
+    ue = entangler_matrix(params.n_qubits)
     u = layer_matrix(params.n_qubits, params.angles[0])
     for layer in range(1, params.depth + 1):
         u = layer_matrix(params.n_qubits, params.angles[layer]) @ ue @ u
@@ -62,9 +62,13 @@ def zero_state(n):
     return np.eye(2**n)[0]
 
 
-def random_params(rng, n, depth, entangler="ring"):
-    return GeneratorParams(n, rng.uniform(-np.pi, np.pi, size=(depth + 1, n)),
-                           entangler)
+# The circuit has one entangling block, a ring of CZ gates; the dense
+# checks below carry its name in their ids.
+BLOCKS = ["ring"]
+
+
+def random_params(rng, n, depth):
+    return GeneratorParams(n, rng.uniform(-np.pi, np.pi, size=(depth + 1, n)))
 
 
 def one_layer(angles_row):
@@ -163,32 +167,28 @@ def test_cz_leaves_01_alone():
     np.testing.assert_allclose(out, [0, 1, 0, 0], atol=1e-15)
 
 
-@pytest.mark.parametrize("topology", ["ring", "chain"])
-def test_entangler_signs_match_dense_cz_product(topology):
+@pytest.mark.parametrize("block", BLOCKS)
+def test_entangler_signs_match_dense_cz_product(block):
     for n in range(1, 6):
-        np.testing.assert_array_equal(np.diag(entangler_matrix(n, topology)),
-                                      entangler_signs(n, topology))
+        np.testing.assert_array_equal(np.diag(entangler_matrix(n)),
+                                      entangler_signs(n))
 
 
 def test_cz_is_an_involution_and_symmetric():
-    for topology in ("ring", "chain"):
-        for n in range(1, 6):
-            signs = entangler_signs(n, topology)
-            np.testing.assert_array_equal(signs * signs, np.ones(2**n))
-            swapped = np.eye(2**n)
-            for a, b in entangler_pairs(n, topology):
-                swapped = cz_matrix(n, b, a) @ swapped
-            np.testing.assert_array_equal(np.diag(swapped), signs)
+    for n in range(1, 6):
+        signs = entangler_signs(n)
+        np.testing.assert_array_equal(signs * signs, np.ones(2**n))
+        swapped = np.eye(2**n)
+        for a, b in entangler_pairs(n):
+            swapped = cz_matrix(n, b, a) @ swapped
+        np.testing.assert_array_equal(np.diag(swapped), signs)
 
 
 def test_cz_rejects_equal_or_bad_indices():
     # every CZ of a block joins two distinct qubits of the register
-    for topology in ("ring", "chain"):
-        for n in range(1, 13):
-            for a, b in entangler_pairs(n, topology):
-                assert a != b and 1 <= a <= n and 1 <= b <= n
-    with pytest.raises(ValueError):
-        entangler_signs(3, "star")
+    for n in range(1, 13):
+        for a, b in entangler_pairs(n):
+            assert a != b and 1 <= a <= n and 1 <= b <= n
 
 
 def test_gates_preserve_norm_and_invert():
@@ -222,28 +222,28 @@ def test_half_pi_input_layer_is_uniform():
     np.testing.assert_allclose(probabilities(out), np.full(16, 1 / 16), atol=1e-12)
 
 
-@pytest.mark.parametrize("entangler", ["ring", "chain"])
+@pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("n,depth", [(1, 2), (2, 3), (3, 2), (3, 4)])
-def test_circuit_matches_dense_unitary_product(n, depth, entangler):
+def test_circuit_matches_dense_unitary_product(n, depth, block):
     rng = np.random.default_rng(100 * n + depth)
     for _ in range(5):
-        params = random_params(rng, n, depth, entangler)
+        params = random_params(rng, n, depth)
         got = run_generator_circuit(params)
         want = circuit_unitary(params) @ zero_state(n)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 
-@pytest.mark.parametrize("topology", ["ring", "chain"])
-def test_layer_matrices_are_orthogonal_and_match_dense_kron(topology):
+@pytest.mark.parametrize("block", BLOCKS)
+def test_layer_matrices_are_orthogonal_and_match_dense_kron(block):
     # state @ M[layer] applies a layer, so M[layer] is its dense matrix
     # transposed: the RY kron alone for layer 0, after the CZ block later.
     rng = np.random.default_rng(31)
     for n in range(1, 6):
         for depth in (1, 3):
-            params = random_params(rng, n, depth, topology)
-            mats = qsim._layers(n, topology, params.angles.tobytes())
+            params = random_params(rng, n, depth)
+            mats = qsim._layers(n, params.angles.tobytes())
             assert mats.shape == (depth + 1, 2**n, 2**n)
-            ue = entangler_matrix(n, topology)
+            ue = entangler_matrix(n)
             for layer, mat in enumerate(mats):
                 dense = layer_matrix(n, params.angles[layer])
                 want = (dense @ ue if layer else dense).T
@@ -253,18 +253,18 @@ def test_layer_matrices_are_orthogonal_and_match_dense_kron(topology):
 
 
 def test_cached_arrays_are_read_only():
-    signs = entangler_signs(4, "chain")
+    signs = entangler_signs(4)
     with pytest.raises(ValueError):
         signs[0] = 5.0
     with pytest.raises(ValueError):
         signs *= -1.0
     params = random_params(np.random.default_rng(32), 3, 2)
-    mats = qsim._layers(3, "ring", params.angles.tobytes())
+    mats = qsim._layers(3, params.angles.tobytes())
     with pytest.raises(ValueError):
         mats[1] *= 2.0
     # the cache still holds what the dense oracle says
-    np.testing.assert_array_equal(entangler_signs(4, "chain"),
-                                  np.diag(entangler_matrix(4, "chain")))
+    np.testing.assert_array_equal(entangler_signs(4),
+                                  np.diag(entangler_matrix(4)))
     np.testing.assert_allclose(run_generator_circuit(params),
                                circuit_unitary(params) @ zero_state(3), atol=1e-12)
 
@@ -273,7 +273,6 @@ def test_entangler_pairs_topologies():
     assert entangler_pairs(1) == []
     assert entangler_pairs(2) == [(1, 2)]  # ring degenerates, no double CZ
     assert entangler_pairs(4) == [(1, 2), (2, 3), (3, 4), (4, 1)]
-    assert entangler_pairs(4, "chain") == [(1, 2), (2, 3), (3, 4)]
 
 
 def test_params_validation():
@@ -281,8 +280,6 @@ def test_params_validation():
         GeneratorParams(2, np.zeros((3, 4)))
     with pytest.raises(ValueError):
         GeneratorParams(2, np.array([[0.0, np.inf], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        GeneratorParams(2, np.zeros((2, 2)), entangler="star")
 
 
 def test_probabilities_sum_to_one():
@@ -346,9 +343,9 @@ def fd_jacobian(params, h=1e-5):
         down = params.angles.copy()
         down[layer, qubit] -= h
         p_up = probabilities(run_generator_circuit(
-            GeneratorParams(params.n_qubits, up, params.entangler)))
+            GeneratorParams(params.n_qubits, up)))
         p_down = probabilities(run_generator_circuit(
-            GeneratorParams(params.n_qubits, down, params.entangler)))
+            GeneratorParams(params.n_qubits, down)))
         jac[:, col] = (p_up - p_down) / (2 * h)
     return jac
 
@@ -382,13 +379,13 @@ def test_jacobian_columns_sum_to_zero():
 # Adjoint sweep
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("entangler", ["ring", "chain"])
-def test_adjoint_matches_parameter_shift(entangler):
+@pytest.mark.parametrize("block", BLOCKS)
+def test_adjoint_matches_parameter_shift(block):
     rng = np.random.default_rng(31)
     worst = 0.0
     for _ in range(100):
         n, depth = int(rng.integers(1, 6)), int(rng.integers(1, 9))
-        params = random_params(rng, n, depth, entangler)
+        params = random_params(rng, n, depth)
         dp = rng.normal(size=2**n)
         got = adjoint_gradient(params, run_generator_circuit(params), dp)
         assert got.shape == params.angles.shape
