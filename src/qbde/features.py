@@ -27,6 +27,7 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -464,6 +465,9 @@ class SynthConfig:
             raise ValueError("anomaly_rate must be in [0, 0.2]")
         if self.n_users < 1 or self.n_days < 1:
             raise ValueError("need at least one user and one day")
+        if self.n_days > date.max.toordinal() - self.start_day.toordinal() + 1:
+            raise ValueError(f"{self.n_days} days from {self.start_day} run past "
+                             f"{date.max}")
 
 
 @dataclass
@@ -474,14 +478,25 @@ class SynthResult:
     row_counts: dict
 
 
-def _window_seconds(rng: np.random.Generator, on: bool,
-                    start: time, end: time) -> int:
-    s0 = start.hour * 3600 + start.minute * 60
-    s1 = end.hour * 3600 + end.minute * 60
-    if on:
-        return int(rng.integers(s0, s1))
-    r = int(rng.integers(0, 86400 - (s1 - s0)))
-    return r if r < s0 else r + (s1 - s0)
+# Per-user daily Poisson rates: (feature, low, high), drawn in this order.
+_SYNTH_RATES = (
+    ("login_on", 3.0, 6.0), ("loginoff_on", 3.0, 6.0), ("login_out", 0.1, 0.3),
+    ("loginoff_out", 0.1, 0.3), ("http_on", 40.0, 80.0), ("http_out", 0.3, 0.8),
+    ("connect_on", 2.0, 5.0), ("connect_out", 0.08, 0.2), ("send_on", 8.0, 20.0),
+    ("send_out", 0.1, 0.4), ("file_on", 6.0, 15.0), ("file_off", 0.1, 0.4))
+# Extra off-hours events of an anomalous day, drawn in this order; the
+# connect burst also adds as many disconnects.
+_SYNTH_BURST = (("login_out", 3, 8), ("loginoff_out", 2, 6), ("http_out", 10, 30),
+                ("connect_out", 2, 5), ("send_out", 5, 15), ("file_off", 8, 20))
+# Single-row events in timestamp draw order: (feature, log, activity).
+_SYNTH_EVENTS = (
+    ("login_on", "login", "Logon"), ("login_out", "login", "Logon"),
+    ("loginoff_on", "login", "Logoff"), ("loginoff_out", "login", "Logoff"),
+    ("http_on", "http", None), ("http_out", "http", None),
+    ("send_on", "email", "Send"), ("send_out", "email", "Send"),
+    ("file_on", "file", None), ("file_off", "file", None))
+_FILE_OPS = ("File Open", "File Write", "File Copy", "File Delete")
+_TWO_DIGITS = tuple(f"{i:02d}" for i in range(60))
 
 
 def synth_generate(cfg: SynthConfig) -> SynthResult:
@@ -491,13 +506,25 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     out-of-hours trickle (so no feature is constant over a long training
     window).  Anomalous days, drawn per day with ``anomaly_rate``, add
     out-of-hours logins, oversized device transfers and bursts of email
-    and file activity.  Byte-identical output for identical configs; the
-    returned ``truth`` holds exactly the daily counts the logs encode.
+    and file activity.  Each user-day takes at most four array draws (the
+    anomaly flag, the Poisson counts, the burst sizes, then every timestamp
+    and transfer size), which consume the random stream exactly as one
+    scalar draw per value in the same order would.  Byte-identical output
+    for identical configs; the returned ``truth`` holds exactly the daily
+    counts the logs encode.
     """
     rng = np.random.default_rng(cfg.seed)
     start_h, end_h = parse_working_hours(cfg.working_hours)
+    s0 = start_h.hour * 3600 + start_h.minute * 60
+    s1 = end_h.hour * 3600 + end_h.minute * 60
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    days = [cfg.start_day + timedelta(days=d) for d in range(cfg.n_days)]
+    # Anomalous days are quiet during working hours: the malicious activity
+    # happens off-hours while daytime use drops away.
+    damp = (np.ones(len(_SYNTH_RATES)),
+            np.array([0.4 if f.endswith("_on") else 1.0 for f, _, _ in _SYNTH_RATES]))
+    burst_lo, burst_hi = np.array([b[1:] for b in _SYNTH_BURST]).T
 
     tables: dict[str, list] = {name.split(".")[0]: [] for name in LOG_FILES}
     labels: dict[tuple[str, date], str] = {}
@@ -506,101 +533,70 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     for u in range(cfg.n_users):
         user = f"U{u:04d}"
         pc = f"PC-{u:04d}"
-        prof = {
-            "login_on": rng.uniform(3.0, 6.0),
-            "loginoff_on": rng.uniform(3.0, 6.0),
-            "login_out": rng.uniform(0.1, 0.3),
-            "loginoff_out": rng.uniform(0.1, 0.3),
-            "http_on": rng.uniform(40.0, 80.0),
-            "http_out": rng.uniform(0.3, 0.8),
-            "connect_on": rng.uniform(2.0, 5.0),
-            "connect_out": rng.uniform(0.08, 0.2),
-            "send_on": rng.uniform(8.0, 20.0),
-            "send_out": rng.uniform(0.1, 0.4),
-            "file_on": rng.uniform(6.0, 15.0),
-            "file_off": rng.uniform(0.1, 0.4),
-        }
-        size_lo, size_hi = 50_000, int(rng.uniform(400_000, 900_000))
+        rates = np.array([rng.uniform(lo, hi) for _, lo, hi in _SYNTH_RATES])
+        size_hi = int(rng.uniform(400_000, 900_000))
+        # Bounds by draw code: 0 a working-time second, 1 an off-hours one
+        # (counted with the window cut out), 2 a transfer size, 3 a burst one.
+        lo = np.array([s0, 0, 50_000, 20_000_000])
+        hi = np.array([s1, 86400 - (s1 - s0), size_hi, 80_000_000])
 
-        for d in range(cfg.n_days):
-            day = cfg.start_day + timedelta(days=d)
+        for d, day in enumerate(days):
             abnormal = bool(rng.random() < cfg.anomaly_rate)
-            # Anomalous days are quiet during working hours: the malicious
-            # activity happens off-hours while daytime use drops away.
-            on_damp = 0.4 if abnormal else 1.0
-            counts = {k: int(rng.poisson(rate * (on_damp if k.endswith("_on")
-                                                 else 1.0)))
-                      for k, rate in prof.items()}
+            counts = dict(zip((f for f, _, _ in _SYNTH_RATES),
+                              rng.poisson(rates * damp[abnormal]).tolist()))
             counts["login_on"] = max(1, counts["login_on"])  # every day has data
+            burst = 0
+            if abnormal:
+                extra = rng.integers(burst_lo, burst_hi).tolist()
+                for (feat, _, _), k in zip(_SYNTH_BURST, extra):
+                    counts[feat] += k
+                burst = extra[3]  # connects whose transfers are oversized
             counts["disconnect_on"] = counts["connect_on"]
             counts["disconnect_out"] = counts["connect_out"]
 
-            burst_connects = 0
-            if abnormal:
-                counts["login_out"] += int(rng.integers(3, 8))
-                counts["loginoff_out"] += int(rng.integers(2, 6))
-                counts["http_out"] += int(rng.integers(10, 30))
-                burst_connects = int(rng.integers(2, 5))
-                counts["connect_out"] += burst_connects
-                counts["disconnect_out"] += burst_connects
-                counts["send_out"] += int(rng.integers(5, 15))
-                counts["file_off"] += int(rng.integers(8, 20))
+            # The day's draws in the scalar order: the events' timestamps,
+            # each connect's size then timestamp, the disconnects' timestamps.
+            codes = []
+            for feat, _, _ in _SYNTH_EVENTS:
+                codes += [int(not feat.endswith("_on"))] * counts[feat]
+            codes += ([2, 0] * counts["connect_on"] + [3, 1] * burst
+                      + [2, 1] * (counts["connect_out"] - burst)
+                      + [0] * counts["disconnect_on"] + [1] * counts["disconnect_out"])
+            codes = np.array(codes)
+            draws = rng.integers(lo[codes], hi[codes])
+            off = (codes == 1) & (draws >= s0)
+            # timestamps become seconds from start_day; sizes stay as drawn
+            draws += np.where(codes < 2, d * 86400 + (s1 - s0) * off, 0)
+            values = iter(draws.tolist())
+
+            for feat, source, activity in _SYNTH_EVENTS:
+                table = tables[source]
+                for when in islice(values, counts[feat]):
+                    j = len(table)
+                    if source == "http":
+                        rest = (f"http://site{j % 7}.example.com/p{j % 13}",)
+                    elif source == "file":
+                        rest = (f"doc{j % 9}.docx", _FILE_OPS[j % 4])
+                    elif source == "email":
+                        rest = (f"peer{j % 5}@example.com", activity)
+                    else:
+                        rest = (activity,)
+                    table.append((when, user, pc, *rest))
+            size = 0
+            for _ in range(counts["connect_on"] + counts["connect_out"]):
+                size_k, when = next(values), next(values)
+                size += size_k
+                tables["device"].append((when, user, pc, str(size_k), "Connect"))
+            for when in values:
+                tables["device"].append((when, user, pc, "0", "Disconnect"))
 
             vec = np.zeros(N_FEATURES)
+            for feat, count in counts.items():
+                vec[_FEATURE_INDEX[feat]] = count
             vec[_FEATURE_INDEX["weekend"]] = 1.0 if day.weekday() >= 5 else 0.0
-            labels[(user, day)] = LABEL_ABNORMAL if abnormal else LABEL_NORMAL
-
-            def stamp(on: bool) -> datetime:
-                sec = _window_seconds(rng, on, start_h, end_h)
-                return datetime.combine(day, time(sec // 3600, sec % 3600 // 60,
-                                                  sec % 60))
-
-            for feat, source, extra in (
-                    ("login_on", "login", ["Logon"]),
-                    ("login_out", "login", ["Logon"]),
-                    ("loginoff_on", "login", ["Logoff"]),
-                    ("loginoff_out", "login", ["Logoff"]),
-                    ("http_on", "http", None),
-                    ("http_out", "http", None),
-                    ("send_on", "email", ["Send"]),
-                    ("send_out", "email", ["Send"]),
-                    ("file_on", "file", None),
-                    ("file_off", "file", None)):
-                on = feat.endswith("_on")
-                for _ in range(counts[feat]):
-                    vec[_FEATURE_INDEX[feat]] += 1.0
-                    when = stamp(on)
-                    if source == "http":
-                        j = len(tables["http"])
-                        tables["http"].append((when, user, pc,
-                                               f"http://site{j % 7}.example.com/p{j % 13}"))
-                    elif source == "file":
-                        j = len(tables["file"])
-                        op = ("File Open", "File Write", "File Copy",
-                              "File Delete")[j % 4]
-                        tables["file"].append((when, user, pc, f"doc{j % 9}.docx", op))
-                    elif source == "email":
-                        j = len(tables["email"])
-                        tables["email"].append((when, user, pc,
-                                                f"peer{j % 5}@example.com", *extra))
-                    else:
-                        tables["login"].append((when, user, pc, *extra))
-
-            # Device pairs; the anomalous burst carries oversized transfers.
-            for feat, active in (("connect_on", True), ("connect_out", True),
-                                 ("disconnect_on", False), ("disconnect_out", False)):
-                on = feat.endswith("_on")
-                for k in range(counts[feat]):
-                    vec[_FEATURE_INDEX[feat]] += 1.0
-                    size = 0
-                    if active:
-                        huge = (not on) and abnormal and k < burst_connects
-                        size = int(rng.integers(20_000_000, 80_000_000)) if huge \
-                            else int(rng.integers(size_lo, size_hi))
-                        vec[_FEATURE_INDEX["size"]] += size
-                    tables["device"].append((stamp(on), user, pc, str(size),
-                                             "Connect" if active else "Disconnect"))
+            vec[_FEATURE_INDEX["size"]] = size
             truth[(user, day)] = vec
+            labels[(user, day)] = LABEL_ABNORMAL if abnormal else LABEL_NORMAL
 
     headers = {
         "login": ["id", "date", "user", "pc", "activity"],
@@ -609,13 +605,20 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
         "email": ["id", "date", "user", "pc", "to", "activity"],
         "file": ["id", "date", "user", "pc", "filename", "activity"],
     }
+    prefix = [day.strftime("%m/%d/%Y ") for day in days]
+
+    def stamp(seconds: int) -> str:
+        d, s = divmod(seconds, 86400)
+        return (f"{prefix[d]}{_TWO_DIGITS[s // 3600]}:{_TWO_DIGITS[s // 60 % 60]}"
+                f":{_TWO_DIGITS[s % 60]}")
+
     paths, row_counts = {}, {}
     for source, rows in tables.items():
         rows.sort()  # by time, then the other fields
-        path = out_dir / f"{source}.csv"
+        path, letter = out_dir / f"{source}.csv", source[0].upper()
         write_csv(path, headers[source],
-                  ([f"{source[0].upper()}{i:07d}", when.strftime(TIMESTAMP_FMT),
-                    *rest] for i, (when, *rest) in enumerate(rows)))
+                  ([f"{letter}{i:07d}", stamp(when), *rest]
+                   for i, (when, *rest) in enumerate(rows)))
         paths[source] = path
         row_counts[source] = len(rows)
 

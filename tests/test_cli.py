@@ -105,7 +105,8 @@ def test_bad_lambda_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("setting", [
     "hidden1 = 0", "lr_g = 0", "bde_lr = 0", "bde_batch = 0", "bde_epochs = -1",
-    "train_days = 0", "test_days = -1", "n_users = 0", "n_days = 0"])
+    "train_days = 0", "test_days = -1", "n_users = 0", "n_days = 0",
+    "n_days = 2917921"])  # one day past date.max
 def test_bad_setting_is_config_error_before_any_file_is_written(tmp_path, setting):
     flags = fast_flags(tmp_path)
     cfgfile = tmp_path / "run.cfg"

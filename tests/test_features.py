@@ -1,6 +1,7 @@
 """Parsing, aggregation, normalization and the synthetic generator."""
 
 import csv
+import hashlib
 import math
 import tempfile
 from dataclasses import dataclass
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbde.checkpoint import write_csv
 from qbde.errors import SchemaError
 from qbde.features import (
     FEATURE_NAMES,
@@ -22,6 +24,7 @@ from qbde.features import (
     Dataset,
     ParseReport,
     SynthConfig,
+    SynthResult,
     attach_labels,
     extract_daily,
     normalize,
@@ -361,6 +364,61 @@ def test_synth_rejects_out_of_range_rate(tmp_path):
         SynthConfig(anomaly_rate=0.5, out_dir=tmp_path)
 
 
+def test_synth_rejects_days_past_date_max(tmp_path):
+    last = date.max.toordinal() - date(2011, 1, 3).toordinal() + 1
+    SynthConfig(n_days=last, out_dir=tmp_path)  # its last day is date.max
+    SynthConfig(n_days=3, start_day=date(9999, 12, 29), out_dir=tmp_path)
+    for n_days, start_day in ((last + 1, date(2011, 1, 3)),
+                              (5, date(9999, 12, 29))):
+        with pytest.raises(ValueError, match="run past 9999-12-31"):
+            SynthConfig(n_days=n_days, start_day=start_day, out_dir=tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
+# sha256 of the logs for 2 users, 15 days, seed 4 (one anomalous day).  A
+# change of numpy's streams or of the draw order would reshuffle every
+# corpus and every figure drawn from one; this pins the bytes.
+SYNTH_GOLDEN = {
+    "device.csv": "bcb27015b6a36efadf5c192d3524ce4ec146f28041c0b19fd487eaebb34596d3",
+    "email.csv": "e3304def0119042bd73fedfe78a3dd5169d35229107b4a3cf872119c551ad878",
+    "file.csv": "e6fcb4b3568d3341b16557f16bd5260795dc2304decfa95cd9f6c26fa8f38585",
+    "http.csv": "9413ccb0f989061c733e543513f133e6ba03b3ded9d83174f1254bc6f32cb6f2",
+    "labels.csv": "4214c7ddc571e3638a86ddda2a457390a91e3a8a187d2abce1ecdb59d56e7eed",
+    "login.csv": "1bbebd041396eb9254c04cf6d6169d3145cccb43e75ca8efd8d07d54fc2bd689",
+}
+
+
+def test_synth_bytes_are_pinned(tmp_path):
+    result = synth_generate(SynthConfig(n_users=2, n_days=15, seed=4,
+                                        out_dir=tmp_path))
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in result.paths.values()} == SYNTH_GOLDEN
+
+
+def test_synth_draws_each_user_day_in_few_calls(tmp_path, monkeypatch):
+    calls = []
+    default_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            method = getattr(self.rng, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+            return counted
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    n_users, n_days = 2, 40
+    result = synth_generate(SynthConfig(n_users=n_users, n_days=n_days,
+                                        anomaly_rate=0.2, seed=3, out_dir=tmp_path))
+    assert "abnormal" in result.labels.values()
+    assert len(calls) <= 4 * n_users * n_days + 13 * n_users
+
+
 def test_working_time_partition_counts(tmp_path):
     stamps = ["01/03/2011 00:00:00", "01/03/2011 07:59:59", "01/03/2011 08:00:00",
               "01/03/2011 12:30:00", "01/03/2011 17:59:59", "01/03/2011 18:00:00",
@@ -388,6 +446,173 @@ def test_working_time_partition_counts(tmp_path):
         for kind, (on, out) in pairs.items():
             total = per_day_kind.get((row.user, row.day, kind), 0)
             assert row.features[FI[on]] + row.features[FI[out]] == total
+
+
+# --------------------------------------------------------------------------
+# Scalar synth oracle: one rng call per value, one datetime per event
+# --------------------------------------------------------------------------
+
+def oracle_window_seconds(rng, on, start, end):
+    s0 = start.hour * 3600 + start.minute * 60
+    s1 = end.hour * 3600 + end.minute * 60
+    if on:
+        return int(rng.integers(s0, s1))
+    r = int(rng.integers(0, 86400 - (s1 - s0)))
+    return r if r < s0 else r + (s1 - s0)
+
+
+def oracle_synth_generate(cfg):
+    rng = np.random.default_rng(cfg.seed)
+    start_h, end_h = parse_working_hours(cfg.working_hours)
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    tables = {name.split(".")[0]: [] for name in LOG_FILES}
+    labels = {}
+    truth = {}
+
+    for u in range(cfg.n_users):
+        user = f"U{u:04d}"
+        pc = f"PC-{u:04d}"
+        prof = {
+            "login_on": rng.uniform(3.0, 6.0),
+            "loginoff_on": rng.uniform(3.0, 6.0),
+            "login_out": rng.uniform(0.1, 0.3),
+            "loginoff_out": rng.uniform(0.1, 0.3),
+            "http_on": rng.uniform(40.0, 80.0),
+            "http_out": rng.uniform(0.3, 0.8),
+            "connect_on": rng.uniform(2.0, 5.0),
+            "connect_out": rng.uniform(0.08, 0.2),
+            "send_on": rng.uniform(8.0, 20.0),
+            "send_out": rng.uniform(0.1, 0.4),
+            "file_on": rng.uniform(6.0, 15.0),
+            "file_off": rng.uniform(0.1, 0.4),
+        }
+        size_lo, size_hi = 50_000, int(rng.uniform(400_000, 900_000))
+
+        for d in range(cfg.n_days):
+            day = cfg.start_day + timedelta(days=d)
+            abnormal = bool(rng.random() < cfg.anomaly_rate)
+            on_damp = 0.4 if abnormal else 1.0
+            counts = {k: int(rng.poisson(rate * (on_damp if k.endswith("_on")
+                                                 else 1.0)))
+                      for k, rate in prof.items()}
+            counts["login_on"] = max(1, counts["login_on"])
+            counts["disconnect_on"] = counts["connect_on"]
+            counts["disconnect_out"] = counts["connect_out"]
+
+            burst_connects = 0
+            if abnormal:
+                counts["login_out"] += int(rng.integers(3, 8))
+                counts["loginoff_out"] += int(rng.integers(2, 6))
+                counts["http_out"] += int(rng.integers(10, 30))
+                burst_connects = int(rng.integers(2, 5))
+                counts["connect_out"] += burst_connects
+                counts["disconnect_out"] += burst_connects
+                counts["send_out"] += int(rng.integers(5, 15))
+                counts["file_off"] += int(rng.integers(8, 20))
+
+            vec = np.zeros(N_FEATURES)
+            vec[FI["weekend"]] = 1.0 if day.weekday() >= 5 else 0.0
+            labels[(user, day)] = "abnormal" if abnormal else "normal"
+
+            def stamp(on):
+                sec = oracle_window_seconds(rng, on, start_h, end_h)
+                return datetime.combine(day, time(sec // 3600, sec % 3600 // 60,
+                                                  sec % 60))
+
+            for feat, source, extra in (
+                    ("login_on", "login", ["Logon"]),
+                    ("login_out", "login", ["Logon"]),
+                    ("loginoff_on", "login", ["Logoff"]),
+                    ("loginoff_out", "login", ["Logoff"]),
+                    ("http_on", "http", None),
+                    ("http_out", "http", None),
+                    ("send_on", "email", ["Send"]),
+                    ("send_out", "email", ["Send"]),
+                    ("file_on", "file", None),
+                    ("file_off", "file", None)):
+                on = feat.endswith("_on")
+                for _ in range(counts[feat]):
+                    vec[FI[feat]] += 1.0
+                    when = stamp(on)
+                    if source == "http":
+                        j = len(tables["http"])
+                        tables["http"].append((when, user, pc,
+                                               f"http://site{j % 7}.example.com/p{j % 13}"))
+                    elif source == "file":
+                        j = len(tables["file"])
+                        op = ("File Open", "File Write", "File Copy",
+                              "File Delete")[j % 4]
+                        tables["file"].append((when, user, pc, f"doc{j % 9}.docx", op))
+                    elif source == "email":
+                        j = len(tables["email"])
+                        tables["email"].append((when, user, pc,
+                                                f"peer{j % 5}@example.com", *extra))
+                    else:
+                        tables["login"].append((when, user, pc, *extra))
+
+            for feat, active in (("connect_on", True), ("connect_out", True),
+                                 ("disconnect_on", False), ("disconnect_out", False)):
+                on = feat.endswith("_on")
+                for k in range(counts[feat]):
+                    vec[FI[feat]] += 1.0
+                    size = 0
+                    if active:
+                        huge = (not on) and abnormal and k < burst_connects
+                        size = int(rng.integers(20_000_000, 80_000_000)) if huge \
+                            else int(rng.integers(size_lo, size_hi))
+                        vec[FI["size"]] += size
+                    tables["device"].append((stamp(on), user, pc, str(size),
+                                             "Connect" if active else "Disconnect"))
+            truth[(user, day)] = vec
+
+    headers = {
+        "login": ["id", "date", "user", "pc", "activity"],
+        "http": ["id", "date", "user", "pc", "url"],
+        "device": ["id", "date", "user", "pc", "size", "activity"],
+        "email": ["id", "date", "user", "pc", "to", "activity"],
+        "file": ["id", "date", "user", "pc", "filename", "activity"],
+    }
+    paths, row_counts = {}, {}
+    for source, rows in tables.items():
+        rows.sort()
+        path = out_dir / f"{source}.csv"
+        write_csv(path, headers[source],
+                  ([f"{source[0].upper()}{i:07d}", when.strftime(TIMESTAMP_FMT),
+                    *rest] for i, (when, *rest) in enumerate(rows)))
+        paths[source] = path
+        row_counts[source] = len(rows)
+
+    labels_path = out_dir / "labels.csv"
+    write_csv(labels_path, ["user", "day", "label"],
+              ([user, day.isoformat(), label]
+               for (user, day), label in sorted(labels.items())))
+    paths["labels"] = labels_path
+    return SynthResult(paths, labels, truth, row_counts)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_users=st.integers(1, 3),
+       n_days=st.integers(1, 20), anomaly_rate=st.sampled_from([0.0, 0.05, 0.2]),
+       working_hours=st.sampled_from(["08:00-18:00", "08:00-08:01", "00:01-23:59",
+                                      "00:00-12:00", "09:30-17:15"]))
+def test_synth_matches_scalar_draw_oracle(seed, n_users, n_days, anomaly_rate,
+                                          working_hours):
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = [SynthConfig(n_users=n_users, n_days=n_days,
+                               anomaly_rate=anomaly_rate, seed=seed,
+                               out_dir=Path(tmp) / side,
+                               working_hours=working_hours)
+                   for side in ("a", "b")]
+        got, want = synth_generate(configs[0]), oracle_synth_generate(configs[1])
+        for name in (*LOG_FILES, "labels.csv"):
+            assert (Path(tmp, "a", name).read_bytes()
+                    == Path(tmp, "b", name).read_bytes()), name
+        assert (got.labels, got.row_counts) == (want.labels, want.row_counts)
+        assert list(got.truth) == list(want.truth)
+        for key, vec in want.truth.items():
+            np.testing.assert_array_equal(got.truth[key], vec)
 
 
 # --------------------------------------------------------------------------
