@@ -5,14 +5,16 @@
 ``read_csv`` and ``write_csv`` read and write every CSV: the synth logs,
 labels, features, normalisation stats, losses and scores.  Both writers go
 through ``atomic_open``, so no output is ever left half-written.  A
-checkpoint has the ``qbde-ckpt-v2`` magic line and one ``[section]`` per
-part of the training state.  Floats are written with ``float.hex`` and
-arrays as a ``key.shape`` line plus a ``key.data`` line of hex floats, so a
-save/load round trip is bit-exact.  Besides the generator angles,
-discriminator weights, train config and seed, the file carries the
-optimiser moments and the RNG state: that is what makes a resumed run
-indistinguishable from an uninterrupted one.  A ``qbde-ckpt-v1`` file,
-which also stored settings that are now constants, is refused.
+checkpoint has the ``qbde-ckpt-v3`` magic line and one ``[section]`` per
+part of the training state.  Scalar floats are written with ``float.hex``;
+an array is a ``key.shape`` line plus a ``key.data`` line of its values as
+raw little-endian binary64 bytes in hex, so a save/load round trip is
+bit-exact.  Array values must be finite, and Adam second moments >= 0.
+Besides the generator angles, discriminator weights, train config and
+seed, the file carries the optimiser moments and the RNG state: that is
+what makes a resumed run indistinguishable from an uninterrupted one.
+``qbde-ckpt-v1`` files (which also stored settings that are now constants)
+and ``qbde-ckpt-v2`` files (arrays as ``float.hex`` lists) are refused.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .optim import Adam, flat_views, flatten
 from .qgan import DiscriminatorNet, TrainConfig, TrainState
 from .qsim import GeneratorParams
 
-MAGIC = "qbde-ckpt-v2"
+MAGIC = "qbde-ckpt-v3"
 
 
 # [config] holds TrainConfig's fields in their declared order
@@ -164,16 +166,24 @@ def write_kv(path: str | Path, magic: str, sections: dict[str, dict]) -> None:
 
 def _put_array(key: str, arr: np.ndarray) -> dict[str, str]:
     return {f"{key}.shape": " ".join(str(d) for d in arr.shape),
-            f"{key}.data": " ".join(map(float.hex, arr.ravel().tolist()))}
+            f"{key}.data": arr.astype("<f8").tobytes().hex()}
 
 
-def _get_array(sec: Section, key: str, want=None) -> np.ndarray:
+def _get_array(sec: Section, key: str, want=None,
+               nonnegative: bool = False) -> np.ndarray:
     shape = tuple(int(d) for d in sec[f"{key}.shape"].split())
     if min(shape, default=1) < 1 or want not in (None, shape):
         raise SchemaError(f"{sec.where}{key}.shape = {shape}, "
                           f"want {want or 'sizes >= 1'}")
-    data = np.fromiter(map(float.fromhex, sec[f"{key}.data"].split()), float)
-    return data.reshape(shape)
+    try:
+        data = np.frombuffer(bytes.fromhex(sec[f"{key}.data"]), "<f8")
+        data = data.astype(float).reshape(shape)
+    except ValueError as exc:
+        raise SchemaError(f"{sec.where}{key}.data: {exc}") from exc
+    if not np.isfinite(data).all() or nonnegative and (data < 0).any():
+        raise SchemaError(f"{sec.where}{key}.data: values must be finite"
+                          + " and >= 0" * nonnegative)
+    return data
 
 
 def _get_int(sec: Section, key: str, lo: int, hi: float) -> int:
@@ -205,7 +215,7 @@ def _get_adam(sec: Section, lr: float, params: list[np.ndarray],
         if int(sec["n_arrays"]) != len(params):
             raise SchemaError(f"{sec.where}n_arrays = {sec['n_arrays']}, "
                               f"want {len(params)}")
-        moments = ([_get_array(sec, f"{mv}{i}", p.shape)
+        moments = ([_get_array(sec, f"{mv}{i}", p.shape, mv == "v")
                     for i, p in enumerate(params)] for mv in "mv")
         opt.m, opt.v = (flatten(arrays).reshape(stepped.shape)
                         for arrays in moments)
@@ -276,7 +286,7 @@ def load_checkpoint(path: str | Path) -> tuple[TrainConfig, TrainState]:
             "uinteger": _get_int(r, "uinteger", 0, 2**32),
         }
 
-        epoch = int(sec["meta"]["epoch"])
+        epoch = _get_int(sec["meta"], "epoch", 0, np.inf)
     except (ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed field ({exc})") from exc
     return cfg, TrainState(params, net, opt_g, opt_d, rng, epoch)

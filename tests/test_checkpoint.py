@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from qbde import checkpoint
 from qbde.checkpoint import (
     MAGIC,
+    _get_array,
     _put_array,
     atomic_open,
     format_kv,
@@ -41,7 +43,9 @@ def test_round_trip_is_bit_exact(tmp_path):
         np.testing.assert_array_equal(a, b)
     assert state2.epoch == state.epoch
     assert state2.opt_g.t == state.opt_g.t
-    np.testing.assert_array_equal(state2.opt_d.m, state.opt_d.m)
+    for opt2, opt in ((state2.opt_g, state.opt_g), (state2.opt_d, state.opt_d)):
+        for a, b in ((opt2.m, opt.m), (opt2.v, opt.v)):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
     assert state2.rng.bit_generator.state == state.rng.bit_generator.state
 
 
@@ -144,13 +148,23 @@ def test_fresh_state_round_trip(tmp_path):
     np.testing.assert_array_equal(back.params.angles, state.params.angles)
 
 
-def test_array_lines_match_per_element_hex():
+def test_array_lines_are_little_endian_binary64_hex(tmp_path):
     rng = np.random.default_rng(3)
     arr = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40),
                           [0.0, -0.0, 5e-324, 1.0, -2.5, np.pi]]).reshape(2, 23)
-    lines = format_kv(MAGIC, {"": _put_array("a", arr)}).splitlines()[1:]
+    path = tmp_path / "a.ckpt"
+    path.write_text(format_kv(MAGIC, {"": _put_array("a", arr)}), encoding="utf-8")
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    # 16 hex digits per value, least significant byte first
     assert lines == ["a.shape = 2 23",
-                     "a.data = " + " ".join(float(x).hex() for x in arr.ravel())]
+                     "a.data = " + "".join(struct.pack("<d", x).hex()
+                                           for x in arr.ravel())]
+    assert lines[1].endswith("0000000000000000" "0000000000000080"
+                             "0100000000000000" "000000000000f03f"
+                             "00000000000004c0" "182d4454fb210940")
+    back = _get_array(read_kv(path, MAGIC)[""], "a")
+    assert back.dtype == float and back.flags.writeable
+    np.testing.assert_array_equal(back.view(np.uint64), arr.view(np.uint64))
 
 
 class _FailingHandle:

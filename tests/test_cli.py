@@ -419,6 +419,12 @@ def test_checkpoint_trained_with_other_settings_is_config_error(
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+# little-endian binary64 bytes in hex, as checkpoints store array values
+ZERO, INF, MINUS_INF, NAN, MINUS_ONE = (
+    np.array(x).astype("<f8").tobytes().hex()
+    for x in (0.0, np.inf, -np.inf, np.nan, -1.0))
+
+
 def _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl,
                                  argv=("detect",)):
     flags = fast_flags(tmp_path)
@@ -457,12 +463,15 @@ def test_checkpoint_with_non_positive_dimension_is_validation_error(
     (r"^uinteger = \d+$", "uinteger = -1", "rng.uinteger"),
     (r"^has_uint32 = \d+$", f"has_uint32 = {10**40}", "rng.has_uint32"),
     (r"^t = \d+$", "t = -1", "opt_g.t"),
+    (r"^epoch = \d+$", "epoch = -1", "meta.epoch"),
     (r"^depth = 2$", "depth = 3", "disagree with [config]"),
     (r"^hidden = 64 32$", "hidden = 16 32", "disagree with [config]"),
-    (r"^qbde-ckpt-v2$", "qbde-ckpt-v1", "qgan.ckpt: not a qbde-ckpt-v2 file"),
+    (r"^qbde-ckpt-v3$", "qbde-ckpt-v1", "qgan.ckpt: not a qbde-ckpt-v3 file"),
+    (r"^qbde-ckpt-v3$", "qbde-ckpt-v2", "qgan.ckpt: not a qbde-ckpt-v3 file"),
 ], ids=["no-layers", "negative-layers", "negative-state", "huge-state",
         "negative-inc", "huge-inc", "negative-uinteger", "huge-has_uint32",
-        "negative-adam-step", "config-depth", "config-hidden", "v1-format"])
+        "negative-adam-step", "negative-epoch", "config-depth", "config-hidden",
+        "v1-format", "v2-format"])
 def test_checkpoint_with_out_of_range_value_is_validation_error(
         tmp_path, capsys, pattern, repl, key, argv):
     code, err = _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl,
@@ -472,16 +481,44 @@ def test_checkpoint_with_out_of_range_value_is_validation_error(
 
 
 @pytest.mark.parametrize("pattern, repl, key", [
-    (r"^m3\.shape = 64\nm3\.data = .*$", "m3.shape = 1\nm3.data = 0x0.0p+0",
+    (r"^m3\.shape = 64\nm3\.data = .*$", "m3.shape = 1\nm3.data = " + ZERO,
      "opt_d.m3.shape"),
     (r"^v0\.shape = 3 4\nv0\.data = .*$", "v0.shape = 12\nv0.data = "
-     + " ".join(["0x0.0p+0"] * 12), "opt_g.v0.shape"),
+     + ZERO * 12, "opt_g.v0.shape"),
 ], ids=["opt_d-m3", "opt_g-v0-flattened"])
 def test_checkpoint_moment_shape_mismatch_is_validation_error(
         tmp_path, capsys, pattern, repl, key):
     code, err = _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl)
     assert code == EXIT_VALIDATION
     assert key in err
+
+
+@pytest.mark.parametrize("argv", [("detect",), ("train", "--resume")],
+                         ids=["detect", "resume"])
+@pytest.mark.parametrize("pattern, repl, key", [
+    (r"^(w1\.data = .*).$", r"\1", "discriminator.w1.data"),
+    (r"^(b0\.data = \w{5})\w", r"\1g", "discriminator.b0.data"),
+    (r"^(m0\.data = .*)\w{16}$", r"\1", "opt_g.m0.data"),
+    (r"^(v1\.data = .*)$", r"\g<1>" + ZERO, "opt_d.v1.data"),
+    (r"^(w0\.data = )\w{16}", r"\g<1>" + INF, "discriminator.w0.data"),
+    (r"^(b2\.data = )\w{16}", r"\g<1>" + INF, "discriminator.b2.data"),
+    (r"^(w2\.data = \w{32})\w{16}", r"\g<1>" + NAN, "discriminator.w2.data"),
+    (r"^(m0\.data = )\w{16}", r"\g<1>" + INF, "opt_g.m0.data"),
+    (r"^(m2\.data = )\w{16}", r"\g<1>" + MINUS_INF, "opt_d.m2.data"),
+    (r"^(v1\.data = )\w{16}", r"\g<1>" + INF, "opt_d.v1.data"),
+    (r"^(v0\.data = )\w{16}", r"\g<1>" + MINUS_ONE, "opt_g.v0.data"),
+    (r"^(angles\.data = )\w{16}", r"\g<1>" + NAN, "generator.angles.data"),
+], ids=["digit-short", "non-hex", "value-short", "value-long", "inf-w0",
+        "inf-b2", "nan-w2", "inf-opt_g-m0", "minus-inf-opt_d-m2",
+        "inf-opt_d-v1", "negative-opt_g-v0", "nan-angle"])
+def test_checkpoint_with_bad_array_data_is_validation_error(
+        tmp_path, capsys, pattern, repl, key, argv):
+    # before, a non-finite weight or moment loaded, and resumed training
+    # wrote nan or clamped losses, or froze the weights
+    code, err = _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl,
+                                              argv)
+    assert code == EXIT_VALIDATION
+    assert f"{tmp_path / 'out' / 'qgan.ckpt'}: {key}" in err
 
 
 def test_checkpoint_moment_count_mismatch_is_validation_error(tmp_path, capsys):
@@ -726,7 +763,8 @@ def test_features_with_user_id_that_breaks_the_summary_are_rejected(
 # Fuzzed key = value files
 # --------------------------------------------------------------------------
 
-KV_MUTATIONS = ("drop", "empty", "-1", "0", "x", "1" * 40, "repeat", "no =")
+KV_MUTATIONS = ("drop", "empty", "-1", "0", "x", "1" * 40, "repeat", "no =",
+                "truncate", "corrupt")
 # each mutated file, and the commands that read it
 KV_COMMANDS = {
     "run.cfg": [["report"]],
@@ -758,10 +796,18 @@ def _restore(kv_run):
         path.write_bytes(content)
 
 
-def _mutate(text, i, how):
+def _mutate(text, i, how, j, char):
+    """``text`` with line ``i`` changed by ``how``; ``truncate`` cuts the
+    value of that line after ``j`` characters, and ``corrupt`` puts
+    ``char`` in place of its character ``j``."""
     lines = text.splitlines()
-    key = lines[i].partition(" = ")[0]
-    if how == "drop":
+    key, _, value = lines[i].partition(" = ")
+    j %= max(len(value), 1)
+    if how == "truncate":
+        lines[i] = f"{key} = {value[:j]}"
+    elif how == "corrupt":
+        lines[i] = f"{key} = {value[:j]}{char}{value[j + 1:]}"
+    elif how == "drop":
         del lines[i]
     elif how == "repeat":
         lines.insert(i, lines[i])
@@ -778,9 +824,17 @@ def _mutate(text, i, how):
 def test_mutated_kv_file_never_escapes_main(kv_run, target, how, data):
     work, files = kv_run
     _restore(kv_run)
+    # truncate and corrupt mutate the array data of a checkpoint
+    in_array = how in ("truncate", "corrupt")
+    if in_array:
+        target = "out/qgan.ckpt"
     text = files[work / target].decode("utf-8")
-    i = data.draw(st.integers(0, len(text.splitlines()) - 1), label="line")
-    (work / target).write_text(_mutate(text, i, how), encoding="utf-8")
+    lines = [n for n, line in enumerate(text.splitlines())
+             if ".data = " in line or not in_array]
+    i = data.draw(st.sampled_from(lines), label="line")
+    j = data.draw(st.integers(0, 10**6), label="position")
+    char = data.draw(st.sampled_from("gx -.0f"), label="char")
+    (work / target).write_text(_mutate(text, i, how, j, char), encoding="utf-8")
     for argv in KV_COMMANDS[target]:
         assert main([*argv, "--config", str(work / "run.cfg")]) in (
             EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION)
