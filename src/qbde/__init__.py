@@ -44,7 +44,6 @@ from .bde import (
     accuracy,
     bde_forward,
     behavior_score,
-    classify,
     fit_thresholds,
     recon_errors,
     train_bde,

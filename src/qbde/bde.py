@@ -7,11 +7,15 @@ stride 1, zero pad 1) -> relu -> maxpool(2) gives 4x8, conv(4->8) -> relu
 single sigmoid unit.  Forward and backward passes are written out by hand
 so the gradients can be checked against finite differences.
 
-A test day x is scored against the trained generator's output
-distribution g: R_d = |x - g|_1 in feature space, R_n = |f(x) - f(g)|_1
-in embedding space, d = (1 - lambda) R_d + lambda R_n.  The abnormality
-threshold is the maximum train-set score and the threat threshold is
-twice that; scores land in Normal, Low_threat or High_threat.
+A day x is scored against the trained generator's output distribution g:
+R_d = |x - g|_1 in feature space, R_n = |f(x) - f(g)|_1 in embedding
+space, d = (1 - lambda) R_d + lambda R_n.  ``score_rows`` takes one
+user's training and test days together and computes R_d, R_n and d as
+arrays in one pass, with one forward pass over the days and references.
+The abnormality threshold Th_d is the largest training score and the
+threat threshold Th_f is 2 Th_d; each record is built once with its
+verdict, VERDICTS[(d > Th_d) + (d > Th_f)]: Normal, Low_threat or
+High_threat, each band including its upper bound.
 """
 
 from __future__ import annotations
@@ -30,10 +34,9 @@ from .qgan import SIGMOID_CLAMP, _sigmoid
 INPUT_LEN = 16
 EMBED_LEN = 32
 
-VERDICT_NORMAL = "Normal"
-VERDICT_LOW = "Low_threat"
-VERDICT_HIGH = "High_threat"
-VERDICTS = (VERDICT_NORMAL, VERDICT_LOW, VERDICT_HIGH)
+# indexed by a score's band: (d > th_d) + (d > th_f)
+VERDICTS = ("Normal", "Low_threat", "High_threat")
+VERDICT_NORMAL = VERDICTS[0]
 
 
 @dataclass
@@ -188,17 +191,14 @@ def bde_accuracy(net: BdeNet, x: np.ndarray, y: np.ndarray) -> float:
 # Scoring, thresholds, verdicts
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Thresholds:
+    """Abnormal above ``th_d``; a threat above ``th_f``, twice ``th_d``."""
     th_d: float
-    th_f: float
-    lam: float = 0.1
 
-    def __post_init__(self):
-        if self.th_f != 2.0 * self.th_d:
-            raise ValueError("threat threshold must be exactly twice th_d")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must be in [0, 1]")
+    @property
+    def th_f(self) -> float:
+        return 2.0 * self.th_d
 
 
 @dataclass
@@ -208,10 +208,9 @@ class ScoreRecord:
     r_d: float
     r_n: float
     d: float
+    th: Thresholds
     verdict: str
-    label: str | None = None
-    th_d: float = 0.0
-    th_f: float = 0.0
+    label: str | None
 
 
 def _recon_batch(x: np.ndarray, refs: np.ndarray, net: BdeNet):
@@ -231,45 +230,29 @@ def recon_errors(x: np.ndarray, reference: np.ndarray,
     return float(r_d[0]), float(r_n[0])
 
 
-def behavior_score(r_d: float, r_n: float, lam: float) -> float:
-    """Weighted score d = (1 - lambda) R_d + lambda R_n."""
+def behavior_score(r_d, r_n, lam: float):
+    """Weighted score d = (1 - lambda) R_d + lambda R_n, of floats or arrays."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must be in [0, 1]")
     return (1.0 - lam) * r_d + lam * r_n
 
 
-def fit_thresholds(train_scores, lam: float = 0.1) -> Thresholds:
+def fit_thresholds(train_scores) -> Thresholds:
     """Abnormality threshold = max training score; threat threshold = 2x."""
-    scores = list(train_scores)
-    if not scores:
+    scores = np.asarray(train_scores, dtype=float)
+    if scores.size == 0:
         raise ValueError("cannot fit thresholds on an empty score list")
-    th_d = float(max(scores))
-    return Thresholds(th_d=th_d, th_f=2.0 * th_d, lam=lam)
-
-
-def classify(d: float, th: Thresholds) -> str:
-    if d <= th.th_d:
-        return VERDICT_NORMAL
-    if d <= th.th_f:
-        return VERDICT_LOW
-    return VERDICT_HIGH
-
-
-def accuracy(verdicts, ground_truth) -> float:
-    """Binary accuracy with Low/High collapsed to abnormal."""
-    verdicts = list(verdicts)
-    truth = list(ground_truth)
-    if len(verdicts) != len(truth):
-        raise ValueError("verdicts and ground truth differ in length")
-    hits = sum((v != VERDICT_NORMAL) == (t == "abnormal")
-               for v, t in zip(verdicts, truth))
-    return hits / len(verdicts)
+    return Thresholds(float(scores.max()))
 
 
 def confusion(verdicts, ground_truth) -> dict[str, int]:
     """TP/TN/FP/FN with abnormal as the positive class."""
+    verdicts = list(verdicts)
+    truth = list(ground_truth)
+    if len(verdicts) != len(truth):
+        raise ValueError("verdicts and ground truth differ in length")
     counts = {"TP": 0, "TN": 0, "FP": 0, "FN": 0}
-    for v, t in zip(verdicts, ground_truth):
+    for v, t in zip(verdicts, truth):
         pred = v != VERDICT_NORMAL
         real = t == "abnormal"
         key = ("T" if pred == real else "F") + ("P" if pred else "N")
@@ -277,28 +260,30 @@ def confusion(verdicts, ground_truth) -> dict[str, int]:
     return counts
 
 
-def score_rows(rows, references: np.ndarray, net: BdeNet, lam: float,
-               to_vector) -> list[ScoreRecord]:
-    """Score behavior rows against the generator reference; verdicts are
-    filled in later once thresholds exist.
+def accuracy(counts: dict[str, int]) -> float:
+    """Binary accuracy from ``confusion`` counts (Low/High are abnormal)."""
+    return (counts["TP"] + counts["TN"]) / sum(counts.values())
+
+
+def score_rows(rows, x: np.ndarray, references: np.ndarray, net: BdeNet,
+               lam: float, n_train: int) -> list[ScoreRecord]:
+    """One record per row of ``x`` (the simplex vectors of ``rows``), with
+    its verdict.  The first ``n_train`` rows are the training window: the
+    thresholds come from their scores, and ``d`` is Normal up to ``th_d``,
+    Low_threat up to ``th_f`` and High_threat above.
 
     ``references`` is one distribution or a stack of candidate samples; a
     row is scored against its nearest candidate (the single-reference case
     reduces to plain scoring).
     """
-    rows = list(rows)
-    x = np.reshape([to_vector(row) for row in rows], (len(rows), INPUT_LEN))
     r_d, r_n, _ = _recon_batch(x, np.atleast_2d(references), net)
-    return [ScoreRecord(row.user, row.day, float(rd), float(rn),
-                        behavior_score(float(rd), float(rn), lam), "", row.label)
-            for row, rd, rn in zip(rows, r_d, r_n)]
-
-
-def apply_verdicts(records: list[ScoreRecord], th: Thresholds) -> None:
-    for rec in records:
-        rec.verdict = classify(rec.d, th)
-        rec.th_d = th.th_d
-        rec.th_f = th.th_f
+    d = behavior_score(r_d, r_n, lam)
+    th = fit_thresholds(d[:n_train])
+    band = (d > th.th_d).astype(int) + (d > th.th_f)
+    return [ScoreRecord(row.user, row.day, rd, rn, score, th, VERDICTS[b],
+                        row.label)
+            for row, rd, rn, score, b in zip(rows, r_d.tolist(), r_n.tolist(),
+                                             d.tolist(), band.tolist())]
 
 
 # --------------------------------------------------------------------------
@@ -313,8 +298,9 @@ SUMMARY_MAGIC = "qbde-detection-summary"
 def write_score_csv(path: str | Path, records: list[ScoreRecord],
                     comment: str | None = None) -> None:
     write_csv(path, SCORE_COLUMNS,
-              ([rec.user, rec.day.isoformat(), rec.r_d, rec.r_n, rec.d, rec.th_d,
-                rec.th_f, rec.verdict, rec.label or ""] for rec in records),
+              ([rec.user, rec.day.isoformat(), rec.r_d, rec.r_n, rec.d,
+                rec.th.th_d, rec.th.th_f, rec.verdict, rec.label or ""]
+               for rec in records),
               comment)
 
 
@@ -331,15 +317,16 @@ def read_score_csv(path: str | Path) -> list[dict]:
 
 
 def write_summary(path: str | Path, records: list[ScoreRecord],
-                  thresholds: dict[str, Thresholds],
-                  train_records: list[ScoreRecord],
-                  comment: str | None = None) -> None:
-    """Machine-readable detection summary: verdict counts, per-user
-    thresholds and, when ground truth is present, accuracy and confusion
-    counts."""
+                  train_records: list[ScoreRecord], lam: float,
+                  comment: str | None = None) -> float | None:
+    """Machine-readable detection summary: verdict counts, each user's
+    thresholds (read from that user's records) and, when ground truth is
+    present, accuracy and confusion counts.  Returns that accuracy, or
+    None without ground truth."""
     entries = {"config_digest": comment} if comment else {}
+    thresholds = {rec.user: rec.th for rec in [*train_records, *records]}
     users = sorted(thresholds)
-    entries["lambda"] = repr(thresholds[users[0]].lam)
+    entries["lambda"] = repr(lam)
     entries["users"] = " ".join(users)
     for user in users:
         entries[f"th_d.{user}"] = repr(thresholds[user].th_d)
@@ -351,13 +338,16 @@ def write_summary(path: str | Path, records: list[ScoreRecord],
     entries["train_abnormal_verdicts"] = sum(1 for r in train_records
                                              if r.verdict != VERDICT_NORMAL)
     labelled = [r for r in records if r.label is not None]
+    acc = None
     if labelled:
-        verdicts = [r.verdict for r in labelled]
-        truth = [r.label for r in labelled]
-        entries["accuracy"] = repr(accuracy(verdicts, truth))
-        for key, value in confusion(verdicts, truth).items():
+        counts = confusion([r.verdict for r in labelled],
+                           [r.label for r in labelled])
+        acc = accuracy(counts)
+        entries["accuracy"] = repr(acc)
+        for key, value in counts.items():
             entries[f"confusion.{key}"] = value
     write_kv(path, SUMMARY_MAGIC, {"": entries})
+    return acc
 
 
 def read_summary(path: str | Path) -> Section:

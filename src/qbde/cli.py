@@ -122,7 +122,7 @@ class RunConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-_ALIASES = {"lambda": "lam", "depth": "k"}
+_ALIASES = {"lambda": "lam"}
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
@@ -318,43 +318,38 @@ def _reference_distributions(state, cfg: RunConfig) -> np.ndarray:
 def cmd_detect(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     train_rows = _train_rows(out_dir)
-    test_rows = features.read_features_csv(out_dir / "features_test.csv")
+    test_path = out_dir / "features_test.csv"
+    test_rows = features.read_features_csv(test_path)
     users = _users_of(train_rows)
+    untrained = sorted(set(_users_of(test_rows)) - set(users))
+    if untrained:
+        raise SchemaError(f"{test_path}: user {untrained[0]} has no "
+                          f"training rows to score against")
     digest = cfg.digest()
-
-    def to_vec(row):
-        return features.to_simplex(row.features)[0]
 
     test_records: list[bde.ScoreRecord] = []
     train_records: list[bde.ScoreRecord] = []
-    thresholds: dict[str, bde.Thresholds] = {}
     for user in users:
         state = _load_state(cfg, _ckpt_path(cfg, user, users))
         references = _reference_distributions(state, cfg)
         user_train = [r for r in train_rows if r.user == user]
-        real = _simplex_matrix(user_train)
+        rows = user_train + [r for r in test_rows if r.user == user]
+        x = _simplex_matrix(rows)
+        real = x[:len(user_train)]
         generated = np.tile(references, (-(-len(real) // len(references)), 1))
         net = bde.train_bde(real, generated[:len(real)], cfg.bde_config())
-        user_train_recs = bde.score_rows(user_train, references, net, cfg.lam,
-                                         to_vec)
-        th = bde.fit_thresholds([rec.d for rec in user_train_recs], cfg.lam)
-        thresholds[user] = th
-        bde.apply_verdicts(user_train_recs, th)
-        user_test = [r for r in test_rows if r.user == user]
-        user_test_recs = bde.score_rows(user_test, references, net, cfg.lam,
-                                        to_vec)
-        bde.apply_verdicts(user_test_recs, th)
-        train_records.extend(user_train_recs)
-        test_records.extend(user_test_recs)
+        records = bde.score_rows(rows, x, references, net, cfg.lam,
+                                 len(user_train))
+        train_records.extend(records[:len(user_train)])
+        test_records.extend(records[len(user_train):])
 
     bde.write_score_csv(out_dir / "scores.csv", test_records, digest)
     bde.write_score_csv(out_dir / "scores_train.csv", train_records, digest)
-    bde.write_summary(out_dir / "detect_summary.txt", test_records, thresholds,
-                      train_records, digest)
-    labelled = [r for r in test_records if r.label is not None]
-    acc = (f", accuracy {bde.accuracy([r.verdict for r in labelled], [r.label for r in labelled]):.4f}"
-           if labelled else "")
-    print(f"scored {len(test_records)} test rows over {len(users)} user(s){acc}")
+    acc = bde.write_summary(out_dir / "detect_summary.txt", test_records,
+                            train_records, cfg.lam, digest)
+    acc_text = f", accuracy {acc:.4f}" if acc is not None else ""
+    print(f"scored {len(test_records)} test rows over {len(users)} user(s)"
+          f"{acc_text}")
     return EXIT_OK
 
 

@@ -14,14 +14,13 @@ from qbde.bde import (
     BdeTrainConfig,
     ScoreRecord,
     Thresholds,
+    VERDICTS,
     _recon_batch,
     accuracy,
-    apply_verdicts,
     bce_loss_and_grads,
     bde_accuracy,
     bde_forward,
     behavior_score,
-    classify,
     confusion,
     fit_thresholds,
     read_score_csv,
@@ -339,15 +338,22 @@ def test_recon_errors_zero_net_embedding():
     assert r_d > 0.0
 
 
+def day_rows(vectors, user="U1", labels=None):
+    """Stand-ins for behavior rows; ``vec`` is the row's simplex vector."""
+    labels = labels or [None] * len(vectors)
+    return [SimpleNamespace(user=user, day=date(2011, 1, 1) + timedelta(i),
+                            label=label, vec=v)
+            for i, (v, label) in enumerate(zip(vectors, labels))]
+
+
 @pytest.mark.parametrize("n_refs", [1, 64])
 def test_batched_scores_match_per_row_recon_errors(n_refs):
     rng = np.random.default_rng(40 + n_refs)
     net = random_net(19)
     refs = rng.dirichlet(np.ones(16), size=n_refs)
     vectors = [*rng.dirichlet(np.ones(16), size=50), refs[-1].copy()]
-    rows = [SimpleNamespace(user="U1", day=date(2011, 1, 1) + timedelta(i),
-                            label=None, vec=v) for i, v in enumerate(vectors)]
-    records = score_rows(rows, refs, net, 0.3, lambda row: row.vec)
+    rows = day_rows(vectors)
+    records = score_rows(rows, np.array(vectors), refs, net, 0.3, len(rows))
     _, _, batch_nearest = _recon_batch(np.array(vectors), refs, net)
     assert len(records) == len(rows)
     for row, rec, got_nearest in zip(rows, records, batch_nearest):
@@ -360,6 +366,107 @@ def test_batched_scores_match_per_row_recon_errors(n_refs):
         assert rec.d == behavior_score(rec.r_d, rec.r_n, 0.3)
         assert (rec.user, rec.day) == (row.user, row.day)
     assert (records[-1].r_d, records[-1].r_n) == (0.0, 0.0)
+
+
+# --------------------------------------------------------------------------
+# The array scoring path vs. the per-row path it replaced
+# --------------------------------------------------------------------------
+
+def oracle_score_rows(rows, references, net, lam, to_vector):
+    """(R_d, R_n, d) per row: one row projected at a time, d in scalars."""
+    rows = list(rows)
+    x = np.reshape([to_vector(row) for row in rows], (len(rows), 16))
+    r_d, r_n, _ = _recon_batch(x, np.atleast_2d(references), net)
+    return [(float(rd), float(rn), (1.0 - lam) * float(rd) + lam * float(rn))
+            for rd, rn in zip(r_d, r_n)]
+
+
+def oracle_fit_thresholds(train_scores):
+    th_d = float(max(train_scores))
+    return th_d, 2.0 * th_d
+
+
+def oracle_classify(d, th_d, th_f):
+    if d <= th_d:
+        return "Normal"
+    if d <= th_f:
+        return "Low_threat"
+    return "High_threat"
+
+
+def oracle_records(train, test, references, net, lam):
+    """The training window and the test rows scored in two calls, then
+    thresholds from the first and a verdict for each row."""
+    scored_train = oracle_score_rows(train, references, net, lam, lambda r: r.vec)
+    scored_test = oracle_score_rows(test, references, net, lam, lambda r: r.vec)
+    th_d, th_f = oracle_fit_thresholds([d for _, _, d in scored_train])
+    return [(row.user, row.day, r_d, r_n, d, th_d, th_f,
+             oracle_classify(d, th_d, th_f), row.label)
+            for row, (r_d, r_n, d) in zip([*train, *test],
+                                          [*scored_train, *scored_test])]
+
+
+def array_records(train, test, references, net, lam):
+    rows = [*train, *test]
+    records = score_rows(rows, np.array([row.vec for row in rows]),
+                         references, net, lam, len(train))
+    return [(rec.user, rec.day, rec.r_d, rec.r_n, rec.d, rec.th.th_d,
+             rec.th.th_f, rec.verdict, rec.label) for rec in records]
+
+
+def assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+        for a, b in zip(g, w):
+            assert type(a) is type(b)
+            if isinstance(a, float):
+                assert a.hex() == b.hex()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("n_refs", [1, 64])
+def test_array_path_matches_per_row_oracle(n_refs, lam):
+    rng = np.random.default_rng(70 + n_refs)
+    net = random_net(23)
+    refs = rng.dirichlet(np.full(16, 20.0), size=n_refs)
+    train = day_rows(rng.dirichlet(np.full(16, 20.0), size=30))
+    # from far off the training cloud (High_threat) to inside it (Normal)
+    vectors = [*np.vstack([rng.dirichlet(np.full(16, a), size=5)
+                           for a in (0.05, 5.0, 8.0, 20.0)])]
+    test = day_rows([*vectors, *[row.vec.copy() for row in train]],
+                    labels=["normal", "abnormal"] * 25)
+    want = oracle_records(train, test, refs, net, lam)
+    assert_bit_identical(array_records(train, test, refs, net, lam), want)
+    th_d = want[0][5]
+    # a test copy of the top training row lands exactly on th_d
+    assert any(rec[4] == th_d and rec[7] == "Normal" for rec in want[30:])
+    assert {rec[7] for rec in want[30:]} == set(VERDICTS)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("n_refs", [1, 64])
+def test_array_path_matches_oracle_on_band_edges(n_refs, lam):
+    # dyadic rows about the uniform reference: every R_d is exact, and the
+    # zero network's embedding makes R_n = 0, so d = (1 - lam) R_d exactly
+    refs = np.vstack([np.full(16, 1 / 16), np.eye(16)[np.arange(n_refs - 1) % 16]])
+    net = zero_net()
+
+    def near_uniform(step):
+        vec = np.full(16, 1 / 16)
+        vec[0] += step
+        vec[1] -= step
+        return vec
+
+    train = day_rows([near_uniform(s / 256) for s in (1, 4, 2)])
+    test = day_rows([near_uniform(s / 256) for s in (4, 5, 8, 9, 3)])
+    want = oracle_records(train, test, refs, net, lam)
+    assert_bit_identical(array_records(train, test, refs, net, lam), want)
+    th_d, th_f = want[0][5], want[0][6]
+    assert (want[3][4], want[5][4]) == (th_d, th_f)   # both bands' upper edges
+    assert [rec[7] for rec in want[3:]] == (
+        ["Normal", "Low_threat", "Low_threat", "High_threat", "Normal"]
+        if lam < 1.0 else ["Normal"] * 5)
 
 
 def test_behavior_score_endpoints_and_arithmetic():
@@ -394,37 +501,58 @@ def test_fit_thresholds_examples():
 
 
 def test_thresholds_law_is_enforced():
-    with pytest.raises(ValueError):
+    # th_f is derived, not stored, so it cannot disagree with th_d
+    for th_d in np.random.default_rng(16).uniform(0, 5, 50).tolist():
+        assert Thresholds(th_d).th_f == 2.0 * th_d
+    with pytest.raises(TypeError):
         Thresholds(th_d=0.3, th_f=0.7)
 
 
-def test_classify_bands_and_boundaries():
-    th = Thresholds(th_d=0.4, th_f=0.8)
-    assert classify(0.4, th) == "Normal"        # boundary inclusive
-    assert classify(0.6, th) == "Low_threat"    # 1.5x th_d
-    assert classify(0.8, th) == "Low_threat"    # boundary inclusive
-    assert classify(1.2, th) == "High_threat"   # 3x th_d
+def test_verdict_bands_and_boundaries():
+    # zero network and lambda = 0: d is the L1 distance to the point mass,
+    # 2 * step, exact in binary
+    ref = np.eye(16)[0]
+
+    def shifted(step):
+        vec = ref.copy()
+        vec[0] -= step
+        vec[1] += step
+        return vec
+
+    steps = [0.125, 0.0625, 0.125, 0.1875, 0.25, 0.375]
+    records = score_rows(day_rows([shifted(s) for s in steps]),
+                         np.array([shifted(s) for s in steps]), ref, zero_net(),
+                         0.0, 2)
+    assert (records[0].th.th_d, records[0].th.th_f) == (0.25, 0.5)
+    assert [(rec.d, rec.verdict) for rec in records[2:]] == [
+        (0.25, "Normal"),        # boundary inclusive
+        (0.375, "Low_threat"),   # 1.5x th_d
+        (0.5, "Low_threat"),     # boundary inclusive
+        (0.75, "High_threat")]   # 3x th_d
 
 
 def test_no_training_point_classifies_abnormal():
     rng = np.random.default_rng(15)
-    scores = rng.uniform(0, 1, 200)
-    th = fit_thresholds(scores)
-    assert all(classify(s, th) == "Normal" for s in scores)
+    x = rng.dirichlet(np.ones(16), size=200)
+    records = score_rows(day_rows(x), x, rng.dirichlet(np.ones(16)),
+                         random_net(17), 0.1, len(x))
+    assert all(rec.verdict == "Normal" for rec in records)
 
 
 def test_accuracy_and_confusion():
     verdicts = ["Normal", "Low_threat", "High_threat", "Normal"]
     truth = ["normal", "abnormal", "normal", "abnormal"]
-    assert accuracy(verdicts, truth) == 0.5
     assert confusion(verdicts, truth) == {"TP": 1, "TN": 1, "FP": 1, "FN": 1}
-    assert accuracy(verdicts, ["abnormal", "abnormal", "abnormal", "normal"]) == 0.75
+    assert accuracy(confusion(verdicts, truth)) == 0.5
+    assert accuracy(confusion(verdicts, ["abnormal", "abnormal", "abnormal",
+                                         "normal"])) == 0.75
     with pytest.raises(ValueError):
-        accuracy(["Normal"], [])
+        confusion(["Normal"], [])
 
 
 def test_accuracy_all_correct():
-    assert accuracy(["Normal", "High_threat"], ["normal", "abnormal"]) == 1.0
+    assert accuracy(confusion(["Normal", "High_threat"],
+                              ["normal", "abnormal"])) == 1.0
 
 
 # --------------------------------------------------------------------------
@@ -432,15 +560,17 @@ def test_accuracy_all_correct():
 # --------------------------------------------------------------------------
 
 def sample_records():
-    return [ScoreRecord("U1", date(2011, 1, i + 1), 0.1 * i, 0.05 * i,
-                        0.09 * i, "", "normal" if i < 3 else "abnormal")
+    """Five records; thresholds from the first three, the training window."""
+    d = [0.09 * i for i in range(5)]
+    th = Thresholds(max(d[:3]))
+    return [ScoreRecord("U1", date(2011, 1, i + 1), 0.1 * i, 0.05 * i, d[i], th,
+                        oracle_classify(d[i], th.th_d, th.th_f),
+                        "normal" if i < 3 else "abnormal")
             for i in range(5)]
 
 
 def test_score_csv_round_trip(tmp_path):
     records = sample_records()
-    th = fit_thresholds([r.d for r in records[:3]])
-    apply_verdicts(records, th)
     path = tmp_path / "scores.csv"
     write_score_csv(path, records, comment="digest")
     back = read_score_csv(path)
@@ -472,7 +602,6 @@ def test_score_csv_schema_error_names_line(tmp_path):
 
 def test_score_csv_error_counts_the_comment_line(tmp_path):
     records = sample_records()
-    apply_verdicts(records, fit_thresholds([r.d for r in records[:3]]))
     path = tmp_path / "scores.csv"
     write_score_csv(path, records, comment="digest")
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -485,18 +614,19 @@ def test_score_csv_error_counts_the_comment_line(tmp_path):
 
 def test_summary_round_trip(tmp_path):
     records = sample_records()
-    th = fit_thresholds([r.d for r in records[:3]])
-    apply_verdicts(records, th)
     train = records[:3]
     path = tmp_path / "summary.txt"
-    write_summary(path, records, {"U1": th}, train, comment="abc123")
+    acc = write_summary(path, records, train, 0.1, comment="abc123")
     summary = read_summary(path)
     assert summary["config_digest"] == "abc123"
+    assert summary["lambda"] == "0.1"
+    assert summary["users"] == "U1"
+    assert float(summary["th_d.U1"]) == records[0].th.th_d
     assert summary["test_records"] == "5"
     assert summary["train_abnormal_verdicts"] == "0"
     assert float(summary["th_f.U1"]) == 2 * float(summary["th_d.U1"])
-    assert float(summary["accuracy"]) == accuracy([r.verdict for r in records],
-                                                  [r.label for r in records])
+    assert float(summary["accuracy"]) == acc == accuracy(confusion(
+        [r.verdict for r in records], [r.label for r in records]))
 
 
 def test_summary_rejects_foreign_files(tmp_path):

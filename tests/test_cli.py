@@ -106,7 +106,8 @@ def test_bad_lambda_is_config_error(tmp_path):
 @pytest.mark.parametrize("setting", [
     "hidden1 = 0", "lr_g = 0", "bde_lr = 0", "bde_batch = 0", "bde_epochs = -1",
     "train_days = 0", "test_days = -1", "n_users = 0", "n_days = 0",
-    "n_days = 2917921"])  # one day past date.max
+    "n_days = 2917921",  # one day past date.max
+    "depth = 3"])  # not a setting: the circuit depth is k
 def test_bad_setting_is_config_error_before_any_file_is_written(tmp_path, setting):
     flags = fast_flags(tmp_path)
     cfgfile = tmp_path / "run.cfg"
@@ -585,6 +586,27 @@ def test_header_only_training_features_are_validation_error(tmp_path, capsys):
         capsys.readouterr()
         assert main([step, *flags]) == EXIT_VALIDATION
         assert f"{train}: no training rows" in capsys.readouterr().err
+
+
+def test_test_user_without_training_rows_is_validation_error(tmp_path, capsys):
+    flags = fast_flags(tmp_path)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(cfgfile.read_text() + "n_users = 3\nn_days = 70\n"
+                       "train_days = 40\ntest_days = 20\n", encoding="utf-8")
+    for step in ("synth", "ingest", "train"):
+        assert main([step, *flags]) == EXIT_OK
+    out = tmp_path / "out"
+    train = out / "features_train.csv"
+    lines = train.read_text().splitlines(True)
+    train.write_text("".join(line for line in lines if not line.startswith("U0001,")),
+                     encoding="utf-8")
+    test = out / "features_test.csv"
+    assert any(line.startswith("U0001,") for line in test.read_text().splitlines())
+    capsys.readouterr()
+    assert main(["detect", *flags]) == EXIT_VALIDATION
+    assert f"{test}: user U0001 has no training rows" in capsys.readouterr().err
+    for name in ("scores.csv", "scores_train.csv", "detect_summary.txt"):
+        assert not (out / name).exists()
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
