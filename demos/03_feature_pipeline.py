@@ -23,17 +23,17 @@ from qbde.features import (
     to_simplex,
 )
 
-data_dir = Path(tempfile.mkdtemp()) / "logs"
-
 # ---------------------------------------------------------------------
 # Synthesize 60 days for one user with 10% anomalous days.  Each file
 # follows the standard CSV schema (id, date, user, pc, ...).
 # ---------------------------------------------------------------------
-result = synth_generate(SynthConfig(n_users=1, n_days=60, anomaly_rate=0.1,
-                                    seed=42, out_dir=data_dir))
+with tempfile.TemporaryDirectory() as tmp:
+    data_dir = Path(tmp) / "logs"
+    result = synth_generate(SynthConfig(n_users=1, n_days=60, anomaly_rate=0.1,
+                                        seed=42, out_dir=data_dir))
+    events, report = parse_logs(data_dir)
+    labels = read_labels_csv(data_dir / "labels.csv")
 print("rows per file:", result.row_counts)
-
-events, report = parse_logs(data_dir)
 print(f"parsed {report.total_events()} events "
       f"({sum(report.malformed.values())} malformed rows)")
 
@@ -42,7 +42,7 @@ print(f"parsed {report.total_events()} events "
 # 08:00-18:00 working window; size totals device-transfer bytes.
 # ---------------------------------------------------------------------
 rows = extract_daily(events)
-attach_labels(rows, read_labels_csv(data_dir / "labels.csv"))
+attach_labels(rows, labels)
 print(f"\n{len(rows)} user-days; features: {', '.join(FEATURE_NAMES)}")
 example = rows[0]
 print(f"raw counts for {example.user} {example.day}:")

@@ -33,6 +33,8 @@ from .qgan import SIGMOID_CLAMP, _sigmoid
 
 INPUT_LEN = 16
 EMBED_LEN = 32
+BATCH = 32   # rows per training step
+LR = 0.01    # Adam step size
 
 # indexed by a score's band: (d > th_d) + (d > th_f)
 VERDICTS = ("Normal", "Low_threat", "High_threat")
@@ -147,12 +149,10 @@ def bce_loss_and_grads(net: BdeNet, x: np.ndarray,
 @dataclass
 class BdeTrainConfig:
     epochs: int = 200
-    batch: int = 32
-    lr: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch < 1 or self.lr <= 0:
+        if self.epochs < 0:
             raise ValueError("bad BDE training configuration")
 
 
@@ -171,11 +171,11 @@ def train_bde(real: np.ndarray, generated: np.ndarray,
     # Adam steps one flat vector; the six parameters are views of it.
     flat = flatten(init)
     net = BdeNet(*flat_views(flat, init))
-    opt = Adam(cfg.lr)
+    opt = Adam(LR)
     for _ in range(cfg.epochs):
         order = rng.permutation(len(x))
-        for start in range(0, len(x), cfg.batch):
-            idx = order[start:start + cfg.batch]
+        for start in range(0, len(x), BATCH):
+            idx = order[start:start + BATCH]
             _, grads = bce_loss_and_grads(net, x[idx], y[idx])
             opt.step(flat, flatten(grads))
     return net

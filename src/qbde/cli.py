@@ -30,12 +30,14 @@ from . import bde, features, qgan
 from .checkpoint import (load_checkpoint, read_kv, save_checkpoint, write_csv,
                          write_kv)
 from .errors import ConfigError, SchemaError
-from .qsim import MAX_QUBITS, probabilities, run_generator_circuit, sample
+from .qsim import probabilities, run_generator_circuit, sample
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VALIDATION = 4
+
+SHOTS = 1024  # measurements per sampled reference histogram
 
 
 @dataclass
@@ -43,7 +45,6 @@ class RunConfig:
     input_dir: str = "data"
     out_dir: str = "out"
     checkpoint: str = ""          # default: <out_dir>/qgan.ckpt
-    n_qubits: int = 4
     k: int = 8                    # circuit depth
     batch: int = 16
     epochs: int = 300
@@ -52,10 +53,7 @@ class RunConfig:
     seed: int = 0
     lr_g: float = 0.05
     lr_d: float = 0.01
-    hidden1: int = 64
-    hidden2: int = 32
     sampled: bool = False         # score against sampled histograms
-    shots: int = 1024
     reference_samples: int = 16   # candidate references in sampled mode
     train_days: int = 200
     test_days: int = 100
@@ -63,23 +61,13 @@ class RunConfig:
     n_days: int = 300
     anomaly_rate: float = 0.05
     bde_epochs: int = 200
-    bde_batch: int = 32
-    bde_lr: float = 0.01
     resume: bool = False
 
     def validate(self) -> None:
         """Every setting is checked here, before any command writes a file:
         the ones the phases' own configs check by building those configs."""
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ConfigError(f"n_qubits must be in 1..{MAX_QUBITS}")
-        if 2**self.n_qubits != features.N_FEATURES:
-            raise ConfigError(
-                f"2**n_qubits must equal the feature count "
-                f"({features.N_FEATURES}); got n_qubits={self.n_qubits}")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError("lambda must be in [0, 1]")
-        if self.shots < 1:
-            raise ConfigError("shots must be >= 1")
         if self.reference_samples < 1:
             raise ConfigError("reference_samples must be >= 1")
         try:
@@ -98,12 +86,10 @@ class RunConfig:
     def train_config(self) -> qgan.TrainConfig:
         return qgan.TrainConfig(batch=self.batch, epochs=self.epochs,
                                 lr_g=self.lr_g, lr_d=self.lr_d, depth=self.k,
-                                seed=self.seed,
-                                hidden=(self.hidden1, self.hidden2))
+                                seed=self.seed)
 
     def bde_config(self) -> bde.BdeTrainConfig:
-        return bde.BdeTrainConfig(epochs=self.bde_epochs, batch=self.bde_batch,
-                                  lr=self.bde_lr, seed=self.seed + 1)
+        return bde.BdeTrainConfig(epochs=self.bde_epochs, seed=self.seed + 1)
 
     @property
     def checkpoint_path(self) -> Path:
@@ -113,8 +99,9 @@ class RunConfig:
     def digest(self) -> str:
         """Hash of the resolved settings that shape results.  Path fields
         are excluded so identical runs in different directories (or on
-        different machines) produce byte-identical outputs."""
-        skip = {"input_dir", "out_dir", "checkpoint"}
+        different machines) produce byte-identical outputs, and so is
+        ``resume``: a resumed run ends where an uninterrupted one does."""
+        skip = {"input_dir", "out_dir", "checkpoint", "resume"}
         blob = "\n".join(f"{f.name}={getattr(self, f.name)}"
                          for f in sorted(dataclasses.fields(self),
                                          key=lambda f: f.name)
@@ -247,7 +234,13 @@ def _ckpt_path(cfg: RunConfig, user: str, users: list[str]) -> Path:
 
 
 def _simplex_matrix(rows) -> np.ndarray:
-    return np.stack([features.to_simplex(row.features)[0] for row in rows])
+    """Each row's features as ``features.to_simplex`` projects them, in
+    one pass over the stacked matrix: an all-zero row maps to uniform."""
+    x = np.stack([row.features for row in rows])
+    scale = x.sum(axis=1, keepdims=True)
+    x /= np.where(scale > 0.0, scale, 1.0)
+    x[scale[:, 0] <= 0.0] = 1.0 / features.N_FEATURES
+    return x
 
 
 def _train_rows(out_dir: Path) -> list[features.BehaviorVector]:
@@ -311,7 +304,7 @@ def _reference_distributions(state, cfg: RunConfig) -> np.ndarray:
     if not cfg.sampled:
         return probs[None, :]
     rng = np.random.default_rng(cfg.seed + 2)
-    return np.stack([sample(probs, cfg.shots, rng) / cfg.shots
+    return np.stack([sample(probs, SHOTS, rng) / SHOTS
                      for _ in range(cfg.reference_samples)])
 
 

@@ -412,9 +412,11 @@ def write_features_csv(path: str | Path, rows: list[BehaviorVector],
 
 def check_user_id(user: str) -> str:
     """``user``, if it can be a key and an item of a space-separated list
-    in ``detect_summary.txt``: no whitespace and no ``=``."""
-    if any(c.isspace() or c == "=" for c in user):
-        raise ValueError(f"user id {user!r} contains whitespace or '='")
+    in ``detect_summary.txt`` and part of a file name (``loss_<user>.csv``,
+    ``qgan-<user>.ckpt``): no whitespace, ``=``, ``/`` or ``\\``."""
+    if any(c.isspace() or c in "=/\\" for c in user):
+        raise ValueError(f"user id {user!r} contains whitespace, '=' or a "
+                         "path separator")
     return user
 
 

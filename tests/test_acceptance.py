@@ -69,7 +69,7 @@ def pipeline_runs(tmp_path_factory):
             f"out_dir = {root / 'out'}\n"
             "n_users = 1\nn_days = 300\nanomaly_rate = 0.05\n"
             "train_days = 200\ntest_days = 100\n"
-            "n_qubits = 4\nk = 8\nepochs = 200\nbatch = 16\n"
+            "k = 8\nepochs = 200\nbatch = 16\n"
             "lambda = 0.1\nseed = 0\n", encoding="utf-8")
         flags = ["--config", str(cfg)]
         for step in ("synth", "ingest", "train", "detect"):

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from qbde.bde import (
+    BATCH,
+    LR,
     SIGMOID_CLAMP,
     BdeNet,
     BdeTrainConfig,
@@ -273,19 +275,20 @@ def test_train_is_seed_deterministic():
 
 def test_train_steps_one_flat_vector_like_per_array_adam():
     rng = np.random.default_rng(9)
-    real = rng.uniform(0, 1, (13, 16))
-    fake = rng.uniform(0, 1, (11, 16))
-    cfg = BdeTrainConfig(epochs=6, batch=5, seed=4)
+    # 73 rows: two full batches of BATCH and a partial one per epoch
+    real = rng.uniform(0, 1, (40, 16))
+    fake = rng.uniform(0, 1, (33, 16))
+    cfg = BdeTrainConfig(epochs=6, seed=4)
     net = train_bde(real, fake, cfg)
     x = np.vstack([real, fake])
-    y = np.concatenate([np.ones(13), np.zeros(11)])
+    y = np.concatenate([np.ones(40), np.zeros(33)])
     order_rng = np.random.default_rng(cfg.seed)
     ref = BdeNet.create(order_rng)
-    opts = [Adam(cfg.lr) for _ in ref.param_list()]
+    opts = [Adam(LR) for _ in ref.param_list()]
     for _ in range(cfg.epochs):
         order = order_rng.permutation(len(x))
-        for start in range(0, len(x), cfg.batch):
-            idx = order[start:start + cfg.batch]
+        for start in range(0, len(x), BATCH):
+            idx = order[start:start + BATCH]
             grads = bce_loss_and_grads(ref, x[idx], y[idx])[1]
             for opt, arr, g in zip(opts, ref.param_list(), grads):
                 opt.step(arr, g)

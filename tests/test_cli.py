@@ -2,8 +2,10 @@
 
 import builtins
 import csv
+import dataclasses
 import re
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,17 +13,22 @@ from hypothesis import given, settings, strategies as st
 
 from qbde import checkpoint
 from qbde.bde import read_score_csv, read_summary
-from qbde.checkpoint import load_checkpoint
+from qbde.checkpoint import load_checkpoint, read_kv, save_checkpoint
 from qbde.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
     RunConfig,
+    _simplex_matrix,
     load_config,
     main,
 )
 from qbde.errors import ConfigError
+from qbde.features import BehaviorVector, to_simplex
+from qbde.qgan import init_train_state
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def fast_flags(tmp_path, seed=0):
@@ -93,18 +100,12 @@ def test_cli_flag_overrides_file(tmp_path):
     assert cfg.digest() in report
 
 
-def test_bad_n_qubits_is_config_error(tmp_path):
-    path = tmp_path / "a.cfg"
-    path.write_text("n_qubits = 3\n", encoding="utf-8")
-    assert main(["synth", "--config", str(path)]) == EXIT_CONFIG
-
-
 def test_bad_lambda_is_config_error(tmp_path):
     assert main(["detect", "--lambda", "1.5", "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("setting", [
-    "hidden1 = 0", "lr_g = 0", "bde_lr = 0", "bde_batch = 0", "bde_epochs = -1",
+    "lr_g = 0", "bde_epochs = -1",
     "train_days = 0", "test_days = -1", "n_users = 0", "n_days = 0",
     "n_days = 2917921",  # one day past date.max
     "depth = 3"])  # not a setting: the circuit depth is k
@@ -114,6 +115,31 @@ def test_bad_setting_is_config_error_before_any_file_is_written(tmp_path, settin
     cfgfile.write_text(cfgfile.read_text() + setting + "\n", encoding="utf-8")
     assert main(["synth", *flags]) == EXIT_CONFIG
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_qubits", "4"), ("shots", "1024"), ("hidden1", "64"), ("hidden2", "32"),
+    ("bde_batch", "32"), ("bde_lr", "0.01")],
+    ids=["n_qubits", "shots", "hidden1", "hidden2", "bde_batch", "bde_lr"])
+def test_removed_setting_is_config_error_before_any_file_is_written(
+        tmp_path, capsys, key, value):
+    # the key is refused even with the value the code fixes for it
+    flags = fast_flags(tmp_path)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(cfgfile.read_text() + f"{key} = {value}\n",
+                       encoding="utf-8")
+    assert main(["synth", *flags]) == EXIT_CONFIG
+    assert f"unknown setting {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "run.cfg"
+    path.write_text(blocks[0], encoding="utf-8")
+    load_config(path).validate()
 
 
 def test_missing_features_is_io_error(tmp_path):
@@ -133,6 +159,20 @@ def test_digest_changes_with_config():
     a, b = RunConfig(), RunConfig(seed=1)
     assert a.digest() != b.digest()
     assert a.digest() == RunConfig().digest()
+
+
+def test_simplex_matrix_matches_per_row_projection():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, (200, 16))
+    x[rng.uniform(size=200) < 0.3] *= rng.uniform(0.0, 1.0, 16) < 0.2
+    x[[0, 7]] = 0.0  # all-zero rows map to uniform
+    rows = [BehaviorVector("U0000", datetime(2020, 1, 1).date(), v.copy(), None)
+            for v in x]
+    got = _simplex_matrix(rows)
+    want = np.stack([to_simplex(v)[0] for v in x])
+    assert got.tobytes() == want.tobytes()
+    assert (got[[0, 7]] == 1.0 / 16).all()
+    assert all((row.features == v).all() for row, v in zip(rows, x))
 
 
 # --------------------------------------------------------------------------
@@ -244,7 +284,7 @@ def test_pipeline_runs_in_sampled_mode(tmp_path):
     main(["ingest", *flags])
     main(["train", *flags])
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(cfgfile.read_text() + "sampled = true\nshots = 256\n"
+    cfgfile.write_text(cfgfile.read_text() + "sampled = true\n"
                        "reference_samples = 4\n", encoding="utf-8")
     assert main(["detect", "--config", str(cfgfile)]) == EXIT_OK
     a = read_score_csv(tmp_path / "out" / "scores.csv")
@@ -388,14 +428,21 @@ def test_resume_with_another_depth_is_config_error(tmp_path, override):
     assert ckpt.read_bytes() == before
 
 
-def test_resume_with_another_discriminator_is_config_error(tmp_path):
+def test_resume_with_another_discriminator_is_config_error(tmp_path, capsys):
     flags = fast_flags(tmp_path)
     main(["synth", *flags])
     main(["ingest", *flags])
-    assert main(["train", *flags, "--epochs", "1"]) == EXIT_OK
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(cfgfile.read_text() + "hidden1 = 16\n", encoding="utf-8")
-    assert main(["train", *flags, "--epochs", "1", "--resume"]) == EXIT_CONFIG
+    want = load_config(tmp_path / "run.cfg").train_config()
+    have = dataclasses.replace(want, hidden=(16, 32))
+    ckpt = tmp_path / "out" / "qgan.ckpt"
+    save_checkpoint(ckpt, have, init_train_state(4, have))
+    before = ckpt.read_bytes()
+    for argv in (["train", "--epochs", "1", "--resume"], ["detect"]):
+        capsys.readouterr()
+        assert main([*argv, *flags]) == EXIT_CONFIG
+        assert "hidden = (16, 32)" in capsys.readouterr().err
+    assert ckpt.read_bytes() == before
+    assert not (tmp_path / "out" / "scores.csv").exists()
 
 
 @pytest.mark.parametrize("argv, override, key", [
@@ -743,11 +790,28 @@ def test_resumed_loss_file_is_the_old_bytes_plus_new_rows(tmp_path):
         == [5, 6, 7, 8]
 
 
-@pytest.mark.parametrize("user", ["U 00", "U\t00", "U=00", "U\n00", "U\r\n00"],
-                         ids=["space", "tab", "equals", "newline", "crlf"])
+def test_resumed_run_stamps_the_same_config_digest(tmp_path):
+    # resuming does not shape results, so it must not move the digest
+    flags = fast_flags(tmp_path)
+    for argv in (["synth"], ["ingest"], ["train"], ["train", "--resume"],
+                 ["detect"]):
+        assert main([*argv, *flags]) == EXIT_OK
+    out = tmp_path / "out"
+    digests = {
+        read_kv(out / "qgan.ckpt", checkpoint.MAGIC)["meta"]["config_digest"],
+        *(path.read_text(encoding="utf-8").splitlines()[0].removeprefix("# ")
+          for path in (out / "loss_U0000.csv", out / "scores.csv"))}
+    assert digests == {load_config(tmp_path / "run.cfg").digest()}
+
+
+@pytest.mark.parametrize("user", ["U 00", "U\t00", "U=00", "U\n00", "U\r\n00",
+                                  "a/b", "a\\b"],
+                         ids=["space", "tab", "equals", "newline", "crlf",
+                              "slash", "backslash"])
 def test_ingest_rejects_user_id_that_breaks_the_summary(tmp_path, capsys, user):
     # detect_summary.txt lists the users space-separated and keys their
-    # thresholds th_d.<user>, so such an id could never be reported
+    # thresholds th_d.<user>, so such an id could never be reported; and
+    # ids name the loss_<user>.csv and qgan-<user>.ckpt files
     flags = fast_flags(tmp_path)
     assert main(["synth", *flags]) == EXIT_OK
     for path in (tmp_path / "data").glob("*.csv"):
@@ -769,16 +833,18 @@ def test_features_with_user_id_that_breaks_the_summary_are_rejected(
     for step in ("synth", "ingest", "train"):
         assert main([step, *flags]) == EXIT_OK
     out = tmp_path / "out"
-    for name in ("features_train.csv", "features_test.csv"):
-        path = out / name
-        path.write_text(path.read_text(encoding="utf-8").replace("U0000", "U 00"),
-                        encoding="utf-8")
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
-    capsys.readouterr()
-    assert main([*argv, *flags]) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert f"{out / 'features_train.csv'}: line 3: user id 'U 00'" in err
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    texts = {name: (out / name).read_text(encoding="utf-8")
+             for name in ("features_train.csv", "features_test.csv")}
+    for user in ("U 00", "a/b"):
+        for name, text in texts.items():
+            (out / name).write_text(text.replace("U0000", user),
+                                    encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main([*argv, *flags]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{out / 'features_train.csv'}: line 3: user id {user!r}" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # --------------------------------------------------------------------------

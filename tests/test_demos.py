@@ -19,9 +19,10 @@ def test_demos_exist():
 def test_demo_runs(demo, tmp_path):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
-    # demos write their files under tempfile's directory: keep those here
+    # demos write their files under tempfile's directory and must remove them
     env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src,
            "TMPDIR": str(tmp_path)}
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    assert not any(tmp_path.iterdir()), "the demo left files behind"
