@@ -5,7 +5,8 @@ Network shape, fixed by the 16-feature input: conv(1->4 channels, width 3,
 stride 1, zero pad 1) -> relu -> maxpool(2) gives 4x8, conv(4->8) -> relu
 -> maxpool(2) gives 8x4, flattened to the 32-value embedding, then a
 single sigmoid unit.  Forward and backward passes are written out by hand
-so the gradients can be checked against finite differences.
+so the gradients can be checked against finite differences; one gather
+from the flat parameters builds both conv matrices and their bias rows.
 
 A day x is scored against the trained generator's output distribution g:
 R_d = |x - g|_1 in feature space, R_n = |f(x) - f(g)|_1 in embedding
@@ -41,6 +42,12 @@ VERDICTS = ("Normal", "Low_threat", "High_threat")
 VERDICT_NORMAL = VERDICTS[0]
 
 
+_SHAPES = [(4, 1, 3), (4,), (8, 4, 3), (8,), (EMBED_LEN,), (1,)]
+_ENDS = np.cumsum([math.prod(shape) for shape in _SHAPES]).tolist()
+_W1, _B1, _W2, _B2, _FC_W, _FC_B = map(slice, [0, *_ENDS], _ENDS)  # in the flat vector
+N_PARAMS = _ENDS[-1]
+
+
 @dataclass
 class BdeNet:
     conv1_w: np.ndarray  # (4, 1, 3)
@@ -51,8 +58,7 @@ class BdeNet:
     fc_b: np.ndarray     # (1,)
 
     def __post_init__(self):
-        shapes = [(4, 1, 3), (4,), (8, 4, 3), (8,), (EMBED_LEN,), (1,)]
-        for arr, want in zip(self.param_list(), shapes):
+        for arr, want in zip(self.param_list(), _SHAPES):
             if arr.shape != want:
                 raise ValueError(f"bad parameter shape {arr.shape}, want {want}")
 
@@ -69,81 +75,101 @@ class BdeNet:
                 self.fc_w, self.fc_b]
 
 
-def _conv_index(c_in: int, c_out: int, length: int):
+def _conv_layer(c_in: int, c_out: int, length: int, w: int, b: int):
     """A width-3, zero-pad-1 convolution as a banded (c_in*L, c_out*L) matrix:
-    its flat positions, the flat weight each holds, and the matrix shape."""
+    the cells holding a weight, the weight each holds, and the matrix and bias
+    row as indices into the parameters (empty cells read the 0.0 after them)."""
     o, i, k, t = np.indices((c_out, c_in, 3, length)).reshape(4, -1)
     s = t + k - 1
     keep = (s >= 0) & (s < length)
-    pos = (i * length + s) * (c_out * length) + o * length + t
-    return pos[keep], ((o * c_in + i) * 3 + k)[keep], (c_in * length, c_out * length)
+    cells = ((i * length + s) * (c_out * length) + o * length + t)[keep]
+    taps = ((o * c_in + i) * 3 + k)[keep]
+    gather = np.full((c_in * length + 1, c_out * length), N_PARAMS)
+    gather.flat[cells] = w + taps
+    gather[-1] = b + np.repeat(np.arange(c_out), length)
+    return cells, taps, gather.ravel()
 
 
-_CONV1 = _conv_index(1, 4, INPUT_LEN)
-_CONV2 = _conv_index(4, 8, INPUT_LEN // 2)
+_CONV1 = _conv_layer(1, 4, INPUT_LEN, _W1.start, _B1.start)
+_CONV2 = _conv_layer(4, 8, INPUT_LEN // 2, _W2.start, _B2.start)
+_GATHER = np.concatenate([_CONV1[2], _CONV2[2]])   # both layers, one take()
+_WIDTH = 4 * INPUT_LEN   # both layers' output: 4 channels x 16, 8 x 8
 
 
-def _conv_matrix(w: np.ndarray, index) -> np.ndarray:
-    """The live weights scattered into the layer's (C_in*L, C_out*L) matrix."""
-    mat = np.zeros(index[2])
-    np.put(mat, index[0], w.ravel()[index[1]])
-    return mat
+def _flat(net: BdeNet) -> np.ndarray:
+    """The parameters in one vector, followed by the 0.0 the gather reads."""
+    return flatten([*net.param_list(), np.zeros(1)])
 
 
-def _pool(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Max over (even, odd) position pairs; ties resolve to the left."""
-    left, right = a[:, 0::2], a[:, 1::2]
-    return np.maximum(left, right), right > left
-
-
-def _unpool(dp: np.ndarray, take_right: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(dp), 2 * dp.shape[1]))
-    out[:, 0::2] = np.where(take_right, 0.0, dp)
-    out[:, 1::2] = np.where(take_right, dp, 0.0)
-    return out
-
-
-def _forward_batch(net: BdeNet, x: np.ndarray):
+def _rows(x) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != INPUT_LEN:
         raise ValueError(f"expected input length {INPUT_LEN}, got {x.shape[1]}")
-    t2 = _conv_matrix(net.conv2_w, _CONV2)                  # (4*8, 8*8)
-    z1 = x @ _conv_matrix(net.conv1_w, _CONV1) + np.repeat(net.conv1_b, INPUT_LEN)
-    p1, tr1 = _pool(np.maximum(z1, 0.0))                    # (m, 4*8)
-    z2 = p1 @ t2 + np.repeat(net.conv2_b, INPUT_LEN // 2)   # (m, 8*8)
-    emb, tr2 = _pool(np.maximum(z2, 0.0))                   # (m, 8*4)
-    z_raw = _sigmoid(emb @ net.fc_w + net.fc_b[0])
-    score = np.clip(z_raw, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
-    cache = {"x": x, "t2": t2, "z1": z1, "p1": p1, "tr1": tr1, "z2": z2,
-             "tr2": tr2, "z_raw": z_raw}
-    return score, emb, cache
+    return x
 
 
-def _conv_grads(dz: np.ndarray, xin: np.ndarray, w: np.ndarray, index):
-    """Weight and bias gradients from the output gradient and the layer input."""
-    dw = np.bincount(index[1], weights=(xin.T @ dz).take(index[0]), minlength=w.size)
-    return dw.reshape(w.shape), dz.sum(axis=0).reshape(w.shape[0], -1).sum(axis=1)
+def _relu_pool(z: np.ndarray):
+    """ReLU in place, the max of each (even, odd) pair, and which pairs' max
+    the left and the right slot gave (ties go left, zero pairs nowhere)."""
+    np.maximum(z, 0.0, out=z)
+    left, right = z[:, 0::2], z[:, 1::2]
+    pooled = np.maximum(left, right)
+    to_right = right > left
+    return pooled, ((pooled > 0.0) > to_right, to_right)   # bool a > b: a and not b
+
+
+def _unpool(dp: np.ndarray, route) -> np.ndarray:
+    dz = np.empty((len(dp), 2 * dp.shape[1]))
+    np.multiply(dp, route[0], out=dz[:, 0::2])
+    np.multiply(dp, route[1], out=dz[:, 1::2])
+    return dz
+
+
+def _forward(flat: np.ndarray, x: np.ndarray):
+    """Unclamped scores, embeddings, and what the backward pass needs."""
+    g = flat.take(_GATHER)
+    layer1 = g[:len(_CONV1[2])].reshape(-1, _WIDTH)    # (16 + 1, 4*16)
+    layer2 = g[len(_CONV1[2]):].reshape(-1, _WIDTH)    # (4*8 + 1, 8*8)
+    p1, route1 = _relu_pool(x @ layer1[:-1] + layer1[-1])       # (m, 4*8)
+    emb, route2 = _relu_pool(p1 @ layer2[:-1] + layer2[-1])     # (m, 8*4)
+    z_raw = _sigmoid(emb @ flat[_FC_W] + flat[_FC_B][0])
+    return z_raw, emb, (p1, layer2[:-1], route1, route2)
+
+
+def _conv_grads(dz: np.ndarray, xin: np.ndarray, conv, dw: np.ndarray, db: np.ndarray):
+    """A layer's weight and bias gradients, from its output gradient and input."""
+    dw[:] = np.bincount(conv[1], weights=(xin.T @ dz).take(conv[0]))
+    np.add.reduce(np.add.reduce(dz, axis=0).reshape(len(db), -1), axis=1, out=db)
+
+
+def _grads(flat: np.ndarray, x: np.ndarray, y: np.ndarray, grad: np.ndarray):
+    """Cross-entropy gradients of a labelled batch into ``grad``; the unclamped scores."""
+    z_raw, emb, (p1, t2, route1, route2) = _forward(flat, x)
+    dz = (z_raw - y) / len(y)   # gradient at the output pre-activation
+    dz2 = _unpool(np.outer(dz, flat[_FC_W]), route2)
+    _conv_grads(dz2, p1, _CONV2, grad[_W2], grad[_B2])
+    _conv_grads(_unpool(dz2 @ t2.T, route1), x, _CONV1, grad[_W1], grad[_B1])
+    grad[_FC_W] = dz @ emb
+    grad[_FC_B] = dz.sum()
+    return z_raw
 
 
 def bde_forward(net: BdeNet, x: np.ndarray) -> tuple[float, np.ndarray]:
     """Score in (0, 1) plus the 32-value embedding for one input."""
-    score, emb, _ = _forward_batch(net, np.asarray(x, dtype=float).reshape(1, -1))
-    return float(score[0]), emb[0]
+    z_raw, emb, _ = _forward(_flat(net), _rows(np.reshape(x, (1, -1))))
+    return float(np.clip(z_raw[0], SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)), emb[0]
 
 
 def bce_loss_and_grads(net: BdeNet, x: np.ndarray,
                        y: np.ndarray) -> tuple[float, list[np.ndarray]]:
     """Binary cross-entropy over a labelled batch and its gradients, in
     ``param_list()`` order."""
-    score, emb, c = _forward_batch(net, x)
     y = np.asarray(y, dtype=float)
+    grad = np.empty(N_PARAMS)
+    z_raw = _grads(_flat(net), _rows(x), y, grad)
+    score = np.clip(z_raw, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
     loss = float(-np.mean(y * np.log(score) + (1 - y) * np.log(1 - score)))
-    dz = (c["z_raw"] - y) / len(y)   # gradient at the output pre-activation
-    dz2 = _unpool(np.outer(dz, net.fc_w), c["tr2"]) * (c["z2"] > 0)
-    dw2, db2 = _conv_grads(dz2, c["p1"], net.conv2_w, _CONV2)
-    dz1 = _unpool(dz2 @ c["t2"].T, c["tr1"]) * (c["z1"] > 0)
-    dw1, db1 = _conv_grads(dz1, c["x"], net.conv1_w, _CONV1)
-    return loss, [dw1, db1, dw2, db2, dz @ emb, np.array([dz.sum()])]
+    return loss, flat_views(grad, net.param_list())
 
 
 @dataclass
@@ -159,32 +185,27 @@ class BdeTrainConfig:
 def train_bde(real: np.ndarray, generated: np.ndarray,
               cfg: BdeTrainConfig = BdeTrainConfig()) -> BdeNet:
     """Fit the scorer to separate real rows (label 1) from generated rows
-    (label 0) by minimizing cross-entropy; deterministic under the seed."""
-    real = np.atleast_2d(np.asarray(real, dtype=float))
-    generated = np.atleast_2d(np.asarray(generated, dtype=float))
-    if real.size == 0 or generated.size == 0:
+    (label 0) by minimizing cross-entropy; deterministic under the seed.
+    Each epoch permutes the rows once and steps through them in slices."""
+    real, generated = _rows(real), _rows(generated)
+    if len(real) == 0 or len(generated) == 0:
         raise ValueError("both training sets must be non-empty")
     x = np.vstack([real, generated])
     y = np.concatenate([np.ones(len(real)), np.zeros(len(generated))])
     rng = np.random.default_rng(cfg.seed)
-    init = BdeNet.create(rng).param_list()
-    # Adam steps one flat vector; the six parameters are views of it.
-    flat = flatten(init)
-    net = BdeNet(*flat_views(flat, init))
+    init = BdeNet.create(rng)
+    # Adam steps one flat vector; the six parameters are views of it
+    flat = _flat(init)
+    params, grad = flat[:N_PARAMS], np.empty(N_PARAMS)
     opt = Adam(LR)
     for _ in range(cfg.epochs):
         order = rng.permutation(len(x))
+        x_epoch, y_epoch = x[order], y[order]
         for start in range(0, len(x), BATCH):
-            idx = order[start:start + BATCH]
-            _, grads = bce_loss_and_grads(net, x[idx], y[idx])
-            opt.step(flat, flatten(grads))
-    return net
-
-
-def bde_accuracy(net: BdeNet, x: np.ndarray, y: np.ndarray) -> float:
-    """Fraction of rows on the right side of the 0.5 decision line."""
-    score, _, _ = _forward_batch(net, x)
-    return float(np.mean((score > 0.5) == (np.asarray(y) > 0.5)))
+            _grads(flat, x_epoch[start:start + BATCH],
+                   y_epoch[start:start + BATCH], grad)
+            opt.step(params, grad)
+    return BdeNet(*flat_views(params, init.param_list()))
 
 
 # --------------------------------------------------------------------------
@@ -218,7 +239,7 @@ def _recon_batch(x: np.ndarray, refs: np.ndarray, net: BdeNet):
     ``refs``, plus that index; rows and references share one forward pass."""
     dist = np.abs(x[:, None, :] - refs[None, :, :]).sum(axis=2)
     nearest = np.argmin(dist, axis=1)
-    _, emb, _ = _forward_batch(net, np.vstack([x, refs]))
+    _, emb, _ = _forward(_flat(net), _rows(np.vstack([x, refs])))
     r_n = np.abs(emb[:len(x)] - emb[len(x):][nearest]).sum(axis=1)
     return dist[np.arange(len(x)), nearest], r_n, nearest
 

@@ -66,6 +66,8 @@ class RunConfig:
     def validate(self) -> None:
         """Every setting is checked here, before any command writes a file:
         the ones the phases' own configs check by building those configs."""
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError("lambda must be in [0, 1]")
         if self.reference_samples < 1:
@@ -222,13 +224,9 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _users_of(rows) -> list[str]:
-    return sorted({row.user for row in rows})
-
-
-def _ckpt_path(cfg: RunConfig, user: str, users: list[str]) -> Path:
+def _ckpt_path(cfg: RunConfig, user: str, n_users: int) -> Path:
     base = cfg.checkpoint_path
-    if len(users) == 1:
+    if n_users == 1:
         return base
     return base.with_name(f"{base.stem}-{user}{base.suffix}")
 
@@ -268,13 +266,12 @@ def _load_state(cfg: RunConfig, path: Path) -> qgan.TrainState:
 def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = _train_rows(out_dir)
-    users = _users_of(rows)
+    by_user = features.rows_by_user(_train_rows(out_dir))
     digest = cfg.digest()
     train_cfg = cfg.train_config()
-    for user in users:
-        data = _simplex_matrix([r for r in rows if r.user == user])
-        ckpt = _ckpt_path(cfg, user, users)
+    for user, rows in by_user.items():
+        data = _simplex_matrix(rows)
+        ckpt = _ckpt_path(cfg, user, len(by_user))
         state = _load_state(cfg, ckpt) if cfg.resume else None
         trace = qgan.train(data, train_cfg, state=state)
         loss_path = out_dir / f"loss_{user}.csv"
@@ -310,11 +307,10 @@ def _reference_distributions(state, cfg: RunConfig) -> np.ndarray:
 
 def cmd_detect(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
-    train_rows = _train_rows(out_dir)
+    train_by_user = features.rows_by_user(_train_rows(out_dir))
     test_path = out_dir / "features_test.csv"
-    test_rows = features.read_features_csv(test_path)
-    users = _users_of(train_rows)
-    untrained = sorted(set(_users_of(test_rows)) - set(users))
+    test_by_user = features.rows_by_user(features.read_features_csv(test_path))
+    untrained = [user for user in test_by_user if user not in train_by_user]
     if untrained:
         raise SchemaError(f"{test_path}: user {untrained[0]} has no "
                           f"training rows to score against")
@@ -322,11 +318,10 @@ def cmd_detect(cfg: RunConfig) -> int:
 
     test_records: list[bde.ScoreRecord] = []
     train_records: list[bde.ScoreRecord] = []
-    for user in users:
-        state = _load_state(cfg, _ckpt_path(cfg, user, users))
+    for user, user_train in train_by_user.items():
+        state = _load_state(cfg, _ckpt_path(cfg, user, len(train_by_user)))
         references = _reference_distributions(state, cfg)
-        user_train = [r for r in train_rows if r.user == user]
-        rows = user_train + [r for r in test_rows if r.user == user]
+        rows = user_train + test_by_user.get(user, [])
         x = _simplex_matrix(rows)
         real = x[:len(user_train)]
         generated = np.tile(references, (-(-len(real) // len(references)), 1))
@@ -341,7 +336,7 @@ def cmd_detect(cfg: RunConfig) -> int:
     acc = bde.write_summary(out_dir / "detect_summary.txt", test_records,
                             train_records, cfg.lam, digest)
     acc_text = f", accuracy {acc:.4f}" if acc is not None else ""
-    print(f"scored {len(test_records)} test rows over {len(users)} user(s)"
+    print(f"scored {len(test_records)} test rows over {len(train_by_user)} user(s)"
           f"{acc_text}")
     return EXIT_OK
 

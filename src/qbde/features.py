@@ -325,6 +325,14 @@ def extract_daily(events: Events,
 # Split and normalization
 # --------------------------------------------------------------------------
 
+def rows_by_user(rows) -> dict[str, list]:
+    """Each user's rows in their given order, users sorted."""
+    by_user: dict[str, list] = {}
+    for row in rows:
+        by_user.setdefault(row.user, []).append(row)
+    return dict(sorted(by_user.items()))
+
+
 def split(rows: list[BehaviorVector], train_days: int,
           test_days: int) -> Dataset:
     """Chronological per-user split: the earliest ``train_days`` rows feed
@@ -332,12 +340,9 @@ def split(rows: list[BehaviorVector], train_days: int,
     ``test_days`` rows form the test set, any later rows are dropped."""
     if train_days < 1 or test_days < 0:
         raise ValueError("need train_days >= 1 and test_days >= 0")
-    by_user: dict[str, list[BehaviorVector]] = {}
-    for row in rows:
-        by_user.setdefault(row.user, []).append(row)
     train, test, excluded = [], [], []
-    for user in sorted(by_user):
-        user_rows = sorted(by_user[user], key=lambda r: r.day)
+    for user, user_rows in rows_by_user(rows).items():
+        user_rows = sorted(user_rows, key=lambda r: r.day)
         if len(user_rows) < train_days + test_days:
             raise ValueError(
                 f"user {user} has {len(user_rows)} rows, needs at least "
@@ -358,11 +363,9 @@ def normalize(dataset: Dataset) -> Dataset:
     """
     if not dataset.train:
         raise ValueError("cannot normalize an empty training set")
-    grouped: dict[str, list[np.ndarray]] = {}
-    for row in dataset.train:
-        grouped.setdefault(row.user, []).append(row.features)
-    stats = {user: (np.min(np.stack(mats), axis=0), np.max(np.stack(mats), axis=0))
-             for user, mats in grouped.items()}
+    stats = {user: (np.min(np.stack([r.features for r in rows]), axis=0),
+                    np.max(np.stack([r.features for r in rows]), axis=0))
+             for user, rows in rows_by_user(dataset.train).items()}
 
     def transform(row: BehaviorVector, clip_log=None) -> BehaviorVector:
         if row.user not in stats:

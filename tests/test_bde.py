@@ -20,7 +20,6 @@ from qbde.bde import (
     _recon_batch,
     accuracy,
     bce_loss_and_grads,
-    bde_accuracy,
     bde_forward,
     behavior_score,
     confusion,
@@ -34,7 +33,8 @@ from qbde.bde import (
     write_summary,
 )
 from qbde.errors import SchemaError
-from qbde.optim import Adam
+from qbde.optim import Adam, flat_views, flatten
+from qbde.qgan import _sigmoid
 
 
 def zero_net():
@@ -235,6 +235,191 @@ def test_loss_and_gradients_match_nested_loop_oracle():
         for got, want in zip(grads, want_grads):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# The fused step vs. the per-call step it replaced
+# --------------------------------------------------------------------------
+
+def oracle_conv_index(c_in, c_out, length):
+    o, i, k, t = np.indices((c_out, c_in, 3, length)).reshape(4, -1)
+    s = t + k - 1
+    keep = (s >= 0) & (s < length)
+    pos = (i * length + s) * (c_out * length) + o * length + t
+    return pos[keep], ((o * c_in + i) * 3 + k)[keep], (c_in * length, c_out * length)
+
+
+ORACLE_CONV1 = oracle_conv_index(1, 4, 16)
+ORACLE_CONV2 = oracle_conv_index(4, 8, 8)
+
+
+def oracle_conv_matrix(w, index):
+    """Each call scatters the live weights into a fresh matrix."""
+    mat = np.zeros(index[2])
+    np.put(mat, index[0], w.ravel()[index[1]])
+    return mat
+
+
+def oracle_pool(a):
+    left, right = a[:, 0::2], a[:, 1::2]
+    return np.maximum(left, right), right > left
+
+
+def oracle_unpool(dp, take_right):
+    out = np.zeros((len(dp), 2 * dp.shape[1]))
+    out[:, 0::2] = np.where(take_right, 0.0, dp)
+    out[:, 1::2] = np.where(take_right, dp, 0.0)
+    return out
+
+
+def oracle_forward_batch(net, x):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    t2 = oracle_conv_matrix(net.conv2_w, ORACLE_CONV2)
+    z1 = x @ oracle_conv_matrix(net.conv1_w, ORACLE_CONV1) + np.repeat(net.conv1_b, 16)
+    p1, tr1 = oracle_pool(np.maximum(z1, 0.0))
+    z2 = p1 @ t2 + np.repeat(net.conv2_b, 8)
+    emb, tr2 = oracle_pool(np.maximum(z2, 0.0))
+    z_raw = _sigmoid(emb @ net.fc_w + net.fc_b[0])
+    score = np.clip(z_raw, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
+    cache = {"x": x, "t2": t2, "z1": z1, "p1": p1, "tr1": tr1, "z2": z2,
+             "tr2": tr2, "z_raw": z_raw}
+    return score, emb, cache
+
+
+def oracle_conv_grads(dz, xin, w, index):
+    dw = np.bincount(index[1], weights=(xin.T @ dz).take(index[0]), minlength=w.size)
+    return dw.reshape(w.shape), dz.sum(axis=0).reshape(w.shape[0], -1).sum(axis=1)
+
+
+def oracle_loss_and_grads(net, x, y):
+    score, emb, c = oracle_forward_batch(net, x)
+    y = np.asarray(y, dtype=float)
+    loss = float(-np.mean(y * np.log(score) + (1 - y) * np.log(1 - score)))
+    dz = (c["z_raw"] - y) / len(y)
+    dz2 = oracle_unpool(np.outer(dz, net.fc_w), c["tr2"]) * (c["z2"] > 0)
+    dw2, db2 = oracle_conv_grads(dz2, c["p1"], net.conv2_w, ORACLE_CONV2)
+    dz1 = oracle_unpool(dz2 @ c["t2"].T, c["tr1"]) * (c["z1"] > 0)
+    dw1, db1 = oracle_conv_grads(dz1, c["x"], net.conv1_w, ORACLE_CONV1)
+    return loss, [dw1, db1, dw2, db2, dz @ emb, np.array([dz.sum()])]
+
+
+def oracle_train_bde(real, generated, cfg):
+    """One loss-and-gradients call per batch of rows gathered by index,
+    its six gradients flattened for one Adam step."""
+    x = np.vstack([real, generated])
+    y = np.concatenate([np.ones(len(real)), np.zeros(len(generated))])
+    rng = np.random.default_rng(cfg.seed)
+    init = BdeNet.create(rng).param_list()
+    flat = flatten(init)
+    net = BdeNet(*flat_views(flat, init))
+    opt = Adam(LR)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), BATCH):
+            idx = order[start:start + BATCH]
+            _, grads = oracle_loss_and_grads(net, x[idx], y[idx])
+            opt.step(flat, flatten(grads))
+    return net
+
+
+def bde_accuracy(net, x, y):
+    """Fraction of rows on the right side of the 0.5 decision line."""
+    score, _, _ = oracle_forward_batch(net, x)
+    return float(np.mean((score > 0.5) == (np.asarray(y) > 0.5)))
+
+
+def generated_rows(kind, n, rng):
+    """Generated rows as detection builds them: one reference tiled, a
+    stack of distinct sampled ones, or the all-uniform row whose equal
+    neighbours make exact pooling ties."""
+    if kind == "tiled":
+        return np.tile(rng.dirichlet(np.ones(16)), (n, 1))
+    if kind == "distinct":
+        return rng.dirichlet(np.ones(16), size=n)
+    return np.full((n, 16), 1 / 16)
+
+
+def assert_same_bytes(got, want):
+    for a, b in zip(got.param_list(), want.param_list(), strict=True):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["tiled", "distinct", "uniform"])
+@pytest.mark.parametrize("n_real, n_gen, epochs, seed", [
+    (32, 32, 12, 0),     # two full batches
+    (40, 33, 9, 4),      # two full batches and a partial one
+    (46, 46, 15, 7),     # a fleet user: 32 + 32 + 28
+    (5, 3, 20, 11),      # one partial batch
+    (186, 186, 4, 2),    # a year of days
+    (40, 40, 0, 3),      # no steps: the initial network
+])
+def test_train_matches_per_call_oracle_bit_for_bit(kind, n_real, n_gen, epochs, seed):
+    rng = np.random.default_rng(1000 + seed)
+    real = rng.dirichlet(np.ones(16), size=n_real)
+    generated = generated_rows(kind, n_gen, rng)
+    cfg = BdeTrainConfig(epochs=epochs, seed=seed)
+    assert_same_bytes(train_bde(real, generated, cfg),
+                      oracle_train_bde(real, generated, cfg))
+
+
+def test_train_matches_oracle_on_more_seeds():
+    rng = np.random.default_rng(77)
+    real = rng.dirichlet(np.ones(16), size=46)
+    generated = generated_rows("tiled", 46, rng)
+    for seed in range(20, 26):
+        cfg = BdeTrainConfig(epochs=8, seed=seed)
+        assert_same_bytes(train_bde(real, generated, cfg),
+                          oracle_train_bde(real, generated, cfg))
+
+
+def test_uniform_rows_tie_in_pooling():
+    # the tie case the bit-identity tests cover is really there: equal,
+    # positive neighbours, which the left slot wins
+    net = random_net(3)
+    z1 = (np.full((1, 16), 1 / 16) @ oracle_conv_matrix(net.conv1_w, ORACLE_CONV1)
+          + np.repeat(net.conv1_b, 16))
+    a = np.maximum(z1, 0.0)
+    assert np.any((a[:, 0::2] == a[:, 1::2]) & (a[:, 0::2] > 0))
+
+
+def loss_cases():
+    rng = np.random.default_rng(91)
+    trained = oracle_train_bde(rng.dirichlet(np.ones(16), size=40),
+                               generated_rows("tiled", 40, rng),
+                               BdeTrainConfig(epochs=20, seed=5))
+    for net in [zero_net(), random_net(31), random_net(32), trained]:
+        for kind in ["tiled", "distinct", "uniform"]:
+            for m in [1, 7, 32]:
+                x = np.vstack([rng.dirichlet(np.ones(16), size=m),
+                               generated_rows(kind, m, rng)])
+                y = np.concatenate([np.ones(m), np.zeros(m)])
+                yield net, x, y
+
+
+def test_loss_and_grads_match_per_call_oracle():
+    for net, x, y in loss_cases():
+        loss, grads = bce_loss_and_grads(net, x, y)
+        want_loss, want_grads = oracle_loss_and_grads(net, x, y)
+        assert loss == want_loss
+        for got, want in zip(grads, want_grads, strict=True):
+            assert got.shape == want.shape
+            # only the sign of a zero may differ
+            assert np.array_equal(got, want)
+
+
+def test_embeddings_match_per_call_oracle():
+    for net, x, _ in loss_cases():
+        score, emb = bde_forward(net, x[0])
+        want_score, want_emb, _ = oracle_forward_batch(net, x[:1])
+        assert score == float(want_score[0])
+        assert emb.tobytes() == want_emb[0].tobytes()
+        _, want_emb, _ = oracle_forward_batch(net, x)
+        rows, refs = x[:len(x) // 2], x[len(x) // 2:]
+        _, r_n, nearest = _recon_batch(rows, refs, net)
+        want_r_n = np.abs(want_emb[:len(rows)]
+                          - want_emb[len(rows):][nearest]).sum(axis=1)
+        assert r_n.tobytes() == want_r_n.tobytes()
 
 
 # --------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_bad_lambda_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("setting", [
-    "lr_g = 0", "bde_epochs = -1",
+    "lr_g = 0", "bde_epochs = -1", "seed = -1",
     "train_days = 0", "test_days = -1", "n_users = 0", "n_days = 0",
     "n_days = 2917921",  # one day past date.max
     "depth = 3"])  # not a setting: the circuit depth is k
