@@ -65,12 +65,12 @@ print(f"test values clipped into [0, 1]: {len(dataset.clipped)} "
 # Simplex projection: the generator outputs probability vectors, so the
 # behavior vectors are L1-normalized to live on the same simplex.
 # ---------------------------------------------------------------------
-vec, scale = to_simplex(dataset.train[0].features)
-print(f"\nsimplex projection of day 1: sum = {vec.sum():.12f}, "
-      f"retained activity mass = {scale:.3f}")
+train_simplex = to_simplex([r.features for r in dataset.train])
+print(f"\nsimplex projection of day 1: sum = {train_simplex[0].sum():.12f}, "
+      f"retained activity mass = {dataset.train[0].features.sum():.3f}")
 abnormal = [r for r in dataset.test if r.label == "abnormal"]
 if abnormal:
-    mean = np.mean([to_simplex(r.features)[0] for r in dataset.train], axis=0)
-    v = to_simplex(abnormal[0].features)[0]
+    mean = train_simplex.mean(axis=0)
+    v = to_simplex([abnormal[0].features])[0]
     print(f"an abnormal day sits {np.abs(v - mean).sum():.3f} (L1) from the "
           f"training mean direction; typical normal days are much closer.")

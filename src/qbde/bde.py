@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Section, read_csv, read_kv, write_csv, write_kv
-from .optim import Adam, flat_views, flatten
+from .optim import Adam
 from .qgan import SIGMOID_CLAMP, _sigmoid
 
 INPUT_LEN = 16
@@ -48,31 +48,39 @@ _W1, _B1, _W2, _B2, _FC_W, _FC_B = map(slice, [0, *_ENDS], _ENDS)  # in the flat
 N_PARAMS = _ENDS[-1]
 
 
+def _views(flat: np.ndarray) -> list[np.ndarray]:
+    """The six parameters' views of a vector laid out like ``BdeNet.flat``."""
+    return [flat[part].reshape(shape) for part, shape in
+            zip((_W1, _B1, _W2, _B2, _FC_W, _FC_B), _SHAPES)]
+
+
 @dataclass
 class BdeNet:
-    conv1_w: np.ndarray  # (4, 1, 3)
-    conv1_b: np.ndarray  # (4,)
-    conv2_w: np.ndarray  # (8, 4, 3)
-    conv2_b: np.ndarray  # (8,)
-    fc_w: np.ndarray     # (32,)
-    fc_b: np.ndarray     # (1,)
+    """The scorer's parameters in one vector: conv1 weights (4, 1, 3) and
+    biases (4,), conv2 weights (8, 4, 3) and biases (8,), the output unit's
+    weights (32,) and bias (1,), then the 0.0 the conv gather reads for the
+    matrices' empty cells."""
+
+    flat: np.ndarray   # (N_PARAMS + 1,)
 
     def __post_init__(self):
-        for arr, want in zip(self.param_list(), _SHAPES):
-            if arr.shape != want:
-                raise ValueError(f"bad parameter shape {arr.shape}, want {want}")
+        self.flat = np.asarray(self.flat, dtype=float)
+        if self.flat.shape != (N_PARAMS + 1,) or self.flat[-1] != 0.0:
+            raise ValueError(f"want {N_PARAMS} parameters and a trailing 0.0, "
+                             f"got shape {self.flat.shape}")
 
     @classmethod
     def create(cls, rng: np.random.Generator) -> "BdeNet":
-        def he(shape, fan_in):
-            return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
-        return cls(he((4, 1, 3), 3), np.zeros(4),
-                   he((8, 4, 3), 12), np.zeros(8),
-                   he((EMBED_LEN,), EMBED_LEN), np.zeros(1))
+        """He-initialised weights, zero biases, drawn from ``rng``."""
+        net = cls(np.zeros(N_PARAMS + 1))
+        conv1_w, _, conv2_w, _, fc_w, _ = net.param_list()
+        for w, fan_in in ((conv1_w, 3), (conv2_w, 12), (fc_w, EMBED_LEN)):
+            w[...] = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=w.shape)
+        return net
 
     def param_list(self) -> list[np.ndarray]:
-        return [self.conv1_w, self.conv1_b, self.conv2_w, self.conv2_b,
-                self.fc_w, self.fc_b]
+        """Views of the six parameters, in the order of ``flat``."""
+        return _views(self.flat)
 
 
 def _conv_layer(c_in: int, c_out: int, length: int, w: int, b: int):
@@ -94,11 +102,6 @@ _CONV1 = _conv_layer(1, 4, INPUT_LEN, _W1.start, _B1.start)
 _CONV2 = _conv_layer(4, 8, INPUT_LEN // 2, _W2.start, _B2.start)
 _GATHER = np.concatenate([_CONV1[2], _CONV2[2]])   # both layers, one take()
 _WIDTH = 4 * INPUT_LEN   # both layers' output: 4 channels x 16, 8 x 8
-
-
-def _flat(net: BdeNet) -> np.ndarray:
-    """The parameters in one vector, followed by the 0.0 the gather reads."""
-    return flatten([*net.param_list(), np.zeros(1)])
 
 
 def _rows(x) -> np.ndarray:
@@ -156,7 +159,7 @@ def _grads(flat: np.ndarray, x: np.ndarray, y: np.ndarray, grad: np.ndarray):
 
 def bde_forward(net: BdeNet, x: np.ndarray) -> tuple[float, np.ndarray]:
     """Score in (0, 1) plus the 32-value embedding for one input."""
-    z_raw, emb, _ = _forward(_flat(net), _rows(np.reshape(x, (1, -1))))
+    z_raw, emb, _ = _forward(net.flat, _rows(np.reshape(x, (1, -1))))
     return float(np.clip(z_raw[0], SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)), emb[0]
 
 
@@ -166,10 +169,10 @@ def bce_loss_and_grads(net: BdeNet, x: np.ndarray,
     ``param_list()`` order."""
     y = np.asarray(y, dtype=float)
     grad = np.empty(N_PARAMS)
-    z_raw = _grads(_flat(net), _rows(x), y, grad)
+    z_raw = _grads(net.flat, _rows(x), y, grad)
     score = np.clip(z_raw, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
     loss = float(-np.mean(y * np.log(score) + (1 - y) * np.log(1 - score)))
-    return loss, flat_views(grad, net.param_list())
+    return loss, _views(grad)
 
 
 @dataclass
@@ -193,19 +196,18 @@ def train_bde(real: np.ndarray, generated: np.ndarray,
     x = np.vstack([real, generated])
     y = np.concatenate([np.ones(len(real)), np.zeros(len(generated))])
     rng = np.random.default_rng(cfg.seed)
-    init = BdeNet.create(rng)
-    # Adam steps one flat vector; the six parameters are views of it
-    flat = _flat(init)
-    params, grad = flat[:N_PARAMS], np.empty(N_PARAMS)
-    opt = Adam(LR)
+    net = BdeNet.create(rng)
+    # Adam steps the parameters, all of the vector but its trailing 0.0
+    params, grad = net.flat[:N_PARAMS], np.empty(N_PARAMS)
+    opt = Adam(LR, params)
     for _ in range(cfg.epochs):
         order = rng.permutation(len(x))
         x_epoch, y_epoch = x[order], y[order]
         for start in range(0, len(x), BATCH):
-            _grads(flat, x_epoch[start:start + BATCH],
+            _grads(net.flat, x_epoch[start:start + BATCH],
                    y_epoch[start:start + BATCH], grad)
             opt.step(params, grad)
-    return BdeNet(*flat_views(params, init.param_list()))
+    return net
 
 
 # --------------------------------------------------------------------------
@@ -239,7 +241,7 @@ def _recon_batch(x: np.ndarray, refs: np.ndarray, net: BdeNet):
     ``refs``, plus that index; rows and references share one forward pass."""
     dist = np.abs(x[:, None, :] - refs[None, :, :]).sum(axis=2)
     nearest = np.argmin(dist, axis=1)
-    _, emb, _ = _forward(_flat(net), _rows(np.vstack([x, refs])))
+    _, emb, _ = _forward(net.flat, _rows(np.vstack([x, refs])))
     r_n = np.abs(emb[:len(x)] - emb[len(x):][nearest]).sum(axis=1)
     return dist[np.arange(len(x)), nearest], r_n, nearest
 

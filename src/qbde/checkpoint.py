@@ -5,16 +5,21 @@
 ``read_csv`` and ``write_csv`` read and write every CSV: the synth logs,
 labels, features, normalisation stats, losses and scores.  Both writers go
 through ``atomic_open``, so no output is ever left half-written.  A
-checkpoint has the ``qbde-ckpt-v3`` magic line and one ``[section]`` per
+checkpoint has the ``qbde-ckpt-v4`` magic line and one ``[section]`` per
 part of the training state.  Scalar floats are written with ``float.hex``;
 an array is a ``key.shape`` line plus a ``key.data`` line of its values as
 raw little-endian binary64 bytes in hex, so a save/load round trip is
-bit-exact.  Array values must be finite, and Adam second moments >= 0.
-Besides the generator angles, discriminator weights, train config and
-seed, the file carries the optimiser moments and the RNG state: that is
-what makes a resumed run indistinguishable from an uninterrupted one.
-``qbde-ckpt-v1`` files (which also stored settings that are now constants)
-and ``qbde-ckpt-v2`` files (arrays as ``float.hex`` lists) are refused.
+bit-exact.  Each trained network is one vector with one Adam state, and
+the file stores exactly that: ``[generator]`` the ``angles``,
+``[discriminator]`` the flat ``params``, and ``[opt_g]`` and ``[opt_d]``
+each the step count ``t`` and the moments ``m`` and ``v``, shaped like the
+array the optimiser steps.  Every shape must be the one ``[config]`` and
+``n_qubits`` imply, every value finite, and Adam second moments >= 0.
+With the train config, seed and RNG state, that is what makes a resumed
+run indistinguishable from an uninterrupted one.  Earlier formats are
+refused: ``qbde-ckpt-v1`` (also stored settings that are now constants),
+``qbde-ckpt-v2`` (arrays as ``float.hex`` lists) and ``qbde-ckpt-v3``
+(weights, biases and moments stored one array per layer).
 """
 
 from __future__ import annotations
@@ -28,11 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .optim import Adam, flat_views, flatten
+from .optim import Adam
 from .qgan import DiscriminatorNet, TrainConfig, TrainState
-from .qsim import GeneratorParams
+from .qsim import MAX_QUBITS, GeneratorParams
 
-MAGIC = "qbde-ckpt-v3"
+MAGIC = "qbde-ckpt-v4"
 
 
 # [config] holds TrainConfig's fields in their declared order
@@ -169,12 +174,12 @@ def _put_array(key: str, arr: np.ndarray) -> dict[str, str]:
             f"{key}.data": arr.astype("<f8").tobytes().hex()}
 
 
-def _get_array(sec: Section, key: str, want=None,
+def _get_array(sec: Section, key: str, want: tuple[int, ...],
                nonnegative: bool = False) -> np.ndarray:
+    """The finite array stored under ``key``, if its shape is ``want``."""
     shape = tuple(int(d) for d in sec[f"{key}.shape"].split())
-    if min(shape, default=1) < 1 or want not in (None, shape):
-        raise SchemaError(f"{sec.where}{key}.shape = {shape}, "
-                          f"want {want or 'sizes >= 1'}")
+    if shape != want:
+        raise SchemaError(f"{sec.where}{key}.shape = {shape}, want {want}")
     try:
         data = np.frombuffer(bytes.fromhex(sec[f"{key}.data"]), "<f8")
         data = data.astype(float).reshape(shape)
@@ -193,32 +198,17 @@ def _get_int(sec: Section, key: str, lo: int, hi: float) -> int:
     return value
 
 
-def _put_adam(opt: Adam, params: list[np.ndarray]) -> dict:
-    """Adam's state with one moment array per array of ``params``, the
-    parts of the one array it steps."""
-    entries = {"t": opt.t}
-    if opt.m is not None:
-        entries["n_arrays"] = len(params)
-        moments = (flat_views(mv.ravel(), params) for mv in (opt.m, opt.v))
-        for i, (m, v) in enumerate(zip(*moments)):
-            entries.update(_put_array(f"m{i}", m) | _put_array(f"v{i}", v))
-    return entries
+def _put_adam(opt: Adam) -> dict:
+    return {"t": opt.t, **_put_array("m", opt.m), **_put_array("v", opt.v)}
 
 
-def _get_adam(sec: Section, lr: float, params: list[np.ndarray],
-              stepped: np.ndarray) -> Adam:
-    """``_put_adam``'s inverse: moments read per array of ``params`` and
-    shaped like ``stepped``, the array the optimiser steps."""
-    opt = Adam(lr)
+def _get_adam(sec: Section, lr: float, param: np.ndarray) -> Adam:
+    """The optimiser stepping ``param``: its step count and its moments,
+    each shaped like ``param``."""
+    opt = Adam(lr, param)
     opt.t = _get_int(sec, "t", 0, np.inf)
-    if "n_arrays" in sec:
-        if int(sec["n_arrays"]) != len(params):
-            raise SchemaError(f"{sec.where}n_arrays = {sec['n_arrays']}, "
-                              f"want {len(params)}")
-        moments = ([_get_array(sec, f"{mv}{i}", p.shape, mv == "v")
-                    for i, p in enumerate(params)] for mv in "mv")
-        opt.m, opt.v = (flatten(arrays).reshape(stepped.shape)
-                        for arrays in moments)
+    opt.m = _get_array(sec, "m", param.shape)
+    opt.v = _get_array(sec, "v", param.shape, nonnegative=True)
     return opt
 
 
@@ -230,18 +220,15 @@ def save_checkpoint(path: str | Path, cfg: TrainConfig, state: TrainState,
     meta = {"epoch": state.epoch}
     if digest:
         meta["config_digest"] = digest
-    discriminator = {"n_layers": len(state.net.weights)}
-    for i, (w, b) in enumerate(zip(state.net.weights, state.net.biases)):
-        discriminator.update(_put_array(f"w{i}", w) | _put_array(f"b{i}", b))
     write_kv(path, MAGIC, {
         "meta": meta,
         "config": {f.name: _encode(f.type, getattr(cfg, f.name))
                    for f in fields(cfg)},
         "generator": {"n_qubits": state.params.n_qubits,
                       **_put_array("angles", state.params.angles)},
-        "discriminator": discriminator,
-        "opt_g": _put_adam(state.opt_g, [state.params.angles]),
-        "opt_d": _put_adam(state.opt_d, state.net.param_list()),
+        "discriminator": _put_array("params", state.net.flat),
+        "opt_g": _put_adam(state.opt_g),
+        "opt_d": _put_adam(state.opt_d),
         "rng": {"bit_generator": "PCG64",
                 "state": rng_state["state"]["state"],
                 "inc": rng_state["state"]["inc"],
@@ -257,23 +244,16 @@ def load_checkpoint(path: str | Path) -> tuple[TrainConfig, TrainState]:
         cfg = TrainConfig(**{f.name: _DECODE[f.type](c[f.name])
                              for f in fields(TrainConfig)})
 
+        # every array's shape follows from [config] and the qubit count
         g = sec["generator"]
-        params = GeneratorParams(int(g["n_qubits"]), _get_array(g, "angles"))
-
-        d = sec["discriminator"]
-        n_layers = _get_int(d, "n_layers", 1, np.inf)
-        net = DiscriminatorNet(
-            weights=[_get_array(d, f"w{i}") for i in range(n_layers)],
-            biases=[_get_array(d, f"b{i}") for i in range(n_layers)],
-        )
-        have = (params.angles.shape[0], net.layer_sizes)
-        want = (cfg.depth + 1, [2**params.n_qubits, *cfg.hidden, 1])
-        if have != want:
-            raise SchemaError(f"{path}: angle rows and discriminator layers "
-                              f"{have} disagree with [config] {want}")
-
-        opt_g = _get_adam(sec["opt_g"], cfg.lr_g, [params.angles], params.angles)
-        opt_d = _get_adam(sec["opt_d"], cfg.lr_d, net.param_list(), net.flat)
+        n_qubits = _get_int(g, "n_qubits", 1, MAX_QUBITS + 1)
+        params = GeneratorParams(n_qubits, _get_array(
+            g, "angles", (cfg.depth + 1, n_qubits)))
+        sizes = [2**n_qubits, *cfg.hidden, 1]
+        net = DiscriminatorNet(sizes, _get_array(
+            sec["discriminator"], "params", (DiscriminatorNet.n_params(sizes),)))
+        opt_g = _get_adam(sec["opt_g"], cfg.lr_g, params.angles)
+        opt_d = _get_adam(sec["opt_d"], cfg.lr_d, net.flat)
 
         # the ranges numpy's PCG64 state setter accepts
         r = sec["rng"]

@@ -231,16 +231,6 @@ def _ckpt_path(cfg: RunConfig, user: str, n_users: int) -> Path:
     return base.with_name(f"{base.stem}-{user}{base.suffix}")
 
 
-def _simplex_matrix(rows) -> np.ndarray:
-    """Each row's features as ``features.to_simplex`` projects them, in
-    one pass over the stacked matrix: an all-zero row maps to uniform."""
-    x = np.stack([row.features for row in rows])
-    scale = x.sum(axis=1, keepdims=True)
-    x /= np.where(scale > 0.0, scale, 1.0)
-    x[scale[:, 0] <= 0.0] = 1.0 / features.N_FEATURES
-    return x
-
-
 def _train_rows(out_dir: Path) -> list[features.BehaviorVector]:
     path = out_dir / "features_train.csv"
     rows = features.read_features_csv(path)
@@ -270,7 +260,7 @@ def cmd_train(cfg: RunConfig) -> int:
     digest = cfg.digest()
     train_cfg = cfg.train_config()
     for user, rows in by_user.items():
-        data = _simplex_matrix(rows)
+        data = features.to_simplex([row.features for row in rows])
         ckpt = _ckpt_path(cfg, user, len(by_user))
         state = _load_state(cfg, ckpt) if cfg.resume else None
         trace = qgan.train(data, train_cfg, state=state)
@@ -322,7 +312,7 @@ def cmd_detect(cfg: RunConfig) -> int:
         state = _load_state(cfg, _ckpt_path(cfg, user, len(train_by_user)))
         references = _reference_distributions(state, cfg)
         rows = user_train + test_by_user.get(user, [])
-        x = _simplex_matrix(rows)
+        x = features.to_simplex([row.features for row in rows])
         real = x[:len(user_train)]
         generated = np.tile(references, (-(-len(real) // len(references)), 1))
         net = bde.train_bde(real, generated[:len(real)], cfg.bde_config())

@@ -265,39 +265,31 @@ def parse_logs(log_dir: str | Path) -> tuple[Events, ParseReport]:
 # Daily aggregation
 # --------------------------------------------------------------------------
 
-def parse_working_hours(value) -> tuple[time, time]:
-    """Accepts "HH:MM-HH:MM", a (start, end) pair of hours/"HH:MM" strings,
-    or datetime.time values; returns the half-open [start, end) window."""
-    if isinstance(value, str):
-        parts = value.split("-")
-        if len(parts) != 2:
-            raise ValueError(f"working hours must look like '08:00-18:00', got {value!r}")
-        value = tuple(parts)
-    start, end = value
+def parse_working_hours(value: str) -> tuple[time, time]:
+    """The half-open [start, end) window of an "HH:MM-HH:MM" string."""
+    parts = str(value).split("-")
+    if len(parts) != 2:
+        raise ValueError(f"working hours must look like '08:00-18:00', got {value!r}")
 
-    def one(v):
-        if isinstance(v, time):
-            return v
-        if isinstance(v, int):
-            return time(v, 0)
-        hh, _, mm = str(v).strip().partition(":")
+    def one(text):
+        hh, _, mm = text.strip().partition(":")
         return time(int(hh), int(mm or 0))
 
-    start, end = one(start), one(end)
+    start, end = map(one, parts)
     if not start < end:
         raise ValueError("working hours must satisfy start < end")
     return start, end
 
 
 def extract_daily(events: Events,
-                  working_hours=("08:00", "18:00")) -> list[BehaviorVector]:
+                  working_hours: str = "08:00-18:00") -> list[BehaviorVector]:
     """Aggregate events into one 16-feature vector per (user, day).
 
     Only days with at least one event produce a vector; output is sorted
     by (user, day).  Counts and size totals are summed in event order; a
     size total that overflows raises ``SchemaError`` naming user and day.
     """
-    start, end = ((t.hour * 60 + t.minute) * 60 + t.second + t.microsecond / 1e6
+    start, end = ((t.hour * 60 + t.minute) * 60
                   for t in parse_working_hours(working_hours))
     off = (events.second < start) | (events.second >= end)
     names = sorted(events.user_names)
@@ -389,17 +381,17 @@ def normalize(dataset: Dataset) -> Dataset:
     )
 
 
-def to_simplex(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """L1-normalize a [0,1]-scaled feature vector onto the probability
-    simplex; returns (simplex vector, original L1 mass).  An all-zero
-    vector maps to the uniform distribution."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (N_FEATURES,):
-        raise ValueError(f"expected {N_FEATURES} values")
-    scale = float(values.sum())
-    if scale <= 0.0:
-        return np.full(N_FEATURES, 1.0 / N_FEATURES), 0.0
-    return values / scale, scale
+def to_simplex(values) -> np.ndarray:
+    """Each row of an (n, 16) matrix of [0,1]-scaled features L1-normalized
+    onto the probability simplex; an all-zero row maps to the uniform
+    distribution."""
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 2 or x.shape[1] != N_FEATURES:
+        raise ValueError(f"expected rows of {N_FEATURES} values, got shape {x.shape}")
+    scale = x.sum(axis=1, keepdims=True)
+    out = x / np.where(scale > 0.0, scale, 1.0)
+    out[scale[:, 0] <= 0.0] = 1.0 / N_FEATURES
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -463,7 +455,7 @@ class SynthConfig:
     seed: int = 0
     out_dir: str | Path = "data"
     start_day: date = date(2011, 1, 3)
-    working_hours: tuple | str = ("08:00", "18:00")
+    working_hours: str = "08:00-18:00"
 
     def __post_init__(self):
         if not 0.0 <= self.anomaly_rate <= 0.2:

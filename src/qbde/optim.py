@@ -1,7 +1,9 @@
-"""Adaptive moment estimation over one parameter array, and the flat
-vector layout that lets one call step a whole network."""
+"""Adaptive moment estimation over one parameter array: each trained
+network keeps its parameters in one vector, so one call steps it whole."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -11,22 +13,20 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 class Adam:
     """First/second-moment gradient steps, applied to one array in place.
 
-    Moment buffers and the step counter are plain attributes so training
-    state can be checkpointed and restored exactly.
+    The moments start at zero, shaped like ``param``, the array this
+    optimiser steps.  Moments and the step counter are plain attributes so
+    training state can be checkpointed and restored exactly.
     """
 
-    def __init__(self, lr: float):
-        if lr <= 0:
-            raise ValueError("learning rate must be > 0")
+    def __init__(self, lr: float, param: np.ndarray):
+        if not 0 < lr < math.inf:
+            raise ValueError(f"learning rate must be finite and > 0, got {lr}")
         self.lr = lr
         self.t = 0
-        self.m: np.ndarray | None = None
-        self.v: np.ndarray | None = None
+        self.m = np.zeros(np.shape(param))
+        self.v = np.zeros(np.shape(param))
 
     def step(self, param: np.ndarray, grad: np.ndarray) -> None:
-        if self.m is None:
-            self.m = np.zeros_like(param)
-            self.v = np.zeros_like(param)
         self.t += 1
         corr1 = 1.0 - BETA1**self.t
         corr2 = 1.0 - BETA2**self.t
@@ -35,17 +35,3 @@ class Adam:
         self.v *= BETA2
         self.v += (1.0 - BETA2) * grad * grad
         param -= self.lr * (self.m / corr1) / (np.sqrt(self.v / corr2) + EPS)
-
-
-def flatten(arrays: list[np.ndarray]) -> np.ndarray:
-    """One float vector holding ``arrays`` one after another."""
-    return np.concatenate([a.ravel() for a in arrays], dtype=float)
-
-
-def flat_views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
-    """Views of consecutive parts of ``flat``, shaped like ``like``'s arrays."""
-    views, start = [], 0
-    for a in like:
-        views.append(flat[start:start + a.size].reshape(a.shape))
-        start += a.size
-    return views

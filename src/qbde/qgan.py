@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .optim import Adam, flat_views, flatten
+from .optim import Adam
 from .qsim import (GeneratorParams, adjoint_gradient, probabilities,
                    run_generator_circuit)
 # Re-exported: the per-layer benchmark traces it here, expecting 0 calls.
@@ -44,45 +44,43 @@ INIT_SPREAD = 0.1   # layers 1..K start uniform in [-spread, spread]
 class DiscriminatorNet:
     """Fully connected net: in -> hidden layers (leaky ReLU) -> 1 (sigmoid).
 
-    ``weights[i]`` has shape (out_i, in_i); ``biases[i]`` has shape (out_i,).
-    Both are views of ``flat``, a copy of the arrays passed in (all weights,
-    then all biases) and the one vector the optimiser steps.
+    ``flat`` holds all weights, then all biases, and is the one vector the
+    optimiser steps.  ``weights[i]`` (shape (out_i, in_i)) and ``biases[i]``
+    (shape (out_i,)) are views of it.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    layer_sizes: list[int]
+    flat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        sizes = self.layer_sizes
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (sizes[i + 1], sizes[i]) or b.shape != (sizes[i + 1],):
-                raise ValueError("weight/bias shapes are inconsistent")
-        if sizes[-1] != 1:
-            raise ValueError("output layer must have a single unit")
-        flat = flatten(self.param_list())
-        self.weights, self.biases = self.split(flat)
-        self.flat = flat
+        sizes = self.layer_sizes = [int(n) for n in self.layer_sizes]
+        self.flat = np.asarray(self.flat, dtype=float)
+        if len(sizes) < 2 or min(sizes) < 1 or sizes[-1] != 1:
+            raise ValueError(f"layer sizes {sizes} must be >= 1 and end in "
+                             "a single output unit")
+        if self.flat.shape != (self.n_params(sizes),):
+            raise ValueError(f"{sizes} layers need {self.n_params(sizes)} "
+                             f"parameters, got shape {self.flat.shape}")
+        self.weights, self.biases = self.split(self.flat)
 
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+    @staticmethod
+    def n_params(layer_sizes: list[int]) -> int:
+        return sum((n_in + 1) * n_out
+                   for n_in, n_out in zip(layer_sizes, layer_sizes[1:]))
 
     @property
     def n_inputs(self) -> int:
-        return self.weights[0].shape[1]
+        return self.layer_sizes[0]
 
     @classmethod
     def create(cls, n_inputs: int, hidden: tuple[int, ...],
                rng: np.random.Generator) -> "DiscriminatorNet":
         """He-initialised weights, zero biases, drawn from ``rng``."""
         sizes = [n_inputs, *hidden, 1]
-        weights = [
-            rng.normal(0.0, math.sqrt(2.0 / sizes[i]), size=(sizes[i + 1], sizes[i]))
-            for i in range(len(sizes) - 1)
-        ]
-        biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
-        return cls(weights, biases)
+        net = cls(sizes, np.zeros(cls.n_params(sizes)))
+        for n_in, w in zip(sizes, net.weights):
+            w[...] = rng.normal(0.0, math.sqrt(2.0 / n_in), size=w.shape)
+        return net
 
     def param_list(self) -> list[np.ndarray]:
         """All weights then all biases, the order of ``flat``."""
@@ -90,8 +88,13 @@ class DiscriminatorNet:
 
     def split(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Weight and bias views of a vector laid out like ``flat``."""
-        views = flat_views(flat, self.param_list())
-        return views[:len(self.weights)], views[len(self.weights):]
+        sizes = self.layer_sizes
+        shapes = [*zip(sizes[1:], sizes), *((n,) for n in sizes[1:])]
+        views, start = [], 0
+        for shape in shapes:
+            views.append(flat[start:start + math.prod(shape)].reshape(shape))
+            start += math.prod(shape)
+        return views[:len(sizes) - 1], views[len(sizes) - 1:]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -258,8 +261,9 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.lr_g <= 0 or self.lr_d <= 0:
-            raise ValueError("learning rates must be > 0")
+        if not (0 < self.lr_g < math.inf and 0 < self.lr_d < math.inf):
+            raise ValueError(f"learning rates must be finite and > 0, got "
+                             f"lr_g = {self.lr_g}, lr_d = {self.lr_d}")
         if self.depth < 1:
             raise ValueError("circuit depth must be >= 1")
         if min(self.hidden, default=1) < 1:
@@ -309,7 +313,8 @@ def init_train_state(n_qubits: int, cfg: TrainConfig) -> TrainState:
                                 size=(cfg.depth, n_qubits))
     params = GeneratorParams(n_qubits, angles)
     net = DiscriminatorNet.create(2**n_qubits, cfg.hidden, rng)
-    return TrainState(params, net, Adam(cfg.lr_g), Adam(cfg.lr_d), rng)
+    return TrainState(params, net, Adam(cfg.lr_g, params.angles),
+                      Adam(cfg.lr_d, net.flat), rng)
 
 
 def _check_simplex_rows(data: np.ndarray) -> None:

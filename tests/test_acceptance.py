@@ -309,8 +309,9 @@ def _loop_forward(net, x):
                 out[c, t] = max(a[c, 2 * t], a[c, 2 * t + 1])
         return out
 
-    h = pool(np.maximum(conv(x[None, :], net.conv1_w, net.conv1_b), 0.0))
-    h = pool(np.maximum(conv(h, net.conv2_w, net.conv2_b), 0.0))
+    w1, b1, w2, b2, _, _ = net.param_list()
+    h = pool(np.maximum(conv(x[None, :], w1, b1), 0.0))
+    h = pool(np.maximum(conv(h, w2, b2), 0.0))
     return h.reshape(-1)
 
 

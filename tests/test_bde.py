@@ -11,6 +11,7 @@ import pytest
 from qbde.bde import (
     BATCH,
     LR,
+    N_PARAMS,
     SIGMOID_CLAMP,
     BdeNet,
     BdeTrainConfig,
@@ -33,13 +34,12 @@ from qbde.bde import (
     write_summary,
 )
 from qbde.errors import SchemaError
-from qbde.optim import Adam, flat_views, flatten
+from qbde.optim import Adam
 from qbde.qgan import _sigmoid
 
 
 def zero_net():
-    return BdeNet(np.zeros((4, 1, 3)), np.zeros(4), np.zeros((8, 4, 3)),
-                  np.zeros(8), np.zeros(32), np.zeros(1))
+    return BdeNet(np.zeros(N_PARAMS + 1))
 
 
 def random_net(seed=0):
@@ -76,10 +76,11 @@ def reference_forward(net, x):
                 out[c, t] = max(a[c, 2 * t], a[c, 2 * t + 1])
         return out
 
-    h = pool(relu(conv(x[None, :], net.conv1_w, net.conv1_b)))
-    h = pool(relu(conv(h, net.conv2_w, net.conv2_b)))
+    w1, b1, w2, b2, fc_w, fc_b = net.param_list()
+    h = pool(relu(conv(x[None, :], w1, b1)))
+    h = pool(relu(conv(h, w2, b2)))
     emb = h.reshape(-1)
-    z = float(emb @ net.fc_w + net.fc_b[0])
+    z = float(emb @ fc_w + fc_b[0])
     return 1.0 / (1.0 + math.exp(-z)), emb
 
 
@@ -274,12 +275,13 @@ def oracle_unpool(dp, take_right):
 
 def oracle_forward_batch(net, x):
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    t2 = oracle_conv_matrix(net.conv2_w, ORACLE_CONV2)
-    z1 = x @ oracle_conv_matrix(net.conv1_w, ORACLE_CONV1) + np.repeat(net.conv1_b, 16)
+    w1, b1, w2, b2, fc_w, fc_b = net.param_list()
+    t2 = oracle_conv_matrix(w2, ORACLE_CONV2)
+    z1 = x @ oracle_conv_matrix(w1, ORACLE_CONV1) + np.repeat(b1, 16)
     p1, tr1 = oracle_pool(np.maximum(z1, 0.0))
-    z2 = p1 @ t2 + np.repeat(net.conv2_b, 8)
+    z2 = p1 @ t2 + np.repeat(b2, 8)
     emb, tr2 = oracle_pool(np.maximum(z2, 0.0))
-    z_raw = _sigmoid(emb @ net.fc_w + net.fc_b[0])
+    z_raw = _sigmoid(emb @ fc_w + fc_b[0])
     score = np.clip(z_raw, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
     cache = {"x": x, "t2": t2, "z1": z1, "p1": p1, "tr1": tr1, "z2": z2,
              "tr2": tr2, "z_raw": z_raw}
@@ -296,29 +298,29 @@ def oracle_loss_and_grads(net, x, y):
     y = np.asarray(y, dtype=float)
     loss = float(-np.mean(y * np.log(score) + (1 - y) * np.log(1 - score)))
     dz = (c["z_raw"] - y) / len(y)
-    dz2 = oracle_unpool(np.outer(dz, net.fc_w), c["tr2"]) * (c["z2"] > 0)
-    dw2, db2 = oracle_conv_grads(dz2, c["p1"], net.conv2_w, ORACLE_CONV2)
+    w1, _, w2, _, fc_w, _ = net.param_list()
+    dz2 = oracle_unpool(np.outer(dz, fc_w), c["tr2"]) * (c["z2"] > 0)
+    dw2, db2 = oracle_conv_grads(dz2, c["p1"], w2, ORACLE_CONV2)
     dz1 = oracle_unpool(dz2 @ c["t2"].T, c["tr1"]) * (c["z1"] > 0)
-    dw1, db1 = oracle_conv_grads(dz1, c["x"], net.conv1_w, ORACLE_CONV1)
+    dw1, db1 = oracle_conv_grads(dz1, c["x"], w1, ORACLE_CONV1)
     return loss, [dw1, db1, dw2, db2, dz @ emb, np.array([dz.sum()])]
 
 
 def oracle_train_bde(real, generated, cfg):
     """One loss-and-gradients call per batch of rows gathered by index,
-    its six gradients flattened for one Adam step."""
+    its six gradients concatenated for one Adam step."""
     x = np.vstack([real, generated])
     y = np.concatenate([np.ones(len(real)), np.zeros(len(generated))])
     rng = np.random.default_rng(cfg.seed)
-    init = BdeNet.create(rng).param_list()
-    flat = flatten(init)
-    net = BdeNet(*flat_views(flat, init))
-    opt = Adam(LR)
+    net = BdeNet.create(rng)
+    params = net.flat[:N_PARAMS]
+    opt = Adam(LR, params)
     for _ in range(cfg.epochs):
         order = rng.permutation(len(x))
         for start in range(0, len(x), BATCH):
             idx = order[start:start + BATCH]
             _, grads = oracle_loss_and_grads(net, x[idx], y[idx])
-            opt.step(flat, flatten(grads))
+            opt.step(params, np.concatenate([g.ravel() for g in grads]))
     return net
 
 
@@ -376,9 +378,9 @@ def test_train_matches_oracle_on_more_seeds():
 def test_uniform_rows_tie_in_pooling():
     # the tie case the bit-identity tests cover is really there: equal,
     # positive neighbours, which the left slot wins
-    net = random_net(3)
-    z1 = (np.full((1, 16), 1 / 16) @ oracle_conv_matrix(net.conv1_w, ORACLE_CONV1)
-          + np.repeat(net.conv1_b, 16))
+    w1, b1 = random_net(3).param_list()[:2]
+    z1 = (np.full((1, 16), 1 / 16) @ oracle_conv_matrix(w1, ORACLE_CONV1)
+          + np.repeat(b1, 16))
     a = np.maximum(z1, 0.0)
     assert np.any((a[:, 0::2] == a[:, 1::2]) & (a[:, 0::2] > 0))
 
@@ -469,7 +471,7 @@ def test_train_steps_one_flat_vector_like_per_array_adam():
     y = np.concatenate([np.ones(40), np.zeros(33)])
     order_rng = np.random.default_rng(cfg.seed)
     ref = BdeNet.create(order_rng)
-    opts = [Adam(LR) for _ in ref.param_list()]
+    opts = [Adam(LR, arr) for arr in ref.param_list()]
     for _ in range(cfg.epochs):
         order = order_rng.permutation(len(x))
         for start in range(0, len(x), BATCH):
@@ -485,7 +487,7 @@ def test_adam_on_a_flat_vector_is_bit_identical_to_per_array_adam():
     rng = np.random.default_rng(10)
     arrays = [a.copy() for a in random_net(12).param_list()]
     flat = np.concatenate([a.ravel() for a in arrays])
-    per_array, whole = [Adam(0.01) for _ in arrays], Adam(0.01)
+    per_array, whole = [Adam(0.01, a) for a in arrays], Adam(0.01, flat)
     for _ in range(100):
         grads = [rng.normal(size=a.shape) for a in arrays]
         for opt, arr, g in zip(per_array, arrays, grads):

@@ -77,22 +77,26 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     np.testing.assert_array_equal(second.params.angles, full.params.angles)
 
 
-def test_per_array_moments_keep_their_layout_and_resume(tmp_path):
-    # The discriminator's Adam steps one flat vector; its checkpoint holds
-    # one moment array per weight and bias.
+def test_each_network_is_one_vector_with_one_adam_state(tmp_path):
+    # the checkpoint stores exactly the arrays training steps: the angles,
+    # the discriminator's flat vector and each optimiser's two moments
     rng = np.random.default_rng(2)
     data = rng.dirichlet(np.ones(4), size=8)
     full = train(data, TrainConfig(batch=4, epochs=10, depth=2, seed=3))
     cfg_a = TrainConfig(batch=4, epochs=6, depth=2, seed=3)
     first = train(data, cfg_a)
-    arrays = first.state.net.param_list()
-    path = tmp_path / "per_array.ckpt"
+    path = tmp_path / "flat.ckpt"
     save_checkpoint(path, cfg_a, first.state)
-    sec = read_kv(path, MAGIC)["opt_d"]
-    assert sec["n_arrays"] == "6"
-    for i, arr in enumerate(arrays):
-        for key in (f"m{i}", f"v{i}"):
-            assert sec[f"{key}.shape"] == " ".join(map(str, arr.shape))
+    sections = read_kv(path, MAGIC)
+    arrays = {f"{name}.{key[:-6]}": tuple(map(int, value.split()))
+              for name, sec in sections.items() for key, value in sec.items()
+              if key.endswith(".shape")}
+    n_disc = first.state.net.flat.size
+    assert arrays == {"generator.angles": (3, 2), "discriminator.params": (n_disc,),
+                      "opt_g.m": (3, 2), "opt_g.v": (3, 2),
+                      "opt_d.m": (n_disc,), "opt_d.v": (n_disc,)}
+    assert list(sections["discriminator"]) == ["params.shape", "params.data"]
+    assert list(sections["opt_d"]) == ["t", "m.shape", "m.data", "v.shape", "v.data"]
     _, resumed_state = load_checkpoint(path)
     second = train(data, TrainConfig(batch=4, epochs=4, depth=2, seed=3),
                    state=resumed_state)
@@ -101,6 +105,7 @@ def test_per_array_moments_keep_their_layout_and_resume(tmp_path):
     np.testing.assert_array_equal(second.params.angles, full.params.angles)
     np.testing.assert_array_equal(second.net.flat, full.net.flat)
     np.testing.assert_array_equal(second.state.opt_d.m, full.state.opt_d.m)
+    np.testing.assert_array_equal(second.state.opt_g.v, full.state.opt_g.v)
 
 
 def test_checkpoint_holds_no_fixed_constant(tmp_path):
@@ -137,15 +142,32 @@ def test_missing_file_raises_io_error(tmp_path):
 
 
 def test_fresh_state_round_trip(tmp_path):
-    # epoch 0, optimisers never stepped
-    from qbde.qgan import init_train_state
-    cfg = TrainConfig(depth=3, seed=5)
-    state = init_train_state(2, cfg)
+    # an epoch-0 checkpoint stores zero moments, and resuming from it
+    # matches an uninterrupted run bit for bit
+    rng = np.random.default_rng(4)
+    data = rng.dirichlet(np.ones(4), size=8)
+    cfg = TrainConfig(batch=4, epochs=0, depth=3, seed=5)
+    fresh = train(data, cfg).state
     path = tmp_path / "fresh.ckpt"
-    save_checkpoint(path, cfg, state)
+    save_checkpoint(path, cfg, fresh)
+    sections = read_kv(path, MAGIC)
+    for name, param in (("opt_g", fresh.params.angles), ("opt_d", fresh.net.flat)):
+        assert sections[name]["t"] == "0"
+        for key in "mv":
+            stored = _get_array(sections[name], key, param.shape)
+            assert stored.tobytes() == np.zeros(param.shape).tobytes()
     _, back = load_checkpoint(path)
-    assert back.opt_g.m is None
-    np.testing.assert_array_equal(back.params.angles, state.params.angles)
+    resumed = train(data, TrainConfig(batch=4, epochs=5, depth=3, seed=5), state=back)
+    full = train(data, TrainConfig(batch=4, epochs=5, depth=3, seed=5))
+    assert resumed.loss_g == full.loss_g and resumed.loss_d == full.loss_d
+    assert resumed.cross_entropy == full.cross_entropy
+    got, want = resumed.state, full.state
+    np.testing.assert_array_equal(got.params.angles, want.params.angles)
+    np.testing.assert_array_equal(got.net.flat, want.net.flat)
+    for a, b in ((got.opt_g, want.opt_g), (got.opt_d, want.opt_d)):
+        assert a.t == b.t
+        np.testing.assert_array_equal(a.m, b.m)
+        np.testing.assert_array_equal(a.v, b.v)
 
 
 def test_array_lines_are_little_endian_binary64_hex(tmp_path):
@@ -162,7 +184,7 @@ def test_array_lines_are_little_endian_binary64_hex(tmp_path):
     assert lines[1].endswith("0000000000000000" "0000000000000080"
                              "0100000000000000" "000000000000f03f"
                              "00000000000004c0" "182d4454fb210940")
-    back = _get_array(read_kv(path, MAGIC)[""], "a")
+    back = _get_array(read_kv(path, MAGIC)[""], "a", (2, 23))
     assert back.dtype == float and back.flags.writeable
     np.testing.assert_array_equal(back.view(np.uint64), arr.view(np.uint64))
 

@@ -20,12 +20,11 @@ from qbde.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     RunConfig,
-    _simplex_matrix,
     load_config,
     main,
 )
 from qbde.errors import ConfigError
-from qbde.features import BehaviorVector, to_simplex
+from qbde.features import N_FEATURES, BehaviorVector, to_simplex
 from qbde.qgan import init_train_state
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,7 +104,7 @@ def test_bad_lambda_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("setting", [
-    "lr_g = 0", "bde_epochs = -1", "seed = -1",
+    "lr_g = 0", "lr_g = nan", "lr_d = inf", "bde_epochs = -1", "seed = -1",
     "train_days = 0", "test_days = -1", "n_users = 0", "n_days = 0",
     "n_days = 2917921",  # one day past date.max
     "depth = 3"])  # not a setting: the circuit depth is k
@@ -161,6 +160,14 @@ def test_digest_changes_with_config():
     assert a.digest() == RunConfig().digest()
 
 
+def per_row_simplex(values):
+    """One row's projection, divided by its own 1-D sum: the oracle."""
+    scale = float(values.sum())
+    if scale <= 0.0:
+        return np.full(N_FEATURES, 1.0 / N_FEATURES)
+    return values / scale
+
+
 def test_simplex_matrix_matches_per_row_projection():
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, 1.0, (200, 16))
@@ -168,8 +175,8 @@ def test_simplex_matrix_matches_per_row_projection():
     x[[0, 7]] = 0.0  # all-zero rows map to uniform
     rows = [BehaviorVector("U0000", datetime(2020, 1, 1).date(), v.copy(), None)
             for v in x]
-    got = _simplex_matrix(rows)
-    want = np.stack([to_simplex(v)[0] for v in x])
+    got = to_simplex([row.features for row in rows])
+    want = np.stack([per_row_simplex(v) for v in x])
     assert got.tobytes() == want.tobytes()
     assert (got[[0, 7]] == 1.0 / 16).all()
     assert all((row.features == v).all() for row, v in zip(rows, x))
@@ -487,10 +494,16 @@ def _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl,
     return code, capsys.readouterr().err
 
 
+# the discriminator's flat vector for fast_flags' (16, 64, 32, 1) layers:
+# w0 (64, 16), w1 (32, 64), w2 (1, 32), then b0 (64,), b1 (32,), b2 (1,)
+N_DISC, W1_AT, W2_AT = 3201, 1024, 3072
+OPT_D = r"^({key}\.shape = 3201\n{key}\.data = \w{{{skip}}})\w{{16}}"
+
+
 @pytest.mark.parametrize("pattern, repl, key", [
-    (r"^b0\.shape = 64$", "b0.shape = -1", "b0.shape"),
-    (r"^m0\.shape = 3 4$", "m0.shape = -1 4", "opt_g.m0.shape"),
-    (r"^w1\.shape = 32 64$", "w1.shape = 0 64", "w1.shape"),
+    (r"^params\.shape = 3201$", "params.shape = -1", "discriminator.params.shape"),
+    (r"^m\.shape = 3 4$", "m.shape = -1 4", "opt_g.m.shape"),
+    (r"^angles\.shape = 3 4$", "angles.shape = 0 4", "generator.angles.shape"),
 ], ids=["negative", "negative-moment", "zero"])
 def test_checkpoint_with_non_positive_dimension_is_validation_error(
         tmp_path, capsys, pattern, repl, key):
@@ -502,8 +515,8 @@ def test_checkpoint_with_non_positive_dimension_is_validation_error(
 @pytest.mark.parametrize("argv", [("detect",), ("train", "--resume")],
                          ids=["detect", "resume"])
 @pytest.mark.parametrize("pattern, repl, key", [
-    (r"^n_layers = 3$", "n_layers = 0", "discriminator.n_layers"),
-    (r"^n_layers = 3$", "n_layers = -1", "discriminator.n_layers"),
+    (r"^hidden = 64 32$", "hidden = ", "discriminator.params.shape = (3201,), want (17,)"),
+    (r"^hidden = 64 32$", "hidden = 64 -32", "hidden layer sizes must be >= 1"),
     (r"^state = \d+$", "state = -1", "rng.state"),
     (r"^state = \d+$", f"state = {2**128}", "rng.state"),
     (r"^inc = \d+$", "inc = -1", "rng.inc"),
@@ -512,14 +525,17 @@ def test_checkpoint_with_non_positive_dimension_is_validation_error(
     (r"^has_uint32 = \d+$", f"has_uint32 = {10**40}", "rng.has_uint32"),
     (r"^t = \d+$", "t = -1", "opt_g.t"),
     (r"^epoch = \d+$", "epoch = -1", "meta.epoch"),
-    (r"^depth = 2$", "depth = 3", "disagree with [config]"),
-    (r"^hidden = 64 32$", "hidden = 16 32", "disagree with [config]"),
-    (r"^qbde-ckpt-v3$", "qbde-ckpt-v1", "qgan.ckpt: not a qbde-ckpt-v3 file"),
-    (r"^qbde-ckpt-v3$", "qbde-ckpt-v2", "qgan.ckpt: not a qbde-ckpt-v3 file"),
+    (r"^n_qubits = 4$", "n_qubits = 13", "generator.n_qubits"),
+    (r"^depth = 2$", "depth = 3", "generator.angles.shape = (3, 4), want (4, 4)"),
+    (r"^hidden = 64 32$", "hidden = 16 32",
+     f"discriminator.params.shape = ({N_DISC},), want (849,)"),
+    (r"^qbde-ckpt-v4$", "qbde-ckpt-v1", "qgan.ckpt: not a qbde-ckpt-v4 file"),
+    (r"^qbde-ckpt-v4$", "qbde-ckpt-v2", "qgan.ckpt: not a qbde-ckpt-v4 file"),
+    (r"^qbde-ckpt-v4$", "qbde-ckpt-v3", "qgan.ckpt: not a qbde-ckpt-v4 file"),
 ], ids=["no-layers", "negative-layers", "negative-state", "huge-state",
         "negative-inc", "huge-inc", "negative-uinteger", "huge-has_uint32",
-        "negative-adam-step", "negative-epoch", "config-depth", "config-hidden",
-        "v1-format", "v2-format"])
+        "negative-adam-step", "negative-epoch", "huge-n_qubits", "config-depth",
+        "config-hidden", "v1-format", "v2-format", "v3-format"])
 def test_checkpoint_with_out_of_range_value_is_validation_error(
         tmp_path, capsys, pattern, repl, key, argv):
     code, err = _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl,
@@ -529,11 +545,11 @@ def test_checkpoint_with_out_of_range_value_is_validation_error(
 
 
 @pytest.mark.parametrize("pattern, repl, key", [
-    (r"^m3\.shape = 64\nm3\.data = .*$", "m3.shape = 1\nm3.data = " + ZERO,
-     "opt_d.m3.shape"),
-    (r"^v0\.shape = 3 4\nv0\.data = .*$", "v0.shape = 12\nv0.data = "
-     + ZERO * 12, "opt_g.v0.shape"),
-], ids=["opt_d-m3", "opt_g-v0-flattened"])
+    (r"^m\.shape = 3201\nm\.data = .*$", "m.shape = 1\nm.data = " + ZERO,
+     "opt_d.m.shape"),
+    (r"^v\.shape = 3 4\nv\.data = .*$", "v.shape = 12\nv.data = "
+     + ZERO * 12, "opt_g.v.shape"),
+], ids=["opt_d-m", "opt_g-v-flattened"])
 def test_checkpoint_moment_shape_mismatch_is_validation_error(
         tmp_path, capsys, pattern, repl, key):
     code, err = _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl)
@@ -544,17 +560,18 @@ def test_checkpoint_moment_shape_mismatch_is_validation_error(
 @pytest.mark.parametrize("argv", [("detect",), ("train", "--resume")],
                          ids=["detect", "resume"])
 @pytest.mark.parametrize("pattern, repl, key", [
-    (r"^(w1\.data = .*).$", r"\1", "discriminator.w1.data"),
-    (r"^(b0\.data = \w{5})\w", r"\1g", "discriminator.b0.data"),
-    (r"^(m0\.data = .*)\w{16}$", r"\1", "opt_g.m0.data"),
-    (r"^(v1\.data = .*)$", r"\g<1>" + ZERO, "opt_d.v1.data"),
-    (r"^(w0\.data = )\w{16}", r"\g<1>" + INF, "discriminator.w0.data"),
-    (r"^(b2\.data = )\w{16}", r"\g<1>" + INF, "discriminator.b2.data"),
-    (r"^(w2\.data = \w{32})\w{16}", r"\g<1>" + NAN, "discriminator.w2.data"),
-    (r"^(m0\.data = )\w{16}", r"\g<1>" + INF, "opt_g.m0.data"),
-    (r"^(m2\.data = )\w{16}", r"\g<1>" + MINUS_INF, "opt_d.m2.data"),
-    (r"^(v1\.data = )\w{16}", r"\g<1>" + INF, "opt_d.v1.data"),
-    (r"^(v0\.data = )\w{16}", r"\g<1>" + MINUS_ONE, "opt_g.v0.data"),
+    (r"^(params\.data = .*).$", r"\1", "discriminator.params.data"),
+    (r"^(params\.data = \w{5})\w", r"\1g", "discriminator.params.data"),
+    (r"^(m\.data = .*)\w{16}$", r"\1", "opt_g.m.data"),
+    (r"^(v\.shape = 3201\nv\.data = .*)$", r"\g<1>" + ZERO, "opt_d.v.data"),
+    (r"^(params\.data = )\w{16}", r"\g<1>" + INF, "discriminator.params.data"),
+    (r"^(params\.data = .*)\w{16}$", r"\g<1>" + INF, "discriminator.params.data"),
+    (rf"^(params\.data = \w{{{16 * (W2_AT + 1)}}})\w{{16}}", r"\g<1>" + NAN,
+     "discriminator.params.data"),
+    (r"^(m\.data = )\w{16}", r"\g<1>" + INF, "opt_g.m.data"),
+    (OPT_D.format(key="m", skip=16 * W2_AT), r"\g<1>" + MINUS_INF, "opt_d.m.data"),
+    (OPT_D.format(key="v", skip=16 * W1_AT), r"\g<1>" + INF, "opt_d.v.data"),
+    (r"^(v\.data = )\w{16}", r"\g<1>" + MINUS_ONE, "opt_g.v.data"),
     (r"^(angles\.data = )\w{16}", r"\g<1>" + NAN, "generator.angles.data"),
 ], ids=["digit-short", "non-hex", "value-short", "value-long", "inf-w0",
         "inf-b2", "nan-w2", "inf-opt_g-m0", "minus-inf-opt_d-m2",
@@ -562,7 +579,8 @@ def test_checkpoint_moment_shape_mismatch_is_validation_error(
 def test_checkpoint_with_bad_array_data_is_validation_error(
         tmp_path, capsys, pattern, repl, key, argv):
     # before, a non-finite weight or moment loaded, and resumed training
-    # wrote nan or clamped losses, or froze the weights
+    # wrote nan or clamped losses, or froze the weights; each id names the
+    # layer (w0 .. b2) or moment whose part of the vector is tampered with
     code, err = _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl,
                                               argv)
     assert code == EXIT_VALIDATION
@@ -570,10 +588,12 @@ def test_checkpoint_with_bad_array_data_is_validation_error(
 
 
 def test_checkpoint_moment_count_mismatch_is_validation_error(tmp_path, capsys):
+    # one moment value fewer than the discriminator has parameters
     code, err = _run_with_tampered_checkpoint(
-        tmp_path, capsys, r"^n_arrays = 6$", "n_arrays = 5")
+        tmp_path, capsys, r"^m\.shape = 3201\nm\.data = (.*)\w{16}$",
+        r"m.shape = 3200\nm.data = \1")
     assert code == EXIT_VALIDATION
-    assert "opt_d.n_arrays" in err
+    assert f"opt_d.m.shape = (3200,), want ({N_DISC},)" in err
 
 
 def _oversize_field(path, line, column):

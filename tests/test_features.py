@@ -205,9 +205,12 @@ def test_extract_sorted_and_order_independent(tmp_path):
 
 
 def test_parse_working_hours_formats():
-    assert parse_working_hours("08:00-18:00") == parse_working_hours((8, 18))
-    with pytest.raises(ValueError):
-        parse_working_hours("18:00-08:00")
+    assert parse_working_hours("08:00-18:00") == (time(8, 0), time(18, 0))
+    assert parse_working_hours(" 09:30 - 17:15 ") == (time(9, 30), time(17, 15))
+    for bad in ("18:00-08:00", "08:00", "08:00-12:00-18:00", "08:00-25:00",
+                "8h-18h", (8, 18), ("08:00", "18:00")):
+        with pytest.raises(ValueError):
+            parse_working_hours(bad)
 
 
 # --------------------------------------------------------------------------
@@ -278,25 +281,25 @@ def test_normalize_is_idempotent_on_training_stats():
 
 def test_to_simplex_contract():
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        v = rng.uniform(0, 1, N_FEATURES)
-        p, scale = to_simplex(v)
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(p >= 0)
-        assert scale == pytest.approx(v.sum())
+    x = rng.uniform(0, 1, (50, N_FEATURES))
+    keep = x.copy()
+    p = to_simplex(x)
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(p >= 0)
+    np.testing.assert_allclose(p * x.sum(axis=1, keepdims=True), x, rtol=1e-12)
+    assert x.tobytes() == keep.tobytes()  # the input is left as it was
+    for bad in (np.zeros(N_FEATURES), np.zeros((2, N_FEATURES - 1))):
+        with pytest.raises(ValueError):
+            to_simplex(bad)
 
 
 def test_to_simplex_degenerate_and_point_mass():
-    p, scale = to_simplex(np.zeros(N_FEATURES))
-    np.testing.assert_allclose(p, np.full(N_FEATURES, 1 / N_FEATURES))
-    assert scale == 0.0
-    v = np.zeros(N_FEATURES)
-    v[0] = 1.0
-    p, _ = to_simplex(v)
-    assert p[0] == 1.0
-    p, scale = to_simplex(np.full(N_FEATURES, 0.5))
-    np.testing.assert_allclose(p, np.full(N_FEATURES, 1 / N_FEATURES))
-    assert scale == 8.0
+    point = np.zeros(N_FEATURES)
+    point[0] = 1.0
+    p = to_simplex([np.zeros(N_FEATURES), point, np.full(N_FEATURES, 0.5)])
+    np.testing.assert_array_equal(p[0], np.full(N_FEATURES, 1 / N_FEATURES))
+    np.testing.assert_array_equal(p[1], point)
+    np.testing.assert_allclose(p[2], np.full(N_FEATURES, 1 / N_FEATURES))
 
 
 # --------------------------------------------------------------------------
@@ -706,7 +709,7 @@ def oracle_parse_logs(log_dir):
     return events, report
 
 
-def oracle_extract_daily(events, working_hours=("08:00", "18:00")):
+def oracle_extract_daily(events, working_hours="08:00-18:00"):
     start, end = parse_working_hours(working_hours)
     table = {}
     for ev in events:
@@ -725,7 +728,7 @@ def oracle_extract_daily(events, working_hours=("08:00", "18:00")):
             for user, day in sorted(table)]
 
 
-def assert_matches_oracle(log_dir, working_hours=("08:00", "18:00")):
+def assert_matches_oracle(log_dir, working_hours="08:00-18:00"):
     """parse_logs and extract_daily agree with the oracle: report counts,
     every event in order, and the features CSV byte for byte."""
     want_events, want_report = oracle_parse_logs(log_dir)
@@ -846,8 +849,8 @@ def log_lines(draw, source):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(logs=st.fixed_dictionaries({s: log_lines(s) for s in LOG_COLUMNS}),
        working_hours=st.sampled_from([
-           "08:00-18:00", "00:00-23:59", "09:30-17:15", (0, 23),
-           (time(8, 0, 0, 1), time(18, 0, 0, 500000))]))
+           "08:00-18:00", "00:00-23:59", "09:30-17:15", "00:00-23:00",
+           "08:01-18:00"]))
 def test_parse_and_extract_match_per_event_oracle(logs, working_hours):
     with tempfile.TemporaryDirectory() as tmp:
         for source, lines in logs.items():

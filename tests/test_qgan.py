@@ -368,7 +368,7 @@ def test_train_steps_one_flat_discriminator_vector_like_per_array_adam():
     cfg = TrainConfig(batch=5, epochs=4, depth=3, seed=6, hidden=(12, 7))
     trace = train(data, cfg)
     ref = init_train_state(4, cfg)
-    opts_d = [Adam(cfg.lr_d) for _ in ref.net.param_list()]
+    opts_d = [Adam(cfg.lr_d, arr) for arr in ref.net.param_list()]
     for _ in range(cfg.epochs):
         order = ref.rng.permutation(len(data))
         for start in range(0, len(data), cfg.batch):
@@ -396,6 +396,53 @@ def test_net_arrays_are_views_of_the_flat_vector():
         np.concatenate([a.ravel() for a in net.param_list()]), net.flat)
     net.weights[1][0, 0] = -1.0
     assert -1.0 in net.flat
+
+
+def test_net_is_built_from_its_layer_sizes_and_one_vector():
+    rng = np.random.default_rng(24)
+    net = DiscriminatorNet.create(8, (6, 5), rng)
+    # He weights layer by layer, as one draw per weight matrix makes them
+    rng = np.random.default_rng(24)
+    want = [rng.normal(0.0, math.sqrt(2.0 / n_in), size=(n_out, n_in))
+            for n_in, n_out in ((8, 6), (6, 5), (5, 1))]
+    assert net.layer_sizes == [8, 6, 5, 1] and net.n_inputs == 8
+    assert net.flat.size == DiscriminatorNet.n_params([8, 6, 5, 1]) == 54 + 35 + 6
+    for got, w in zip(net.weights, want, strict=True):
+        assert got.tobytes() == w.tobytes()
+    assert not np.concatenate(net.biases).any()
+    flat = net.flat.copy()
+    rebuilt = DiscriminatorNet([8, 6, 5, 1], flat)
+    assert rebuilt.flat is flat
+    for a, b in zip(rebuilt.param_list(), net.param_list(), strict=True):
+        np.testing.assert_array_equal(a, b)
+    with pytest.raises(ValueError):
+        DiscriminatorNet([8, 6, 5, 1], flat[:-1])
+    with pytest.raises(ValueError):
+        DiscriminatorNet([8, 6, 2], np.zeros(DiscriminatorNet.n_params([8, 6, 2])))
+    with pytest.raises(ValueError):
+        DiscriminatorNet([8], np.zeros(0))
+
+
+@pytest.mark.parametrize("lr", [0.0, -0.1, math.inf, math.nan])
+def test_learning_rate_must_be_finite_and_positive(lr):
+    with pytest.raises(ValueError):
+        Adam(lr, np.zeros(3))
+    with pytest.raises(ValueError):
+        TrainConfig(lr_g=lr)
+    with pytest.raises(ValueError):
+        TrainConfig(lr_d=lr)
+
+
+def test_adam_moments_start_at_zero_shaped_like_the_param():
+    param = np.ones((3, 2))
+    opt = Adam(0.1, param)
+    assert opt.t == 0
+    assert opt.m.shape == opt.v.shape == (3, 2)
+    assert not opt.m.any() and not opt.v.any()
+    grad = np.arange(6.0).reshape(3, 2)
+    opt.step(param, grad)
+    assert opt.m.tobytes() == ((1.0 - 0.9) * grad).tobytes()
+    assert opt.v.tobytes() == ((1.0 - 0.999) * grad * grad).tobytes()
 
 
 def test_train_loads_point_mass_target():
