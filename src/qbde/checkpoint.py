@@ -14,7 +14,8 @@ the file stores exactly that: ``[generator]`` the ``angles``,
 ``[discriminator]`` the flat ``params``, and ``[opt_g]`` and ``[opt_d]``
 each the step count ``t`` and the moments ``m`` and ``v``, shaped like the
 array the optimiser steps.  Every shape must be the one ``[config]`` and
-``n_qubits`` imply, every value finite, and Adam second moments >= 0.
+``n_qubits`` imply, every value finite, Adam second moments >= 0, and
+step counts and the epoch below ``COUNT_LIMIT``.
 With the train config, seed and RNG state, that is what makes a resumed
 run indistinguishable from an uninterrupted one.  Earlier formats are
 refused: ``qbde-ckpt-v1`` (also stored settings that are now constants),
@@ -38,6 +39,10 @@ from .qgan import DiscriminatorNet, TrainConfig, TrainState
 from .qsim import MAX_QUBITS, GeneratorParams
 
 MAGIC = "qbde-ckpt-v4"
+# Adam step counts and epochs stay in the signed 64-bit range: far beyond
+# any run, and far below the ~1e308 at which Adam's ``BETA1**t`` can no
+# longer turn t into a float
+COUNT_LIMIT = 2**63
 
 
 # [config] holds TrainConfig's fields in their declared order
@@ -191,7 +196,7 @@ def _get_array(sec: Section, key: str, want: tuple[int, ...],
     return data
 
 
-def _get_int(sec: Section, key: str, lo: int, hi: float) -> int:
+def _get_int(sec: Section, key: str, lo: int, hi: int) -> int:
     value = int(sec[key])
     if not lo <= value < hi:
         raise SchemaError(f"{sec.where}{key} = {value}, want {lo}..{hi - 1}")
@@ -206,7 +211,7 @@ def _get_adam(sec: Section, lr: float, param: np.ndarray) -> Adam:
     """The optimiser stepping ``param``: its step count and its moments,
     each shaped like ``param``."""
     opt = Adam(lr, param)
-    opt.t = _get_int(sec, "t", 0, np.inf)
+    opt.t = _get_int(sec, "t", 0, COUNT_LIMIT)
     opt.m = _get_array(sec, "m", param.shape)
     opt.v = _get_array(sec, "v", param.shape, nonnegative=True)
     return opt
@@ -266,7 +271,7 @@ def load_checkpoint(path: str | Path) -> tuple[TrainConfig, TrainState]:
             "uinteger": _get_int(r, "uinteger", 0, 2**32),
         }
 
-        epoch = _get_int(sec["meta"], "epoch", 0, np.inf)
+        epoch = _get_int(sec["meta"], "epoch", 0, COUNT_LIMIT)
     except (ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed field ({exc})") from exc
     return cfg, TrainState(params, net, opt_g, opt_d, rng, epoch)

@@ -15,7 +15,8 @@ class Adam:
 
     The moments start at zero, shaped like ``param``, the array this
     optimiser steps.  Moments and the step counter are plain attributes so
-    training state can be checkpointed and restored exactly.
+    training state can be checkpointed and restored exactly.  A step
+    writes its intermediates into two scratch arrays of the same shape.
     """
 
     def __init__(self, lr: float, param: np.ndarray):
@@ -25,13 +26,28 @@ class Adam:
         self.t = 0
         self.m = np.zeros(np.shape(param))
         self.v = np.zeros(np.shape(param))
+        self._a = np.empty(np.shape(param))
+        self._b = np.empty(np.shape(param))
 
     def step(self, param: np.ndarray, grad: np.ndarray) -> None:
+        """``m`` and ``v`` move towards ``grad`` and ``grad**2``, then
+        ``param -= lr * (m / c1) / (sqrt(v / c2) + EPS)`` with the bias
+        corrections c1, c2, each product and quotient in that order."""
         self.t += 1
         corr1 = 1.0 - BETA1**self.t
         corr2 = 1.0 - BETA2**self.t
+        a, b = self._a, self._b
+        np.multiply(grad, 1.0 - BETA1, out=a)
         self.m *= BETA1
-        self.m += (1.0 - BETA1) * grad
+        self.m += a
+        np.multiply(grad, 1.0 - BETA2, out=a)
+        a *= grad
         self.v *= BETA2
-        self.v += (1.0 - BETA2) * grad * grad
-        param -= self.lr * (self.m / corr1) / (np.sqrt(self.v / corr2) + EPS)
+        self.v += a
+        np.divide(self.m, corr1, out=a)
+        a *= self.lr
+        np.divide(self.v, corr2, out=b)
+        np.sqrt(b, out=b)
+        b += EPS
+        a /= b
+        param -= a

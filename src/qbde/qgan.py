@@ -102,55 +102,120 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _forward(net: DiscriminatorNet, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Batched forward pass; returns clamped outputs and a backprop cache."""
+class _Pass:
+    """Buffers of one forward and backward pass of ``net`` over ``rows``
+    input rows, allocated once and overwritten by every pass: the input
+    ``x``, each layer's pre-activation, each hidden layer's leaky slope (1
+    or ``LEAK``) and activation, the output gradient ``dz_out`` to
+    backprop, the gradient at each layer's input, and the parameter
+    gradient ``grad``, laid out like ``net.flat``.  ``hidden``, ``out``
+    and ``back`` group them per layer in the order the passes use them."""
+
+    def __init__(self, net: DiscriminatorNet, rows: int):
+        sizes = net.layer_sizes
+        self.x = np.empty((rows, sizes[0]))
+        self.dz_out = np.empty(rows)
+        self.grad = np.empty_like(net.flat)
+        z = [np.empty((rows, n)) for n in sizes[1:]]     # the last is (rows, 1)
+        slope = [np.empty((rows, n)) for n in sizes[1:-1]]
+        post = [self.x, *(np.empty((rows, n)) for n in sizes[1:-1])]
+        da = [np.empty((rows, n)) for n in sizes[:-1]]
+        w_t = [w.T for w in net.weights]
+        self.hidden = list(zip(post, w_t, net.biases, z, slope, post[1:]))
+        self.out = post[-1], w_t[-1], net.biases[-1], z[-1]
+        # top layer first: input, weight, gradients, slope below (None at 0)
+        self.back = list(zip(post, net.weights, *net.split(self.grad), da,
+                             [None, *slope]))[::-1]
+
+
+def _rows(net: DiscriminatorNet, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != net.n_inputs:
         raise ValueError(f"expected input length {net.n_inputs}, got {x.shape[1]}")
-    pre, post = [], [x]
-    a = x
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = a.dot(w.T) + b
-        a = np.where(z > 0, z, LEAK * z)
-        pre.append(z)
-        post.append(a)
-    z_out = (a.dot(net.weights[-1].T) + net.biases[-1]).ravel()
-    y_raw = _sigmoid(z_out)
-    y = np.clip(y_raw, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
-    return y, {"pre": pre, "post": post, "y_raw": y_raw}
+    return x
 
 
-def _backward(net: DiscriminatorNet, cache: dict,
-              dz_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop from the output pre-activation gradient ``dz_out`` (one per
-    sample) to the parameter gradient, laid out like ``net.flat``, and the
-    input gradient."""
-    pre, post = cache["pre"], cache["post"]
-    grad = np.empty_like(net.flat)
-    dw, db = net.split(grad)
-    dz = dz_out[:, None]
-    for i in range(len(net.weights) - 1, -1, -1):
-        np.dot(dz.T, post[i], out=dw[i])
-        dz.sum(axis=0, out=db[i])
-        da = dz.dot(net.weights[i])
-        if i:
-            dz = da * np.where(pre[i - 1] > 0, 1.0, LEAK)
-    return grad, da
+def _clamp(y_raw: np.ndarray) -> np.ndarray:
+    """The outputs clamped to [SIGMOID_CLAMP, 1 - SIGMOID_CLAMP] for logs."""
+    return np.minimum(np.maximum(y_raw, SIGMOID_CLAMP), 1.0 - SIGMOID_CLAMP)
 
 
-def _input_grad(net: DiscriminatorNet, cache: dict,
-                dz_out: np.ndarray) -> np.ndarray:
-    """The input gradient of ``_backward`` without the parameter gradient."""
-    da = dz_out[:, None].dot(net.weights[-1])
-    for i in range(len(net.weights) - 2, -1, -1):
-        da = (da * np.where(cache["pre"][i] > 0, 1.0, LEAK)).dot(net.weights[i])
+def _forward(p: _Pass) -> np.ndarray:
+    """Forward pass over ``p.x``; returns the unclamped outputs.  A hidden
+    activation is z * slope, which is z where z > 0 and LEAK * z elsewhere."""
+    for a, w_t, b, z, slope, out in p.hidden:
+        np.dot(a, w_t, out=z)
+        z += b
+        np.greater(z, 0.0, out=slope)
+        np.maximum(slope, LEAK, out=slope)
+        np.multiply(z, slope, out=out)
+    a, w_t, b, z = p.out
+    np.dot(a, w_t, out=z)
+    z += b
+    return _sigmoid(z.ravel())
+
+
+def _backward(p: _Pass) -> np.ndarray:
+    """Backprop ``p.dz_out``, the gradient at the output pre-activation
+    (one per row), into ``p.grad``, which it returns."""
+    dz = p.dz_out[:, None]
+    for a, w, dw, db, da, slope in p.back:
+        np.dot(dz.T, a, out=dw)
+        np.add.reduce(dz, axis=0, out=db)
+        if slope is not None:
+            dz = np.dot(dz, w, out=da)
+            dz *= slope
+    return p.grad
+
+
+def _input_grad(p: _Pass) -> np.ndarray:
+    """The input gradient ``_backward`` would reach, without the parameter
+    gradient."""
+    da = p.dz_out[:, None]
+    for _, w, _, _, out, slope in p.back:
+        da = np.dot(da, w, out=out)
+        if slope is not None:
+            da *= slope
     return da
+
+
+def _adversarial_grads(p: _Pass, m: int) -> tuple[float, float]:
+    """``loss_d`` and ``loss_g`` of a batch whose ``p.x`` holds the m real
+    rows and then the generated row, standing for m identical fake rows;
+    the discriminator gradient goes into ``p.grad``."""
+    y_raw = _forward(p)
+    y = _clamp(y_raw)
+    # the mean over the real rows is their sum over m, as np.mean forms it
+    ld = float(-(np.add.reduce(np.log(y[:m])) / m) - np.log(1.0 - y[m]))
+    lg = float(-np.log(y[m]))
+    # d(-log s(z))/dz = s(z) - 1;  d(-log(1 - s(z)))/dz = s(z)
+    dz_real = np.subtract(y_raw[:m], 1.0, out=p.dz_out[:m])
+    dz_real /= m
+    p.dz_out[m] = y_raw[m]
+    _backward(p)
+    return ld, lg
+
+
+def _gen_grads(params: GeneratorParams, p: _Pass,
+               amplitudes: np.ndarray) -> np.ndarray:
+    """``gen_grads`` where ``p`` is a one-row pass whose ``x`` holds
+    ``probabilities(amplitudes)``."""
+    np.subtract(_forward(p), 1.0, out=p.dz_out)
+    return adjoint_gradient(params, amplitudes, _input_grad(p)[0])
+
+
+def _forward_rows(net: DiscriminatorNet, x: np.ndarray) -> tuple[np.ndarray, _Pass]:
+    """Unclamped outputs of a pass over the rows ``x`` (checked), and the pass."""
+    x = _rows(net, x)
+    p = _Pass(net, len(x))
+    p.x[...] = x
+    return _forward(p), p
 
 
 def disc_forward(net: DiscriminatorNet, x: np.ndarray) -> float:
     """Probability the discriminator assigns to one input being real."""
-    y, _ = _forward(net, np.asarray(x, dtype=float).reshape(1, -1))
-    return float(y[0])
+    y_raw, _ = _forward_rows(net, np.asarray(x, dtype=float).reshape(1, -1))
+    return float(_clamp(y_raw)[0])
 
 
 def generator_output(params: GeneratorParams) -> np.ndarray:
@@ -163,20 +228,25 @@ def loss_g(net: DiscriminatorNet, generated: np.ndarray) -> float:
     generated = np.atleast_2d(generated)
     if generated.shape[0] == 0:
         raise ValueError("generated batch must be non-empty")
-    y, _ = _forward(net, generated)
-    return float(-np.mean(np.log(y)))
+    y_raw, _ = _forward_rows(net, generated)
+    return float(-np.mean(np.log(_clamp(y_raw))))
 
 
-def loss_d(net: DiscriminatorNet, real: np.ndarray, generated: np.ndarray) -> float:
-    """-(1/m) sum [log D(x) + log(1 - D(g))] over paired batches."""
+def _paired(real: np.ndarray, generated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     real = np.atleast_2d(real)
     generated = np.atleast_2d(generated)
     if real.shape[0] != generated.shape[0]:
         raise ValueError("real and generated batch sizes must match")
+    return real, generated
+
+
+def loss_d(net: DiscriminatorNet, real: np.ndarray, generated: np.ndarray) -> float:
+    """-(1/m) sum [log D(x) + log(1 - D(g))] over paired batches."""
+    real, generated = _paired(real, generated)
     if real.shape[0] == 0:
         raise ValueError("batches must be non-empty")
-    y_real, _ = _forward(net, real)
-    y_gen, _ = _forward(net, generated)
+    y_real = _clamp(_forward_rows(net, real)[0])
+    y_gen = _clamp(_forward_rows(net, generated)[0])
     return float(-np.mean(np.log(y_real)) - np.mean(np.log(1.0 - y_gen)))
 
 
@@ -186,17 +256,14 @@ def disc_grads(net: DiscriminatorNet, real: np.ndarray,
 
     The clamp only guards the logs; gradients follow the plain sigmoid.
     """
-    real = np.atleast_2d(real)
-    generated = np.atleast_2d(generated)
-    if real.shape[0] != generated.shape[0]:
-        raise ValueError("real and generated batch sizes must match")
+    real, generated = _paired(real, generated)
     m = real.shape[0]
-    _, cache_r = _forward(net, real)
-    _, cache_g = _forward(net, generated)
+    y_real, p_real = _forward_rows(net, real)
+    y_gen, p_gen = _forward_rows(net, generated)
     # d(-log s(z))/dz = s(z) - 1;  d(-log(1 - s(z)))/dz = s(z)
-    grad_r, _ = _backward(net, cache_r, (cache_r["y_raw"] - 1.0) / m)
-    grad_g, _ = _backward(net, cache_g, cache_g["y_raw"] / m)
-    return net.split(grad_r + grad_g)
+    p_real.dz_out[:] = (y_real - 1.0) / m
+    p_gen.dz_out[:] = y_gen / m
+    return net.split(_backward(p_real) + _backward(p_gen))
 
 
 def adversarial_grads(net: DiscriminatorNet, real: np.ndarray,
@@ -205,17 +272,15 @@ def adversarial_grads(net: DiscriminatorNet, real: np.ndarray,
     of one batch whose m fake rows are all the one generator output
     ``generated``: one forward and one backward pass over the m real rows
     and that row, whose means over m rows are its own."""
-    real = np.atleast_2d(real)
+    real = _rows(net, real)
     if real.shape[0] == 0:
         raise ValueError("batches must be non-empty")
     m = real.shape[0]
-    y, cache = _forward(net, np.vstack([real, generated]))
-    ld = float(-np.mean(np.log(y[:m])) - np.log(1.0 - y[m]))
-    lg = float(-np.log(y[m]))
-    # d(-log s(z))/dz = s(z) - 1;  d(-log(1 - s(z)))/dz = s(z)
-    y_raw = cache["y_raw"]
-    grad, _ = _backward(net, cache, np.append((y_raw[:m] - 1.0) / m, y_raw[m]))
-    return ld, lg, grad
+    p = _Pass(net, m + 1)
+    p.x[:m] = real
+    p.x[m] = generated
+    ld, lg = _adversarial_grads(p, m)
+    return ld, lg, p.grad
 
 
 def gen_grads(params: GeneratorParams, net: DiscriminatorNet,
@@ -228,9 +293,9 @@ def gen_grads(params: GeneratorParams, net: DiscriminatorNet,
     """
     if amplitudes is None:
         amplitudes = run_generator_circuit(params)
-    _, cache = _forward(net, probabilities(amplitudes))
-    dx = _input_grad(net, cache, cache["y_raw"] - 1.0)
-    return adjoint_gradient(params, amplitudes, dx[0])
+    p = _Pass(net, 1)
+    p.x[0] = _rows(net, probabilities(amplitudes))[0]
+    return _gen_grads(params, p, amplitudes)
 
 
 def cross_entropy_to_target(generated: np.ndarray, target: np.ndarray) -> float:
@@ -334,7 +399,9 @@ def train(real_data: np.ndarray, cfg: TrainConfig,
     updated discriminator.  Recorded losses are the values seen before the
     updates of each batch; the cross-entropy column compares the generator
     to the data mean after each epoch.  Passing a ``state`` resumes a
-    previous run and is bit-identical to never having stopped.
+    previous run and is bit-identical to never having stopped.  A batch
+    step runs the helpers behind ``adversarial_grads`` and ``gen_grads``
+    on buffers allocated once per call, with the data checked on entry.
     """
     data = np.atleast_2d(np.asarray(real_data, dtype=float))
     if data.size == 0:
@@ -353,21 +420,29 @@ def train(real_data: np.ndarray, cfg: TrainConfig,
     n_rows = data.shape[0]
     iters = math.ceil(n_rows / cfg.batch)
     trace = TrainTrace(state=state)
+    # one pass per batch size (a full one and a shorter last one): the m
+    # real rows and the generated row; then the generated row on its own
+    passes = {m: _Pass(state.net, m + 1)
+              for m in {min(cfg.batch, n_rows), n_rows - (iters - 1) * cfg.batch}}
+    gen = _Pass(state.net, 1)
 
     for _ in range(cfg.epochs):
         order = state.rng.permutation(n_rows)
         lg_sum = 0.0
         ld_sum = 0.0
         for start in range(0, n_rows, cfg.batch):
-            batch = data[order[start:start + cfg.batch]]
+            rows = order[start:start + cfg.batch]
+            p = passes[len(rows)]
             amplitudes = run_generator_circuit(state.params)
-            ld, lg, grad_d = adversarial_grads(state.net, batch,
-                                               probabilities(amplitudes))
+            np.take(data, rows, axis=0, out=p.x[:-1])
+            np.square(amplitudes, out=gen.x[0])   # probabilities(amplitudes)
+            p.x[-1] = gen.x[0]
+            ld, lg = _adversarial_grads(p, len(rows))
             ld_sum += ld
             lg_sum += lg
-            state.opt_d.step(state.net.flat, grad_d)
-            grad = gen_grads(state.params, state.net, amplitudes)
-            state.opt_g.step(state.params.angles, grad)
+            state.opt_d.step(state.net.flat, p.grad)
+            state.opt_g.step(state.params.angles,
+                             _gen_grads(state.params, gen, amplitudes))
         state.epoch += 1
         trace.loss_g.append(lg_sum / iters)
         trace.loss_d.append(ld_sum / iters)

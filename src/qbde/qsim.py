@@ -96,18 +96,35 @@ def _layers(n: int, raw: bytes) -> np.ndarray:
     return mats
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: the caches hand them to every caller."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=8)
 def _tables(n: int, n_layers: int) -> tuple[np.ndarray, ...]:
     """Gathers and signs that build the layers from each row's (cos, sin)
     pairs.  RY(t).T = [[c, s], [-s, c]], so the Kronecker product of a row
     holds at (i, j) c_q where bit q of i and j agree, else s_q, negated per
-    qubit that is 1 in i and 0 in j; layers 1..depth also take CZ signs."""
+    qubit that is 1 in i and 0 in j; layers 1..depth also take CZ signs.
+    Cached, read-only."""
     idx = np.arange(2**n)
     bits = (idx >> np.arange(n - 1, -1, -1)[:, None]) & 1   # qubit q in row q-1
     sign = np.prod(1.0 - 2.0 * (bits[:, :, None] & 1 - bits[:, None, :]), axis=0)
     signs = np.repeat([sign, entangler_signs(n)[:, None] * sign],
                       [1, n_layers - 1], axis=0)
-    return 2 * np.arange(n)[:, None] + bits, idx[:, None] ^ idx, signs
+    return _frozen(2 * np.arange(n)[:, None] + bits, idx[:, None] ^ idx, signs)
+
+
+@lru_cache(maxsize=None)
+def _flips(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Y_q as a gather and a sign per qubit (row q-1): (Y_q psi)_i is
+    sign[q-1, i] * psi[flip[q-1, i]].  Cached, read-only."""
+    idx = np.arange(2**n)
+    bits = 1 << np.arange(n - 1, -1, -1)[:, None]
+    return _frozen(idx ^ bits, np.where(idx & bits, 1.0, -1.0))
 
 
 def run_generator_circuit(params: GeneratorParams) -> np.ndarray:
@@ -138,12 +155,11 @@ def adjoint_gradient(params: GeneratorParams, amplitudes: np.ndarray,
     n, depth = params.n_qubits, params.depth
     mats = _layers(n, params.angles.tobytes())
     pairs = np.empty((depth + 1, 2, 2**n))  # (state, adjoint) before each layer
-    pairs[depth] = amplitudes, np.asarray(dp, dtype=float) * amplitudes
+    pairs[depth, 0] = amplitudes
+    np.multiply(dp, amplitudes, out=pairs[depth, 1])
     for layer in range(depth, 0, -1):
-        pairs[layer - 1] = pairs[layer].dot(mats[layer].T)
-    idx = np.arange(2**n)
-    bits = 1 << np.arange(n - 1, -1, -1)[:, None]       # qubit q in row q-1
-    flip, flip_sign = idx ^ bits, np.where(idx & bits, 1.0, -1.0)   # Y_q
+        np.dot(pairs[layer], mats[layer].T, out=pairs[layer - 1])
+    flip, flip_sign = _flips(n)
     return ((flip_sign * pairs[:, 0, flip]) @ pairs[:, 1, :, None])[..., 0]
 
 

@@ -525,6 +525,9 @@ def test_checkpoint_with_non_positive_dimension_is_validation_error(
     (r"^has_uint32 = \d+$", f"has_uint32 = {10**40}", "rng.has_uint32"),
     (r"^t = \d+$", "t = -1", "opt_g.t"),
     (r"^epoch = \d+$", "epoch = -1", "meta.epoch"),
+    (r"^t = \d+$", "t = 1" + "0" * 400, "opt_g.t"),
+    (r"^(\[opt_d\]\nt = )\d+$", rf"\g<1>{2**63}", "opt_d.t"),
+    (r"^epoch = \d+$", f"epoch = {2**63}", "meta.epoch"),
     (r"^n_qubits = 4$", "n_qubits = 13", "generator.n_qubits"),
     (r"^depth = 2$", "depth = 3", "generator.angles.shape = (3, 4), want (4, 4)"),
     (r"^hidden = 64 32$", "hidden = 16 32",
@@ -534,7 +537,8 @@ def test_checkpoint_with_non_positive_dimension_is_validation_error(
     (r"^qbde-ckpt-v4$", "qbde-ckpt-v3", "qgan.ckpt: not a qbde-ckpt-v4 file"),
 ], ids=["no-layers", "negative-layers", "negative-state", "huge-state",
         "negative-inc", "huge-inc", "negative-uinteger", "huge-has_uint32",
-        "negative-adam-step", "negative-epoch", "huge-n_qubits", "config-depth",
+        "negative-adam-step", "negative-epoch", "huge-adam-step",
+        "huge-opt_d-step", "huge-epoch", "huge-n_qubits", "config-depth",
         "config-hidden", "v1-format", "v2-format", "v3-format"])
 def test_checkpoint_with_out_of_range_value_is_validation_error(
         tmp_path, capsys, pattern, repl, key, argv):

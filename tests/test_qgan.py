@@ -1,18 +1,29 @@
-"""Losses, gradients (vs. finite differences) and the adversarial loop."""
+"""Losses, gradients (vs. finite differences) and the adversarial loop,
+and the fused training step against the frozen per-call step."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from qbde.optim import Adam
+from qbde import qsim
+from qbde.bde import N_PARAMS, BdeNet
+from qbde.checkpoint import (Section, _get_adam, _put_adam, load_checkpoint,
+                             save_checkpoint)
+from qbde.optim import BETA1, BETA2, EPS, Adam
 from qbde.qgan import (
+    LEAK,
+    SIGMOID_CLAMP,
     DiscriminatorNet,
     _backward,
     _forward,
     _input_grad,
+    _Pass,
     _sigmoid,
     TrainConfig,
+    TrainState,
+    TrainTrace,
     adversarial_grads,
     cross_entropy_to_target,
     disc_forward,
@@ -251,13 +262,20 @@ def test_adversarial_grads_rejects_empty_batch():
 
 def test_input_grad_equals_dx_of_full_backward():
     rng = np.random.default_rng(21)
-    for rows, hidden in [(1, (6, 5)), (4, (12, 7)), (17, (64, 32)), (3, (9,))]:
+    for rows, hidden in [(1, (6, 5)), (4, (12, 7)), (17, (64, 32)), (3, (9,)),
+                         (2, ())]:
         net = small_net(rng, n_in=16, hidden=hidden)
-        _, cache = _forward(net, rng.dirichlet(np.ones(16), size=rows))
+        x = rng.dirichlet(np.ones(16), size=rows)
         dz = rng.normal(size=rows)
-        grad, dx = _backward(net, cache, dz)
-        assert grad.shape == net.flat.shape
-        np.testing.assert_array_equal(_input_grad(net, cache, dz), dx)
+        p = _Pass(net, rows)
+        p.x[...] = x
+        _forward(p)
+        p.dz_out[...] = dz
+        _, cache = oracle_forward(net, x)
+        want_grad, want_dx = oracle_backward(net, cache, dz)
+        assert _backward(p).tobytes() == want_grad.tobytes()
+        assert _input_grad(p).tobytes() == want_dx.tobytes()
+        assert oracle_input_grad(net, cache, dz).tobytes() == want_dx.tobytes()
 
 
 def test_gen_grads_match_finite_differences():
@@ -294,6 +312,214 @@ def test_gen_grads_zero_when_output_weights_are_zero():
     params = random_params(rng, 3, 2)
     np.testing.assert_allclose(gen_grads(params, net),
                                np.zeros_like(params.angles), atol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# Frozen oracle: the per-call training step that the fused loop replaced,
+# copied as it was, so drift in a helper the two share cannot hide
+# --------------------------------------------------------------------------
+
+def oracle_sigmoid(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def oracle_forward(net, x):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    pre, post = [], [x]
+    a = x
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = a.dot(w.T) + b
+        a = np.where(z > 0, z, LEAK * z)
+        pre.append(z)
+        post.append(a)
+    z_out = (a.dot(net.weights[-1].T) + net.biases[-1]).ravel()
+    y_raw = oracle_sigmoid(z_out)
+    y = np.clip(y_raw, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
+    return y, {"pre": pre, "post": post, "y_raw": y_raw}
+
+
+def oracle_backward(net, cache, dz_out):
+    pre, post = cache["pre"], cache["post"]
+    grad = np.empty_like(net.flat)
+    dw, db = net.split(grad)
+    dz = dz_out[:, None]
+    for i in range(len(net.weights) - 1, -1, -1):
+        np.dot(dz.T, post[i], out=dw[i])
+        dz.sum(axis=0, out=db[i])
+        da = dz.dot(net.weights[i])
+        if i:
+            dz = da * np.where(pre[i - 1] > 0, 1.0, LEAK)
+    return grad, da
+
+
+def oracle_input_grad(net, cache, dz_out):
+    da = dz_out[:, None].dot(net.weights[-1])
+    for i in range(len(net.weights) - 2, -1, -1):
+        da = (da * np.where(cache["pre"][i] > 0, 1.0, LEAK)).dot(net.weights[i])
+    return da
+
+
+def oracle_adversarial_grads(net, real, generated):
+    m = real.shape[0]
+    y, cache = oracle_forward(net, np.vstack([real, generated]))
+    ld = float(-np.mean(np.log(y[:m])) - np.log(1.0 - y[m]))
+    lg = float(-np.log(y[m]))
+    y_raw = cache["y_raw"]
+    grad, _ = oracle_backward(net, cache, np.append((y_raw[:m] - 1.0) / m, y_raw[m]))
+    return ld, lg, grad
+
+
+def oracle_adjoint_gradient(params, amplitudes, dp):
+    n, depth = params.n_qubits, params.depth
+    mats = qsim._layers(n, params.angles.tobytes())
+    pairs = np.empty((depth + 1, 2, 2**n))
+    pairs[depth] = amplitudes, np.asarray(dp, dtype=float) * amplitudes
+    for layer in range(depth, 0, -1):
+        pairs[layer - 1] = pairs[layer].dot(mats[layer].T)
+    idx = np.arange(2**n)
+    bits = 1 << np.arange(n - 1, -1, -1)[:, None]
+    flip, flip_sign = idx ^ bits, np.where(idx & bits, 1.0, -1.0)
+    return ((flip_sign * pairs[:, 0, flip]) @ pairs[:, 1, :, None])[..., 0]
+
+
+def oracle_gen_grads(params, net, amplitudes):
+    _, cache = oracle_forward(net, probabilities(amplitudes))
+    dx = oracle_input_grad(net, cache, cache["y_raw"] - 1.0)
+    return oracle_adjoint_gradient(params, amplitudes, dx[0])
+
+
+class OracleAdam:
+    """The allocating Adam step, on a copy of an optimiser's state."""
+
+    def __init__(self, opt):
+        self.lr, self.t, self.m, self.v = opt.lr, opt.t, opt.m.copy(), opt.v.copy()
+
+    def step(self, param, grad):
+        self.t += 1
+        corr1 = 1.0 - BETA1**self.t
+        corr2 = 1.0 - BETA2**self.t
+        self.m *= BETA1
+        self.m += (1.0 - BETA1) * grad
+        self.v *= BETA2
+        self.v += (1.0 - BETA2) * grad * grad
+        param -= self.lr * (self.m / corr1) / (np.sqrt(self.v / corr2) + EPS)
+
+
+def oracle_train(data, cfg, state):
+    """The per-call training loop, run on a copy of ``state``."""
+    state = TrainState(GeneratorParams(state.params.n_qubits, state.params.angles.copy()),
+                       DiscriminatorNet(state.net.layer_sizes, state.net.flat.copy()),
+                       OracleAdam(state.opt_g), OracleAdam(state.opt_d),
+                       copy.deepcopy(state.rng), state.epoch)
+    target = data.mean(axis=0)
+    n_rows = data.shape[0]
+    iters = math.ceil(n_rows / cfg.batch)
+    trace = TrainTrace(state=state)
+    for _ in range(cfg.epochs):
+        order = state.rng.permutation(n_rows)
+        lg_sum = 0.0
+        ld_sum = 0.0
+        for start in range(0, n_rows, cfg.batch):
+            batch = data[order[start:start + cfg.batch]]
+            amplitudes = run_generator_circuit(state.params)
+            ld, lg, grad_d = oracle_adversarial_grads(state.net, batch,
+                                                      probabilities(amplitudes))
+            ld_sum += ld
+            lg_sum += lg
+            state.opt_d.step(state.net.flat, grad_d)
+            grad = oracle_gen_grads(state.params, state.net, amplitudes)
+            state.opt_g.step(state.params.angles, grad)
+        state.epoch += 1
+        trace.loss_g.append(lg_sum / iters)
+        trace.loss_d.append(ld_sum / iters)
+        generated = probabilities(run_generator_circuit(state.params))
+        trace.cross_entropy.append(
+            float(-np.sum(target * np.log(np.maximum(generated, 1e-12)))))
+    return trace
+
+
+def assert_same_training(got: TrainTrace, want: TrainTrace):
+    for column in ("loss_g", "loss_d", "cross_entropy"):
+        assert (np.array(getattr(got, column)).tobytes()
+                == np.array(getattr(want, column)).tobytes()), column
+    g, w = got.state, want.state
+    for name, a, b in [("angles", g.params.angles, w.params.angles),
+                       ("net.flat", g.net.flat, w.net.flat),
+                       ("opt_g.m", g.opt_g.m, w.opt_g.m), ("opt_g.v", g.opt_g.v, w.opt_g.v),
+                       ("opt_d.m", g.opt_d.m, w.opt_d.m), ("opt_d.v", g.opt_d.v, w.opt_d.v)]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert (g.opt_g.t, g.opt_d.t, g.epoch) == (w.opt_g.t, w.opt_d.t, w.epoch)
+    assert g.rng.bit_generator.state == w.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("rows, n_qubits, kwargs", [
+    (13, 4, dict(batch=5, epochs=4, depth=3, hidden=(12, 7))),
+    (6, 2, dict(batch=1, epochs=3, depth=2, hidden=(5,))),
+    (7, 4, dict(batch=16, epochs=5, depth=8)),
+    (9, 4, dict(batch=4, epochs=6, depth=1, hidden=())),
+    (8, 1, dict(batch=3, epochs=6, depth=8, hidden=(4,))),
+    (20, 4, dict(batch=6, epochs=3, depth=8, hidden=(12, 7))),
+], ids=["partial-last-batch", "batch-1", "batch-over-rows", "no-hidden",
+        "one-qubit", "depth-8"])
+def test_train_matches_frozen_per_call_step(rows, n_qubits, kwargs):
+    data = np.random.default_rng(rows + n_qubits).dirichlet(np.ones(2**n_qubits),
+                                                            size=rows)
+    cfg = TrainConfig(seed=rows, **kwargs)
+    want = oracle_train(data, cfg, init_train_state(n_qubits, cfg))
+    assert_same_training(train(data, cfg), want)
+
+
+def test_train_split_by_a_checkpoint_matches_frozen_step(tmp_path):
+    data = np.random.default_rng(25).dirichlet(np.ones(16), size=13)
+    cfg = TrainConfig(batch=5, epochs=3, depth=3, seed=9, hidden=(12, 7))
+    want = oracle_train(data, TrainConfig(**{**vars(cfg), "epochs": 6}),
+                        init_train_state(4, cfg))
+    first = train(data, cfg)
+    save_checkpoint(tmp_path / "part.ckpt", cfg, first.state)
+    _, state = load_checkpoint(tmp_path / "part.ckpt")
+    second = train(data, cfg, state=state)
+    second.loss_g[:0] = first.loss_g
+    second.loss_d[:0] = first.loss_d
+    second.cross_entropy[:0] = first.cross_entropy
+    assert_same_training(second, want)
+
+
+def _checkpointed_adam(rng, param):
+    # an optimiser part way through, written out and read back
+    opt = Adam(0.01, param)
+    for _ in range(3):
+        opt.step(param.copy(), rng.normal(size=param.shape))
+    sec = Section("test: ")
+    sec.update({key: str(value) for key, value in _put_adam(opt).items()})
+    return _get_adam(sec, 0.01, param)
+
+
+@pytest.mark.parametrize("kind", ["2d", "view", "checkpointed"])
+def test_buffered_adam_matches_allocating_step(kind):
+    rng = np.random.default_rng(26)
+    if kind == "2d":
+        param = rng.normal(size=(9, 4))
+        opt = Adam(0.05, param)
+    elif kind == "view":
+        net = BdeNet.create(rng)
+        param = net.flat[:N_PARAMS]   # as train_bde steps it
+        opt = Adam(0.01, param)
+    else:
+        param = rng.normal(size=40)
+        opt = _checkpointed_adam(rng, param)
+    ref, ref_param = OracleAdam(opt), param.copy()
+    for _ in range(6):
+        grad = rng.normal(size=param.shape) * rng.choice([1e-3, 1.0, 1e3])
+        kept = grad.copy()
+        opt.step(param, grad)
+        ref.step(ref_param, grad)
+        assert grad.tobytes() == kept.tobytes()
+        for got, want in ((opt.m, ref.m), (opt.v, ref.v), (param, ref_param)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert opt.t == ref.t
+    if kind == "view":
+        assert np.shares_memory(param, net.flat) and net.flat[-1] == 0.0
 
 
 # --------------------------------------------------------------------------

@@ -269,6 +269,29 @@ def test_cached_arrays_are_read_only():
                                circuit_unitary(params) @ zero_state(3), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_every_cached_table_is_read_only(n):
+    params = random_params(np.random.default_rng(33), n, 3)
+    tables = {"entangler_signs": entangler_signs(n),
+              "layers": qsim._layers(n, params.angles.tobytes()),
+              **dict(zip(("pick", "xor", "signs"), qsim._tables(n, 4))),
+              **dict(zip(("flip", "flip_sign"), qsim._flips(n)))}
+    for name, table in tables.items():
+        assert not table.flags.writeable, name
+        with pytest.raises(ValueError):
+            table[...] = 0
+        with pytest.raises(ValueError):
+            table += 1
+    # the cache hands back the same frozen arrays, unchanged
+    assert qsim._flips(n)[0] is tables["flip"]
+    idx = np.arange(2**n)
+    for q in range(n):
+        bit = 1 << (n - 1 - q)
+        np.testing.assert_array_equal(tables["flip"][q], idx ^ bit)
+        np.testing.assert_array_equal(tables["flip_sign"][q],
+                                      np.where(idx & bit, 1.0, -1.0))
+
+
 def test_entangler_pairs_topologies():
     assert entangler_pairs(1) == []
     assert entangler_pairs(2) == [(1, 2)]  # ring degenerates, no double CZ
