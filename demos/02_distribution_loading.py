@@ -29,7 +29,7 @@ for e in (0, 49, 99, 199, 399, 699, 999):
     print(f"{e + 1:5d}  {trace.loss_g[e]:.4f}  {trace.loss_d[e]:.4f}  "
           f"{trace.cross_entropy[e]:.4f}")
 
-p = generator_output(trace.params)
+p = generator_output(trace.state.params)
 tv = 0.5 * float(np.abs(p - TARGET).sum())
 entropy = -float(np.sum(TARGET * np.log(TARGET)))
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .checkpoint import Section, read_csv, read_kv, write_csv, write_kv
 from .optim import Adam
-from .qgan import SIGMOID_CLAMP, _sigmoid
+from .qgan import _clamp, _sigmoid
 
 INPUT_LEN = 16
 EMBED_LEN = 32
@@ -160,7 +160,7 @@ def _grads(flat: np.ndarray, x: np.ndarray, y: np.ndarray, grad: np.ndarray):
 def bde_forward(net: BdeNet, x: np.ndarray) -> tuple[float, np.ndarray]:
     """Score in (0, 1) plus the 32-value embedding for one input."""
     z_raw, emb, _ = _forward(net.flat, _rows(np.reshape(x, (1, -1))))
-    return float(np.clip(z_raw[0], SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)), emb[0]
+    return float(_clamp(z_raw[0])), emb[0]
 
 
 def bce_loss_and_grads(net: BdeNet, x: np.ndarray,
@@ -170,23 +170,13 @@ def bce_loss_and_grads(net: BdeNet, x: np.ndarray,
     y = np.asarray(y, dtype=float)
     grad = np.empty(N_PARAMS)
     z_raw = _grads(net.flat, _rows(x), y, grad)
-    score = np.clip(z_raw, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
+    score = _clamp(z_raw)
     loss = float(-np.mean(y * np.log(score) + (1 - y) * np.log(1 - score)))
     return loss, _views(grad)
 
 
-@dataclass
-class BdeTrainConfig:
-    epochs: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("bad BDE training configuration")
-
-
-def train_bde(real: np.ndarray, generated: np.ndarray,
-              cfg: BdeTrainConfig = BdeTrainConfig()) -> BdeNet:
+def train_bde(real: np.ndarray, generated: np.ndarray, epochs: int,
+              seed: int) -> BdeNet:
     """Fit the scorer to separate real rows (label 1) from generated rows
     (label 0) by minimizing cross-entropy; deterministic under the seed.
     Each epoch permutes the rows once and steps through them in slices."""
@@ -195,12 +185,12 @@ def train_bde(real: np.ndarray, generated: np.ndarray,
         raise ValueError("both training sets must be non-empty")
     x = np.vstack([real, generated])
     y = np.concatenate([np.ones(len(real)), np.zeros(len(generated))])
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     net = BdeNet.create(rng)
     # Adam steps the parameters, all of the vector but its trailing 0.0
     params, grad = net.flat[:N_PARAMS], np.empty(N_PARAMS)
     opt = Adam(LR, params)
-    for _ in range(cfg.epochs):
+    for _ in range(epochs):
         order = rng.permutation(len(x))
         x_epoch, y_epoch = x[order], y[order]
         for start in range(0, len(x), BATCH):

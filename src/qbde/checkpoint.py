@@ -158,20 +158,15 @@ def read_kv(path: str | Path, magic: str | None = None) -> Section:
     return sections
 
 
-def format_kv(magic: str, sections: dict[str, dict]) -> str:
+def write_kv(path: str | Path, magic: str, sections: dict[str, dict]) -> None:
     """``magic``, then each section's ``key = value`` lines in order, under
     a ``[name]`` header unless the name is ``""``."""
-    lines = [magic]
-    for name, entries in sections.items():
-        if name:
-            lines.append(f"[{name}]")
-        lines.extend(f"{key} = {value}" for key, value in entries.items())
-    return "\n".join(lines) + "\n"
-
-
-def write_kv(path: str | Path, magic: str, sections: dict[str, dict]) -> None:
     with atomic_open(path) as handle:
-        handle.write(format_kv(magic, sections))
+        handle.write(f"{magic}\n")
+        for name, entries in sections.items():
+            if name:
+                handle.write(f"[{name}]\n")
+            handle.writelines(f"{key} = {value}\n" for key, value in entries.items())
 
 
 def _put_array(key: str, arr: np.ndarray) -> dict[str, str]:

@@ -72,10 +72,12 @@ class RunConfig:
             raise ConfigError("lambda must be in [0, 1]")
         if self.reference_samples < 1:
             raise ConfigError("reference_samples must be >= 1")
+        if self.bde_epochs < 0:
+            raise ConfigError("bde_epochs must be >= 0")
         try:
             features.parse_working_hours(self.working_hours)
             features.split([], self.train_days, self.test_days)
-            self.synth_config(), self.train_config(), self.bde_config()
+            self.synth_config(), self.train_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -89,9 +91,6 @@ class RunConfig:
         return qgan.TrainConfig(batch=self.batch, epochs=self.epochs,
                                 lr_g=self.lr_g, lr_d=self.lr_d, depth=self.k,
                                 seed=self.seed)
-
-    def bde_config(self) -> bde.BdeTrainConfig:
-        return bde.BdeTrainConfig(epochs=self.bde_epochs, seed=self.seed + 1)
 
     @property
     def checkpoint_path(self) -> Path:
@@ -315,7 +314,8 @@ def cmd_detect(cfg: RunConfig) -> int:
         x = features.to_simplex([row.features for row in rows])
         real = x[:len(user_train)]
         generated = np.tile(references, (-(-len(real) // len(references)), 1))
-        net = bde.train_bde(real, generated[:len(real)], cfg.bde_config())
+        net = bde.train_bde(real, generated[:len(real)], cfg.bde_epochs,
+                            cfg.seed + 1)
         records = bde.score_rows(rows, x, references, net, cfg.lam,
                                  len(user_train))
         train_records.extend(records[:len(user_train)])

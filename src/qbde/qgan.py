@@ -204,18 +204,18 @@ def _gen_grads(params: GeneratorParams, p: _Pass,
     return adjoint_gradient(params, amplitudes, _input_grad(p)[0])
 
 
-def _forward_rows(net: DiscriminatorNet, x: np.ndarray) -> tuple[np.ndarray, _Pass]:
-    """Unclamped outputs of a pass over the rows ``x`` (checked), and the pass."""
-    x = _rows(net, x)
-    p = _Pass(net, len(x))
-    p.x[...] = x
-    return _forward(p), p
-
-
-def disc_forward(net: DiscriminatorNet, x: np.ndarray) -> float:
-    """Probability the discriminator assigns to one input being real."""
-    y_raw, _ = _forward_rows(net, np.asarray(x, dtype=float).reshape(1, -1))
-    return float(_clamp(y_raw)[0])
+def _batch(net: DiscriminatorNet, *parts: np.ndarray) -> tuple[_Pass, int]:
+    """A pass whose input holds the rows of ``parts`` stacked in order, and
+    the row count m of each part; the parts must be non-empty and of one size."""
+    parts = [_rows(net, part) for part in parts]
+    m = len(parts[0])
+    if m == 0:
+        raise ValueError("batches must be non-empty")
+    if any(len(part) != m for part in parts):
+        raise ValueError("real and generated batch sizes must match")
+    p = _Pass(net, m * len(parts))
+    np.concatenate(parts, out=p.x)
+    return p, m
 
 
 def generator_output(params: GeneratorParams) -> np.ndarray:
@@ -225,29 +225,15 @@ def generator_output(params: GeneratorParams) -> np.ndarray:
 
 def loss_g(net: DiscriminatorNet, generated: np.ndarray) -> float:
     """-(1/m) sum log D(g); small when D labels generated samples as real."""
-    generated = np.atleast_2d(generated)
-    if generated.shape[0] == 0:
-        raise ValueError("generated batch must be non-empty")
-    y_raw, _ = _forward_rows(net, generated)
-    return float(-np.mean(np.log(_clamp(y_raw))))
-
-
-def _paired(real: np.ndarray, generated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    real = np.atleast_2d(real)
-    generated = np.atleast_2d(generated)
-    if real.shape[0] != generated.shape[0]:
-        raise ValueError("real and generated batch sizes must match")
-    return real, generated
+    p, _ = _batch(net, generated)
+    return float(-np.mean(np.log(_clamp(_forward(p)))))
 
 
 def loss_d(net: DiscriminatorNet, real: np.ndarray, generated: np.ndarray) -> float:
     """-(1/m) sum [log D(x) + log(1 - D(g))] over paired batches."""
-    real, generated = _paired(real, generated)
-    if real.shape[0] == 0:
-        raise ValueError("batches must be non-empty")
-    y_real = _clamp(_forward_rows(net, real)[0])
-    y_gen = _clamp(_forward_rows(net, generated)[0])
-    return float(-np.mean(np.log(y_real)) - np.mean(np.log(1.0 - y_gen)))
+    p, m = _batch(net, real, generated)
+    y = _clamp(_forward(p))
+    return float(-np.mean(np.log(y[:m])) - np.mean(np.log(1.0 - y[m:])))
 
 
 def disc_grads(net: DiscriminatorNet, real: np.ndarray,
@@ -256,31 +242,13 @@ def disc_grads(net: DiscriminatorNet, real: np.ndarray,
 
     The clamp only guards the logs; gradients follow the plain sigmoid.
     """
-    real, generated = _paired(real, generated)
-    m = real.shape[0]
-    y_real, p_real = _forward_rows(net, real)
-    y_gen, p_gen = _forward_rows(net, generated)
+    p, m = _batch(net, real, generated)
+    y_raw = _forward(p)
     # d(-log s(z))/dz = s(z) - 1;  d(-log(1 - s(z)))/dz = s(z)
-    p_real.dz_out[:] = (y_real - 1.0) / m
-    p_gen.dz_out[:] = y_gen / m
-    return net.split(_backward(p_real) + _backward(p_gen))
-
-
-def adversarial_grads(net: DiscriminatorNet, real: np.ndarray,
-                      generated: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """``loss_d``, ``loss_g`` and ``disc_grads`` (laid out like ``net.flat``)
-    of one batch whose m fake rows are all the one generator output
-    ``generated``: one forward and one backward pass over the m real rows
-    and that row, whose means over m rows are its own."""
-    real = _rows(net, real)
-    if real.shape[0] == 0:
-        raise ValueError("batches must be non-empty")
-    m = real.shape[0]
-    p = _Pass(net, m + 1)
-    p.x[:m] = real
-    p.x[m] = generated
-    ld, lg = _adversarial_grads(p, m)
-    return ld, lg, p.grad
+    np.subtract(y_raw[:m], 1.0, out=p.dz_out[:m])
+    p.dz_out[m:] = y_raw[m:]
+    p.dz_out /= m
+    return net.split(_backward(p))
 
 
 def gen_grads(params: GeneratorParams, net: DiscriminatorNet,
@@ -356,14 +324,6 @@ class TrainTrace:
     cross_entropy: list[float] = field(default_factory=list)
     state: TrainState | None = None
 
-    @property
-    def params(self) -> GeneratorParams:
-        return self.state.params
-
-    @property
-    def net(self) -> DiscriminatorNet:
-        return self.state.net
-
 
 def init_train_state(n_qubits: int, cfg: TrainConfig) -> TrainState:
     """Fresh parameters, discriminator and optimisers from ``cfg.seed``.
@@ -400,7 +360,7 @@ def train(real_data: np.ndarray, cfg: TrainConfig,
     updates of each batch; the cross-entropy column compares the generator
     to the data mean after each epoch.  Passing a ``state`` resumes a
     previous run and is bit-identical to never having stopped.  A batch
-    step runs the helpers behind ``adversarial_grads`` and ``gen_grads``
+    step runs ``_adversarial_grads`` and the helper behind ``gen_grads``
     on buffers allocated once per call, with the data checked on entry.
     """
     data = np.atleast_2d(np.asarray(real_data, dtype=float))

@@ -71,6 +71,13 @@ def entangler_pairs(n_qubits: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: the caches hand them to every caller."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def entangler_signs(n_qubits: int) -> np.ndarray:
     """Diagonal of one entangling block, its own inverse: each CZ negates
@@ -78,8 +85,7 @@ def entangler_signs(n_qubits: int) -> np.ndarray:
     idx, signs = np.arange(2**n_qubits), np.ones(2**n_qubits)
     for a, b in entangler_pairs(n_qubits):
         signs[(idx >> (n_qubits - a)) & (idx >> (n_qubits - b)) & 1 == 1] *= -1.0
-    signs.flags.writeable = False
-    return signs
+    return _frozen(signs)[0]
 
 
 @lru_cache(maxsize=1)
@@ -92,15 +98,7 @@ def _layers(n: int, raw: bytes) -> np.ndarray:
     pick, xor, signs = _tables(n, len(half))
     cs = np.concatenate([np.cos(half), np.sin(half)], axis=-1).reshape(len(half), -1)
     mats = np.take(np.take(cs, pick, axis=1).prod(axis=1), xor, axis=1) * signs
-    mats.flags.writeable = False
-    return mats
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, made read-only: the caches hand them to every caller."""
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
+    return _frozen(mats)[0]
 
 
 @lru_cache(maxsize=8)

@@ -163,7 +163,7 @@ def test_circuit_oracle_equivalence():
 
 def test_distribution_loading(loading_runs):
     runs, elapsed = loading_runs
-    tvs = [float(0.5 * np.abs(qgan.generator_output(t.params) - LOADING_TARGET).sum())
+    tvs = [float(0.5 * np.abs(qgan.generator_output(t.state.params) - LOADING_TARGET).sum())
            for t in runs]
     median_tv = float(np.median(tvs))
     _verdict("distribution-loading",

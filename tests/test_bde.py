@@ -12,9 +12,7 @@ from qbde.bde import (
     BATCH,
     LR,
     N_PARAMS,
-    SIGMOID_CLAMP,
     BdeNet,
-    BdeTrainConfig,
     ScoreRecord,
     Thresholds,
     VERDICTS,
@@ -35,7 +33,7 @@ from qbde.bde import (
 )
 from qbde.errors import SchemaError
 from qbde.optim import Adam
-from qbde.qgan import _sigmoid
+from qbde.qgan import SIGMOID_CLAMP, _sigmoid
 
 
 def zero_net():
@@ -306,16 +304,16 @@ def oracle_loss_and_grads(net, x, y):
     return loss, [dw1, db1, dw2, db2, dz @ emb, np.array([dz.sum()])]
 
 
-def oracle_train_bde(real, generated, cfg):
+def oracle_train_bde(real, generated, epochs, seed):
     """One loss-and-gradients call per batch of rows gathered by index,
     its six gradients concatenated for one Adam step."""
     x = np.vstack([real, generated])
     y = np.concatenate([np.ones(len(real)), np.zeros(len(generated))])
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     net = BdeNet.create(rng)
     params = net.flat[:N_PARAMS]
     opt = Adam(LR, params)
-    for _ in range(cfg.epochs):
+    for _ in range(epochs):
         order = rng.permutation(len(x))
         for start in range(0, len(x), BATCH):
             idx = order[start:start + BATCH]
@@ -360,9 +358,8 @@ def test_train_matches_per_call_oracle_bit_for_bit(kind, n_real, n_gen, epochs, 
     rng = np.random.default_rng(1000 + seed)
     real = rng.dirichlet(np.ones(16), size=n_real)
     generated = generated_rows(kind, n_gen, rng)
-    cfg = BdeTrainConfig(epochs=epochs, seed=seed)
-    assert_same_bytes(train_bde(real, generated, cfg),
-                      oracle_train_bde(real, generated, cfg))
+    assert_same_bytes(train_bde(real, generated, epochs, seed),
+                      oracle_train_bde(real, generated, epochs, seed))
 
 
 def test_train_matches_oracle_on_more_seeds():
@@ -370,9 +367,8 @@ def test_train_matches_oracle_on_more_seeds():
     real = rng.dirichlet(np.ones(16), size=46)
     generated = generated_rows("tiled", 46, rng)
     for seed in range(20, 26):
-        cfg = BdeTrainConfig(epochs=8, seed=seed)
-        assert_same_bytes(train_bde(real, generated, cfg),
-                          oracle_train_bde(real, generated, cfg))
+        assert_same_bytes(train_bde(real, generated, 8, seed),
+                          oracle_train_bde(real, generated, 8, seed))
 
 
 def test_uniform_rows_tie_in_pooling():
@@ -389,7 +385,7 @@ def loss_cases():
     rng = np.random.default_rng(91)
     trained = oracle_train_bde(rng.dirichlet(np.ones(16), size=40),
                                generated_rows("tiled", 40, rng),
-                               BdeTrainConfig(epochs=20, seed=5))
+                               epochs=20, seed=5)
     for net in [zero_net(), random_net(31), random_net(32), trained]:
         for kind in ["tiled", "distinct", "uniform"]:
             for m in [1, 7, 32]:
@@ -432,7 +428,7 @@ def test_train_separable_sets_reach_full_accuracy():
     rng = np.random.default_rng(2)
     real = rng.uniform(0.6, 1.0, (40, 16))
     fake = rng.uniform(0.0, 0.4, (40, 16))
-    net = train_bde(real, fake, BdeTrainConfig(epochs=200, seed=0))
+    net = train_bde(real, fake, epochs=200, seed=0)
     x = np.vstack([real, fake])
     y = np.concatenate([np.ones(40), np.zeros(40)])
     assert bde_accuracy(net, x, y) == 1.0
@@ -441,7 +437,7 @@ def test_train_separable_sets_reach_full_accuracy():
 def test_train_identical_sets_settle_at_log2():
     rng = np.random.default_rng(4)
     data = rng.dirichlet(np.ones(16), size=60)
-    net = train_bde(data, data, BdeTrainConfig(epochs=150, seed=1))
+    net = train_bde(data, data, epochs=150, seed=1)
     loss, _ = bce_loss_and_grads(net, np.vstack([data, data]),
                                  np.concatenate([np.ones(60), np.zeros(60)]))
     assert loss == pytest.approx(math.log(2), abs=0.1)
@@ -454,8 +450,8 @@ def test_train_is_seed_deterministic():
     rng = np.random.default_rng(6)
     real = rng.uniform(0, 1, (20, 16))
     fake = rng.uniform(0, 1, (20, 16))
-    n1 = train_bde(real, fake, BdeTrainConfig(epochs=30, seed=3))
-    n2 = train_bde(real, fake, BdeTrainConfig(epochs=30, seed=3))
+    n1 = train_bde(real, fake, epochs=30, seed=3)
+    n2 = train_bde(real, fake, epochs=30, seed=3)
     for a, b in zip(n1.param_list(), n2.param_list()):
         np.testing.assert_array_equal(a, b)
 
@@ -465,14 +461,14 @@ def test_train_steps_one_flat_vector_like_per_array_adam():
     # 73 rows: two full batches of BATCH and a partial one per epoch
     real = rng.uniform(0, 1, (40, 16))
     fake = rng.uniform(0, 1, (33, 16))
-    cfg = BdeTrainConfig(epochs=6, seed=4)
-    net = train_bde(real, fake, cfg)
+    epochs, seed = 6, 4
+    net = train_bde(real, fake, epochs, seed)
     x = np.vstack([real, fake])
     y = np.concatenate([np.ones(40), np.zeros(33)])
-    order_rng = np.random.default_rng(cfg.seed)
+    order_rng = np.random.default_rng(seed)
     ref = BdeNet.create(order_rng)
     opts = [Adam(LR, arr) for arr in ref.param_list()]
-    for _ in range(cfg.epochs):
+    for _ in range(epochs):
         order = order_rng.permutation(len(x))
         for start in range(0, len(x), BATCH):
             idx = order[start:start + BATCH]
@@ -498,7 +494,7 @@ def test_adam_on_a_flat_vector_is_bit_identical_to_per_array_adam():
 
 def test_train_rejects_empty_sets():
     with pytest.raises(ValueError):
-        train_bde(np.empty((0, 16)), np.ones((2, 16)))
+        train_bde(np.empty((0, 16)), np.ones((2, 16)), epochs=1, seed=0)
 
 
 # --------------------------------------------------------------------------

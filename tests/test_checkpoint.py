@@ -14,11 +14,11 @@ from qbde.checkpoint import (
     _get_array,
     _put_array,
     atomic_open,
-    format_kv,
     load_checkpoint,
     read_kv,
     save_checkpoint,
     write_csv,
+    write_kv,
 )
 from qbde.errors import SchemaError
 from qbde.qgan import TrainConfig, train
@@ -74,7 +74,7 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert first.loss_g + second.loss_g == full.loss_g
     assert first.loss_d + second.loss_d == full.loss_d
     assert first.cross_entropy + second.cross_entropy == full.cross_entropy
-    np.testing.assert_array_equal(second.params.angles, full.params.angles)
+    np.testing.assert_array_equal(second.state.params.angles, full.state.params.angles)
 
 
 def test_each_network_is_one_vector_with_one_adam_state(tmp_path):
@@ -102,8 +102,8 @@ def test_each_network_is_one_vector_with_one_adam_state(tmp_path):
                    state=resumed_state)
     assert first.loss_g + second.loss_g == full.loss_g
     assert first.loss_d + second.loss_d == full.loss_d
-    np.testing.assert_array_equal(second.params.angles, full.params.angles)
-    np.testing.assert_array_equal(second.net.flat, full.net.flat)
+    np.testing.assert_array_equal(second.state.params.angles, full.state.params.angles)
+    np.testing.assert_array_equal(second.state.net.flat, full.state.net.flat)
     np.testing.assert_array_equal(second.state.opt_d.m, full.state.opt_d.m)
     np.testing.assert_array_equal(second.state.opt_g.v, full.state.opt_g.v)
 
@@ -175,7 +175,7 @@ def test_array_lines_are_little_endian_binary64_hex(tmp_path):
     arr = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40),
                           [0.0, -0.0, 5e-324, 1.0, -2.5, np.pi]]).reshape(2, 23)
     path = tmp_path / "a.ckpt"
-    path.write_text(format_kv(MAGIC, {"": _put_array("a", arr)}), encoding="utf-8")
+    write_kv(path, MAGIC, {"": _put_array("a", arr)})
     lines = path.read_text(encoding="utf-8").splitlines()[1:]
     # 16 hex digits per value, least significant byte first
     assert lines == ["a.shape = 2 23",

@@ -16,6 +16,7 @@ from qbde.qgan import (
     LEAK,
     SIGMOID_CLAMP,
     DiscriminatorNet,
+    _adversarial_grads,
     _backward,
     _forward,
     _input_grad,
@@ -24,9 +25,7 @@ from qbde.qgan import (
     TrainConfig,
     TrainState,
     TrainTrace,
-    adversarial_grads,
     cross_entropy_to_target,
-    disc_forward,
     disc_grads,
     gen_grads,
     generator_output,
@@ -67,22 +66,46 @@ def random_params(rng, n, depth):
 # --------------------------------------------------------------------------
 
 def test_zero_net_outputs_half():
-    net = zero_net(8)
-    assert disc_forward(net, np.zeros(8)) == 0.5
-    assert disc_forward(net, np.random.default_rng(1).normal(size=8)) == 0.5
+    p = _Pass(zero_net(8), 2)
+    p.x[0] = 0.0
+    p.x[1] = np.random.default_rng(1).normal(size=8)
+    assert _forward(p).tolist() == [0.5, 0.5]
 
 
 def test_forward_is_clamped():
+    # sigmoid(100) rounds to 1 and sigmoid(-100) is ~4e-44; the logs see
+    # 1 - 1e-7 and 1e-7
     net = zero_net(4)
+    x = np.zeros((1, 4))
     net.biases[-1][0] = 100.0
-    assert disc_forward(net, np.zeros(4)) == 1.0 - 1e-7
+    top = 1.0 - 1e-7
+    assert loss_g(net, x) == pytest.approx(-math.log(top), rel=1e-12)
+    assert loss_d(net, x, x) == pytest.approx(-math.log(top) - math.log(1.0 - top),
+                                              rel=1e-12)
     net.biases[-1][0] = -100.0
-    assert disc_forward(net, np.zeros(4)) == 1e-7
+    assert loss_g(net, x) == pytest.approx(-math.log(1e-7), rel=1e-12)
 
 
 def test_forward_rejects_wrong_length():
+    net, x = zero_net(8), np.zeros((1, 5))
     with pytest.raises(ValueError):
-        disc_forward(zero_net(8), np.zeros(5))
+        loss_g(net, x)
+    for call in (loss_d, disc_grads):
+        with pytest.raises(ValueError):
+            call(net, x, x)
+
+
+@pytest.mark.parametrize("n_real, n_gen", [(0, 0), (2, 3)], ids=["empty", "unpaired"])
+def test_per_call_functions_reject_empty_or_unpaired_batches(n_real, n_gen):
+    # one shared check: disc_grads raises where loss_d does
+    net = zero_net(4)
+    real, fake = np.full((n_real, 4), 0.25), np.full((n_gen, 4), 0.25)
+    for call in (loss_d, disc_grads):
+        with pytest.raises(ValueError, match="batch"):
+            call(net, real, fake)
+    if n_real == n_gen:
+        with pytest.raises(ValueError, match="non-empty"):
+            loss_g(net, fake)
 
 
 def masked_sigmoid(z):
@@ -245,19 +268,17 @@ def test_adversarial_grads_match_tiled_batch(m):
         real = rng.dirichlet(np.ones(16), size=m)
         g = rng.dirichlet(np.ones(16))
         fake = np.tile(g, (m, 1))
-        ld, lg, grad = adversarial_grads(net, real, g)
-        dw, db = net.split(grad)
+        p = _Pass(net, m + 1)
+        p.x[:m] = real
+        p.x[m] = g
+        ld, lg = _adversarial_grads(p, m)
+        dw, db = net.split(p.grad)
         assert abs(ld - loss_d(net, real, fake)) < 1e-12
         assert abs(lg - loss_g(net, fake)) < 1e-12
         ref_dw, ref_db = disc_grads(net, real, fake)
         for a, b in zip(dw + db, ref_dw + ref_db):
             assert a.shape == b.shape
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-
-
-def test_adversarial_grads_rejects_empty_batch():
-    with pytest.raises(ValueError):
-        adversarial_grads(zero_net(4), np.empty((0, 4)), np.full(4, 0.25))
 
 
 def test_input_grad_equals_dx_of_full_backward():
@@ -563,7 +584,7 @@ def test_train_zero_epochs_returns_initial_state():
     trace = train(np.full((3, 4), 0.25), cfg)
     assert trace.loss_g == [] and trace.loss_d == []
     assert trace.state.epoch == 0
-    np.testing.assert_array_equal(trace.params.angles[0], [np.pi / 2, np.pi / 2])
+    np.testing.assert_array_equal(trace.state.params.angles[0], [np.pi / 2, np.pi / 2])
 
 
 def test_train_is_seed_deterministic():
@@ -575,7 +596,7 @@ def test_train_is_seed_deterministic():
     assert t1.loss_g == t2.loss_g
     assert t1.loss_d == t2.loss_d
     assert t1.cross_entropy == t2.cross_entropy
-    np.testing.assert_array_equal(t1.params.angles, t2.params.angles)
+    np.testing.assert_array_equal(t1.state.params.angles, t2.state.params.angles)
 
 
 def test_train_trace_length_and_simplex_outputs():
@@ -583,7 +604,7 @@ def test_train_trace_length_and_simplex_outputs():
     cfg = TrainConfig(batch=3, epochs=4, depth=2, seed=1)
     trace = train(data, cfg)
     assert len(trace.loss_g) == len(trace.loss_d) == len(trace.cross_entropy) == 4
-    p = generator_output(trace.params)
+    p = generator_output(trace.state.params)
     assert np.all(p >= 0)
     assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -599,15 +620,18 @@ def test_train_steps_one_flat_discriminator_vector_like_per_array_adam():
         order = ref.rng.permutation(len(data))
         for start in range(0, len(data), cfg.batch):
             amplitudes = run_generator_circuit(ref.params)
-            _, _, grad = adversarial_grads(ref.net, data[order[start:start + cfg.batch]],
-                                           probabilities(amplitudes))
-            dw, db = ref.net.split(grad)
+            rows = order[start:start + cfg.batch]
+            p = _Pass(ref.net, len(rows) + 1)
+            p.x[:-1] = data[rows]
+            p.x[-1] = probabilities(amplitudes)
+            _adversarial_grads(p, len(rows))
+            dw, db = ref.net.split(p.grad)
             for opt, arr, g in zip(opts_d, ref.net.param_list(), [*dw, *db]):
                 opt.step(arr, g)  # one array at a time
             ref.opt_g.step(ref.params.angles,
                            gen_grads(ref.params, ref.net, amplitudes))
-    np.testing.assert_array_equal(trace.params.angles, ref.params.angles)
-    for got, want in zip(trace.net.param_list(), ref.net.param_list()):
+    np.testing.assert_array_equal(trace.state.params.angles, ref.params.angles)
+    for got, want in zip(trace.state.net.param_list(), ref.net.param_list()):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(trace.state.opt_d.m,
                                   np.concatenate([o.m.ravel() for o in opts_d]))
@@ -677,5 +701,5 @@ def test_train_loads_point_mass_target():
     target[0] = 1.0
     cfg = TrainConfig(batch=1, epochs=300, depth=2, seed=0)
     trace = train(target[None, :], cfg)
-    tv = 0.5 * np.abs(generator_output(trace.params) - target).sum()
+    tv = 0.5 * np.abs(generator_output(trace.state.params) - target).sum()
     assert tv < 0.05
