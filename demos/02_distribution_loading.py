@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from qbde.qgan import TrainConfig, cross_entropy_to_target, generator_output, train
+from qbde.qgan import TrainConfig, generator_output, train
 
 TARGET = np.array([0.5, 0.25, 0.15, 0.1])
 

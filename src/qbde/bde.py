@@ -30,7 +30,7 @@ import numpy as np
 
 from .checkpoint import Section, read_csv, read_kv, write_csv, write_kv
 from .optim import Adam
-from .qgan import _clamp, _sigmoid
+from .qgan import _clamp, _rows, _sigmoid
 
 INPUT_LEN = 16
 EMBED_LEN = 32
@@ -104,13 +104,6 @@ _GATHER = np.concatenate([_CONV1[2], _CONV2[2]])   # both layers, one take()
 _WIDTH = 4 * INPUT_LEN   # both layers' output: 4 channels x 16, 8 x 8
 
 
-def _rows(x) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != INPUT_LEN:
-        raise ValueError(f"expected input length {INPUT_LEN}, got {x.shape[1]}")
-    return x
-
-
 def _relu_pool(z: np.ndarray):
     """ReLU in place, the max of each (even, odd) pair, and which pairs' max
     the left and the right slot gave (ties go left, zero pairs nowhere)."""
@@ -159,7 +152,7 @@ def _grads(flat: np.ndarray, x: np.ndarray, y: np.ndarray, grad: np.ndarray):
 
 def bde_forward(net: BdeNet, x: np.ndarray) -> tuple[float, np.ndarray]:
     """Score in (0, 1) plus the 32-value embedding for one input."""
-    z_raw, emb, _ = _forward(net.flat, _rows(np.reshape(x, (1, -1))))
+    z_raw, emb, _ = _forward(net.flat, _rows(np.reshape(x, (1, -1)), INPUT_LEN))
     return float(_clamp(z_raw[0])), emb[0]
 
 
@@ -169,7 +162,7 @@ def bce_loss_and_grads(net: BdeNet, x: np.ndarray,
     ``param_list()`` order."""
     y = np.asarray(y, dtype=float)
     grad = np.empty(N_PARAMS)
-    z_raw = _grads(net.flat, _rows(x), y, grad)
+    z_raw = _grads(net.flat, _rows(x, INPUT_LEN), y, grad)
     score = _clamp(z_raw)
     loss = float(-np.mean(y * np.log(score) + (1 - y) * np.log(1 - score)))
     return loss, _views(grad)
@@ -180,7 +173,7 @@ def train_bde(real: np.ndarray, generated: np.ndarray, epochs: int,
     """Fit the scorer to separate real rows (label 1) from generated rows
     (label 0) by minimizing cross-entropy; deterministic under the seed.
     Each epoch permutes the rows once and steps through them in slices."""
-    real, generated = _rows(real), _rows(generated)
+    real, generated = _rows(real, INPUT_LEN), _rows(generated, INPUT_LEN)
     if len(real) == 0 or len(generated) == 0:
         raise ValueError("both training sets must be non-empty")
     x = np.vstack([real, generated])
@@ -231,7 +224,7 @@ def _recon_batch(x: np.ndarray, refs: np.ndarray, net: BdeNet):
     ``refs``, plus that index; rows and references share one forward pass."""
     dist = np.abs(x[:, None, :] - refs[None, :, :]).sum(axis=2)
     nearest = np.argmin(dist, axis=1)
-    _, emb, _ = _forward(net.flat, _rows(np.vstack([x, refs])))
+    _, emb, _ = _forward(net.flat, _rows(np.vstack([x, refs]), INPUT_LEN))
     r_n = np.abs(emb[:len(x)] - emb[len(x):][nearest]).sum(axis=1)
     return dist[np.arange(len(x)), nearest], r_n, nearest
 

@@ -10,9 +10,10 @@ on its own:
     qbde report  --config run.cfg        human-readable summary
 
 The config file is flat ``key = value`` text; command-line flags override
-file values.  Every output file embeds a digest of the resolved
-configuration, and identical (config, seed) runs produce byte-identical
-outputs.  Exit codes: 0 success, 2 configuration, 3 I/O, 4 validation.
+file values, and ``train --resume`` continues from the checkpoint.  Every
+output file embeds a digest of the resolved configuration, and identical
+(config, seed) runs produce byte-identical outputs.  Exit codes: 0
+success, 2 configuration, 3 I/O, 4 validation.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ class RunConfig:
     lam: float = 0.1
     working_hours: str = "08:00-18:00"
     seed: int = 0
-    lr_g: float = 0.05
-    lr_d: float = 0.01
     sampled: bool = False         # score against sampled histograms
     reference_samples: int = 16   # candidate references in sampled mode
     train_days: int = 200
@@ -61,7 +60,6 @@ class RunConfig:
     n_days: int = 300
     anomaly_rate: float = 0.05
     bde_epochs: int = 200
-    resume: bool = False
 
     def validate(self) -> None:
         """Every setting is checked here, before any command writes a file:
@@ -89,20 +87,13 @@ class RunConfig:
 
     def train_config(self) -> qgan.TrainConfig:
         return qgan.TrainConfig(batch=self.batch, epochs=self.epochs,
-                                lr_g=self.lr_g, lr_d=self.lr_d, depth=self.k,
-                                seed=self.seed)
-
-    @property
-    def checkpoint_path(self) -> Path:
-        return Path(self.checkpoint) if self.checkpoint \
-            else Path(self.out_dir) / "qgan.ckpt"
+                                depth=self.k, seed=self.seed)
 
     def digest(self) -> str:
         """Hash of the resolved settings that shape results.  Path fields
         are excluded so identical runs in different directories (or on
-        different machines) produce byte-identical outputs, and so is
-        ``resume``: a resumed run ends where an uninterrupted one does."""
-        skip = {"input_dir", "out_dir", "checkpoint", "resume"}
+        different machines) produce byte-identical outputs."""
+        skip = {"input_dir", "out_dir", "checkpoint"}
         blob = "\n".join(f"{f.name}={getattr(self, f.name)}"
                          for f in sorted(dataclasses.fields(self),
                                          key=lambda f: f.name)
@@ -150,18 +141,6 @@ def load_config(path: str | Path | None) -> RunConfig:
         setattr(cfg, name, _coerce(name, value))
     if sections:
         raise ConfigError(f"{path}: unknown section [{next(iter(sections))}]")
-    return cfg
-
-
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    for flag, field_name in (("seed", "seed"), ("k", "k"), ("lam", "lam"),
-                             ("out", "out_dir"), ("input_dir", "input_dir"),
-                             ("epochs", "epochs")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, field_name, value)
-    if getattr(args, "resume", False):
-        cfg.resume = True
     return cfg
 
 
@@ -224,7 +203,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def _ckpt_path(cfg: RunConfig, user: str, n_users: int) -> Path:
-    base = cfg.checkpoint_path
+    base = Path(cfg.checkpoint or Path(cfg.out_dir) / "qgan.ckpt")
     if n_users == 1:
         return base
     return base.with_name(f"{base.stem}-{user}{base.suffix}")
@@ -252,7 +231,7 @@ def _load_state(cfg: RunConfig, path: Path) -> qgan.TrainState:
     return state
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: RunConfig, resume: bool = False) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     by_user = features.rows_by_user(_train_rows(out_dir))
@@ -261,7 +240,7 @@ def cmd_train(cfg: RunConfig) -> int:
     for user, rows in by_user.items():
         data = features.to_simplex([row.features for row in rows])
         ckpt = _ckpt_path(cfg, user, len(by_user))
-        state = _load_state(cfg, ckpt) if cfg.resume else None
+        state = _load_state(cfg, ckpt) if resume else None
         trace = qgan.train(data, train_cfg, state=state)
         loss_path = out_dir / f"loss_{user}.csv"
 
@@ -276,7 +255,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
         write_csv(loss_path, ["epoch", "loss_g", "loss_d", "cross_entropy"],
                   loss_rows_then_checkpoint(), digest,
-                  append=cfg.resume and loss_path.exists())
+                  append=resume and loss_path.exists())
         final = (f"cross_entropy={trace.cross_entropy[-1]:.4f}"
                  if trace.cross_entropy else "no epochs run")
         print(f"trained {user}: {len(trace.loss_g)} epochs, {final} -> {ckpt}")
@@ -364,46 +343,49 @@ def cmd_report(cfg: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 _COMMANDS = {
-    "synth": cmd_synth,
-    "ingest": cmd_ingest,
-    "train": cmd_train,
-    "detect": cmd_detect,
-    "report": cmd_report,
+    "synth": (cmd_synth, "generate synthetic logs with labelled anomalies"),
+    "ingest": (cmd_ingest, "extract, split and normalize behavior features"),
+    "train": (cmd_train, "adversarially train the generator, write a checkpoint"),
+    "detect": (cmd_detect, "score test days and classify threat levels"),
+    "report": (cmd_report, "print a human-readable detection summary"),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag's ``dest`` is the ``RunConfig`` field it overrides, or the
+    keyword of its command's function; a flag not given is left out."""
     parser = argparse.ArgumentParser(
         prog="qbde",
         description="Model normal user behavior with a quantum-circuit GAN "
                     "and score daily activity for insider threats.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("synth", "generate synthetic logs with labelled anomalies"),
-            ("ingest", "extract, split and normalize behavior features"),
-            ("train", "adversarially train the generator, write a checkpoint"),
-            ("detect", "score test days and classify threat levels"),
-            ("report", "print a human-readable detection summary")):
-        cmd = sub.add_parser(name, help=help_text)
+    for name, (_, help_text) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text,
+                             argument_default=argparse.SUPPRESS)
         cmd.add_argument("--config", metavar="FILE", help="key = value config file")
         cmd.add_argument("--seed", type=int, help="override the run seed")
         cmd.add_argument("--k", type=int, help="override the circuit depth")
         cmd.add_argument("--lambda", dest="lam", type=float,
                          help="override the score weight in [0, 1]")
-        cmd.add_argument("--out", metavar="DIR", help="override the output directory")
+        cmd.add_argument("--out", dest="out_dir", metavar="DIR",
+                         help="override the output directory")
         cmd.add_argument("--input-dir", metavar="DIR", help="override the log directory")
         cmd.add_argument("--epochs", type=int, help="override the epoch count")
-        cmd.add_argument("--resume", action="store_true",
-                         help="continue training from the existing checkpoint")
+        if name == "train":
+            cmd.add_argument("--resume", action="store_true",
+                             help="continue training from the existing checkpoint")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    run, _ = _COMMANDS[args.pop("command")]
+    path = args.pop("config", None)
+    overrides = {name: args.pop(name) for name in list(args) if name in _FIELD_TYPES}
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = dataclasses.replace(load_config(path), **overrides)
         cfg.validate()
-        return _COMMANDS[args.command](cfg)
+        return run(cfg, **args)   # what is left are the command's own flags
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -447,6 +447,9 @@ def attach_labels(rows: list[BehaviorVector],
 # Synthetic log generator
 # --------------------------------------------------------------------------
 
+SYNTH_START = date(2011, 1, 3)   # the first synthetic day, a Monday
+
+
 @dataclass
 class SynthConfig:
     n_users: int = 1
@@ -454,7 +457,6 @@ class SynthConfig:
     anomaly_rate: float = 0.05
     seed: int = 0
     out_dir: str | Path = "data"
-    start_day: date = date(2011, 1, 3)
     working_hours: str = "08:00-18:00"
 
     def __post_init__(self):
@@ -462,8 +464,8 @@ class SynthConfig:
             raise ValueError("anomaly_rate must be in [0, 0.2]")
         if self.n_users < 1 or self.n_days < 1:
             raise ValueError("need at least one user and one day")
-        if self.n_days > date.max.toordinal() - self.start_day.toordinal() + 1:
-            raise ValueError(f"{self.n_days} days from {self.start_day} run past "
+        if self.n_days > date.max.toordinal() - SYNTH_START.toordinal() + 1:
+            raise ValueError(f"{self.n_days} days from {SYNTH_START} run past "
                              f"{date.max}")
 
 
@@ -516,7 +518,7 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     s1 = end_h.hour * 3600 + end_h.minute * 60
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    days = [cfg.start_day + timedelta(days=d) for d in range(cfg.n_days)]
+    days = [SYNTH_START + timedelta(days=d) for d in range(cfg.n_days)]
     # Anomalous days are quiet during working hours: the malicious activity
     # happens off-hours while daytime use drops away.
     damp = (np.ones(len(_SYNTH_RATES)),
@@ -562,7 +564,7 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
             codes = np.array(codes)
             draws = rng.integers(lo[codes], hi[codes])
             off = (codes == 1) & (draws >= s0)
-            # timestamps become seconds from start_day; sizes stay as drawn
+            # timestamps become seconds from SYNTH_START; sizes stay as drawn
             draws += np.where(codes < 2, d * 86400 + (s1 - s0) * off, 0)
             values = iter(draws.tolist())
 

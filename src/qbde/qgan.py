@@ -68,10 +68,6 @@ class DiscriminatorNet:
         return sum((n_in + 1) * n_out
                    for n_in, n_out in zip(layer_sizes, layer_sizes[1:]))
 
-    @property
-    def n_inputs(self) -> int:
-        return self.layer_sizes[0]
-
     @classmethod
     def create(cls, n_inputs: int, hidden: tuple[int, ...],
                rng: np.random.Generator) -> "DiscriminatorNet":
@@ -81,10 +77,6 @@ class DiscriminatorNet:
         for n_in, w in zip(sizes, net.weights):
             w[...] = rng.normal(0.0, math.sqrt(2.0 / n_in), size=w.shape)
         return net
-
-    def param_list(self) -> list[np.ndarray]:
-        """All weights then all biases, the order of ``flat``."""
-        return [*self.weights, *self.biases]
 
     def split(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Weight and bias views of a vector laid out like ``flat``."""
@@ -128,10 +120,12 @@ class _Pass:
                              [None, *slope]))[::-1]
 
 
-def _rows(net: DiscriminatorNet, x: np.ndarray) -> np.ndarray:
+def _rows(x, width: int) -> np.ndarray:
+    """``x`` as a float matrix of ``width``-long rows: the input check of
+    the discriminator and of the scoring network."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != net.n_inputs:
-        raise ValueError(f"expected input length {net.n_inputs}, got {x.shape[1]}")
+    if x.shape[1] != width:
+        raise ValueError(f"expected input length {width}, got {x.shape[1]}")
     return x
 
 
@@ -207,7 +201,7 @@ def _gen_grads(params: GeneratorParams, p: _Pass,
 def _batch(net: DiscriminatorNet, *parts: np.ndarray) -> tuple[_Pass, int]:
     """A pass whose input holds the rows of ``parts`` stacked in order, and
     the row count m of each part; the parts must be non-empty and of one size."""
-    parts = [_rows(net, part) for part in parts]
+    parts = [_rows(part, net.layer_sizes[0]) for part in parts]
     m = len(parts[0])
     if m == 0:
         raise ValueError("batches must be non-empty")
@@ -262,7 +256,7 @@ def gen_grads(params: GeneratorParams, net: DiscriminatorNet,
     if amplitudes is None:
         amplitudes = run_generator_circuit(params)
     p = _Pass(net, 1)
-    p.x[0] = _rows(net, probabilities(amplitudes))[0]
+    p.x[0] = _rows(probabilities(amplitudes), net.layer_sizes[0])[0]
     return _gen_grads(params, p, amplitudes)
 
 

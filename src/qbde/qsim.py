@@ -56,10 +56,6 @@ class GeneratorParams:
     def depth(self) -> int:
         return self.angles.shape[0] - 1
 
-    @property
-    def n_params(self) -> int:
-        return self.angles.size
-
 
 def entangler_pairs(n_qubits: int) -> list[tuple[int, int]]:
     """Qubit pairs of one entangling block.  The wrap-around pair (n, 1) is
@@ -95,7 +91,7 @@ def _layers(n: int, raw: bytes) -> np.ndarray:
     applies layer l and ``state @ M[l].T`` undoes it.  The last build is
     cached, so a batch step's forward and adjoint sweeps share it."""
     half = np.frombuffer(raw).reshape(-1, n, 1) / 2.0
-    pick, xor, signs = _tables(n, len(half))
+    pick, xor, signs, _, _ = _tables(n, len(half))
     cs = np.concatenate([np.cos(half), np.sin(half)], axis=-1).reshape(len(half), -1)
     mats = np.take(np.take(cs, pick, axis=1).prod(axis=1), xor, axis=1) * signs
     return _frozen(mats)[0]
@@ -104,25 +100,18 @@ def _layers(n: int, raw: bytes) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _tables(n: int, n_layers: int) -> tuple[np.ndarray, ...]:
     """Gathers and signs that build the layers from each row's (cos, sin)
-    pairs.  RY(t).T = [[c, s], [-s, c]], so the Kronecker product of a row
-    holds at (i, j) c_q where bit q of i and j agree, else s_q, negated per
-    qubit that is 1 in i and 0 in j; layers 1..depth also take CZ signs.
-    Cached, read-only."""
-    idx = np.arange(2**n)
-    bits = (idx >> np.arange(n - 1, -1, -1)[:, None]) & 1   # qubit q in row q-1
+    pairs, then Y_q as a gather and a sign per qubit (row q-1).  RY(t).T =
+    [[c, s], [-s, c]], so the Kronecker product of a row holds at (i, j)
+    c_q where bit q of i and j agree, else s_q, negated per qubit that is 1
+    in i and 0 in j; layers 1..depth also take CZ signs.  (Y_q psi)_i is
+    flip_sign[q-1, i] * psi[flip[q-1, i]].  Cached, read-only."""
+    idx, shifts = np.arange(2**n), np.arange(n - 1, -1, -1)[:, None]
+    bits = (idx >> shifts) & 1   # qubit q in row q-1
     sign = np.prod(1.0 - 2.0 * (bits[:, :, None] & 1 - bits[:, None, :]), axis=0)
     signs = np.repeat([sign, entangler_signs(n)[:, None] * sign],
                       [1, n_layers - 1], axis=0)
-    return _frozen(2 * np.arange(n)[:, None] + bits, idx[:, None] ^ idx, signs)
-
-
-@lru_cache(maxsize=None)
-def _flips(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Y_q as a gather and a sign per qubit (row q-1): (Y_q psi)_i is
-    sign[q-1, i] * psi[flip[q-1, i]].  Cached, read-only."""
-    idx = np.arange(2**n)
-    bits = 1 << np.arange(n - 1, -1, -1)[:, None]
-    return _frozen(idx ^ bits, np.where(idx & bits, 1.0, -1.0))
+    return _frozen(2 * np.arange(n)[:, None] + bits, idx[:, None] ^ idx, signs,
+                   idx ^ (1 << shifts), np.where(bits, 1.0, -1.0))
 
 
 def run_generator_circuit(params: GeneratorParams) -> np.ndarray:
@@ -157,7 +146,7 @@ def adjoint_gradient(params: GeneratorParams, amplitudes: np.ndarray,
     np.multiply(dp, amplitudes, out=pairs[depth, 1])
     for layer in range(depth, 0, -1):
         np.dot(pairs[layer], mats[layer].T, out=pairs[layer - 1])
-    flip, flip_sign = _flips(n)
+    _, _, _, flip, flip_sign = _tables(n, depth + 1)
     return ((flip_sign * pairs[:, 0, flip]) @ pairs[:, 1, :, None])[..., 0]
 
 

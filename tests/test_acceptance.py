@@ -11,10 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from qbde import bde, features, qgan
+from qbde import bde, qgan
 from qbde.bde import read_score_csv, read_summary
 from qbde.cli import EXIT_OK, main
-from qbde.qsim import GeneratorParams, entangler_pairs, probabilities, run_generator_circuit
+from qbde.qsim import GeneratorParams, entangler_pairs, run_generator_circuit
 
 LOG2 = math.log(2.0)
 

@@ -104,7 +104,8 @@ def test_bad_lambda_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("setting", [
-    "lr_g = 0", "lr_g = nan", "lr_d = inf", "bde_epochs = -1", "seed = -1",
+    "lr_g = 0", "lr_g = nan", "lr_d = inf",  # not settings: recipe constants
+    "bde_epochs = -1", "seed = -1",
     "train_days = 0", "test_days = -1", "n_users = 0", "n_days = 0",
     "n_days = 2917921",  # one day past date.max
     "depth = 3"])  # not a setting: the circuit depth is k
@@ -118,8 +119,10 @@ def test_bad_setting_is_config_error_before_any_file_is_written(tmp_path, settin
 
 @pytest.mark.parametrize("key, value", [
     ("n_qubits", "4"), ("shots", "1024"), ("hidden1", "64"), ("hidden2", "32"),
-    ("bde_batch", "32"), ("bde_lr", "0.01")],
-    ids=["n_qubits", "shots", "hidden1", "hidden2", "bde_batch", "bde_lr"])
+    ("bde_batch", "32"), ("bde_lr", "0.01"), ("lr_g", "0.05"), ("lr_d", "0.01"),
+    ("resume", "true")],
+    ids=["n_qubits", "shots", "hidden1", "hidden2", "bde_batch", "bde_lr",
+         "lr_g", "lr_d", "resume"])
 def test_removed_setting_is_config_error_before_any_file_is_written(
         tmp_path, capsys, key, value):
     # the key is refused even with the value the code fixes for it
@@ -452,18 +455,22 @@ def test_resume_with_another_discriminator_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "scores.csv").exists()
 
 
-@pytest.mark.parametrize("argv, override, key", [
-    (["train", "--resume"], "lr_g = 0.5", "lr_g"),
-    (["detect"], "lr_g = 0.5", "lr_g"),
-    (["detect"], "k = 3", "depth"),
+@pytest.mark.parametrize("argv, trained, override, key", [
+    (["train", "--resume"], {"lr_g": 0.5}, "", "lr_g"),
+    (["detect"], {"lr_g": 0.5}, "", "lr_g"),
+    (["detect"], {}, "k = 3", "depth"),
 ], ids=["resume-lr_g", "detect-lr_g", "detect-depth"])
 def test_checkpoint_trained_with_other_settings_is_config_error(
-        tmp_path, capsys, argv, override, key):
+        tmp_path, capsys, argv, trained, override, key):
     # the outputs' config digest would vouch for settings the run never used
     flags = fast_flags(tmp_path)
     for step in ("synth", "ingest", "train"):
         assert main([step, *flags]) == EXIT_OK
     out = tmp_path / "out"
+    if trained:   # a checkpoint trained with a rate run.cfg cannot set
+        have = dataclasses.replace(
+            load_config(tmp_path / "run.cfg").train_config(), **trained)
+        save_checkpoint(out / "qgan.ckpt", have, init_train_state(4, have))
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(cfgfile.read_text() + override + "\n", encoding="utf-8")
@@ -472,6 +479,21 @@ def test_checkpoint_trained_with_other_settings_is_config_error(
     err = capsys.readouterr().err
     assert str(out / "qgan.ckpt") in err and f"{key} = " in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_resume_is_a_train_only_flag(tmp_path, capsys):
+    flags = fast_flags(tmp_path)
+    for step in ("synth", "ingest", "train", "detect"):
+        assert main([step, *flags]) == EXIT_OK
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    for command in ("synth", "ingest", "detect", "report"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flags, "--resume"])
+        assert exc.value.code == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+                if p.is_file()} == before
 
 
 # little-endian binary64 bytes in hex, as checkpoints store array values

@@ -615,7 +615,8 @@ def test_train_steps_one_flat_discriminator_vector_like_per_array_adam():
     cfg = TrainConfig(batch=5, epochs=4, depth=3, seed=6, hidden=(12, 7))
     trace = train(data, cfg)
     ref = init_train_state(4, cfg)
-    opts_d = [Adam(cfg.lr_d, arr) for arr in ref.net.param_list()]
+    arrays = [*ref.net.weights, *ref.net.biases]
+    opts_d = [Adam(cfg.lr_d, arr) for arr in arrays]
     for _ in range(cfg.epochs):
         order = ref.rng.permutation(len(data))
         for start in range(0, len(data), cfg.batch):
@@ -626,13 +627,12 @@ def test_train_steps_one_flat_discriminator_vector_like_per_array_adam():
             p.x[-1] = probabilities(amplitudes)
             _adversarial_grads(p, len(rows))
             dw, db = ref.net.split(p.grad)
-            for opt, arr, g in zip(opts_d, ref.net.param_list(), [*dw, *db]):
+            for opt, arr, g in zip(opts_d, arrays, [*dw, *db]):
                 opt.step(arr, g)  # one array at a time
             ref.opt_g.step(ref.params.angles,
                            gen_grads(ref.params, ref.net, amplitudes))
     np.testing.assert_array_equal(trace.state.params.angles, ref.params.angles)
-    for got, want in zip(trace.state.net.param_list(), ref.net.param_list()):
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(trace.state.net.flat, ref.net.flat)
     np.testing.assert_array_equal(trace.state.opt_d.m,
                                   np.concatenate([o.m.ravel() for o in opts_d]))
     np.testing.assert_array_equal(trace.state.opt_d.v,
@@ -643,7 +643,8 @@ def test_net_arrays_are_views_of_the_flat_vector():
     net = small_net(np.random.default_rng(23), n_in=8)
     net.flat[:] = np.arange(net.flat.size)
     np.testing.assert_array_equal(
-        np.concatenate([a.ravel() for a in net.param_list()]), net.flat)
+        np.concatenate([a.ravel() for a in [*net.weights, *net.biases]]),
+        net.flat)
     net.weights[1][0, 0] = -1.0
     assert -1.0 in net.flat
 
@@ -655,7 +656,7 @@ def test_net_is_built_from_its_layer_sizes_and_one_vector():
     rng = np.random.default_rng(24)
     want = [rng.normal(0.0, math.sqrt(2.0 / n_in), size=(n_out, n_in))
             for n_in, n_out in ((8, 6), (6, 5), (5, 1))]
-    assert net.layer_sizes == [8, 6, 5, 1] and net.n_inputs == 8
+    assert net.layer_sizes == [8, 6, 5, 1]
     assert net.flat.size == DiscriminatorNet.n_params([8, 6, 5, 1]) == 54 + 35 + 6
     for got, w in zip(net.weights, want, strict=True):
         assert got.tobytes() == w.tobytes()
@@ -663,7 +664,8 @@ def test_net_is_built_from_its_layer_sizes_and_one_vector():
     flat = net.flat.copy()
     rebuilt = DiscriminatorNet([8, 6, 5, 1], flat)
     assert rebuilt.flat is flat
-    for a, b in zip(rebuilt.param_list(), net.param_list(), strict=True):
+    for a, b in zip([*rebuilt.weights, *rebuilt.biases],
+                    [*net.weights, *net.biases], strict=True):
         np.testing.assert_array_equal(a, b)
     with pytest.raises(ValueError):
         DiscriminatorNet([8, 6, 5, 1], flat[:-1])

@@ -274,8 +274,8 @@ def test_every_cached_table_is_read_only(n):
     params = random_params(np.random.default_rng(33), n, 3)
     tables = {"entangler_signs": entangler_signs(n),
               "layers": qsim._layers(n, params.angles.tobytes()),
-              **dict(zip(("pick", "xor", "signs"), qsim._tables(n, 4))),
-              **dict(zip(("flip", "flip_sign"), qsim._flips(n)))}
+              **dict(zip(("pick", "xor", "signs", "flip", "flip_sign"),
+                         qsim._tables(n, 4)))}
     for name, table in tables.items():
         assert not table.flags.writeable, name
         with pytest.raises(ValueError):
@@ -283,7 +283,7 @@ def test_every_cached_table_is_read_only(n):
         with pytest.raises(ValueError):
             table += 1
     # the cache hands back the same frozen arrays, unchanged
-    assert qsim._flips(n)[0] is tables["flip"]
+    assert qsim._tables(n, 4)[3] is tables["flip"]
     idx = np.arange(2**n)
     for q in range(n):
         bit = 1 << (n - 1 - q)
@@ -395,7 +395,7 @@ def test_jacobian_columns_sum_to_zero():
     # Probabilities sum to 1 for every parameter value.
     params = random_params(np.random.default_rng(23), 3, 3)
     np.testing.assert_allclose(prob_jacobian(params).sum(axis=0),
-                               np.zeros(params.n_params), atol=1e-12)
+                               np.zeros(params.angles.size), atol=1e-12)
 
 
 # --------------------------------------------------------------------------
