@@ -378,7 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = vars(build_parser().parse_args(argv))
+    try:
+        args = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse printed the help, or usage and an error
+        return EXIT_CONFIG if exc.code else EXIT_OK
     run, _ = _COMMANDS[args.pop("command")]
     path = args.pop("config", None)
     overrides = {name: args.pop(name) for name in list(args) if name in _FIELD_TYPES}

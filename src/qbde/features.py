@@ -22,12 +22,13 @@ Each (user, day) with any activity becomes one 16-feature vector.  The
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta
-from itertools import islice
+from itertools import chain, compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,18 @@ _CANONICAL_STAMP = re.compile(r"(\d\d/\d\d/\d\d\d\d) (\d\d):(\d\d):(\d\d)", re.A
 _HOUR_S = {f"{h:02d}": 3600 * h for h in range(24)}
 _MINUTE_S = {f"{m:02d}": 60 * m for m in range(60)}
 _SECOND_S = {f"{s:02d}": s for s in range(60)}
+# The code point columns of a canonical stamp's digits and separators, and
+# the weights that read its date as the integer MMDDYYYY and its time as a
+# second of the day.
+_STAMP_DIGITS = np.array([0, 1, 3, 4, 6, 7, 8, 9, 11, 12, 14, 15, 17, 18])
+_STAMP_SEPS = np.array([2, 5, 10, 13, 16])
+_SEP_CODES = np.array([ord(c) for c in "// ::"], dtype=np.uint32)
+_DATE_WEIGHTS = 10 ** np.arange(7, -1, -1, dtype=np.int64)
+_SECOND_WEIGHTS = np.array([36000, 3600, 600, 60, 10, 1], dtype=np.int64)
+
+_CHUNK_BYTES = 1 << 16  # logs are read in chunks of whole lines of about this size
+_FIRST_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)?")
+_NO_EVENTS = (*[np.empty(0, np.int64)] * 4, np.empty(0))
 
 
 @dataclass
@@ -177,17 +190,225 @@ def _activity_kind(source: str, activity: str) -> int:
     return _UNKNOWN if kind is None else KINDS.index(kind)
 
 
+def _calendar_day(date_part: str, days: dict) -> int:
+    """The ordinal of an ``MM/DD/YYYY`` date through the ``days`` cache;
+    strptime's ``ValueError`` for a date like 02/30."""
+    day = days.get(date_part)
+    if day is None:
+        day = days[date_part] = datetime.strptime(date_part, "%m/%d/%Y").toordinal()
+    return day
+
+
+def _read_stamp(stamp: str, days: dict) -> tuple[int, int]:
+    """(day ordinal, second of the day) of a stripped stamp.  A canonical
+    ASCII ``MM/DD/YYYY HH:MM:SS`` stamp is read field by field (``KeyError``
+    for hour 24, say); any other stamp gets strptime's verdict."""
+    match = _CANONICAL_STAMP.fullmatch(stamp)
+    if match:
+        date_part, hh, mm, ss = match.groups()
+        return (_calendar_day(date_part, days),
+                _HOUR_S[hh] + _MINUTE_S[mm] + _SECOND_S[ss])
+    when = datetime.strptime(stamp, TIMESTAMP_FMT)
+    return when.toordinal(), (when.hour * 60 + when.minute) * 60 + when.second
+
+
+def _text_chunks(path: Path, handle):
+    """The text of a log opened in binary mode, in chunks of whole lines of
+    about ``_CHUNK_BYTES`` each; bytes that are not UTF-8 raise
+    ``SchemaError`` naming their line."""
+    offset, rest = 0, b""
+    while True:
+        block = handle.read(_CHUNK_BYTES)
+        raw = rest + block
+        if not raw:
+            return
+        # cut after the last LF, or the last CR in a log whose lines end
+        # at CR; a longer line waits for the next block
+        cut = (raw.rfind(b"\n") + 1 or raw.rfind(b"\r") + 1) if block else len(raw)
+        if not cut:
+            rest = raw
+            continue
+        raw, rest = raw[:cut], raw[cut:]
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(
+                f"{path}: line {_line_number(handle, offset + exc.start)}: not UTF-8 "
+                f"(byte 0x{raw[exc.start]:02x}: {exc.reason})") from exc
+        yield text
+        offset += len(raw)
+
+
+def _line_number(handle, offset: int) -> int:
+    """The line of a binary file that holds byte ``offset``, counting CR,
+    LF and CR LF as one line end each, as csv does."""
+    handle.seek(0)
+    line = 1
+    for raw in handle:  # each ends at an LF, so no CR LF is split
+        if offset < len(raw):
+            raw = raw[:offset]
+        line += raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
+        offset -= len(raw)
+        if offset <= 0:
+            return line
+    return line
+
+
+def _lines(texts):
+    """The lines of each text in turn, split as a file opened with
+    ``newline=""`` splits them."""
+    for text in texts:
+        yield from io.StringIO(text, newline="")
+
+
+def _plain_fields(text: str, width: int) -> list | None:
+    """The fields of ``text``'s non-blank lines in order, if csv would split
+    each line at every comma into ``width`` fields: no quote (the caller
+    checks), no carriage return, no NUL (which csv rejects before Python
+    3.11) and no line over ``csv.field_size_limit()`` bytes.  None for any
+    other text."""
+    if "\r" in text or "\0" in text:
+        return None
+    # line ends and per-line comma counts from the UTF-8 bytes, in which a
+    # comma or a newline is always its own byte
+    code = np.frombuffer(text.encode(), np.uint8)
+    ends = np.flatnonzero(code == 10)
+    if code.size and code[-1] != 10:
+        ends = np.append(ends, code.size)  # a last line without its newline
+    commas = np.diff(np.searchsorted(np.flatnonzero(code == 44), ends), prepend=0)
+    length = np.diff(ends, prepend=-1) - 1
+    blank = length == 0
+    if (commas[~blank] != width - 1).any() or length.max(initial=0) > csv.field_size_limit():
+        return None
+    if blank.any():  # a blank line is not a row
+        text = "\n".join(filter(None, text.split("\n")))
+    elif text.endswith("\n"):
+        text = text[:-1]
+    return text.replace("\n", ",").split(",") if text else []
+
+
+def _parse_rows(reader, pick: tuple, source: str, days: dict, kinds: dict,
+                users: dict) -> tuple:
+    """Decode every record of a ``csv.reader`` row by row: the event columns
+    (user, day, second, kind, size) and the counts of malformed, unknown
+    and ignored rows."""
+    i_user, i_date, i_act, i_size = pick
+    flat, n_bad, n_unknown, n_ignored = [], 0, 0, 0
+    while True:
+        try:
+            for rec in reader:
+                if not rec:
+                    continue  # a blank line is not a row
+                n = len(rec)
+                user = rec[i_user].strip() if i_user < n else ""
+                stamp = rec[i_date].strip() if i_date < n else ""
+                try:
+                    if not user or not stamp:
+                        raise ValueError("missing user or date")
+                    day, second = _read_stamp(stamp, days)
+                    size = _parse_size(rec[i_size] if i_size < n else "") \
+                        if source == "device" else 0
+                except (KeyError, ValueError):
+                    n_bad += 1
+                    continue
+                raw = rec[i_act] if i_act < n else ""
+                kind = kinds.get(raw)
+                if kind is None:
+                    kind = kinds[raw] = _activity_kind(source, raw)
+                if kind < 0:
+                    n_unknown += kind == _UNKNOWN
+                    n_ignored += kind == _IGNORED
+                    continue
+                flat += (users.setdefault(user, len(users)), day, second, kind, size)
+            break
+        except csv.Error:  # a field over csv.field_size_limit(), say;
+            n_bad += 1     # the reader resumes at the next line
+    table = np.array(flat, dtype=float).reshape(-1, 5)
+    return (*table[:, :4].T.astype(np.int64), table[:, 4]), n_bad, n_unknown, n_ignored
+
+
+def _parse_plain(fields: list, width: int, pick: tuple, source: str, days: dict,
+                 kinds: dict, users: dict) -> tuple:
+    """What ``_parse_rows`` returns for the rows whose fields are
+    ``fields``, ``width`` per row, decoded a column at a time.  Canonical
+    stamps are read from their code points and each distinct date is looked
+    up once; any other stamp, and each device size, goes through the
+    per-row rules."""
+    n = len(fields) // width if fields else 0
+    i_user, i_date, i_act, i_size = pick
+
+    def column(i):
+        return fields[i::width] if i < width else [""] * n
+
+    user, stamp, act = column(i_user), column(i_date), column(i_act)
+    names = {raw: raw.strip() for raw in set(user)}
+    ok = np.fromiter(map(bool, map(names.__getitem__, user)), bool, n) \
+        if not all(names.values()) else np.ones(n, bool)
+    # a 'U20' array holds a stamp's first 20 code points, padded with zeros
+    codes = np.array(stamp, dtype="U20").view(np.uint32).reshape(n, 20)
+    digits = codes[:, _STAMP_DIGITS] - 48  # unsigned: code points below '0' wrap
+    canonical = ((codes[:, 19] == 0) & (digits < 10).all(axis=1)
+                 & (codes[:, _STAMP_SEPS] == _SEP_CODES).all(axis=1))
+    digits = digits.astype(np.int64)
+    second = digits[:, 8:] @ _SECOND_WEIGHTS
+    day = np.zeros(n, np.int64)
+    rows = np.flatnonzero(canonical)
+    _, first, which = np.unique(digits[rows, :8] @ _DATE_WEIGHTS,
+                                return_index=True, return_inverse=True)
+    ordinals = []
+    for i in rows[first].tolist():
+        try:
+            ordinals.append(_calendar_day(stamp[i][:10], days))
+        except ValueError:
+            ordinals.append(0)
+    day[rows] = np.array(ordinals, np.int64)[which]
+    hms = digits[rows, 8:]
+    ok[rows] &= ((day[rows] > 0) & (hms[:, 0] * 10 + hms[:, 1] < 24)
+                 & (hms[:, 2] < 6) & (hms[:, 4] < 6))
+    for i in np.flatnonzero(ok & ~canonical).tolist():
+        try:
+            day[i], second[i] = _read_stamp(stamp[i].strip(), days)
+        except (KeyError, ValueError):
+            ok[i] = False
+    size = np.zeros(n)
+    if source == "device":
+        text = column(i_size)
+        try:
+            size[:] = list(map(_parse_size, text))
+        except ValueError:  # find the bad sizes of the rows still in play
+            for i in np.flatnonzero(ok).tolist():
+                try:
+                    size[i] = _parse_size(text[i])
+                except ValueError:
+                    ok[i] = False
+    for raw in set(act).difference(kinds):
+        kinds[raw] = _activity_kind(source, raw)
+    kind = np.fromiter(map(kinds.__getitem__, act), np.int64, n)
+    event = ok & (kind >= 0)
+    picked = list(compress(user, event.tolist()))
+    code = {raw: users.setdefault(names[raw], len(users))  # in order of first
+            for raw in dict.fromkeys(picked)}              # appearance
+    known = kind[ok]
+    return ((np.fromiter(map(code.__getitem__, picked), np.int64, len(picked)),
+             day[event], second[event], kind[event], size[event]),
+            n - len(known), int(np.sum(known == _UNKNOWN)),
+            int(np.sum(known == _IGNORED)))
+
+
 def _parse_file(path: Path, source: str, report: ParseReport, users: dict,
-                days: dict, flat: list) -> None:
-    """Stream one log, extending ``flat`` by (user, day, second, kind, size)
-    per event and counting its rows in ``report``.  A canonical ASCII
-    ``MM/DD/YYYY HH:MM:SS`` stamp is read field by field, its date through
-    ``days`` (filled by strptime, which rejects 02/30); any other stamp
-    gets strptime's verdict."""
-    start, n_bad, n_unknown, n_ignored = len(flat), 0, 0, 0
+                days: dict, columns: list) -> None:
+    """Stream one log in chunks, appending each chunk's event columns to
+    ``columns`` and counting the log's rows in ``report``.  A plain chunk
+    (see ``_plain_fields``) is decoded a column at a time, any other chunk
+    row by row; from the first quote on, the rest of the file goes row by
+    row, since a quoted field may span lines."""
     kinds: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    with open(path, "rb") as handle:
+        chunks = _text_chunks(path, handle)
+        text = next(chunks, "")
+        head = _FIRST_LINE.match(text).group()
+        quoted = '"' in head  # a quoted header may span lines
+        reader = csv.reader(_lines(chain([text], chunks)) if quoted else [head])
         try:
             header = next(reader, [])
         except csv.Error as exc:
@@ -195,48 +416,25 @@ def _parse_file(path: Path, source: str, report: ParseReport, users: dict,
         # a repeated name reads its last column; a missing one reads as
         # empty, like a column past the end of a short row
         where = {name: i for i, name in enumerate(header)}
-        i_user, i_date, i_act, i_size = (where.get(name, sys.maxsize) for name in
-                                         ("user", "date", "activity", "size"))
-        while True:
-            try:
-                for rec in reader:
-                    if not rec:
-                        continue  # a blank line is not a row
-                    n = len(rec)
-                    user = rec[i_user].strip() if i_user < n else ""
-                    stamp = rec[i_date].strip() if i_date < n else ""
-                    try:
-                        if not user or not stamp:
-                            raise ValueError("missing user or date")
-                        match = _CANONICAL_STAMP.fullmatch(stamp)
-                        if match:
-                            date_part, hh, mm, ss = match.groups()
-                            day = days.get(date_part) or days.setdefault(
-                                date_part,
-                                datetime.strptime(date_part, "%m/%d/%Y").toordinal())
-                            second = _HOUR_S[hh] + _MINUTE_S[mm] + _SECOND_S[ss]
-                        else:
-                            when = datetime.strptime(stamp, TIMESTAMP_FMT)
-                            day = when.toordinal()
-                            second = (when.hour * 60 + when.minute) * 60 + when.second
-                        size = _parse_size(rec[i_size] if i_size < n else "") \
-                            if source == "device" else 0
-                    except (KeyError, ValueError):  # KeyError: hour 24, say
-                        n_bad += 1
-                        continue
-                    raw = rec[i_act] if i_act < n else ""
-                    kind = kinds.get(raw)
-                    if kind is None:
-                        kind = kinds[raw] = _activity_kind(source, raw)
-                    if kind < 0:
-                        n_unknown += kind == _UNKNOWN
-                        n_ignored += kind == _IGNORED
-                        continue
-                    flat += (users.setdefault(user, len(users)), day, second, kind, size)
-                break
-            except csv.Error:  # a field over csv.field_size_limit(), say;
-                n_bad += 1     # the reader resumes at the next line
-    n_events = (len(flat) - start) // 5
+        pick = tuple(where.get(name, sys.maxsize)
+                     for name in ("user", "date", "activity", "size"))
+        width = len(header)
+        args = pick, source, days, kinds, users
+        if quoted:
+            parts = [_parse_rows(reader, *args)]
+        else:
+            parts = []
+            for text in chain([text[len(head):]], chunks):
+                if '"' in text:
+                    parts.append(_parse_rows(
+                        csv.reader(_lines(chain([text], chunks))), *args))
+                    break
+                fields = _plain_fields(text, width)
+                parts.append(_parse_rows(csv.reader(_lines([text])), *args)
+                             if fields is None else _parse_plain(fields, width, *args))
+    columns += (part[0] for part in parts)
+    n_events = sum(len(part[0][0]) for part in parts)
+    n_bad, n_unknown, n_ignored = (sum(part[i] for part in parts) for i in (1, 2, 3))
     report.rows[source] = n_events + n_bad + n_unknown + n_ignored
     report.events[source] = n_events
     report.malformed[source] = n_bad
@@ -250,15 +448,16 @@ def parse_logs(log_dir: str | Path) -> tuple[Events, ParseReport]:
     Rows read as ``csv.DictReader`` reads them.  Malformed rows (bad
     timestamp or size, missing user, a field csv rejects) and rows with
     unknown activity values are counted in the report and skipped; a
-    missing or unreadable file raises ``OSError``.
+    missing or unreadable file raises ``OSError``, and a file that is not
+    UTF-8 raises ``SchemaError``.
     """
-    report, users, days, flat = ParseReport(), {}, {}, []
+    report, users, days, columns = ParseReport(), {}, {}, []
     for filename in LOG_FILES:
         _parse_file(Path(log_dir) / filename, filename.split(".")[0], report,
-                    users, days, flat)
-    table = np.array(flat, dtype=float).reshape(-1, 5)
-    user, day, second, kind = table[:, :4].T.astype(np.int64)
-    return Events(list(users), user, day, second, kind, table[:, 4]), report
+                    users, days, columns)
+    user, day, second, kind, size = (np.concatenate(part)
+                                     for part in zip(_NO_EVENTS, *columns))
+    return Events(list(users), user, day, second, kind, size), report
 
 
 # --------------------------------------------------------------------------
@@ -355,26 +554,34 @@ def normalize(dataset: Dataset) -> Dataset:
     """
     if not dataset.train:
         raise ValueError("cannot normalize an empty training set")
-    stats = {user: (np.min(np.stack([r.features for r in rows]), axis=0),
-                    np.max(np.stack([r.features for r in rows]), axis=0))
-             for user, rows in rows_by_user(dataset.train).items()}
+    stats = {}
+    for user, rows in rows_by_user(dataset.train).items():
+        x = np.stack([row.features for row in rows])
+        stats[user] = np.min(x, axis=0), np.max(x, axis=0)
+    code = {user: i for i, user in enumerate(stats)}
+    lo = np.stack([lo for lo, _ in stats.values()])
+    span = np.stack([hi for _, hi in stats.values()]) - lo
+    safe = np.where(span > 0, span, 1.0)
 
-    def transform(row: BehaviorVector, clip_log=None) -> BehaviorVector:
-        if row.user not in stats:
-            raise ValueError(f"user {row.user} has no training rows")
-        lo, hi = stats[row.user]
-        span = hi - lo
-        safe = np.where(span > 0, span, 1.0)
-        scaled = np.where(span > 0, (row.features - lo) / safe, 0.0)
+    def transform(rows: list, clip_log=None) -> list:
+        """``rows`` scaled as one matrix, each by its user's statistics."""
+        try:
+            which = np.array([code[row.user] for row in rows], dtype=np.intp)
+        except KeyError as exc:
+            raise ValueError(f"user {exc.args[0]} has no training rows") from None
+        x = np.stack([row.features for row in rows]) if rows else lo[which]
+        scaled = np.where(span[which] > 0, (x - lo[which]) / safe[which], 0.0)
         if clip_log is not None:
-            for j in np.nonzero((scaled < 0.0) | (scaled > 1.0))[0]:
-                clip_log.append((row.user, row.day, FEATURE_NAMES[j], float(scaled[j])))
-        return replace(row, features=np.clip(scaled, 0.0, 1.0))
+            for i, j in zip(*np.nonzero((scaled < 0.0) | (scaled > 1.0))):
+                clip_log.append((rows[i].user, rows[i].day, FEATURE_NAMES[j],
+                                 float(scaled[i, j])))
+        return [replace(row, features=values)
+                for row, values in zip(rows, np.clip(scaled, 0.0, 1.0))]
 
     clipped: list = []
     return Dataset(
-        train=[transform(r) for r in dataset.train],
-        test=[transform(r, clipped) for r in dataset.test],
+        train=transform(dataset.train),
+        test=transform(dataset.test, clipped),
         stats=stats,
         excluded=list(dataset.excluded),
         clipped=clipped,

@@ -488,12 +488,33 @@ def test_resume_is_a_train_only_flag(tmp_path, capsys):
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     for command in ("synth", "ingest", "detect", "report"):
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main([command, *flags, "--resume"])
-        assert exc.value.code == EXIT_CONFIG
-        assert capsys.readouterr().out == ""
+        assert main([command, *flags, "--resume"]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --resume" in err
         assert {p: p.read_bytes() for p in tmp_path.rglob("*")
                 if p.is_file()} == before
+
+
+def test_bad_command_line_returns_exit_2_and_help_exits_0(capsys):
+    for argv in ([], ["nope"], ["train", "--epochs", "many"], ["detect", "--bogus"]):
+        assert main(argv) == EXIT_CONFIG
+        assert "usage: qbde" in capsys.readouterr().err
+    for argv in (["--help"], ["train", "--help"]):
+        assert main(argv) == EXIT_OK
+        assert "usage: qbde" in capsys.readouterr().out
+
+
+def test_ingest_names_the_log_and_line_that_is_not_utf8(tmp_path, capsys):
+    flags = fast_flags(tmp_path)
+    assert main(["synth", *flags]) == EXIT_OK
+    path = tmp_path / "data" / "http.csv"
+    lines = path.read_bytes().split(b"\n")
+    lines[26] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(["ingest", *flags]) == EXIT_VALIDATION
+    assert f"{path}: line 27: not UTF-8" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*"))
 
 
 # little-endian binary64 bytes in hex, as checkpoints store array values

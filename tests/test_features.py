@@ -2,16 +2,19 @@
 
 import csv
 import hashlib
+import itertools
 import math
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbde import features
 from qbde.checkpoint import write_csv
 from qbde.errors import SchemaError
 from qbde.features import (
@@ -33,6 +36,7 @@ from qbde.features import (
     parse_working_hours,
     read_features_csv,
     read_labels_csv,
+    rows_by_user,
     split,
     synth_generate,
     to_simplex,
@@ -278,6 +282,65 @@ def test_normalize_is_idempotent_on_training_stats():
     twice = normalize(Dataset(train=once.train, test=[]))
     for a, b in zip(once.train, twice.train):
         np.testing.assert_allclose(a.features, b.features, atol=1e-15)
+
+
+def oracle_normalize(dataset):
+    """The per-row transform ``normalize`` replaced: one np.where/np.clip
+    pass per row."""
+    stats = {user: (np.min(np.stack([r.features for r in rows]), axis=0),
+                    np.max(np.stack([r.features for r in rows]), axis=0))
+             for user, rows in rows_by_user(dataset.train).items()}
+
+    def transform(row, clip_log=None):
+        if row.user not in stats:
+            raise ValueError(f"user {row.user} has no training rows")
+        lo, hi = stats[row.user]
+        span = hi - lo
+        safe = np.where(span > 0, span, 1.0)
+        scaled = np.where(span > 0, (row.features - lo) / safe, 0.0)
+        if clip_log is not None:
+            for j in np.nonzero((scaled < 0.0) | (scaled > 1.0))[0]:
+                clip_log.append((row.user, row.day, FEATURE_NAMES[j], float(scaled[j])))
+        return replace(row, features=np.clip(scaled, 0.0, 1.0))
+
+    clipped = []
+    return Dataset(train=[transform(r) for r in dataset.train],
+                   test=[transform(r, clipped) for r in dataset.test],
+                   stats=stats, excluded=list(dataset.excluded), clipped=clipped)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_normalize_matches_per_row_oracle(seed):
+    """Users interleaved in any order, constant columns, test values far
+    outside the training range: the same bits, stats and clip records."""
+    rng = np.random.default_rng(seed)
+    users = [f"U{u}" for u in range(rng.integers(1, 5))]
+
+    def rows(n, scale):
+        values = rng.choice([0.0, 1.0, 3.0, 7.5, 1e16, 0.1], (n, N_FEATURES))
+        values[:, rng.integers(0, N_FEATURES)] = 2.0  # constant in training
+        values *= rng.uniform(0.0, scale, (n, 1))
+        return [mkrow(str(rng.choice(users)), i, v, label=str(rng.choice(["normal", ""])))
+                for i, v in enumerate(values)]
+
+    train = rows(int(rng.integers(len(users), 40)), 1.0)
+    test = [row for row in rows(int(rng.integers(0, 40)), 3.0)
+            if row.user in {r.user for r in train}]
+    data = Dataset(train=train, test=test, excluded=train[:1])
+    got, want = normalize(data), oracle_normalize(data)
+    for a, b in zip(got.train + got.test, want.train + want.test, strict=True):
+        assert (a.user, a.day, a.label) == (b.user, b.day, b.label)
+        assert a.features.tobytes() == b.features.tobytes()
+    assert got.clipped == want.clipped
+    assert got.excluded == want.excluded
+    assert list(got.stats) == list(want.stats)
+    for user, (lo, hi) in want.stats.items():
+        assert got.stats[user][0].tobytes() == lo.tobytes()
+        assert got.stats[user][1].tobytes() == hi.tobytes()
+    stranger = test + [mkrow("nobody", 99), mkrow("U0", 98)]
+    for normalized in (normalize, oracle_normalize):
+        with pytest.raises(ValueError, match="user nobody has no training rows"):
+            normalized(Dataset(train=train, test=stranger))
 
 
 def test_to_simplex_contract():
@@ -733,6 +796,8 @@ def assert_matches_oracle(log_dir, working_hours="08:00-18:00"):
     want_events, want_report = oracle_parse_logs(log_dir)
     events, report = parse_logs(log_dir)
     assert report.entries() == want_report.entries()
+    # user codes follow the order of first appearance among events
+    assert events.user_names == list(dict.fromkeys(ev.user for ev in want_events))
     assert [event_at(events, i) for i in range(len(events))] == [
         (ev.user, ev.timestamp, ev.kind, ev.size) for ev in want_events]
     out = Path(log_dir)
@@ -820,13 +885,15 @@ def fields(source):
 
 
 OTHER_FIELD = st.sampled_from(["x", "", "a,b", 'q"uote'])
+QUOTE_FREE_FIELD = st.sampled_from(["x", "", "a b", " ", "\u00fc"])
 KEY_COLUMNS = ["user", "date", "activity", "size"]
 
 
 @st.composite
-def log_lines(draw, source):
+def log_lines(draw, source, other=OTHER_FIELD):
     """The records of one log: a header that may miss or repeat a key
-    column, then rows that may be blank, short or long."""
+    column, then rows that may be blank, short or long.  Columns that are
+    not key columns draw from ``other``."""
     columns = list(LOG_COLUMNS[source])
     field = fields(source)
     if draw(st.integers(0, 4)) == 3:
@@ -839,7 +906,7 @@ def log_lines(draw, source):
     for _ in range(draw(st.integers(0, 20))):
         if draw(st.integers(0, 9)) == 7:
             lines.append([])
-        row = [draw(field.get(name, OTHER_FIELD)) for name in columns]
+        row = [draw(field.get(name, other)) for name in columns]
         change = draw(st.sampled_from([0, 0, 0, 0, 0, 0, -1, -3, 1, 2]))
         lines.append(row[:change] if change < 0 else row + ["extra"] * change)
     return [] if draw(st.integers(0, 29)) == 17 else lines
@@ -859,13 +926,175 @@ def test_parse_and_extract_match_per_event_oracle(logs, working_hours):
         assert_matches_oracle(tmp, working_hours)
 
 
-def test_odd_stamps_get_strptime_verdict(tmp_path):
-    stamps = ODD_STAMPS + ["01/04/2011 09:00:00", " 01/04/2011 09:00:00 "]
-    minimal_logs(tmp_path, login_rows=[f'L{i},"{t}",U1,PC,Logon'
-                                       for i, t in enumerate(stamps)])
-    _, report = parse_logs(tmp_path)
-    assert 0 < report.malformed["login"] < len(stamps) - 2
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(logs=st.fixed_dictionaries({s: log_lines(s, QUOTE_FREE_FIELD) for s in LOG_COLUMNS}),
+       ending=st.sampled_from(["\n", "\n", "\r\n", "\r"]), last_newline=st.booleans(),
+       chunk=st.sampled_from([1, 48, 300, features._CHUNK_BYTES]))
+def test_quote_free_logs_match_per_event_oracle(logs, ending, last_newline, chunk):
+    """Logs with no quote, written field by field, read in chunks of many
+    sizes: chunks whose lines all hold the header's field count take the
+    column path, the others the per-row one, and both agree with the
+    oracle."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(features, "_CHUNK_BYTES", chunk):
+        for source, lines in logs.items():
+            text = ending.join(",".join(line) for line in lines)
+            with open(Path(tmp) / f"{source}.csv", "w", newline="",
+                      encoding="utf-8") as handle:
+                handle.write(text + ending if lines and last_newline else text)
+        assert_matches_oracle(tmp)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_logs_are_read_in_chunks_of_whole_lines(tmp_path, ending):
+    """Each chunk ends at a line end, whichever kind the log uses, so a log
+    is never held in memory whole."""
+    rows = [f"H{i},01/04/2011 09:00:{i % 60:02d},U{i % 4},PC,{'x' * (i % 50)}"
+            for i in range(4 * features._CHUNK_BYTES // 40)]
+    minimal_logs(tmp_path)
+    path = tmp_path / "http.csv"
+    path.write_bytes(ending.join(["id,date,user,pc,url", *rows, ""]).encode())
+    with open(path, "rb") as handle:
+        chunks = list(features._text_chunks(path, handle))
+    assert len(chunks) > 3 and "".join(chunks).encode() == path.read_bytes()
+    assert all(chunk.endswith(ending[-1]) for chunk in chunks)
+    assert max(map(len, chunks)) < features._CHUNK_BYTES + 100
     assert_matches_oracle(tmp_path)
+
+
+def count_decoders(monkeypatch):
+    """Calls of the column decoder and the per-row decoder, counted."""
+    calls = {"plain": 0, "rows": 0}
+    for name, key in (("_parse_plain", "plain"), ("_parse_rows", "rows")):
+        def counted(*args, _inner=getattr(features, name), _key=key):
+            calls[_key] += 1
+            return _inner(*args)
+        monkeypatch.setattr(features, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("late", [
+    'H9,01/05/2011 10:00:00,U2,PC,"a,b"',
+    'H9,01/05/2011 10:00:00,U2,"PC\nH10,01/05/2011 11:00:00,U3,PC,x",y',
+    'H9,"01/05/2011\n10:00:00",U2,PC,x',
+])
+def test_quote_after_the_first_chunk_sends_the_rest_row_by_row(tmp_path, monkeypatch,
+                                                               late):
+    """A quote past the first chunk: the chunks before it are read as
+    columns, and from its chunk on the file is read row by row, so a quoted
+    field that spans lines is one field."""
+    row = "H{},01/04/2011 09:{:02d}:00,U1,PC,a.com"
+    before = [row.format(i, i % 60) for i in range(features._CHUNK_BYTES // 30)]
+    minimal_logs(tmp_path, http_rows=[*before, late, row.format(11, 5)])
+    calls = count_decoders(monkeypatch)
+    assert_matches_oracle(tmp_path)
+    # the four other logs and http's first chunk, then the rest of http
+    assert calls == {"plain": 5, "rows": 1}
+    events, report = parse_logs(tmp_path)
+    assert "U3" not in events.user_names
+    assert report.rows["http"] == len(before) + 2
+
+
+@pytest.mark.parametrize("date_first", [False, True])
+def test_every_row_rule_holds_on_the_column_path(tmp_path, monkeypatch, date_first):
+    """Plain logs crossing users, stamps, activities and sizes that are each
+    valid or not: the column path alone reads them, as the oracle does."""
+    users = ["U2", "U1", " U1 ", "", "  ", "\u00fc", "U10", "U\x0b"]
+    stamps = ["01/04/2011 09:00:00", "01/08/2011 23:59:59", " 01/05/2011 07:00:00",
+              "02/30/2011 09:00:00", "1/4/2011 9:00:00", "", "01/04/2011 24:00:00",
+              "01/04/2011 09:00:00 "]
+    sizes = ["", "0", " 250 ", "1e3", "-5.7", "inf", "nan", "abc", "1e16", "1"]
+    rows = {source: [",".join({"user": user, "date": stamp, "activity": act,
+                               "size": size}.get(name, "x") for name in columns)
+                     for user, stamp, act, size in itertools.product(
+                         users, stamps, ACTIVITIES[source] + ["Teleport"],
+                         sizes if source == "device" else [""])]
+            for source, columns in LOG_COLUMNS.items()}
+    minimal_logs(tmp_path, **{f"{source}_rows": lines for source, lines in rows.items()})
+    if date_first:  # move id to the end, so the first column is a key column
+        for source in LOG_COLUMNS:
+            path = tmp_path / f"{source}.csv"
+            path.write_text("".join(f"{rest},{first}\n" for first, rest in (
+                line.split(",", 1) for line in path.read_text().split("\n")[:-1])))
+    calls = count_decoders(monkeypatch)
+    assert_matches_oracle(tmp_path)
+    assert calls["rows"] == 0 and calls["plain"] >= 5
+
+
+@pytest.mark.parametrize("odd", ["H2,01/04/2011 09:00:01,U2,PC",
+                                 "H2,01/04/2011 09:00:01,U2,PC,a,b", "H2", ""])
+def test_a_short_or_long_row_sends_its_chunk_row_by_row(tmp_path, monkeypatch, odd):
+    minimal_logs(tmp_path, http_rows=["H1,01/04/2011 09:00:00,U1,PC,a", odd,
+                                      "H3,01/04/2011 09:00:02,U3,PC,a"])
+    calls = count_decoders(monkeypatch)
+    assert_matches_oracle(tmp_path)
+    assert calls == {"plain": 5 - (odd != ""), "rows": odd != ""}
+
+
+def test_quoted_header_sends_the_whole_file_row_by_row(tmp_path, monkeypatch):
+    minimal_logs(tmp_path, login_rows=["L1,01/04/2011 09:00:00,U1,PC,Logon"])
+    (tmp_path / "http.csv").write_text(
+        'id,date,"us\ner",user,pc,url\nH1,01/04/2011 09:00:00,x,U1,PC,a.com\n',
+        encoding="utf-8")
+    calls = count_decoders(monkeypatch)
+    assert_matches_oracle(tmp_path)
+    assert calls["rows"] == 1
+    assert parse_logs(tmp_path)[1].events["http"] == 1
+
+
+def test_synth_corpus_never_takes_the_per_row_decoder(tmp_path, monkeypatch):
+    """Every chunk of a synth corpus is plain, so a silent fall back to the
+    per-row decoder (and the speed it costs) cannot hide."""
+    result = synth_generate(SynthConfig(n_users=2, n_days=90, seed=3,
+                                        out_dir=tmp_path))
+    assert result.paths["http"].stat().st_size > 2 * features._CHUNK_BYTES
+
+    def refuse(*args):
+        raise AssertionError("a synth chunk took the per-row decoder")
+
+    monkeypatch.setattr(features, "_parse_rows", refuse)
+    assert_matches_oracle(tmp_path)
+    _, report = parse_logs(tmp_path)
+    assert report.rows == result.row_counts
+    assert report.total_events() == sum(result.row_counts.values())
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("quote_at", [None, 1, 5])
+def test_non_utf8_log_names_its_file_and_line(tmp_path, ending, quote_at):
+    """A byte that is not UTF-8, read by the column path (no quote), by the
+    per-row path after a quote, or in the chunk holding the first quote."""
+    rows = [f"H{i},01/04/2011 09:00:0{i},U1,PC," + ('"a"' if i == quote_at else "a")
+            for i in range(8)]
+    minimal_logs(tmp_path, http_rows=rows)
+    path = tmp_path / "http.csv"
+    lines = path.read_bytes().decode().split("\n")
+    lines[4] = lines[4].replace("U1", "U\xff")  # line 5: the fourth row
+    path.write_bytes(ending.join(lines).encode("latin-1"))
+    for chunk in (1, 64, features._CHUNK_BYTES):
+        with mock.patch.object(features, "_CHUNK_BYTES", chunk), \
+                pytest.raises(SchemaError, match=r"http\.csv: line 5: not UTF-8 "
+                                                 r"\(byte 0xff: invalid start byte\)"):
+            parse_logs(tmp_path)
+
+
+def test_odd_stamps_get_strptime_verdict(tmp_path, monkeypatch):
+    """Every stamp in a grid of valid and invalid fields, read row by row
+    (quoted) and as columns (plain)."""
+    grid = ["{:02d}/{:02d}/{:04d} {:02d}:{:02d}:{:02d}".format(*fields)
+            for fields in itertools.product([0, 1, 2, 12, 13], [0, 1, 2, 8, 29, 30, 32],
+                                            [0, 1, 2011, 2012], [0, 9, 23, 24, 99],
+                                            [0, 59, 60], [0, 59, 60, 61])]
+    stamps = ODD_STAMPS + ["01/04/2011 09:00:00", " 01/04/2011 09:00:00 "] + grid
+    calls = count_decoders(monkeypatch)
+    for quote in ('"', ""):
+        minimal_logs(tmp_path, login_rows=[f"L{i},{quote}{t}{quote},U{i % 3},PC,Logon"
+                                           for i, t in enumerate(stamps)])
+        calls.update(plain=0, rows=0)
+        _, report = parse_logs(tmp_path)
+        assert calls["rows"] == (quote != "")
+        assert 0 < report.malformed["login"] < len(stamps) - 2
+        assert_matches_oracle(tmp_path)
 
 
 def test_size_totals_follow_event_order(tmp_path):
