@@ -7,6 +7,8 @@ stride 1, zero pad 1) -> relu -> maxpool(2) gives 4x8, conv(4->8) -> relu
 single sigmoid unit.  Forward and backward passes are written out by hand
 so the gradients can be checked against finite differences; one gather
 from the flat parameters builds both conv matrices and their bias rows.
+The same passes take an optional leading user axis: ``train_bde`` steps
+a stack of users' scorers at once, each bit-identical to training alone.
 
 A day x is scored against the trained generator's output distribution g:
 R_d = |x - g|_1 in feature space, R_n = |f(x) - f(g)|_1 in embedding
@@ -101,58 +103,147 @@ def _conv_layer(c_in: int, c_out: int, length: int, w: int, b: int):
 _CONV1 = _conv_layer(1, 4, INPUT_LEN, _W1.start, _B1.start)
 _CONV2 = _conv_layer(4, 8, INPUT_LEN // 2, _W2.start, _B2.start)
 _GATHER = np.concatenate([_CONV1[2], _CONV2[2]])   # both layers, one take()
+_SPLIT = len(_CONV1[2])
 _WIDTH = 4 * INPUT_LEN   # both layers' output: 4 channels x 16, 8 x 8
 
 
-def _relu_pool(z: np.ndarray):
-    """ReLU in place, the max of each (even, odd) pair, and which pairs' max
-    the left and the right slot gave (ties go left, zero pairs nowhere)."""
+class _Pass:
+    """Buffers of one forward and backward pass of the parameters ``flat``
+    over ``rows`` input rows: one net's vector, or a stack of nets' rows
+    (a leading user axis on every buffer).  They are allocated once and
+    overwritten by every pass: the conv matrices ``g`` gathered from
+    ``flat``, each conv layer's pooled output and pooling routes, the
+    output unit's pre-activation ``logit`` and gradient ``dz``, and the
+    parameter gradient ``grad``, laid out like the parameters.  Buffers
+    whose uses never overlap are shared: ``z`` holds each conv layer's
+    pre-activation and later the gradient there, ``d`` the gradient at the
+    embedding and then at the first pooled output.  The gather and each
+    layer's cells and taps are flat indices, each net's offset past the
+    nets before it, so one ``take`` or ``bincount`` serves the whole
+    stack.  ``hidden`` and ``back`` group the buffers per layer in the
+    order the passes use them, with the views each pass reads made once."""
+
+    def __init__(self, flat: np.ndarray, rows: int):
+        lead = flat.shape[:-1]
+        stack = np.arange(math.prod(lead))[:, None]
+        self.flat = flat
+        self.gather = (_GATHER + stack * (N_PARAMS + 1)).reshape(*lead, -1)
+        self.g = np.empty(self.gather.shape)
+        self.logit = np.empty((*lead, rows, 1))
+        self.dz = np.empty((*lead, rows))
+        self.grad = np.empty((*lead, N_PARAMS))
+        self.z = np.empty((*lead, rows, _WIDTH))
+        self.d = np.empty((*lead, rows, _WIDTH // 2))
+        self.colsum = np.empty((*lead, _WIDTH))
+        self.halves = self.z[..., 0::2], self.z[..., 1::2]   # each pool's slots
+        # the output unit's weights as a column and as a row, its bias, and
+        # the gradient at its pre-activation as a column and as a row
+        self.w_col, self.w_row = flat[..., _FC_W, None], flat[..., None, _FC_W]
+        self.bias = flat[..., None, _FC_B]
+        self.dz_col, self.dz_row = self.dz[..., None], self.dz[..., None, :]
+        self.hidden, self.back = [], []
+        a = None   # the first layer's input is the batch itself
+        for (cells, taps, gather), part, w, b in (
+                (_CONV1, slice(None, _SPLIT), _W1, _B1),
+                (_CONV2, slice(_SPLIT, None), _W2, _B2)):
+            layer = self.g[..., part].reshape(*lead, -1, _WIDTH)
+            pooled = np.empty((*lead, rows, _WIDTH // 2))
+            route = np.empty((2, *pooled.shape), dtype=bool)
+            self.hidden.append((layer[..., :-1, :], layer[..., -1:, :],
+                                pooled, route))
+            cells = (cells + stack * (len(gather) - _WIDTH)).ravel()
+            n_in = INPUT_LEN if a is None else a.shape[-1]
+            self.back.append((
+                None if a is None else a.swapaxes(-1, -2),
+                layer[..., :-1, :].swapaxes(-1, -2),
+                np.empty((*lead, n_in, _WIDTH)), cells, np.empty(cells.shape),
+                (taps + stack * (taps.max() + 1)).ravel(),
+                self.grad[..., w], self.grad[..., b], route,
+                None if a is None else self.d))
+            a = pooled
+        self.emb = a
+        self.back.reverse()   # top layer first
+
+
+def _relu_pool(z: np.ndarray, halves, pooled: np.ndarray, route: np.ndarray):
+    """ReLU on ``z`` in place, the max of each (even, odd) pair of its
+    ``halves``, and which pairs' max the left and the right slot gave (ties
+    go left, zero pairs nowhere)."""
     np.maximum(z, 0.0, out=z)
-    left, right = z[:, 0::2], z[:, 1::2]
-    pooled = np.maximum(left, right)
-    to_right = right > left
-    return pooled, ((pooled > 0.0) > to_right, to_right)   # bool a > b: a and not b
+    left, right = halves
+    to_left, to_right = route
+    np.maximum(left, right, out=pooled)
+    np.greater(right, left, out=to_right)
+    np.greater(pooled, 0.0, out=to_left)
+    np.greater(to_left, to_right, out=to_left)   # bool a > b: a and not b
 
 
-def _unpool(dp: np.ndarray, route) -> np.ndarray:
-    dz = np.empty((len(dp), 2 * dp.shape[1]))
-    np.multiply(dp, route[0], out=dz[:, 0::2])
-    np.multiply(dp, route[1], out=dz[:, 1::2])
-    return dz
+def _forward(p: _Pass, x: np.ndarray, short=()) -> np.ndarray:
+    """The unclamped scores of the rows ``x``, of one net or of a stack
+    (``x`` one batch per net).  ``short`` lists the nets, with their row
+    counts, whose rows end before the batch does: the output unit's
+    product runs again over their own rows, since a longer matrix-vector
+    product may round its last rows differently."""
+    p.flat.take(p.gather, out=p.g, mode="clip")
+    a = x
+    for w, b, pooled, route in p.hidden:
+        np.matmul(a, w, out=p.z)
+        p.z += b
+        _relu_pool(p.z, p.halves, pooled, route)
+        a = pooled
+    np.matmul(p.emb, p.w_col, out=p.logit)
+    for net, rows in short:
+        p.logit[net, :rows, 0] = p.emb[net, :rows] @ p.flat[net, _FC_W]
+    p.logit += p.bias
+    return _sigmoid(p.logit[..., 0])
 
 
-def _forward(flat: np.ndarray, x: np.ndarray):
-    """Unclamped scores, embeddings, and what the backward pass needs."""
-    g = flat.take(_GATHER)
-    layer1 = g[:len(_CONV1[2])].reshape(-1, _WIDTH)    # (16 + 1, 4*16)
-    layer2 = g[len(_CONV1[2]):].reshape(-1, _WIDTH)    # (4*8 + 1, 8*8)
-    p1, route1 = _relu_pool(x @ layer1[:-1] + layer1[-1])       # (m, 4*8)
-    emb, route2 = _relu_pool(p1 @ layer2[:-1] + layer2[-1])     # (m, 8*4)
-    z_raw = _sigmoid(emb @ flat[_FC_W] + flat[_FC_B][0])
-    return z_raw, emb, (p1, layer2[:-1], route1, route2)
-
-
-def _conv_grads(dz: np.ndarray, xin: np.ndarray, conv, dw: np.ndarray, db: np.ndarray):
-    """A layer's weight and bias gradients, from its output gradient and input."""
-    dw[:] = np.bincount(conv[1], weights=(xin.T @ dz).take(conv[0]))
-    np.add.reduce(np.add.reduce(dz, axis=0).reshape(len(db), -1), axis=1, out=db)
-
-
-def _grads(flat: np.ndarray, x: np.ndarray, y: np.ndarray, grad: np.ndarray):
-    """Cross-entropy gradients of a labelled batch into ``grad``; the unclamped scores."""
-    z_raw, emb, (p1, t2, route1, route2) = _forward(flat, x)
-    dz = (z_raw - y) / len(y)   # gradient at the output pre-activation
-    dz2 = _unpool(np.outer(dz, flat[_FC_W]), route2)
-    _conv_grads(dz2, p1, _CONV2, grad[_W2], grad[_B2])
-    _conv_grads(_unpool(dz2 @ t2.T, route1), x, _CONV1, grad[_W1], grad[_B1])
-    grad[_FC_W] = dz @ emb
-    grad[_FC_B] = dz.sum()
+def _grads(p: _Pass, x: np.ndarray, y: np.ndarray,
+           rows: np.ndarray | None = None) -> np.ndarray:
+    """Cross-entropy gradients of a labelled batch into ``p.grad``; the
+    unclamped scores.  ``rows``, on a stack's batch, gives each net's own
+    row count where some end before the batch does: the rows after a
+    net's own are zero rows whose output gradient is zero."""
+    m = y.shape[-1]
+    short = () if rows is None else [
+        (net, n) for net, n in enumerate(rows.tolist()) if n < m]
+    z_raw = _forward(p, x, short)
+    dz = np.subtract(z_raw, y, out=p.dz)   # gradient at the output pre-activation
+    if rows is None:
+        dz /= m
+    else:
+        dz /= rows[:, None]
+        dz *= np.arange(m) < rows[:, None]
+    d_out = np.multiply(p.dz_col, p.w_row, out=p.d)
+    even, odd = p.halves
+    for a_t, w_t, prod, cells, picked, taps, dw, db, route, d_in in p.back:
+        np.multiply(d_out, route[0], out=even)
+        np.multiply(d_out, route[1], out=odd)
+        np.matmul(x.swapaxes(-1, -2) if a_t is None else a_t, p.z, out=prod)
+        prod.take(cells, out=picked, mode="clip")
+        dw[...] = np.bincount(taps, weights=picked).reshape(dw.shape)
+        np.add.reduce(p.z, axis=-2, out=p.colsum)
+        np.add.reduce(p.colsum.reshape(*db.shape, -1), axis=-1, out=db)
+        if d_in is not None:
+            d_out = np.matmul(p.z, w_t, out=d_in)
+    p.grad[..., _FC_W] = (p.dz_row @ p.emb)[..., 0, :]
+    np.add.reduce(dz, axis=-1, keepdims=True, out=p.grad[..., _FC_B])
+    for net, n in short:   # each product's rounding depends on its length
+        p.grad[net, _FC_W] = dz[net, :n] @ p.emb[net, :n]
+        p.grad[net, _FC_B] = dz[net, :n].sum()
     return z_raw
+
+
+def _embed(net: BdeNet, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unclamped scores and embeddings of the rows ``x``."""
+    x = _rows(x, INPUT_LEN)
+    p = _Pass(net.flat, len(x))
+    return _forward(p, x), p.emb
 
 
 def bde_forward(net: BdeNet, x: np.ndarray) -> tuple[float, np.ndarray]:
     """Score in (0, 1) plus the 32-value embedding for one input."""
-    z_raw, emb, _ = _forward(net.flat, _rows(np.reshape(x, (1, -1)), INPUT_LEN))
+    z_raw, emb = _embed(net, np.reshape(x, (1, -1)))
     return float(_clamp(z_raw[0])), emb[0]
 
 
@@ -160,37 +251,88 @@ def bce_loss_and_grads(net: BdeNet, x: np.ndarray,
                        y: np.ndarray) -> tuple[float, list[np.ndarray]]:
     """Binary cross-entropy over a labelled batch and its gradients, in
     ``param_list()`` order."""
-    y = np.asarray(y, dtype=float)
-    grad = np.empty(N_PARAMS)
-    z_raw = _grads(net.flat, _rows(x, INPUT_LEN), y, grad)
-    score = _clamp(z_raw)
+    x, y = _rows(x, INPUT_LEN), np.asarray(y, dtype=float)
+    p = _Pass(net.flat, len(x))
+    score = _clamp(_grads(p, x, y))
     loss = float(-np.mean(y * np.log(score) + (1 - y) * np.log(1 - score)))
-    return loss, _views(grad)
+    return loss, _views(p.grad)
 
 
-def train_bde(real: np.ndarray, generated: np.ndarray, epochs: int,
-              seed: int) -> BdeNet:
-    """Fit the scorer to separate real rows (label 1) from generated rows
-    (label 0) by minimizing cross-entropy; deterministic under the seed.
-    Each epoch permutes the rows once and steps through them in slices."""
-    real, generated = _rows(real, INPUT_LEN), _rows(generated, INPUT_LEN)
-    if len(real) == 0 or len(generated) == 0:
-        raise ValueError("both training sets must be non-empty")
-    x = np.vstack([real, generated])
-    y = np.concatenate([np.ones(len(real)), np.zeros(len(generated))])
-    rng = np.random.default_rng(seed)
-    net = BdeNet.create(rng)
-    # Adam steps the parameters, all of the vector but its trailing 0.0
-    params, grad = net.flat[:N_PARAMS], np.empty(N_PARAMS)
+def train_bde(reals, generated, epochs: int, seed: int) -> list[BdeNet]:
+    """One scorer per user, fitted to separate that user's real rows
+    (label 1) from its generated rows (label 0) by minimizing
+    cross-entropy; deterministic under the seed.  Each epoch permutes a
+    user's rows once and steps through them in slices of ``BATCH``.
+
+    Users whose epochs hold equally many slices train as one stack, so
+    each step runs once for all of them; every user's net is bit-identical
+    to training that user alone."""
+    sets = []
+    for real, gen in zip(reals, generated, strict=True):
+        real, gen = _rows(real, INPUT_LEN), _rows(gen, INPUT_LEN)
+        if len(real) == 0 or len(gen) == 0:
+            raise ValueError("both training sets must be non-empty")
+        sets.append((real, gen))
+    # a stack shares its Adam step count, so its users' epochs hold equally
+    # many slices; a one-row slice is a matrix-vector product, not the
+    # matrix product a padded slice would make, so it gets its own stack
+    stacks: dict[tuple[int, bool], list[int]] = {}
+    for user, (real, gen) in enumerate(sets):
+        n = len(real) + len(gen)
+        stacks.setdefault((-(-n // BATCH), n % BATCH == 1), []).append(user)
+    nets: list[BdeNet] = [None] * len(sets)
+    for users in stacks.values():
+        flat = _train_stack([sets[user] for user in users], epochs, seed)
+        for user, row in zip(users, flat):
+            nets[user] = BdeNet(row)
+    return nets
+
+
+def _train_stack(sets, epochs: int, seed: int) -> np.ndarray:
+    """``train_bde`` of users whose epochs hold equally many slices, as one
+    stack: their parameters (users, N_PARAMS + 1), batches (users, BATCH,
+    16), gradients and one Adam state.  A user with fewer rows than the
+    stack's widest has zero rows after its own; they fill its last slice
+    and carry no gradient."""
+    n = [len(real) + len(gen) for real, gen in sets]
+    width = max(n)
+    x = np.zeros((len(sets), width, INPUT_LEN))
+    y = np.zeros((len(sets), width))
+    for user, (real, gen) in enumerate(sets):
+        x[user, :len(real)], x[user, len(real):n[user]] = real, gen
+        y[user, :len(real)] = 1.0
+    # each user's generator starts from the seed, so users with as many
+    # rows draw the same net and permutations: one generator per row count
+    counts = sorted(set(n))
+    rngs = [np.random.default_rng(seed) for _ in counts]
+    firsts = [BdeNet.create(rng).flat for rng in rngs]
+    group = [counts.index(rows) for rows in n]
+    flat = np.stack([firsts[g] for g in group])
+    order = np.tile(np.arange(width), (len(counts), 1))   # the pad rows stay put
+    base = np.arange(0, len(sets) * width, width)[:, None]
+    last = (width - 1) // BATCH * BATCH   # where each epoch's last slice starts
+    padded = np.array(n) - last if min(n) < width else None
+    # each epoch's rows, and its slices: one pass for the full slices, one
+    # for a shorter last slice
+    x_epoch, y_epoch = np.empty_like(x), np.empty_like(y)
+    passes = {w: _Pass(flat, w) for w in (min(BATCH, width), width - last)}
+    steps = [(x_epoch[:, start:start + BATCH], y_epoch[:, start:start + BATCH],
+              passes[min(BATCH, width - start)], padded if start == last else None)
+             for start in range(0, width, BATCH)]
+    # Adam steps the parameters, all of each row but its trailing 0.0
+    params = flat[:, :N_PARAMS]
     opt = Adam(LR, params)
+    x, y = x.reshape(-1, INPUT_LEN), y.ravel()
     for _ in range(epochs):
-        order = rng.permutation(len(x))
-        x_epoch, y_epoch = x[order], y[order]
-        for start in range(0, len(x), BATCH):
-            _grads(net.flat, x_epoch[start:start + BATCH],
-                   y_epoch[start:start + BATCH], grad)
-            opt.step(params, grad)
-    return net
+        for g, (rows, rng) in enumerate(zip(counts, rngs)):
+            order[g, :rows] = rng.permutation(rows)
+        pick = order[group] + base
+        x.take(pick, axis=0, out=x_epoch, mode="clip")
+        y.take(pick, out=y_epoch, mode="clip")
+        for x_step, y_step, p, rows in steps:
+            _grads(p, x_step, y_step, rows)
+            opt.step(params, p.grad)
+    return flat
 
 
 # --------------------------------------------------------------------------
@@ -224,7 +366,7 @@ def _recon_batch(x: np.ndarray, refs: np.ndarray, net: BdeNet):
     ``refs``, plus that index; rows and references share one forward pass."""
     dist = np.abs(x[:, None, :] - refs[None, :, :]).sum(axis=2)
     nearest = np.argmin(dist, axis=1)
-    _, emb, _ = _forward(net.flat, _rows(np.vstack([x, refs]), INPUT_LEN))
+    _, emb = _embed(net, np.vstack([x, refs]))
     r_n = np.abs(emb[:len(x)] - emb[len(x):][nearest]).sum(axis=1)
     return dist[np.arange(len(x)), nearest], r_n, nearest
 

@@ -284,21 +284,27 @@ def cmd_detect(cfg: RunConfig) -> int:
                           f"training rows to score against")
     digest = cfg.digest()
 
-    test_records: list[bde.ScoreRecord] = []
-    train_records: list[bde.ScoreRecord] = []
+    # every checkpoint loads before any scorer trains, and one call trains
+    # all users' scorers
+    users, reals, generated = [], [], []
     for user, user_train in train_by_user.items():
         state = _load_state(cfg, _ckpt_path(cfg, user, len(train_by_user)))
         references = _reference_distributions(state, cfg)
         rows = user_train + test_by_user.get(user, [])
         x = features.to_simplex([row.features for row in rows])
         real = x[:len(user_train)]
-        generated = np.tile(references, (-(-len(real) // len(references)), 1))
-        net = bde.train_bde(real, generated[:len(real)], cfg.bde_epochs,
-                            cfg.seed + 1)
-        records = bde.score_rows(rows, x, references, net, cfg.lam,
-                                 len(user_train))
-        train_records.extend(records[:len(user_train)])
-        test_records.extend(records[len(user_train):])
+        tiled = np.tile(references, (-(-len(real) // len(references)), 1))
+        reals.append(real)
+        generated.append(tiled[:len(real)])
+        users.append((rows, x, references, len(user_train)))
+    nets = bde.train_bde(reals, generated, cfg.bde_epochs, cfg.seed + 1)
+
+    test_records: list[bde.ScoreRecord] = []
+    train_records: list[bde.ScoreRecord] = []
+    for (rows, x, references, n_train), net in zip(users, nets):
+        records = bde.score_rows(rows, x, references, net, cfg.lam, n_train)
+        train_records.extend(records[:n_train])
+        test_records.extend(records[n_train:])
 
     bde.write_score_csv(out_dir / "scores.csv", test_records, digest)
     bde.write_score_csv(out_dir / "scores_train.csv", train_records, digest)

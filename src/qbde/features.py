@@ -191,11 +191,13 @@ def _activity_kind(source: str, activity: str) -> int:
 
 
 def _calendar_day(date_part: str, days: dict) -> int:
-    """The ordinal of an ``MM/DD/YYYY`` date through the ``days`` cache;
-    strptime's ``ValueError`` for a date like 02/30."""
+    """The ordinal of a canonical ``MM/DD/YYYY`` date (ASCII digits) through
+    the ``days`` cache; ``ValueError`` for a date like 02/30 or a year 0000,
+    where strptime's ``%m/%d/%Y`` gives one too."""
     day = days.get(date_part)
     if day is None:
-        day = days[date_part] = datetime.strptime(date_part, "%m/%d/%Y").toordinal()
+        day = days[date_part] = date(int(date_part[6:]), int(date_part[:2]),
+                                     int(date_part[3:5])).toordinal()
     return day
 
 
@@ -264,11 +266,15 @@ def _lines(texts):
 def _plain_fields(text: str, width: int) -> list | None:
     """The fields of ``text``'s non-blank lines in order, if csv would split
     each line at every comma into ``width`` fields: no quote (the caller
-    checks), no carriage return, no NUL (which csv rejects before Python
-    3.11) and no line over ``csv.field_size_limit()`` bytes.  None for any
-    other text."""
-    if "\r" in text or "\0" in text:
+    checks), no carriage return but one that ends a line before its LF, no
+    NUL (which csv rejects before Python 3.11) and no line over
+    ``csv.field_size_limit()`` bytes.  None for any other text."""
+    if "\0" in text:
         return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):   # a lone CR ends a line too
+            return None
+        text = text.replace("\r\n", "\n")
     # line ends and per-line comma counts from the UTF-8 bytes, in which a
     # comma or a newline is always its own byte
     code = np.frombuffer(text.encode(), np.uint8)

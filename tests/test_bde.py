@@ -358,7 +358,7 @@ def test_train_matches_per_call_oracle_bit_for_bit(kind, n_real, n_gen, epochs, 
     rng = np.random.default_rng(1000 + seed)
     real = rng.dirichlet(np.ones(16), size=n_real)
     generated = generated_rows(kind, n_gen, rng)
-    assert_same_bytes(train_bde(real, generated, epochs, seed),
+    assert_same_bytes(train_bde([real], [generated], epochs, seed)[0],
                       oracle_train_bde(real, generated, epochs, seed))
 
 
@@ -367,7 +367,7 @@ def test_train_matches_oracle_on_more_seeds():
     real = rng.dirichlet(np.ones(16), size=46)
     generated = generated_rows("tiled", 46, rng)
     for seed in range(20, 26):
-        assert_same_bytes(train_bde(real, generated, 8, seed),
+        assert_same_bytes(train_bde([real], [generated], 8, seed)[0],
                           oracle_train_bde(real, generated, 8, seed))
 
 
@@ -379,6 +379,79 @@ def test_uniform_rows_tie_in_pooling():
           + np.repeat(b1, 16))
     a = np.maximum(z1, 0.0)
     assert np.any((a[:, 0::2] == a[:, 1::2]) & (a[:, 0::2] > 0))
+
+
+def fleet(kind, sizes, seed):
+    """Each user's real rows and generated rows, of the (real, generated)
+    row counts ``sizes``."""
+    rng = np.random.default_rng(seed)
+    reals = [rng.dirichlet(np.ones(16), size=n_real) for n_real, _ in sizes]
+    return reals, [generated_rows(kind, n_gen, rng) for _, n_gen in sizes]
+
+
+def assert_each_user_matches_oracle(reals, generated, epochs, seed):
+    nets = train_bde(reals, generated, epochs, seed)
+    assert len(nets) == len(reals)
+    for net, real, gen in zip(nets, reals, generated, strict=True):
+        assert_same_bytes(net, oracle_train_bde(real, gen, epochs, seed))
+
+
+def count_stack_steps(monkeypatch):
+    """The shape of every stack Adam steps from now on (the oracle's
+    one-net steps are left out)."""
+    shapes = []
+    step = Adam.step
+
+    def counted(self, param, grad):
+        if param.ndim == 2:
+            shapes.append(param.shape)
+        step(self, param, grad)
+
+    monkeypatch.setattr(Adam, "step", counted)
+    return shapes
+
+
+def stack_steps(epochs, stacks):
+    """The sorted step shapes of ``stacks``, (batches, users) pairs."""
+    return sorted(shape for batches, users in stacks
+                  for shape in [(users, N_PARAMS)] * (epochs * batches))
+
+
+@pytest.mark.parametrize("kind", ["tiled", "distinct", "uniform"])
+def test_stack_matches_oracle_for_every_last_batch_size(kind, monkeypatch):
+    # 65 to 96 rows: three batches an epoch, the last of 1 to 32 rows;
+    # odd totals have one more real row than generated ones
+    sizes = [((64 + r + 1) // 2, (64 + r) // 2) for r in range(1, 33)]
+    shapes = count_stack_steps(monkeypatch)
+    assert_each_user_matches_oracle(*fleet(kind, sizes, 3), epochs=3, seed=5)
+    # a one-row last batch trains as a stack of its own
+    assert sorted(shapes) == stack_steps(3, [(3, 1), (3, 31)])
+
+
+@pytest.mark.parametrize("kind", ["tiled", "distinct", "uniform"])
+def test_fleet_splits_into_one_stack_per_batch_count(kind, monkeypatch):
+    # 8, 40, 73, 92, 33, 186 and 73 rows: 1, 2, 3, 3, 2 (the last of one
+    # row), 6 and 3 batches an epoch
+    sizes = [(5, 3), (20, 20), (40, 33), (46, 46), (16, 17), (100, 86), (33, 40)]
+    shapes = count_stack_steps(monkeypatch)
+    assert_each_user_matches_oracle(*fleet(kind, sizes, 8), epochs=4, seed=2)
+    assert sorted(shapes) == stack_steps(4, [(1, 1), (2, 1), (3, 3), (2, 1),
+                                             (6, 1)])
+
+
+@pytest.mark.parametrize("kind", ["tiled", "distinct", "uniform"])
+def test_fleet_of_one_user_and_zero_epochs_match_oracle(kind):
+    assert_each_user_matches_oracle(*fleet(kind, [(46, 46)], 4), epochs=6, seed=9)
+    assert_each_user_matches_oracle(*fleet(kind, [(46, 46), (45, 46), (3, 2)], 5),
+                                    epochs=0, seed=9)
+
+
+def test_a_fleet_of_equal_batch_counts_steps_once_per_batch(monkeypatch):
+    # six users of 41 to 46 days, as a fleet's detection trains them
+    shapes = count_stack_steps(monkeypatch)
+    sizes = [(n, n) for n in (44, 41, 46, 43, 46, 45)]
+    assert_each_user_matches_oracle(*fleet("tiled", sizes, 6), epochs=5, seed=1)
+    assert shapes == stack_steps(5, [(3, 6)])
 
 
 def loss_cases():
@@ -428,7 +501,7 @@ def test_train_separable_sets_reach_full_accuracy():
     rng = np.random.default_rng(2)
     real = rng.uniform(0.6, 1.0, (40, 16))
     fake = rng.uniform(0.0, 0.4, (40, 16))
-    net = train_bde(real, fake, epochs=200, seed=0)
+    [net] = train_bde([real], [fake], epochs=200, seed=0)
     x = np.vstack([real, fake])
     y = np.concatenate([np.ones(40), np.zeros(40)])
     assert bde_accuracy(net, x, y) == 1.0
@@ -437,7 +510,7 @@ def test_train_separable_sets_reach_full_accuracy():
 def test_train_identical_sets_settle_at_log2():
     rng = np.random.default_rng(4)
     data = rng.dirichlet(np.ones(16), size=60)
-    net = train_bde(data, data, epochs=150, seed=1)
+    [net] = train_bde([data], [data], epochs=150, seed=1)
     loss, _ = bce_loss_and_grads(net, np.vstack([data, data]),
                                  np.concatenate([np.ones(60), np.zeros(60)]))
     assert loss == pytest.approx(math.log(2), abs=0.1)
@@ -450,8 +523,8 @@ def test_train_is_seed_deterministic():
     rng = np.random.default_rng(6)
     real = rng.uniform(0, 1, (20, 16))
     fake = rng.uniform(0, 1, (20, 16))
-    n1 = train_bde(real, fake, epochs=30, seed=3)
-    n2 = train_bde(real, fake, epochs=30, seed=3)
+    [n1] = train_bde([real], [fake], epochs=30, seed=3)
+    [n2] = train_bde([real], [fake], epochs=30, seed=3)
     for a, b in zip(n1.param_list(), n2.param_list()):
         np.testing.assert_array_equal(a, b)
 
@@ -462,7 +535,7 @@ def test_train_steps_one_flat_vector_like_per_array_adam():
     real = rng.uniform(0, 1, (40, 16))
     fake = rng.uniform(0, 1, (33, 16))
     epochs, seed = 6, 4
-    net = train_bde(real, fake, epochs, seed)
+    [net] = train_bde([real], [fake], epochs, seed)
     x = np.vstack([real, fake])
     y = np.concatenate([np.ones(40), np.zeros(33)])
     order_rng = np.random.default_rng(seed)
@@ -494,7 +567,9 @@ def test_adam_on_a_flat_vector_is_bit_identical_to_per_array_adam():
 
 def test_train_rejects_empty_sets():
     with pytest.raises(ValueError):
-        train_bde(np.empty((0, 16)), np.ones((2, 16)), epochs=1, seed=0)
+        train_bde([np.empty((0, 16))], [np.ones((2, 16))], epochs=1, seed=0)
+    with pytest.raises(ValueError):   # one user's real rows, no generated ones
+        train_bde([np.ones((2, 16))], [], epochs=1, seed=0)
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbde import checkpoint
+from qbde import bde, checkpoint, features
 from qbde.bde import read_score_csv, read_summary
 from qbde.checkpoint import load_checkpoint, read_kv, save_checkpoint
 from qbde.cli import (
@@ -478,6 +478,35 @@ def test_checkpoint_trained_with_other_settings_is_config_error(
     assert main([*argv, *flags]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert str(out / "qgan.ckpt") in err and f"{key} = " in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_detect_checks_every_checkpoint_before_training_a_scorer(
+        tmp_path, capsys, monkeypatch):
+    # one call trains every user's scorer, so no scorer trains before the
+    # last user's checkpoint is found to disagree with the config
+    flags = fast_flags(tmp_path)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(cfgfile.read_text() + "n_users = 2\n", encoding="utf-8")
+    for step in ("synth", "ingest", "train"):
+        assert main([step, *flags]) == EXIT_OK
+    out = tmp_path / "out"
+    users = list(features.rows_by_user(
+        features.read_features_csv(out / "features_train.csv")))
+    assert len(users) == 2
+    last = out / f"qgan-{users[-1]}.ckpt"
+    have = dataclasses.replace(load_config(cfgfile).train_config(), lr_g=0.5)
+    save_checkpoint(last, have, init_train_state(4, have))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def no_training(*args):
+        raise AssertionError("a scorer trained before every checkpoint loaded")
+
+    monkeypatch.setattr(bde, "train_bde", no_training)
+    capsys.readouterr()
+    assert main(["detect", *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(last) in err and "lr_g = " in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 

@@ -1042,11 +1042,17 @@ def test_quoted_header_sends_the_whole_file_row_by_row(tmp_path, monkeypatch):
     assert parse_logs(tmp_path)[1].events["http"] == 1
 
 
-def test_synth_corpus_never_takes_the_per_row_decoder(tmp_path, monkeypatch):
-    """Every chunk of a synth corpus is plain, so a silent fall back to the
-    per-row decoder (and the speed it costs) cannot hide."""
+@pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_synth_corpus_never_takes_the_per_row_decoder(tmp_path, monkeypatch, ending):
+    """Every chunk of a synth corpus is plain, with LF or CR LF line ends,
+    so a silent fall back to the per-row decoder (and the speed it costs)
+    cannot hide."""
     result = synth_generate(SynthConfig(n_users=2, n_days=90, seed=3,
                                         out_dir=tmp_path))
+    for path in result.paths.values():
+        data = path.read_bytes()
+        assert b"\r" not in data
+        path.write_bytes(data.replace(b"\n", ending.encode()))
     assert result.paths["http"].stat().st_size > 2 * features._CHUNK_BYTES
 
     def refuse(*args):
@@ -1057,6 +1063,53 @@ def test_synth_corpus_never_takes_the_per_row_decoder(tmp_path, monkeypatch):
     _, report = parse_logs(tmp_path)
     assert report.rows == result.row_counts
     assert report.total_events() == sum(result.row_counts.values())
+
+
+@pytest.mark.parametrize("eighth, want_rows, want_bad", [
+    ("a.com\r\n", 0, 0),   # CR LF line ends only: the column path
+    ("a.com\r", 1, 0),     # the eighth row's line ends at a lone CR
+    ("a\rb\r\n", 1, 1),    # a lone CR in its url ends the line there
+], ids=["crlf", "cr-line-end", "cr-in-field"])
+def test_a_lone_cr_sends_its_chunk_row_by_row(tmp_path, monkeypatch, eighth,
+                                              want_rows, want_bad):
+    """A CR that ends a line before its LF is dropped on the column path; a
+    lone CR sends its chunk to the per-row path, so csv splits that line
+    where it would."""
+    rows = [f"H{i},01/04/2011 09:00:{i % 60:02d},U{i % 3},PC," for i in range(40)]
+    minimal_logs(tmp_path)
+    (tmp_path / "http.csv").write_bytes(("id,date,user,pc,url\r\n" + "".join(
+        row + (eighth if i == 7 else "a.com\r\n") for i, row in enumerate(rows))).encode())
+    calls = count_decoders(monkeypatch)
+    _, report = parse_logs(tmp_path)
+    assert (calls["rows"], report.malformed["http"]) == (want_rows, want_bad)
+    assert_matches_oracle(tmp_path)
+
+
+def test_canonical_dates_get_strptime_verdict(tmp_path, monkeypatch):
+    """Every month 00 to 13 and day 00 to 32 of some years, past and
+    present, leap and not, read as columns (bare) and row by row (quoted):
+    a date is a day where strptime reads one, and malformed elsewhere."""
+    dates = [f"{month:02d}/{day:02d}/{year:04d}" for month in range(14)
+             for day in range(33) for year in (0, 1, 1900, 2000, 2011, 2012, 9999)]
+
+    def strptime_day(text):
+        try:
+            return datetime.strptime(text, "%m/%d/%Y").toordinal()
+        except ValueError:
+            return None
+
+    want = [strptime_day(text) for text in dates]
+    assert 0 < want.count(None) < len(dates)
+    calls = count_decoders(monkeypatch)
+    for quote in ('"', ""):
+        minimal_logs(tmp_path, login_rows=[f"L{i},{quote}{text} 09:30:00{quote},U1,PC,Logon"
+                                           for i, text in enumerate(dates)])
+        calls.update(plain=0, rows=0)
+        events, report = parse_logs(tmp_path)
+        assert calls["rows"] == (quote != "")
+        assert report.malformed["login"] == want.count(None)
+        assert events.day.tolist() == [day for day in want if day is not None]
+        assert set(events.second.tolist()) == {9 * 3600 + 30 * 60}
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n"])
