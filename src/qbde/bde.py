@@ -9,6 +9,9 @@ so the gradients can be checked against finite differences; one gather
 from the flat parameters builds both conv matrices and their bias rows.
 The same passes take an optional leading user axis: ``train_bde`` steps
 a stack of users' scorers at once, each bit-identical to training alone.
+A trained scorer can be saved under ``scorer_key``, the digest of exactly
+what ``train_bde`` fitted it to, and ``load_scorer`` gives it back only
+for that key, so a caller reuses it instead of training it again.
 
 A day x is scored against the trained generator's output distribution g:
 R_d = |x - g|_1 in feature space, R_n = |f(x) - f(g)|_1 in embedding
@@ -23,6 +26,8 @@ High_threat, each band including its upper bound.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -30,7 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Section, read_csv, read_kv, write_csv, write_kv
+from .checkpoint import (Section, _get_array, _put_array, read_csv, read_kv,
+                         write_csv, write_kv)
+from .errors import SchemaError
 from .optim import Adam
 from .qgan import _clamp, _rows, _sigmoid
 
@@ -38,6 +45,12 @@ INPUT_LEN = 16
 EMBED_LEN = 32
 BATCH = 32   # rows per training step
 LR = 0.01    # Adam step size
+# names the training recipe in every scorer_key: a change to the scorer's
+# arithmetic (layers, initialisation, batching, stacking, Adam, the order
+# of any sum) must bump it, or saved scorers the new recipe would not
+# train are reused
+SCORER_VERSION = 1
+SCORER_MAGIC = "qbde-scorer-v1"
 
 # indexed by a score's band: (d > th_d) + (d > th_f)
 VERDICTS = ("Normal", "Low_threat", "High_threat")
@@ -120,14 +133,15 @@ class _Pass:
     embedding and then at the first pooled output.  The gather and each
     layer's cells and taps are flat indices, each net's offset past the
     nets before it, so one ``take`` or ``bincount`` serves the whole
-    stack.  ``hidden`` and ``back`` group the buffers per layer in the
-    order the passes use them, with the views each pass reads made once."""
+    stack; ``_offsets`` makes them once per stack size.  ``hidden`` and
+    ``back`` group the buffers per layer in the order the passes use
+    them, with the views each pass reads made once."""
 
     def __init__(self, flat: np.ndarray, rows: int):
         lead = flat.shape[:-1]
-        stack = np.arange(math.prod(lead))[:, None]
+        gather, layers = _offsets(math.prod(lead))
         self.flat = flat
-        self.gather = (_GATHER + stack * (N_PARAMS + 1)).reshape(*lead, -1)
+        self.gather = gather.reshape(*lead, -1)
         self.g = np.empty(self.gather.shape)
         self.logit = np.empty((*lead, rows, 1))
         self.dz = np.empty((*lead, rows))
@@ -143,26 +157,38 @@ class _Pass:
         self.dz_col, self.dz_row = self.dz[..., None], self.dz[..., None, :]
         self.hidden, self.back = [], []
         a = None   # the first layer's input is the batch itself
-        for (cells, taps, gather), part, w, b in (
-                (_CONV1, slice(None, _SPLIT), _W1, _B1),
-                (_CONV2, slice(_SPLIT, None), _W2, _B2)):
+        for (cells, taps), part, w, b in (
+                (layers[0], slice(None, _SPLIT), _W1, _B1),
+                (layers[1], slice(_SPLIT, None), _W2, _B2)):
             layer = self.g[..., part].reshape(*lead, -1, _WIDTH)
             pooled = np.empty((*lead, rows, _WIDTH // 2))
             route = np.empty((2, *pooled.shape), dtype=bool)
             self.hidden.append((layer[..., :-1, :], layer[..., -1:, :],
                                 pooled, route))
-            cells = (cells + stack * (len(gather) - _WIDTH)).ravel()
             n_in = INPUT_LEN if a is None else a.shape[-1]
             self.back.append((
                 None if a is None else a.swapaxes(-1, -2),
                 layer[..., :-1, :].swapaxes(-1, -2),
                 np.empty((*lead, n_in, _WIDTH)), cells, np.empty(cells.shape),
-                (taps + stack * (taps.max() + 1)).ravel(),
-                self.grad[..., w], self.grad[..., b], route,
+                taps, self.grad[..., w], self.grad[..., b], route,
                 None if a is None else self.d))
             a = pooled
         self.emb = a
         self.back.reverse()   # top layer first
+
+
+@functools.cache
+def _offsets(nets: int):
+    """``_Pass``'s flat indices for a stack of ``nets`` nets, each net's
+    offset past the nets before it: the gather, and each layer's cells and
+    taps.  Made once per stack size and never written; they stay
+    writeable, since ``take`` copies a read-only index array first."""
+    stack = np.arange(nets)[:, None]
+    gather = _GATHER + stack * (N_PARAMS + 1)
+    layers = tuple(((cells + stack * (len(g) - _WIDTH)).ravel(),
+                    (taps + stack * (taps.max() + 1)).ravel())
+                   for cells, taps, g in (_CONV1, _CONV2))
+    return gather, layers
 
 
 def _relu_pool(z: np.ndarray, halves, pooled: np.ndarray, route: np.ndarray):
@@ -333,6 +359,46 @@ def _train_stack(sets, epochs: int, seed: int) -> np.ndarray:
             _grads(p, x_step, y_step, rows)
             opt.step(params, p.grad)
     return flat
+
+
+def scorer_key(real, generated, epochs: int, seed: int) -> str:
+    """sha256 of exactly what ``train_bde`` fits one user's scorer to:
+    ``SCORER_VERSION``, the epochs and the seed, then the shape and the
+    little-endian binary64 bytes of the real and of the generated rows."""
+    h = hashlib.sha256(f"{SCORER_VERSION} {epochs} {seed}".encode())
+    for rows in (real, generated):
+        rows = np.ascontiguousarray(rows, dtype="<f8")
+        h.update(f"|{rows.shape}|".encode())
+        h.update(rows)
+    return h.hexdigest()
+
+
+def _vector_digest(flat: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(flat, dtype="<f8")).hexdigest()
+
+
+def save_scorer(path: str | Path, key: str, net: BdeNet) -> None:
+    """``net``, trained on the inputs ``key`` names, as a ``key = value``
+    file: its exact vector and that vector's sha256."""
+    write_kv(path, SCORER_MAGIC, {"": {
+        "key": key, **_put_array("params", net.flat),
+        "params.sha256": _vector_digest(net.flat)}})
+
+
+def load_scorer(path: str | Path, key: str) -> BdeNet | None:
+    """The scorer saved at ``path`` for ``key``, or None, never an error,
+    when the file is missing, unreadable or malformed, was saved for
+    another key, or holds a vector that does not match its digest."""
+    try:
+        sec = read_kv(path, SCORER_MAGIC)[""]
+        if sec["key"] != key:
+            return None
+        flat = _get_array(sec, "params", (N_PARAMS + 1,))
+        if _vector_digest(flat) != sec["params.sha256"]:
+            return None
+        return BdeNet(flat)
+    except (OSError, SchemaError, ValueError):
+        return None
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Text file formats: ``key = value`` files, CSVs and checkpoints.
 
 ``read_kv`` and ``write_kv`` read and write every ``key = value`` file:
-``run.cfg``, checkpoints, and the synth, parse and detection reports.
+``run.cfg``, checkpoints, saved scorers, and the synth, parse and
+detection reports.
 ``read_csv`` and ``write_csv`` read and write every CSV: the synth logs,
 labels, features, normalisation stats, losses and scores.  Both writers go
 through ``atomic_open``, so no output is ever left half-written.  A

@@ -284,8 +284,7 @@ def cmd_detect(cfg: RunConfig) -> int:
                           f"training rows to score against")
     digest = cfg.digest()
 
-    # every checkpoint loads before any scorer trains, and one call trains
-    # all users' scorers
+    # every checkpoint loads before any scorer is looked up or trained
     users, reals, generated = [], [], []
     for user, user_train in train_by_user.items():
         state = _load_state(cfg, _ckpt_path(cfg, user, len(train_by_user)))
@@ -297,7 +296,20 @@ def cmd_detect(cfg: RunConfig) -> int:
         reals.append(real)
         generated.append(tiled[:len(real)])
         users.append((rows, x, references, len(user_train)))
-    nets = bde.train_bde(reals, generated, cfg.bde_epochs, cfg.seed + 1)
+
+    # a scorer saved for exactly these inputs is reused; one call trains
+    # the rest, and is made even when it has none to train
+    paths = [out_dir / f"scorer_{user}.ckpt" for user in train_by_user]
+    keys = [bde.scorer_key(real, gen, cfg.bde_epochs, cfg.seed + 1)
+            for real, gen in zip(reals, generated)]
+    nets = [bde.load_scorer(path, key) for path, key in zip(paths, keys)]
+    missed = [i for i, net in enumerate(nets) if net is None]
+    trained = bde.train_bde([reals[i] for i in missed],
+                            [generated[i] for i in missed],
+                            cfg.bde_epochs, cfg.seed + 1)
+    for i, net in zip(missed, trained):
+        bde.save_scorer(paths[i], keys[i], net)
+        nets[i] = net
 
     test_records: list[bde.ScoreRecord] = []
     train_records: list[bde.ScoreRecord] = []
@@ -312,6 +324,7 @@ def cmd_detect(cfg: RunConfig) -> int:
                             train_records, cfg.lam, digest)
     acc_text = f", accuracy {acc:.4f}" if acc is not None else ""
     print(f"scored {len(test_records)} test rows over {len(train_by_user)} user(s)"
+          f" ({len(missed)} scorer(s) trained, {len(nets) - len(missed)} reused)"
           f"{acc_text}")
     return EXIT_OK
 

@@ -8,10 +8,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from qbde import bde
 from qbde.bde import (
     BATCH,
     LR,
     N_PARAMS,
+    SCORER_MAGIC,
     BdeNet,
     ScoreRecord,
     Thresholds,
@@ -23,10 +25,13 @@ from qbde.bde import (
     behavior_score,
     confusion,
     fit_thresholds,
+    load_scorer,
     read_score_csv,
     read_summary,
     recon_errors,
+    save_scorer,
     score_rows,
+    scorer_key,
     train_bde,
     write_score_csv,
     write_summary,
@@ -452,6 +457,89 @@ def test_a_fleet_of_equal_batch_counts_steps_once_per_batch(monkeypatch):
     sizes = [(n, n) for n in (44, 41, 46, 43, 46, 45)]
     assert_each_user_matches_oracle(*fleet("tiled", sizes, 6), epochs=5, seed=1)
     assert shapes == stack_steps(5, [(3, 6)])
+
+
+# --------------------------------------------------------------------------
+# Saved scorers
+# --------------------------------------------------------------------------
+
+def flip_bit(rows, index, bit=0):
+    """A copy of ``rows`` with one bit of one value flipped."""
+    out = rows.copy()
+    out.view(np.uint64)[index] ^= np.uint64(1 << bit)
+    return out
+
+
+def test_scorer_key_changes_with_every_input(monkeypatch):
+    real, generated = fleet("distinct", [(6, 6)], 12)
+    real, generated = real[0], generated[0]
+    base = scorer_key(real, generated, 40, 1)
+    assert scorer_key(real.copy(), generated.copy(), 40, 1) == base
+    keys = [
+        scorer_key(real, generated, 41, 1),
+        scorer_key(real, generated, 40, 2),
+        scorer_key(flip_bit(real, (2, 5)), generated, 40, 1),
+        scorer_key(real, flip_bit(generated, (5, 15), bit=63), 40, 1),
+        # the same bytes in other shapes
+        scorer_key(real.reshape(3, 32), generated, 40, 1),
+        scorer_key(real[:4], np.vstack([real[4:], generated]), 40, 1),
+    ]
+    monkeypatch.setattr(bde, "SCORER_VERSION", bde.SCORER_VERSION + 1)
+    keys.append(scorer_key(real, generated, 40, 1))
+    assert len({base, *keys}) == len(keys) + 1
+
+
+def test_saved_scorer_loads_bit_identical(tmp_path):
+    net = random_net(4)
+    path = tmp_path / "scorer.ckpt"
+    save_scorer(path, "k1", net)
+    assert path.read_text(encoding="utf-8").splitlines()[0] == SCORER_MAGIC
+    assert load_scorer(path, "k1").flat.tobytes() == net.flat.tobytes()
+    assert load_scorer(path, "k2") is None
+    assert [p.name for p in tmp_path.iterdir()] == ["scorer.ckpt"]
+
+
+def _edit_scorer(path, key, change):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    entries = dict(line.split(" = ") for line in lines[1:])
+    entries[key] = change(entries[key])
+    path.write_text("\n".join([lines[0], *(f"{k} = {v}" for k, v in
+                                           entries.items())]) + "\n",
+                    encoding="utf-8")
+
+
+@pytest.mark.parametrize("spoil", [
+    "missing", "directory", "not utf-8", "magic", "no key", "data bit",
+    "data short", "shape", "digest", "trailing value"])
+def test_spoilt_scorer_file_is_a_miss(tmp_path, spoil):
+    path = tmp_path / "scorer.ckpt"
+    save_scorer(path, "k1", random_net(5))
+    if spoil == "missing":
+        path.unlink()
+    elif spoil == "directory":
+        path.unlink()
+        path.mkdir()
+    elif spoil == "not utf-8":
+        path.write_bytes(path.read_bytes() + b"# \xe9\n")
+    elif spoil == "magic":
+        path.write_text(path.read_text().replace(SCORER_MAGIC, "qbde-ckpt-v4"))
+    elif spoil == "no key":
+        path.write_text(path.read_text().replace("key = k1\n", ""))
+    elif spoil == "data bit":
+        _edit_scorer(path, "params.data", lambda h: h[:5] + "0f"[h[5] == "0"] + h[6:])
+    elif spoil == "data short":
+        _edit_scorer(path, "params.data", lambda h: h[:-16])
+    elif spoil == "shape":
+        _edit_scorer(path, "params.shape", lambda shape: "2 77")
+    elif spoil == "digest":
+        _edit_scorer(path, "params.sha256", lambda h: h[::-1])
+    else:
+        # a consistent file whose vector BdeNet refuses: the value after
+        # the parameters, which the conv gather reads, must be 0.0
+        flat = random_net(5).flat
+        flat[-1] = 1.0
+        save_scorer(path, "k1", SimpleNamespace(flat=flat))
+    assert load_scorer(path, "k1") is None
 
 
 def loss_cases():

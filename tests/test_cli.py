@@ -4,6 +4,7 @@ import builtins
 import csv
 import dataclasses
 import re
+import shutil
 from datetime import datetime
 from pathlib import Path
 
@@ -944,6 +945,116 @@ def test_features_with_user_id_that_breaks_the_summary_are_rejected(
 
 
 # --------------------------------------------------------------------------
+# Saved scorers
+# --------------------------------------------------------------------------
+
+DETECT_OUTPUTS = ("scores.csv", "scores_train.csv", "detect_summary.txt")
+
+
+def _outputs(out):
+    return {name: (out / name).read_bytes() for name in DETECT_OUTPUTS}
+
+
+def _spy_on_scorer_training(monkeypatch):
+    """How many users each ``bde.train_bde`` call trains, from now on."""
+    calls = []
+    train = bde.train_bde
+
+    def spy(reals, generated, epochs, seed):
+        calls.append(len(reals))
+        return train(reals, generated, epochs, seed)
+
+    monkeypatch.setattr(bde, "train_bde", spy)
+    return calls
+
+
+def test_reused_scorer_gives_the_outputs_of_a_fresh_one(tmp_path, capsys):
+    out = run_pipeline(tmp_path)
+    flags = fast_flags(tmp_path)
+    cold, scorer = _outputs(out), (out / "scorer_U0000.ckpt").read_bytes()
+    capsys.readouterr()
+    assert main(["detect", *flags]) == EXIT_OK
+    assert "(0 scorer(s) trained, 1 reused)" in capsys.readouterr().out
+    assert _outputs(out) == cold
+    (out / "scorer_U0000.ckpt").unlink()
+    assert main(["detect", *flags]) == EXIT_OK
+    assert "(1 scorer(s) trained, 0 reused)" in capsys.readouterr().out
+    assert _outputs(out) == cold
+    assert (out / "scorer_U0000.ckpt").read_bytes() == scorer
+
+
+def test_detect_retrains_a_scorer_only_when_its_inputs_change(tmp_path,
+                                                              monkeypatch):
+    out = run_pipeline(tmp_path)
+    flags = fast_flags(tmp_path)
+    cfgfile = tmp_path / "run.cfg"
+    calls = _spy_on_scorer_training(monkeypatch)
+
+    def trained(*argv):
+        calls.clear()
+        assert main(["detect", *flags, *argv]) == EXIT_OK
+        return calls
+
+    assert trained() == [0]
+    # lambda enters only at scoring: the scores are a cold run's at it
+    assert trained("--lambda", "0.5") == [0]
+    cold = tmp_path / "cold"
+    shutil.copytree(out, cold)
+    (cold / "scorer_U0000.ckpt").unlink()
+    assert main(["detect", *flags, "--lambda", "0.5", "--out", str(cold)]) \
+        == EXIT_OK
+    assert _outputs(out) == _outputs(cold)
+
+    assert main(["train", *flags, "--resume"]) == EXIT_OK
+    assert trained() == [1]
+    cfgfile.write_text(cfgfile.read_text() + "bde_epochs = 11\n",
+                       encoding="utf-8")
+    assert trained() == [1]
+    assert main(["train", *flags, "--seed", "5"]) == EXIT_OK
+    assert trained("--seed", "5") == [1]
+    cfgfile.write_text(cfgfile.read_text() + "sampled = true\n",
+                       encoding="utf-8")
+    assert trained("--seed", "5") == [1]
+    assert trained("--seed", "5") == [0]
+
+
+def test_edited_training_row_retrains_that_user_alone(tmp_path, monkeypatch):
+    flags = fast_flags(tmp_path)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(cfgfile.read_text() + "n_users = 2\n", encoding="utf-8")
+    for step in ("synth", "ingest", "train", "detect"):
+        assert main([step, *flags]) == EXIT_OK
+    out = tmp_path / "out"
+    path = out / "features_train.csv"
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    edit = next(rec for rec in rows if rec[0] == "U0001")
+    edit[2] = "0.25" if edit[2] != "0.25" else "0.75"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(rows[0]) + "\n")   # the config digest comment
+        csv.writer(handle, lineterminator="\n").writerows(rows[1:])
+    kept = (out / "scorer_U0000.ckpt").stat().st_ino
+    retrained = (out / "scorer_U0001.ckpt").read_bytes()
+    calls = _spy_on_scorer_training(monkeypatch)
+    assert main(["detect", *flags]) == EXIT_OK
+    assert calls == [1]
+    assert (out / "scorer_U0000.ckpt").stat().st_ino == kept
+    assert (out / "scorer_U0001.ckpt").read_bytes() != retrained
+
+
+def test_failed_scorer_write_keeps_every_output(tmp_path, monkeypatch):
+    out = run_pipeline(tmp_path)
+    flags = fast_flags(tmp_path)   # writes run.cfg
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(cfgfile.read_text() + "bde_epochs = 11\n",
+                       encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    _fail_writes_to(monkeypatch, "scorer_U0000.ckpt")
+    assert main(["detect", *flags]) == EXIT_IO
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+# --------------------------------------------------------------------------
 # Fuzzed key = value files
 # --------------------------------------------------------------------------
 
@@ -954,7 +1065,9 @@ KV_COMMANDS = {
     "run.cfg": [["report"]],
     "out/qgan.ckpt": [["detect"], ["train", "--resume", "--epochs", "1"]],
     "out/detect_summary.txt": [["report"]],
+    "out/scorer_U0000.ckpt": [["detect"]],
 }
+SCORER = "out/scorer_U0000.ckpt"
 
 
 @pytest.fixture(scope="module")
@@ -1008,9 +1121,9 @@ def _mutate(text, i, how, j, char):
 def test_mutated_kv_file_never_escapes_main(kv_run, target, how, data):
     work, files = kv_run
     _restore(kv_run)
-    # truncate and corrupt mutate the array data of a checkpoint
+    # truncate and corrupt mutate the array data of a checkpoint or scorer
     in_array = how in ("truncate", "corrupt")
-    if in_array:
+    if in_array and target != SCORER:
         target = "out/qgan.ckpt"
     text = files[work / target].decode("utf-8")
     lines = [n for n, line in enumerate(text.splitlines())
@@ -1020,8 +1133,18 @@ def test_mutated_kv_file_never_escapes_main(kv_run, target, how, data):
     char = data.draw(st.sampled_from("gx -.0f"), label="char")
     (work / target).write_text(_mutate(text, i, how, j, char), encoding="utf-8")
     for argv in KV_COMMANDS[target]:
-        assert main([*argv, "--config", str(work / "run.cfg")]) in (
-            EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION)
+        code = main([*argv, "--config", str(work / "run.cfg")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION)
+    if target == SCORER:
+        # a spoilt scorer is a miss: trained again, the same outputs, and
+        # saved again as a valid file
+        assert code == EXIT_OK
+        assert _outputs(work / "out") == {
+            name: files[work / "out" / name] for name in DETECT_OUTPUTS}
+        key, data = (re.search(rf"^{name} = (\w+)$", text, re.M)[1]
+                     for name in ("key", r"params\.data"))
+        assert bde.load_scorer(work / target, key).flat.tobytes() \
+            == bytes.fromhex(data)
 
 
 # --------------------------------------------------------------------------
