@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import sys
 from dataclasses import dataclass
@@ -370,9 +371,11 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Each flag's ``dest`` is the ``RunConfig`` field it overrides, or the
-    keyword of its command's function; a flag not given is left out."""
+    keyword of its command's function; a flag not given is left out.  Built
+    once per process: parsing leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="qbde",
         description="Model normal user behavior with a quantum-circuit GAN "

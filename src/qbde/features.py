@@ -28,7 +28,7 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta
-from itertools import chain, compress, islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -134,16 +134,22 @@ _CANONICAL_STAMP = re.compile(r"(\d\d/\d\d/\d\d\d\d) (\d\d):(\d\d):(\d\d)", re.A
 _HOUR_S = {f"{h:02d}": 3600 * h for h in range(24)}
 _MINUTE_S = {f"{m:02d}": 60 * m for m in range(60)}
 _SECOND_S = {f"{s:02d}": s for s in range(60)}
-# The code point columns of a canonical stamp's digits and separators, and
+# The byte columns of a canonical stamp's digits and separators, and
 # the weights that read its date as the integer MMDDYYYY and its time as a
 # second of the day.
 _STAMP_DIGITS = np.array([0, 1, 3, 4, 6, 7, 8, 9, 11, 12, 14, 15, 17, 18])
 _STAMP_SEPS = np.array([2, 5, 10, 13, 16])
-_SEP_CODES = np.array([ord(c) for c in "// ::"], dtype=np.uint32)
+_SEP_CODES = np.frombuffer(b"// ::", np.uint8)
 _DATE_WEIGHTS = 10 ** np.arange(7, -1, -1, dtype=np.int64)
 _SECOND_WEIGHTS = np.array([36000, 3600, 600, 60, 10, 1], dtype=np.int64)
+# A size's digit weights by its length, 0 to 16 bytes: none unless 1 to 15.
+_SIZE_WEIGHTS = np.array([[10 ** (k - 1 - j) if j < k < 16 else 0 for j in range(15)]
+                          for k in range(17)])
+# Masks that keep the first 0 to 8 bytes of a little-endian uint64.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 _CHUNK_BYTES = 1 << 16  # logs are read in chunks of whole lines of about this size
+_PAD = 19  # zero bytes after a chunk's text, so no fixed-width read runs off it
 _FIRST_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)?")
 _NO_EVENTS = (*[np.empty(0, np.int64)] * 4, np.empty(0))
 
@@ -263,34 +269,61 @@ def _lines(texts):
         yield from io.StringIO(text, newline="")
 
 
-def _plain_fields(text: str, width: int) -> list | None:
-    """The fields of ``text``'s non-blank lines in order, if csv would split
-    each line at every comma into ``width`` fields: no quote (the caller
-    checks), no carriage return but one that ends a line before its LF, no
-    NUL (which csv rejects before Python 3.11) and no line over
-    ``csv.field_size_limit()`` bytes.  None for any other text."""
+def _plain_fields(text: str, width: int) -> tuple | None:
+    """The UTF-8 bytes of ``text``, then zeros, as ``uint8``, and the start
+    and stop byte offsets of the fields of its non-blank lines as ``(rows,
+    width)`` arrays, if csv would split each line at every comma into
+    ``width`` fields: no quote (the caller checks), no carriage return but
+    one that ends a line before its LF, no NUL (which csv rejects before
+    Python 3.11) and no line over ``csv.field_size_limit()`` bytes.  None
+    for any other text."""
     if "\0" in text:
         return None
     if "\r" in text:
         if text.count("\r") != text.count("\r\n"):   # a lone CR ends a line too
             return None
         text = text.replace("\r\n", "\n")
-    # line ends and per-line comma counts from the UTF-8 bytes, in which a
-    # comma or a newline is always its own byte
-    code = np.frombuffer(text.encode(), np.uint8)
+    code = np.frombuffer(text.encode() + bytes(_PAD), np.uint8)
     ends = np.flatnonzero(code == 10)
-    if code.size and code[-1] != 10:
-        ends = np.append(ends, code.size)  # a last line without its newline
-    commas = np.diff(np.searchsorted(np.flatnonzero(code == 44), ends), prepend=0)
+    if text and text[-1] != "\n":
+        ends = np.append(ends, len(code) - _PAD)  # a last line without its newline
     length = np.diff(ends, prepend=-1) - 1
-    blank = length == 0
-    if (commas[~blank] != width - 1).any() or length.max(initial=0) > csv.field_size_limit():
+    if length.max(initial=0) > csv.field_size_limit():
         return None
-    if blank.any():  # a blank line is not a row
-        text = "\n".join(filter(None, text.split("\n")))
-    elif text.endswith("\n"):
-        text = text[:-1]
-    return text.replace("\n", ",").split(",") if text else []
+    row = length > 0  # a blank line is not a row
+    ends = ends[row]
+    commas = np.flatnonzero(code == 44)
+    if len(commas) != len(ends) * (width - 1):
+        return None
+    # a comma or LF is its own byte in UTF-8; each line holds its commas if
+    # each row's group of them lies within it
+    commas = commas.reshape(len(ends), max(width - 1, 0))
+    begins = ends - length[row]
+    if width > 1 and ((commas[:, 0] < begins) | (commas[:, -1] > ends)).any():
+        return None
+    seps = np.column_stack((begins - 1, commas, ends))
+    return code, seps[:, :-1] + 1, seps[:, 1:]
+
+
+def _distinct(code: np.ndarray, start: np.ndarray, stop: np.ndarray) -> tuple:
+    """The distinct values of a column's fields (``code[start:stop]`` each),
+    decoded, and each field's index among them.  A field of up to 8 bytes
+    is keyed by one ``uint64`` read from an 8-byte window; a column with a
+    longer field by fixed-width bytes, or past a size bound by ``bytes``."""
+    length = stop - start
+    width = int(length.max(initial=0))
+    if width <= 8:
+        keys = np.ndarray((len(code) - 7,), "<u8", code, 0, (1,))[start] & _LOW_BYTES[length]
+    elif len(start) * width <= 8 * len(code):
+        cells = start[:, None] + np.arange(width)
+        keys = (code.take(cells, mode="clip") * (cells < stop[:, None])).view(f"S{width}")
+    else:
+        text = code.tobytes()
+        keys = np.array([text[i:j] for i, j in zip(start.tolist(), stop.tolist())], object)
+    distinct, index = np.unique(keys, return_inverse=True)
+    if width <= 8:
+        distinct = distinct.astype("<u8").view("S8")  # no field holds a NUL
+    return [raw.decode() for raw in distinct.tolist()], index.ravel()
 
 
 def _parse_rows(reader, pick: tuple, source: str, days: dict, kinds: dict,
@@ -333,28 +366,28 @@ def _parse_rows(reader, pick: tuple, source: str, days: dict, kinds: dict,
     return (*table[:, :4].T.astype(np.int64), table[:, 4]), n_bad, n_unknown, n_ignored
 
 
-def _parse_plain(fields: list, width: int, pick: tuple, source: str, days: dict,
+def _parse_plain(table: tuple, width: int, pick: tuple, source: str, days: dict,
                  kinds: dict, users: dict) -> tuple:
-    """What ``_parse_rows`` returns for the rows whose fields are
-    ``fields``, ``width`` per row, decoded a column at a time.  Canonical
-    stamps are read from their code points and each distinct date is looked
-    up once; any other stamp, and each device size, goes through the
-    per-row rules."""
-    n = len(fields) // width if fields else 0
+    """What ``_parse_rows`` returns for the rows of ``table`` (see
+    ``_plain_fields``), decoded a column at a time from each field's bytes:
+    users, activities and dates once per distinct value, canonical stamps
+    and sizes of 1 to 15 ASCII digits from their bytes.  Any other stamp or
+    size goes through the per-row rules."""
+    code, start, stop = table
+    n = len(start)
     i_user, i_date, i_act, i_size = pick
-
-    def column(i):
-        return fields[i::width] if i < width else [""] * n
-
-    user, stamp, act = column(i_user), column(i_date), column(i_act)
-    names = {raw: raw.strip() for raw in set(user)}
-    ok = np.fromiter(map(bool, map(names.__getitem__, user)), bool, n) \
-        if not all(names.values()) else np.ones(n, bool)
-    # a 'U20' array holds a stamp's first 20 code points, padded with zeros
-    codes = np.array(stamp, dtype="U20").view(np.uint32).reshape(n, 20)
-    digits = codes[:, _STAMP_DIGITS] - 48  # unsigned: code points below '0' wrap
-    canonical = ((codes[:, 19] == 0) & (digits < 10).all(axis=1)
-                 & (codes[:, _STAMP_SEPS] == _SEP_CODES).all(axis=1))
+    if not n or i_user >= width or i_date >= width:  # no user or no date:
+        return _NO_EVENTS, n, 0, 0                   # every row is malformed
+    names, user = _distinct(code, start[:, i_user], stop[:, i_user])
+    names = [name.strip() for name in names]
+    ok = np.array([name != "" for name in names])[user]
+    # the 19 bytes from each offset of the chunk on, zeros past its text
+    cells = np.ndarray((len(code) - 18, 19), np.uint8, code, 0, (1, 1))
+    at, to = start[:, i_date], stop[:, i_date]
+    stamp = cells[at]
+    digits = stamp[:, _STAMP_DIGITS] - 48  # unsigned: bytes below '0' wrap
+    canonical = ((to - at == 19) & (digits < 10).all(axis=1)
+                 & (stamp[:, _STAMP_SEPS] == _SEP_CODES).all(axis=1))
     digits = digits.astype(np.int64)
     second = digits[:, 8:] @ _SECOND_WEIGHTS
     day = np.zeros(n, np.int64)
@@ -364,7 +397,7 @@ def _parse_plain(fields: list, width: int, pick: tuple, source: str, days: dict,
     ordinals = []
     for i in rows[first].tolist():
         try:
-            ordinals.append(_calendar_day(stamp[i][:10], days))
+            ordinals.append(_calendar_day(stamp[i, :10].tobytes().decode(), days))
         except ValueError:
             ordinals.append(0)
     day[rows] = np.array(ordinals, np.int64)[which]
@@ -373,30 +406,33 @@ def _parse_plain(fields: list, width: int, pick: tuple, source: str, days: dict,
                  & (hms[:, 2] < 6) & (hms[:, 4] < 6))
     for i in np.flatnonzero(ok & ~canonical).tolist():
         try:
-            day[i], second[i] = _read_stamp(stamp[i].strip(), days)
+            day[i], second[i] = _read_stamp(code[at[i]:to[i]].tobytes().decode().strip(), days)
         except (KeyError, ValueError):
             ok[i] = False
     size = np.zeros(n)
-    if source == "device":
-        text = column(i_size)
-        try:
-            size[:] = list(map(_parse_size, text))
-        except ValueError:  # find the bad sizes of the rows still in play
-            for i in np.flatnonzero(ok).tolist():
-                try:
-                    size[i] = _parse_size(text[i])
-                except ValueError:
-                    ok[i] = False
-    for raw in set(act).difference(kinds):
+    if source == "device" and i_size < width:
+        at, to = start[:, i_size], stop[:, i_size]
+        weights = _SIZE_WEIGHTS[np.minimum(to - at, 16)]
+        figures = cells[at, :15] - 48
+        plain = (weights[:, 0] > 0) & ((figures < 10) | (weights == 0)).all(axis=1)
+        size[plain] = (figures[plain] * weights[plain]).sum(axis=1)
+        for i in np.flatnonzero(ok & ~plain).tolist():
+            try:
+                size[i] = _parse_size(code[at[i]:to[i]].tobytes().decode())
+            except ValueError:
+                ok[i] = False
+    acts, act = (_distinct(code, start[:, i_act], stop[:, i_act]) if i_act < width
+                 else ([""], np.zeros(n, np.intp)))
+    for raw in set(acts).difference(kinds):
         kinds[raw] = _activity_kind(source, raw)
-    kind = np.fromiter(map(kinds.__getitem__, act), np.int64, n)
+    kind = np.array([kinds[raw] for raw in acts], np.int64)[act]
     event = ok & (kind >= 0)
-    picked = list(compress(user, event.tolist()))
-    code = {raw: users.setdefault(names[raw], len(users))  # in order of first
-            for raw in dict.fromkeys(picked)}              # appearance
+    picked = user[event]
+    codes = np.zeros(len(names), np.int64)
+    for i in dict.fromkeys(picked.tolist()):  # in order of first appearance
+        codes[i] = users.setdefault(names[i], len(users))
     known = kind[ok]
-    return ((np.fromiter(map(code.__getitem__, picked), np.int64, len(picked)),
-             day[event], second[event], kind[event], size[event]),
+    return ((codes[picked], day[event], second[event], kind[event], size[event]),
             n - len(known), int(np.sum(known == _UNKNOWN)),
             int(np.sum(known == _IGNORED)))
 
@@ -435,9 +471,9 @@ def _parse_file(path: Path, source: str, report: ParseReport, users: dict,
                     parts.append(_parse_rows(
                         csv.reader(_lines(chain([text], chunks))), *args))
                     break
-                fields = _plain_fields(text, width)
+                table = _plain_fields(text, width)
                 parts.append(_parse_rows(csv.reader(_lines([text])), *args)
-                             if fields is None else _parse_plain(fields, width, *args))
+                             if table is None else _parse_plain(table, width, *args))
     columns += (part[0] for part in parts)
     n_events = sum(len(part[0][0]) for part in parts)
     n_bad, n_unknown, n_ignored = (sum(part[i] for part in parts) for i in (1, 2, 3))

@@ -1,5 +1,6 @@
 """Subcommand behavior, exit codes, config handling, pipeline determinism."""
 
+import argparse
 import builtins
 import csv
 import dataclasses
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbde import bde, checkpoint, features
+from qbde import bde, checkpoint, cli, features
 from qbde.bde import read_score_csv, read_summary
 from qbde.checkpoint import load_checkpoint, read_kv, save_checkpoint
 from qbde.cli import (
@@ -532,6 +533,31 @@ def test_bad_command_line_returns_exit_2_and_help_exits_0(capsys):
     for argv in (["--help"], ["train", "--help"]):
         assert main(argv) == EXIT_OK
         assert "usage: qbde" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_across_commands(tmp_path, capsys, monkeypatch):
+    """``main`` reuses one parser: a refused command line, help and real
+    commands in turn keep their exit codes and build it once."""
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.extend([self] if kwargs.get("prog") == "qbde" else [])
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    flags = fast_flags(tmp_path)
+    try:
+        for argv, code in ((["detect", "--resume"], EXIT_CONFIG), (["synth", *flags], EXIT_OK),
+                           (["--help"], EXIT_OK), (["nope"], EXIT_CONFIG),
+                           (["ingest", *flags, "--seed", "x"], EXIT_CONFIG),
+                           (["ingest", *flags], EXIT_OK), (["train", "--help"], EXIT_OK),
+                           (["report", *flags], EXIT_IO)):
+            assert main(argv) == code, argv
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
+    assert "usage: qbde" in capsys.readouterr().out
 
 
 def test_ingest_names_the_log_and_line_that_is_not_utf8(tmp_path, capsys):

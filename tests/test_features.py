@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import tempfile
+import tracemalloc
 from dataclasses import dataclass, replace
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
@@ -1022,7 +1023,10 @@ def test_every_row_rule_holds_on_the_column_path(tmp_path, monkeypatch, date_fir
 
 
 @pytest.mark.parametrize("odd", ["H2,01/04/2011 09:00:01,U2,PC",
-                                 "H2,01/04/2011 09:00:01,U2,PC,a,b", "H2", ""])
+                                 "H2,01/04/2011 09:00:01,U2,PC,a,b", "H2", "",
+                                 # as many commas in all as the rows need
+                                 "H2,01/04/2011 09:00:01,U2,PC\nH4,01/04/2011 09:00:03,U4,PC,a,b",
+                                 "H2,01/04/2011 09:00:01,U2,PC,a,b\nH4,01/04/2011 09:00:03,U4,PC"])
 def test_a_short_or_long_row_sends_its_chunk_row_by_row(tmp_path, monkeypatch, odd):
     minimal_logs(tmp_path, http_rows=["H1,01/04/2011 09:00:00,U1,PC,a", odd,
                                       "H3,01/04/2011 09:00:02,U3,PC,a"])
@@ -1045,8 +1049,9 @@ def test_quoted_header_sends_the_whole_file_row_by_row(tmp_path, monkeypatch):
 @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_synth_corpus_never_takes_the_per_row_decoder(tmp_path, monkeypatch, ending):
     """Every chunk of a synth corpus is plain, with LF or CR LF line ends,
-    so a silent fall back to the per-row decoder (and the speed it costs)
-    cannot hide."""
+    and every stamp and size in it is read from its bytes, so a silent fall
+    back to the per-row decoder or its stamp and size rules (and the speed
+    it costs) cannot hide."""
     result = synth_generate(SynthConfig(n_users=2, n_days=90, seed=3,
                                         out_dir=tmp_path))
     for path in result.paths.values():
@@ -1056,13 +1061,81 @@ def test_synth_corpus_never_takes_the_per_row_decoder(tmp_path, monkeypatch, end
     assert result.paths["http"].stat().st_size > 2 * features._CHUNK_BYTES
 
     def refuse(*args):
-        raise AssertionError("a synth chunk took the per-row decoder")
+        raise AssertionError("a synth chunk took a per-row rule")
 
-    monkeypatch.setattr(features, "_parse_rows", refuse)
+    for name in ("_parse_rows", "_read_stamp", "_parse_size"):
+        monkeypatch.setattr(features, name, refuse)
     assert_matches_oracle(tmp_path)
     _, report = parse_logs(tmp_path)
     assert report.rows == result.row_counts
     assert report.total_events() == sum(result.row_counts.values())
+
+
+# Plain logs whose fields each take one branch of the byte decoder:
+# (users, stamps, activities by source, device sizes).
+STAMP = ["01/04/2011 09:00:00"]
+BYTE_CASES = {
+    "user-lengths": (["a", "U000001", "U0000001", "U00000001", "U" * 40], STAMP, {}, ["1"]),
+    "users-of-8-bytes-at-most": (["a", "U000001", "U0000001", "U0000002", "\u00fc" * 4],
+                                 STAMP, {}, ["1"]),
+    "shared-8-bytes": (["ABCDEFGH", "ABCDEFGH1", "ABCDEFGH2", "ABCDEFGH12", "ABCDEFG"],
+                       STAMP, {}, ["1"]),
+    "prefixes": (["U1", "U10", "U100", " U1", "U1 ", "U"], STAMP, {}, ["1"]),
+    "multi-byte": (["\u00fc", "\u7528\u6237", "\u00dcser\u00df\u00e9\u00e8", "\U0001f600",
+                    "U\u00a0"], STAMP,
+                   {"login": ["Logon", "Log\u00f6n", "\u00a0Logoff"],
+                    "file": ["File \u00d6pen", "\u6587\u4ef6", "open"],
+                    "device": ["Connect", "Disc\u00f6nnect"]}, ["1"]),
+    "odd-stamps": (["U1"], ["01/04/2011 09:00:00", digits("01/04/2011 09:00:00", 0xFF10),
+                            "\uff10\uff11/04/2011 09:00:00", "01/04/2011 9:00:00",
+                            "1/4/2011 09:00:00", "01/04/2011 09:00:00 ", " 01/04/2011 09:00:00",
+                            "01/04/2011  09:00:00", "01/04/2011 09:00:0\u0661"], {}, ["1"]),
+    "sizes": (["U1"], STAMP, {}, ["1", "0", "9" * 15, "1" + "0" * 14, "9" * 16,
+                                  "1" + "0" * 15, "007", "000000000000000", "+5", " 5", "5 ",
+                                  "1e3", "", " ", "-0", "5.", "\u0665", "0x5"]),
+}
+
+
+@pytest.mark.parametrize("newline", [True, False], ids=["newline", "no-newline"])
+@pytest.mark.parametrize("case", BYTE_CASES)
+def test_byte_decoder_matches_per_event_oracle(tmp_path, monkeypatch, case, newline):
+    """Users, activities, stamps and sizes that take each branch of the
+    column path's byte decoder, in logs that may end without a newline:
+    the column path alone reads them, as the oracle does."""
+    users, stamps, acts, sizes = BYTE_CASES[case]
+    rows = {source: [",".join({"user": user, "date": stamp, "activity": act,
+                               "size": size}.get(name, "x") for name in columns)
+                     for user, stamp, act, size in itertools.product(
+                         users, stamps, acts.get(source, ACTIVITIES[source][:2]),
+                         sizes if source == "device" else [""])]
+            for source, columns in LOG_COLUMNS.items()}
+    minimal_logs(tmp_path, **{f"{source}_rows": lines for source, lines in rows.items()})
+    if not newline:
+        for source in LOG_COLUMNS:
+            path = tmp_path / f"{source}.csv"
+            path.write_bytes(path.read_bytes()[:-1])
+    calls = count_decoders(monkeypatch)
+    assert_matches_oracle(tmp_path)
+    assert calls["rows"] == 0 and calls["plain"] >= 5
+
+
+def test_a_long_field_keeps_the_column_decoder_small(tmp_path, monkeypatch):
+    """One 8000-byte user among a chunk's 9-byte ones: keying the column by
+    fixed-width bytes would take ~1400 x 8000 cells, so it is keyed by
+    ``bytes`` and the parse stays within a few MB."""
+    rows = [f"H{i},01/04/2011 09:00:00,USER{i % 7:05d},PC,a" for i in range(1400)]
+    rows[700] = rows[700].replace("USER00000", "W" * 8000)
+    minimal_logs(tmp_path, http_rows=rows)
+    calls = count_decoders(monkeypatch)
+    tracemalloc.start()
+    try:
+        events, report = parse_logs(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == {"plain": 5, "rows": 0}
+    assert peak < 16e6 and report.events["http"] == len(events) == 1400
+    assert_matches_oracle(tmp_path)
 
 
 @pytest.mark.parametrize("eighth, want_rows, want_bad", [
