@@ -130,10 +130,6 @@ _KIND_FEATURES = np.array([[_FEATURE_INDEX[on], _FEATURE_INDEX[out]]
 _IGNORED, _UNKNOWN = -1, -2
 _N_DAYS = date.max.toordinal() + 1  # above every day ordinal
 
-_CANONICAL_STAMP = re.compile(r"(\d\d/\d\d/\d\d\d\d) (\d\d):(\d\d):(\d\d)", re.ASCII)
-_HOUR_S = {f"{h:02d}": 3600 * h for h in range(24)}
-_MINUTE_S = {f"{m:02d}": 60 * m for m in range(60)}
-_SECOND_S = {f"{s:02d}": s for s in range(60)}
 # The byte columns of a canonical stamp's digits and separators, and
 # the weights that read its date as the integer MMDDYYYY and its time as a
 # second of the day.
@@ -207,15 +203,9 @@ def _calendar_day(date_part: str, days: dict) -> int:
     return day
 
 
-def _read_stamp(stamp: str, days: dict) -> tuple[int, int]:
-    """(day ordinal, second of the day) of a stripped stamp.  A canonical
-    ASCII ``MM/DD/YYYY HH:MM:SS`` stamp is read field by field (``KeyError``
-    for hour 24, say); any other stamp gets strptime's verdict."""
-    match = _CANONICAL_STAMP.fullmatch(stamp)
-    if match:
-        date_part, hh, mm, ss = match.groups()
-        return (_calendar_day(date_part, days),
-                _HOUR_S[hh] + _MINUTE_S[mm] + _SECOND_S[ss])
+def _read_stamp(stamp: str) -> tuple[int, int]:
+    """(day ordinal, second of the day) of a stripped stamp, as strptime
+    reads it; ``_parse_plain`` reads canonical stamps from their bytes."""
     when = datetime.strptime(stamp, TIMESTAMP_FMT)
     return when.toordinal(), (when.hour * 60 + when.minute) * 60 + when.second
 
@@ -270,25 +260,25 @@ def _lines(texts):
 
 
 def _plain_fields(text: str, width: int) -> tuple | None:
-    """The UTF-8 bytes of ``text``, then zeros, as ``uint8``, and the start
-    and stop byte offsets of the fields of its non-blank lines as ``(rows,
-    width)`` arrays, if csv would split each line at every comma into
-    ``width`` fields: no quote (the caller checks), no carriage return but
-    one that ends a line before its LF, no NUL (which csv rejects before
-    Python 3.11) and no line over ``csv.field_size_limit()`` bytes.  None
-    for any other text."""
-    if "\0" in text:
-        return None
-    if "\r" in text:
-        if text.count("\r") != text.count("\r\n"):   # a lone CR ends a line too
-            return None
-        text = text.replace("\r\n", "\n")
+    """The table ``_parse_plain`` reads, if csv would split each line of
+    ``text`` at every comma into ``width`` fields: no quote (the caller
+    checks), no carriage return but one that ends a line before its LF, no
+    NUL (which csv rejects before Python 3.11) and no line over
+    ``csv.field_size_limit()`` bytes.  None for any other text.  The table
+    is the UTF-8 bytes of ``text``, then zeros, as ``uint8``; the start and
+    stop byte offsets of the fields of its non-blank lines as ``(rows,
+    width)`` arrays; and False, since no field holds a NUL."""
     code = np.frombuffer(text.encode() + bytes(_PAD), np.uint8)
     ends = np.flatnonzero(code == 10)
     if text and text[-1] != "\n":
         ends = np.append(ends, len(code) - _PAD)  # a last line without its newline
     length = np.diff(ends, prepend=-1) - 1
-    if length.max(initial=0) > csv.field_size_limit():
+    if "\r" in text:  # a line whose LF has a CR before it ends one byte earlier
+        crlf = code[ends - 1] == 13
+        if np.count_nonzero(code == 13) != np.count_nonzero(crlf) or text[-1] == "\r":
+            return None  # a lone CR ends a line too
+        ends, length = ends - crlf, length - crlf
+    if "\0" in text or length.max(initial=0) > csv.field_size_limit():
         return None
     row = length > 0  # a blank line is not a row
     ends = ends[row]
@@ -302,83 +292,83 @@ def _plain_fields(text: str, width: int) -> tuple | None:
     if width > 1 and ((commas[:, 0] < begins) | (commas[:, -1] > ends)).any():
         return None
     seps = np.column_stack((begins - 1, commas, ends))
-    return code, seps[:, :-1] + 1, seps[:, 1:]
+    return code, seps[:, :-1] + 1, seps[:, 1:], False
 
 
-def _distinct(code: np.ndarray, start: np.ndarray, stop: np.ndarray) -> tuple:
+def _distinct(code: np.ndarray, start: np.ndarray, stop: np.ndarray, nul: bool) -> tuple:
     """The distinct values of a column's fields (``code[start:stop]`` each),
     decoded, and each field's index among them.  A field of up to 8 bytes
     is keyed by one ``uint64`` read from an 8-byte window; a column with a
-    longer field by fixed-width bytes, or past a size bound by ``bytes``."""
+    longer field by fixed-width bytes.  Both drop a field's trailing NULs,
+    so a column whose fields may hold one (``nul``), or that is past a size
+    bound, is keyed by ``bytes``."""
     length = stop - start
     width = int(length.max(initial=0))
-    if width <= 8:
-        keys = np.ndarray((len(code) - 7,), "<u8", code, 0, (1,))[start] & _LOW_BYTES[length]
-    elif len(start) * width <= 8 * len(code):
-        cells = start[:, None] + np.arange(width)
-        keys = (code.take(cells, mode="clip") * (cells < stop[:, None])).view(f"S{width}")
-    else:
+    if nul or len(start) * width > 8 * len(code):
         text = code.tobytes()
         keys = np.array([text[i:j] for i, j in zip(start.tolist(), stop.tolist())], object)
+    elif width <= 8:
+        keys = np.ndarray((len(code) - 7,), "<u8", code, 0, (1,))[start] & _LOW_BYTES[length]
+    else:
+        cells = start[:, None] + np.arange(width)
+        keys = (code.take(cells, mode="clip") * (cells < stop[:, None])).view(f"S{width}")
     distinct, index = np.unique(keys, return_inverse=True)
-    if width <= 8:
-        distinct = distinct.astype("<u8").view("S8")  # no field holds a NUL
+    if distinct.dtype.kind == "u":
+        distinct = distinct.astype("<u8").view("S8")
     return [raw.decode() for raw in distinct.tolist()], index.ravel()
 
 
-def _parse_rows(reader, pick: tuple, source: str, days: dict, kinds: dict,
-                users: dict) -> tuple:
-    """Decode every record of a ``csv.reader`` row by row: the event columns
-    (user, day, second, kind, size) and the counts of malformed, unknown
-    and ignored rows."""
-    i_user, i_date, i_act, i_size = pick
-    flat, n_bad, n_unknown, n_ignored = [], 0, 0, 0
+def _parse_rows(reader, width: int, *args):
+    """The parts ``_parse_plain`` returns for the records of a ``csv.reader``,
+    in tables of about ``_CHUNK_BYTES`` characters each.  A blank record is
+    not a row; the others are cut or padded to ``width`` fields, as
+    ``csv.DictReader`` reads them, and each line csv rejects is one
+    malformed row.  A field's offsets come from its record, since a quoted
+    field may hold a comma or a line end."""
+    width = max(width, 1)  # an empty header: one field, no user, every row malformed
+    blank, fields, size, n_bad = [""] * width, [], 0, 0
+
+    def table():
+        coded = [field.encode() for field in fields]
+        length = np.fromiter(map(len, coded), np.int64, len(coded)).reshape(-1, width)
+        stop = length.cumsum().reshape(-1, width)
+        data = b"".join(coded)
+        return np.frombuffer(data + bytes(_PAD), np.uint8), stop - length, stop, b"\0" in data
+
     while True:
         try:
             for rec in reader:
-                if not rec:
-                    continue  # a blank line is not a row
-                n = len(rec)
-                user = rec[i_user].strip() if i_user < n else ""
-                stamp = rec[i_date].strip() if i_date < n else ""
-                try:
-                    if not user or not stamp:
-                        raise ValueError("missing user or date")
-                    day, second = _read_stamp(stamp, days)
-                    size = _parse_size(rec[i_size] if i_size < n else "") \
-                        if source == "device" else 0
-                except (KeyError, ValueError):
-                    n_bad += 1
-                    continue
-                raw = rec[i_act] if i_act < n else ""
-                kind = kinds.get(raw)
-                if kind is None:
-                    kind = kinds[raw] = _activity_kind(source, raw)
-                if kind < 0:
-                    n_unknown += kind == _UNKNOWN
-                    n_ignored += kind == _IGNORED
-                    continue
-                flat += (users.setdefault(user, len(users)), day, second, kind, size)
+                if len(rec) != width:
+                    if not rec:
+                        continue  # a blank line is not a row
+                    rec = (rec + blank)[:width]
+                fields += rec
+                size += len("".join(rec))
+                if size >= _CHUNK_BYTES:
+                    yield _parse_plain(table(), width, *args)
+                    fields, size = [], 0
             break
         except csv.Error:  # a field over csv.field_size_limit(), say;
             n_bad += 1     # the reader resumes at the next line
-    table = np.array(flat, dtype=float).reshape(-1, 5)
-    return (*table[:, :4].T.astype(np.int64), table[:, 4]), n_bad, n_unknown, n_ignored
+    yield _parse_plain(table(), width, *args)
+    yield _NO_EVENTS, n_bad, 0, 0
 
 
 def _parse_plain(table: tuple, width: int, pick: tuple, source: str, days: dict,
                  kinds: dict, users: dict) -> tuple:
-    """What ``_parse_rows`` returns for the rows of ``table`` (see
-    ``_plain_fields``), decoded a column at a time from each field's bytes:
-    users, activities and dates once per distinct value, canonical stamps
-    and sizes of 1 to 15 ASCII digits from their bytes.  Any other stamp or
-    size goes through the per-row rules."""
-    code, start, stop = table
+    """The event columns (user, day, second, kind, size) of the rows of
+    ``table`` (see ``_plain_fields``) and the counts of its malformed,
+    unknown and ignored rows, decoded a column at a time from each field's
+    bytes: users, activities and dates once per distinct value, canonical
+    stamps and sizes of 1 to 15 ASCII digits from their bytes.  Any other
+    stamp goes through strptime, and any other size through
+    ``_parse_size``."""
+    code, start, stop, nul = table
     n = len(start)
     i_user, i_date, i_act, i_size = pick
     if not n or i_user >= width or i_date >= width:  # no user or no date:
         return _NO_EVENTS, n, 0, 0                   # every row is malformed
-    names, user = _distinct(code, start[:, i_user], stop[:, i_user])
+    names, user = _distinct(code, start[:, i_user], stop[:, i_user], nul)
     names = [name.strip() for name in names]
     ok = np.array([name != "" for name in names])[user]
     # the 19 bytes from each offset of the chunk on, zeros past its text
@@ -406,8 +396,8 @@ def _parse_plain(table: tuple, width: int, pick: tuple, source: str, days: dict,
                  & (hms[:, 2] < 6) & (hms[:, 4] < 6))
     for i in np.flatnonzero(ok & ~canonical).tolist():
         try:
-            day[i], second[i] = _read_stamp(code[at[i]:to[i]].tobytes().decode().strip(), days)
-        except (KeyError, ValueError):
+            day[i], second[i] = _read_stamp(code[at[i]:to[i]].tobytes().decode().strip())
+        except ValueError:
             ok[i] = False
     size = np.zeros(n)
     if source == "device" and i_size < width:
@@ -421,7 +411,7 @@ def _parse_plain(table: tuple, width: int, pick: tuple, source: str, days: dict,
                 size[i] = _parse_size(code[at[i]:to[i]].tobytes().decode())
             except ValueError:
                 ok[i] = False
-    acts, act = (_distinct(code, start[:, i_act], stop[:, i_act]) if i_act < width
+    acts, act = (_distinct(code, start[:, i_act], stop[:, i_act], nul) if i_act < width
                  else ([""], np.zeros(n, np.intp)))
     for raw in set(acts).difference(kinds):
         kinds[raw] = _activity_kind(source, raw)
@@ -440,10 +430,11 @@ def _parse_plain(table: tuple, width: int, pick: tuple, source: str, days: dict,
 def _parse_file(path: Path, source: str, report: ParseReport, users: dict,
                 days: dict, columns: list) -> None:
     """Stream one log in chunks, appending each chunk's event columns to
-    ``columns`` and counting the log's rows in ``report``.  A plain chunk
-    (see ``_plain_fields``) is decoded a column at a time, any other chunk
-    row by row; from the first quote on, the rest of the file goes row by
-    row, since a quoted field may span lines."""
+    ``columns`` and counting the log's rows in ``report``.  Every row is
+    decoded by ``_parse_plain``.  A plain chunk (see ``_plain_fields``) is
+    split by its commas and line ends, any other chunk by ``csv.reader``
+    through ``_parse_rows``; from the first quote on, so is the rest of the
+    file, since a quoted field may span lines."""
     kinds: dict[str, int] = {}
     with open(path, "rb") as handle:
         chunks = _text_chunks(path, handle)
@@ -461,19 +452,18 @@ def _parse_file(path: Path, source: str, report: ParseReport, users: dict,
         pick = tuple(where.get(name, sys.maxsize)
                      for name in ("user", "date", "activity", "size"))
         width = len(header)
-        args = pick, source, days, kinds, users
+        args = width, pick, source, days, kinds, users
         if quoted:
-            parts = [_parse_rows(reader, *args)]
+            parts = list(_parse_rows(reader, *args))
         else:
             parts = []
             for text in chain([text[len(head):]], chunks):
                 if '"' in text:
-                    parts.append(_parse_rows(
-                        csv.reader(_lines(chain([text], chunks))), *args))
+                    parts += _parse_rows(csv.reader(_lines(chain([text], chunks))), *args)
                     break
                 table = _plain_fields(text, width)
-                parts.append(_parse_rows(csv.reader(_lines([text])), *args)
-                             if table is None else _parse_plain(table, width, *args))
+                parts += (_parse_rows(csv.reader(_lines([text])), *args) if table is None
+                          else [_parse_plain(table, *args)])
     columns += (part[0] for part in parts)
     n_events = sum(len(part[0][0]) for part in parts)
     n_bad, n_unknown, n_ignored = (sum(part[i] for part in parts) for i in (1, 2, 3))
