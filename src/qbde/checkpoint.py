@@ -3,9 +3,10 @@
 ``read_kv`` and ``write_kv`` read and write every ``key = value`` file:
 ``run.cfg``, checkpoints, saved scorers, and the synth, parse and
 detection reports.
-``read_csv`` and ``write_csv`` read and write every CSV: the synth logs,
-labels, features, normalisation stats, losses and scores.  Both writers go
-through ``atomic_open``, so no output is ever left half-written.  A
+``read_csv`` and ``write_csv`` read and write every other CSV: labels,
+features, normalisation stats, losses and scores; ``write_blocks`` writes
+the synth logs, whose rows ``features`` formats as bytes.  Every writer
+goes through ``atomic_open``, so no output is ever left half-written.  A
 checkpoint has the ``qbde-ckpt-v4`` magic line and one ``[section]`` per
 part of the training state.  Scalar floats are written with ``float.hex``;
 an array is a ``key.shape`` line plus a ``key.data`` line of its values as
@@ -84,6 +85,16 @@ def write_csv(path: str | Path, header: list, rows, comment: str | None = None,
                 handle.write(f"# {comment}\n")
             writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_blocks(path: str | Path, header: list, blocks) -> None:
+    """Write ``header`` as a CSV line, then each block of ready CSV bytes
+    (any bytes-like object), into ``path`` through ``atomic_open``."""
+    with atomic_open(path) as handle:
+        csv.writer(handle, lineterminator="\n").writerow(header)
+        handle.flush()  # the header reaches the byte stream before the blocks
+        for block in blocks:
+            handle.buffer.write(block)
 
 
 def read_csv(path: str | Path, kind: str, header_ok, n_columns: int,

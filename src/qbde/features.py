@@ -28,12 +28,12 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import read_csv, write_csv
+from .checkpoint import read_csv, write_blocks, write_csv
 from .errors import SchemaError
 
 FEATURE_NAMES = (
@@ -329,10 +329,14 @@ def _parse_rows(reader, width: int, *args):
     blank, fields, size, n_bad = [""] * width, [], 0, 0
 
     def table():
-        coded = [field.encode() for field in fields]
+        text = "".join(fields)
+        if text.isascii():  # each field's length is its UTF-8 length
+            coded, data = fields, text.encode()
+        else:
+            coded = [field.encode() for field in fields]
+            data = b"".join(coded)
         length = np.fromiter(map(len, coded), np.int64, len(coded)).reshape(-1, width)
         stop = length.cumsum().reshape(-1, width)
-        data = b"".join(coded)
         return np.frombuffer(data + bytes(_PAD), np.uint8), stop - length, stop, b"\0" in data
 
     while True:
@@ -726,15 +730,153 @@ _SYNTH_RATES = (
 # connect burst also adds as many disconnects.
 _SYNTH_BURST = (("login_out", 3, 8), ("loginoff_out", 2, 6), ("http_out", 10, 30),
                 ("connect_out", 2, 5), ("send_out", 5, 15), ("file_off", 8, 20))
-# Single-row events in timestamp draw order: (feature, log, activity).
+# Single-row events in timestamp draw order: (feature, log).
 _SYNTH_EVENTS = (
-    ("login_on", "login", "Logon"), ("login_out", "login", "Logon"),
-    ("loginoff_on", "login", "Logoff"), ("loginoff_out", "login", "Logoff"),
-    ("http_on", "http", None), ("http_out", "http", None),
-    ("send_on", "email", "Send"), ("send_out", "email", "Send"),
-    ("file_on", "file", None), ("file_off", "file", None))
+    ("login_on", "login"), ("login_out", "login"), ("loginoff_on", "login"),
+    ("loginoff_out", "login"), ("http_on", "http"), ("http_out", "http"),
+    ("send_on", "email"), ("send_out", "email"), ("file_on", "file"), ("file_off", "file"))
 _FILE_OPS = ("File Open", "File Write", "File Copy", "File Delete")
-_TWO_DIGITS = tuple(f"{i:02d}" for i in range(60))
+_SYNTH_HEADERS = {
+    "login": ["id", "date", "user", "pc", "activity"],
+    "http": ["id", "date", "user", "pc", "url"],
+    "device": ["id", "date", "user", "pc", "size", "activity"],
+    "email": ["id", "date", "user", "pc", "to", "activity"],
+    "file": ["id", "date", "user", "pc", "filename", "activity"],
+}
+# The fields after ``pc`` of a non-device row, by the row's index j among its
+# log's rows in draw order (the activity, for a login row): each log's
+# cycle of them, whose length is the period of j in its fields.
+_SYNTH_TAILS = {
+    "login": [("Logon",), ("Logoff",)],
+    "http": [(f"http://site{j % 7}.example.com/p{j % 13}",) for j in range(91)],
+    "email": [(f"peer{j}@example.com", "Send") for j in range(5)],
+    "file": [(f"doc{j % 9}.docx", _FILE_OPS[j % 4]) for j in range(36)],
+}
+# What each value a user-day draws is, by slot: 0-9 the timestamps of
+# _SYNTH_EVENTS in order, 10 a transfer size, 11 an oversized one, 12 and
+# 13 a connect's timestamp and 14 and 15 a disconnect's, in and out of
+# working time.  The draw bounds by slot index the user's ``lo``/``hi``:
+# 0 a working-time second, 1 an off-hours one (counted with the window cut
+# out), 2 a transfer size, 3 an oversized one.
+_SLOT_BOUND = np.array([0, 1] * 5 + [2, 3, 0, 1, 0, 1])
+_SLOT_LOG = np.array([LOG_FILES.index(f"{source}.csv") for _, source in _SYNTH_EVENTS]
+                     + [-1, -1] + [LOG_FILES.index("device.csv")] * 4, np.int8)
+# A day draws these segments in order, each repeated by its count: its
+# slots (-1 pads a one-slot segment), the rate and the burst feature whose
+# drawn counts sum to its count, and the daily feature it counts toward.
+# So the events' timestamps come first, then each connect's size and
+# timestamp (plain, burst, then the other off-hours ones), then the
+# disconnects' timestamps.
+_SEGMENT_TABLE = (
+    *(((slot, -1), f, f, f) for slot, (f, _) in enumerate(_SYNTH_EVENTS)),
+    ((10, 12), "connect_on", None, "connect_on"),
+    ((11, 13), None, "connect_out", "connect_out"),
+    ((10, 13), "connect_out", None, "connect_out"),
+    ((14, -1), "connect_on", None, "disconnect_on"),
+    ((15, -1), "connect_out", "connect_out", "disconnect_out"))
+_SEGMENTS = np.array([slots for slots, _, _, _ in _SEGMENT_TABLE], np.int8)
+_RATE_SEGMENTS = np.array([[int(f == rate) for f, _, _ in _SYNTH_RATES]
+                           for _, rate, _, _ in _SEGMENT_TABLE])
+_BURST_SEGMENTS = np.array([[int(f == burst) for f, _, _ in _SYNTH_BURST]
+                            for _, _, burst, _ in _SEGMENT_TABLE])
+_SEGMENT_TRUTH = np.array([[f == feature for f in FEATURE_NAMES]
+                           for _, _, _, feature in _SEGMENT_TABLE], float)
+
+_BLOCK_ROWS = 8192  # synth logs are written in blocks of this many rows
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), "<u2")  # "00"-"99"
+_STAMP_CELLS = np.frombuffer(b"00/00/0000 00:00:00", np.uint8)
+
+
+def _text_cells(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """ASCII ``texts`` as zero-padded fixed-width bytes, and their lengths."""
+    return np.array(texts, "S"), np.array([len(text) for text in texts])
+
+
+def _digit_count(values: np.ndarray) -> np.ndarray:
+    """The number of decimal digits of each value >= 0 (1 for 0)."""
+    return np.maximum(np.searchsorted(_POW10, values, side="right"), 1)
+
+
+def _number_cells(values: np.ndarray, digits: np.ndarray) -> tuple:
+    """Each value >= 0 written in its ``digits`` decimal places, zero filled
+    on the left: ``(cells, keep)`` for ``_join_cells``, with the digits
+    right-aligned in the cells."""
+    pairs = -(-int(digits.max(initial=1)) // 2)
+    cells = _PAIRS.take(np.stack([values // 100 ** k % 100
+                                  for k in range(pairs - 1, -1, -1)], 1))
+    return (cells.view(np.uint8), np.arange(2 * pairs) >= 2 * pairs - digits[:, None])
+
+
+def _stamp_cells(seconds: np.ndarray) -> np.ndarray:
+    """Seconds from ``SYNTH_START`` as ``TIMESTAMP_FMT`` stamps, an
+    ``(n, 19)`` ``uint8`` table."""
+    day, second = np.divmod(seconds, 86400)
+    when = np.datetime64(SYNTH_START, "D") + day
+    year, month = when.astype("M8[Y]"), when.astype("M8[M]")
+    century, decade = np.divmod(year.astype(np.int64) + 1970, 100)
+    hour, second = np.divmod(second, 3600)
+    # the two-digit numbers of _STAMP_DIGITS: MM/DD/YYYY HH:MM:SS
+    numbers = np.stack(((month - year).astype(np.int64) + 1,
+                        (when - month).astype(np.int64) + 1, century, decade,
+                        hour, second // 60, second % 60), 1)
+    cells = np.tile(_STAMP_CELLS, (len(seconds), 1))
+    cells[:, _STAMP_DIGITS] = _PAIRS.take(numbers).view(np.uint8)
+    return cells
+
+
+def _join_cells(fields: list) -> np.ndarray:
+    """The rows of ``fields``, each a pair of ``(n, width)`` cells and a
+    mask of the cells to keep (None for all), as one flat ``uint8`` array:
+    row by row, each field's kept cells in turn."""
+    cells = np.concatenate([cells for cells, _ in fields], axis=1)
+    keep = np.concatenate([np.broadcast_to(True, cells.shape) if keep is None else keep
+                           for cells, keep in fields], axis=1)
+    return cells[keep]
+
+
+def _text_field(table: tuple, index: np.ndarray) -> tuple:
+    """The ``_join_cells`` field of the texts ``index`` picks from a
+    ``_text_cells`` table."""
+    texts, length = table
+    width = texts.dtype.itemsize
+    return (texts.take(index).view(np.uint8).reshape(len(index), width),
+            np.arange(width) < length.take(index)[:, None])
+
+
+def _synth_rows(letter: str, first: int, seconds: np.ndarray, fields: list) -> np.ndarray:
+    """The bytes of log rows ``first``, ``first + 1``, ...: each row's id
+    (``letter`` and its index in at least 7 digits), its stamp (``seconds``
+    from ``SYNTH_START``), then the rest of its ``fields`` (see
+    ``_join_cells``)."""
+    n = len(seconds)
+    index = np.arange(first, first + n)
+    return _join_cells([(np.full((n, 1), ord(letter), np.uint8), None),
+                        _number_cells(index, np.maximum(_digit_count(index), 7)),
+                        (np.full((n, 1), ord(","), np.uint8), None),
+                        (_stamp_cells(seconds), None), *fields])
+
+
+def _string_order(values: np.ndarray) -> np.ndarray:
+    """A key that orders values below 10^10 as their decimal strings sort:
+    the digits left-aligned in ten places, then the digit count, so that
+    "100000" sorts before "50000" and "5" before "50"."""
+    digits = _digit_count(values)
+    return values * _POW10[10 - digits] * 16 + digits
+
+
+def _log_blocks(letter: str, order: np.ndarray, when: np.ndarray, user: np.ndarray,
+                owners: tuple, size: np.ndarray | None, tail: np.ndarray, tails: tuple):
+    """The bytes of a synth log's rows in ``order``, ``_BLOCK_ROWS`` at a
+    time: id, stamp (``when``), the user's and pc's cells (``owners``), the
+    transfer size of a device row, then its cells in ``tails``."""
+    for first in range(0, len(order), _BLOCK_ROWS):
+        rows = order[first:first + _BLOCK_ROWS]
+        fields = [_text_field(owners, user[rows])]
+        if size is not None:
+            fields.append(_number_cells(size[rows], _digit_count(size[rows])))
+        fields.append(_text_field(tails, tail[rows]))
+        yield _synth_rows(letter, first, when[rows], fields)
 
 
 def synth_generate(cfg: SynthConfig) -> SynthResult:
@@ -750,6 +892,11 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     scalar draw per value in the same order would.  Byte-identical output
     for identical configs; the returned ``truth`` holds exactly the daily
     counts the logs encode.
+
+    The draws are kept as arrays, with each value's slot (see
+    ``_SLOT_BOUND``).  Each log is sorted by time, user and its other fields
+    in their string order, as its rows as tuples of strings would sort, and
+    written in blocks of ``_BLOCK_ROWS`` rows of bytes.
     """
     rng = np.random.default_rng(cfg.seed)
     start_h, end_h = parse_working_hours(cfg.working_hours)
@@ -763,102 +910,85 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     damp = (np.ones(len(_SYNTH_RATES)),
             np.array([0.4 if f.endswith("_on") else 1.0 for f, _, _ in _SYNTH_RATES]))
     burst_lo, burst_hi = np.array([b[1:] for b in _SYNTH_BURST]).T
+    weekend = (SYNTH_START.weekday() + np.arange(cfg.n_days)) % 7 >= 5
 
-    tables: dict[str, list] = {name.split(".")[0]: [] for name in LOG_FILES}
     labels: dict[tuple[str, date], str] = {}
     truth: dict[tuple[str, date], np.ndarray] = {}
+    draws, slots, n_draws = [], [], []
 
     for u in range(cfg.n_users):
         user = f"U{u:04d}"
-        pc = f"PC-{u:04d}"
         rates = np.array([rng.uniform(lo, hi) for _, lo, hi in _SYNTH_RATES])
+        rates = (rates * damp[0], rates * damp[1])
         size_hi = int(rng.uniform(400_000, 900_000))
-        # Bounds by draw code: 0 a working-time second, 1 an off-hours one
-        # (counted with the window cut out), 2 a transfer size, 3 a burst one.
-        lo = np.array([s0, 0, 50_000, 20_000_000])
-        hi = np.array([s1, 86400 - (s1 - s0), size_hi, 80_000_000])
+        lo = np.array([s0, 0, 50_000, 20_000_000])[_SLOT_BOUND]
+        hi = np.array([s1, 86400 - (s1 - s0), size_hi, 80_000_000])[_SLOT_BOUND]
+        flags, segments, user_draws, user_slots = [], [], [], []
 
-        for d, day in enumerate(days):
+        for _ in days:
             abnormal = bool(rng.random() < cfg.anomaly_rate)
-            counts = dict(zip((f for f, _, _ in _SYNTH_RATES),
-                              rng.poisson(rates * damp[abnormal]).tolist()))
-            counts["login_on"] = max(1, counts["login_on"])  # every day has data
-            burst = 0
+            counts = rng.poisson(rates[abnormal])
+            counts[0] = max(1, counts[0])  # login_on: every day has data
+            segment = _RATE_SEGMENTS @ counts
             if abnormal:
-                extra = rng.integers(burst_lo, burst_hi).tolist()
-                for (feat, _, _), k in zip(_SYNTH_BURST, extra):
-                    counts[feat] += k
-                burst = extra[3]  # connects whose transfers are oversized
-            counts["disconnect_on"] = counts["connect_on"]
-            counts["disconnect_out"] = counts["connect_out"]
+                segment += _BURST_SEGMENTS @ rng.integers(burst_lo, burst_hi)
+            slot = _SEGMENTS.repeat(segment, axis=0).ravel()
+            slot = slot[slot >= 0]
+            user_draws.append(rng.integers(lo[slot], hi[slot]))
+            user_slots.append(slot)
+            flags.append(abnormal)
+            segments.append(segment)
 
-            # The day's draws in the scalar order: the events' timestamps,
-            # each connect's size then timestamp, the disconnects' timestamps.
-            codes = []
-            for feat, _, _ in _SYNTH_EVENTS:
-                codes += [int(not feat.endswith("_on"))] * counts[feat]
-            codes += ([2, 0] * counts["connect_on"] + [3, 1] * burst
-                      + [2, 1] * (counts["connect_out"] - burst)
-                      + [0] * counts["disconnect_on"] + [1] * counts["disconnect_out"])
-            codes = np.array(codes)
-            draws = rng.integers(lo[codes], hi[codes])
-            off = (codes == 1) & (draws >= s0)
-            # timestamps become seconds from SYNTH_START; sizes stay as drawn
-            draws += np.where(codes < 2, d * 86400 + (s1 - s0) * off, 0)
-            values = iter(draws.tolist())
+        slot = np.concatenate(user_slots)
+        value = np.concatenate(user_draws)
+        segments = np.array(segments)
+        day = np.repeat(np.arange(cfg.n_days), segments @ (_SEGMENTS >= 0).sum(axis=1))
+        # timestamps become seconds from SYNTH_START; sizes stay as drawn
+        bound = _SLOT_BOUND[slot]
+        value += np.where(bound < 2, day * 86400 + (s1 - s0) * ((bound == 1) & (value >= s0)), 0)
+        sized = bound >= 2
+        vec = segments @ _SEGMENT_TRUTH
+        vec[:, _FEATURE_INDEX["weekend"]] = weekend
+        vec[:, _FEATURE_INDEX["size"]] = np.bincount(day[sized], value[sized], cfg.n_days)
+        truth.update(zip(((user, d) for d in days), vec))
+        labels.update(((user, d), LABEL_ABNORMAL if flag else LABEL_NORMAL)
+                      for d, flag in zip(days, flags))
+        draws.append(value)
+        slots.append(slot.astype(np.int8))
+        n_draws.append(len(slot))
 
-            for feat, source, activity in _SYNTH_EVENTS:
-                table = tables[source]
-                for when in islice(values, counts[feat]):
-                    j = len(table)
-                    if source == "http":
-                        rest = (f"http://site{j % 7}.example.com/p{j % 13}",)
-                    elif source == "file":
-                        rest = (f"doc{j % 9}.docx", _FILE_OPS[j % 4])
-                    elif source == "email":
-                        rest = (f"peer{j % 5}@example.com", activity)
-                    else:
-                        rest = (activity,)
-                    table.append((when, user, pc, *rest))
-            size = 0
-            for _ in range(counts["connect_on"] + counts["connect_out"]):
-                size_k, when = next(values), next(values)
-                size += size_k
-                tables["device"].append((when, user, pc, str(size_k), "Connect"))
-            for when in values:
-                tables["device"].append((when, user, pc, "0", "Disconnect"))
-
-            vec = np.zeros(N_FEATURES)
-            for feat, count in counts.items():
-                vec[_FEATURE_INDEX[feat]] = count
-            vec[_FEATURE_INDEX["weekend"]] = 1.0 if day.weekday() >= 5 else 0.0
-            vec[_FEATURE_INDEX["size"]] = size
-            truth[(user, day)] = vec
-            labels[(user, day)] = LABEL_ABNORMAL if abnormal else LABEL_NORMAL
-
-    headers = {
-        "login": ["id", "date", "user", "pc", "activity"],
-        "http": ["id", "date", "user", "pc", "url"],
-        "device": ["id", "date", "user", "pc", "size", "activity"],
-        "email": ["id", "date", "user", "pc", "to", "activity"],
-        "file": ["id", "date", "user", "pc", "filename", "activity"],
-    }
-    prefix = [day.strftime("%m/%d/%Y ") for day in days]
-
-    def stamp(seconds: int) -> str:
-        d, s = divmod(seconds, 86400)
-        return (f"{prefix[d]}{_TWO_DIGITS[s // 3600]}:{_TWO_DIGITS[s // 60 % 60]}"
-                f":{_TWO_DIGITS[s % 60]}")
+    draw, slot = np.concatenate(draws), np.concatenate(slots)
+    del draws, slots
+    # user indices and ranks in the fewest bytes, which lexsort sorts fastest
+    small = np.min_scalar_type(cfg.n_users - 1)
+    owner = np.repeat(np.arange(cfg.n_users, dtype=small), n_draws)
+    user_rank = np.argsort(np.argsort([f"U{u:04d}" for u in range(cfg.n_users)])).astype(small)
+    owners = _text_cells([f",U{u:04d},PC-{u:04d}," for u in range(cfg.n_users)])
+    log_of = _SLOT_LOG[slot]
 
     paths, row_counts = {}, {}
-    for source, rows in tables.items():
-        rows.sort()  # by time, then the other fields
-        path, letter = out_dir / f"{source}.csv", source[0].upper()
-        write_csv(path, headers[source],
-                  ([f"{letter}{i:07d}", stamp(when), *rest]
-                   for i, (when, *rest) in enumerate(rows)))
-        paths[source] = path
-        row_counts[source] = len(rows)
+    for k, name in enumerate(LOG_FILES):
+        source = name.split(".")[0]
+        at = np.flatnonzero(log_of == k)
+        if source == "device":
+            tail = (slot[at] >= 14).astype(np.int8)  # Connect, Disconnect
+            size = np.where(tail, 0, draw[at - 1])   # a connect's size precedes it
+            rest = _string_order(size) * 2 + tail
+            tails = [",Connect\n", ",Disconnect\n"]
+        else:
+            cycle = _SYNTH_TAILS[source]
+            tail = slot[at] // 2 if source == "login" else np.arange(len(at)) % len(cycle)
+            rank = np.argsort(sorted(range(len(cycle)), key=cycle.__getitem__))
+            rest = rank.astype(np.uint8)[tail]
+            tails, size = [",".join(fields) + "\n" for fields in cycle], None
+        when, who = draw[at], owner[at]
+        order = np.lexsort((rest, user_rank[who], when))
+        del at, rest
+        paths[source] = out_dir / name
+        write_blocks(paths[source], _SYNTH_HEADERS[source],
+                     _log_blocks(source[0].upper(), order, when, who, owners, size,
+                                 tail, _text_cells(tails)))
+        row_counts[source] = len(order)
 
     labels_path = out_dir / "labels.csv"
     write_csv(labels_path, ["user", "day", "label"],

@@ -17,6 +17,7 @@ from qbde.checkpoint import (
     load_checkpoint,
     read_kv,
     save_checkpoint,
+    write_blocks,
     write_csv,
     write_kv,
 )
@@ -230,6 +231,21 @@ def test_atomic_open_replaces_only_on_success(tmp_path):
         handle.write("new\n")
     assert path.read_text(encoding="utf-8") == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+
+def test_write_blocks_writes_the_header_then_bytes_atomically(tmp_path):
+    path = tmp_path / "log.csv"
+    write_blocks(path, ["id", "note"], [b"L1,a\n", np.frombuffer(b"L2,b\n", np.uint8)])
+    assert path.read_bytes() == b"id,note\nL1,a\nL2,b\n"
+
+    def failing():
+        yield b"L3,c\n"
+        raise RuntimeError("crash mid-write")
+
+    with pytest.raises(RuntimeError):
+        write_blocks(path, ["id", "note"], failing())
+    assert path.read_bytes() == b"id,note\nL1,a\nL2,b\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
 
 
 def test_write_csv_bytes(tmp_path):

@@ -682,6 +682,57 @@ def test_synth_matches_scalar_draw_oracle(seed, n_users, n_days, anomaly_rate,
             np.testing.assert_array_equal(got.truth[key], vec)
 
 
+def test_synth_ties_in_one_second_sort_as_the_oracle_sorts(tmp_path):
+    """A one-minute working window puts many of a user's rows in one
+    second, so the order of their other fields decides: a device row's
+    size sorts as a string ("100000" before "50000"), then its activity."""
+    cfg = dict(n_users=3, n_days=20, anomaly_rate=0.2, seed=4,
+               working_hours="08:00-08:01")
+    got = synth_generate(SynthConfig(**cfg, out_dir=tmp_path / "a"))
+    want = oracle_synth_generate(SynthConfig(**cfg, out_dir=tmp_path / "b"))
+    for name in (*LOG_FILES, "labels.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert got.row_counts == want.row_counts
+    with open(tmp_path / "a" / "device.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    digits = {}
+    for row in rows:
+        if row["activity"] == "Connect":
+            digits.setdefault((row["date"], row["user"]), set()).add(len(row["size"]))
+    assert any(len(counts) > 1 for counts in digits.values())
+    ties = [(a["size"], b["size"]) for a, b in zip(rows, rows[1:])
+            if (a["date"], a["user"]) == (b["date"], b["user"])]
+    assert ties and all(a <= b for a, b in ties)
+    assert any(int(a) > int(b) for a, b in ties)  # string order, not numeric
+
+
+@pytest.mark.parametrize("first", [0, 9_999_998, 99_999_999])
+def test_synth_row_ids_and_stamps_match_format(first):
+    """Ids keep growing past 7 digits, and stamps match strftime at the end
+    of a day and on days past 2099 (2100 is not a leap year)."""
+    day = (date(2100, 2, 28) - SYNTH_START).days
+    seconds = np.array([0, 86_399, 86_400 * 1000 + 3_661, day * 86_400 + 86_399,
+                        (day + 1) * 86_400, (date(9999, 12, 31) - SYNTH_START).days * 86_400])
+    newline = features._text_field(features._text_cells(["\n"]), np.zeros(len(seconds), int))
+    lines = features._synth_rows("L", first, seconds, [newline]).tobytes().decode()
+    when = [datetime.combine(SYNTH_START, time()) + timedelta(seconds=int(s)) for s in seconds]
+    assert lines.splitlines() == [f"L{first + i:07d},{w.strftime(TIMESTAMP_FMT)}"
+                                  for i, w in enumerate(when)]
+
+
+def test_synth_memory_grows_by_tens_of_bytes_per_row(tmp_path):
+    """The generator keeps compact columns, not a tuple per row, until it
+    sorts and writes each log."""
+    tracemalloc.start()
+    try:
+        result = synth_generate(SynthConfig(n_users=10, n_days=300, seed=0,
+                                            out_dir=tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / sum(result.row_counts.values()) <= 80
+
+
 # --------------------------------------------------------------------------
 # Per-event oracle: csv.DictReader, strptime and one object per event
 # --------------------------------------------------------------------------
