@@ -58,7 +58,7 @@ print(f"\ntrain {len(dataset.train)} rows "
 lo, hi = dataset.stats["U0000"]
 print("training min/max for http_on:",
       (lo[FEATURE_NAMES.index("http_on")], hi[FEATURE_NAMES.index("http_on")]))
-print(f"test values clipped into [0, 1]: {len(dataset.clipped)} "
+print(f"test values clipped into [0, 1]: {dataset.clipped} "
       f"(out-of-range values are themselves anomaly evidence)")
 
 # ---------------------------------------------------------------------

@@ -31,6 +31,7 @@ import csv
 import shutil
 from contextlib import contextmanager
 from dataclasses import fields
+from itertools import dropwhile
 from pathlib import Path
 
 import numpy as np
@@ -100,19 +101,20 @@ def write_blocks(path: str | Path, header: list, blocks) -> None:
 def read_csv(path: str | Path, kind: str, header_ok, n_columns: int,
              convert) -> list:
     """``convert(fields)`` of each record after a header that ``header_ok``
-    accepts, skipping ``#`` comment lines.  A record that csv rejects, that
-    has another column count, or on which ``convert`` raises
-    ``ValueError`` raises ``SchemaError`` naming the file and line."""
+    accepts, skipping the ``#`` comment lines before the header; after it,
+    a line that starts with ``#`` is a record, such as a user ``#U1``'s.  A
+    record that csv rejects, that has another column count, or on which
+    ``convert`` raises ``ValueError`` raises ``SchemaError`` naming the file
+    and line."""
     out, lineno = [], 0
 
     def lines():
         nonlocal lineno
         for lineno, line in enumerate(handle, start=1):
-            if not line.startswith("#"):
-                yield line
+            yield line
 
     with open(path, newline="", encoding="utf-8") as handle:
-        records = csv.reader(lines())
+        records = csv.reader(dropwhile(lambda line: line.startswith("#"), lines()))
         try:
             header = next(records, None)
             if header is None or not header_ok(header):

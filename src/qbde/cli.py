@@ -196,7 +196,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
         "split.train_rows": len(dataset.train),
         "split.test_rows": len(dataset.test),
         "split.excluded_abnormal": len(dataset.excluded),
-        "normalize.clipped_values": len(dataset.clipped)}})
+        "normalize.clipped_values": dataset.clipped}})
     print(f"ingested {report.total_events()} events -> {len(dataset.train)} train "
           f"/ {len(dataset.test)} test rows "
           f"({len(dataset.excluded)} abnormal excluded from training)")

@@ -49,6 +49,7 @@ TIMESTAMP_FMT = "%m/%d/%Y %H:%M:%S"
 
 LABEL_NORMAL = "normal"
 LABEL_ABNORMAL = "abnormal"
+_LABELS = (LABEL_NORMAL, LABEL_ABNORMAL)
 
 
 @dataclass
@@ -98,15 +99,15 @@ class Dataset:
 
     ``stats`` maps user -> (per-feature min, per-feature max) computed on
     that user's training rows; ``excluded`` holds abnormal-labelled rows
-    dropped from the training window; ``clipped`` records test values that
-    fell outside [0, 1] before clipping, as (user, day, feature, value).
+    dropped from the training window; ``clipped`` counts the test values
+    that fell outside [0, 1] before clipping.
     """
 
     train: list
     test: list
     stats: dict | None = None
     excluded: list = field(default_factory=list)
-    clipped: list = field(default_factory=list)
+    clipped: int = 0
 
 
 # --------------------------------------------------------------------------
@@ -147,6 +148,7 @@ _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _CHUNK_BYTES = 1 << 16  # logs are read in chunks of whole lines of about this size
 _PAD = 19  # zero bytes after a chunk's text, so no fixed-width read runs off it
 _FIRST_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)?")
+_WORKING_HOURS = re.compile(r"\s*([0-9]{2}):([0-9]{2})\s*-\s*([0-9]{2}):([0-9]{2})\s*")
 _NO_EVENTS = (*[np.empty(0, np.int64)] * 4, np.empty(0))
 
 
@@ -190,17 +192,6 @@ def _activity_kind(source: str, activity: str) -> int:
             "file": "file_op" if act in ("", "open", "write", "copy", "delete")
             or act.startswith("file") else None}[source]
     return _UNKNOWN if kind is None else KINDS.index(kind)
-
-
-def _calendar_day(date_part: str, days: dict) -> int:
-    """The ordinal of a canonical ``MM/DD/YYYY`` date (ASCII digits) through
-    the ``days`` cache; ``ValueError`` for a date like 02/30 or a year 0000,
-    where strptime's ``%m/%d/%Y`` gives one too."""
-    day = days.get(date_part)
-    if day is None:
-        day = days[date_part] = date(int(date_part[6:]), int(date_part[:2]),
-                                     int(date_part[3:5])).toordinal()
-    return day
 
 
 def _read_stamp(stamp: str) -> tuple[int, int]:
@@ -358,8 +349,7 @@ def _parse_rows(reader, width: int, *args):
     yield _NO_EVENTS, n_bad, 0, 0
 
 
-def _parse_plain(table: tuple, width: int, pick: tuple, source: str, days: dict,
-                 kinds: dict, users: dict) -> tuple:
+def _parse_plain(table: tuple, width: int, pick: tuple, source: str, users: dict) -> tuple:
     """The event columns (user, day, second, kind, size) of the rows of
     ``table`` (see ``_plain_fields``) and the counts of its malformed,
     unknown and ignored rows, decoded a column at a time from each field's
@@ -386,12 +376,12 @@ def _parse_plain(table: tuple, width: int, pick: tuple, source: str, days: dict,
     second = digits[:, 8:] @ _SECOND_WEIGHTS
     day = np.zeros(n, np.int64)
     rows = np.flatnonzero(canonical)
-    _, first, which = np.unique(digits[rows, :8] @ _DATE_WEIGHTS,
-                                return_index=True, return_inverse=True)
-    ordinals = []
-    for i in rows[first].tolist():
+    dates, which = np.unique(digits[rows, :8] @ _DATE_WEIGHTS, return_inverse=True)
+    ordinals = []  # 0 for a date like 02/30 or a year 0000, which strptime rejects
+    for mmddyyyy in dates.tolist():
+        month_day, year = divmod(mmddyyyy, 10000)
         try:
-            ordinals.append(_calendar_day(stamp[i, :10].tobytes().decode(), days))
+            ordinals.append(date(year, *divmod(month_day, 100)).toordinal())
         except ValueError:
             ordinals.append(0)
     day[rows] = np.array(ordinals, np.int64)[which]
@@ -417,9 +407,7 @@ def _parse_plain(table: tuple, width: int, pick: tuple, source: str, days: dict,
                 ok[i] = False
     acts, act = (_distinct(code, start[:, i_act], stop[:, i_act], nul) if i_act < width
                  else ([""], np.zeros(n, np.intp)))
-    for raw in set(acts).difference(kinds):
-        kinds[raw] = _activity_kind(source, raw)
-    kind = np.array([kinds[raw] for raw in acts], np.int64)[act]
+    kind = np.array([_activity_kind(source, raw) for raw in acts], np.int64)[act]
     event = ok & (kind >= 0)
     picked = user[event]
     codes = np.zeros(len(names), np.int64)
@@ -432,14 +420,13 @@ def _parse_plain(table: tuple, width: int, pick: tuple, source: str, days: dict,
 
 
 def _parse_file(path: Path, source: str, report: ParseReport, users: dict,
-                days: dict, columns: list) -> None:
+                columns: list) -> None:
     """Stream one log in chunks, appending each chunk's event columns to
     ``columns`` and counting the log's rows in ``report``.  Every row is
     decoded by ``_parse_plain``.  A plain chunk (see ``_plain_fields``) is
     split by its commas and line ends, any other chunk by ``csv.reader``
     through ``_parse_rows``; from the first quote on, so is the rest of the
     file, since a quoted field may span lines."""
-    kinds: dict[str, int] = {}
     with open(path, "rb") as handle:
         chunks = _text_chunks(path, handle)
         text = next(chunks, "")
@@ -456,7 +443,7 @@ def _parse_file(path: Path, source: str, report: ParseReport, users: dict,
         pick = tuple(where.get(name, sys.maxsize)
                      for name in ("user", "date", "activity", "size"))
         width = len(header)
-        args = width, pick, source, days, kinds, users
+        args = width, pick, source, users
         if quoted:
             parts = list(_parse_rows(reader, *args))
         else:
@@ -487,10 +474,10 @@ def parse_logs(log_dir: str | Path) -> tuple[Events, ParseReport]:
     missing or unreadable file raises ``OSError``, and a file that is not
     UTF-8 raises ``SchemaError``.
     """
-    report, users, days, columns = ParseReport(), {}, {}, []
+    report, users, columns = ParseReport(), {}, []
     for filename in LOG_FILES:
         _parse_file(Path(log_dir) / filename, filename.split(".")[0], report,
-                    users, days, columns)
+                    users, columns)
     user, day, second, kind, size = (np.concatenate(part)
                                      for part in zip(_NO_EVENTS, *columns))
     return Events(list(users), user, day, second, kind, size), report
@@ -501,16 +488,13 @@ def parse_logs(log_dir: str | Path) -> tuple[Events, ParseReport]:
 # --------------------------------------------------------------------------
 
 def parse_working_hours(value: str) -> tuple[time, time]:
-    """The half-open [start, end) window of an "HH:MM-HH:MM" string."""
-    parts = str(value).split("-")
-    if len(parts) != 2:
+    """The half-open [start, end) window of an "HH:MM-HH:MM" string, two
+    ASCII digits each, with spaces allowed around the parts."""
+    match = _WORKING_HOURS.fullmatch(str(value))
+    if match is None:
         raise ValueError(f"working hours must look like '08:00-18:00', got {value!r}")
-
-    def one(text):
-        hh, _, mm = text.strip().partition(":")
-        return time(int(hh), int(mm or 0))
-
-    start, end = map(one, parts)
+    h0, m0, h1, m1 = map(int, match.groups())
+    start, end = time(h0, m0), time(h1, m1)
     if not start < end:
         raise ValueError("working hours must satisfy start < end")
     return start, end
@@ -584,7 +568,7 @@ def normalize(dataset: Dataset) -> Dataset:
     """Min-max scale every feature to [0, 1] per user.
 
     Statistics come from the training rows only; test rows reuse them and
-    are clipped into [0, 1], with each out-of-range value recorded in
+    are clipped into [0, 1], with the out-of-range values counted in
     ``clipped`` since leaving the training range is itself evidence of
     anomaly.  A feature that is constant in training maps to 0.
     """
@@ -599,29 +583,22 @@ def normalize(dataset: Dataset) -> Dataset:
     span = np.stack([hi for _, hi in stats.values()]) - lo
     safe = np.where(span > 0, span, 1.0)
 
-    def transform(rows: list, clip_log=None) -> list:
-        """``rows`` scaled as one matrix, each by its user's statistics."""
+    def transform(rows: list) -> tuple[list, int]:
+        """``rows`` scaled as one matrix, each by its user's statistics,
+        and the number of values clipped into [0, 1]."""
         try:
             which = np.array([code[row.user] for row in rows], dtype=np.intp)
         except KeyError as exc:
             raise ValueError(f"user {exc.args[0]} has no training rows") from None
         x = np.stack([row.features for row in rows]) if rows else lo[which]
         scaled = np.where(span[which] > 0, (x - lo[which]) / safe[which], 0.0)
-        if clip_log is not None:
-            for i, j in zip(*np.nonzero((scaled < 0.0) | (scaled > 1.0))):
-                clip_log.append((rows[i].user, rows[i].day, FEATURE_NAMES[j],
-                                 float(scaled[i, j])))
-        return [replace(row, features=values)
-                for row, values in zip(rows, np.clip(scaled, 0.0, 1.0))]
+        return ([replace(row, features=values)
+                 for row, values in zip(rows, np.clip(scaled, 0.0, 1.0))],
+                np.count_nonzero((scaled < 0.0) | (scaled > 1.0)))
 
-    clipped: list = []
-    return Dataset(
-        train=transform(dataset.train),
-        test=transform(dataset.test, clipped),
-        stats=stats,
-        excluded=list(dataset.excluded),
-        clipped=clipped,
-    )
+    test, clipped = transform(dataset.test)
+    return Dataset(train=transform(dataset.train)[0], test=test, stats=stats,
+                   excluded=list(dataset.excluded), clipped=clipped)
 
 
 def to_simplex(values) -> np.ndarray:
@@ -658,12 +635,18 @@ def check_user_id(user: str) -> str:
     return user
 
 
+def _check_label(label: str, allowed: tuple) -> str:
+    if label not in allowed:
+        raise ValueError(f"label {label!r} is not {' or '.join(map(repr, allowed))}")
+    return label
+
+
 def _feature_row(rec: list[str]) -> BehaviorVector:
     values = np.array([float(x) for x in rec[2:2 + N_FEATURES]])
     if not np.isfinite(values).all():
         raise ValueError("feature values must be finite")
-    return BehaviorVector(check_user_id(rec[0]), date.fromisoformat(rec[1]),
-                          values, rec[-1] or None)
+    return BehaviorVector(check_user_id(rec[0]), date.fromisoformat(rec[1]), values,
+                          _check_label(rec[-1], (*_LABELS, "")) or None)
 
 
 def read_features_csv(path: str | Path) -> list[BehaviorVector]:
@@ -677,7 +660,7 @@ def read_features_csv(path: str | Path) -> list[BehaviorVector]:
 def read_labels_csv(path: str | Path) -> dict[tuple[str, date], str]:
     return dict(read_csv(
         path, "labels", lambda header: header == ["user", "day", "label"], 3,
-        lambda rec: ((rec[0], date.fromisoformat(rec[1])), rec[2])))
+        lambda rec: ((rec[0], date.fromisoformat(rec[1])), _check_label(rec[2], _LABELS))))
 
 
 def attach_labels(rows: list[BehaviorVector],
@@ -714,10 +697,8 @@ class SynthConfig:
 
 @dataclass
 class SynthResult:
-    paths: dict
-    labels: dict
-    truth: dict        # (user, day) -> raw 16-feature vector the logs encode
-    row_counts: dict
+    labels: dict       # (user, day) -> label, as labels.csv holds it
+    row_counts: dict   # source -> rows written to its log
 
 
 # Per-user daily Poisson rates: (feature, low, high), drawn in this order.
@@ -762,25 +743,22 @@ _SLOT_BOUND = np.array([0, 1] * 5 + [2, 3, 0, 1, 0, 1])
 _SLOT_LOG = np.array([LOG_FILES.index(f"{source}.csv") for _, source in _SYNTH_EVENTS]
                      + [-1, -1] + [LOG_FILES.index("device.csv")] * 4, np.int8)
 # A day draws these segments in order, each repeated by its count: its
-# slots (-1 pads a one-slot segment), the rate and the burst feature whose
-# drawn counts sum to its count, and the daily feature it counts toward.
-# So the events' timestamps come first, then each connect's size and
-# timestamp (plain, burst, then the other off-hours ones), then the
-# disconnects' timestamps.
+# slots (-1 pads a one-slot segment), then the rate and the burst feature
+# whose drawn counts sum to its count.  So the events' timestamps come
+# first, then each connect's size and timestamp (plain, burst, then the
+# other off-hours ones), then the disconnects' timestamps.
 _SEGMENT_TABLE = (
-    *(((slot, -1), f, f, f) for slot, (f, _) in enumerate(_SYNTH_EVENTS)),
-    ((10, 12), "connect_on", None, "connect_on"),
-    ((11, 13), None, "connect_out", "connect_out"),
-    ((10, 13), "connect_out", None, "connect_out"),
-    ((14, -1), "connect_on", None, "disconnect_on"),
-    ((15, -1), "connect_out", "connect_out", "disconnect_out"))
-_SEGMENTS = np.array([slots for slots, _, _, _ in _SEGMENT_TABLE], np.int8)
+    *(((slot, -1), f, f) for slot, (f, _) in enumerate(_SYNTH_EVENTS)),
+    ((10, 12), "connect_on", None),
+    ((11, 13), None, "connect_out"),
+    ((10, 13), "connect_out", None),
+    ((14, -1), "connect_on", None),
+    ((15, -1), "connect_out", "connect_out"))
+_SEGMENTS = np.array([slots for slots, _, _ in _SEGMENT_TABLE], np.int8)
 _RATE_SEGMENTS = np.array([[int(f == rate) for f, _, _ in _SYNTH_RATES]
-                           for _, rate, _, _ in _SEGMENT_TABLE])
+                           for _, rate, _ in _SEGMENT_TABLE])
 _BURST_SEGMENTS = np.array([[int(f == burst) for f, _, _ in _SYNTH_BURST]
-                            for _, _, burst, _ in _SEGMENT_TABLE])
-_SEGMENT_TRUTH = np.array([[f == feature for f in FEATURE_NAMES]
-                           for _, _, _, feature in _SEGMENT_TABLE], float)
+                            for _, _, burst in _SEGMENT_TABLE])
 
 _BLOCK_ROWS = 8192  # synth logs are written in blocks of this many rows
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
@@ -890,8 +868,8 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     anomaly flag, the Poisson counts, the burst sizes, then every timestamp
     and transfer size), which consume the random stream exactly as one
     scalar draw per value in the same order would.  Byte-identical output
-    for identical configs; the returned ``truth`` holds exactly the daily
-    counts the logs encode.
+    for identical configs.  Returns each user-day's label and each log's
+    row count.
 
     The draws are kept as arrays, with each value's slot (see
     ``_SLOT_BOUND``).  Each log is sorted by time, user and its other fields
@@ -910,10 +888,8 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     damp = (np.ones(len(_SYNTH_RATES)),
             np.array([0.4 if f.endswith("_on") else 1.0 for f, _, _ in _SYNTH_RATES]))
     burst_lo, burst_hi = np.array([b[1:] for b in _SYNTH_BURST]).T
-    weekend = (SYNTH_START.weekday() + np.arange(cfg.n_days)) % 7 >= 5
 
     labels: dict[tuple[str, date], str] = {}
-    truth: dict[tuple[str, date], np.ndarray] = {}
     draws, slots, n_draws = [], [], []
 
     for u in range(cfg.n_users):
@@ -923,10 +899,11 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
         size_hi = int(rng.uniform(400_000, 900_000))
         lo = np.array([s0, 0, 50_000, 20_000_000])[_SLOT_BOUND]
         hi = np.array([s1, 86400 - (s1 - s0), size_hi, 80_000_000])[_SLOT_BOUND]
-        flags, segments, user_draws, user_slots = [], [], [], []
+        user_draws, user_slots = [], []
 
-        for _ in days:
+        for d in days:
             abnormal = bool(rng.random() < cfg.anomaly_rate)
+            labels[user, d] = LABEL_ABNORMAL if abnormal else LABEL_NORMAL
             counts = rng.poisson(rates[abnormal])
             counts[0] = max(1, counts[0])  # login_on: every day has data
             segment = _RATE_SEGMENTS @ counts
@@ -936,23 +913,13 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
             slot = slot[slot >= 0]
             user_draws.append(rng.integers(lo[slot], hi[slot]))
             user_slots.append(slot)
-            flags.append(abnormal)
-            segments.append(segment)
 
         slot = np.concatenate(user_slots)
         value = np.concatenate(user_draws)
-        segments = np.array(segments)
-        day = np.repeat(np.arange(cfg.n_days), segments @ (_SEGMENTS >= 0).sum(axis=1))
+        day = np.repeat(np.arange(cfg.n_days), list(map(len, user_slots)))
         # timestamps become seconds from SYNTH_START; sizes stay as drawn
         bound = _SLOT_BOUND[slot]
         value += np.where(bound < 2, day * 86400 + (s1 - s0) * ((bound == 1) & (value >= s0)), 0)
-        sized = bound >= 2
-        vec = segments @ _SEGMENT_TRUTH
-        vec[:, _FEATURE_INDEX["weekend"]] = weekend
-        vec[:, _FEATURE_INDEX["size"]] = np.bincount(day[sized], value[sized], cfg.n_days)
-        truth.update(zip(((user, d) for d in days), vec))
-        labels.update(((user, d), LABEL_ABNORMAL if flag else LABEL_NORMAL)
-                      for d, flag in zip(days, flags))
         draws.append(value)
         slots.append(slot.astype(np.int8))
         n_draws.append(len(slot))
@@ -966,7 +933,7 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     owners = _text_cells([f",U{u:04d},PC-{u:04d}," for u in range(cfg.n_users)])
     log_of = _SLOT_LOG[slot]
 
-    paths, row_counts = {}, {}
+    row_counts = {}
     for k, name in enumerate(LOG_FILES):
         source = name.split(".")[0]
         at = np.flatnonzero(log_of == k)
@@ -984,15 +951,12 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
         when, who = draw[at], owner[at]
         order = np.lexsort((rest, user_rank[who], when))
         del at, rest
-        paths[source] = out_dir / name
-        write_blocks(paths[source], _SYNTH_HEADERS[source],
+        write_blocks(out_dir / name, _SYNTH_HEADERS[source],
                      _log_blocks(source[0].upper(), order, when, who, owners, size,
                                  tail, _text_cells(tails)))
         row_counts[source] = len(order)
 
-    labels_path = out_dir / "labels.csv"
-    write_csv(labels_path, ["user", "day", "label"],
+    write_csv(out_dir / "labels.csv", ["user", "day", "label"],
               ([user, day.isoformat(), label]
                for (user, day), label in sorted(labels.items())))
-    paths["labels"] = labels_path
-    return SynthResult(paths, labels, truth, row_counts)
+    return SynthResult(labels, row_counts)

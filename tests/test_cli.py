@@ -970,6 +970,71 @@ def test_features_with_user_id_that_breaks_the_summary_are_rejected(
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def _rename_user(data_dir, old, new):
+    """Every field ``old`` of the logs and labels under ``data_dir`` made ``new``."""
+    for path in data_dir.glob("*.csv"):
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = [[new if f == old else f for f in rec] for rec in csv.reader(handle)]
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+
+
+def test_user_id_starting_with_hash_survives_every_command(tmp_path, capsys):
+    """A line that starts with ``#`` is a comment only before a CSV's
+    header: after it, the line is a record of a user such as ``#U1``."""
+    flags = fast_flags(tmp_path)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(cfgfile.read_text() + "n_users = 2\n", encoding="utf-8")
+    assert main(["synth", *flags]) == EXIT_OK
+    _rename_user(tmp_path / "data", "U0001", "#U1")
+    labels = features.read_labels_csv(tmp_path / "data" / "labels.csv")
+    assert {user for user, _ in labels} == {"#U1", "U0000"}
+    for step in ("ingest", "train", "detect", "report"):
+        assert main([step, *flags]) == EXIT_OK
+    out = tmp_path / "out"
+    parsed = read_kv(out / "parse_report.txt", "qbde-parse-report")[""]
+    by_user = features.rows_by_user(features.read_features_csv(out / "features_train.csv"))
+    assert list(by_user) == ["#U1", "U0000"]
+    # every abnormal day of each user's 30-day training window is excluded
+    window = {user: sorted(day for u, day in labels if u == user)[:30]
+              for user in by_user}
+    assert int(parsed["split.excluded_abnormal"]) == sum(
+        labels[user, day] == "abnormal" for user, days in window.items() for day in days)
+    summary = read_summary(out / "detect_summary.txt")
+    assert summary["users"] == "#U1 U0000"
+    assert int(summary["train_records"]) == int(parsed["split.train_rows"])
+    assert int(summary["test_records"]) == int(parsed["split.test_rows"]) == 30
+    assert {rec["user"] for rec in read_score_csv(out / "scores.csv")} == {"#U1", "U0000"}
+    assert "thresholds[#U1]" in capsys.readouterr().out
+
+
+def test_label_other_than_normal_or_abnormal_is_validation_error(tmp_path, capsys):
+    flags = fast_flags(tmp_path)
+    assert main(["synth", *flags]) == EXIT_OK
+    labels = tmp_path / "data" / "labels.csv"
+    text = labels.read_text(encoding="utf-8")
+    line = next(i for i, rec in enumerate(text.splitlines(), 1) if rec.endswith(",abnormal"))
+    labels.write_text(text.replace(",abnormal\n", ",Abnormal\n"), encoding="utf-8")
+    assert main(["ingest", *flags]) == EXIT_VALIDATION
+    assert (f"labels.csv: line {line}: label 'Abnormal' is not 'normal' or 'abnormal'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "features_train.csv").exists()
+
+
+@pytest.mark.parametrize("hours", ["8-18", "08:00-18", "+8:00-18:00", "8:5-18:0",
+                                   "\u0660\u0668:\u0660\u0660-18:00"],
+                         ids=["hours", "no minutes", "sign", "one digit", "arabic-indic"])
+def test_working_hours_not_hh_mm_is_config_error_before_any_file_is_written(
+        tmp_path, capsys, hours):
+    flags = fast_flags(tmp_path)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(cfgfile.read_text() + f"working_hours = {hours}\n",
+                       encoding="utf-8")
+    assert main(["synth", *flags]) == EXIT_CONFIG
+    assert "working hours must look like '08:00-18:00'" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 # --------------------------------------------------------------------------
 # Saved scorers
 # --------------------------------------------------------------------------

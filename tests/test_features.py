@@ -215,7 +215,8 @@ def test_parse_working_hours_formats():
     assert parse_working_hours("08:00-18:00") == (time(8, 0), time(18, 0))
     assert parse_working_hours(" 09:30 - 17:15 ") == (time(9, 30), time(17, 15))
     for bad in ("18:00-08:00", "08:00", "08:00-12:00-18:00", "08:00-25:00",
-                "8h-18h", (8, 18), ("08:00", "18:00")):
+                "8h-18h", (8, 18), ("08:00", "18:00"), "8-18", "+8:00-18:00",
+                "8:5-18:0", "\u0660\u0668:\u0660\u0660-18:00", "08:00-18:00:00"):
         with pytest.raises(ValueError):
             parse_working_hours(bad)
 
@@ -271,9 +272,8 @@ def test_normalize_clips_and_records_test_overflow():
     train = [mkrow("U1", i, np.full(N_FEATURES, v)) for i, v in enumerate([1.0, 3.0])]
     test = [mkrow("U1", 5, np.full(N_FEATURES, 7.0))]
     ds = normalize(Dataset(train=train, test=test))
-    assert np.all(ds.test[0].features == 1.0)
-    assert len(ds.clipped) == N_FEATURES
-    assert ds.clipped[0][3] == pytest.approx(3.0)  # (7-1)/(3-1)
+    assert np.all(ds.test[0].features == 1.0)  # each (7-1)/(3-1) = 3.0 clips to 1
+    assert ds.clipped == N_FEATURES
 
 
 def test_normalize_is_idempotent_on_training_stats():
@@ -293,28 +293,31 @@ def oracle_normalize(dataset):
                     np.max(np.stack([r.features for r in rows]), axis=0))
              for user, rows in rows_by_user(dataset.train).items()}
 
-    def transform(row, clip_log=None):
+    clipped = 0
+
+    def transform(row, count=False):
+        nonlocal clipped
         if row.user not in stats:
             raise ValueError(f"user {row.user} has no training rows")
         lo, hi = stats[row.user]
         span = hi - lo
         safe = np.where(span > 0, span, 1.0)
         scaled = np.where(span > 0, (row.features - lo) / safe, 0.0)
-        if clip_log is not None:
-            for j in np.nonzero((scaled < 0.0) | (scaled > 1.0))[0]:
-                clip_log.append((row.user, row.day, FEATURE_NAMES[j], float(scaled[j])))
+        if count:
+            for value in scaled:
+                clipped += not 0.0 <= value <= 1.0
         return replace(row, features=np.clip(scaled, 0.0, 1.0))
 
-    clipped = []
-    return Dataset(train=[transform(r) for r in dataset.train],
-                   test=[transform(r, clipped) for r in dataset.test],
-                   stats=stats, excluded=list(dataset.excluded), clipped=clipped)
+    train = [transform(r) for r in dataset.train]
+    test = [transform(r, count=True) for r in dataset.test]
+    return Dataset(train=train, test=test, stats=stats,
+                   excluded=list(dataset.excluded), clipped=clipped)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_normalize_matches_per_row_oracle(seed):
     """Users interleaved in any order, constant columns, test values far
-    outside the training range: the same bits, stats and clip records."""
+    outside the training range: the same bits, stats and clipped count."""
     rng = np.random.default_rng(seed)
     users = [f"U{u}" for u in range(rng.integers(1, 5))]
 
@@ -372,16 +375,24 @@ def test_to_simplex_degenerate_and_point_mass():
 # Synthetic generator
 # --------------------------------------------------------------------------
 
-def test_synth_round_trip_reproduces_truth_exactly(tmp_path):
-    cfg = SynthConfig(n_users=2, n_days=40, anomaly_rate=0.1, seed=3,
-                      out_dir=tmp_path)
-    result = synth_generate(cfg)
-    events, report = parse_logs(tmp_path)
+def assert_parses_to_truth(log_dir, truth, working_hours="08:00-18:00"):
+    """The logs under ``log_dir`` parse, with no malformed row, into one
+    feature row per (user, day) of ``truth``, equal to it value for value."""
+    events, report = parse_logs(log_dir)
     assert sum(report.malformed.values()) == 0
-    rows = extract_daily(events)
-    assert {(r.user, r.day) for r in rows} == set(result.truth)
+    rows = extract_daily(events, working_hours)
+    assert [(r.user, r.day) for r in rows] == sorted(truth)
     for row in rows:
-        np.testing.assert_array_equal(row.features, result.truth[(row.user, row.day)])
+        np.testing.assert_array_equal(row.features, truth[(row.user, row.day)])
+
+
+def test_synth_round_trip_reproduces_truth_exactly(tmp_path):
+    """The logs parse into exactly the daily counts the event-by-event
+    oracle draws for the same config."""
+    cfg = dict(n_users=2, n_days=40, anomaly_rate=0.1, seed=3)
+    synth_generate(SynthConfig(**cfg, out_dir=tmp_path / "a"))
+    _, truth = oracle_synth_generate(SynthConfig(**cfg, out_dir=tmp_path / "b"))
+    assert_parses_to_truth(tmp_path / "a", truth)
 
 
 def test_synth_row_counts_match_files(tmp_path):
@@ -456,10 +467,9 @@ SYNTH_GOLDEN = {
 
 
 def test_synth_bytes_are_pinned(tmp_path):
-    result = synth_generate(SynthConfig(n_users=2, n_days=15, seed=4,
-                                        out_dir=tmp_path))
-    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in result.paths.values()} == SYNTH_GOLDEN
+    synth_generate(SynthConfig(n_users=2, n_days=15, seed=4, out_dir=tmp_path))
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in (*LOG_FILES, "labels.csv")} == SYNTH_GOLDEN
 
 
 def test_synth_draws_each_user_day_in_few_calls(tmp_path, monkeypatch):
@@ -529,6 +539,9 @@ def oracle_window_seconds(rng, on, start, end):
 
 
 def oracle_synth_generate(cfg):
+    """The logs and labels of ``synth_generate``, drawn one value and one
+    event at a time, and beside the result the daily counts they encode:
+    (user, day) -> 16 feature values."""
     rng = np.random.default_rng(cfg.seed)
     start_h, end_h = parse_working_hours(cfg.working_hours)
     out_dir = Path(cfg.out_dir)
@@ -641,22 +654,18 @@ def oracle_synth_generate(cfg):
         "email": ["id", "date", "user", "pc", "to", "activity"],
         "file": ["id", "date", "user", "pc", "filename", "activity"],
     }
-    paths, row_counts = {}, {}
+    row_counts = {}
     for source, rows in tables.items():
         rows.sort()
-        path = out_dir / f"{source}.csv"
-        write_csv(path, headers[source],
+        write_csv(out_dir / f"{source}.csv", headers[source],
                   ([f"{source[0].upper()}{i:07d}", when.strftime(TIMESTAMP_FMT),
                     *rest] for i, (when, *rest) in enumerate(rows)))
-        paths[source] = path
         row_counts[source] = len(rows)
 
-    labels_path = out_dir / "labels.csv"
-    write_csv(labels_path, ["user", "day", "label"],
+    write_csv(out_dir / "labels.csv", ["user", "day", "label"],
               ([user, day.isoformat(), label]
                for (user, day), label in sorted(labels.items())))
-    paths["labels"] = labels_path
-    return SynthResult(paths, labels, truth, row_counts)
+    return SynthResult(labels, row_counts), truth
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -672,14 +681,13 @@ def test_synth_matches_scalar_draw_oracle(seed, n_users, n_days, anomaly_rate,
                                out_dir=Path(tmp) / side,
                                working_hours=working_hours)
                    for side in ("a", "b")]
-        got, want = synth_generate(configs[0]), oracle_synth_generate(configs[1])
+        got = synth_generate(configs[0])
+        want, truth = oracle_synth_generate(configs[1])
         for name in (*LOG_FILES, "labels.csv"):
             assert (Path(tmp, "a", name).read_bytes()
                     == Path(tmp, "b", name).read_bytes()), name
         assert (got.labels, got.row_counts) == (want.labels, want.row_counts)
-        assert list(got.truth) == list(want.truth)
-        for key, vec in want.truth.items():
-            np.testing.assert_array_equal(got.truth[key], vec)
+        assert_parses_to_truth(Path(tmp, "a"), truth, working_hours)
 
 
 def test_synth_ties_in_one_second_sort_as_the_oracle_sorts(tmp_path):
@@ -689,7 +697,7 @@ def test_synth_ties_in_one_second_sort_as_the_oracle_sorts(tmp_path):
     cfg = dict(n_users=3, n_days=20, anomaly_rate=0.2, seed=4,
                working_hours="08:00-08:01")
     got = synth_generate(SynthConfig(**cfg, out_dir=tmp_path / "a"))
-    want = oracle_synth_generate(SynthConfig(**cfg, out_dir=tmp_path / "b"))
+    want, _ = oracle_synth_generate(SynthConfig(**cfg, out_dir=tmp_path / "b"))
     for name in (*LOG_FILES, "labels.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     assert got.row_counts == want.row_counts
@@ -1122,11 +1130,11 @@ def test_synth_corpus_never_takes_the_per_row_decoder(tmp_path, monkeypatch, end
     it costs) cannot hide."""
     result = synth_generate(SynthConfig(n_users=2, n_days=90, seed=3,
                                         out_dir=tmp_path))
-    for path in result.paths.values():
+    for path in (tmp_path / name for name in LOG_FILES):
         data = path.read_bytes()
         assert b"\r" not in data
         path.write_bytes(data.replace(b"\n", ending.encode()))
-    assert result.paths["http"].stat().st_size > 2 * features._CHUNK_BYTES
+    assert (tmp_path / "http.csv").stat().st_size > 2 * features._CHUNK_BYTES
 
     def refuse(*args):
         raise AssertionError("a synth chunk took a per-row rule")
@@ -1363,6 +1371,39 @@ def test_features_csv_schema_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("nope\n1,2\n", encoding="utf-8")
     with pytest.raises(SchemaError):
+        read_features_csv(path)
+
+
+def test_hash_is_a_comment_only_before_the_header(tmp_path):
+    """``#`` lines before the header are skipped; after it, a line that
+    starts with ``#`` is a record, here of user ``#U1``."""
+    rows = [mkrow("#U1", 1, np.full(N_FEATURES, 0.5)), mkrow("U0", 2, label="abnormal")]
+    path = tmp_path / "features.csv"
+    write_features_csv(path, rows, comment="digest")
+    path.write_text("# another comment\n" + path.read_text(encoding="utf-8"),
+                    encoding="utf-8")
+    assert [(r.user, r.label) for r in read_features_csv(path)] == [
+        ("#U1", None), ("U0", "abnormal")]
+    labels = tmp_path / "labels.csv"
+    write_csv(labels, ["user", "day", "label"],
+              [["#U1", "2011-01-03", "abnormal"], ["U0", "2011-01-03", "normal"]], "c")
+    assert read_labels_csv(labels) == {("#U1", date(2011, 1, 3)): "abnormal",
+                                       ("U0", date(2011, 1, 3)): "normal"}
+
+
+@pytest.mark.parametrize("label", ["Abnormal", "NORMAL", " normal", "anomalous", "1"])
+def test_label_other_than_normal_or_abnormal_is_schema_error(tmp_path, label):
+    labels = tmp_path / "labels.csv"
+    write_csv(labels, ["user", "day", "label"],
+              [["U0", "2011-01-03", "normal"], ["U0", "2011-01-04", label]])
+    with pytest.raises(SchemaError, match=f"line 3: label {label!r} is not"):
+        read_labels_csv(labels)
+    write_csv(labels, ["user", "day", "label"], [["U0", "2011-01-03", ""]])
+    with pytest.raises(SchemaError, match="line 2: label '' is not"):
+        read_labels_csv(labels)  # a labels file gives every day a label
+    path = tmp_path / "features.csv"
+    write_features_csv(path, [mkrow("U0", 1, label="normal"), mkrow("U0", 2, label=label)])
+    with pytest.raises(SchemaError, match=f"line 3: label {label!r} is not"):
         read_features_csv(path)
 
 
