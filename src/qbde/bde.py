@@ -31,12 +31,14 @@ import hashlib
 import math
 from dataclasses import dataclass
 from datetime import date
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (Section, _get_array, _put_array, read_csv, read_kv,
-                         write_csv, write_kv)
+from .checkpoint import (Section, _get_array, _put_array, convert_cells,
+                         float_fields, read_csv, read_kv, text_fields,
+                         write_columns, write_kv)
 from .errors import SchemaError
 from .optim import Adam
 from .qgan import _clamp, _rows, _sigmoid
@@ -511,23 +513,42 @@ SUMMARY_MAGIC = "qbde-detection-summary"
 
 def write_score_csv(path: str | Path, records: list[ScoreRecord],
                     comment: str | None = None) -> None:
-    write_csv(path, SCORE_COLUMNS,
-              ([rec.user, rec.day.isoformat(), rec.r_d, rec.r_n, rec.d,
-                rec.th.th_d, rec.th.th_f, rec.verdict, rec.label or ""]
-               for rec in records),
-              comment)
+    """One line per record.  ``r_d``, ``r_n`` and ``d`` are formatted one
+    by one, as they differ from row to row; each distinct user, day,
+    threshold, verdict and label is formatted once."""
+    user, day, *values, verdict, label = [*zip(*map(attrgetter(
+        "user", "day", "r_d", "r_n", "d", "th.th_d", "th.th_f", "verdict", "label"),
+        records))] or [()] * len(SCORE_COLUMNS)
+    write_columns(path, SCORE_COLUMNS, [
+        text_fields(user), text_fields(day, lambda day: day.isoformat()),
+        *([*map(repr, column)] for column in values[:3]),
+        *(float_fields(column).tolist() for column in values[3:]),
+        text_fields(verdict), text_fields(label, lambda label: label or "")], comment)
+
+
+def _score_record(rec: list[str]) -> dict:
+    return {"user": rec[0], "day": date.fromisoformat(rec[1]),
+            **{key: float(cell) for key, cell in zip(SCORE_COLUMNS[2:7], rec[2:7])},
+            "verdict": rec[7], "label": rec[8] or None}
+
+
+def _score_columns(cols: list) -> tuple[list[dict], int]:
+    """The records of these score columns and the index of the first that
+    ``_score_record`` rejects."""
+    days, first = convert_cells(cols[1], date.fromisoformat)
+    values = []
+    for column in cols[2:7]:
+        floats, first_float = convert_cells(column, float)
+        values.append(floats)
+        first = min(first, first_float)
+    labels = [label or None for label in cols[8]]
+    return [dict(zip(SCORE_COLUMNS, rec))
+            for rec in zip(cols[0], days, *values, cols[7], labels)], first
 
 
 def read_score_csv(path: str | Path) -> list[dict]:
-    return read_csv(
-        path, "score", lambda header: header == SCORE_COLUMNS, len(SCORE_COLUMNS),
-        lambda rec: {
-            "user": rec[0], "day": date.fromisoformat(rec[1]),
-            "r_d": float(rec[2]), "r_n": float(rec[3]),
-            "d": float(rec[4]), "th_d": float(rec[5]),
-            "th_f": float(rec[6]), "verdict": rec[7],
-            "label": rec[8] or None,
-        })
+    return read_csv(path, "score", lambda header: header == SCORE_COLUMNS,
+                    len(SCORE_COLUMNS), _score_columns, _score_record)
 
 
 def write_summary(path: str | Path, records: list[ScoreRecord],

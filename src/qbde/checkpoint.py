@@ -3,11 +3,18 @@
 ``read_kv`` and ``write_kv`` read and write every ``key = value`` file:
 ``run.cfg``, checkpoints, saved scorers, and the synth, parse and
 detection reports.
-``read_csv`` and ``write_csv`` read and write every other CSV: labels,
-features, normalisation stats, losses and scores; ``write_blocks`` writes
-the synth logs, whose rows ``features`` formats as bytes.  Every writer
-goes through ``atomic_open``, so no output is ever left half-written.  A
-checkpoint has the ``qbde-ckpt-v4`` magic line and one ``[section]`` per
+``read_csv`` reads every other CSV (labels, features and scores): it
+splits the records with ``csv.reader``, converts each column once per
+distinct cell (``convert_cells``), and runs only the first bad record
+through the file's per-record rule, whose error it reports.
+``write_columns`` writes those three from columns of fields made once
+per distinct value (``float_fields``, ``text_fields``); ``write_csv``
+writes the normalisation stats and losses row by row, and
+``write_blocks`` the synth logs, whose rows ``features`` formats as
+bytes.  Every writer goes through ``atomic_open``, so no output is ever
+left half-written.
+
+A checkpoint has the ``qbde-ckpt-v4`` magic line and one ``[section]`` per
 part of the training state.  Scalar floats are written with ``float.hex``;
 an array is a ``key.shape`` line plus a ``key.data`` line of its values as
 raw little-endian binary64 bytes in hex, so a save/load round trip is
@@ -28,6 +35,7 @@ refused: ``qbde-ckpt-v1`` (also stored settings that are now constants),
 from __future__ import annotations
 
 import csv
+import io
 import shutil
 from contextlib import contextmanager
 from dataclasses import fields
@@ -88,25 +96,81 @@ def write_csv(path: str | Path, header: list, rows, comment: str | None = None,
         writer.writerows(rows)
 
 
-def write_blocks(path: str | Path, header: list, blocks) -> None:
-    """Write ``header`` as a CSV line, then each block of ready CSV bytes
-    (any bytes-like object), into ``path`` through ``atomic_open``."""
+def write_blocks(path: str | Path, header: list, blocks,
+                 comment: str | None = None) -> None:
+    """Write a ``# comment`` line if given, ``header`` as a CSV line, then
+    each block of ready CSV bytes (any bytes-like object), into ``path``
+    through ``atomic_open``."""
     with atomic_open(path) as handle:
+        if comment:
+            handle.write(f"# {comment}\n")
         csv.writer(handle, lineterminator="\n").writerow(header)
         handle.flush()  # the header reaches the byte stream before the blocks
         for block in blocks:
             handle.buffer.write(block)
 
 
+def float_fields(values) -> np.ndarray:
+    """The ``repr`` of each float of ``values``, an object array of their
+    shape, made once per distinct bit pattern: ``np.unique`` of the values
+    would merge -0.0 into 0.0, which ``repr`` tells apart."""
+    x = np.ascontiguousarray(values, dtype=float)
+    bits, where = np.unique(x.view(np.uint64), return_inverse=True)
+    texts = np.array([*map(repr, bits.view(float).tolist())], object)
+    return texts[where].reshape(x.shape)
+
+
+def text_fields(values: list, text=str) -> list[str]:
+    """``text(value)`` of each of ``values`` as ``csv.writer`` writes it
+    as a field, made once per distinct value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    table = {}
+    for value in dict.fromkeys(values):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((text(value), ""))  # a row of one empty field is ""
+        table[value] = buf.getvalue()[:-2]
+    return [*map(table.__getitem__, values)]
+
+
+def write_columns(path: str | Path, header: list, columns: list,
+                  comment: str | None = None) -> None:
+    """Write the rows whose fields are ``columns`` (lists of ready fields)
+    side by side, after a ``# comment`` line and ``header``, through
+    ``write_blocks``."""
+    body = "\n".join([*map(",".join, zip(*columns)), ""])
+    write_blocks(path, header, [body.encode()], comment)
+
+
+def convert_cells(cells, convert, failed=None) -> tuple:
+    """An iterator of ``convert(cell)`` for each of ``cells``, called
+    once per distinct cell, and the index of the first cell on which it
+    raises ValueError (``len(cells)`` if none); such a cell converts to
+    ``failed``."""
+    table, bad = {}, set()
+    for cell in dict.fromkeys(cells):
+        try:
+            table[cell] = convert(cell)
+        except ValueError:
+            table[cell] = failed
+            bad.add(cell)
+    first = next(i for i, cell in enumerate(cells) if cell in bad) if bad else len(cells)
+    return map(table.__getitem__, cells), first
+
+
 def read_csv(path: str | Path, kind: str, header_ok, n_columns: int,
-             convert) -> list:
-    """``convert(fields)`` of each record after a header that ``header_ok``
-    accepts, skipping the ``#`` comment lines before the header; after it,
-    a line that starts with ``#`` is a record, such as a user ``#U1``'s.  A
-    record that csv rejects, that has another column count, or on which
-    ``convert`` raises ``ValueError`` raises ``SchemaError`` naming the file
-    and line."""
-    out, lineno = [], 0
+             convert, check_record):
+    """``convert(columns)`` of the records after a header that
+    ``header_ok`` accepts, skipping the ``#`` comment lines before the
+    header; after it, a line that starts with ``#`` is a record, such as
+    a user ``#U1``'s.  ``columns`` holds the records' fields by column,
+    and ``convert`` returns the converted records and the index of the
+    first one that ``check_record(fields)`` rejects (their count if none).
+    The first bad record in file order raises ``SchemaError`` naming the
+    file and line: one that csv rejects, that has another column count, or
+    on which ``check_record`` raises ``ValueError``."""
+    records, ends, error, lineno = [], [], None, 0
 
     def lines():
         nonlocal lineno
@@ -114,18 +178,30 @@ def read_csv(path: str | Path, kind: str, header_ok, n_columns: int,
             yield line
 
     with open(path, newline="", encoding="utf-8") as handle:
-        records = csv.reader(dropwhile(lambda line: line.startswith("#"), lines()))
+        reader = csv.reader(dropwhile(lambda line: line.startswith("#"), lines()))
         try:
-            header = next(records, None)
+            header = next(reader, None)
             if header is None or not header_ok(header):
                 raise SchemaError(f"{path}: not a {kind} CSV")
-            for rec in records:
+            for rec in reader:
                 if len(rec) != n_columns:
-                    raise SchemaError(f"{path}: line {lineno}: expected "
-                                      f"{n_columns} columns, got {len(rec)}")
-                out.append(convert(rec))
-        except (csv.Error, ValueError) as exc:
-            raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
+                    error = f"expected {n_columns} columns, got {len(rec)}"
+                    break
+                records.append(rec)
+                ends.append(lineno)
+        except csv.Error as exc:
+            error = exc
+    # the records before a bad line are converted: a bad one among them
+    # comes first in the file
+    out, first = convert([*zip(*records)] or [()] * n_columns)
+    if first < len(records):
+        try:
+            check_record(records[first])
+        except ValueError as exc:
+            raise SchemaError(f"{path}: line {ends[first]}: {exc}") from exc
+        raise AssertionError(f"{path}: line {ends[first]}: rejected only in its column")
+    if error is not None:
+        raise SchemaError(f"{path}: line {lineno}: {error}")
     return out
 
 
@@ -146,7 +222,7 @@ def read_kv(path: str | Path, magic: str | None = None) -> Section:
     first ``[section]`` header are in section ``""``.  Blank and ``#``
     lines are skipped, and a repeated key keeps its last value."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
     if magic is not None:

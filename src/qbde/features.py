@@ -26,14 +26,15 @@ import io
 import math
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import read_csv, write_blocks, write_csv
+from .checkpoint import (convert_cells, float_fields, read_csv, text_fields,
+                         write_blocks, write_columns)
 from .errors import SchemaError
 
 FEATURE_NAMES = (
@@ -592,7 +593,7 @@ def normalize(dataset: Dataset) -> Dataset:
             raise ValueError(f"user {exc.args[0]} has no training rows") from None
         x = np.stack([row.features for row in rows]) if rows else lo[which]
         scaled = np.where(span[which] > 0, (x - lo[which]) / safe[which], 0.0)
-        return ([replace(row, features=values)
+        return ([BehaviorVector(row.user, row.day, values, row.label)
                  for row, values in zip(rows, np.clip(scaled, 0.0, 1.0))],
                 np.count_nonzero((scaled < 0.0) | (scaled > 1.0)))
 
@@ -620,9 +621,14 @@ def to_simplex(values) -> np.ndarray:
 
 def write_features_csv(path: str | Path, rows: list[BehaviorVector],
                        comment: str | None = None) -> None:
-    write_csv(path, ["user", "day", *FEATURE_NAMES, "label"],
-              ([row.user, row.day.isoformat(), *row.features.tolist(),
-                row.label or ""] for row in rows), comment)
+    """One line per row, each distinct user, day, value and label
+    formatted once."""
+    x = np.array([row.features for row in rows]).reshape(-1, N_FEATURES)
+    write_columns(path, ["user", "day", *FEATURE_NAMES, "label"], [
+        text_fields([row.user for row in rows]),
+        text_fields([row.day for row in rows], lambda day: day.isoformat()),
+        *float_fields(x).T.tolist(), text_fields([row.label or "" for row in rows])],
+        comment)
 
 
 def check_user_id(user: str) -> str:
@@ -635,10 +641,14 @@ def check_user_id(user: str) -> str:
     return user
 
 
-def _check_label(label: str, allowed: tuple) -> str:
+def _check_label(label: str, allowed: tuple = _LABELS) -> str:
     if label not in allowed:
         raise ValueError(f"label {label!r} is not {' or '.join(map(repr, allowed))}")
     return label
+
+
+def _feature_label(label: str) -> str | None:
+    return _check_label(label, (*_LABELS, "")) or None
 
 
 def _feature_row(rec: list[str]) -> BehaviorVector:
@@ -646,7 +656,24 @@ def _feature_row(rec: list[str]) -> BehaviorVector:
     if not np.isfinite(values).all():
         raise ValueError("feature values must be finite")
     return BehaviorVector(check_user_id(rec[0]), date.fromisoformat(rec[1]), values,
-                          _check_label(rec[-1], (*_LABELS, "")) or None)
+                          _feature_label(rec[-1]))
+
+
+def _feature_columns(cols: list) -> tuple[list[BehaviorVector], int]:
+    """The rows of these feature columns and the index of the first that
+    ``_feature_row`` rejects: a bad float reads as NaN, and every row
+    holding a non-finite value is rejected."""
+    n = len(cols[0])
+    cells = [*chain.from_iterable(cols[2:2 + N_FEATURES])]
+    x = np.fromiter(convert_cells(cells, float, math.nan)[0], float, len(cells))
+    x = x.reshape(N_FEATURES, n).T.copy()
+    finite = np.isfinite(x).all(axis=1)
+    users, first_user = convert_cells(cols[0], check_user_id)
+    days, first_day = convert_cells(cols[1], date.fromisoformat)
+    labels, first_label = convert_cells(cols[-1], _feature_label)
+    first = min(first_user, first_day, first_label,
+                n if finite.all() else int(finite.argmin()))
+    return [*map(BehaviorVector, users, days, x, labels)], first
 
 
 def read_features_csv(path: str | Path) -> list[BehaviorVector]:
@@ -654,13 +681,22 @@ def read_features_csv(path: str | Path) -> list[BehaviorVector]:
         path, "features",
         lambda header: header[:2] == ["user", "day"]
         and tuple(header[2:2 + N_FEATURES]) == FEATURE_NAMES,
-        N_FEATURES + 3, _feature_row)
+        N_FEATURES + 3, _feature_columns, _feature_row)
+
+
+def _label_row(rec: list[str]) -> tuple:
+    return (rec[0], date.fromisoformat(rec[1])), _check_label(rec[2])
+
+
+def _label_columns(cols: list) -> tuple[dict, int]:
+    days, first_day = convert_cells(cols[1], date.fromisoformat)
+    labels, first_label = convert_cells(cols[2], _check_label)
+    return dict(zip(zip(cols[0], days), labels)), min(first_day, first_label)
 
 
 def read_labels_csv(path: str | Path) -> dict[tuple[str, date], str]:
-    return dict(read_csv(
-        path, "labels", lambda header: header == ["user", "day", "label"], 3,
-        lambda rec: ((rec[0], date.fromisoformat(rec[1])), _check_label(rec[2], _LABELS))))
+    return read_csv(path, "labels", lambda header: header == ["user", "day", "label"],
+                    3, _label_columns, _label_row)
 
 
 def attach_labels(rows: list[BehaviorVector],
@@ -956,7 +992,9 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
                                  tail, _text_cells(tails)))
         row_counts[source] = len(order)
 
-    write_csv(out_dir / "labels.csv", ["user", "day", "label"],
-              ([user, day.isoformat(), label]
-               for (user, day), label in sorted(labels.items())))
+    keys = sorted(labels)
+    write_columns(out_dir / "labels.csv", ["user", "day", "label"], [
+        text_fields([user for user, _ in keys]),
+        text_fields([day for _, day in keys], lambda day: day.isoformat()),
+        text_fields([labels[key] for key in keys])])
     return SynthResult(labels, row_counts)

@@ -1,18 +1,26 @@
 """Scoring network (vs. nested-loop and finite-difference oracles),
 thresholds, verdicts and report files."""
 
+import csv
+import io
 import math
+import re
+import struct
+import tempfile
 from datetime import date, timedelta
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbde import bde
 from qbde.bde import (
     BATCH,
     LR,
     N_PARAMS,
+    SCORE_COLUMNS,
     SCORER_MAGIC,
     BdeNet,
     ScoreRecord,
@@ -918,15 +926,52 @@ def sample_records():
             for i in range(5)]
 
 
-def test_score_csv_round_trip(tmp_path):
-    records = sample_records()
-    path = tmp_path / "scores.csv"
-    write_score_csv(path, records, comment="digest")
-    back = read_score_csv(path)
-    assert len(back) == 5
-    assert back[0]["user"] == "U1"
-    assert back[4]["d"] == pytest.approx(records[4].d)
-    assert all(row["th_f"] == 2 * row["th_d"] for row in back)
+# the user ids, labels and floats whose fields are hardest to get right:
+# csv quotes ``a,b`` and ``x"y``, ``#U1`` starts like a comment, an empty
+# label is an empty field, and repr tells -0.0 from 0.0
+CSV_USERS = st.sampled_from(["U1", "a,b", 'x"y', "#U1"])
+CSV_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+def csv_writer_bytes(header, rows, comment):
+    """What ``csv.writer`` writes for these rows, after the comment line."""
+    out = io.StringIO()
+    out.write(f"# {comment}\n" if comment else "")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(users=st.lists(st.tuples(CSV_USERS, CSV_FLOATS), min_size=1, max_size=3),
+       rows=st.lists(st.tuples(
+           st.integers(0, 2), st.dates(date(2011, 1, 1), date(2011, 1, 9)),
+           CSV_FLOATS, CSV_FLOATS, CSV_FLOATS, st.sampled_from(VERDICTS),
+           st.sampled_from([None, "", "normal", "abnormal"])), max_size=8),
+       comment=st.sampled_from([None, "digest"]))
+def test_score_csv_round_trip(users, rows, comment):
+    """Each user's records share one ``Thresholds``, as ``score_rows``
+    gives them; the file holds what ``csv.writer`` would write, and reads
+    back bit for bit."""
+    users = [(user, Thresholds(th_d)) for user, th_d in users]
+    records = [ScoreRecord(user, day, r_d, r_n, d, th, verdict, label)
+               for (user, th), day, r_d, r_n, d, verdict, label in
+               ((users[k % len(users)], *rest) for k, *rest in rows)]
+    fields = [[rec.user, rec.day, rec.r_d, rec.r_n, rec.d, rec.th.th_d, rec.th.th_f,
+               rec.verdict, rec.label] for rec in records]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scores.csv"
+        write_score_csv(path, records, comment)
+        assert path.read_bytes() == csv_writer_bytes(SCORE_COLUMNS, [
+            [user, day.isoformat(), *values, label or ""]
+            for user, day, *values, label in fields], comment)
+        back = read_score_csv(path)
+    assert back == [dict(zip(SCORE_COLUMNS, [*row[:-1], row[-1] or None]))
+                    for row in fields]
+    assert [struct.pack("<5d", *list(rec.values())[2:7]) for rec in back] == [
+        struct.pack("<5d", *row[2:7]) for row in fields]
 
 
 def test_failed_score_csv_write_keeps_previous_file(tmp_path):
@@ -934,18 +979,41 @@ def test_failed_score_csv_write_keeps_previous_file(tmp_path):
     path = tmp_path / "scores.csv"
     write_score_csv(path, records, comment="first")
     before = path.read_bytes()
-    records[3].day = None  # fails after the header and three rows are written
+    records[3].day = None  # fails as the day column is formatted
     with pytest.raises(AttributeError):
         write_score_csv(path, records, comment="second")
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["scores.csv"]
 
 
-def test_score_csv_schema_error_names_line(tmp_path):
+def score_line(day="2011-01-01", r_d="0", th_f="0", label=""):
+    return f"U1,{day},{r_d},0,0,0,{th_f},Normal,{label}"
+
+
+HUGE_FIELD = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+
+
+@pytest.mark.parametrize("lines, error", [
+    ([score_line(r_d="x")], "line 2: could not convert string to float: 'x'"),
+    ([score_line(), score_line(th_f="1e"), "U1,2011-01-02"],
+     "line 3: could not convert string to float: '1e'"),
+    ([score_line(day="x"), score_line(r_d="y")], "line 2: Invalid isoformat string: 'x'"),
+    ([score_line(r_d="y"), score_line(day="x")], "line 2: could not convert string to float: 'y'"),
+    ([score_line(day="x", r_d="y")], "line 2: Invalid isoformat string: 'x'"),
+    ([score_line(th_f="z"), score_line(label=HUGE_FIELD)], "line 2: could not convert"),
+    ([score_line(), score_line(label=HUGE_FIELD), score_line(r_d="y")],
+     "line 3: field larger than field limit"),
+    ([score_line(), "U1,2011-01-02", score_line(r_d="y")],
+     "line 3: expected 9 columns, got 2"),
+], ids=["bad-float", "bad-float-before-short-row", "bad-date-before-bad-float",
+        "bad-float-before-bad-date", "bad-date-and-float-in-one-row",
+        "bad-float-before-field-limit", "field-limit-before-bad-float",
+        "short-row-before-bad-float"])
+def test_score_csv_schema_error_names_line(tmp_path, lines, error):
+    """The first bad record in the file is the one reported, by its line."""
     path = tmp_path / "scores.csv"
-    path.write_text("user,day,r_d,r_n,d,th_d,th_f,verdict,label\nU1,2011-01-01,x,0,0,0,0,Normal,\n",
-                    encoding="utf-8")
-    with pytest.raises(SchemaError, match="line 2"):
+    path.write_text("\n".join([",".join(SCORE_COLUMNS), *lines, ""]), encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(error)):
         read_score_csv(path)
 
 

@@ -136,6 +136,16 @@ def test_rejects_missing_fields(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85", " ", " "])
+def test_kv_lines_end_only_at_line_ends(tmp_path, char):
+    """Characters that ``str.splitlines`` breaks at stay inside a value;
+    CR LF and a lone CR still end a line, as they do for csv."""
+    path = tmp_path / "note.txt"
+    path.write_bytes(f"magic\r\nnote = a{char}b = c\rnext = 1\n".encode("utf-8"))
+    sections = read_kv(path, "magic")
+    assert sections[""] == {"note": f"a{char}b = c", "next": "1"}
+
+
 def test_missing_file_raises_io_error(tmp_path):
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "nope.ckpt")

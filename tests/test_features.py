@@ -2,8 +2,10 @@
 
 import csv
 import hashlib
+import io
 import itertools
 import math
+import re
 import sys
 import tempfile
 import tracemalloc
@@ -1354,24 +1356,165 @@ def test_oversized_field_row_is_malformed_and_reading_resumes(tmp_path):
 # Feature/label files
 # --------------------------------------------------------------------------
 
-def test_features_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    rows = [mkrow("U1", i, rng.uniform(0, 1, N_FEATURES),
-                  label="normal" if i % 2 else None) for i in range(6)]
-    path = tmp_path / "features.csv"
-    write_features_csv(path, rows, comment="digest test")
-    back = read_features_csv(path)
-    assert len(back) == 6
+# the user ids, labels and floats whose fields are hardest to get right:
+# csv quotes ``a,b`` and ``x"y``, ``#U1`` starts like a comment, an empty
+# label is an empty field, and repr tells -0.0 from 0.0
+CSV_USERS = st.sampled_from(["U1", "a,b", 'x"y', "#U1"])
+CSV_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+CSV_DAYS = st.dates(date(2011, 1, 1), date(2011, 1, 9))
+
+
+def csv_writer_bytes(header, rows, comment):
+    """What ``csv.writer`` writes for these rows, after the comment line."""
+    out = io.StringIO()
+    out.write(f"# {comment}\n" if comment else "")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(rows=st.lists(st.builds(
+    BehaviorVector, CSV_USERS, CSV_DAYS, st.lists(CSV_FLOATS, min_size=N_FEATURES,
+                                                 max_size=N_FEATURES),
+    st.sampled_from([None, "", "normal", "abnormal"])), max_size=8),
+       comment=st.sampled_from([None, "digest"]))
+def test_features_csv_round_trip(rows, comment):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "features.csv"
+        write_features_csv(path, rows, comment=comment)
+        assert path.read_bytes() == csv_writer_bytes(
+            ["user", "day", *FEATURE_NAMES, "label"],
+            [[row.user, row.day.isoformat(), *row.features.tolist(), row.label or ""]
+             for row in rows], comment)
+        back = read_features_csv(path)
+    assert len(back) == len(rows)
     for a, b in zip(rows, back):
-        assert (a.user, a.day, a.label) == (b.user, b.day, b.label)
-        np.testing.assert_array_equal(a.features, b.features)  # repr is exact
+        assert (a.user, a.day, a.label or None) == (b.user, b.day, b.label)
+        assert a.features.tobytes() == b.features.tobytes()  # repr is exact
 
 
-def test_features_csv_schema_errors(tmp_path):
+GOOD_FEATURES = "U0,2011-01-03," + ",".join(["0.5"] * N_FEATURES) + ",normal"
+SHORT_ROW = "U0,2011-01-04"
+HUGE_FIELD = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+
+
+def feature_line(user="U0", day="2011-01-03", value="0.5", label="normal", at=0):
+    values = ["0.5"] * N_FEATURES
+    values[at] = value
+    return ",".join([user, day, *values, label])
+
+
+@pytest.mark.parametrize("lines, error", [
+    (["nope", "1,2"], "not a features CSV"),
+    ([feature_line(value="inf", at=3), SHORT_ROW],
+     "line 3: feature values must be finite"),
+    ([feature_line(value="x", at=15), SHORT_ROW],
+     "line 3: could not convert string to float: 'x'"),
+    ([GOOD_FEATURES, SHORT_ROW, feature_line(value="nan")],
+     "line 4: expected 19 columns, got 2"),
+    ([feature_line(user="a b"), feature_line(day="2011-13-01")],
+     "line 3: user id 'a b' contains whitespace"),
+    ([feature_line(day="x"), feature_line(user="a=b")],
+     "line 3: Invalid isoformat string: 'x'"),
+    ([feature_line(user="a b", day="x")], "line 3: user id 'a b'"),
+    ([GOOD_FEATURES, feature_line(user="a/b"), feature_line(value="-inf", at=9)],
+     "line 4: user id 'a/b'"),
+    ([feature_line(label="bad"), feature_line(label=HUGE_FIELD)],
+     "line 3: label 'bad' is not"),
+    ([GOOD_FEATURES, feature_line(label=HUGE_FIELD), feature_line(label="bad")],
+     "line 4: field larger than field limit"),
+], ids=["not-a-features-csv", "non-finite-before-short-row", "bad-float-before-short-row",
+        "short-row-before-non-finite", "bad-user-before-bad-date", "bad-date-before-bad-user",
+        "bad-user-and-date-in-one-row", "bad-user-before-non-finite",
+        "bad-label-before-field-limit", "field-limit-before-bad-label"])
+def test_features_csv_schema_errors(tmp_path, lines, error):
+    """The first bad record in the file is the one reported, by its line;
+    ``lines`` follow a header, or here a comment line and a header."""
     path = tmp_path / "bad.csv"
-    path.write_text("nope\n1,2\n", encoding="utf-8")
-    with pytest.raises(SchemaError):
+    header = ",".join(["user", "day", *FEATURE_NAMES, "label"])
+    write_lines(path, lines if lines[0] == "nope" else ["# c", header, *lines])
+    with pytest.raises(SchemaError, match=re.escape(error)):
         read_features_csv(path)
+
+
+@pytest.mark.parametrize("lines, error", [
+    (["U0,x,normal", "U0,2011-01-04"], "line 2: Invalid isoformat string: 'x'"),
+    (["U0,2011-01-03,normal", "U0,2011-01-04,bad", "U0,x,normal"],
+     "line 3: label 'bad' is not"),
+    (["U0,2011-01-03,bad", f"U0,2011-01-04,{HUGE_FIELD}"], "line 2: label 'bad'"),
+    (["U0,2011-01-03,normal", "U0,2011-01-04", "U0,x,bad"],
+     "line 3: expected 3 columns, got 2"),
+], ids=["bad-date-before-short-row", "bad-label-before-bad-date",
+        "bad-label-before-field-limit", "short-row-before-bad-date"])
+def test_labels_csv_schema_errors(tmp_path, lines, error):
+    path = tmp_path / "labels.csv"
+    write_lines(path, ["user,day,label", *lines])
+    with pytest.raises(SchemaError, match=re.escape(error)):
+        read_labels_csv(path)
+
+
+def read_row_by_row(path, n_columns, convert):
+    """The records ``convert`` makes of a CSV, one record at a time, or
+    the error of the first bad one, with its line."""
+    out, lineno = [], 0
+
+    def lines():
+        nonlocal lineno
+        for lineno, line in enumerate(handle, start=1):
+            yield line
+
+    with open(path, newline="", encoding="utf-8") as handle:
+        records = csv.reader(itertools.dropwhile(lambda line: line.startswith("#"),
+                                                 lines()))
+        try:
+            next(records)
+            for rec in records:
+                if len(rec) != n_columns:
+                    return f"line {lineno}: expected {n_columns} columns, got {len(rec)}"
+                out.append(convert(rec))
+        except (csv.Error, ValueError) as exc:
+            return f"line {lineno}: {exc}"
+    return out
+
+
+def usually(good, *bad):
+    return st.sampled_from([good] * 3 + [*bad])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(fields=st.lists(st.tuples(
+    usually("U0", "a b", "#U1", "a=b"), usually("2011-01-03", "x", "2011-13-01"),
+    usually("0.5", "x", "inf", "nan", "1_0", "-0.0", "1e400", " 2 "),
+    st.integers(0, N_FEATURES - 1), usually("normal", "", "Normal", "abnormal"),
+    usually("row", "row", "short", "huge")), max_size=10))
+def test_columns_report_the_error_a_row_by_row_read_reports(fields):
+    """A feature file and a labels file with bad cells, short rows and
+    fields over csv's limit read as a row-by-row reader reads them, up to
+    their first bad record and its error."""
+    records = [SHORT_ROW.split(",") if shape == "short" else feature_line(
+        user, day, value, HUGE_FIELD if shape == "huge" else label, at).split(",")
+        for user, day, value, at, label, shape in fields]
+    with tempfile.TemporaryDirectory() as tmp:
+        for path, header, n_columns, rows, read, want in [
+            (Path(tmp) / "features.csv", ["user", "day", *FEATURE_NAMES, "label"],
+             N_FEATURES + 3, records, read_features_csv, features._feature_row),
+            (Path(tmp) / "labels.csv", ["user", "day", "label"], 3,
+             [[*rec[:2], rec[-1]][:len(rec)] for rec in records], read_labels_csv,
+             features._label_row)]:
+            write_lines(path, ["# c", ",".join(header), *map(",".join, rows)])
+            want = read_row_by_row(path, n_columns, want)
+            if isinstance(want, str):
+                with pytest.raises(SchemaError) as error:
+                    read(path)
+                assert str(error.value) == f"{path}: {want}"
+            elif read is read_labels_csv:
+                assert read(path) == dict(want)
+            else:
+                assert [(r.user, r.day, r.features.tobytes(), r.label) for r in read(path)] \
+                    == [(r.user, r.day, r.features.tobytes(), r.label) for r in want]
 
 
 def test_hash_is_a_comment_only_before_the_header(tmp_path):
