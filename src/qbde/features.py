@@ -146,7 +146,18 @@ _SIZE_WEIGHTS = np.array([[10 ** (k - 1 - j) if j < k < 16 else 0 for j in range
 # Masks that keep the first 0 to 8 bytes of a little-endian uint64.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
-_CHUNK_BYTES = 1 << 16  # logs are read in chunks of whole lines of about this size
+# Logs are read in chunks of whole lines of about _CHUNK_BYTES.  Each chunk
+# pays a fixed cost in numpy calls however many rows it holds.  A sweep of
+# parse_logs over 64 KiB to 4 MiB found 256 and 512 KiB fastest, within
+# noise of each other, and the smaller holds half as much (BENCH_26.json).
+# The csv.reader fallback joins its records in batches of about
+# _BATCH_BYTES instead: its per-record loop dominates, so larger batches
+# save nothing and cost memory.  A column is keyed by fixed-width bytes
+# only while it spans at most _KEY_CELLS cells (8 bytes of offsets each),
+# a bound that does not grow with the chunk.
+_CHUNK_BYTES = 1 << 18
+_BATCH_BYTES = 1 << 16
+_KEY_CELLS = 8 << 16
 _PAD = 19  # zero bytes after a chunk's text, so no fixed-width read runs off it
 _FIRST_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)?")
 _WORKING_HOURS = re.compile(r"\s*([0-9]{2}):([0-9]{2})\s*-\s*([0-9]{2}):([0-9]{2})\s*")
@@ -205,20 +216,27 @@ def _read_stamp(stamp: str) -> tuple[int, int]:
 def _text_chunks(path: Path, handle):
     """The text of a log opened in binary mode, in chunks of whole lines of
     about ``_CHUNK_BYTES`` each; bytes that are not UTF-8 raise
-    ``SchemaError`` naming their line."""
-    offset, rest = 0, b""
+    ``SchemaError`` naming their line.  A line longer than a chunk waits
+    as a list of blocks, joined once when it ends, so reading it takes
+    time linear in its length."""
+    offset, waiting = 0, []  # read, not yet cut: no LF, and a CR only in the first
     while True:
         block = handle.read(_CHUNK_BYTES)
-        raw = rest + block
-        if not raw:
-            return
         # cut after the last LF, or the last CR in a log whose lines end
-        # at CR; a longer line waits for the next block
-        cut = (raw.rfind(b"\n") + 1 or raw.rfind(b"\r") + 1) if block else len(raw)
-        if not cut:
-            rest = raw
+        # at CR; only the new block can hold an LF, and only the first
+        # waiting block a CR, left there by a cut at an LF
+        cut = block.rfind(b"\n") + 1 or block.rfind(b"\r") + 1
+        if cut:
+            raw, waiting = b"".join([*waiting, block[:cut]]), [block[cut:]]
+        elif block and waiting and (cut := waiting[0].rfind(b"\r") + 1):
+            raw, waiting = waiting[0][:cut], [waiting[0][cut:], block]
+        elif block:
+            waiting.append(block)
             continue
-        raw, rest = raw[:cut], raw[cut:]
+        else:
+            raw, waiting = b"".join(waiting), []
+            if not raw:
+                return
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -292,11 +310,11 @@ def _distinct(code: np.ndarray, start: np.ndarray, stop: np.ndarray, nul: bool) 
     decoded, and each field's index among them.  A field of up to 8 bytes
     is keyed by one ``uint64`` read from an 8-byte window; a column with a
     longer field by fixed-width bytes.  Both drop a field's trailing NULs,
-    so a column whose fields may hold one (``nul``), or that is past a size
-    bound, is keyed by ``bytes``."""
+    so a column whose fields may hold one (``nul``), or that spans more
+    than ``_KEY_CELLS`` cells, is keyed by ``bytes``."""
     length = stop - start
     width = int(length.max(initial=0))
-    if nul or len(start) * width > 8 * len(code):
+    if nul or len(start) * width > _KEY_CELLS:
         text = code.tobytes()
         keys = np.array([text[i:j] for i, j in zip(start.tolist(), stop.tolist())], object)
     elif width <= 8:
@@ -312,7 +330,7 @@ def _distinct(code: np.ndarray, start: np.ndarray, stop: np.ndarray, nul: bool) 
 
 def _parse_rows(reader, width: int, *args):
     """The parts ``_parse_plain`` returns for the records of a ``csv.reader``,
-    in tables of about ``_CHUNK_BYTES`` characters each.  A blank record is
+    in tables of about ``_BATCH_BYTES`` characters each.  A blank record is
     not a row; the others are cut or padded to ``width`` fields, as
     ``csv.DictReader`` reads them, and each line csv rejects is one
     malformed row.  A field's offsets come from its record, since a quoted
@@ -340,7 +358,7 @@ def _parse_rows(reader, width: int, *args):
                     rec = (rec + blank)[:width]
                 fields += rec
                 size += len("".join(rec))
-                if size >= _CHUNK_BYTES:
+                if size >= _BATCH_BYTES:
                     yield _parse_plain(table(), width, *args)
                     fields, size = [], 0
             break

@@ -12,6 +12,7 @@ import tracemalloc
 from dataclasses import dataclass, replace
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
+from time import perf_counter
 from unittest import mock
 
 import numpy as np
@@ -1025,6 +1026,20 @@ def test_logs_are_read_in_chunks_of_whole_lines(tmp_path, ending):
     assert_matches_oracle(tmp_path)
 
 
+def test_an_over_long_line_is_read_in_linear_time(tmp_path, monkeypatch):
+    """An 8 MB line read in 1 KiB blocks: the blocks wait in a list and
+    only each new one is searched for a line end, so the line is read in
+    a fraction of a second (searching all of it again per block took ~10
+    s), and csv rejects it as one malformed row."""
+    minimal_logs(tmp_path, http_rows=["H1,01/04/2011 09:00:00,U1,PC," + "x" * (8 << 20),
+                                      "H2,01/04/2011 09:00:01,U1,PC,a.com"])
+    monkeypatch.setattr(features, "_CHUNK_BYTES", 1024)
+    begin = perf_counter()
+    _, report = parse_logs(tmp_path)
+    assert perf_counter() - begin < 1.0
+    assert (report.rows["http"], report.malformed["http"], report.events["http"]) == (2, 1, 1)
+
+
 def count_decoders(monkeypatch):
     """Chunks split by their commas and line ends (``_plain_fields`` gave a
     table, not None) and calls of the ``csv.reader`` splitter, counted."""
@@ -1216,17 +1231,67 @@ def test_a_long_field_keeps_the_column_decoder_small(tmp_path, monkeypatch):
     assert_matches_oracle(tmp_path)
 
 
+def test_a_long_user_in_every_chunk_keeps_the_key_cells_bounded(tmp_path, monkeypatch):
+    """A 550-byte user every half chunk among 72-byte rows: ~7.6 fixed-width
+    cells per chunk byte, just under a budget of 8 cells per chunk byte.
+    That budget grows with the chunk and peaks at ~25 MB on 256 KiB
+    chunks; the absolute ``_KEY_CELLS`` keys these chunks by ``bytes``."""
+    row = "H{:07d},01/04/2011 09:{:02d}:00,USER{:05d},PC-0001,http://a.example.com/{:04d}"
+    rows = [row.format(i, i % 60, i % 7, i) for i in range(4 * features._CHUNK_BYTES // 72)]
+    for i in range(0, len(rows), features._CHUNK_BYTES // 144):
+        rows[i] = rows[i].replace(f"USER{i % 7:05d}", "W" * 550)
+    minimal_logs(tmp_path, http_rows=rows)
+    calls = count_decoders(monkeypatch)
+    tracemalloc.start()
+    try:
+        events, report = parse_logs(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls["rows"] == 0 and calls["plain"] > 5 + 3  # four http chunks or more
+    assert peak < 7e6 and report.events["http"] == len(events) == len(rows)
+    assert_matches_oracle(tmp_path)
+
+
+def test_a_plain_log_is_decoded_a_chunk_at_a_time(tmp_path, monkeypatch):
+    """A plain log of over 8 chunks reaches the column decoder one chunk,
+    at most ``_CHUNK_BYTES`` and a line, at a time, so the parse stays
+    within a few MB (~3.4 MB on 256 KiB chunks).  One table of this whole
+    ~2.2 MB log would peak at ~29 MB."""
+    rows = [f"H{i:07d},01/04/2011 09:{i % 60:02d}:00,U{i % 7},PC-0001,"
+            f"http://a.example.com/{'x' * (i % 50)}" for i in range(25000)]
+    minimal_logs(tmp_path, http_rows=rows)
+    assert (tmp_path / "http.csv").stat().st_size > 8 * features._CHUNK_BYTES
+    tables, parse_plain = [], features._parse_plain
+
+    def table(table, *args):
+        tables.append(len(table[0]))
+        return parse_plain(table, *args)
+
+    monkeypatch.setattr(features, "_parse_plain", table)
+    tracemalloc.start()
+    try:
+        events, report = parse_logs(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    line = max(map(len, rows)) + 1
+    assert len(tables) > 4 + 8  # one per other log, over 8 for http
+    assert max(tables) <= features._CHUNK_BYTES + line + features._PAD
+    assert peak < 5e6 and report.events["http"] == len(events) == 25000
+
+
 def test_a_quoted_log_is_decoded_in_batches_of_about_a_chunk(tmp_path, monkeypatch):
     """A log quoted from its header on goes through ``csv.reader`` whole,
     yet its records reach the column decoder a batch of about
-    ``_CHUNK_BYTES`` at a time, so the parse stays within a few MB.  One
+    ``_BATCH_BYTES`` at a time, so the parse stays within a few MB.  One
     batch of this whole ~1.3 MB log would peak at ~16 MB."""
     rows = [f'"H{i}","01/04/2011 09:{i % 60:02d}:00","U{i % 7}","PC","{"x" * (i % 50)}"'
             for i in range(20000)]
     minimal_logs(tmp_path)
     path = tmp_path / "http.csv"
     path.write_text('"id","date","user","pc","url"\n' + "\n".join(rows) + "\n")
-    assert path.stat().st_size > 16 * features._CHUNK_BYTES
+    assert path.stat().st_size > 16 * features._BATCH_BYTES
     batches, parse_plain = [], features._parse_plain
 
     def batch(table, *args):
@@ -1240,7 +1305,7 @@ def test_a_quoted_log_is_decoded_in_batches_of_about_a_chunk(tmp_path, monkeypat
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(batches) > 16 and max(batches) < features._CHUNK_BYTES + 1000
+    assert len(batches) > 16 and max(batches) < features._BATCH_BYTES + 1000
     assert peak < 6e6 and report.events["http"] == len(events) == 20000
     assert_matches_oracle(tmp_path)
 
