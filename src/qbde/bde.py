@@ -40,6 +40,7 @@ from .checkpoint import (Section, _get_array, _put_array, convert_cells,
                          float_fields, read_csv, read_kv, text_fields,
                          write_columns, write_kv)
 from .errors import SchemaError
+from .features import _feature_label
 from .optim import Adam
 from .qgan import _clamp, _rows, _sigmoid
 
@@ -527,23 +528,27 @@ def write_score_csv(path: str | Path, records: list[ScoreRecord],
 
 
 def _score_record(rec: list[str]) -> dict:
-    return {"user": rec[0], "day": date.fromisoformat(rec[1]),
-            **{key: float(cell) for key, cell in zip(SCORE_COLUMNS[2:7], rec[2:7])},
-            "verdict": rec[7], "label": rec[8] or None}
+    values = [date.fromisoformat(rec[1]), *map(float, rec[2:7])]
+    if not all(map(math.isfinite, values[1:])):
+        raise ValueError("scores and thresholds must be finite")
+    if rec[7] not in VERDICTS:
+        raise ValueError(f"verdict {rec[7]!r} is not {' or '.join(map(repr, VERDICTS))}")
+    return dict(zip(SCORE_COLUMNS, [rec[0], *values, rec[7], _feature_label(rec[8])]))
 
 
 def _score_columns(cols: list) -> tuple[list[dict], int]:
     """The records of these score columns and the index of the first that
-    ``_score_record`` rejects."""
-    days, first = convert_cells(cols[1], date.fromisoformat)
-    values = []
-    for column in cols[2:7]:
-        floats, first_float = convert_cells(column, float)
-        values.append(floats)
-        first = min(first, first_float)
-    labels = [label or None for label in cols[8]]
+    ``_score_record`` rejects: a bad float reads as NaN, and every record
+    holding a non-finite value is rejected."""
+    days, first_day = convert_cells(cols[1], date.fromisoformat)
+    x = np.array([[*convert_cells(column, float, math.nan)[0]] for column in cols[2:7]])
+    finite = np.isfinite(x).all(axis=0)
+    _, first_verdict = convert_cells(cols[7], VERDICTS.index)
+    labels, first_label = convert_cells(cols[8], _feature_label)
+    first = min(first_day, first_verdict, first_label,
+                len(finite) if finite.all() else int(finite.argmin()))
     return [dict(zip(SCORE_COLUMNS, rec))
-            for rec in zip(cols[0], days, *values, cols[7], labels)], first
+            for rec in zip(cols[0], days, *x.tolist(), cols[7], labels)], first
 
 
 def read_score_csv(path: str | Path) -> list[dict]:

@@ -7,12 +7,11 @@ detection reports.
 splits the records with ``csv.reader``, converts each column once per
 distinct cell (``convert_cells``), and runs only the first bad record
 through the file's per-record rule, whose error it reports.
-``write_columns`` writes those three from columns of fields made once
-per distinct value (``float_fields``, ``text_fields``); ``write_csv``
-writes the normalisation stats and losses row by row, and
-``write_blocks`` the synth logs, whose rows ``features`` formats as
-bytes.  Every writer goes through ``atomic_open``, so no output is ever
-left half-written.
+``write_columns`` writes those three and the normalisation stats from
+columns of fields made once per distinct value (``float_fields``,
+``text_fields``) through ``write_blocks``, which also writes the synth
+logs and the losses as ready bytes.  Every writer goes through
+``atomic_open``, so no output is ever left half-written.
 
 A checkpoint has the ``qbde-ckpt-v4`` magic line and one ``[section]`` per
 part of the training state.  Scalar floats are written with ``float.hex``;
@@ -82,30 +81,17 @@ def atomic_open(path: str | Path, append: bool = False):
         tmp.unlink(missing_ok=True)
 
 
-def write_csv(path: str | Path, header: list, rows, comment: str | None = None,
-              append: bool = False) -> None:
-    """Stream ``rows`` into ``path`` through ``atomic_open``, after a
-    ``# comment`` line and ``header``, both left out when appending.
-    Floats are written with ``repr``, so they read back exactly."""
+def write_blocks(path: str | Path, header: list, blocks,
+                 comment: str | None = None, append: bool = False) -> None:
+    """Write a ``# comment`` line if given, ``header`` as a CSV line, then
+    each block of ready CSV bytes (any bytes-like object), into ``path``
+    through ``atomic_open``; to append, only the blocks are written."""
     with atomic_open(path, append) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
         if not append:
             if comment:
                 handle.write(f"# {comment}\n")
-            writer.writerow(header)
-        writer.writerows(rows)
-
-
-def write_blocks(path: str | Path, header: list, blocks,
-                 comment: str | None = None) -> None:
-    """Write a ``# comment`` line if given, ``header`` as a CSV line, then
-    each block of ready CSV bytes (any bytes-like object), into ``path``
-    through ``atomic_open``."""
-    with atomic_open(path) as handle:
-        if comment:
-            handle.write(f"# {comment}\n")
-        csv.writer(handle, lineterminator="\n").writerow(header)
-        handle.flush()  # the header reaches the byte stream before the blocks
+            csv.writer(handle, lineterminator="\n").writerow(header)
+            handle.flush()  # the header reaches the byte stream before the blocks
         for block in blocks:
             handle.buffer.write(block)
 

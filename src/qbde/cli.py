@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bde, features, qgan
-from .checkpoint import (load_checkpoint, read_kv, save_checkpoint, write_csv,
-                         write_kv)
+from .checkpoint import (float_fields, load_checkpoint, read_kv, save_checkpoint,
+                         text_fields, write_blocks, write_columns, write_kv)
 from .errors import ConfigError, SchemaError
 from .qsim import probabilities, run_generator_circuit, sample
 
@@ -185,11 +185,12 @@ def cmd_ingest(cfg: RunConfig) -> int:
                                 digest)
     features.write_features_csv(out_dir / "features_test.csv", dataset.test,
                                 digest)
-    write_csv(out_dir / "norm_stats.csv", ["user", "feature", "min", "max"],
-              ([user, name, lo, hi]
-               for user, (los, his) in sorted(dataset.stats.items())
-               for name, lo, hi in zip(features.FEATURE_NAMES, los.tolist(),
-                                       his.tolist())), digest)
+    stats = sorted(dataset.stats.items())
+    write_columns(out_dir / "norm_stats.csv", ["user", "feature", "min", "max"], [
+        text_fields([user for user, _ in stats for _ in features.FEATURE_NAMES]),
+        text_fields([*features.FEATURE_NAMES] * len(stats)),
+        *(float_fields(np.ravel([bounds[i] for _, bounds in stats])).tolist()
+          for i in (0, 1))], digest)
     write_kv(out_dir / "parse_report.txt", "qbde-parse-report", {"": {
         **report.entries(),
         "config_digest": digest,
@@ -247,16 +248,17 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> int:
 
         def loss_rows_then_checkpoint():
             last = trace.state.epoch
-            yield from zip(range(last - len(trace.loss_g) + 1, last + 1),
-                           trace.loss_g, trace.loss_d, trace.cross_entropy)
+            losses = zip(range(last - len(trace.loss_g) + 1, last + 1), *map(
+                float_fields, (trace.loss_g, trace.loss_d, trace.cross_entropy)))
+            yield "".join(f"{epoch},{g},{d},{ce}\n" for epoch, g, d, ce in losses).encode()
             # saved after the new rows are in the loss file's temp copy and
             # before that copy replaces the loss file, so a failed write of
             # either file leaves the pair as it was
             save_checkpoint(ckpt, train_cfg, trace.state, digest=digest)
 
-        write_csv(loss_path, ["epoch", "loss_g", "loss_d", "cross_entropy"],
-                  loss_rows_then_checkpoint(), digest,
-                  append=resume and loss_path.exists())
+        write_blocks(loss_path, ["epoch", "loss_g", "loss_d", "cross_entropy"],
+                     loss_rows_then_checkpoint(), digest,
+                     append=resume and loss_path.exists())
         final = (f"cross_entropy={trace.cross_entropy[-1]:.4f}"
                  if trace.cross_entropy else "no epochs run")
         print(f"trained {user}: {len(trace.loss_g)} epochs, {final} -> {ckpt}")

@@ -889,14 +889,6 @@ def _synth_rows(letter: str, first: int, seconds: np.ndarray, fields: list) -> n
                         (_stamp_cells(seconds), None), *fields])
 
 
-def _string_order(values: np.ndarray) -> np.ndarray:
-    """A key that orders values below 10^10 as their decimal strings sort:
-    the digits left-aligned in ten places, then the digit count, so that
-    "100000" sorts before "50000" and "5" before "50"."""
-    digits = _digit_count(values)
-    return values * _POW10[10 - digits] * 16 + digits
-
-
 def _log_blocks(letter: str, order: np.ndarray, when: np.ndarray, user: np.ndarray,
                 owners: tuple, size: np.ndarray | None, tail: np.ndarray, tails: tuple):
     """The bytes of a synth log's rows in ``order``, ``_BLOCK_ROWS`` at a
@@ -926,9 +918,9 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
     row count.
 
     The draws are kept as arrays, with each value's slot (see
-    ``_SLOT_BOUND``).  Each log is sorted by time, user and its other fields
-    in their string order, as its rows as tuples of strings would sort, and
-    written in blocks of ``_BLOCK_ROWS`` rows of bytes.
+    ``_SLOT_BOUND``).  Each log is sorted by time alone, stably, so rows
+    that share a second keep their draw order (user by user, by index),
+    and written in blocks of ``_BLOCK_ROWS`` rows of bytes.
     """
     rng = np.random.default_rng(cfg.seed)
     start_h, end_h = parse_working_hours(cfg.working_hours)
@@ -980,10 +972,8 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
 
     draw, slot = np.concatenate(draws), np.concatenate(slots)
     del draws, slots
-    # user indices and ranks in the fewest bytes, which lexsort sorts fastest
-    small = np.min_scalar_type(cfg.n_users - 1)
+    small = np.min_scalar_type(cfg.n_users - 1)  # user indices in the fewest bytes
     owner = np.repeat(np.arange(cfg.n_users, dtype=small), n_draws)
-    user_rank = np.argsort(np.argsort([f"U{u:04d}" for u in range(cfg.n_users)])).astype(small)
     owners = _text_cells([f",U{u:04d},PC-{u:04d}," for u in range(cfg.n_users)])
     log_of = _SLOT_LOG[slot]
 
@@ -994,17 +984,14 @@ def synth_generate(cfg: SynthConfig) -> SynthResult:
         if source == "device":
             tail = (slot[at] >= 14).astype(np.int8)  # Connect, Disconnect
             size = np.where(tail, 0, draw[at - 1])   # a connect's size precedes it
-            rest = _string_order(size) * 2 + tail
             tails = [",Connect\n", ",Disconnect\n"]
         else:
             cycle = _SYNTH_TAILS[source]
             tail = slot[at] // 2 if source == "login" else np.arange(len(at)) % len(cycle)
-            rank = np.argsort(sorted(range(len(cycle)), key=cycle.__getitem__))
-            rest = rank.astype(np.uint8)[tail]
             tails, size = [",".join(fields) + "\n" for fields in cycle], None
         when, who = draw[at], owner[at]
-        order = np.lexsort((rest, user_rank[who], when))
-        del at, rest
+        order = np.argsort(when, kind="stable")
+        del at
         write_blocks(out_dir / name, _SYNTH_HEADERS[source],
                      _log_blocks(source[0].upper(), order, when, who, owners, size,
                                  tail, _text_cells(tails)))

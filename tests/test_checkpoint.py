@@ -14,11 +14,13 @@ from qbde.checkpoint import (
     _get_array,
     _put_array,
     atomic_open,
+    float_fields,
     load_checkpoint,
     read_kv,
     save_checkpoint,
+    text_fields,
     write_blocks,
-    write_csv,
+    write_columns,
     write_kv,
 )
 from qbde.errors import SchemaError
@@ -258,17 +260,23 @@ def test_write_blocks_writes_the_header_then_bytes_atomically(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
 
 
-def test_write_csv_bytes(tmp_path):
+def test_write_columns_bytes_and_appended_blocks(tmp_path):
+    """Columns of ready fields are written as ``csv.writer`` writes their
+    rows; appending adds only the blocks, after a byte copy of the file."""
     path = tmp_path / "table.csv"
     rows = [["U1", 'a "quoted", field', 1 / 3], ["U2", "", -0.0]]
-    write_csv(path, ["user", "note", "x"], iter(rows), comment="digest")
+    write_columns(path, ["user", "note", "x"], [
+        text_fields([row[0] for row in rows]), text_fields([row[1] for row in rows]),
+        float_fields([row[2] for row in rows]).tolist()], comment="digest")
     head = b'# digest\nuser,note,x\n'
     body = b'U1,"a ""quoted"", field",0.3333333333333333\nU2,,-0.0\n'
     assert path.read_bytes() == head + body
-    write_csv(path, ["ignored"], [["U3", "line\nbreak", 1e-300]], append=True)
+    write_blocks(path, ["ignored"], [b'U3,"line\nbreak",1e-300\n'], "ignored",
+                 append=True)
     assert path.read_bytes() == head + body + b'U3,"line\nbreak",1e-300\n'
-    write_csv(path, ["user", "x"], [])
+    write_columns(path, ["user", "x"], [[], []])
     assert path.read_bytes() == b"user,x\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
 def _writes_a_file(call: ast.Call) -> bool:
@@ -286,7 +294,7 @@ def _writes_a_file(call: ast.Call) -> bool:
 
 
 def test_only_the_checkpoint_module_writes_files():
-    # every output goes through write_kv or write_csv, so it is atomic
+    # every output goes through write_kv or write_blocks, so it is atomic
     src = Path(checkpoint.__file__).parent
     writers = [f"{path.name}:{node.lineno}"
                for path in sorted(src.glob("*.py")) if path.name != "checkpoint.py"

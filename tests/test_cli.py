@@ -27,7 +27,7 @@ from qbde.cli import (
 )
 from qbde.errors import ConfigError
 from qbde.features import N_FEATURES, BehaviorVector, to_simplex
-from qbde.qgan import init_train_state
+from qbde.qgan import DiscriminatorNet, TrainConfig, init_train_state
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -445,14 +445,14 @@ def test_resume_with_another_discriminator_is_config_error(tmp_path, capsys):
     main(["synth", *flags])
     main(["ingest", *flags])
     want = load_config(tmp_path / "run.cfg").train_config()
-    have = dataclasses.replace(want, hidden=(16, 32))
+    have = dataclasses.replace(want, hidden=OTHER_HIDDEN)
     ckpt = tmp_path / "out" / "qgan.ckpt"
     save_checkpoint(ckpt, have, init_train_state(4, have))
     before = ckpt.read_bytes()
     for argv in (["train", "--epochs", "1", "--resume"], ["detect"]):
         capsys.readouterr()
         assert main([*argv, *flags]) == EXIT_CONFIG
-        assert "hidden = (16, 32)" in capsys.readouterr().err
+        assert f"hidden = {OTHER_HIDDEN}" in capsys.readouterr().err
     assert ckpt.read_bytes() == before
     assert not (tmp_path / "out" / "scores.csv").exists()
 
@@ -593,14 +593,18 @@ def _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl,
     return code, capsys.readouterr().err
 
 
-# the discriminator's flat vector for fast_flags' (16, 64, 32, 1) layers:
-# w0 (64, 16), w1 (32, 64), w2 (1, 32), then b0 (64,), b1 (32,), b2 (1,)
-N_DISC, W1_AT, W2_AT = 3201, 1024, 3072
-OPT_D = r"^({key}\.shape = 3201\n{key}\.data = \w{{{skip}}})\w{{16}}"
+# the discriminator's flat vector for fast_flags' layers (16, *HIDDEN, 1):
+# each layer's weights w0, w1, w2 in turn, then its biases b0, b1, b2
+HIDDEN = TrainConfig().hidden
+N_DISC = DiscriminatorNet.n_params([16, *HIDDEN, 1])
+W1_AT, W2_AT = np.cumsum([a * b for a, b in zip([16, *HIDDEN], [*HIDDEN, 1])])[:2]
+HIDDEN_LINE = rf"^hidden = {' '.join(map(str, HIDDEN))}$"
+OTHER_HIDDEN = tuple(width + 1 for width in HIDDEN)  # widths no checkpoint has
+OPT_D = r"^({key}\.shape = " + str(N_DISC) + r"\n{key}\.data = \w{{{skip}}})\w{{16}}"
 
 
 @pytest.mark.parametrize("pattern, repl, key", [
-    (r"^params\.shape = 3201$", "params.shape = -1", "discriminator.params.shape"),
+    (rf"^params\.shape = {N_DISC}$", "params.shape = -1", "discriminator.params.shape"),
     (r"^m\.shape = 3 4$", "m.shape = -1 4", "opt_g.m.shape"),
     (r"^angles\.shape = 3 4$", "angles.shape = 0 4", "generator.angles.shape"),
 ], ids=["negative", "negative-moment", "zero"])
@@ -614,8 +618,9 @@ def test_checkpoint_with_non_positive_dimension_is_validation_error(
 @pytest.mark.parametrize("argv", [("detect",), ("train", "--resume")],
                          ids=["detect", "resume"])
 @pytest.mark.parametrize("pattern, repl, key", [
-    (r"^hidden = 64 32$", "hidden = ", "discriminator.params.shape = (3201,), want (17,)"),
-    (r"^hidden = 64 32$", "hidden = 64 -32", "hidden layer sizes must be >= 1"),
+    (HIDDEN_LINE, "hidden = ", f"discriminator.params.shape = ({N_DISC},), "
+     f"want ({DiscriminatorNet.n_params([16, 1])},)"),
+    (HIDDEN_LINE, "hidden = 64 -32", "hidden layer sizes must be >= 1"),
     (r"^state = \d+$", "state = -1", "rng.state"),
     (r"^state = \d+$", f"state = {2**128}", "rng.state"),
     (r"^inc = \d+$", "inc = -1", "rng.inc"),
@@ -629,8 +634,9 @@ def test_checkpoint_with_non_positive_dimension_is_validation_error(
     (r"^epoch = \d+$", f"epoch = {2**63}", "meta.epoch"),
     (r"^n_qubits = 4$", "n_qubits = 13", "generator.n_qubits"),
     (r"^depth = 2$", "depth = 3", "generator.angles.shape = (3, 4), want (4, 4)"),
-    (r"^hidden = 64 32$", "hidden = 16 32",
-     f"discriminator.params.shape = ({N_DISC},), want (849,)"),
+    (HIDDEN_LINE, f"hidden = {' '.join(map(str, OTHER_HIDDEN))}",
+     f"discriminator.params.shape = ({N_DISC},), "
+     f"want ({DiscriminatorNet.n_params([16, *OTHER_HIDDEN, 1])},)"),
     (r"^qbde-ckpt-v4$", "qbde-ckpt-v1", "qgan.ckpt: not a qbde-ckpt-v4 file"),
     (r"^qbde-ckpt-v4$", "qbde-ckpt-v2", "qgan.ckpt: not a qbde-ckpt-v4 file"),
     (r"^qbde-ckpt-v4$", "qbde-ckpt-v3", "qgan.ckpt: not a qbde-ckpt-v4 file"),
@@ -648,7 +654,7 @@ def test_checkpoint_with_out_of_range_value_is_validation_error(
 
 
 @pytest.mark.parametrize("pattern, repl, key", [
-    (r"^m\.shape = 3201\nm\.data = .*$", "m.shape = 1\nm.data = " + ZERO,
+    (rf"^m\.shape = {N_DISC}\nm\.data = .*$", "m.shape = 1\nm.data = " + ZERO,
      "opt_d.m.shape"),
     (r"^v\.shape = 3 4\nv\.data = .*$", "v.shape = 12\nv.data = "
      + ZERO * 12, "opt_g.v.shape"),
@@ -666,7 +672,7 @@ def test_checkpoint_moment_shape_mismatch_is_validation_error(
     (r"^(params\.data = .*).$", r"\1", "discriminator.params.data"),
     (r"^(params\.data = \w{5})\w", r"\1g", "discriminator.params.data"),
     (r"^(m\.data = .*)\w{16}$", r"\1", "opt_g.m.data"),
-    (r"^(v\.shape = 3201\nv\.data = .*)$", r"\g<1>" + ZERO, "opt_d.v.data"),
+    (rf"^(v\.shape = {N_DISC}\nv\.data = .*)$", r"\g<1>" + ZERO, "opt_d.v.data"),
     (r"^(params\.data = )\w{16}", r"\g<1>" + INF, "discriminator.params.data"),
     (r"^(params\.data = .*)\w{16}$", r"\g<1>" + INF, "discriminator.params.data"),
     (rf"^(params\.data = \w{{{16 * (W2_AT + 1)}}})\w{{16}}", r"\g<1>" + NAN,
@@ -693,10 +699,10 @@ def test_checkpoint_with_bad_array_data_is_validation_error(
 def test_checkpoint_moment_count_mismatch_is_validation_error(tmp_path, capsys):
     # one moment value fewer than the discriminator has parameters
     code, err = _run_with_tampered_checkpoint(
-        tmp_path, capsys, r"^m\.shape = 3201\nm\.data = (.*)\w{16}$",
-        r"m.shape = 3200\nm.data = \1")
+        tmp_path, capsys, rf"^m\.shape = {N_DISC}\nm\.data = (.*)\w{{16}}$",
+        rf"m.shape = {N_DISC - 1}\nm.data = \1")
     assert code == EXIT_VALIDATION
-    assert f"opt_d.m.shape = (3200,), want ({N_DISC},)" in err
+    assert f"opt_d.m.shape = ({N_DISC - 1},), want ({N_DISC},)" in err
 
 
 def _oversize_field(path, line, column):
@@ -793,11 +799,54 @@ def test_non_finite_feature_is_validation_error(tmp_path, capsys, value):
     assert (out / "scores.csv").read_bytes() == before
 
 
-class _FailingHandle:
-    """Writes half of what it is given, then fails like a full disk."""
+FINITE = "scores and thresholds must be finite"
 
-    def __init__(self, handle):
+
+@pytest.mark.parametrize("column, value, message", [
+    (2, "-inf", FINITE), (3, "inf", FINITE), (4, "inf", FINITE), (4, "nan", FINITE),
+    (4, "1e400", FINITE), (5, "nan", FINITE), (6, "-inf", FINITE),
+    (4, "x", "could not convert string to float: 'x'"),
+    (7, "Bogus", "verdict 'Bogus' is not 'Normal' or 'Low_threat' or 'High_threat'"),
+    (7, "normal", "verdict 'normal' is not"),
+    (8, "Abnormal", "label 'Abnormal' is not 'normal' or 'abnormal' or ''"),
+], ids=["r_d", "r_n", "d-inf", "d-nan", "d-overflow", "th_d", "th_f", "d-text",
+        "verdict", "verdict-case", "label"])
+def test_bad_score_cell_is_validation_error(tmp_path, capsys, column, value, message):
+    # report must not rank an inf or nan day among the top-scoring days,
+    # nor print a verdict or label that detect never writes
+    flags = fast_flags(tmp_path)
+    scores = run_pipeline(tmp_path) / "scores.csv"
+    assert main(["report", *flags]) == EXIT_OK
+    # a later line is bad too: the first bad line in the file is named
+    text = _mutate_csv(scores.read_text(), 5, "field", 4, "inf")
+    scores.write_text(_mutate_csv(text, 3, "field", column, value), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", *flags]) == EXIT_VALIDATION
+    assert f"{scores}: line 4: {message}" in capsys.readouterr().err
+
+
+class _HalfWriter:
+    """Writes half of what it is given, then fails like a full disk; keeps
+    what it was given in ``given``."""
+
+    def __init__(self, stream, given):
+        self.stream, self.given = stream, given
+
+    def write(self, data):
+        self.given.append(data)
+        self.stream.write(data[:len(data) // 2])
+        raise OSError("no space left on device")
+
+
+class _FailingHandle:
+    """A text handle whose byte writes (``buffer.write``) fail halfway, and
+    its text writes too unless ``header`` lets them through whole."""
+
+    def __init__(self, handle, given, header=False):
         self.handle = handle
+        self.write = handle.write if header else _HalfWriter(handle, given).write
+        self.buffer = _HalfWriter(handle.buffer, given)
+        self.flush = handle.flush
 
     def __enter__(self):
         return self
@@ -805,9 +854,21 @@ class _FailingHandle:
     def __exit__(self, *exc):
         self.handle.close()
 
-    def write(self, text):
-        self.handle.write(text[:len(text) // 2])
-        raise OSError("no space left on device")
+
+def _fail_writes_to(monkeypatch, name, header=False):
+    """Make the atomic write of ``name`` fail halfway through its first
+    write, or with ``header`` through its first block of bytes; returns
+    the list of what the failing write was given."""
+    given = []
+
+    def failing_open(path, *args, **kwargs):
+        handle = builtins.open(path, *args, **kwargs)
+        if str(path).endswith(name + ".tmp"):
+            return _FailingHandle(handle, given, header)
+        return handle
+
+    monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+    return given
 
 
 INGEST_OUTPUTS = ("features_raw.csv", "features_train.csv", "features_test.csv",
@@ -822,12 +883,7 @@ def test_failed_ingest_keeps_previous_outputs(tmp_path, monkeypatch, failing):
     out = tmp_path / "out"
     before = {name: (out / name).read_bytes() for name in INGEST_OUTPUTS}
     assert main(["synth", *flags, "--seed", "5"]) == EXIT_OK
-
-    def failing_open(path, *args, **kwargs):
-        handle = builtins.open(path, *args, **kwargs)
-        return _FailingHandle(handle) if str(path).endswith(failing + ".tmp") else handle
-
-    monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+    _fail_writes_to(monkeypatch, failing)
     assert main(["ingest", *flags, "--seed", "5"]) == EXIT_IO
     after = {name: (out / name).read_bytes() for name in INGEST_OUTPUTS}
     assert after[failing] == before[failing]
@@ -839,15 +895,6 @@ def test_failed_ingest_keeps_previous_outputs(tmp_path, monkeypatch, failing):
 
 SYNTH_OUTPUTS = ("login.csv", "http.csv", "device.csv", "email.csv", "file.csv",
                  "labels.csv")
-
-
-def _fail_writes_to(monkeypatch, name):
-    """Make the atomic write of ``name`` fail halfway through."""
-    def failing_open(path, *args, **kwargs):
-        handle = builtins.open(path, *args, **kwargs)
-        return _FailingHandle(handle) if str(path).endswith(name + ".tmp") else handle
-
-    monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
 
 
 @pytest.mark.parametrize("failing", SYNTH_OUTPUTS)
@@ -896,6 +943,31 @@ def test_failed_train_keeps_checkpoint_and_loss_file_together(tmp_path, monkeypa
     assert load_checkpoint(out / "qgan.ckpt")[1].epoch == 6
     loss = (out / "loss_U0000.csv").read_text().splitlines()[2:]
     assert [int(line.split(",")[0]) for line in loss] == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("argv, failing", [
+    (("synth", "--seed", "5"), "device.csv"),
+    (("synth", "--seed", "5"), "labels.csv"),
+    (("ingest", "--lambda", "0.5"), "features_train.csv"),
+    (("ingest", "--lambda", "0.5"), "norm_stats.csv"),
+    (("train", "--seed", "5"), "loss_U0000.csv"),
+    (("train", "--resume"), "loss_U0000.csv"),
+    (("detect", "--lambda", "0.5"), "scores.csv"),
+], ids=["synth-log", "labels", "features", "norm-stats", "loss", "resumed-loss",
+        "scores"])
+def test_write_failing_after_the_header_keeps_previous_file(tmp_path, monkeypatch,
+                                                             argv, failing):
+    """The header (none when appending) is written whole, then the first
+    block of rows fails halfway: the file is as it was, with no temp file."""
+    flags = fast_flags(tmp_path)
+    run_pipeline(tmp_path)
+    path = next(tmp_path.rglob(failing))
+    before = path.read_bytes()
+    given = _fail_writes_to(monkeypatch, failing, header=True)
+    assert main([*argv, *flags]) == EXIT_IO
+    assert len(given) == 1 and not isinstance(given[0], str)  # a block of rows
+    assert path.read_bytes() == before
+    assert not list(path.parent.glob("*.tmp"))
 
 
 def test_resumed_loss_file_is_the_old_bytes_plus_new_rows(tmp_path):

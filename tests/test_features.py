@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbde import features
-from qbde.checkpoint import write_csv
 from qbde.errors import SchemaError
 from qbde.features import (
     FEATURE_NAMES,
@@ -53,6 +52,14 @@ FI = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_rows(path, header, rows):
+    """``header`` and ``rows`` as ``csv.writer`` writes them, row by row."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def minimal_logs(tmp_path, login_rows=(), http_rows=(), device_rows=(),
@@ -463,7 +470,7 @@ SYNTH_GOLDEN = {
     "device.csv": "bcb27015b6a36efadf5c192d3524ce4ec146f28041c0b19fd487eaebb34596d3",
     "email.csv": "e3304def0119042bd73fedfe78a3dd5169d35229107b4a3cf872119c551ad878",
     "file.csv": "e6fcb4b3568d3341b16557f16bd5260795dc2304decfa95cd9f6c26fa8f38585",
-    "http.csv": "9413ccb0f989061c733e543513f133e6ba03b3ded9d83174f1254bc6f32cb6f2",
+    "http.csv": "d8dc5fb53647996d9db569c5b325c9f83675c685bd6b355cbdde59937c202a7f",
     "labels.csv": "4214c7ddc571e3638a86ddda2a457390a91e3a8a187d2abce1ecdb59d56e7eed",
     "login.csv": "1bbebd041396eb9254c04cf6d6169d3145cccb43e75ca8efd8d07d54fc2bd689",
 }
@@ -659,15 +666,15 @@ def oracle_synth_generate(cfg):
     }
     row_counts = {}
     for source, rows in tables.items():
-        rows.sort()
-        write_csv(out_dir / f"{source}.csv", headers[source],
-                  ([f"{source[0].upper()}{i:07d}", when.strftime(TIMESTAMP_FMT),
-                    *rest] for i, (when, *rest) in enumerate(rows)))
+        rows.sort(key=lambda row: row[0])  # stable: a second's rows keep draw order
+        write_rows(out_dir / f"{source}.csv", headers[source],
+                   ([f"{source[0].upper()}{i:07d}", when.strftime(TIMESTAMP_FMT),
+                     *rest] for i, (when, *rest) in enumerate(rows)))
         row_counts[source] = len(rows)
 
-    write_csv(out_dir / "labels.csv", ["user", "day", "label"],
-              ([user, day.isoformat(), label]
-               for (user, day), label in sorted(labels.items())))
+    write_rows(out_dir / "labels.csv", ["user", "day", "label"],
+               ([user, day.isoformat(), label]
+                for (user, day), label in sorted(labels.items())))
     return SynthResult(labels, row_counts), truth
 
 
@@ -694,9 +701,11 @@ def test_synth_matches_scalar_draw_oracle(seed, n_users, n_days, anomaly_rate,
 
 
 def test_synth_ties_in_one_second_sort_as_the_oracle_sorts(tmp_path):
-    """A one-minute working window puts many of a user's rows in one
-    second, so the order of their other fields decides: a device row's
-    size sorts as a string ("100000" before "50000"), then its activity."""
+    """A one-minute working window puts many rows in one second.  They keep
+    their draw order, as the oracle's stable sort on the stamp keeps them:
+    by user index, then a user-day's connects before its disconnects and
+    its logons before its logoffs, though "0" sorts before any other size
+    and "Logoff" before "Logon"."""
     cfg = dict(n_users=3, n_days=20, anomaly_rate=0.2, seed=4,
                working_hours="08:00-08:01")
     got = synth_generate(SynthConfig(**cfg, out_dir=tmp_path / "a"))
@@ -704,17 +713,14 @@ def test_synth_ties_in_one_second_sort_as_the_oracle_sorts(tmp_path):
     for name in (*LOG_FILES, "labels.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     assert got.row_counts == want.row_counts
-    with open(tmp_path / "a" / "device.csv", newline="", encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
-    digits = {}
-    for row in rows:
-        if row["activity"] == "Connect":
-            digits.setdefault((row["date"], row["user"]), set()).add(len(row["size"]))
-    assert any(len(counts) > 1 for counts in digits.values())
-    ties = [(a["size"], b["size"]) for a, b in zip(rows, rows[1:])
-            if (a["date"], a["user"]) == (b["date"], b["user"])]
-    assert ties and all(a <= b for a, b in ties)
-    assert any(int(a) > int(b) for a, b in ties)  # string order, not numeric
+    for name, last in (("device.csv", "Disconnect"), ("login.csv", "Logoff")):
+        with open(tmp_path / "a" / name, newline="", encoding="utf-8") as handle:
+            keys = [(row["date"], row["user"], row["activity"] == last)
+                    for row in csv.DictReader(handle)]
+        ties = [(a, b) for a, b in zip(keys, keys[1:]) if a[0] == b[0]]
+        assert all(a <= b for a, b in ties)
+        assert any(a[1] < b[1] for a, b in ties)  # users share a second
+        assert any(a[1] == b[1] and a[2] < b[2] for a, b in ties), name
 
 
 @pytest.mark.parametrize("first", [0, 9_999_998, 99_999_999])
@@ -1593,8 +1599,8 @@ def test_hash_is_a_comment_only_before_the_header(tmp_path):
     assert [(r.user, r.label) for r in read_features_csv(path)] == [
         ("#U1", None), ("U0", "abnormal")]
     labels = tmp_path / "labels.csv"
-    write_csv(labels, ["user", "day", "label"],
-              [["#U1", "2011-01-03", "abnormal"], ["U0", "2011-01-03", "normal"]], "c")
+    write_lines(labels, ["# c", "user,day,label", "#U1,2011-01-03,abnormal",
+                         "U0,2011-01-03,normal"])
     assert read_labels_csv(labels) == {("#U1", date(2011, 1, 3)): "abnormal",
                                        ("U0", date(2011, 1, 3)): "normal"}
 
@@ -1602,11 +1608,11 @@ def test_hash_is_a_comment_only_before_the_header(tmp_path):
 @pytest.mark.parametrize("label", ["Abnormal", "NORMAL", " normal", "anomalous", "1"])
 def test_label_other_than_normal_or_abnormal_is_schema_error(tmp_path, label):
     labels = tmp_path / "labels.csv"
-    write_csv(labels, ["user", "day", "label"],
-              [["U0", "2011-01-03", "normal"], ["U0", "2011-01-04", label]])
+    write_rows(labels, ["user", "day", "label"],
+               [["U0", "2011-01-03", "normal"], ["U0", "2011-01-04", label]])
     with pytest.raises(SchemaError, match=f"line 3: label {label!r} is not"):
         read_labels_csv(labels)
-    write_csv(labels, ["user", "day", "label"], [["U0", "2011-01-03", ""]])
+    write_rows(labels, ["user", "day", "label"], [["U0", "2011-01-03", ""]])
     with pytest.raises(SchemaError, match="line 2: label '' is not"):
         read_labels_csv(labels)  # a labels file gives every day a label
     path = tmp_path / "features.csv"

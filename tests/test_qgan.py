@@ -427,8 +427,14 @@ class OracleAdam:
         param -= self.lr * (self.m / corr1) / (np.sqrt(self.v / corr2) + EPS)
 
 
-def oracle_train(data, cfg, state):
-    """The per-call training loop, run on a copy of ``state``."""
+def real_rows(batch):
+    """What the discriminator sees of a batch as its real rows: all of them."""
+    return batch
+
+
+def oracle_train(data, cfg, state, real=real_rows):
+    """The per-call training loop, run on a copy of ``state``; the
+    discriminator sees ``real(batch)`` as each batch's real rows."""
     state = TrainState(GeneratorParams(state.params.n_qubits, state.params.angles.copy()),
                        DiscriminatorNet(state.net.layer_sizes, state.net.flat.copy()),
                        OracleAdam(state.opt_g), OracleAdam(state.opt_d),
@@ -444,7 +450,7 @@ def oracle_train(data, cfg, state):
         for start in range(0, n_rows, cfg.batch):
             batch = data[order[start:start + cfg.batch]]
             amplitudes = run_generator_circuit(state.params)
-            ld, lg, grad_d = oracle_adversarial_grads(state.net, batch,
+            ld, lg, grad_d = oracle_adversarial_grads(state.net, real(batch),
                                                       probabilities(amplitudes))
             ld_sum += ld
             lg_sum += lg
@@ -621,11 +627,11 @@ def test_train_steps_one_flat_discriminator_vector_like_per_array_adam():
         order = ref.rng.permutation(len(data))
         for start in range(0, len(data), cfg.batch):
             amplitudes = run_generator_circuit(ref.params)
-            rows = order[start:start + cfg.batch]
-            p = _Pass(ref.net, len(rows) + 1)
-            p.x[:-1] = data[rows]
+            real = real_rows(data[order[start:start + cfg.batch]])
+            p = _Pass(ref.net, len(real) + 1)
+            p.x[:-1] = real
             p.x[-1] = probabilities(amplitudes)
-            _adversarial_grads(p, len(rows))
+            _adversarial_grads(p, len(real))
             dw, db = ref.net.split(p.grad)
             for opt, arr, g in zip(opts_d, arrays, [*dw, *db]):
                 opt.step(arr, g)  # one array at a time
