@@ -19,9 +19,11 @@ space, d = (1 - lambda) R_d + lambda R_n.  ``score_rows`` takes one
 user's training and test days together and computes R_d, R_n and d as
 arrays in one pass, with one forward pass over the days and references.
 The abnormality threshold Th_d is the largest training score and the
-threat threshold Th_f is 2 Th_d; each record is built once with its
-verdict, VERDICTS[(d > Th_d) + (d > Th_f)]: Normal, Low_threat or
-High_threat, each band including its upper bound.
+threat threshold Th_f is 2 Th_d; each day's band (d > Th_d) + (d > Th_f)
+indexes its verdict in VERDICTS: Normal, Low_threat or High_threat, each
+band including its upper bound.  Scores stay columns (``Scores``) from
+scoring to the score files and the summary, which format each column in
+one pass.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
-from operator import attrgetter
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +42,7 @@ from .checkpoint import (Section, _get_array, _put_array, convert_cells,
                          float_fields, read_csv, read_kv, text_fields,
                          write_columns, write_kv)
 from .errors import SchemaError
-from .features import _feature_label
+from .features import _feature_label, check_user_id
 from .optim import Adam
 from .qgan import _clamp, _rows, _sigmoid
 
@@ -418,16 +420,33 @@ class Thresholds:
         return 2.0 * self.th_d
 
 
-@dataclass
-class ScoreRecord:
-    user: str
-    day: date
-    r_d: float
-    r_n: float
-    d: float
-    th: Thresholds
-    verdict: str
-    label: str | None
+@dataclass(eq=False)
+class Scores:
+    """Scored user-days as columns, one item per day: ``user``, ``day``
+    and ``label`` as lists; R_d, R_n, d and the ``th_d`` of the day's user
+    (its ``th_f`` is twice that) as float arrays; and the day's ``band``,
+    (d > th_d) + (d > th_f), as an int array that indexes VERDICTS."""
+    user: list
+    day: list
+    label: list
+    r_d: np.ndarray
+    r_n: np.ndarray
+    d: np.ndarray
+    th_d: np.ndarray
+    band: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.d)
+
+    def __getitem__(self, days: slice) -> "Scores":
+        return Scores(*(getattr(self, f.name)[days] for f in fields(self)))
+
+
+def join_scores(parts: list[Scores]) -> Scores:
+    """The days of each of ``parts`` (at least one) in turn."""
+    columns = [[getattr(part, f.name) for part in parts] for f in fields(Scores)]
+    return Scores(*([*chain(*column)] for column in columns[:3]),
+                  *map(np.concatenate, columns[3:]))
 
 
 def _recon_batch(x: np.ndarray, refs: np.ndarray, net: BdeNet):
@@ -483,11 +502,12 @@ def accuracy(counts: dict[str, int]) -> float:
 
 
 def score_rows(rows, x: np.ndarray, references: np.ndarray, net: BdeNet,
-               lam: float, n_train: int) -> list[ScoreRecord]:
-    """One record per row of ``x`` (the simplex vectors of ``rows``), with
-    its verdict.  The first ``n_train`` rows are the training window: the
-    thresholds come from their scores, and ``d`` is Normal up to ``th_d``,
-    Low_threat up to ``th_f`` and High_threat above.
+               lam: float, n_train: int) -> Scores:
+    """The scores of the rows ``x`` (the simplex vectors of ``rows``, one
+    user's days), with each row's user, day and label.  The first
+    ``n_train`` rows are the training window: the thresholds come from
+    their scores, and ``d`` is Normal up to ``th_d``, Low_threat up to
+    ``th_f`` and High_threat above.
 
     ``references`` is one distribution or a stack of candidate samples; a
     row is scored against its nearest candidate (the single-reference case
@@ -496,11 +516,10 @@ def score_rows(rows, x: np.ndarray, references: np.ndarray, net: BdeNet,
     r_d, r_n, _ = _recon_batch(x, np.atleast_2d(references), net)
     d = behavior_score(r_d, r_n, lam)
     th = fit_thresholds(d[:n_train])
-    band = (d > th.th_d).astype(int) + (d > th.th_f)
-    return [ScoreRecord(row.user, row.day, rd, rn, score, th, VERDICTS[b],
-                        row.label)
-            for row, rd, rn, score, b in zip(rows, r_d.tolist(), r_n.tolist(),
-                                             d.tolist(), band.tolist())]
+    return Scores([row.user for row in rows], [row.day for row in rows],
+                  [row.label for row in rows], r_d, r_n, d,
+                  np.full(len(d), th.th_d),
+                  (d > th.th_d).astype(int) + (d > th.th_f))
 
 
 # --------------------------------------------------------------------------
@@ -512,22 +531,32 @@ SCORE_COLUMNS = ["user", "day", "r_d", "r_n", "d", "th_d", "th_f",
 SUMMARY_MAGIC = "qbde-detection-summary"
 
 
-def write_score_csv(path: str | Path, records: list[ScoreRecord],
+def _reprs(values: np.ndarray) -> list[str]:
+    """The ``repr`` of each float of ``values``, made in one call: a list's
+    repr joins its items' reprs with ", ", and no float's repr holds a
+    comma."""
+    return repr(values.tolist())[1:-1].split(", ") if len(values) else []
+
+
+def write_score_csv(path: str | Path, scores: Scores,
                     comment: str | None = None) -> None:
-    """One line per record.  ``r_d``, ``r_n`` and ``d`` are formatted one
-    by one, as they differ from row to row; each distinct user, day,
-    threshold, verdict and label is formatted once."""
-    user, day, *values, verdict, label = [*zip(*map(attrgetter(
-        "user", "day", "r_d", "r_n", "d", "th.th_d", "th.th_f", "verdict", "label"),
-        records))] or [()] * len(SCORE_COLUMNS)
+    """One line per scored day.  ``r_d``, ``r_n`` and ``d`` differ from day
+    to day and are formatted a column at a time; each distinct user, day,
+    threshold and label is formatted once.  An ISO date never needs
+    quoting, but a user id or a label may."""
+    iso = {day: day.isoformat() for day in dict.fromkeys(scores.day)}
+    with np.errstate(over="ignore"):   # th_f of th_d past half the largest float is inf
+        th_f = 2.0 * scores.th_d
     write_columns(path, SCORE_COLUMNS, [
-        text_fields(user), text_fields(day, lambda day: day.isoformat()),
-        *([*map(repr, column)] for column in values[:3]),
-        *(float_fields(column).tolist() for column in values[3:]),
-        text_fields(verdict), text_fields(label, lambda label: label or "")], comment)
+        text_fields(scores.user), [*map(iso.__getitem__, scores.day)],
+        *map(_reprs, (scores.r_d, scores.r_n, scores.d)),
+        float_fields(scores.th_d).tolist(), float_fields(th_f).tolist(),
+        [*map(VERDICTS.__getitem__, scores.band.tolist())],
+        text_fields(scores.label, lambda label: label or "")], comment)
 
 
 def _score_record(rec: list[str]) -> dict:
+    check_user_id(rec[0])
     values = [date.fromisoformat(rec[1]), *map(float, rec[2:7])]
     if not all(map(math.isfinite, values[1:])):
         raise ValueError("scores and thresholds must be finite")
@@ -540,12 +569,13 @@ def _score_columns(cols: list) -> tuple[list[dict], int]:
     """The records of these score columns and the index of the first that
     ``_score_record`` rejects: a bad float reads as NaN, and every record
     holding a non-finite value is rejected."""
+    _, first_user = convert_cells(cols[0], check_user_id)
     days, first_day = convert_cells(cols[1], date.fromisoformat)
     x = np.array([[*convert_cells(column, float, math.nan)[0]] for column in cols[2:7]])
     finite = np.isfinite(x).all(axis=0)
     _, first_verdict = convert_cells(cols[7], VERDICTS.index)
     labels, first_label = convert_cells(cols[8], _feature_label)
-    first = min(first_day, first_verdict, first_label,
+    first = min(first_user, first_day, first_verdict, first_label,
                 len(finite) if finite.all() else int(finite.argmin()))
     return [dict(zip(SCORE_COLUMNS, rec))
             for rec in zip(cols[0], days, *x.tolist(), cols[7], labels)], first
@@ -556,32 +586,33 @@ def read_score_csv(path: str | Path) -> list[dict]:
                     len(SCORE_COLUMNS), _score_columns, _score_record)
 
 
-def write_summary(path: str | Path, records: list[ScoreRecord],
-                  train_records: list[ScoreRecord], lam: float,
+def write_summary(path: str | Path, scores: Scores, train: Scores, lam: float,
                   comment: str | None = None) -> float | None:
-    """Machine-readable detection summary: verdict counts, each user's
-    thresholds (read from that user's records) and, when ground truth is
-    present, accuracy and confusion counts.  Returns that accuracy, or
-    None without ground truth."""
+    """Machine-readable detection summary of the test days ``scores`` and
+    the training window ``train``: verdict counts, each user's thresholds
+    (read from that user's days) and, when ground truth is present,
+    accuracy and confusion counts.  Returns that accuracy, or None without
+    ground truth."""
     entries = {"config_digest": comment} if comment else {}
-    thresholds = {rec.user: rec.th for rec in [*train_records, *records]}
+    both = join_scores([train, scores])
+    thresholds = dict(zip(both.user, both.th_d.tolist()))
     users = sorted(thresholds)
     entries["lambda"] = repr(lam)
     entries["users"] = " ".join(users)
     for user in users:
-        entries[f"th_d.{user}"] = repr(thresholds[user].th_d)
-        entries[f"th_f.{user}"] = repr(thresholds[user].th_f)
-    entries["test_records"] = len(records)
-    for verdict in VERDICTS:
-        entries[f"count.{verdict}"] = sum(1 for r in records if r.verdict == verdict)
-    entries["train_records"] = len(train_records)
-    entries["train_abnormal_verdicts"] = sum(1 for r in train_records
-                                             if r.verdict != VERDICT_NORMAL)
-    labelled = [r for r in records if r.label is not None]
+        entries[f"th_d.{user}"] = repr(thresholds[user])
+        entries[f"th_f.{user}"] = repr(2.0 * thresholds[user])
+    entries["test_records"] = len(scores)
+    counts = np.bincount(scores.band, minlength=len(VERDICTS)).tolist()
+    for verdict, count in zip(VERDICTS, counts):
+        entries[f"count.{verdict}"] = count
+    entries["train_records"] = len(train)
+    entries["train_abnormal_verdicts"] = np.count_nonzero(train.band)
+    labelled = [(VERDICTS[band], label) for band, label in
+                zip(scores.band.tolist(), scores.label) if label is not None]
     acc = None
     if labelled:
-        counts = confusion([r.verdict for r in labelled],
-                           [r.label for r in labelled])
+        counts = confusion(*zip(*labelled))
         acc = accuracy(counts)
         entries["accuracy"] = repr(acc)
         for key, value in counts.items():

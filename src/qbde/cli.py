@@ -267,13 +267,13 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> int:
 
 def _reference_distributions(state, cfg: RunConfig) -> np.ndarray:
     """Scoring references: the exact output distribution, or in sampled
-    mode a stack of measured histograms (nearest one wins per test row)."""
-    probs = probabilities(run_generator_circuit(state.params))
+    mode a stack of measured histograms (nearest one wins per test row),
+    all drawn in one call."""
+    probs = probabilities(run_generator_circuit(state.params))[None, :]
     if not cfg.sampled:
-        return probs[None, :]
+        return probs
     rng = np.random.default_rng(cfg.seed + 2)
-    return np.stack([sample(probs, SHOTS, rng) / SHOTS
-                     for _ in range(cfg.reference_samples)])
+    return sample(probs.repeat(cfg.reference_samples, axis=0), SHOTS, rng) / SHOTS
 
 
 def cmd_detect(cfg: RunConfig) -> int:
@@ -314,19 +314,21 @@ def cmd_detect(cfg: RunConfig) -> int:
         bde.save_scorer(paths[i], keys[i], net)
         nets[i] = net
 
-    test_records: list[bde.ScoreRecord] = []
-    train_records: list[bde.ScoreRecord] = []
+    # each user's days are scored together, then the users' training
+    # windows and test days are joined separately
+    train, test = [], []
     for (rows, x, references, n_train), net in zip(users, nets):
-        records = bde.score_rows(rows, x, references, net, cfg.lam, n_train)
-        train_records.extend(records[:n_train])
-        test_records.extend(records[n_train:])
+        scores = bde.score_rows(rows, x, references, net, cfg.lam, n_train)
+        train.append(scores[:n_train])
+        test.append(scores[n_train:])
+    train, test = bde.join_scores(train), bde.join_scores(test)
 
-    bde.write_score_csv(out_dir / "scores.csv", test_records, digest)
-    bde.write_score_csv(out_dir / "scores_train.csv", train_records, digest)
-    acc = bde.write_summary(out_dir / "detect_summary.txt", test_records,
-                            train_records, cfg.lam, digest)
+    bde.write_score_csv(out_dir / "scores.csv", test, digest)
+    bde.write_score_csv(out_dir / "scores_train.csv", train, digest)
+    acc = bde.write_summary(out_dir / "detect_summary.txt", test, train,
+                            cfg.lam, digest)
     acc_text = f", accuracy {acc:.4f}" if acc is not None else ""
-    print(f"scored {len(test_records)} test rows over {len(train_by_user)} user(s)"
+    print(f"scored {len(test)} test rows over {len(train_by_user)} user(s)"
           f" ({len(missed)} scorer(s) trained, {len(nets) - len(missed)} reused)"
           f"{acc_text}")
     return EXIT_OK
@@ -334,8 +336,14 @@ def cmd_detect(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
-    records = bde.read_score_csv(out_dir / "scores.csv")
-    summary = bde.read_summary(out_dir / "detect_summary.txt")
+    scores_path, summary_path = out_dir / "scores.csv", out_dir / "detect_summary.txt"
+    records = bde.read_score_csv(scores_path)
+    summary = bde.read_summary(summary_path)
+    users = set(summary["users"].split())
+    unlisted = next((rec["user"] for rec in records if rec["user"] not in users), None)
+    if unlisted is not None:
+        raise SchemaError(f"{scores_path}: user {unlisted} has no thresholds "
+                          f"in {summary_path}")
     if not records:
         print("no test records")
         return EXIT_OK

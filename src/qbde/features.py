@@ -264,9 +264,17 @@ def _line_number(handle, offset: int) -> int:
 
 def _lines(texts):
     """The lines of each text in turn, split as a file opened with
-    ``newline=""`` splits them."""
+    ``newline=""`` splits them: at LF, CR and CR LF (``str.splitlines``
+    splits at more).  A text is read in pieces of about ``_BATCH_BYTES``,
+    each cut after an LF, where a line always ends, so the buffer that
+    splits them stays small whatever the chunk size."""
     for text in texts:
-        yield from io.StringIO(text, newline="")
+        start = 0
+        while start < len(text):
+            stop = (text.rfind("\n", start, start + _BATCH_BYTES) + 1
+                    or text.find("\n", start + _BATCH_BYTES) + 1 or len(text))
+            yield from io.StringIO(text[start:stop], newline="")
+            start = stop
 
 
 def _plain_fields(text: str, width: int) -> tuple | None:

@@ -151,10 +151,13 @@ def adjoint_gradient(params: GeneratorParams, amplitudes: np.ndarray,
 
 
 def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Histogram of ``shots`` measurements drawn from output probabilities."""
+    """Histogram of ``shots`` measurements drawn from output probabilities,
+    or one histogram per row of a stack of them, each row normalised on
+    its own.  A stack is drawn in one call, row by row: it gives the
+    counts, and leaves ``rng`` in the state, of one call per row."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    return rng.multinomial(shots, probs / np.sum(probs))
+    return rng.multinomial(shots, probs / np.sum(probs, axis=-1, keepdims=True))
 
 
 def prob_jacobian(params: GeneratorParams) -> np.ndarray:

@@ -7,7 +7,9 @@ import math
 import re
 import struct
 import tempfile
+from collections import namedtuple
 from datetime import date, timedelta
+from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,7 +25,7 @@ from qbde.bde import (
     SCORE_COLUMNS,
     SCORER_MAGIC,
     BdeNet,
-    ScoreRecord,
+    Scores,
     Thresholds,
     VERDICTS,
     _recon_batch,
@@ -33,6 +35,7 @@ from qbde.bde import (
     behavior_score,
     confusion,
     fit_thresholds,
+    join_scores,
     load_scorer,
     read_score_csv,
     read_summary,
@@ -44,6 +47,7 @@ from qbde.bde import (
     write_score_csv,
     write_summary,
 )
+from qbde.checkpoint import float_fields, text_fields, write_columns, write_kv
 from qbde.errors import SchemaError
 from qbde.optim import Adam
 from qbde.qgan import SIGMOID_CLAMP, _sigmoid
@@ -530,9 +534,11 @@ def test_spoilt_scorer_file_is_a_miss(tmp_path, spoil):
     elif spoil == "not utf-8":
         path.write_bytes(path.read_bytes() + b"# \xe9\n")
     elif spoil == "magic":
-        path.write_text(path.read_text().replace(SCORER_MAGIC, "qbde-ckpt-v4"))
+        path.write_text(path.read_text(encoding="utf-8").replace(
+            SCORER_MAGIC, "qbde-ckpt-v4"), encoding="utf-8")
     elif spoil == "no key":
-        path.write_text(path.read_text().replace("key = k1\n", ""))
+        path.write_text(path.read_text(encoding="utf-8").replace("key = k1\n", ""),
+                        encoding="utf-8")
     elif spoil == "data bit":
         _edit_scorer(path, "params.data", lambda h: h[:5] + "0f"[h[5] == "0"] + h[6:])
     elif spoil == "data short":
@@ -710,19 +716,19 @@ def test_batched_scores_match_per_row_recon_errors(n_refs):
     refs = rng.dirichlet(np.ones(16), size=n_refs)
     vectors = [*rng.dirichlet(np.ones(16), size=50), refs[-1].copy()]
     rows = day_rows(vectors)
-    records = score_rows(rows, np.array(vectors), refs, net, 0.3, len(rows))
+    scores = score_rows(rows, np.array(vectors), refs, net, 0.3, len(rows))
     _, _, batch_nearest = _recon_batch(np.array(vectors), refs, net)
-    assert len(records) == len(rows)
-    for row, rec, got_nearest in zip(rows, records, batch_nearest):
+    assert len(scores) == len(rows)
+    for i, (row, got_nearest) in enumerate(zip(rows, batch_nearest)):
         nearest = int(np.argmin(np.abs(row.vec - refs).sum(axis=1)))
         assert got_nearest == nearest
         r_d, r_n = recon_errors(row.vec, refs[nearest], net)
-        assert rec.r_d == r_d
-        assert rec.r_d == min(np.abs(row.vec - ref).sum() for ref in refs)
-        assert abs(rec.r_n - r_n) <= 1e-12
-        assert rec.d == behavior_score(rec.r_d, rec.r_n, 0.3)
-        assert (rec.user, rec.day) == (row.user, row.day)
-    assert (records[-1].r_d, records[-1].r_n) == (0.0, 0.0)
+        assert scores.r_d[i] == r_d
+        assert scores.r_d[i] == min(np.abs(row.vec - ref).sum() for ref in refs)
+        assert abs(scores.r_n[i] - r_n) <= 1e-12
+        assert scores.d[i] == behavior_score(scores.r_d[i], scores.r_n[i], 0.3)
+        assert (scores.user[i], scores.day[i]) == (row.user, row.day)
+    assert (scores.r_d[-1], scores.r_n[-1]) == (0.0, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -763,12 +769,17 @@ def oracle_records(train, test, references, net, lam):
                                           [*scored_train, *scored_test])]
 
 
+def score_tuples(scores):
+    """Each scored day as the tuple ``oracle_records`` gives."""
+    return [*zip(scores.user, scores.day, scores.r_d.tolist(), scores.r_n.tolist(),
+                 scores.d.tolist(), scores.th_d.tolist(), (2.0 * scores.th_d).tolist(),
+                 [VERDICTS[band] for band in scores.band.tolist()], scores.label)]
+
+
 def array_records(train, test, references, net, lam):
     rows = [*train, *test]
-    records = score_rows(rows, np.array([row.vec for row in rows]),
-                         references, net, lam, len(train))
-    return [(rec.user, rec.day, rec.r_d, rec.r_n, rec.d, rec.th.th_d,
-             rec.th.th_f, rec.verdict, rec.label) for rec in records]
+    return score_tuples(score_rows(rows, np.array([row.vec for row in rows]),
+                                   references, net, lam, len(train)))
 
 
 def assert_bit_identical(got, want):
@@ -877,11 +888,11 @@ def test_verdict_bands_and_boundaries():
         return vec
 
     steps = [0.125, 0.0625, 0.125, 0.1875, 0.25, 0.375]
-    records = score_rows(day_rows([shifted(s) for s in steps]),
-                         np.array([shifted(s) for s in steps]), ref, zero_net(),
-                         0.0, 2)
-    assert (records[0].th.th_d, records[0].th.th_f) == (0.25, 0.5)
-    assert [(rec.d, rec.verdict) for rec in records[2:]] == [
+    records = score_tuples(score_rows(day_rows([shifted(s) for s in steps]),
+                                      np.array([shifted(s) for s in steps]), ref,
+                                      zero_net(), 0.0, 2))
+    assert records[0][5:7] == (0.25, 0.5)
+    assert [(rec[4], rec[7]) for rec in records[2:]] == [
         (0.25, "Normal"),        # boundary inclusive
         (0.375, "Low_threat"),   # 1.5x th_d
         (0.5, "Low_threat"),     # boundary inclusive
@@ -891,9 +902,9 @@ def test_verdict_bands_and_boundaries():
 def test_no_training_point_classifies_abnormal():
     rng = np.random.default_rng(15)
     x = rng.dirichlet(np.ones(16), size=200)
-    records = score_rows(day_rows(x), x, rng.dirichlet(np.ones(16)),
-                         random_net(17), 0.1, len(x))
-    assert all(rec.verdict == "Normal" for rec in records)
+    scores = score_rows(day_rows(x), x, rng.dirichlet(np.ones(16)),
+                        random_net(17), 0.1, len(x))
+    assert scores.band.tolist() == [0] * len(x)
 
 
 def test_accuracy_and_confusion():
@@ -916,14 +927,20 @@ def test_accuracy_all_correct():
 # Report files
 # --------------------------------------------------------------------------
 
-def sample_records():
-    """Five records; thresholds from the first three, the training window."""
+def scores_of(records):
+    """``Scores`` of (user, day, r_d, r_n, d, th_d, band, label) tuples."""
+    user, day, *values, band, label = [*zip(*records)] or [()] * 8
+    return Scores([*user], [*day], [*label], *np.array(values, float),
+                  np.array(band, int))
+
+
+def sample_scores():
+    """Five days; thresholds from the first three, the training window."""
     d = [0.09 * i for i in range(5)]
     th = Thresholds(max(d[:3]))
-    return [ScoreRecord("U1", date(2011, 1, i + 1), 0.1 * i, 0.05 * i, d[i], th,
-                        oracle_classify(d[i], th.th_d, th.th_f),
-                        "normal" if i < 3 else "abnormal")
-            for i in range(5)]
+    return scores_of([("U1", date(2011, 1, i + 1), 0.1 * i, 0.05 * i, d[i], th.th_d,
+                       VERDICTS.index(oracle_classify(d[i], th.th_d, th.th_f)),
+                       "normal" if i < 3 else "abnormal") for i in range(5)])
 
 
 # the user ids, labels and floats whose fields are hardest to get right:
@@ -945,25 +962,24 @@ def csv_writer_bytes(header, rows, comment):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(users=st.lists(st.tuples(CSV_USERS, CSV_FLOATS), min_size=1, max_size=3),
+@given(users=st.lists(st.tuples(CSV_USERS, CSV_FLOATS.filter(  # th_f = 2 th_d is finite
+           lambda th_d: math.isfinite(2.0 * th_d))), min_size=1, max_size=3),
        rows=st.lists(st.tuples(
            st.integers(0, 2), st.dates(date(2011, 1, 1), date(2011, 1, 9)),
            CSV_FLOATS, CSV_FLOATS, CSV_FLOATS, st.sampled_from(VERDICTS),
            st.sampled_from([None, "", "normal", "abnormal"])), max_size=8),
        comment=st.sampled_from([None, "digest"]))
 def test_score_csv_round_trip(users, rows, comment):
-    """Each user's records share one ``Thresholds``, as ``score_rows``
-    gives them; the file holds what ``csv.writer`` would write, and reads
-    back bit for bit."""
-    users = [(user, Thresholds(th_d)) for user, th_d in users]
-    records = [ScoreRecord(user, day, r_d, r_n, d, th, verdict, label)
-               for (user, th), day, r_d, r_n, d, verdict, label in
-               ((users[k % len(users)], *rest) for k, *rest in rows)]
-    fields = [[rec.user, rec.day, rec.r_d, rec.r_n, rec.d, rec.th.th_d, rec.th.th_f,
-               rec.verdict, rec.label] for rec in records]
+    """Each user's days share one ``th_d``, as ``score_rows`` gives them;
+    the file holds what ``csv.writer`` would write, and reads back bit for
+    bit."""
+    fields = [[user, day, r_d, r_n, d, th_d, 2.0 * th_d, verdict, label]
+              for (user, th_d), day, r_d, r_n, d, verdict, label in
+              ((users[k % len(users)], *rest) for k, *rest in rows)]
+    scores = scores_of([(*row[:6], VERDICTS.index(row[7]), row[8]) for row in fields])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scores.csv"
-        write_score_csv(path, records, comment)
+        write_score_csv(path, scores, comment)
         assert path.read_bytes() == csv_writer_bytes(SCORE_COLUMNS, [
             [user, day.isoformat(), *values, label or ""]
             for user, day, *values, label in fields], comment)
@@ -974,14 +990,120 @@ def test_score_csv_round_trip(users, rows, comment):
         struct.pack("<5d", *row[2:7]) for row in fields]
 
 
+# --------------------------------------------------------------------------
+# The column writers vs. the per-record writers they replaced
+# --------------------------------------------------------------------------
+
+ScoreRecord = namedtuple("ScoreRecord", "user day r_d r_n d th verdict label")
+
+
+def oracle_write_score_csv(path, records, comment=None):
+    """One line per record: ``r_d``, ``r_n`` and ``d`` formatted one by
+    one, each distinct user, day, threshold, verdict and label once."""
+    user, day, *values, verdict, label = [*zip(*map(attrgetter(
+        "user", "day", "r_d", "r_n", "d", "th.th_d", "th.th_f", "verdict", "label"),
+        records))] or [()] * len(SCORE_COLUMNS)
+    write_columns(path, SCORE_COLUMNS, [
+        text_fields(user), text_fields(day, lambda day: day.isoformat()),
+        *([*map(repr, column)] for column in values[:3]),
+        *(float_fields(column).tolist() for column in values[3:]),
+        text_fields(verdict), text_fields(label, lambda label: label or "")], comment)
+
+
+def oracle_write_summary(path, records, train_records, lam, comment=None):
+    """The summary counted record by record, from each record's verdict."""
+    entries = {"config_digest": comment} if comment else {}
+    thresholds = {rec.user: rec.th for rec in [*train_records, *records]}
+    users = sorted(thresholds)
+    entries["lambda"] = repr(lam)
+    entries["users"] = " ".join(users)
+    for user in users:
+        entries[f"th_d.{user}"] = repr(thresholds[user].th_d)
+        entries[f"th_f.{user}"] = repr(thresholds[user].th_f)
+    entries["test_records"] = len(records)
+    for verdict in VERDICTS:
+        entries[f"count.{verdict}"] = sum(1 for r in records if r.verdict == verdict)
+    entries["train_records"] = len(train_records)
+    entries["train_abnormal_verdicts"] = sum(1 for r in train_records
+                                             if r.verdict != "Normal")
+    labelled = [r for r in records if r.label is not None]
+    if labelled:
+        counts = confusion([r.verdict for r in labelled], [r.label for r in labelled])
+        entries["accuracy"] = repr(accuracy(counts))
+        for key, value in counts.items():
+            entries[f"confusion.{key}"] = value
+    write_kv(path, bde.SUMMARY_MAGIC, {"": entries})
+
+
+def test_column_writers_match_per_record_oracle(tmp_path):
+    """Days scored as ``detect`` scores them, each user's together, then
+    joined by window: a quoted user, a user with no test days, days exactly
+    at th_d and at th_f, and -0.0, 5e-324 and 1e16 among the floats.  Both
+    score files and the summary match the per-record writers byte for
+    byte."""
+    # zero network, lambda = 0 and a point-mass reference: d is 2 * step
+    ref = np.eye(16)[0]
+    net = zero_net()
+
+    def shifted(steps):
+        x = np.tile(ref, (len(steps), 1))
+        x[:, 0] -= steps
+        x[:, 1] += steps
+        return x
+
+    users = [('a,"b', [0.125, 0.0625, 0.125, 0.1875, 0.25, 0.375], 2,
+              [None, None, "normal", "abnormal", None, "abnormal"]),
+             ("#U1", [0.25, 0.125], 2, ["normal", "normal"]),
+             ("U2", [0.0625, 0.0, 0.5, 0.03125], 1, [None, "", "abnormal", "normal"])]
+    train, test, train_records, test_records = [], [], [], []
+    for user, steps, n_train, labels in users:
+        rows = day_rows(shifted(steps), user, labels)
+        scores = score_rows(rows, shifted(steps), ref, net, 0.0, n_train)
+        records = [ScoreRecord(user, day, r_d, r_n, d, Thresholds(th_d), verdict, label)
+                   for user, day, r_d, r_n, d, th_d, _, verdict, label
+                   in score_tuples(scores)]
+        train.append(scores[:n_train])
+        test.append(scores[n_train:])
+        train_records += records[:n_train]
+        test_records += records[n_train:]
+    # floats score_rows cannot make, in a day of the test window
+    odd = scores_of([("U2", date(2011, 2, 1), -0.0, 5e-324, 1e16, 1e16, 1, "normal")])
+    test.append(odd)
+    test_records.append(ScoreRecord("U2", date(2011, 2, 1), -0.0, 5e-324, 1e16,
+                                    Thresholds(1e16), "Low_threat", "normal"))
+    train, test = join_scores(train), join_scores(test)
+    verdicts = [rec.verdict for rec in test_records]
+    assert verdicts[:4] == ["Normal", "Low_threat", "Low_threat", "High_threat"]
+    assert test_records[0].d == test_records[0].th.th_d   # at th_d: Normal
+    assert test_records[2].d == test_records[2].th.th_f   # at th_f: Low_threat
+    assert {rec.user for rec in test_records} == {'a,"b', "U2"}
+
+    for name, scores, records in (("scores.csv", test, test_records),
+                                  ("scores_train.csv", train, train_records)):
+        write_score_csv(tmp_path / name, scores, "digest")
+        oracle_write_score_csv(tmp_path / f"oracle_{name}", records, "digest")
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"oracle_{name}").read_bytes()
+    acc = write_summary(tmp_path / "summary.txt", test, train, 0.0, "digest")
+    oracle_write_summary(tmp_path / "oracle_summary.txt", test_records, train_records,
+                         0.0, "digest")
+    assert (tmp_path / "summary.txt").read_bytes() == \
+        (tmp_path / "oracle_summary.txt").read_bytes()
+    assert repr(acc) == read_summary(tmp_path / "summary.txt")["accuracy"]
+    # an empty window writes the header alone
+    write_score_csv(tmp_path / "empty.csv", test[:0])
+    oracle_write_score_csv(tmp_path / "oracle_empty.csv", [])
+    assert (tmp_path / "empty.csv").read_bytes() == \
+        (tmp_path / "oracle_empty.csv").read_bytes()
+
+
 def test_failed_score_csv_write_keeps_previous_file(tmp_path):
-    records = sample_records()
+    scores = sample_scores()
     path = tmp_path / "scores.csv"
-    write_score_csv(path, records, comment="first")
+    write_score_csv(path, scores, comment="first")
     before = path.read_bytes()
-    records[3].day = None  # fails as the day column is formatted
+    scores.day[3] = None  # fails as the day column is formatted
     with pytest.raises(AttributeError):
-        write_score_csv(path, records, comment="second")
+        write_score_csv(path, scores, comment="second")
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["scores.csv"]
 
@@ -1018,32 +1140,32 @@ def test_score_csv_schema_error_names_line(tmp_path, lines, error):
 
 
 def test_score_csv_error_counts_the_comment_line(tmp_path):
-    records = sample_records()
+    scores = sample_scores()
     path = tmp_path / "scores.csv"
-    write_score_csv(path, records, comment="digest")
+    write_score_csv(path, scores, comment="digest")
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "# digest"
-    lines[3] = lines[3].replace(repr(records[1].r_d), "x", 1)
+    lines[3] = lines[3].replace(repr(scores.r_d[1].item()), "x", 1)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="line 4: could not convert"):
         read_score_csv(path)
 
 
 def test_summary_round_trip(tmp_path):
-    records = sample_records()
-    train = records[:3]
+    scores = sample_scores()
+    train = scores[:3]
     path = tmp_path / "summary.txt"
-    acc = write_summary(path, records, train, 0.1, comment="abc123")
+    acc = write_summary(path, scores, train, 0.1, comment="abc123")
     summary = read_summary(path)
     assert summary["config_digest"] == "abc123"
     assert summary["lambda"] == "0.1"
     assert summary["users"] == "U1"
-    assert float(summary["th_d.U1"]) == records[0].th.th_d
+    assert float(summary["th_d.U1"]) == scores.th_d[0]
     assert summary["test_records"] == "5"
     assert summary["train_abnormal_verdicts"] == "0"
     assert float(summary["th_f.U1"]) == 2 * float(summary["th_d.U1"])
     assert float(summary["accuracy"]) == acc == accuracy(confusion(
-        [r.verdict for r in records], [r.label for r in records]))
+        [VERDICTS[band] for band in scores.band], scores.label))
 
 
 def test_summary_rejects_foreign_files(tmp_path):

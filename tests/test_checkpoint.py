@@ -38,7 +38,7 @@ def test_round_trip_is_bit_exact(tmp_path):
     _, cfg, state = trained_state(tmp_path)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, cfg, state)
-    assert path.read_text().startswith(MAGIC)
+    assert path.read_text(encoding="utf-8").startswith(MAGIC)
     cfg2, state2 = load_checkpoint(path)
     assert cfg2 == cfg
     np.testing.assert_array_equal(state2.params.angles, state.params.angles)

@@ -8,6 +8,7 @@ import re
 import shutil
 from datetime import datetime
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from qbde.cli import (
 from qbde.errors import ConfigError
 from qbde.features import N_FEATURES, BehaviorVector, to_simplex
 from qbde.qgan import DiscriminatorNet, TrainConfig, init_train_state
+from qbde.qsim import GeneratorParams, probabilities, run_generator_circuit
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -94,7 +96,7 @@ def test_cli_flag_overrides_file(tmp_path):
     out = tmp_path / "o"
     assert main(["synth", "--config", str(path), "--seed", "2",
                  "--input-dir", str(tmp_path / "d")]) == EXIT_OK
-    report = (tmp_path / "d" / "synth_report.txt").read_text()
+    report = (tmp_path / "d" / "synth_report.txt").read_text(encoding="utf-8")
     cfg = load_config(path)
     cfg.seed = 2
     cfg.input_dir = str(tmp_path / "d")
@@ -114,7 +116,8 @@ def test_bad_lambda_is_config_error(tmp_path):
 def test_bad_setting_is_config_error_before_any_file_is_written(tmp_path, setting):
     flags = fast_flags(tmp_path)
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(cfgfile.read_text() + setting + "\n", encoding="utf-8")
+    cfgfile.write_text(cfgfile.read_text(encoding="utf-8") + setting + "\n",
+                       encoding="utf-8")
     assert main(["synth", *flags]) == EXIT_CONFIG
     assert not (tmp_path / "data").exists()
 
@@ -130,7 +133,7 @@ def test_removed_setting_is_config_error_before_any_file_is_written(
     # the key is refused even with the value the code fixes for it
     flags = fast_flags(tmp_path)
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(cfgfile.read_text() + f"{key} = {value}\n",
+    cfgfile.write_text(cfgfile.read_text(encoding="utf-8") + f"{key} = {value}\n",
                        encoding="utf-8")
     assert main(["synth", *flags]) == EXIT_CONFIG
     assert f"unknown setting {key!r}" in capsys.readouterr().err
@@ -204,7 +207,7 @@ def test_synth_zero_rate_labels_all_normal(tmp_path):
     cfgfile.write_text(f"input_dir = {tmp_path/'d'}\nn_days = 10\n"
                        "anomaly_rate = 0.0\n", encoding="utf-8")
     assert main(["synth", "--config", str(cfgfile)]) == EXIT_OK
-    labels = (tmp_path / "d" / "labels.csv").read_text()
+    labels = (tmp_path / "d" / "labels.csv").read_text(encoding="utf-8")
     assert "abnormal" not in labels
 
 
@@ -216,7 +219,7 @@ def test_ingest_writes_features_and_report(tmp_path):
     for name in ("features_raw.csv", "features_train.csv", "features_test.csv",
                  "norm_stats.csv", "parse_report.txt"):
         assert (out / name).exists()
-    report = (out / "parse_report.txt").read_text()
+    report = (out / "parse_report.txt").read_text(encoding="utf-8")
     assert "split.test_rows = 15" in report
 
 
@@ -227,7 +230,7 @@ def test_train_writes_checkpoint_and_losses(tmp_path):
     assert main(["train", *flags]) == EXIT_OK
     out = tmp_path / "out"
     assert (out / "qgan.ckpt").exists()
-    loss_lines = (out / "loss_U0000.csv").read_text().splitlines()
+    loss_lines = (out / "loss_U0000.csv").read_text(encoding="utf-8").splitlines()
     assert loss_lines[1] == "epoch,loss_g,loss_d,cross_entropy"
     assert len(loss_lines) == 2 + 4  # comment, header, one row per epoch
 
@@ -241,12 +244,12 @@ def test_train_zero_epochs_initial_checkpoint(tmp_path):
     _, state = load_checkpoint(out / "qgan.ckpt")
     assert state.epoch == 0
     np.testing.assert_allclose(state.params.angles[0], np.pi / 2)
-    assert len((out / "loss_U0000.csv").read_text().splitlines()) == 2
+    assert len((out / "loss_U0000.csv").read_text(encoding="utf-8").splitlines()) == 2
 
 
 def test_resume_continues_identically(tmp_path):
     base = run_pipeline(tmp_path / "full", seed=3)
-    full_rows = (base / "loss_U0000.csv").read_text().splitlines()[1:]
+    full_rows = (base / "loss_U0000.csv").read_text(encoding="utf-8").splitlines()[1:]
 
     part = tmp_path / "part"
     flags = fast_flags(part, seed=3)
@@ -254,7 +257,8 @@ def test_resume_continues_identically(tmp_path):
     main(["ingest", *flags])
     assert main(["train", *flags, "--epochs", "2"]) == EXIT_OK
     assert main(["train", *flags, "--epochs", "2", "--resume"]) == EXIT_OK
-    resumed_rows = (part / "out" / "loss_U0000.csv").read_text().splitlines()[1:]
+    resumed_rows = (part / "out" / "loss_U0000.csv").read_text(
+        encoding="utf-8").splitlines()[1:]
     assert resumed_rows == full_rows  # loss values, epoch ids match exactly
 
 
@@ -296,11 +300,25 @@ def test_pipeline_runs_in_sampled_mode(tmp_path):
     main(["ingest", *flags])
     main(["train", *flags])
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(cfgfile.read_text() + "sampled = true\n"
+    cfgfile.write_text(cfgfile.read_text(encoding="utf-8") + "sampled = true\n"
                        "reference_samples = 4\n", encoding="utf-8")
     assert main(["detect", "--config", str(cfgfile)]) == EXIT_OK
     a = read_score_csv(tmp_path / "out" / "scores.csv")
     assert len(a) == 15
+
+
+@pytest.mark.parametrize("n", [1, 64])
+def test_sampled_references_are_the_histograms_drawn_one_by_one(n):
+    """The references of sampled mode, drawn in one call, are the
+    histograms the same generator gives drawn one at a time."""
+    cfg = RunConfig(sampled=True, reference_samples=n, seed=5)
+    params = GeneratorParams(4, np.random.default_rng(n).uniform(0, np.pi, (3, 4)))
+    probs = probabilities(run_generator_circuit(params))
+    rng = np.random.default_rng(cfg.seed + 2)
+    want = np.stack([rng.multinomial(cli.SHOTS, probs / np.sum(probs)) / cli.SHOTS
+                     for _ in range(n)])
+    got = cli._reference_distributions(SimpleNamespace(params=params), cfg)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_depth_sweep_writes_one_loss_csv_per_k(tmp_path):
@@ -312,7 +330,8 @@ def test_depth_sweep_writes_one_loss_csv_per_k(tmp_path):
         assert main(["train", *flags, "--k", str(k), "--epochs", "2",
                      "--out", out_k]) == EXIT_OK
     for k in (2, 4, 6, 8):
-        lines = (tmp_path / f"k{k}" / "loss_U0000.csv").read_text().splitlines()
+        lines = (tmp_path / f"k{k}" / "loss_U0000.csv").read_text(
+            encoding="utf-8").splitlines()
         assert lines[1] == "epoch,loss_g,loss_d,cross_entropy"
         assert len(lines) == 4  # comment, header, two epochs
 
@@ -364,6 +383,14 @@ def test_report_of_incomplete_summary_is_validation_error(tmp_path, capsys, key)
     assert "detect_summary.txt" in err and key in err
 
 
+def test_report_of_a_user_the_summary_does_not_list_is_validation_error(
+        tmp_path, capsys):
+    out = _report_out(tmp_path, scores=SCORES.replace("U0000,", "U0001,"))
+    assert main(["report", "--out", str(out)]) == EXIT_VALIDATION
+    assert (f"{out / 'scores.csv'}: user U0001 has no thresholds in "
+            f"{out / 'detect_summary.txt'}") in capsys.readouterr().err
+
+
 def test_oversized_scores_field_is_validation_error(tmp_path, capsys):
     out = _report_out(tmp_path)
     _oversize_field(out / "scores.csv", 3, 7)
@@ -405,7 +432,7 @@ def _synth_with_device_rows(tmp_path, *sizes):
 def test_ingest_counts_non_finite_device_size_as_malformed(tmp_path, size):
     flags, _, _ = _synth_with_device_rows(tmp_path, size)
     assert main(["ingest", *flags]) == EXIT_OK
-    report = (tmp_path / "out" / "parse_report.txt").read_text()
+    report = (tmp_path / "out" / "parse_report.txt").read_text(encoding="utf-8")
     assert "file.device.malformed = 1\n" in report
 
 
@@ -413,7 +440,7 @@ def test_ingest_counts_non_finite_device_size_as_malformed(tmp_path, size):
 def test_ingest_counts_negative_device_size_as_malformed(tmp_path, size):
     flags, _, _ = _synth_with_device_rows(tmp_path, size)
     assert main(["ingest", *flags]) == EXIT_OK
-    report = (tmp_path / "out" / "parse_report.txt").read_text()
+    report = (tmp_path / "out" / "parse_report.txt").read_text(encoding="utf-8")
     assert "file.device.malformed = 1\n" in report
 
 
@@ -475,7 +502,8 @@ def test_checkpoint_trained_with_other_settings_is_config_error(
         save_checkpoint(out / "qgan.ckpt", have, init_train_state(4, have))
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(cfgfile.read_text() + override + "\n", encoding="utf-8")
+    cfgfile.write_text(cfgfile.read_text(encoding="utf-8") + override + "\n",
+                       encoding="utf-8")
     capsys.readouterr()
     assert main([*argv, *flags]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -489,7 +517,8 @@ def test_detect_checks_every_checkpoint_before_training_a_scorer(
     # last user's checkpoint is found to disagree with the config
     flags = fast_flags(tmp_path)
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(cfgfile.read_text() + "n_users = 2\n", encoding="utf-8")
+    cfgfile.write_text(cfgfile.read_text(encoding="utf-8") + "n_users = 2\n",
+                       encoding="utf-8")
     for step in ("synth", "ingest", "train"):
         assert main([step, *flags]) == EXIT_OK
     out = tmp_path / "out"
@@ -585,7 +614,7 @@ def _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl,
     for step in ("synth", "ingest", "train"):
         assert main([step, *flags]) == EXIT_OK
     ckpt = tmp_path / "out" / "qgan.ckpt"
-    text, n = re.subn(pattern, repl, ckpt.read_text(), count=1, flags=re.M)
+    text, n = re.subn(pattern, repl, ckpt.read_text(encoding="utf-8"), count=1, flags=re.M)
     assert n == 1
     ckpt.write_text(text, encoding="utf-8")
     capsys.readouterr()
@@ -719,7 +748,7 @@ def test_ingest_counts_oversized_field_as_malformed(tmp_path):
     assert main(["synth", *flags]) == EXIT_OK
     _oversize_field(tmp_path / "data" / "http.csv", 3, -1)
     assert main(["ingest", *flags]) == EXIT_OK
-    report = (tmp_path / "out" / "parse_report.txt").read_text()
+    report = (tmp_path / "out" / "parse_report.txt").read_text(encoding="utf-8")
     assert "file.http.malformed = 1\n" in report
 
 
@@ -756,7 +785,7 @@ def test_header_only_training_features_are_validation_error(tmp_path, capsys):
     flags = fast_flags(tmp_path)
     run_pipeline(tmp_path)
     train = tmp_path / "out" / "features_train.csv"
-    train.write_text("".join(train.read_text().splitlines(True)[:2]),
+    train.write_text("".join(train.read_text(encoding="utf-8").splitlines(True)[:2]),
                      encoding="utf-8")
     for step in ("train", "detect"):
         capsys.readouterr()
@@ -767,17 +796,18 @@ def test_header_only_training_features_are_validation_error(tmp_path, capsys):
 def test_test_user_without_training_rows_is_validation_error(tmp_path, capsys):
     flags = fast_flags(tmp_path)
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(cfgfile.read_text() + "n_users = 3\nn_days = 70\n"
+    cfgfile.write_text(cfgfile.read_text(encoding="utf-8") + "n_users = 3\nn_days = 70\n"
                        "train_days = 40\ntest_days = 20\n", encoding="utf-8")
     for step in ("synth", "ingest", "train"):
         assert main([step, *flags]) == EXIT_OK
     out = tmp_path / "out"
     train = out / "features_train.csv"
-    lines = train.read_text().splitlines(True)
+    lines = train.read_text(encoding="utf-8").splitlines(True)
     train.write_text("".join(line for line in lines if not line.startswith("U0001,")),
                      encoding="utf-8")
     test = out / "features_test.csv"
-    assert any(line.startswith("U0001,") for line in test.read_text().splitlines())
+    assert any(line.startswith("U0001,")
+               for line in test.read_text(encoding="utf-8").splitlines())
     capsys.readouterr()
     assert main(["detect", *flags]) == EXIT_VALIDATION
     assert f"{test}: user U0001 has no training rows" in capsys.readouterr().err
@@ -791,7 +821,7 @@ def test_non_finite_feature_is_validation_error(tmp_path, capsys, value):
     out = run_pipeline(tmp_path)
     before = (out / "scores.csv").read_bytes()
     test = out / "features_test.csv"
-    test.write_text(_mutate_csv(test.read_text(), 3, "field", 4, value),
+    test.write_text(_mutate_csv(test.read_text(encoding="utf-8"), 3, "field", 4, value),
                     encoding="utf-8")
     capsys.readouterr()
     assert main(["detect", *flags]) == EXIT_VALIDATION
@@ -809,8 +839,9 @@ FINITE = "scores and thresholds must be finite"
     (7, "Bogus", "verdict 'Bogus' is not 'Normal' or 'Low_threat' or 'High_threat'"),
     (7, "normal", "verdict 'normal' is not"),
     (8, "Abnormal", "label 'Abnormal' is not 'normal' or 'abnormal' or ''"),
+    (0, "U 0=0", "user id 'U 0=0' contains whitespace, '=' or a path separator"),
 ], ids=["r_d", "r_n", "d-inf", "d-nan", "d-overflow", "th_d", "th_f", "d-text",
-        "verdict", "verdict-case", "label"])
+        "verdict", "verdict-case", "label", "user"])
 def test_bad_score_cell_is_validation_error(tmp_path, capsys, column, value, message):
     # report must not rank an inf or nan day among the top-scoring days,
     # nor print a verdict or label that detect never writes
@@ -818,7 +849,7 @@ def test_bad_score_cell_is_validation_error(tmp_path, capsys, column, value, mes
     scores = run_pipeline(tmp_path) / "scores.csv"
     assert main(["report", *flags]) == EXIT_OK
     # a later line is bad too: the first bad line in the file is named
-    text = _mutate_csv(scores.read_text(), 5, "field", 4, "inf")
+    text = _mutate_csv(scores.read_text(encoding="utf-8"), 5, "field", 4, "inf")
     scores.write_text(_mutate_csv(text, 3, "field", column, value), encoding="utf-8")
     capsys.readouterr()
     assert main(["report", *flags]) == EXIT_VALIDATION
@@ -941,7 +972,7 @@ def test_failed_train_keeps_checkpoint_and_loss_file_together(tmp_path, monkeypa
         assert {name: (out / name).read_bytes() for name in pair} == before
     assert main(["train", *flags, "--resume", "--epochs", "3"]) == EXIT_OK
     assert load_checkpoint(out / "qgan.ckpt")[1].epoch == 6
-    loss = (out / "loss_U0000.csv").read_text().splitlines()[2:]
+    loss = (out / "loss_U0000.csv").read_text(encoding="utf-8").splitlines()[2:]
     assert [int(line.split(",")[0]) for line in loss] == [1, 2, 3, 4, 5, 6]
 
 
@@ -1056,7 +1087,8 @@ def test_user_id_starting_with_hash_survives_every_command(tmp_path, capsys):
     header: after it, the line is a record of a user such as ``#U1``."""
     flags = fast_flags(tmp_path)
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(cfgfile.read_text() + "n_users = 2\n", encoding="utf-8")
+    cfgfile.write_text(cfgfile.read_text(encoding="utf-8") + "n_users = 2\n",
+                       encoding="utf-8")
     assert main(["synth", *flags]) == EXIT_OK
     _rename_user(tmp_path / "data", "U0001", "#U1")
     labels = features.read_labels_csv(tmp_path / "data" / "labels.csv")
@@ -1100,7 +1132,7 @@ def test_working_hours_not_hh_mm_is_config_error_before_any_file_is_written(
         tmp_path, capsys, hours):
     flags = fast_flags(tmp_path)
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(cfgfile.read_text() + f"working_hours = {hours}\n",
+    cfgfile.write_text(cfgfile.read_text(encoding="utf-8") + f"working_hours = {hours}\n",
                        encoding="utf-8")
     assert main(["synth", *flags]) == EXIT_CONFIG
     assert "working hours must look like '08:00-18:00'" in capsys.readouterr().err
@@ -1170,12 +1202,12 @@ def test_detect_retrains_a_scorer_only_when_its_inputs_change(tmp_path,
 
     assert main(["train", *flags, "--resume"]) == EXIT_OK
     assert trained() == [1]
-    cfgfile.write_text(cfgfile.read_text() + "bde_epochs = 11\n",
+    cfgfile.write_text(cfgfile.read_text(encoding="utf-8") + "bde_epochs = 11\n",
                        encoding="utf-8")
     assert trained() == [1]
     assert main(["train", *flags, "--seed", "5"]) == EXIT_OK
     assert trained("--seed", "5") == [1]
-    cfgfile.write_text(cfgfile.read_text() + "sampled = true\n",
+    cfgfile.write_text(cfgfile.read_text(encoding="utf-8") + "sampled = true\n",
                        encoding="utf-8")
     assert trained("--seed", "5") == [1]
     assert trained("--seed", "5") == [0]
@@ -1184,7 +1216,8 @@ def test_detect_retrains_a_scorer_only_when_its_inputs_change(tmp_path,
 def test_edited_training_row_retrains_that_user_alone(tmp_path, monkeypatch):
     flags = fast_flags(tmp_path)
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(cfgfile.read_text() + "n_users = 2\n", encoding="utf-8")
+    cfgfile.write_text(cfgfile.read_text(encoding="utf-8") + "n_users = 2\n",
+                       encoding="utf-8")
     for step in ("synth", "ingest", "train", "detect"):
         assert main([step, *flags]) == EXIT_OK
     out = tmp_path / "out"
@@ -1209,7 +1242,7 @@ def test_failed_scorer_write_keeps_every_output(tmp_path, monkeypatch):
     out = run_pipeline(tmp_path)
     flags = fast_flags(tmp_path)   # writes run.cfg
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(cfgfile.read_text() + "bde_epochs = 11\n",
+    cfgfile.write_text(cfgfile.read_text(encoding="utf-8") + "bde_epochs = 11\n",
                        encoding="utf-8")
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     _fail_writes_to(monkeypatch, "scorer_U0000.ckpt")

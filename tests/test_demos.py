@@ -23,6 +23,6 @@ def test_demo_runs(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src,
            "TMPDIR": str(tmp_path)}
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300, encoding="utf-8")
     assert done.returncode == 0, done.stderr
     assert not any(tmp_path.iterdir()), "the demo left files behind"

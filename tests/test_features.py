@@ -1107,8 +1107,9 @@ def test_every_row_rule_holds_on_the_column_path(tmp_path, monkeypatch, date_fir
     if date_first:  # move id to the end, so the first column is a key column
         for source in LOG_COLUMNS:
             path = tmp_path / f"{source}.csv"
+            lines = path.read_text(encoding="utf-8").split("\n")[:-1]
             path.write_text("".join(f"{rest},{first}\n" for first, rest in (
-                line.split(",", 1) for line in path.read_text().split("\n")[:-1])))
+                line.split(",", 1) for line in lines)), encoding="utf-8")
     calls = count_decoders(monkeypatch)
     assert_matches_oracle(tmp_path)
     assert calls["rows"] == 0 and calls["plain"] >= 5
@@ -1287,16 +1288,23 @@ def test_a_plain_log_is_decoded_a_chunk_at_a_time(tmp_path, monkeypatch):
     assert peak < 5e6 and report.events["http"] == len(events) == 25000
 
 
+def quoted_log(tmp_path):
+    """Minimal logs, but a ~1.3 MB http log quoted from its header on."""
+    rows = [f'"H{i}","01/04/2011 09:{i % 60:02d}:00","U{i % 7}","PC","{"x" * (i % 50)}"'
+            for i in range(20000)]
+    minimal_logs(tmp_path)
+    path = tmp_path / "http.csv"
+    path.write_text('"id","date","user","pc","url"\n' + "\n".join(rows) + "\n",
+                    encoding="utf-8")
+    return path
+
+
 def test_a_quoted_log_is_decoded_in_batches_of_about_a_chunk(tmp_path, monkeypatch):
     """A log quoted from its header on goes through ``csv.reader`` whole,
     yet its records reach the column decoder a batch of about
     ``_BATCH_BYTES`` at a time, so the parse stays within a few MB.  One
     batch of this whole ~1.3 MB log would peak at ~16 MB."""
-    rows = [f'"H{i}","01/04/2011 09:{i % 60:02d}:00","U{i % 7}","PC","{"x" * (i % 50)}"'
-            for i in range(20000)]
-    minimal_logs(tmp_path)
-    path = tmp_path / "http.csv"
-    path.write_text('"id","date","user","pc","url"\n' + "\n".join(rows) + "\n")
+    path = quoted_log(tmp_path)
     assert path.stat().st_size > 16 * features._BATCH_BYTES
     batches, parse_plain = [], features._parse_plain
 
@@ -1314,6 +1322,25 @@ def test_a_quoted_log_is_decoded_in_batches_of_about_a_chunk(tmp_path, monkeypat
     assert len(batches) > 16 and max(batches) < features._BATCH_BYTES + 1000
     assert peak < 6e6 and report.events["http"] == len(events) == 20000
     assert_matches_oracle(tmp_path)
+
+
+def test_a_quoted_log_peak_does_not_grow_with_the_chunk(tmp_path, monkeypatch):
+    """``csv.reader`` reads a quoted log's lines through a buffer of about
+    ``_BATCH_BYTES``, not of a whole chunk: parsing it in 256 KiB chunks
+    peaks within 1 MB of parsing it in 64 KiB chunks (a buffer of each
+    whole chunk put 1.6 MB between them)."""
+    quoted_log(tmp_path)
+    peaks = []
+    for chunk in (1 << 16, 1 << 18):
+        monkeypatch.setattr(features, "_CHUNK_BYTES", chunk)
+        tracemalloc.start()
+        try:
+            events, _ = parse_logs(tmp_path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(events) == 20000
+    assert peaks[1] - peaks[0] < 1e6
 
 
 @pytest.mark.parametrize("eighth, want_rows, want_bad", [

@@ -345,6 +345,22 @@ def test_sample_rejects_zero_shots():
         sample(np.array([1.0, 0.0, 0.0, 0.0]), 0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("k", [1, 16, 64])
+def test_a_stack_is_sampled_as_one_draw_per_row(k):
+    """A stack drawn in one call gives the counts, and leaves the generator
+    in the state, of drawing its rows one by one: of one distribution
+    repeated, as sampled detection draws it, and of distinct rows, each
+    normalised on its own."""
+    rng = np.random.default_rng(k)
+    p = probabilities(run_generator_circuit(random_params(rng, 4, 3)))
+    for stack in (np.tile(p, (k, 1)),
+                  rng.dirichlet(np.ones(16), size=k) * rng.uniform(0.5, 2.0, (k, 1))):
+        loop_rng, stack_rng = np.random.default_rng(9), np.random.default_rng(9)
+        want = np.stack([loop_rng.multinomial(1024, row / np.sum(row)) for row in stack])
+        np.testing.assert_array_equal(sample(stack, 1024, stack_rng), want)
+        assert stack_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
 def test_sample_uniform_chi_square():
     scipy_stats = pytest.importorskip("scipy.stats")
     angles = np.full((1, 4), np.pi / 2)
