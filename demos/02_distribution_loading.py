@@ -22,7 +22,7 @@ cfg = TrainConfig(batch=1, epochs=1000, depth=4, seed=0,
 print(f"target: {TARGET}")
 print(f"training: depth {cfg.depth}, {cfg.epochs} epochs, seed {cfg.seed}\n")
 
-trace = train(TARGET[None, :], cfg)
+trace = train([TARGET[None, :]], cfg)[0]
 
 print("epoch   L_G     L_D     cross-entropy")
 for e in (0, 49, 99, 199, 399, 699, 999):

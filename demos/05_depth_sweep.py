@@ -24,7 +24,7 @@ finals = {}
 for depth in (2, 4, 6, 8):
     cfg = TrainConfig(batch=1, epochs=400, depth=depth, seed=0,
                       lr_g=0.05, lr_d=0.003, hidden=(16, 8))
-    trace = train(TARGET[None, :], cfg)
+    trace = train([TARGET[None, :]], cfg)[0]
     row = "  ".join(f"{trace.cross_entropy[e - 1]:.4f}" for e in checkpoints)
     print(f"K={depth}    {row}")
     finals[depth] = trace.cross_entropy[-1]

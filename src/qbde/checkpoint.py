@@ -206,19 +206,26 @@ class Section(dict):
 def read_kv(path: str | Path, magic: str | None = None) -> Section:
     """Sections of a ``key = value`` file, by name; entries before the
     first ``[section]`` header are in section ``""``.  Blank and ``#``
-    lines are skipped, and a repeated key keeps its last value."""
+    lines are skipped, and a repeated key keeps its last value.  Lines end
+    at each LF, found with ``str.find``: a checkpoint is a few dozen lines
+    of up to ~100 K characters, which ``str.split("\n")`` would scan one
+    character at a time."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
-    if magic is not None:
-        if not lines or lines[0].strip() != magic:
-            raise SchemaError(f"{path}: not a {magic} file")
-        lines[0] = ""
     sections = Section(f"{path}: section ")
     current = sections[""] = Section(f"{path}: ")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+    start, lineno = 0, 0
+    while start <= len(text):
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = len(text)
+        line, start, lineno = text[start:stop].strip(), stop + 1, lineno + 1
+        if lineno == 1 and magic is not None:
+            if line != magic:
+                raise SchemaError(f"{path}: not a {magic} file")
+            continue
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):

@@ -239,11 +239,12 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> int:
     by_user = features.rows_by_user(_train_rows(out_dir))
     digest = cfg.digest()
     train_cfg = cfg.train_config()
-    for user, rows in by_user.items():
-        data = features.to_simplex([row.features for row in rows])
-        ckpt = _ckpt_path(cfg, user, len(by_user))
-        state = _load_state(cfg, ckpt) if resume else None
-        trace = qgan.train(data, train_cfg, state=state)
+    ckpts = [_ckpt_path(cfg, user, len(by_user)) for user in by_user]
+    # every checkpoint loads and matches the config before any user trains
+    states = [_load_state(cfg, ckpt) for ckpt in ckpts] if resume else None
+    traces = qgan.train([features.to_simplex([row.features for row in rows])
+                         for rows in by_user.values()], train_cfg, states)
+    for user, ckpt, trace in zip(by_user, ckpts, traces):
         loss_path = out_dir / f"loss_{user}.csv"
 
         def loss_rows_then_checkpoint():

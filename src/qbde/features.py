@@ -138,8 +138,8 @@ _N_DAYS = date.max.toordinal() + 1  # above every day ordinal
 _STAMP_DIGITS = np.array([0, 1, 3, 4, 6, 7, 8, 9, 11, 12, 14, 15, 17, 18])
 _STAMP_SEPS = np.array([2, 5, 10, 13, 16])
 _SEP_CODES = np.frombuffer(b"// ::", np.uint8)
-_DATE_WEIGHTS = 10 ** np.arange(7, -1, -1, dtype=np.int64)
-_SECOND_WEIGHTS = np.array([36000, 3600, 600, 60, 10, 1], dtype=np.int64)
+_DATE_WEIGHTS = 10 ** np.arange(7, -1, -1, dtype=np.int32)
+_SECOND_WEIGHTS = np.array([36000, 3600, 600, 60, 10, 1], dtype=np.int32)
 # A size's digit weights by its length, 0 to 16 bytes: none unless 1 to 15.
 _SIZE_WEIGHTS = np.array([[10 ** (k - 1 - j) if j < k < 16 else 0 for j in range(15)]
                           for k in range(17)])
@@ -161,14 +161,16 @@ _KEY_CELLS = 8 << 16
 _PAD = 19  # zero bytes after a chunk's text, so no fixed-width read runs off it
 _FIRST_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)?")
 _WORKING_HOURS = re.compile(r"\s*([0-9]{2}):([0-9]{2})\s*-\s*([0-9]{2}):([0-9]{2})\s*")
-_NO_EVENTS = (*[np.empty(0, np.int64)] * 4, np.empty(0))
+_NO_EVENTS = (*[np.empty(0, np.int32)] * 3, np.empty(0, np.int8), np.empty(0))
 
 
 @dataclass
 class Events:
     """Parsed events as parallel columns in file order: user (an index into
     ``user_names``), day ordinal, second of the day, kind (an index into
-    ``KINDS``) and device transfer size (0 for other kinds)."""
+    ``KINDS``) and device transfer size (0 for other kinds).  User, day and
+    second are ``int32`` and kind ``int8``, the narrowest types that hold
+    them: with the size, 21 bytes an event, where ``int64`` took 40."""
 
     user_names: list
     user: np.ndarray
@@ -399,9 +401,9 @@ def _parse_plain(table: tuple, width: int, pick: tuple, source: str, users: dict
     digits = stamp[:, _STAMP_DIGITS] - 48  # unsigned: bytes below '0' wrap
     canonical = ((to - at == 19) & (digits < 10).all(axis=1)
                  & (stamp[:, _STAMP_SEPS] == _SEP_CODES).all(axis=1))
-    digits = digits.astype(np.int64)
+    digits = digits.astype(np.int32)   # a stamp's weighted sums stay below 2**31
     second = digits[:, 8:] @ _SECOND_WEIGHTS
-    day = np.zeros(n, np.int64)
+    day = np.zeros(n, np.int32)
     rows = np.flatnonzero(canonical)
     dates, which = np.unique(digits[rows, :8] @ _DATE_WEIGHTS, return_inverse=True)
     ordinals = []  # 0 for a date like 02/30 or a year 0000, which strptime rejects
@@ -434,10 +436,10 @@ def _parse_plain(table: tuple, width: int, pick: tuple, source: str, users: dict
                 ok[i] = False
     acts, act = (_distinct(code, start[:, i_act], stop[:, i_act], nul) if i_act < width
                  else ([""], np.zeros(n, np.intp)))
-    kind = np.array([_activity_kind(source, raw) for raw in acts], np.int64)[act]
+    kind = np.array([_activity_kind(source, raw) for raw in acts], np.int8)[act]
     event = ok & (kind >= 0)
     picked = user[event]
-    codes = np.zeros(len(names), np.int64)
+    codes = np.zeros(len(names), np.int32)
     for i in dict.fromkeys(picked.tolist()):  # in order of first appearance
         codes[i] = users.setdefault(names[i], len(users))
     known = kind[ok]
@@ -541,10 +543,11 @@ def extract_daily(events: Events,
     names = sorted(events.user_names)
     rank = {name: i for i, name in enumerate(names)}
     user = np.array([rank[name] for name in events.user_names], dtype=np.int64)
-    keys, key_of = np.unique(user[events.user] * _N_DAYS + events.day,
+    # numpy indexes by intp arrays several times faster than by narrower ones
+    keys, key_of = np.unique(user[events.user.astype(np.intp)] * _N_DAYS + events.day,
                              return_inverse=True)
     n = len(keys)
-    feature = _KIND_FEATURES[events.kind, off.astype(np.intp)]
+    feature = _KIND_FEATURES[events.kind.astype(np.intp), off.astype(np.intp)]
     counts = np.bincount(key_of * N_FEATURES + feature, minlength=n * N_FEATURES)
     table = counts.reshape(n, N_FEATURES).astype(float)
     day = keys % _N_DAYS

@@ -15,18 +15,26 @@ Losses, with batch size m and the sigmoid output clamped to
 Generator gradients chain the discriminator's input gradient through one
 adjoint sweep of the circuit (``qsim.adjoint_gradient``), so the whole
 loop is exact and framework free.
+
+``train`` takes every user at once.  Users whose epochs hold equally many
+batches, and whose Adam step counts and epochs match, train as one stack
+of up to ``STACK_USERS``: the angles, the discriminators' vectors, the
+Adam moments and each batch carry a leading user axis, so a batch step
+runs once for all of them, and each user's arithmetic is the one it has
+trained alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .optim import Adam
-from .qsim import (GeneratorParams, adjoint_gradient, probabilities,
-                   run_generator_circuit)
+from .qsim import (GeneratorParams, _adjoint, _amplitudes, _layers, _product,
+                   probabilities, run_generator_circuit)
 # Re-exported: the per-layer benchmark traces it here, expecting 0 calls.
 from .qsim import prob_jacobian  # noqa: F401
 
@@ -34,6 +42,10 @@ SIGMOID_CLAMP = 1e-7
 CROSS_ENTROPY_CLAMP = 1e-12
 LEAK = 0.01         # slope of the hidden layers' leaky rectifier below 0
 INIT_SPREAD = 0.1   # layers 1..K start uniform in [-spread, spread]
+# users per training stack at most: at 200 users, stacks of 32 trained as
+# many user-epochs per second as one stack of all 200 and peaked at 75 MB
+# RSS against 132 MB (in process, 2 vCPU); a stack's buffers grow with it
+STACK_USERS = 32
 
 
 # --------------------------------------------------------------------------
@@ -46,7 +58,8 @@ class DiscriminatorNet:
 
     ``flat`` holds all weights, then all biases, and is the one vector the
     optimiser steps.  ``weights[i]`` (shape (out_i, in_i)) and ``biases[i]``
-    (shape (out_i,)) are views of it.
+    (shape (out_i,)) are views of it.  A stack of nets, one per user, is
+    one net whose ``flat`` has a leading user axis, as do its views.
     """
 
     layer_sizes: list[int]
@@ -58,7 +71,7 @@ class DiscriminatorNet:
         if len(sizes) < 2 or min(sizes) < 1 or sizes[-1] != 1:
             raise ValueError(f"layer sizes {sizes} must be >= 1 and end in "
                              "a single output unit")
-        if self.flat.shape != (self.n_params(sizes),):
+        if self.flat.shape[-1:] != (self.n_params(sizes),):
             raise ValueError(f"{sizes} layers need {self.n_params(sizes)} "
                              f"parameters, got shape {self.flat.shape}")
         self.weights, self.biases = self.split(self.flat)
@@ -79,14 +92,21 @@ class DiscriminatorNet:
         return net
 
     def split(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Weight and bias views of a vector laid out like ``flat``."""
-        sizes = self.layer_sizes
-        shapes = [*zip(sizes[1:], sizes), *((n,) for n in sizes[1:])]
-        views, start = [], 0
-        for shape in shapes:
-            views.append(flat[start:start + math.prod(shape)].reshape(shape))
-            start += math.prod(shape)
-        return views[:len(sizes) - 1], views[len(sizes) - 1:]
+        """Weight and bias views of a vector laid out like ``flat``, or of a
+        stack of them."""
+        lead = flat.shape[:-1]
+        views = [flat[..., part].reshape(*lead, *shape)
+                 for part, shape in _layout(tuple(self.layer_sizes))]
+        return views[:len(self.layer_sizes) - 1], views[len(self.layer_sizes) - 1:]
+
+
+@functools.cache
+def _layout(sizes: tuple[int, ...]) -> list[tuple[slice, tuple[int, ...]]]:
+    """Where each weight matrix, then each bias vector, of a net with layer
+    ``sizes`` sits in its flat vector, and its shape."""
+    shapes = [*zip(sizes[1:], sizes), *((n,) for n in sizes[1:])]
+    ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+    return [*zip(map(slice, [0, *ends], ends), shapes)]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -96,28 +116,59 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 class _Pass:
     """Buffers of one forward and backward pass of ``net`` over ``rows``
-    input rows, allocated once and overwritten by every pass: the input
-    ``x``, each layer's pre-activation, each hidden layer's leaky slope (1
-    or ``LEAK``) and activation, the output gradient ``dz_out`` to
+    input rows: one net, or a stack of nets (a leading user axis on every
+    buffer).  They are allocated once and overwritten by every pass: the
+    input ``x``, each layer's pre-activation, each hidden layer's leaky
+    slope (1 or ``LEAK``) and activation, the output gradient ``dz_out`` to
     backprop, the gradient at each layer's input, and the parameter
-    gradient ``grad``, laid out like ``net.flat``.  ``hidden``, ``out``
-    and ``back`` group them per layer in the order the passes use them."""
+    gradient ``grad``, laid out like ``net.flat``.  ``layers`` and
+    ``back`` group them per layer in the order the passes use them.
 
-    def __init__(self, net: DiscriminatorNet, rows: int):
-        sizes = net.layer_sizes
-        self.x = np.empty((rows, sizes[0]))
-        self.dz_out = np.empty(rows)
+    An adversarial pass is made with ``real``, each net's count m of real
+    rows: its x holds them, then its generated row, then zero rows up to
+    ``rows``.  ``gen`` indexes the generated rows among all the pass's rows
+    (of ``x`` and of the outputs, each net's after the nets before it);
+    ``sub`` and ``div`` turn the outputs into the output gradient
+    (``_adversarial_grads``), and ``keep`` zeroes it past the generated
+    rows.  ``short`` lists the nets, with their own row counts, whose rows
+    end before the pass does: a product or sum over rows whose other side
+    is one wide (a matrix-vector product, a pairwise sum) rounds by its
+    length, so each layer that has one runs it again over their own rows."""
+
+    def __init__(self, net: DiscriminatorNet, rows: int, real=None):
+        lead = net.flat.shape[:-1]
+        self.x = np.zeros((*lead, rows, net.layer_sizes[0]))
+        self.dz_out = np.empty((*lead, rows))
         self.grad = np.empty_like(net.flat)
-        z = [np.empty((rows, n)) for n in sizes[1:]]     # the last is (rows, 1)
-        slope = [np.empty((rows, n)) for n in sizes[1:-1]]
-        post = [self.x, *(np.empty((rows, n)) for n in sizes[1:-1])]
-        da = [np.empty((rows, n)) for n in sizes[:-1]]
-        w_t = [w.T for w in net.weights]
-        self.hidden = list(zip(post, w_t, net.biases, z, slope, post[1:]))
-        self.out = post[-1], w_t[-1], net.biases[-1], z[-1]
-        # top layer first: input, weight, gradients, slope below (None at 0)
-        self.back = list(zip(post, net.weights, *net.split(self.grad), da,
-                             [None, *slope]))[::-1]
+        self.dot = _product(net.flat.ndim + 1)
+        self.short = []
+        if real is not None:
+            m = np.asarray(real)
+            self.gen = m + rows * np.arange(m.size).reshape(lead)
+            real_row = np.arange(rows) < m[..., None]
+            self.sub = real_row.astype(float)
+            self.div = np.where(real_row, m[..., None], 1.0)
+            self.short = [(index, count + 1) for index, count
+                          in enumerate(m.ravel().tolist()) if count + 1 < rows]
+            if self.short:
+                self.keep = (np.arange(rows) <= m[..., None]).astype(float)
+        # per layer: input, weight, bias, pre-activation, the nets whose own
+        # rows it reruns, slope and activation (None at the output); and
+        # for the backward pass, top layer first: input, weight, gradients,
+        # the gradient at the input, the slope below (None at the input)
+        self.layers, self.back = [], []
+        a, slope_below, top = self.x, None, len(net.weights) - 1
+        for layer, (w, b, dw, db) in enumerate(zip(net.weights, net.biases,
+                                                   *net.split(self.grad))):
+            z = np.empty((*lead, rows, w.shape[-2]))
+            slope, out = (None, None) if layer == top else (np.empty_like(z),
+                                                            np.empty_like(z))
+            self.layers.append((a, w.swapaxes(-1, -2), b[..., None, :], z,
+                                self.short if w.shape[-2] == 1 else (), slope, out))
+            self.back.append((a, w, dw, db, np.empty_like(a), slope_below,
+                              self.short if 1 in w.shape[-2:] else ()))
+            a, slope_below = out, slope
+        self.back.reverse()
 
 
 def _rows(x, width: int) -> np.ndarray:
@@ -137,27 +188,30 @@ def _clamp(y_raw: np.ndarray) -> np.ndarray:
 def _forward(p: _Pass) -> np.ndarray:
     """Forward pass over ``p.x``; returns the unclamped outputs.  A hidden
     activation is z * slope, which is z where z > 0 and LEAK * z elsewhere."""
-    for a, w_t, b, z, slope, out in p.hidden:
-        np.dot(a, w_t, out=z)
+    for a, w_t, b, z, short, slope, out in p.layers:
+        p.dot(a, w_t, out=z)
+        for net, rows in short:
+            np.dot(a[net, :rows], w_t[net], out=z[net, :rows])
         z += b
-        np.greater(z, 0.0, out=slope)
-        np.maximum(slope, LEAK, out=slope)
-        np.multiply(z, slope, out=out)
-    a, w_t, b, z = p.out
-    np.dot(a, w_t, out=z)
-    z += b
-    return _sigmoid(z.ravel())
+        if slope is not None:
+            np.greater(z, 0.0, out=slope)
+            np.maximum(slope, LEAK, out=slope)
+            np.multiply(z, slope, out=out)
+    return _sigmoid(z[..., 0])   # the output layer's one unit
 
 
 def _backward(p: _Pass) -> np.ndarray:
     """Backprop ``p.dz_out``, the gradient at the output pre-activation
     (one per row), into ``p.grad``, which it returns."""
-    dz = p.dz_out[:, None]
-    for a, w, dw, db, da, slope in p.back:
-        np.dot(dz.T, a, out=dw)
-        np.add.reduce(dz, axis=0, out=db)
+    dz = p.dz_out[..., None]
+    for a, w, dw, db, da, slope, short in p.back:
+        p.dot(dz.swapaxes(-1, -2), a, out=dw)
+        np.add.reduce(dz, axis=-2, out=db)
+        for net, rows in short:
+            np.dot(dz[net, :rows].T, a[net, :rows], out=dw[net])
+            np.add.reduce(dz[net, :rows], axis=0, out=db[net])
         if slope is not None:
-            dz = np.dot(dz, w, out=da)
+            dz = p.dot(dz, w, out=da)
             dz *= slope
     return p.grad
 
@@ -165,37 +219,47 @@ def _backward(p: _Pass) -> np.ndarray:
 def _input_grad(p: _Pass) -> np.ndarray:
     """The input gradient ``_backward`` would reach, without the parameter
     gradient."""
-    da = p.dz_out[:, None]
-    for _, w, _, _, out, slope in p.back:
-        da = np.dot(da, w, out=out)
+    da = p.dz_out[..., None]
+    for _, w, _, _, out, slope, _ in p.back:
+        da = p.dot(da, w, out=out)
         if slope is not None:
             da *= slope
     return da
 
 
-def _adversarial_grads(p: _Pass, m: int) -> tuple[float, float]:
-    """``loss_d`` and ``loss_g`` of a batch whose ``p.x`` holds the m real
-    rows and then the generated row, standing for m identical fake rows;
-    the discriminator gradient goes into ``p.grad``."""
+def _adversarial_grads(p: _Pass, real_log: np.ndarray, y_gen: np.ndarray) -> None:
+    """The discriminator gradient of each net's batch in an adversarial pass
+    (see ``_Pass``), whose generated row stands for m identical fake rows,
+    into ``p.grad``.  What ``_losses`` needs of the batch goes into
+    ``real_log``, the sum of log D over each net's real rows, and ``y_gen``,
+    D of its generated row, both clamped."""
     y_raw = _forward(p)
     y = _clamp(y_raw)
-    # the mean over the real rows is their sum over m, as np.mean forms it
-    ld = float(-(np.add.reduce(np.log(y[:m])) / m) - np.log(1.0 - y[m]))
-    lg = float(-np.log(y[m]))
+    log_y = np.log(y)
+    np.add.reduce(log_y[..., :-1], axis=-1, out=real_log)
+    for net, rows in p.short:
+        real_log[net] = np.add.reduce(log_y[net, :rows - 1])
+    np.take(y, p.gen, out=y_gen)
     # d(-log s(z))/dz = s(z) - 1;  d(-log(1 - s(z)))/dz = s(z)
-    dz_real = np.subtract(y_raw[:m], 1.0, out=p.dz_out[:m])
-    dz_real /= m
-    p.dz_out[m] = y_raw[m]
+    dz = np.subtract(y_raw, p.sub, out=p.dz_out)
+    dz /= p.div
+    if p.short:
+        dz *= p.keep
     _backward(p)
-    return ld, lg
 
 
-def _gen_grads(params: GeneratorParams, p: _Pass,
-               amplitudes: np.ndarray) -> np.ndarray:
-    """``gen_grads`` where ``p`` is a one-row pass whose ``x`` holds
-    ``probabilities(amplitudes)``."""
+def _losses(real_log, y_gen, m) -> tuple[np.ndarray, np.ndarray]:
+    """``loss_d`` and ``loss_g`` of batches from what ``_adversarial_grads``
+    gives of them, each with m real rows: the mean over the real rows is
+    their sum over m, as np.mean forms it."""
+    return -(real_log / m) - np.log(1.0 - y_gen), -np.log(y_gen)
+
+
+def _gen_grads(mats: np.ndarray, p: _Pass, amplitudes: np.ndarray) -> np.ndarray:
+    """``gen_grads`` of the circuits ``mats`` (from ``qsim._layers``), where
+    ``p`` is a one-row pass whose ``x`` holds ``probabilities(amplitudes)``."""
     np.subtract(_forward(p), 1.0, out=p.dz_out)
-    return adjoint_gradient(params, amplitudes, _input_grad(p)[0])
+    return _adjoint(mats, amplitudes, _input_grad(p)[..., 0, :])
 
 
 def _batch(net: DiscriminatorNet, *parts: np.ndarray) -> tuple[_Pass, int]:
@@ -253,20 +317,23 @@ def gen_grads(params: GeneratorParams, net: DiscriminatorNet,
     back through the circuit by one adjoint sweep.  ``amplitudes`` can be
     passed in when the circuit already ran for the current parameters.
     """
+    mats = _layers(params.angles)
     if amplitudes is None:
-        amplitudes = run_generator_circuit(params)
+        amplitudes = _amplitudes(mats)
     p = _Pass(net, 1)
     p.x[0] = _rows(probabilities(amplitudes), net.layer_sizes[0])[0]
-    return _gen_grads(params, p, amplitudes)
+    return _gen_grads(mats, p, amplitudes)
 
 
-def cross_entropy_to_target(generated: np.ndarray, target: np.ndarray) -> float:
-    """-sum target_j log generated_j, with the generated entries clamped."""
+def cross_entropy_to_target(generated: np.ndarray, target: np.ndarray):
+    """-sum target_j log generated_j, with the generated entries clamped:
+    a float, or one per row of stacked distributions."""
     generated = np.asarray(generated, dtype=float)
     target = np.asarray(target, dtype=float)
     if generated.shape != target.shape:
         raise ValueError("distributions must have equal length")
-    return float(-np.sum(target * np.log(np.maximum(generated, CROSS_ENTROPY_CLAMP))))
+    return -np.sum(target * np.log(np.maximum(generated, CROSS_ENTROPY_CLAMP)),
+                   axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -336,70 +403,175 @@ def init_train_state(n_qubits: int, cfg: TrainConfig) -> TrainState:
                       Adam(cfg.lr_d, net.flat), rng)
 
 
-def _check_simplex_rows(data: np.ndarray) -> None:
-    if np.min(data) < -1e-9:
-        raise ValueError("training vectors must be non-negative")
-    if not np.allclose(data.sum(axis=1), 1.0, atol=1e-6):
-        raise ValueError("training vectors must each sum to 1")
-
-
-def train(real_data: np.ndarray, cfg: TrainConfig,
-          state: TrainState | None = None) -> TrainTrace:
-    """Alternating adversarial training for ``cfg.epochs`` epochs.
-
-    ``real_data`` is an (N, 2**n) array of probability vectors.  One epoch
-    shuffles the data and walks it in batches of ``cfg.batch``; each batch
-    takes one discriminator step, then one generator step against the
-    updated discriminator.  Recorded losses are the values seen before the
-    updates of each batch; the cross-entropy column compares the generator
-    to the data mean after each epoch.  Passing a ``state`` resumes a
-    previous run and is bit-identical to never having stopped.  A batch
-    step runs ``_adversarial_grads`` and the helper behind ``gen_grads``
-    on buffers allocated once per call, with the data checked on entry.
-    """
+def _simplex_rows(real_data) -> np.ndarray:
+    """One user's training rows as an (N, 2**n) float array of probability
+    vectors, checked."""
     data = np.atleast_2d(np.asarray(real_data, dtype=float))
     if data.size == 0:
         raise ValueError("real data must be non-empty")
-    n_qubits = data.shape[1].bit_length() - 1
-    if 2**n_qubits != data.shape[1]:
+    if 2**_n_qubits(data) != data.shape[1]:
         raise ValueError("data width must be a power of two")
-    _check_simplex_rows(data)
+    if np.min(data) < -1e-9:
+        raise ValueError("training vectors must be non-negative")
+    # np.allclose(sums, 1.0, atol=1e-6) at a fifth of its cost
+    if not np.all(np.abs(data.sum(axis=1) - 1.0) <= 1e-6 + 1e-5):
+        raise ValueError("training vectors must each sum to 1")
+    return data
 
-    if state is None:
-        state = init_train_state(n_qubits, cfg)
-    if state.params.n_qubits != n_qubits:
-        raise ValueError("checkpointed state does not match the data width")
 
-    target = data.mean(axis=0)
-    n_rows = data.shape[0]
-    iters = math.ceil(n_rows / cfg.batch)
-    trace = TrainTrace(state=state)
-    # one pass per batch size (a full one and a shorter last one): the m
-    # real rows and the generated row; then the generated row on its own
-    passes = {m: _Pass(state.net, m + 1)
-              for m in {min(cfg.batch, n_rows), n_rows - (iters - 1) * cfg.batch}}
-    gen = _Pass(state.net, 1)
+def _n_qubits(data: np.ndarray) -> int:
+    return data.shape[1].bit_length() - 1
 
+
+def train(datasets: list, cfg: TrainConfig,
+          states: list[TrainState] | None = None) -> list[TrainTrace]:
+    """Alternating adversarial training of each user's generator and
+    discriminator for ``cfg.epochs`` epochs; one trace per user.
+
+    ``datasets`` holds each user's (N, 2**n) array of probability vectors.
+    One epoch shuffles a user's data and walks it in batches of
+    ``cfg.batch``; each batch takes one discriminator step, then one
+    generator step against the updated discriminator.  Recorded losses are
+    the values seen before the updates of each batch; the cross-entropy
+    column compares the generator to the data mean after each epoch.
+    Passing ``states``, one per user, resumes them in place, bit-identical
+    to never having stopped.  Every data set is checked before any user
+    trains.
+
+    Users whose epochs hold equally many batches, and whose Adam step
+    counts and epochs match, train as one stack (``_train_stack``) of up to
+    ``STACK_USERS``: each batch step runs once for all of them, and each
+    user's arithmetic is the one it has trained alone.
+    """
+    datasets = [_simplex_rows(data) for data in datasets]
+    if states is None:
+        states = [init_train_state(_n_qubits(data), cfg) for data in datasets]
+    stacks: dict[tuple, list[int]] = {}
+    for user, (data, state) in enumerate(zip(datasets, states, strict=True)):
+        if state.params.n_qubits != _n_qubits(data):
+            raise ValueError("checkpointed state does not match the data width")
+        key = (math.ceil(len(data) / cfg.batch), state.epoch, state.opt_g.t,
+               state.opt_d.t, state.opt_g.lr, state.opt_d.lr,
+               state.params.angles.shape, tuple(state.net.layer_sizes))
+        stacks.setdefault(key, []).append(user)
+    traces = [TrainTrace(state=state) for state in states]
+    for users in stacks.values():
+        for first in range(0, len(users), STACK_USERS):
+            stack = users[first:first + STACK_USERS]
+            _train_stack([datasets[user] for user in stack],
+                         [traces[user] for user in stack], cfg)
+    return traces
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Copies of the arrays on a leading user axis."""
+    out = np.empty((len(arrays), *arrays[0].shape))
+    for user, arr in enumerate(arrays):
+        out[user] = arr
+    return out
+
+
+def _stacked(states: list[TrainState]) -> tuple[np.ndarray, DiscriminatorNet, Adam, Adam]:
+    """The angles (users, depth+1, n), discriminators (users, n_params) and
+    optimisers of a stack, each optimiser holding its users' moments.  A
+    one-user stack keeps no user axis: it is that user's own arrays and
+    optimisers, so its products go through ``np.dot`` (``qsim._product``)
+    and nothing is copied in or out."""
+    if len(states) == 1:
+        state = states[0]
+        return state.params.angles, state.net, state.opt_g, state.opt_d
+    angles = _stack([state.params.angles for state in states])
+    net = DiscriminatorNet(states[0].net.layer_sizes,
+                           _stack([state.net.flat for state in states]))
+    opts = []
+    for param, opts_ in ((angles, [state.opt_g for state in states]),
+                         (net.flat, [state.opt_d for state in states])):
+        opt = Adam(opts_[0].lr, param)
+        opt.t = opts_[0].t
+        opt.m, opt.v = _stack([o.m for o in opts_]), _stack([o.v for o in opts_])
+        opts.append(opt)
+    return angles, net, *opts
+
+
+def _train_stack(datasets: list[np.ndarray], traces: list[TrainTrace],
+                 cfg: TrainConfig) -> None:
+    """``train`` of users whose epochs hold equally many batches, as one
+    stack (``_stacked``), with each batch (users, rows, 2**n).  A user with
+    fewer rows than the stack's widest has zero rows after its own; its
+    shorter last batch ends in zero rows after the generated one, which
+    carry no gradient."""
+    states = [trace.state for trace in traces]
+    lead = (len(datasets),) if len(datasets) > 1 else ()
+    n = np.reshape([len(data) for data in datasets], lead)
+    width = int(n.max())
+    x = np.zeros((*lead, width, datasets[0].shape[1]))
+    users_x = x.reshape(-1, *x.shape[-2:])
+    for user, data in enumerate(datasets):
+        users_x[user, :len(data)] = data
+    targets = np.reshape([data.mean(axis=0) for data in datasets], (*lead, -1))
+    angles, net, opt_g, opt_d = _stacked(states)
+
+    # one pass for the full batches and one for each user's last batch,
+    # each with the views it copies its real rows from and to, and one pass
+    # for the generated row alone
+    x_epoch = np.empty_like(x)
+    last = (width - 1) // cfg.batch * cfg.batch   # where the last batch starts
+    real_rows = np.full((last // cfg.batch + 1, *lead), cfg.batch)
+    real_rows[-1] = n - last
+    passes = [_Pass(net, cfg.batch + 1, real_rows[0])] * (last // cfg.batch)
+    passes.append(_Pass(net, width - last + 1, real_rows[-1]))
+    steps = [(p, x_epoch[..., start:start + p.x.shape[-2] - 1, :], p.x[..., :-1, :],
+              p.x.reshape(-1, p.x.shape[-1]))
+             for start, p in zip(range(0, width, cfg.batch), passes)]
+    gen = _Pass(net, 1)
+    probs = gen.x[..., 0, :]
+    order = np.zeros((*lead, width), dtype=np.intp)
+    order[...] = np.arange(width)   # the zero rows stay put
+    users_order = order.reshape(-1, width)
+    order += np.arange(0, users_order.size, width).reshape(*lead, 1)
+    x = x.reshape(-1, x.shape[-1])
+    real_log, y_gen = np.empty((2, len(steps), *lead))
+
+    # the circuit after an epoch gives its cross-entropy, and the next
+    # epoch's first batch starts from it
+    circuit = None
     for _ in range(cfg.epochs):
-        order = state.rng.permutation(n_rows)
-        lg_sum = 0.0
-        ld_sum = 0.0
-        for start in range(0, n_rows, cfg.batch):
-            rows = order[start:start + cfg.batch]
-            p = passes[len(rows)]
-            amplitudes = run_generator_circuit(state.params)
-            np.take(data, rows, axis=0, out=p.x[:-1])
-            np.square(amplitudes, out=gen.x[0])   # probabilities(amplitudes)
-            p.x[-1] = gen.x[0]
-            ld, lg = _adversarial_grads(p, len(rows))
-            ld_sum += ld
-            lg_sum += lg
-            state.opt_d.step(state.net.flat, p.grad)
-            state.opt_g.step(state.params.angles,
-                             _gen_grads(state.params, gen, amplitudes))
-        state.epoch += 1
-        trace.loss_g.append(lg_sum / iters)
-        trace.loss_d.append(ld_sum / iters)
-        trace.cross_entropy.append(
-            cross_entropy_to_target(generator_output(state.params), target))
-    return trace
+        for user, (data, state) in enumerate(zip(datasets, states)):
+            users_order[user, :len(data)] = state.rng.permutation(len(data))
+            users_order[user, :len(data)] += user * width
+        x.take(order, axis=0, out=x_epoch)
+        for step, (p, src, dst, x_rows) in enumerate(steps):
+            mats, amplitudes = circuit or _circuit(angles)
+            circuit = None
+            dst[...] = src
+            x_rows[p.gen] = np.square(amplitudes, out=probs)  # probabilities
+            _adversarial_grads(p, real_log[step, ...], y_gen[step, ...])
+            opt_d.step(net.flat, p.grad)
+            opt_g.step(angles, _gen_grads(mats, gen, amplitudes))
+        circuit = _circuit(angles)
+        ce = cross_entropy_to_target(np.square(circuit[1]), targets)
+        # each user's losses summed over the batches in order, as a running
+        # total would
+        ld, lg = (np.cumsum(loss, axis=0)[-1] / len(steps)
+                  for loss in _losses(real_log, y_gen, real_rows))
+        for trace, g, d, c in zip(traces, *(np.ravel(col).tolist()
+                                            for col in (lg, ld, ce))):
+            trace.loss_g.append(g)
+            trace.loss_d.append(d)
+            trace.cross_entropy.append(c)
+
+    if len(states) > 1:
+        for user, state in enumerate(states):
+            state.params.angles[...] = angles[user]
+            state.net.flat[...] = net.flat[user]
+            for opt, stacked in ((state.opt_g, opt_g), (state.opt_d, opt_d)):
+                opt.t = stacked.t
+                opt.m[...], opt.v[...] = stacked.m[user], stacked.v[user]
+    for state in states:
+        state.epoch += cfg.epochs
+
+
+def _circuit(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The layer matrices of the circuits ``angles`` and their amplitudes."""
+    mats = _layers(angles)
+    return mats, _amplitudes(mats)

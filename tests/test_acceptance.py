@@ -51,7 +51,7 @@ def loading_runs():
     start = time.perf_counter()
     for seed in SEEDS:
         cfg = qgan.TrainConfig(depth=4, seed=seed, **LOADING_CONFIG)
-        trace = qgan.train(LOADING_TARGET[None, :], cfg)
+        trace = qgan.train([LOADING_TARGET[None, :]], cfg)[0]
         runs.append(trace)
     return runs, time.perf_counter() - start
 
@@ -211,7 +211,7 @@ def test_depth_trend():
         finals = []
         for seed in SEEDS:
             cfg = qgan.TrainConfig(depth=depth, seed=seed, **DEPTH_CONFIG)
-            trace = qgan.train(DEPTH_TARGET[None, :], cfg)
+            trace = qgan.train([DEPTH_TARGET[None, :]], cfg)[0]
             finals.append(trace.cross_entropy[-1])
         medians[depth] = float(np.median(finals))
     elapsed = time.perf_counter() - start

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbde import checkpoint
 from qbde.checkpoint import (
@@ -31,7 +32,7 @@ def trained_state(tmp_path, epochs=4, seed=11):
     rng = np.random.default_rng(1)
     data = rng.dirichlet(np.ones(4), size=10)
     cfg = TrainConfig(batch=4, epochs=epochs, depth=2, seed=seed)
-    return data, cfg, train(data, cfg).state
+    return data, cfg, train([data], cfg)[0].state
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -63,15 +64,15 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     rng = np.random.default_rng(2)
     data = rng.dirichlet(np.ones(4), size=8)
 
-    full = train(data, TrainConfig(batch=4, epochs=10, depth=2, seed=3))
+    full = train([data], TrainConfig(batch=4, epochs=10, depth=2, seed=3))[0]
 
     cfg_a = TrainConfig(batch=4, epochs=6, depth=2, seed=3)
-    first = train(data, cfg_a)
+    first = train([data], cfg_a)[0]
     path = tmp_path / "part.ckpt"
     save_checkpoint(path, cfg_a, first.state)
     _, resumed_state = load_checkpoint(path)
-    second = train(data, TrainConfig(batch=4, epochs=4, depth=2, seed=3),
-                   state=resumed_state)
+    second = train([data], TrainConfig(batch=4, epochs=4, depth=2, seed=3),
+                   [resumed_state])[0]
 
     assert first.loss_g + second.loss_g == full.loss_g
     assert first.loss_d + second.loss_d == full.loss_d
@@ -84,9 +85,9 @@ def test_each_network_is_one_vector_with_one_adam_state(tmp_path):
     # the discriminator's flat vector and each optimiser's two moments
     rng = np.random.default_rng(2)
     data = rng.dirichlet(np.ones(4), size=8)
-    full = train(data, TrainConfig(batch=4, epochs=10, depth=2, seed=3))
+    full = train([data], TrainConfig(batch=4, epochs=10, depth=2, seed=3))[0]
     cfg_a = TrainConfig(batch=4, epochs=6, depth=2, seed=3)
-    first = train(data, cfg_a)
+    first = train([data], cfg_a)[0]
     path = tmp_path / "flat.ckpt"
     save_checkpoint(path, cfg_a, first.state)
     sections = read_kv(path, MAGIC)
@@ -100,8 +101,8 @@ def test_each_network_is_one_vector_with_one_adam_state(tmp_path):
     assert list(sections["discriminator"]) == ["params.shape", "params.data"]
     assert list(sections["opt_d"]) == ["t", "m.shape", "m.data", "v.shape", "v.data"]
     _, resumed_state = load_checkpoint(path)
-    second = train(data, TrainConfig(batch=4, epochs=4, depth=2, seed=3),
-                   state=resumed_state)
+    second = train([data], TrainConfig(batch=4, epochs=4, depth=2, seed=3),
+                   [resumed_state])[0]
     assert first.loss_g + second.loss_g == full.loss_g
     assert first.loss_d + second.loss_d == full.loss_d
     np.testing.assert_array_equal(second.state.params.angles, full.state.params.angles)
@@ -148,6 +149,56 @@ def test_kv_lines_end_only_at_line_ends(tmp_path, char):
     assert sections[""] == {"note": f"a{char}b = c", "next": "1"}
 
 
+def split_read_kv(path, magic=None):
+    """``read_kv`` as it was, splitting the text with ``str.split``: the
+    oracle of its ``str.find`` scan."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if magic is not None:
+        if not lines or lines[0].strip() != magic:
+            raise SchemaError(f"{path}: not a {magic} file")
+        lines[0] = ""
+    sections = checkpoint.Section(f"{path}: section ")
+    current = sections[""] = checkpoint.Section(f"{path}: ")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1]
+            current = sections.setdefault(name, checkpoint.Section(f"{path}: {name}."))
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise SchemaError(f"{path}:{lineno}: unparseable line {line!r}")
+        current.pop(key.strip(), None)
+        current[key.strip()] = value.strip()
+    return sections
+
+
+def _kv_outcome(read, path, magic):
+    try:
+        sections = read(path, magic)
+    except SchemaError as exc:
+        return str(exc)
+    return [(name, sec.where, list(sec.items())) for name, sec in sections.items()]
+
+
+_KV_LINES = st.one_of(
+    st.sampled_from(["", " ", "# note", "  # k = v", "[x]", "[y]", " [x] ", "[x",
+                     "k = v", "k=w", "k = ", " a = 1 = 2 ", "novalue", "m", "\r",
+                     "b = 2\r", "[]", "= v"]),
+    st.text(alphabet="ab =[]#\r\t", max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_KV_LINES, max_size=12), final_lf=st.booleans(),
+       magic=st.sampled_from([None, "m", "k = v"]))
+def test_kv_scan_matches_the_split_reader(tmp_path_factory, lines, final_lf, magic):
+    path = tmp_path_factory.mktemp("kv") / "file.txt"
+    path.write_bytes(("\n".join(lines) + "\n" * final_lf).encode("utf-8"))
+    assert _kv_outcome(read_kv, path, magic) == _kv_outcome(split_read_kv, path, magic)
+
+
 def test_missing_file_raises_io_error(tmp_path):
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "nope.ckpt")
@@ -159,7 +210,7 @@ def test_fresh_state_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     data = rng.dirichlet(np.ones(4), size=8)
     cfg = TrainConfig(batch=4, epochs=0, depth=3, seed=5)
-    fresh = train(data, cfg).state
+    fresh = train([data], cfg)[0].state
     path = tmp_path / "fresh.ckpt"
     save_checkpoint(path, cfg, fresh)
     sections = read_kv(path, MAGIC)
@@ -169,8 +220,8 @@ def test_fresh_state_round_trip(tmp_path):
             stored = _get_array(sections[name], key, param.shape)
             assert stored.tobytes() == np.zeros(param.shape).tobytes()
     _, back = load_checkpoint(path)
-    resumed = train(data, TrainConfig(batch=4, epochs=5, depth=3, seed=5), state=back)
-    full = train(data, TrainConfig(batch=4, epochs=5, depth=3, seed=5))
+    resumed = train([data], TrainConfig(batch=4, epochs=5, depth=3, seed=5), [back])[0]
+    full = train([data], TrainConfig(batch=4, epochs=5, depth=3, seed=5))[0]
     assert resumed.loss_g == full.loss_g and resumed.loss_d == full.loss_d
     assert resumed.cross_entropy == full.cross_entropy
     got, want = resumed.state, full.state

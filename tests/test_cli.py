@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbde import bde, checkpoint, cli, features
+from qbde import bde, checkpoint, cli, features, qgan
 from qbde.bde import read_score_csv, read_summary
 from qbde.checkpoint import load_checkpoint, read_kv, save_checkpoint
 from qbde.cli import (
@@ -539,6 +539,58 @@ def test_detect_checks_every_checkpoint_before_training_a_scorer(
     err = capsys.readouterr().err
     assert str(last) in err and "lr_g = " in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _users_trained(tmp_path, n_users):
+    """Flags and the output directory of a small run of ``n_users`` users,
+    trained once."""
+    flags = fast_flags(tmp_path)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(cfgfile.read_text(encoding="utf-8") + f"n_users = {n_users}\n",
+                       encoding="utf-8")
+    for step in ("synth", "ingest", "train"):
+        assert main([step, *flags]) == EXIT_OK
+    return flags, tmp_path / "out"
+
+
+@pytest.mark.parametrize("fault, code", [("malformed", EXIT_VALIDATION),
+                                         ("other-setting", EXIT_CONFIG)])
+def test_resume_checks_every_checkpoint_before_training_any_user(
+        tmp_path, capsys, fault, code):
+    # a bad last checkpoint leaves the users before it untrained, so no two
+    # users sit at different epochs under one config digest
+    flags, out = _users_trained(tmp_path, 2)
+    last = sorted(out.glob("qgan-*.ckpt"))[-1]
+    if fault == "malformed":
+        text = last.read_text(encoding="utf-8")
+        last.write_text(re.sub(r"(?m)^epoch = .*$", "epoch = x", text),
+                        encoding="utf-8")
+    else:
+        have = dataclasses.replace(load_config(tmp_path / "run.cfg").train_config(),
+                                   lr_g=0.5)
+        save_checkpoint(last, have, init_train_state(4, have))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["train", "--resume", *flags]) == code
+    assert str(last) in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_stacked_train_writes_what_one_user_stacks_write(tmp_path, monkeypatch):
+    train, outputs = qgan.train, {}
+
+    def one_by_one(datasets, cfg, states=None):
+        return [train([data], cfg, None if states is None else [states[user]])[0]
+                for user, data in enumerate(datasets)]
+
+    for mode in ("stacked", "one by one"):
+        if mode == "one by one":
+            monkeypatch.setattr(qgan, "train", one_by_one)
+        flags, out = _users_trained(tmp_path / mode, 3)
+        assert main(["train", "--resume", *flags]) == EXIT_OK
+        outputs[mode] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(outputs["stacked"]) == 3 + 3 + 5   # 3 checkpoints, 3 losses
+    assert outputs["stacked"] == outputs["one by one"]
 
 
 def test_resume_is_a_train_only_flag(tmp_path, capsys):

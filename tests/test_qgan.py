@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qbde import qsim
+from qbde import qgan, qsim
 from qbde.bde import N_PARAMS, BdeNet
 from qbde.checkpoint import (Section, _get_adam, _put_adam, load_checkpoint,
                              save_checkpoint)
@@ -20,6 +20,7 @@ from qbde.qgan import (
     _backward,
     _forward,
     _input_grad,
+    _losses,
     _Pass,
     _sigmoid,
     TrainConfig,
@@ -268,10 +269,12 @@ def test_adversarial_grads_match_tiled_batch(m):
         real = rng.dirichlet(np.ones(16), size=m)
         g = rng.dirichlet(np.ones(16))
         fake = np.tile(g, (m, 1))
-        p = _Pass(net, m + 1)
+        p = _Pass(net, m + 1, m)
         p.x[:m] = real
         p.x[m] = g
-        ld, lg = _adversarial_grads(p, m)
+        real_log, y_gen = np.empty(()), np.empty(())
+        _adversarial_grads(p, real_log, y_gen)
+        ld, lg = _losses(real_log, y_gen, m)
         dw, db = net.split(p.grad)
         assert abs(ld - loss_d(net, real, fake)) < 1e-12
         assert abs(lg - loss_g(net, fake)) < 1e-12
@@ -393,7 +396,7 @@ def oracle_adversarial_grads(net, real, generated):
 
 def oracle_adjoint_gradient(params, amplitudes, dp):
     n, depth = params.n_qubits, params.depth
-    mats = qsim._layers(n, params.angles.tobytes())
+    mats = qsim._layers(params.angles)
     pairs = np.empty((depth + 1, 2, 2**n))
     pairs[depth] = amplitudes, np.asarray(dp, dtype=float) * amplitudes
     for layer in range(depth, 0, -1):
@@ -494,7 +497,7 @@ def test_train_matches_frozen_per_call_step(rows, n_qubits, kwargs):
                                                             size=rows)
     cfg = TrainConfig(seed=rows, **kwargs)
     want = oracle_train(data, cfg, init_train_state(n_qubits, cfg))
-    assert_same_training(train(data, cfg), want)
+    assert_same_training(train([data], cfg)[0], want)
 
 
 def test_train_split_by_a_checkpoint_matches_frozen_step(tmp_path):
@@ -502,14 +505,78 @@ def test_train_split_by_a_checkpoint_matches_frozen_step(tmp_path):
     cfg = TrainConfig(batch=5, epochs=3, depth=3, seed=9, hidden=(12, 7))
     want = oracle_train(data, TrainConfig(**{**vars(cfg), "epochs": 6}),
                         init_train_state(4, cfg))
-    first = train(data, cfg)
+    first = train([data], cfg)[0]
     save_checkpoint(tmp_path / "part.ckpt", cfg, first.state)
     _, state = load_checkpoint(tmp_path / "part.ckpt")
-    second = train(data, cfg, state=state)
+    second = train([data], cfg, [state])[0]
     second.loss_g[:0] = first.loss_g
     second.loss_d[:0] = first.loss_d
     second.cross_entropy[:0] = first.cross_entropy
     assert_same_training(second, want)
+
+
+def _spy_on_stacks(monkeypatch):
+    """How many users each stack ``train`` forms holds, from now on."""
+    sizes = []
+    train_stack = qgan._train_stack
+
+    def spy(datasets, traces, cfg):
+        sizes.append(len(datasets))
+        return train_stack(datasets, traces, cfg)
+
+    monkeypatch.setattr(qgan, "_train_stack", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("rows, n_qubits, kwargs", [
+    ([13, 11, 15, 12, 14], 4, dict(batch=5, epochs=3, depth=3, hidden=(12, 7))),
+    ([17, 32, 20, 31, 24], 4, dict(batch=16, epochs=2, depth=8)),
+    ([6, 6, 6], 2, dict(batch=1, epochs=3, depth=2, hidden=(5,))),
+    ([9, 10, 12, 11], 4, dict(batch=4, epochs=3, depth=1, hidden=())),
+    ([8, 7, 9], 1, dict(batch=3, epochs=4, depth=8, hidden=(4,))),
+    ([13, 17, 18], 4, dict(batch=6, epochs=2, depth=2, hidden=(4, 1))),
+    ([7, 16, 3], 4, dict(batch=16, epochs=5, depth=8)),
+], ids=["last-batches-3-1-5-2-4", "last-batches-1-16-4-15-8", "batch-1",
+        "no-hidden", "one-qubit", "one-wide-hidden", "one-batch"])
+def test_each_user_of_a_stack_matches_the_frozen_step_alone(
+        monkeypatch, rows, n_qubits, kwargs):
+    # users whose epochs hold equally many batches train as one stack; a
+    # user whose last batch is shorter than the stack's gets zero rows
+    rng = np.random.default_rng(sum(rows))
+    datasets = [rng.dirichlet(np.ones(2**n_qubits), size=n) for n in rows]
+    cfg = TrainConfig(seed=len(rows), **kwargs)
+    sizes = _spy_on_stacks(monkeypatch)
+    traces = train(datasets, cfg)
+    assert sizes == [len(rows)]
+    for data, trace in zip(datasets, traces, strict=True):
+        assert_same_training(trace, oracle_train(data, cfg, init_train_state(n_qubits, cfg)))
+
+
+def test_a_stack_holds_at_most_stack_users(monkeypatch):
+    rng = np.random.default_rng(28)
+    datasets = [rng.dirichlet(np.ones(4), size=n) for n in rng.integers(5, 9, 35)]
+    cfg = TrainConfig(batch=4, epochs=2, depth=1, seed=3, hidden=(3,))
+    sizes = _spy_on_stacks(monkeypatch)
+    traces = train(datasets, cfg)
+    assert sizes == [qgan.STACK_USERS, 35 - qgan.STACK_USERS]
+    for data, trace in zip(datasets, traces, strict=True):
+        assert_same_training(trace, oracle_train(data, cfg, init_train_state(2, cfg)))
+
+
+def test_users_resumed_at_different_epochs_train_as_separate_stacks(monkeypatch):
+    rng = np.random.default_rng(27)
+    datasets = [rng.dirichlet(np.ones(16), size=n) for n in (13, 12, 14, 11, 9)]
+    cfg = TrainConfig(batch=5, epochs=2, depth=3, seed=8, hidden=(12, 7))
+    states = [train([data], TrainConfig(**{**vars(cfg), "epochs": epochs}))[0].state
+              for data, epochs in zip(datasets, (1, 3, 1, 3, 3))]
+    wants = [oracle_train(data, cfg, state) for data, state in zip(datasets, states)]
+    sizes = _spy_on_stacks(monkeypatch)
+    traces = train(datasets, cfg, states)
+    # the last user's epochs hold two batches, the others' three
+    assert sorted(sizes) == [1, 2, 2]
+    for trace, state, want in zip(traces, states, wants, strict=True):
+        assert trace.state is state   # resumed in place
+        assert_same_training(trace, want)
 
 
 def _checkpointed_adam(rng, param):
@@ -580,14 +647,14 @@ def test_cross_entropy_clamps_zeros():
 def test_train_rejects_empty_or_off_simplex_data():
     cfg = TrainConfig(epochs=1, depth=1)
     with pytest.raises(ValueError):
-        train(np.empty((0, 4)), cfg)
+        train([np.empty((0, 4))], cfg)
     with pytest.raises(ValueError):
-        train(np.array([[0.5, 0.2, 0.2, 0.2]]), cfg)
+        train([np.array([[0.5, 0.2, 0.2, 0.2]])], cfg)
 
 
 def test_train_zero_epochs_returns_initial_state():
     cfg = TrainConfig(epochs=0, depth=2, seed=5)
-    trace = train(np.full((3, 4), 0.25), cfg)
+    trace = train([np.full((3, 4), 0.25)], cfg)[0]
     assert trace.loss_g == [] and trace.loss_d == []
     assert trace.state.epoch == 0
     np.testing.assert_array_equal(trace.state.params.angles[0], [np.pi / 2, np.pi / 2])
@@ -597,8 +664,8 @@ def test_train_is_seed_deterministic():
     rng = np.random.default_rng(3)
     data = rng.dirichlet(np.ones(4), size=12)
     cfg = TrainConfig(batch=4, epochs=5, depth=2, seed=7)
-    t1 = train(data, cfg)
-    t2 = train(data, cfg)
+    t1 = train([data], cfg)[0]
+    t2 = train([data], cfg)[0]
     assert t1.loss_g == t2.loss_g
     assert t1.loss_d == t2.loss_d
     assert t1.cross_entropy == t2.cross_entropy
@@ -608,7 +675,7 @@ def test_train_is_seed_deterministic():
 def test_train_trace_length_and_simplex_outputs():
     data = np.random.default_rng(1).dirichlet(np.ones(4), size=6)
     cfg = TrainConfig(batch=3, epochs=4, depth=2, seed=1)
-    trace = train(data, cfg)
+    trace = train([data], cfg)[0]
     assert len(trace.loss_g) == len(trace.loss_d) == len(trace.cross_entropy) == 4
     p = generator_output(trace.state.params)
     assert np.all(p >= 0)
@@ -619,7 +686,7 @@ def test_train_steps_one_flat_discriminator_vector_like_per_array_adam():
     rng = np.random.default_rng(22)
     data = rng.dirichlet(np.ones(16), size=13)
     cfg = TrainConfig(batch=5, epochs=4, depth=3, seed=6, hidden=(12, 7))
-    trace = train(data, cfg)
+    trace = train([data], cfg)[0]
     ref = init_train_state(4, cfg)
     arrays = [*ref.net.weights, *ref.net.biases]
     opts_d = [Adam(cfg.lr_d, arr) for arr in arrays]
@@ -628,10 +695,10 @@ def test_train_steps_one_flat_discriminator_vector_like_per_array_adam():
         for start in range(0, len(data), cfg.batch):
             amplitudes = run_generator_circuit(ref.params)
             real = real_rows(data[order[start:start + cfg.batch]])
-            p = _Pass(ref.net, len(real) + 1)
+            p = _Pass(ref.net, len(real) + 1, len(real))
             p.x[:-1] = real
             p.x[-1] = probabilities(amplitudes)
-            _adversarial_grads(p, len(real))
+            _adversarial_grads(p, np.empty(()), np.empty(()))
             dw, db = ref.net.split(p.grad)
             for opt, arr, g in zip(opts_d, arrays, [*dw, *db]):
                 opt.step(arr, g)  # one array at a time
@@ -708,6 +775,6 @@ def test_train_loads_point_mass_target():
     target = np.zeros(4)
     target[0] = 1.0
     cfg = TrainConfig(batch=1, epochs=300, depth=2, seed=0)
-    trace = train(target[None, :], cfg)
+    trace = train([target[None, :]], cfg)[0]
     tv = 0.5 * np.abs(generator_output(trace.state.params) - target).sum()
     assert tv < 0.05
