@@ -15,13 +15,14 @@ for that key, so a caller reuses it instead of training it again.
 
 A day x is scored against the trained generator's output distribution g:
 R_d = |x - g|_1 in feature space, R_n = |f(x) - f(g)|_1 in embedding
-space, d = (1 - lambda) R_d + lambda R_n.  ``score_rows`` takes one
-user's training and test days together and computes R_d, R_n and d as
-arrays in one pass, with one forward pass over the days and references.
-The abnormality threshold Th_d is the largest training score and the
-threat threshold Th_f is 2 Th_d; each day's band (d > Th_d) + (d > Th_f)
-indexes its verdict in VERDICTS: Normal, Low_threat or High_threat, each
-band including its upper bound.  Scores stay columns (``Scores``) from
+space, d = (1 - lambda) R_d + lambda R_n.  ``score_rows`` takes every
+user of a ``detect`` run, each with its training and test days, and
+computes R_d, R_n and d as arrays: one forward pass embeds the days and
+references of a stack of users, each bit-identical to scoring that user
+alone.  A user's abnormality threshold Th_d is its largest training
+score and the threat threshold Th_f is 2 Th_d; each day's band
+(d > Th_d) + (d > Th_f) indexes its verdict in VERDICTS: Normal,
+Low_threat or High_threat, each band including its upper bound.  Scores stay columns (``Scores``) from
 scoring to the score files and the summary, which format each column in
 one pass.
 """
@@ -44,7 +45,7 @@ from .checkpoint import (Section, _get_array, _put_array, convert_cells,
 from .errors import SchemaError
 from .features import _feature_label, check_user_id
 from .optim import Adam
-from .qgan import _clamp, _rows, _sigmoid
+from .qgan import STACK_USERS, _clamp, _rows, _sigmoid
 
 INPUT_LEN = 16
 EMBED_LEN = 32
@@ -196,17 +197,34 @@ def _offsets(nets: int):
     return gather, layers
 
 
-def _relu_pool(z: np.ndarray, halves, pooled: np.ndarray, route: np.ndarray):
+def _relu_pool(z: np.ndarray, halves, pooled: np.ndarray, route: np.ndarray | None):
     """ReLU on ``z`` in place, the max of each (even, odd) pair of its
-    ``halves``, and which pairs' max the left and the right slot gave (ties
-    go left, zero pairs nowhere)."""
+    ``halves``, and, unless ``route`` is None, which pairs' max the left
+    and the right slot gave (ties go left, zero pairs nowhere)."""
     np.maximum(z, 0.0, out=z)
     left, right = halves
-    to_left, to_right = route
     np.maximum(left, right, out=pooled)
+    if route is None:
+        return
+    to_left, to_right = route
     np.greater(right, left, out=to_right)
     np.greater(pooled, 0.0, out=to_left)
     np.greater(to_left, to_right, out=to_left)   # bool a > b: a and not b
+
+
+def _embedding(p: _Pass, x: np.ndarray, routes: bool = True) -> np.ndarray:
+    """The embeddings of the rows ``x``, of one net or of a stack (``x``
+    one batch per net): ``p.emb``, the conv layers' pooled output.  The
+    pooling routes, which only a backward pass reads, are kept if
+    ``routes``."""
+    p.flat.take(p.gather, out=p.g, mode="clip")
+    a = x
+    for w, b, pooled, route in p.hidden:
+        np.matmul(a, w, out=p.z)
+        p.z += b
+        _relu_pool(p.z, p.halves, pooled, route if routes else None)
+        a = pooled
+    return a
 
 
 def _forward(p: _Pass, x: np.ndarray, short=()) -> np.ndarray:
@@ -215,14 +233,7 @@ def _forward(p: _Pass, x: np.ndarray, short=()) -> np.ndarray:
     counts, whose rows end before the batch does: the output unit's
     product runs again over their own rows, since a longer matrix-vector
     product may round its last rows differently."""
-    p.flat.take(p.gather, out=p.g, mode="clip")
-    a = x
-    for w, b, pooled, route in p.hidden:
-        np.matmul(a, w, out=p.z)
-        p.z += b
-        _relu_pool(p.z, p.halves, pooled, route)
-        a = pooled
-    np.matmul(p.emb, p.w_col, out=p.logit)
+    np.matmul(_embedding(p, x), p.w_col, out=p.logit)
     for net, rows in short:
         p.logit[net, :rows, 0] = p.emb[net, :rows] @ p.flat[net, _FC_W]
     p.logit += p.bias
@@ -449,21 +460,46 @@ def join_scores(parts: list[Scores]) -> Scores:
                   *map(np.concatenate, columns[3:]))
 
 
-def _recon_batch(x: np.ndarray, refs: np.ndarray, net: BdeNet):
-    """R_d and R_n of every row of ``x`` against its nearest (L1) row of
-    ``refs``, plus that index; rows and references share one forward pass."""
-    dist = np.abs(x[:, None, :] - refs[None, :, :]).sum(axis=2)
-    nearest = np.argmin(dist, axis=1)
-    _, emb = _embed(net, np.vstack([x, refs]))
-    r_n = np.abs(emb[:len(x)] - emb[len(x):][nearest]).sum(axis=1)
-    return dist[np.arange(len(x)), nearest], r_n, nearest
+def _recon(batch: np.ndarray, n_refs: int, flat: np.ndarray, counts):
+    """R_d and R_n of each row of a stack of users against its nearest
+    (L1) reference: ``batch`` (users, width, 16) holds each user's
+    ``n_refs`` references, then its ``counts`` rows, then zero rows, and
+    ``flat`` (users, N_PARAMS + 1) its scorer.  Both are (users, width -
+    n_refs), unset past a user's own rows.  One forward pass embeds every
+    row and reference of the stack; with several references, the nearest
+    is searched one user at a time, so the (rows, references, 16)
+    distances held at once are one user's."""
+    refs, rows = batch[:, :n_refs], batch[:, n_refs:]
+    emb = _embedding(_Pass(flat, batch.shape[1]), batch, routes=False)
+    # each difference is taken into one buffer and made absolute in place
+    if n_refs == 1:
+        r_d = _l1(np.subtract(rows, refs))
+        nearest_emb = emb[:, :1]
+    else:
+        r_d = np.zeros(rows.shape[:-1])
+        nearest = np.zeros(rows.shape[:-1], dtype=np.intp)
+        diff = np.empty((rows.shape[1], n_refs, INPUT_LEN))
+        for user, n in enumerate(counts):
+            dist = _l1(np.subtract(rows[user, :n, None, :], refs[user, None, :, :],
+                                   out=diff[:n]))
+            nearest[user, :n] = np.argmin(dist, axis=1)
+            r_d[user, :n] = dist[np.arange(n), nearest[user, :n]]
+        nearest_emb = np.take_along_axis(emb, nearest[..., None], axis=1)
+    return r_d, _l1(np.subtract(emb[:, n_refs:], nearest_emb))
+
+
+def _l1(diff: np.ndarray) -> np.ndarray:
+    """The L1 norms of the last axis of ``diff``, made absolute in place."""
+    return np.abs(diff, out=diff).sum(axis=-1)
 
 
 def recon_errors(x: np.ndarray, reference: np.ndarray,
                  net: BdeNet) -> tuple[float, float]:
     """L1 reconstruction errors in feature space and in embedding space."""
-    r_d, r_n, _ = _recon_batch(np.atleast_2d(x), np.atleast_2d(reference), net)
-    return float(r_d[0]), float(r_n[0])
+    refs = np.atleast_2d(reference)
+    batch = np.vstack([refs, np.atleast_2d(x)[:1]])[None]
+    r_d, r_n = _recon(batch, len(refs), net.flat[None], [1])
+    return float(r_d[0, 0]), float(r_n[0, 0])
 
 
 def behavior_score(r_d, r_n, lam: float):
@@ -501,25 +537,64 @@ def accuracy(counts: dict[str, int]) -> float:
     return (counts["TP"] + counts["TN"]) / sum(counts.values())
 
 
-def score_rows(rows, x: np.ndarray, references: np.ndarray, net: BdeNet,
-               lam: float, n_train: int) -> Scores:
-    """The scores of the rows ``x`` (the simplex vectors of ``rows``, one
-    user's days), with each row's user, day and label.  The first
-    ``n_train`` rows are the training window: the thresholds come from
-    their scores, and ``d`` is Normal up to ``th_d``, Low_threat up to
-    ``th_f`` and High_threat above.
+@dataclass(frozen=True)
+class UserDays:
+    """One user's part of a ``score_rows`` call: the indices of its days
+    among the rows, its training window first, the count ``n_train`` of
+    days in that window, its reference distributions (one, or a stack of
+    candidates) and its scorer."""
+    days: np.ndarray
+    n_train: int
+    references: np.ndarray
+    net: BdeNet
 
-    ``references`` is one distribution or a stack of candidate samples; a
-    row is scored against its nearest candidate (the single-reference case
+
+def score_rows(rows, x: np.ndarray, users: list[UserDays], lam: float) -> Scores:
+    """The scores of the rows ``x`` (the simplex vectors of ``rows``, each
+    the day of one of ``users``), in the order of ``rows``, with each
+    row's user, day and label.  A user's thresholds come from the scores
+    of its training window, and its ``d`` is Normal up to ``th_d``,
+    Low_threat up to ``th_f`` and High_threat above.  A row is scored
+    against its user's nearest reference (the single-reference case
     reduces to plain scoring).
+
+    Users with equally many references are scored in stacks of up to
+    ``qgan.STACK_USERS``: each stack's rows and references go through one
+    padded (users, rows, 16) batch, and every user's scores are
+    bit-identical to scoring that user alone.
     """
-    r_d, r_n, _ = _recon_batch(x, np.atleast_2d(references), net)
-    d = behavior_score(r_d, r_n, lam)
-    th = fit_thresholds(d[:n_train])
+    at = [np.asarray(user.days, dtype=np.intp) for user in users]
+    scored = np.bincount(np.concatenate([np.zeros(0, np.intp), *at]),
+                         minlength=len(rows))
+    if len(scored) != len(rows) or not (scored == 1).all():
+        raise ValueError("each row must be the day of exactly one user")
+    columns = np.empty((4, len(rows)))   # r_d, r_n, d, th_d
+    band = np.empty(len(rows), dtype=int)
+    stacks: dict[tuple, list[int]] = {}
+    for i, user in enumerate(users):
+        stacks.setdefault(np.shape(np.atleast_2d(user.references)), []).append(i)
+    for (n_refs, _), same in stacks.items():
+        for first in range(0, len(same), STACK_USERS):
+            stack = same[first:first + STACK_USERS]
+            counts = np.array([len(at[i]) for i in stack])
+            batch = np.zeros((len(stack), n_refs + counts.max(), INPUT_LEN))
+            for row, i in zip(batch, stack):
+                row[:n_refs] = users[i].references
+                row[n_refs:n_refs + len(at[i])] = x[at[i]]
+            r_d, r_n = _recon(batch, n_refs, np.stack([users[i].net.flat
+                                                       for i in stack]), counts)
+            d = behavior_score(r_d, r_n, lam)
+            th = [fit_thresholds(row[:n][:users[i].n_train])
+                  for row, n, i in zip(d, counts, stack)]
+            th_d = np.broadcast_to([[t.th_d] for t in th], d.shape)
+            th_f = np.array([[t.th_f] for t in th])
+            mine = np.arange(d.shape[1]) < counts[:, None]
+            days = np.concatenate([at[i] for i in stack])
+            for column, values in zip(columns, (r_d, r_n, d, th_d)):
+                column[days] = values[mine]
+            band[days] = ((d > th_d).astype(int) + (d > th_f))[mine]
     return Scores([row.user for row in rows], [row.day for row in rows],
-                  [row.label for row in rows], r_d, r_n, d,
-                  np.full(len(d), th.th_d),
-                  (d > th.th_d).astype(int) + (d > th.th_f))
+                  [row.label for row in rows], *columns, band)
 
 
 # --------------------------------------------------------------------------

@@ -4,14 +4,17 @@
 ``run.cfg``, checkpoints, saved scorers, and the synth, parse and
 detection reports.
 ``read_csv`` reads every other CSV (labels, features and scores): it
-splits the records with ``csv.reader``, converts each column once per
-distinct cell (``convert_cells``), and runs only the first bad record
-through the file's per-record rule, whose error it reports.
+splits the records with ``str.split``, or with ``csv.reader`` where a
+quote, a CR, a NUL or an over-long line needs it, converts each column
+once per distinct cell (``convert_cells``), and runs only the first bad
+record through the file's per-record rule, whose error it reports.
 ``write_columns`` writes those three and the normalisation stats from
 columns of fields made once per distinct value (``float_fields``,
 ``text_fields``) through ``write_blocks``, which also writes the synth
 logs and the losses as ready bytes.  Every writer goes through
-``atomic_open``, so no output is ever left half-written.
+``atomic_open``, so no output is ever left half-written, and
+``replace_together`` makes a set of outputs change all at once or not
+at all.
 
 A checkpoint has the ``qbde-ckpt-v4`` magic line and one ``[section]`` per
 part of the training state.  Scalar floats are written with ``float.hex``;
@@ -38,7 +41,7 @@ import io
 import shutil
 from contextlib import contextmanager
 from dataclasses import fields
-from itertools import dropwhile
+from itertools import dropwhile, repeat
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +82,32 @@ def atomic_open(path: str | Path, append: bool = False):
         tmp.replace(path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+@contextmanager
+def replace_together():
+    """Files that all change or none does: inside the block,
+    ``stage(path)`` names the file to write in place of ``path``, its
+    hidden sibling ``.<name>``, made a byte copy of ``path`` if ``copy``.
+    Once the block ends without an error, each staged file replaces its
+    ``path``; if it raises, none does, and the staged files are removed."""
+    staged = []
+
+    def stage(path: str | Path, copy: bool = False) -> Path:
+        path = Path(path)
+        new = path.with_name(f".{path.name}")
+        staged.append((new, path))
+        if copy:
+            shutil.copyfile(path, new)
+        return new
+
+    try:
+        yield stage
+        for new, path in staged:
+            new.replace(path)
+    finally:
+        for new, _ in staged:
+            new.unlink(missing_ok=True)
 
 
 def write_blocks(path: str | Path, header: list, blocks,
@@ -145,6 +174,21 @@ def convert_cells(cells, convert, failed=None) -> tuple:
     return map(table.__getitem__, cells), first
 
 
+def _plain_lines(text: str) -> list[str] | None:
+    """The lines of ``text`` if ``str.split`` finds its records and fields
+    as ``csv.reader`` does: it holds no quote, CR or NUL, and no line over
+    csv's field size limit.  None otherwise."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    if not lines[-1]:
+        lines.pop()   # what follows the last line end
+    return lines
+
+
 def read_csv(path: str | Path, kind: str, header_ok, n_columns: int,
              convert, check_record):
     """``convert(columns)`` of the records after a header that
@@ -155,28 +199,20 @@ def read_csv(path: str | Path, kind: str, header_ok, n_columns: int,
     first one that ``check_record(fields)`` rejects (their count if none).
     The first bad record in file order raises ``SchemaError`` naming the
     file and line: one that csv rejects, that has another column count, or
-    on which ``check_record`` raises ``ValueError``."""
-    records, ends, error, lineno = [], [], None, 0
+    on which ``check_record`` raises ``ValueError``.
 
-    def lines():
-        nonlocal lineno
-        for lineno, line in enumerate(handle, start=1):
-            yield line
-
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(dropwhile(lambda line: line.startswith("#"), lines()))
-        try:
-            header = next(reader, None)
-            if header is None or not header_ok(header):
-                raise SchemaError(f"{path}: not a {kind} CSV")
-            for rec in reader:
-                if len(rec) != n_columns:
-                    error = f"expected {n_columns} columns, got {len(rec)}"
-                    break
-                records.append(rec)
-                ends.append(lineno)
-        except csv.Error as exc:
-            error = exc
+    The file is read as bytes and decoded once.  Text that ``_plain_lines``
+    accepts is split with ``str.split``; any other goes through
+    ``csv.reader``."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
+    lines = _plain_lines(text)
+    header, records, ends, lineno, error = (
+        _csv_split(text, n_columns) if lines is None else _plain_split(lines, n_columns))
+    if (header is None and error is None) or (header is not None and not header_ok(header)):
+        raise SchemaError(f"{path}: not a {kind} CSV")
     # the records before a bad line are converted: a bad one among them
     # comes first in the file
     out, first = convert([*zip(*records)] or [()] * n_columns)
@@ -189,6 +225,54 @@ def read_csv(path: str | Path, kind: str, header_ok, n_columns: int,
     if error is not None:
         raise SchemaError(f"{path}: line {lineno}: {error}")
     return out
+
+
+def _plain_split(lines: list[str], n_columns: int):
+    """``read_csv``'s records of the ``_plain_lines`` of a file, as
+    ``_csv_split`` gives them."""
+    first = next((i for i, line in enumerate(lines) if not line.startswith("#")),
+                 len(lines))
+    if first == len(lines):
+        return None, [], [], first, None
+    body = lines[first + 1:]
+    records = [*map(str.split, body, repeat(","))]
+    if "" in body:   # csv reads an empty line as a record of no fields
+        records[body.index("")] = []
+    widths = [*map(len, records)]
+    error = None
+    if widths.count(n_columns) != len(widths):
+        bad = next(i for i, width in enumerate(widths) if width != n_columns)
+        error = f"expected {n_columns} columns, got {widths[bad]}"
+        del records[bad:]
+    lineno = first + 2 + len(records)   # the bad line's, if there is one
+    return (lines[first].split(",") if lines[first] else [], records,
+            range(first + 2, lineno), lineno, error)
+
+
+def _csv_split(text: str, n_columns: int):
+    """``read_csv``'s split of ``text`` with ``csv.reader``: the header
+    (None if there is none, or if csv rejects it), the records up to the
+    first bad one and each one's line, and the line and error of that bad
+    one (None if there is none)."""
+    header, records, ends, error, lineno = None, [], [], None, 0
+
+    def lines():
+        nonlocal lineno
+        for lineno, line in enumerate(io.StringIO(text, newline=""), start=1):
+            yield line
+
+    reader = csv.reader(dropwhile(lambda line: line.startswith("#"), lines()))
+    try:
+        header = next(reader, None)
+        for rec in reader if header is not None else ():
+            if len(rec) != n_columns:
+                error = f"expected {n_columns} columns, got {len(rec)}"
+                break
+            records.append(rec)
+            ends.append(lineno)
+    except csv.Error as exc:
+        error = exc
+    return header, records, ends, lineno, error
 
 
 class Section(dict):
@@ -206,14 +290,18 @@ class Section(dict):
 def read_kv(path: str | Path, magic: str | None = None) -> Section:
     """Sections of a ``key = value`` file, by name; entries before the
     first ``[section]`` header are in section ``""``.  Blank and ``#``
-    lines are skipped, and a repeated key keeps its last value.  Lines end
-    at each LF, found with ``str.find``: a checkpoint is a few dozen lines
-    of up to ~100 K characters, which ``str.split("\n")`` would scan one
-    character at a time."""
+    lines are skipped, and a repeated key keeps its last value.  The file
+    is read as bytes and decoded once, and CR LF and a lone CR end a line
+    as LF does.  Lines end at each LF, found with ``str.find``: a
+    checkpoint is a few dozen lines of up to ~100 K characters, which
+    ``str.split("\n")`` would scan one character at a time.  A line's
+    value is sliced from the text once, past the space after its ``=``."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     sections = Section(f"{path}: section ")
     current = sections[""] = Section(f"{path}: ")
     start, lineno = 0, 0
@@ -221,23 +309,26 @@ def read_kv(path: str | Path, magic: str | None = None) -> Section:
         stop = text.find("\n", start)
         if stop < 0:
             stop = len(text)
-        line, start, lineno = text[start:stop].strip(), stop + 1, lineno + 1
+        eq = text.find("=", start, stop)
+        line_start, start, lineno = start, stop + 1, lineno + 1
         if lineno == 1 and magic is not None:
-            if line != magic:
+            if text[line_start:stop].strip() != magic:
                 raise SchemaError(f"{path}: not a {magic} file")
             continue
-        if not line or line.startswith("#"):
+        # the key, or the whole line if it has no "="
+        head = text[line_start:stop if eq < 0 else eq].strip()
+        value = text[eq + 1 + text.startswith(" ", eq + 1):stop].strip() if eq >= 0 else head
+        if head.startswith("#") or eq < 0 and not head:
             continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1]
+        if head.startswith("[") and value.endswith("]"):
+            name = text[line_start:stop].strip()[1:-1]
             current = sections.setdefault(name, Section(f"{path}: {name}."))
             continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise SchemaError(f"{path}:{lineno}: unparseable line {line!r}")
+        if eq < 0:
+            raise SchemaError(f"{path}:{lineno}: unparseable line {head!r}")
         # a repeated key moves to its last place: aliases apply in file order
-        current.pop(key.strip(), None)
-        current[key.strip()] = value.strip()
+        current.pop(head, None)
+        current[head] = value
     return sections
 
 

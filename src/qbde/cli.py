@@ -24,13 +24,15 @@ import functools
 import hashlib
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import bde, features, qgan
-from .checkpoint import (float_fields, load_checkpoint, read_kv, save_checkpoint,
-                         text_fields, write_blocks, write_columns, write_kv)
+from .checkpoint import (float_fields, load_checkpoint, read_kv, replace_together,
+                         save_checkpoint, text_fields, write_blocks, write_columns,
+                         write_kv)
 from .errors import ConfigError, SchemaError
 from .qsim import probabilities, run_generator_circuit, sample
 
@@ -244,22 +246,22 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> int:
     states = [_load_state(cfg, ckpt) for ckpt in ckpts] if resume else None
     traces = qgan.train([features.to_simplex([row.features for row in rows])
                          for rows in by_user.values()], train_cfg, states)
-    for user, ckpt, trace in zip(by_user, ckpts, traces):
-        loss_path = out_dir / f"loss_{user}.csv"
-
-        def loss_rows_then_checkpoint():
+    # every user's loss file and checkpoint are written before any is
+    # replaced, so a failed write leaves all of them as they were
+    with replace_together() as stage:
+        for user, ckpt, trace in zip(by_user, ckpts, traces):
             last = trace.state.epoch
             losses = zip(range(last - len(trace.loss_g) + 1, last + 1), *map(
                 float_fields, (trace.loss_g, trace.loss_d, trace.cross_entropy)))
-            yield "".join(f"{epoch},{g},{d},{ce}\n" for epoch, g, d, ce in losses).encode()
-            # saved after the new rows are in the loss file's temp copy and
-            # before that copy replaces the loss file, so a failed write of
-            # either file leaves the pair as it was
-            save_checkpoint(ckpt, train_cfg, trace.state, digest=digest)
-
-        write_blocks(loss_path, ["epoch", "loss_g", "loss_d", "cross_entropy"],
-                     loss_rows_then_checkpoint(), digest,
-                     append=resume and loss_path.exists())
+            loss_path = out_dir / f"loss_{user}.csv"
+            append = resume and loss_path.exists()
+            write_blocks(stage(loss_path, copy=append),
+                         ["epoch", "loss_g", "loss_d", "cross_entropy"],
+                         ["".join(f"{epoch},{g},{d},{ce}\n"
+                                  for epoch, g, d, ce in losses).encode()],
+                         digest, append)
+            save_checkpoint(stage(ckpt), train_cfg, trace.state, digest=digest)
+    for user, ckpt, trace in zip(by_user, ckpts, traces):
         final = (f"cross_entropy={trace.cross_entropy[-1]:.4f}"
                  if trace.cross_entropy else "no epochs run")
         print(f"trained {user}: {len(trace.loss_g)} epochs, {final} -> {ckpt}")
@@ -288,18 +290,27 @@ def cmd_detect(cfg: RunConfig) -> int:
                           f"training rows to score against")
     digest = cfg.digest()
 
+    # every user's training window, then every user's test days: the
+    # order of the score files
+    n_train = sum(map(len, train_by_user.values()))
+    rows = [*chain(*train_by_user.values(),
+                   *(test_by_user.get(user, []) for user in train_by_user))]
+    x = features.to_simplex([row.features for row in rows])
+
     # every checkpoint loads before any scorer is looked up or trained
     users, reals, generated = [], [], []
+    train_at, test_at = 0, n_train
     for user, user_train in train_by_user.items():
         state = _load_state(cfg, _ckpt_path(cfg, user, len(train_by_user)))
         references = _reference_distributions(state, cfg)
-        rows = user_train + test_by_user.get(user, [])
-        x = features.to_simplex([row.features for row in rows])
-        real = x[:len(user_train)]
+        n_test = len(test_by_user.get(user, []))
+        real = x[train_at:train_at + len(user_train)]
         tiled = np.tile(references, (-(-len(real) // len(references)), 1))
         reals.append(real)
         generated.append(tiled[:len(real)])
-        users.append((rows, x, references, len(user_train)))
+        days = np.r_[train_at:train_at + len(real), test_at:test_at + n_test]
+        users.append((days, len(real), references))
+        train_at, test_at = train_at + len(real), test_at + n_test
 
     # a scorer saved for exactly these inputs is reused; one call trains
     # the rest, and is made even when it has none to train
@@ -315,14 +326,9 @@ def cmd_detect(cfg: RunConfig) -> int:
         bde.save_scorer(paths[i], keys[i], net)
         nets[i] = net
 
-    # each user's days are scored together, then the users' training
-    # windows and test days are joined separately
-    train, test = [], []
-    for (rows, x, references, n_train), net in zip(users, nets):
-        scores = bde.score_rows(rows, x, references, net, cfg.lam, n_train)
-        train.append(scores[:n_train])
-        test.append(scores[n_train:])
-    train, test = bde.join_scores(train), bde.join_scores(test)
+    scores = bde.score_rows(rows, x, [bde.UserDays(*user, net) for user, net
+                                      in zip(users, nets)], cfg.lam)
+    train, test = scores[:n_train], scores[n_train:]
 
     bde.write_score_csv(out_dir / "scores.csv", test, digest)
     bde.write_score_csv(out_dir / "scores_train.csv", train, digest)

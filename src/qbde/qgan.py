@@ -504,17 +504,22 @@ def _train_stack(datasets: list[np.ndarray], traces: list[TrainTrace],
     lead = (len(datasets),) if len(datasets) > 1 else ()
     n = np.reshape([len(data) for data in datasets], lead)
     width = int(n.max())
-    x = np.zeros((*lead, width, datasets[0].shape[1]))
-    users_x = x.reshape(-1, *x.shape[-2:])
-    for user, data in enumerate(datasets):
-        users_x[user, :len(data)] = data
+    if lead:
+        x = np.zeros((*lead, width, datasets[0].shape[1]))
+        for user, data in enumerate(datasets):
+            x[user, :len(data)] = data
+        # each user's rows in the flat rows of x; the zero rows stay put
+        order = np.arange(x.size // x.shape[-1]).reshape(x.shape[:-1])
+        x = x.reshape(-1, x.shape[-1])
+    else:   # one user's rows are the stack's: nothing to pad or to offset
+        x, order = datasets[0], None
     targets = np.reshape([data.mean(axis=0) for data in datasets], (*lead, -1))
     angles, net, opt_g, opt_d = _stacked(states)
 
     # one pass for the full batches and one for each user's last batch,
     # each with the views it copies its real rows from and to, and one pass
     # for the generated row alone
-    x_epoch = np.empty_like(x)
+    x_epoch = np.empty((*lead, width, x.shape[-1]))
     last = (width - 1) // cfg.batch * cfg.batch   # where the last batch starts
     real_rows = np.full((last // cfg.batch + 1, *lead), cfg.batch)
     real_rows[-1] = n - last
@@ -525,21 +530,18 @@ def _train_stack(datasets: list[np.ndarray], traces: list[TrainTrace],
              for start, p in zip(range(0, width, cfg.batch), passes)]
     gen = _Pass(net, 1)
     probs = gen.x[..., 0, :]
-    order = np.zeros((*lead, width), dtype=np.intp)
-    order[...] = np.arange(width)   # the zero rows stay put
-    users_order = order.reshape(-1, width)
-    order += np.arange(0, users_order.size, width).reshape(*lead, 1)
-    x = x.reshape(-1, x.shape[-1])
     real_log, y_gen = np.empty((2, len(steps), *lead))
 
     # the circuit after an epoch gives its cross-entropy, and the next
     # epoch's first batch starts from it
     circuit = None
     for _ in range(cfg.epochs):
-        for user, (data, state) in enumerate(zip(datasets, states)):
-            users_order[user, :len(data)] = state.rng.permutation(len(data))
-            users_order[user, :len(data)] += user * width
-        x.take(order, axis=0, out=x_epoch)
+        picks = [state.rng.permutation(len(data))
+                 for data, state in zip(datasets, states)]
+        if lead:
+            for user, pick in enumerate(picks):
+                order[user, :len(pick)] = pick + user * width
+        x.take(picks[0] if order is None else order, axis=0, out=x_epoch)
         for step, (p, src, dst, x_rows) in enumerate(steps):
             mats, amplitudes = circuit or _circuit(angles)
             circuit = None

@@ -28,7 +28,8 @@ from qbde.bde import (
     Scores,
     Thresholds,
     VERDICTS,
-    _recon_batch,
+    UserDays,
+    _embed,
     accuracy,
     bce_loss_and_grads,
     bde_forward,
@@ -50,7 +51,7 @@ from qbde.bde import (
 from qbde.checkpoint import float_fields, text_fields, write_columns, write_kv
 from qbde.errors import SchemaError
 from qbde.optim import Adam
-from qbde.qgan import SIGMOID_CLAMP, _sigmoid
+from qbde.qgan import SIGMOID_CLAMP, STACK_USERS, _sigmoid
 
 
 def zero_net():
@@ -589,7 +590,8 @@ def test_embeddings_match_per_call_oracle():
         assert emb.tobytes() == want_emb[0].tobytes()
         _, want_emb, _ = oracle_forward_batch(net, x)
         rows, refs = x[:len(x) // 2], x[len(x) // 2:]
-        _, r_n, nearest = _recon_batch(rows, refs, net)
+        r_n = score_user(day_rows(rows), rows, refs, net, 1.0, len(rows)).r_n
+        nearest = np.abs(rows[:, None, :] - refs[None, :, :]).sum(axis=2).argmin(axis=1)
         want_r_n = np.abs(want_emb[:len(rows)]
                           - want_emb[len(rows):][nearest]).sum(axis=1)
         assert r_n.tobytes() == want_r_n.tobytes()
@@ -701,6 +703,34 @@ def test_recon_errors_zero_net_embedding():
     assert r_d > 0.0
 
 
+def oracle_recon_batch(x, refs, net):
+    """R_d and R_n of every row of ``x`` against its nearest (L1) row of
+    ``refs``, plus that index, for one user: rows and references share one
+    forward pass of that user's scorer alone."""
+    dist = np.abs(x[:, None, :] - refs[None, :, :]).sum(axis=2)
+    nearest = np.argmin(dist, axis=1)
+    _, emb = _embed(net, np.vstack([x, refs]))
+    r_n = np.abs(emb[:len(x)] - emb[len(x):][nearest]).sum(axis=1)
+    return dist[np.arange(len(x)), nearest], r_n, nearest
+
+
+def oracle_score_user(rows, x, references, net, lam, n_train):
+    """One user's days scored alone, thresholds from its first ``n_train``."""
+    r_d, r_n, _ = oracle_recon_batch(x, np.atleast_2d(references), net)
+    d = behavior_score(r_d, r_n, lam)
+    th = fit_thresholds(d[:n_train])
+    return Scores([row.user for row in rows], [row.day for row in rows],
+                  [row.label for row in rows], r_d, r_n, d,
+                  np.full(len(d), th.th_d),
+                  (d > th.th_d).astype(int) + (d > th.th_f))
+
+
+def score_user(rows, x, references, net, lam, n_train):
+    """``score_rows`` of one user's days, its first ``n_train`` the training window."""
+    return score_rows(rows, x, [UserDays(np.arange(len(rows)), n_train, references, net)],
+                      lam)
+
+
 def day_rows(vectors, user="U1", labels=None):
     """Stand-ins for behavior rows; ``vec`` is the row's simplex vector."""
     labels = labels or [None] * len(vectors)
@@ -716,8 +746,8 @@ def test_batched_scores_match_per_row_recon_errors(n_refs):
     refs = rng.dirichlet(np.ones(16), size=n_refs)
     vectors = [*rng.dirichlet(np.ones(16), size=50), refs[-1].copy()]
     rows = day_rows(vectors)
-    scores = score_rows(rows, np.array(vectors), refs, net, 0.3, len(rows))
-    _, _, batch_nearest = _recon_batch(np.array(vectors), refs, net)
+    scores = score_user(rows, np.array(vectors), refs, net, 0.3, len(rows))
+    _, _, batch_nearest = oracle_recon_batch(np.array(vectors), refs, net)
     assert len(scores) == len(rows)
     for i, (row, got_nearest) in enumerate(zip(rows, batch_nearest)):
         nearest = int(np.argmin(np.abs(row.vec - refs).sum(axis=1)))
@@ -739,7 +769,7 @@ def oracle_score_rows(rows, references, net, lam, to_vector):
     """(R_d, R_n, d) per row: one row projected at a time, d in scalars."""
     rows = list(rows)
     x = np.reshape([to_vector(row) for row in rows], (len(rows), 16))
-    r_d, r_n, _ = _recon_batch(x, np.atleast_2d(references), net)
+    r_d, r_n, _ = oracle_recon_batch(x, np.atleast_2d(references), net)
     return [(float(rd), float(rn), (1.0 - lam) * float(rd) + lam * float(rn))
             for rd, rn in zip(r_d, r_n)]
 
@@ -778,7 +808,7 @@ def score_tuples(scores):
 
 def array_records(train, test, references, net, lam):
     rows = [*train, *test]
-    return score_tuples(score_rows(rows, np.array([row.vec for row in rows]),
+    return score_tuples(score_user(rows, np.array([row.vec for row in rows]),
                                    references, net, lam, len(train)))
 
 
@@ -837,6 +867,61 @@ def test_array_path_matches_oracle_on_band_edges(n_refs, lam):
         if lam < 1.0 else ["Normal"] * 5)
 
 
+@pytest.mark.parametrize("n_refs", [[1], [64], [1, 4]], ids=["exact", "sampled", "mixed"])
+@pytest.mark.parametrize("counts", [
+    [40], [30, 46, 12, 46, 1, 70], [5 + user % 9 for user in range(STACK_USERS + 3)]],
+    ids=["one-user", "unequal", "over-one-stack"])
+def test_stacked_scores_match_each_user_scored_alone(counts, n_refs, monkeypatch):
+    """Users' days in one ``score_rows`` call, their rows shuffled
+    together, score bit for bit as each user scored alone; a stack holds
+    at most ``STACK_USERS`` users, and users with unequal reference counts
+    go to separate stacks."""
+    stacks, recon = [], bde._recon
+
+    def counted(batch, n_refs, *args):
+        stacks.append((len(batch), n_refs))
+        return recon(batch, n_refs, *args)
+
+    monkeypatch.setattr(bde, "_recon", counted)
+    rng = np.random.default_rng(sum(counts) + len(n_refs))
+    users, alone = [], []
+    for user, count in enumerate(counts):
+        x = np.vstack([rng.dirichlet(np.full(16, alpha), size=count)
+                       for alpha in (0.3, 20.0)])[rng.permutation(2 * count)[:count]]
+        refs = rng.dirichlet(np.ones(16), size=n_refs[user % len(n_refs)])
+        rows = day_rows(x, f"U{user}", [*rng.choice([None, "normal", "abnormal"], count)])
+        n_train = max(1, 2 * count // 3)
+        users.append((rows, x, refs, random_net(user), n_train))
+        alone.append(oracle_score_user(rows, x, refs, random_net(user), 0.1, n_train))
+    order = rng.permutation(sum(counts))
+    where = np.argsort(order)   # each day's place among the shuffled rows
+    ends = np.cumsum(counts)
+    rows = [row for user in users for row in user[0]]
+    x = np.vstack([user[1] for user in users])
+    scores = score_rows([rows[i] for i in order], x[order], [
+        UserDays(where[end - count:end], n_train, refs, net)
+        for (_, _, refs, net, n_train), count, end in zip(users, counts, ends)], 0.1)
+    for want, count, end in zip(alone, counts, ends):
+        days = where[end - count:end]
+        for name in ("user", "day", "label"):
+            assert [getattr(scores, name)[i] for i in days] == getattr(want, name)
+        for name in ("r_d", "r_n", "d", "th_d", "band"):
+            assert getattr(scores, name)[days].tobytes() == getattr(want, name).tobytes()
+    assert sum(size for size, _ in stacks) == len(counts)
+    assert max(size for size, _ in stacks) <= STACK_USERS
+    assert len({n for _, n in stacks}) == len(n_refs[:len(counts)])
+
+
+def test_score_rows_needs_every_row_scored_once():
+    rows, x = day_rows(np.full((3, 16), 1 / 16)), np.full((3, 16), 1 / 16)
+    ref, net = np.full(16, 1 / 16), zero_net()
+    for days in ([0, 1], [0, 1, 1, 2], [0, 1, 3]):
+        with pytest.raises(ValueError, match="exactly one user"):
+            score_rows(rows, x, [UserDays(np.array(days), 1, ref, net)], 0.1)
+    with pytest.raises(ValueError, match="empty score list"):
+        score_user(rows, x, ref, net, 0.1, 0)
+
+
 def test_behavior_score_endpoints_and_arithmetic():
     assert behavior_score(0.7, 0.2, 0.0) == 0.7
     assert behavior_score(0.7, 0.2, 1.0) == 0.2
@@ -888,7 +973,7 @@ def test_verdict_bands_and_boundaries():
         return vec
 
     steps = [0.125, 0.0625, 0.125, 0.1875, 0.25, 0.375]
-    records = score_tuples(score_rows(day_rows([shifted(s) for s in steps]),
+    records = score_tuples(score_user(day_rows([shifted(s) for s in steps]),
                                       np.array([shifted(s) for s in steps]), ref,
                                       zero_net(), 0.0, 2))
     assert records[0][5:7] == (0.25, 0.5)
@@ -902,7 +987,7 @@ def test_verdict_bands_and_boundaries():
 def test_no_training_point_classifies_abnormal():
     rng = np.random.default_rng(15)
     x = rng.dirichlet(np.ones(16), size=200)
-    scores = score_rows(day_rows(x), x, rng.dirichlet(np.ones(16)),
+    scores = score_user(day_rows(x), x, rng.dirichlet(np.ones(16)),
                         random_net(17), 0.1, len(x))
     assert scores.band.tolist() == [0] * len(x)
 
@@ -1058,7 +1143,7 @@ def test_column_writers_match_per_record_oracle(tmp_path):
     train, test, train_records, test_records = [], [], [], []
     for user, steps, n_train, labels in users:
         rows = day_rows(shifted(steps), user, labels)
-        scores = score_rows(rows, shifted(steps), ref, net, 0.0, n_train)
+        scores = score_user(rows, shifted(steps), ref, net, 0.0, n_train)
         records = [ScoreRecord(user, day, r_d, r_n, d, Thresholds(th_d), verdict, label)
                    for user, day, r_d, r_n, d, th_d, _, verdict, label
                    in score_tuples(scores)]
@@ -1131,15 +1216,17 @@ HUGE_FIELD = '"' + "x" * (csv.field_size_limit() + 1) + '"'
         "bad-float-before-bad-date", "bad-date-and-float-in-one-row",
         "bad-float-before-field-limit", "field-limit-before-bad-float",
         "short-row-before-bad-float"])
-def test_score_csv_schema_error_names_line(tmp_path, lines, error):
-    """The first bad record in the file is the one reported, by its line."""
+def test_score_csv_schema_error_names_line(tmp_path, lines, error, each_csv_splitter):
+    """The first bad record in the file is the one reported, by its line,
+    by either splitter."""
     path = tmp_path / "scores.csv"
     path.write_text("\n".join([",".join(SCORE_COLUMNS), *lines, ""]), encoding="utf-8")
-    with pytest.raises(SchemaError, match=re.escape(error)):
-        read_score_csv(path)
+    for _ in each_csv_splitter():
+        with pytest.raises(SchemaError, match=re.escape(error)):
+            read_score_csv(path)
 
 
-def test_score_csv_error_counts_the_comment_line(tmp_path):
+def test_score_csv_error_counts_the_comment_line(tmp_path, each_csv_splitter):
     scores = sample_scores()
     path = tmp_path / "scores.csv"
     write_score_csv(path, scores, comment="digest")
@@ -1147,8 +1234,9 @@ def test_score_csv_error_counts_the_comment_line(tmp_path):
     assert lines[0] == "# digest"
     lines[3] = lines[3].replace(repr(scores.r_d[1].item()), "x", 1)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(SchemaError, match="line 4: could not convert"):
-        read_score_csv(path)
+    for _ in each_csv_splitter():
+        with pytest.raises(SchemaError, match="line 4: could not convert"):
+            read_score_csv(path)
 
 
 def test_summary_round_trip(tmp_path):

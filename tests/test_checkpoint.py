@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import csv
 import struct
 from pathlib import Path
 
@@ -12,11 +13,13 @@ from hypothesis import given, settings, strategies as st
 from qbde import checkpoint
 from qbde.checkpoint import (
     MAGIC,
+    _csv_split,
     _get_array,
     _put_array,
     atomic_open,
     float_fields,
     load_checkpoint,
+    read_csv,
     read_kv,
     save_checkpoint,
     text_fields,
@@ -192,11 +195,72 @@ _KV_LINES = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(_KV_LINES, max_size=12), final_lf=st.booleans(),
-       magic=st.sampled_from([None, "m", "k = v"]))
-def test_kv_scan_matches_the_split_reader(tmp_path_factory, lines, final_lf, magic):
+       magic=st.sampled_from([None, "m", "k = v"]),
+       line_end=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_kv_scan_matches_the_split_reader(tmp_path_factory, lines, final_lf, magic,
+                                          line_end):
+    """Files with LF, CR LF or lone-CR line ends (and stray CRs inside
+    lines) read as ``Path.read_text`` and ``str.split`` read them."""
     path = tmp_path_factory.mktemp("kv") / "file.txt"
-    path.write_bytes(("\n".join(lines) + "\n" * final_lf).encode("utf-8"))
+    path.write_bytes((line_end.join(lines) + line_end * final_lf).encode("utf-8"))
     assert _kv_outcome(read_kv, path, magic) == _kv_outcome(split_read_kv, path, magic)
+
+
+def _csv_outcome(path):
+    """What ``read_csv`` makes of a three-column file whose records are bad
+    where their first field is ``b``: the records, or the error."""
+    def convert(cols):
+        return [*zip(*cols)], next((i for i, cell in enumerate(cols[0]) if cell == "b"),
+                                   len(cols[0]))
+
+    def check(rec):
+        if rec[0] == "b":
+            raise ValueError("field b")
+
+    try:
+        return read_csv(path, "test", lambda header: header[:1] != ["x"], 3, convert, check)
+    except SchemaError as exc:
+        return str(exc)
+
+
+_CSV_LINES = st.one_of(
+    st.sampled_from(["", "#", "# c", "a,b,c", "b,a,a", "a,,", ",,", "a,b", "a,b,c,d",
+                     "x,y,z", "#a,b,c", '"a,b",c,d', '"a', "a\rb,c,d", "a\0,b,c"]),
+    st.text(alphabet="ab,#", max_size=7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_CSV_LINES, max_size=8), final_lf=st.booleans())
+def test_csv_splitters_read_every_file_alike(tmp_path_factory, lines, final_lf,
+                                             each_csv_splitter):
+    """Comment lines, empty lines, short and long records, a bad header,
+    quotes, CRs and NULs: ``str.split`` and ``csv.reader`` give the same
+    records, or the same error on the same line."""
+    path = tmp_path_factory.mktemp("csv") / "file.csv"
+    path.write_bytes(("\n".join(lines) + "\n" * final_lf).encode("utf-8"))
+    outcomes = [_csv_outcome(path) for _ in each_csv_splitter()]
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("text, plain", [
+    ("user,day,label\nU1,d,normal\n", True),
+    ("# c\nuser,day,label\n#U1,d,normal\n\n", True),
+    ('user,day,label\n"U,1",d,normal\n', False),
+    ("user,day,label\r\nU1,d,normal\r\n", False),
+    ("user,day,label\nU1\0,d,normal\n", False),
+    ("user,day,label\nU1,d," + "x" * (csv.field_size_limit() + 1) + "\n", False),
+], ids=["plain", "comment-hash-user-and-empty-line", "quoted-user", "crlf", "nul",
+        "over-field-limit"])
+def test_only_plain_text_is_split_with_str_split(tmp_path, monkeypatch, text, plain):
+    """A quote, a CR, a NUL or a line over csv's field size limit sends a
+    file to ``csv.reader``; any other text is split with ``str.split``."""
+    calls = []
+    monkeypatch.setattr(checkpoint, "_csv_split", lambda *args: calls.append(args) or
+                        _csv_split(*args))
+    path = tmp_path / "file.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _csv_outcome(path)
+    assert bool(calls) is not plain
 
 
 def test_missing_file_raises_io_error(tmp_path):

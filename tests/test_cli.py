@@ -90,6 +90,18 @@ def test_non_utf8_config_is_config_error(tmp_path, capsys):
     assert "configuration error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["qgan.ckpt", "features_test.csv"])
+def test_non_utf8_checkpoint_or_features_is_validation_error(tmp_path, capsys, name):
+    flags = fast_flags(tmp_path)
+    for step in ("synth", "ingest", "train"):
+        assert main([step, *flags]) == EXIT_OK
+    path = tmp_path / "out" / name
+    path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
+    capsys.readouterr()
+    assert main(["detect", *flags]) == EXIT_VALIDATION
+    assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_cli_flag_overrides_file(tmp_path):
     path = tmp_path / "a.cfg"
     path.write_text("seed = 1\n", encoding="utf-8")
@@ -1010,22 +1022,24 @@ def test_failed_train_keeps_previous_loss_file(tmp_path, monkeypatch, extra):
 
 
 def test_failed_train_keeps_checkpoint_and_loss_file_together(tmp_path, monkeypatch):
-    flags = fast_flags(tmp_path)
-    for step in ("synth", "ingest"):
-        assert main([step, *flags]) == EXIT_OK
-    assert main(["train", *flags, "--epochs", "3"]) == EXIT_OK
-    out = tmp_path / "out"
-    pair = ("qgan.ckpt", "loss_U0000.csv")
-    before = {name: (out / name).read_bytes() for name in pair}
-    for failing in pair:
+    """A write that fails for either file of the second of two users
+    leaves both users' checkpoints and loss files as they were, with no
+    temp or staged file: no user is left an epoch ahead of the other."""
+    flags, out = _users_trained(tmp_path, 2)
+    files = ("qgan-U0000.ckpt", "loss_U0000.csv", "qgan-U0001.ckpt", "loss_U0001.csv")
+    before = {name: (out / name).read_bytes() for name in files}
+    listing = sorted(path.name for path in out.iterdir())
+    for failing in files[2:]:
         with monkeypatch.context() as patch:
             _fail_writes_to(patch, failing)
             assert main(["train", *flags, "--resume", "--epochs", "3"]) == EXIT_IO
-        assert {name: (out / name).read_bytes() for name in pair} == before
+        assert {name: (out / name).read_bytes() for name in files} == before
+        assert sorted(path.name for path in out.iterdir()) == listing
     assert main(["train", *flags, "--resume", "--epochs", "3"]) == EXIT_OK
-    assert load_checkpoint(out / "qgan.ckpt")[1].epoch == 6
-    loss = (out / "loss_U0000.csv").read_text(encoding="utf-8").splitlines()[2:]
-    assert [int(line.split(",")[0]) for line in loss] == [1, 2, 3, 4, 5, 6]
+    for user in ("U0000", "U0001"):
+        assert load_checkpoint(out / f"qgan-{user}.ckpt")[1].epoch == 7
+        loss = (out / f"loss_{user}.csv").read_text(encoding="utf-8").splitlines()[2:]
+        assert [int(line.split(",")[0]) for line in loss] == [*range(1, 8)]
 
 
 @pytest.mark.parametrize("argv, failing", [

@@ -1528,14 +1528,16 @@ def feature_line(user="U0", day="2011-01-03", value="0.5", label="normal", at=0)
         "short-row-before-non-finite", "bad-user-before-bad-date", "bad-date-before-bad-user",
         "bad-user-and-date-in-one-row", "bad-user-before-non-finite",
         "bad-label-before-field-limit", "field-limit-before-bad-label"])
-def test_features_csv_schema_errors(tmp_path, lines, error):
-    """The first bad record in the file is the one reported, by its line;
-    ``lines`` follow a header, or here a comment line and a header."""
+def test_features_csv_schema_errors(tmp_path, lines, error, each_csv_splitter):
+    """The first bad record in the file is the one reported, by its line,
+    by either splitter; ``lines`` follow a header, or here a comment line
+    and a header."""
     path = tmp_path / "bad.csv"
     header = ",".join(["user", "day", *FEATURE_NAMES, "label"])
     write_lines(path, lines if lines[0] == "nope" else ["# c", header, *lines])
-    with pytest.raises(SchemaError, match=re.escape(error)):
-        read_features_csv(path)
+    for _ in each_csv_splitter():
+        with pytest.raises(SchemaError, match=re.escape(error)):
+            read_features_csv(path)
 
 
 @pytest.mark.parametrize("lines, error", [
@@ -1547,11 +1549,12 @@ def test_features_csv_schema_errors(tmp_path, lines, error):
      "line 3: expected 3 columns, got 2"),
 ], ids=["bad-date-before-short-row", "bad-label-before-bad-date",
         "bad-label-before-field-limit", "short-row-before-bad-date"])
-def test_labels_csv_schema_errors(tmp_path, lines, error):
+def test_labels_csv_schema_errors(tmp_path, lines, error, each_csv_splitter):
     path = tmp_path / "labels.csv"
     write_lines(path, ["user,day,label", *lines])
-    with pytest.raises(SchemaError, match=re.escape(error)):
-        read_labels_csv(path)
+    for _ in each_csv_splitter():
+        with pytest.raises(SchemaError, match=re.escape(error)):
+            read_labels_csv(path)
 
 
 def read_row_by_row(path, n_columns, convert):
@@ -1588,10 +1591,10 @@ def usually(good, *bad):
     usually("0.5", "x", "inf", "nan", "1_0", "-0.0", "1e400", " 2 "),
     st.integers(0, N_FEATURES - 1), usually("normal", "", "Normal", "abnormal"),
     usually("row", "row", "short", "huge")), max_size=10))
-def test_columns_report_the_error_a_row_by_row_read_reports(fields):
+def test_columns_report_the_error_a_row_by_row_read_reports(fields, each_csv_splitter):
     """A feature file and a labels file with bad cells, short rows and
     fields over csv's limit read as a row-by-row reader reads them, up to
-    their first bad record and its error."""
+    their first bad record and its error, through either splitter."""
     records = [SHORT_ROW.split(",") if shape == "short" else feature_line(
         user, day, value, HUGE_FIELD if shape == "huge" else label, at).split(",")
         for user, day, value, at, label, shape in fields]
@@ -1604,15 +1607,17 @@ def test_columns_report_the_error_a_row_by_row_read_reports(fields):
              features._label_row)]:
             write_lines(path, ["# c", ",".join(header), *map(",".join, rows)])
             want = read_row_by_row(path, n_columns, want)
-            if isinstance(want, str):
-                with pytest.raises(SchemaError) as error:
-                    read(path)
-                assert str(error.value) == f"{path}: {want}"
-            elif read is read_labels_csv:
-                assert read(path) == dict(want)
-            else:
-                assert [(r.user, r.day, r.features.tobytes(), r.label) for r in read(path)] \
-                    == [(r.user, r.day, r.features.tobytes(), r.label) for r in want]
+            for _ in each_csv_splitter():
+                if isinstance(want, str):
+                    with pytest.raises(SchemaError) as error:
+                        read(path)
+                    assert str(error.value) == f"{path}: {want}"
+                elif read is read_labels_csv:
+                    assert read(path) == dict(want)
+                else:
+                    assert [(r.user, r.day, r.features.tobytes(), r.label)
+                            for r in read(path)] \
+                        == [(r.user, r.day, r.features.tobytes(), r.label) for r in want]
 
 
 def test_hash_is_a_comment_only_before_the_header(tmp_path):
