@@ -11,17 +11,18 @@ record through the file's per-record rule, whose error it reports.
 ``write_columns`` writes those three and the normalisation stats from
 columns of fields made once per distinct value (``float_fields``,
 ``text_fields``) through ``write_blocks``, which also writes the synth
-logs and the losses as ready bytes.  Every writer goes through
-``atomic_open``, so no output is ever left half-written, and
-``replace_together`` makes a set of outputs change all at once or not
-at all.
+logs and the losses as ready bytes, a resumed loss file as its old bytes
+and then the new rows.  ``write_kv`` writes a whole file in one call.
+Every writer goes through ``atomic_open``, so no output is ever left
+half-written, and ``replace_together`` makes a set of outputs change all
+at once or not at all.
 
 A checkpoint has the ``qbde-ckpt-v4`` magic line and one ``[section]`` per
 part of the training state.  Scalar floats are written with ``float.hex``;
 an array is a ``key.shape`` line plus a ``key.data`` line of its values as
-raw little-endian binary64 bytes in hex, so a save/load round trip is
-bit-exact.  Each trained network is one vector with one Adam state, and
-the file stores exactly that: ``[generator]`` the ``angles``,
+raw little-endian binary64 bytes in hex with no whitespace, so a save/load
+round trip is bit-exact.  Each trained network is one vector with one Adam
+state, and the file stores exactly that: ``[generator]`` the ``angles``,
 ``[discriminator]`` the flat ``params``, and ``[opt_g]`` and ``[opt_d]``
 each the step count ``t`` and the moments ``m`` and ``v``, shaped like the
 array the optimiser steps.  Every shape must be the one ``[config]`` and
@@ -36,9 +37,9 @@ refused: ``qbde-ckpt-v1`` (also stored settings that are now constants),
 
 from __future__ import annotations
 
+import binascii
 import csv
 import io
-import shutil
 from contextlib import contextmanager
 from dataclasses import fields
 from itertools import dropwhile, repeat
@@ -70,14 +71,11 @@ def _encode(kind: str, value) -> str:
 
 
 @contextmanager
-def atomic_open(path: str | Path, append: bool = False):
-    """Write through a sibling temp file that replaces ``path`` on success;
-    to append, the temp file starts as a byte copy of ``path``."""
+def atomic_open(path: str | Path):
+    """Write through a sibling temp file that replaces ``path`` on success."""
     tmp = Path(f"{path}.tmp")
     try:
-        if append:
-            shutil.copyfile(path, tmp)
-        with open(tmp, "a" if append else "w", newline="", encoding="utf-8") as handle:
+        with open(tmp, "w", newline="", encoding="utf-8") as handle:
             yield handle
         tmp.replace(path)
     finally:
@@ -88,18 +86,15 @@ def atomic_open(path: str | Path, append: bool = False):
 def replace_together():
     """Files that all change or none does: inside the block,
     ``stage(path)`` names the file to write in place of ``path``, its
-    hidden sibling ``.<name>``, made a byte copy of ``path`` if ``copy``.
-    Once the block ends without an error, each staged file replaces its
-    ``path``; if it raises, none does, and the staged files are removed."""
+    hidden sibling ``.<name>``.  Once the block ends without an error,
+    each staged file replaces its ``path``; if it raises, none does, and
+    the staged files are removed."""
     staged = []
 
-    def stage(path: str | Path, copy: bool = False) -> Path:
+    def stage(path: str | Path) -> Path:
         path = Path(path)
-        new = path.with_name(f".{path.name}")
-        staged.append((new, path))
-        if copy:
-            shutil.copyfile(path, new)
-        return new
+        staged.append((path.with_name(f".{path.name}"), path))
+        return staged[-1][0]
 
     try:
         yield stage
@@ -110,13 +105,13 @@ def replace_together():
             new.unlink(missing_ok=True)
 
 
-def write_blocks(path: str | Path, header: list, blocks,
-                 comment: str | None = None, append: bool = False) -> None:
+def write_blocks(path: str | Path, header: list | None, blocks,
+                 comment: str | None = None) -> None:
     """Write a ``# comment`` line if given, ``header`` as a CSV line, then
     each block of ready CSV bytes (any bytes-like object), into ``path``
-    through ``atomic_open``; to append, only the blocks are written."""
-    with atomic_open(path, append) as handle:
-        if not append:
+    through ``atomic_open``; with no ``header``, only the blocks."""
+    with atomic_open(path) as handle:
+        if header is not None:
             if comment:
                 handle.write(f"# {comment}\n")
             csv.writer(handle, lineterminator="\n").writerow(header)
@@ -292,55 +287,58 @@ def read_kv(path: str | Path, magic: str | None = None) -> Section:
     first ``[section]`` header are in section ``""``.  Blank and ``#``
     lines are skipped, and a repeated key keeps its last value.  The file
     is read as bytes and decoded once, and CR LF and a lone CR end a line
-    as LF does.  Lines end at each LF, found with ``str.find``: a
-    checkpoint is a few dozen lines of up to ~100 K characters, which
-    ``str.split("\n")`` would scan one character at a time.  A line's
-    value is sliced from the text once, past the space after its ``=``."""
+    as LF does.  Text under 16 K characters is split with ``str.split``;
+    longer text, such as a checkpoint of a few dozen lines of up to ~100 K
+    characters, which ``str.split`` would scan one character at a time,
+    is cut at each LF found with ``str.find``."""
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if len(text) < 1 << 14:
+        lines = text.split("\n")
+    else:
+        lines, start = [], 0
+        while (stop := text.find("\n", start)) >= 0:
+            lines.append(text[start:stop])
+            start = stop + 1
+        lines.append(text[start:])
+    if magic is not None:
+        if lines[0].strip() != magic:
+            raise SchemaError(f"{path}: not a {magic} file")
+        lines[0] = ""
     sections = Section(f"{path}: section ")
     current = sections[""] = Section(f"{path}: ")
-    start, lineno = 0, 0
-    while start <= len(text):
-        stop = text.find("\n", start)
-        if stop < 0:
-            stop = len(text)
-        eq = text.find("=", start, stop)
-        line_start, start, lineno = start, stop + 1, lineno + 1
-        if lineno == 1 and magic is not None:
-            if text[line_start:stop].strip() != magic:
-                raise SchemaError(f"{path}: not a {magic} file")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
-        # the key, or the whole line if it has no "="
-        head = text[line_start:stop if eq < 0 else eq].strip()
-        value = text[eq + 1 + text.startswith(" ", eq + 1):stop].strip() if eq >= 0 else head
-        if head.startswith("#") or eq < 0 and not head:
-            continue
-        if head.startswith("[") and value.endswith("]"):
-            name = text[line_start:stop].strip()[1:-1]
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1]
             current = sections.setdefault(name, Section(f"{path}: {name}."))
             continue
-        if eq < 0:
-            raise SchemaError(f"{path}:{lineno}: unparseable line {head!r}")
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise SchemaError(f"{path}:{lineno}: unparseable line {line!r}")
         # a repeated key moves to its last place: aliases apply in file order
-        current.pop(head, None)
-        current[head] = value
+        key = key.strip()
+        current.pop(key, None)
+        current[key] = value.strip()
     return sections
 
 
 def write_kv(path: str | Path, magic: str, sections: dict[str, dict]) -> None:
     """``magic``, then each section's ``key = value`` lines in order, under
-    a ``[name]`` header unless the name is ``""``."""
+    a ``[name]`` header unless the name is ``""``, in one write."""
+    lines = [magic]
+    for name, entries in sections.items():
+        if name:
+            lines.append(f"[{name}]")
+        lines += [f"{key} = {value}" for key, value in entries.items()]
     with atomic_open(path) as handle:
-        handle.write(f"{magic}\n")
-        for name, entries in sections.items():
-            if name:
-                handle.write(f"[{name}]\n")
-            handle.writelines(f"{key} = {value}\n" for key, value in entries.items())
+        handle.write("\n".join([*lines, ""]))
 
 
 def _put_array(key: str, arr: np.ndarray) -> dict[str, str]:
@@ -355,7 +353,7 @@ def _get_array(sec: Section, key: str, want: tuple[int, ...],
     if shape != want:
         raise SchemaError(f"{sec.where}{key}.shape = {shape}, want {want}")
     try:
-        data = np.frombuffer(bytes.fromhex(sec[f"{key}.data"]), "<f8")
+        data = np.frombuffer(binascii.a2b_hex(sec[f"{key}.data"]), "<f8")
         data = data.astype(float).reshape(shape)
     except ValueError as exc:
         raise SchemaError(f"{sec.where}{key}.data: {exc}") from exc

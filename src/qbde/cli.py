@@ -246,20 +246,20 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> int:
     states = [_load_state(cfg, ckpt) for ckpt in ckpts] if resume else None
     traces = qgan.train([features.to_simplex([row.features for row in rows])
                          for rows in by_user.values()], train_cfg, states)
+    # every user ran the same epochs, so one call formats every loss
+    losses = float_fields([(t.loss_g, t.loss_d, t.cross_entropy) for t in traces])
     # every user's loss file and checkpoint are written before any is
     # replaced, so a failed write leaves all of them as they were
     with replace_together() as stage:
-        for user, ckpt, trace in zip(by_user, ckpts, traces):
+        for user, ckpt, trace, fields in zip(by_user, ckpts, traces, losses):
             last = trace.state.epoch
-            losses = zip(range(last - len(trace.loss_g) + 1, last + 1), *map(
-                float_fields, (trace.loss_g, trace.loss_d, trace.cross_entropy)))
+            rows = "".join(f"{epoch},{g},{d},{ce}\n" for epoch, g, d, ce in zip(
+                range(last - len(trace.loss_g) + 1, last + 1), *fields))
             loss_path = out_dir / f"loss_{user}.csv"
-            append = resume and loss_path.exists()
-            write_blocks(stage(loss_path, copy=append),
+            old = [loss_path.read_bytes()] if resume and loss_path.exists() else []
+            write_blocks(stage(loss_path), None if old else
                          ["epoch", "loss_g", "loss_d", "cross_entropy"],
-                         ["".join(f"{epoch},{g},{d},{ce}\n"
-                                  for epoch, g, d, ce in losses).encode()],
-                         digest, append)
+                         [*old, rows.encode()], digest)
             save_checkpoint(stage(ckpt), train_cfg, trace.state, digest=digest)
     for user, ckpt, trace in zip(by_user, ckpts, traces):
         final = (f"cross_entropy={trace.cross_entropy[-1]:.4f}"

@@ -51,6 +51,7 @@ TIMESTAMP_FMT = "%m/%d/%Y %H:%M:%S"
 LABEL_NORMAL = "normal"
 LABEL_ABNORMAL = "abnormal"
 _LABELS = (LABEL_NORMAL, LABEL_ABNORMAL)
+_FLOAT = np.dtype(float)
 
 
 @dataclass
@@ -63,10 +64,11 @@ class BehaviorVector:
     label: str | None = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        if self.features.shape != (N_FEATURES,):
-            raise ValueError(f"expected {N_FEATURES} features, got "
-                             f"{self.features.shape}")
+        x = self.features
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT:  # else kept as given
+            x = self.features = np.asarray(x, dtype=float)
+        if x.ndim != 1 or len(x) != N_FEATURES:
+            raise ValueError(f"expected {N_FEATURES} features, got {x.shape}")
 
 
 @dataclass

@@ -196,11 +196,16 @@ _KV_LINES = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(_KV_LINES, max_size=12), final_lf=st.booleans(),
        magic=st.sampled_from([None, "m", "k = v"]),
-       line_end=st.sampled_from(["\n", "\r\n", "\r"]))
+       line_end=st.sampled_from(["\n", "\r\n", "\r"]),
+       long_at=st.one_of(st.none(), st.integers(0, 12)))
 def test_kv_scan_matches_the_split_reader(tmp_path_factory, lines, final_lf, magic,
-                                          line_end):
+                                          line_end, long_at):
     """Files with LF, CR LF or lone-CR line ends (and stray CRs inside
-    lines) read as ``Path.read_text`` and ``str.split`` read them."""
+    lines) read as ``Path.read_text`` and ``str.split`` read them, short
+    ones and, with a 64 K-character line at ``long_at``, long ones, which
+    ``read_kv`` cuts at each LF it finds."""
+    if long_at is not None:
+        lines = [*lines[:long_at], "long = " + "0" * (1 << 16), *lines[long_at:]]
     path = tmp_path_factory.mktemp("kv") / "file.txt"
     path.write_bytes((line_end.join(lines) + line_end * final_lf).encode("utf-8"))
     assert _kv_outcome(read_kv, path, magic) == _kv_outcome(split_read_kv, path, magic)
@@ -377,7 +382,8 @@ def test_write_blocks_writes_the_header_then_bytes_atomically(tmp_path):
 
 def test_write_columns_bytes_and_appended_blocks(tmp_path):
     """Columns of ready fields are written as ``csv.writer`` writes their
-    rows; appending adds only the blocks, after a byte copy of the file."""
+    rows; with no header, only the blocks are written: a file's old bytes
+    and the rows that follow them make the appended file."""
     path = tmp_path / "table.csv"
     rows = [["U1", 'a "quoted", field', 1 / 3], ["U2", "", -0.0]]
     write_columns(path, ["user", "note", "x"], [
@@ -386,8 +392,8 @@ def test_write_columns_bytes_and_appended_blocks(tmp_path):
     head = b'# digest\nuser,note,x\n'
     body = b'U1,"a ""quoted"", field",0.3333333333333333\nU2,,-0.0\n'
     assert path.read_bytes() == head + body
-    write_blocks(path, ["ignored"], [b'U3,"line\nbreak",1e-300\n'], "ignored",
-                 append=True)
+    write_blocks(path, None, [path.read_bytes(), b'U3,"line\nbreak",1e-300\n'],
+                 "ignored")
     assert path.read_bytes() == head + body + b'U3,"line\nbreak",1e-300\n'
     write_columns(path, ["user", "x"], [[], []])
     assert path.read_bytes() == b"user,x\n"

@@ -789,6 +789,23 @@ def test_checkpoint_with_bad_array_data_is_validation_error(
     assert f"{tmp_path / 'out' / 'qgan.ckpt'}: {key}" in err
 
 
+@pytest.mark.parametrize("argv", [("detect",), ("train", "--resume")],
+                         ids=["detect", "resume"])
+@pytest.mark.parametrize("pattern, repl, key", [
+    (r"^(params\.data = \w{16})", r"\1 ", "discriminator.params.data"),
+    (r"^(angles\.data = \w{8})", "\\1\t", "generator.angles.data"),
+    (r"^(v\.data = \w{2})", r"\1  ", "opt_g.v.data"),
+], ids=["space-params", "tab-angles", "spaces-opt_g-v"])
+def test_checkpoint_with_whitespace_inside_array_data_is_validation_error(
+        tmp_path, capsys, pattern, repl, key, argv):
+    # no writer puts whitespace inside the hex, and a2b_hex refuses it even
+    # between whole bytes, where bytes.fromhex skipped it
+    code, err = _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl,
+                                              argv)
+    assert code == EXIT_VALIDATION
+    assert f"{tmp_path / 'out' / 'qgan.ckpt'}: {key}" in err
+
+
 def test_checkpoint_moment_count_mismatch_is_validation_error(tmp_path, capsys):
     # one moment value fewer than the discriminator has parameters
     code, err = _run_with_tampered_checkpoint(
@@ -1040,6 +1057,27 @@ def test_failed_train_keeps_checkpoint_and_loss_file_together(tmp_path, monkeypa
         assert load_checkpoint(out / f"qgan-{user}.ckpt")[1].epoch == 7
         loss = (out / f"loss_{user}.csv").read_text(encoding="utf-8").splitlines()[2:]
         assert [int(line.split(",")[0]) for line in loss] == [*range(1, 8)]
+
+
+@pytest.mark.parametrize("failing", ["loss_U0001.csv", "qgan-U0001.ckpt"])
+def test_failed_resumed_train_leaves_every_file_as_it_was(tmp_path, monkeypatch,
+                                                          failing):
+    """A resumed train of three users whose second user's loss file or
+    checkpoint fails halfway through its first write leaves every loss
+    file and checkpoint byte-identical, with no staged ``.<name>`` or
+    ``*.tmp`` file.  That write is the old loss file's bytes, read once
+    and written as a block, or the whole checkpoint in one text write."""
+    flags, out = _users_trained(tmp_path, 3)
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    given = _fail_writes_to(monkeypatch, failing)
+    assert main(["train", *flags, "--resume"]) == EXIT_IO
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert not [*out.glob(".*"), *out.glob("*.tmp")]
+    if failing.startswith("loss"):
+        assert given == [before[failing]]
+    else:
+        assert len(given) == 1 and given[0].startswith(f"{checkpoint.MAGIC}\n")
+        assert given[0].count("\n") == before[failing].count(b"\n")
 
 
 @pytest.mark.parametrize("argv, failing", [

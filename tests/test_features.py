@@ -241,6 +241,22 @@ def mkrow(user, day_ord, feats=None, label=None):
                                                  + day_ord), feats, label)
 
 
+def test_behavior_vector_keeps_a_float_row_and_checks_every_shape():
+    """A 1-D float64 array is kept as given; anything else becomes one,
+    and every value of the wrong shape is refused."""
+    row = np.arange(N_FEATURES, dtype=float)
+    assert mkrow("U1", 0, row).features is row
+    for other in ([*range(N_FEATURES)], np.arange(N_FEATURES),
+                  np.arange(N_FEATURES, dtype=">f8"), np.arange(N_FEATURES, dtype="f4")):
+        made = mkrow("U1", 0, other).features
+        assert type(made) is np.ndarray and made.dtype == np.dtype(float)
+        assert made.dtype.isnative and made.tolist() == [*range(N_FEATURES)]
+    for bad in (np.zeros(N_FEATURES - 1), np.zeros((1, N_FEATURES)), np.float64(0.0),
+                [0.0] * (N_FEATURES + 1)):
+        with pytest.raises(ValueError, match=f"expected {N_FEATURES} features"):
+            mkrow("U1", 0, bad)
+
+
 def test_split_chronological_and_exclusions():
     rows = [mkrow("U1", i, label="abnormal" if i in (2, 5) else "normal")
             for i in range(10)]
