@@ -45,12 +45,16 @@ from .checkpoint import (Section, _get_array, _put_array, convert_cells,
 from .errors import SchemaError
 from .features import _feature_label, check_user_id
 from .optim import Adam
-from .qgan import STACK_USERS, _clamp, _rows, _sigmoid
+from .qgan import _clamp, _rows, _sigmoid
 
 INPUT_LEN = 16
 EMBED_LEN = 32
 BATCH = 32   # rows per training step
 LR = 0.01    # Adam step size
+# padded rows (users x (references + days)) scored in one stack, so a
+# stack's buffers stay small whatever the fleet and corpus length: at 50
+# and 200 users x 70 days, 512 and 1024 scored fastest of 256 to 2048
+STACK_ROWS = 512
 # names the training recipe in every scorer_key: a change to the scorer's
 # arithmetic (layers, initialisation, batching, stacking, Adam, the order
 # of any sum) must bump it, or saved scorers the new recipe would not
@@ -549,6 +553,20 @@ class UserDays:
     net: BdeNet
 
 
+def _row_stacks(users: list, widths: list[int]):
+    """``users`` in runs of consecutive users, each run as many as keep
+    its padded rows, its length times its largest of ``widths``, within
+    ``STACK_ROWS``, and at least one user."""
+    first, top = 0, 0
+    for i, width in enumerate(widths):
+        if i > first and (i - first + 1) * max(top, width) > STACK_ROWS:
+            yield users[first:i]
+            first, top = i, 0
+        top = max(top, width)
+    if users:
+        yield users[first:]
+
+
 def score_rows(rows, x: np.ndarray, users: list[UserDays], lam: float) -> Scores:
     """The scores of the rows ``x`` (the simplex vectors of ``rows``, each
     the day of one of ``users``), in the order of ``rows``, with each
@@ -558,8 +576,9 @@ def score_rows(rows, x: np.ndarray, users: list[UserDays], lam: float) -> Scores
     against its user's nearest reference (the single-reference case
     reduces to plain scoring).
 
-    Users with equally many references are scored in stacks of up to
-    ``qgan.STACK_USERS``: each stack's rows and references go through one
+    Users with equally many references are scored in stacks of
+    consecutive users whose padded rows stay within ``STACK_ROWS``
+    (``_row_stacks``): each stack's rows and references go through one
     padded (users, rows, 16) batch, and every user's scores are
     bit-identical to scoring that user alone.
     """
@@ -574,8 +593,7 @@ def score_rows(rows, x: np.ndarray, users: list[UserDays], lam: float) -> Scores
     for i, user in enumerate(users):
         stacks.setdefault(np.shape(np.atleast_2d(user.references)), []).append(i)
     for (n_refs, _), same in stacks.items():
-        for first in range(0, len(same), STACK_USERS):
-            stack = same[first:first + STACK_USERS]
+        for stack in _row_stacks(same, [n_refs + len(at[i]) for i in same]):
             counts = np.array([len(at[i]) for i in stack])
             batch = np.zeros((len(stack), n_refs + counts.max(), INPUT_LEN))
             for row, i in zip(batch, stack):

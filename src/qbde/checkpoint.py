@@ -15,7 +15,7 @@ logs and the losses as ready bytes, a resumed loss file as its old bytes
 and then the new rows.  ``write_kv`` writes a whole file in one call.
 Every writer goes through ``atomic_open``, so no output is ever left
 half-written, and ``replace_together`` makes a set of outputs change all
-at once or not at all.
+at once or not at all, putting back the old files if a rename fails.
 
 A checkpoint has the ``qbde-ckpt-v4`` magic line and one ``[section]`` per
 part of the training state.  Scalar floats are written with ``float.hex``;
@@ -27,19 +27,33 @@ state, and the file stores exactly that: ``[generator]`` the ``angles``,
 each the step count ``t`` and the moments ``m`` and ``v``, shaped like the
 array the optimiser steps.  Every shape must be the one ``[config]`` and
 ``n_qubits`` imply, every value finite, Adam second moments >= 0, and
-step counts and the epoch below ``COUNT_LIMIT``.
+step counts and the epoch below ``COUNT_LIMIT``, and no section header
+may repeat.
 With the train config, seed and RNG state, that is what makes a resumed
-run indistinguishable from an uninterrupted one.  Earlier formats are
-refused: ``qbde-ckpt-v1`` (also stored settings that are now constants),
-``qbde-ckpt-v2`` (arrays as ``float.hex`` lists) and ``qbde-ckpt-v3``
-(weights, biases and moments stored one array per layer).
+run indistinguishable from an uninterrupted one.
+
+Two loaders read a checkpoint.  ``load_checkpoint`` (``train --resume``)
+reads and checks the whole file.  ``load_generator`` (``detect``) reads
+it from its start in 8 KiB blocks and stops at the header after
+``[meta]``, ``[config]`` and ``[generator]``, which ``save_checkpoint``
+writes first: it checks the magic line, those three sections and their
+UTF-8 exactly as ``load_checkpoint`` does, through the same line code and
+the same checks (``_head``), and never reads ``[discriminator]``,
+``[opt_g]``, ``[opt_d]``, ``[rng]`` or any byte after the head's block.
+
+Earlier formats are refused: ``qbde-ckpt-v1`` (also stored settings that
+are now constants), ``qbde-ckpt-v2`` (arrays as ``float.hex`` lists) and
+``qbde-ckpt-v3`` (weights, biases and moments stored one array per
+layer).
 """
 
 from __future__ import annotations
 
 import binascii
 import csv
+import functools
 import io
+import os
 from contextlib import contextmanager
 from dataclasses import fields
 from itertools import dropwhile, repeat
@@ -57,6 +71,11 @@ MAGIC = "qbde-ckpt-v4"
 # any run, and far below the ~1e308 at which Adam's ``BETA1**t`` can no
 # longer turn t into a float
 COUNT_LIMIT = 2**63
+# the sections detect reads (load_generator), and the block size it reads
+# them in: a qbde-ckpt-v4 file written by save_checkpoint puts them first,
+# in ~1.3 KB
+_HEAD = frozenset({"meta", "config", "generator"})
+_BLOCK_BYTES = 1 << 13
 
 
 # [config] holds TrainConfig's fields in their declared order
@@ -88,8 +107,12 @@ def replace_together():
     ``stage(path)`` names the file to write in place of ``path``, its
     hidden sibling ``.<name>``.  Once the block ends without an error,
     each staged file replaces its ``path``; if it raises, none does, and
-    the staged files are removed."""
-    staged = []
+    the staged files are removed.  Each old file stays reachable through a
+    hard link, ``.<name>.old`` (a copy where the file system has no hard
+    links), until every staged file has replaced its target; if a rename
+    fails, the targets already replaced get their old files back (a
+    target that did not exist is removed again)."""
+    staged, kept = [], []
 
     def stage(path: str | Path) -> Path:
         path = Path(path)
@@ -98,11 +121,33 @@ def replace_together():
 
     try:
         yield stage
-        for new, path in staged:
-            new.replace(path)
+        replaced = 0
+        try:
+            for new, path in staged:
+                old = path.with_name(f".{path.name}.old")
+                old.unlink(missing_ok=True)   # left by a run that crashed here
+                kept.append(old)
+                try:
+                    os.link(path, old)
+                except FileNotFoundError:
+                    kept[-1] = None
+                except OSError:   # a file system without hard links
+                    old.write_bytes(path.read_bytes())
+                new.replace(path)
+                replaced += 1
+        except BaseException:
+            for (_, path), old in zip(staged[:replaced], kept):
+                if old is None:
+                    path.unlink(missing_ok=True)
+                else:
+                    old.replace(path)
+            raise
     finally:
         for new, _ in staged:
             new.unlink(missing_ok=True)
+        for old in kept:
+            if old is not None:
+                old.unlink(missing_ok=True)
 
 
 def write_blocks(path: str | Path, header: list | None, blocks,
@@ -282,50 +327,98 @@ class Section(dict):
         raise SchemaError(f"{self.where}{key} is missing")
 
 
-def read_kv(path: str | Path, magic: str | None = None) -> Section:
-    """Sections of a ``key = value`` file, by name; entries before the
-    first ``[section]`` header are in section ``""``.  Blank and ``#``
-    lines are skipped, and a repeated key keeps its last value.  The file
-    is read as bytes and decoded once, and CR LF and a lone CR end a line
-    as LF does.  Text under 16 K characters is split with ``str.split``;
-    longer text, such as a checkpoint of a few dozen lines of up to ~100 K
-    characters, which ``str.split`` would scan one character at a time,
-    is cut at each LF found with ``str.find``."""
+def _utf8(path: str | Path, data: bytes, start: int = 0, stop: int | None = None) -> str:
+    """``data[start:stop]`` decoded from UTF-8.  Bytes that are not UTF-8
+    raise ``SchemaError`` with the error a decoding of ``data[:stop]``
+    gives, so its offsets count from the start of ``data``."""
     try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
+        return data[start:stop].decode("utf-8")
+    except UnicodeDecodeError:
+        try:
+            data[:stop].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
+        raise
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``, ended at LF, CR LF or a lone CR.  Text under
+    16 K characters is split with ``str.split``; longer text, such as a
+    checkpoint of a few dozen lines of up to ~100 K characters, which
+    ``str.split`` would scan one character at a time, is cut at each LF
+    found with ``str.find``."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     if len(text) < 1 << 14:
-        lines = text.split("\n")
-    else:
-        lines, start = [], 0
-        while (stop := text.find("\n", start)) >= 0:
-            lines.append(text[start:stop])
-            start = stop + 1
-        lines.append(text[start:])
-    if magic is not None:
-        if lines[0].strip() != magic:
-            raise SchemaError(f"{path}: not a {magic} file")
-        lines[0] = ""
+        return text.split("\n")
+    lines, start = [], 0
+    while (stop := text.find("\n", start)) >= 0:
+        lines.append(text[start:stop])
+        start = stop + 1
+    lines.append(text[start:])
+    return lines
+
+
+def _block_lines(path: str | Path, handle):
+    """The lines of the file open as ``handle``, read in blocks of
+    ``_BLOCK_BYTES``: a list for each block that holds an LF, of the lines
+    that LF ends, then one of the lines after the file's last LF.  Only
+    whole lines are decoded, and a byte that is not UTF-8 raises as a
+    whole-file read would."""
+    data, done = bytearray(), 0
+    while block := handle.read(_BLOCK_BYTES):
+        data += block
+        end = data.rfind(b"\n", len(data) - len(block)) + 1
+        if end:
+            lines = _lines(_utf8(path, data, done, end))
+            lines.pop()   # what follows the last LF, which the next block holds
+            yield lines
+            done = end
+    yield _lines(_utf8(path, data, done))
+
+
+def read_kv(path: str | Path, magic: str | None = None,
+            until: frozenset = frozenset()) -> Section:
+    """Sections of a ``key = value`` file, by name; entries before the
+    first ``[section]`` header are in section ``""``.  Blank and ``#``
+    lines are skipped, a repeated key keeps its last value, and a
+    repeated section header is refused.  The file is decoded from UTF-8
+    and its lines end at LF, CR LF or a lone CR (``_lines``).
+
+    The file is read whole, unless ``until`` names sections: then it is
+    read from its start in blocks of ``_BLOCK_BYTES``, and reading stops
+    at the first header after all of them, once it is checked not to
+    repeat one before it: no line after that header is read, decoded or
+    checked, and no block after the one that holds it is read."""
     sections = Section(f"{path}: section ")
     current = sections[""] = Section(f"{path}: ")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1]
-            current = sections.setdefault(name, Section(f"{path}: {name}."))
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise SchemaError(f"{path}:{lineno}: unparseable line {line!r}")
-        # a repeated key moves to its last place: aliases apply in file order
-        key = key.strip()
-        current.pop(key, None)
-        current[key] = value.strip()
+    lineno = 0
+    with open(path, "rb", buffering=0) as handle:
+        for lines in (_block_lines(path, handle) if until else
+                      [_lines(_utf8(path, handle.readall()))]):
+            if magic is not None and not lineno:
+                if lines[0].strip() != magic:
+                    raise SchemaError(f"{path}: not a {magic} file")
+                lines[0] = ""
+            for lineno, raw in enumerate(lines, start=lineno + 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if line.startswith("[") and line.endswith("]"):
+                    name = line[1:-1]
+                    if name in sections:
+                        raise SchemaError(f"{path}:{lineno}: repeated section [{name}]")
+                    if until and sections.keys() >= until:
+                        return sections
+                    current = sections[name] = Section(f"{path}: {name}.")
+                    continue
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise SchemaError(f"{path}:{lineno}: unparseable line {line!r}")
+                # a repeated key moves to its last place: aliases apply in file order
+                key = key.strip()
+                current.pop(key, None)
+                current[key] = value.strip()
     return sections
 
 
@@ -377,11 +470,22 @@ def _put_adam(opt: Adam) -> dict:
 def _get_adam(sec: Section, lr: float, param: np.ndarray) -> Adam:
     """The optimiser stepping ``param``: its step count and its moments,
     each shaped like ``param``."""
-    opt = Adam(lr, param)
-    opt.t = _get_int(sec, "t", 0, COUNT_LIMIT)
-    opt.m = _get_array(sec, "m", param.shape)
-    opt.v = _get_array(sec, "v", param.shape, nonnegative=True)
-    return opt
+    return Adam(lr, param, _get_int(sec, "t", 0, COUNT_LIMIT),
+                _get_array(sec, "m", param.shape),
+                _get_array(sec, "v", param.shape, nonnegative=True))
+
+
+@functools.cache
+def _no_seed():
+    """Zero seed words for a PCG64 whose state is then set from a
+    checkpoint: no entropy is gathered or hashed for a state replaced at
+    once.  Made on first use, so importing qbde does not import
+    ``numpy.random``."""
+    class NoSeed(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype)
+
+    return NoSeed()
 
 
 def save_checkpoint(path: str | Path, cfg: TrainConfig, state: TrainState,
@@ -409,19 +513,39 @@ def save_checkpoint(path: str | Path, cfg: TrainConfig, state: TrainState,
     })
 
 
-def load_checkpoint(path: str | Path) -> tuple[TrainConfig, TrainState]:
-    sec = read_kv(path, MAGIC)
+def _head(path: str | Path, sec: Section) -> tuple[TrainConfig, GeneratorParams, int]:
+    """The config, generator and epoch of a checkpoint's ``[config]``,
+    ``[generator]`` and ``[meta]``, the checks both loaders make."""
     try:
         c = sec["config"]
         cfg = TrainConfig(**{f.name: _DECODE[f.type](c[f.name])
                              for f in fields(TrainConfig)})
-
-        # every array's shape follows from [config] and the qubit count
+        # the angles' shape follows from [config] and the qubit count
         g = sec["generator"]
         n_qubits = _get_int(g, "n_qubits", 1, MAX_QUBITS + 1)
         params = GeneratorParams(n_qubits, _get_array(
             g, "angles", (cfg.depth + 1, n_qubits)))
-        sizes = [2**n_qubits, *cfg.hidden, 1]
+        epoch = _get_int(sec["meta"], "epoch", 0, COUNT_LIMIT)
+    except (ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: malformed field ({exc})") from exc
+    return cfg, params, epoch
+
+
+def load_generator(path: str | Path) -> tuple[TrainConfig, GeneratorParams, int]:
+    """The config, generator and epoch of the checkpoint at ``path``, read
+    from its start up to the header after ``[meta]``, ``[config]`` and
+    ``[generator]``: a v4 file written by ``save_checkpoint`` is read one
+    block deep.  Its magic line and those sections get ``load_checkpoint``'s
+    checks; the training state after them is neither read nor checked."""
+    return _head(path, read_kv(path, MAGIC, until=_HEAD))
+
+
+def load_checkpoint(path: str | Path) -> tuple[TrainConfig, TrainState]:
+    sec = read_kv(path, MAGIC)
+    cfg, params, epoch = _head(path, sec)
+    try:
+        # every array's shape follows from [config] and the qubit count
+        sizes = [2**params.n_qubits, *cfg.hidden, 1]
         net = DiscriminatorNet(sizes, _get_array(
             sec["discriminator"], "params", (DiscriminatorNet.n_params(sizes),)))
         opt_g = _get_adam(sec["opt_g"], cfg.lr_g, params.angles)
@@ -429,16 +553,14 @@ def load_checkpoint(path: str | Path) -> tuple[TrainConfig, TrainState]:
 
         # the ranges numpy's PCG64 state setter accepts
         r = sec["rng"]
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = {
+        bits = np.random.PCG64(_no_seed())
+        bits.state = {
             "bit_generator": r["bit_generator"],
             "state": {"state": _get_int(r, "state", 0, 2**128),
                       "inc": _get_int(r, "inc", 0, 2**128)},
             "has_uint32": _get_int(r, "has_uint32", -2**31, 2**31),
             "uinteger": _get_int(r, "uinteger", 0, 2**32),
         }
-
-        epoch = _get_int(sec["meta"], "epoch", 0, COUNT_LIMIT)
     except (ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed field ({exc})") from exc
-    return cfg, TrainState(params, net, opt_g, opt_d, rng, epoch)
+    return cfg, TrainState(params, net, opt_g, opt_d, np.random.Generator(bits), epoch)

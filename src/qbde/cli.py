@@ -30,9 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bde, features, qgan
-from .checkpoint import (float_fields, load_checkpoint, read_kv, replace_together,
-                         save_checkpoint, text_fields, write_blocks, write_columns,
-                         write_kv)
+from .checkpoint import (float_fields, load_checkpoint, load_generator, read_kv,
+                         replace_together, save_checkpoint, text_fields, write_blocks,
+                         write_columns, write_kv)
 from .errors import ConfigError, SchemaError
 from .qsim import probabilities, run_generator_circuit, sample
 
@@ -221,18 +221,19 @@ def _train_rows(out_dir: Path) -> list[features.BehaviorVector]:
     return rows
 
 
-def _load_state(cfg: RunConfig, path: Path) -> qgan.TrainState:
-    """The checkpoint's training state, if it was trained with the settings
-    the run config gives (its epoch count aside): resuming continues them,
-    and the outputs' config digest vouches for them."""
-    have, state = load_checkpoint(path)
+def _load_trained(cfg: RunConfig, path: Path, load) -> tuple:
+    """What ``load(path)`` gives after the checkpoint's config, if it was
+    trained with the settings the run config gives (its epoch count
+    aside): resuming continues them, and the outputs' config digest
+    vouches for them."""
+    have, *loaded = load(path)
     want = dataclasses.replace(cfg.train_config(), epochs=have.epochs)
     if have != want:
         differ = ", ".join(f"{name} = {getattr(have, name)!r} (config: "
                            f"{getattr(want, name)!r})" for name in vars(want)
                            if getattr(have, name) != getattr(want, name))
         raise ConfigError(f"{path}: checkpoint trained with {differ}")
-    return state
+    return loaded
 
 
 def cmd_train(cfg: RunConfig, resume: bool = False) -> int:
@@ -243,7 +244,8 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> int:
     train_cfg = cfg.train_config()
     ckpts = [_ckpt_path(cfg, user, len(by_user)) for user in by_user]
     # every checkpoint loads and matches the config before any user trains
-    states = [_load_state(cfg, ckpt) for ckpt in ckpts] if resume else None
+    states = ([_load_trained(cfg, ckpt, load_checkpoint)[0] for ckpt in ckpts]
+              if resume else None)
     traces = qgan.train([features.to_simplex([row.features for row in rows])
                          for rows in by_user.values()], train_cfg, states)
     # every user ran the same epochs, so one call formats every loss
@@ -268,11 +270,11 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> int:
     return EXIT_OK
 
 
-def _reference_distributions(state, cfg: RunConfig) -> np.ndarray:
-    """Scoring references: the exact output distribution, or in sampled
-    mode a stack of measured histograms (nearest one wins per test row),
-    all drawn in one call."""
-    probs = probabilities(run_generator_circuit(state.params))[None, :]
+def _reference_distributions(params, cfg: RunConfig) -> np.ndarray:
+    """Scoring references: the exact output distribution of the generator
+    ``params``, or in sampled mode a stack of measured histograms (nearest
+    one wins per test row), all drawn in one call."""
+    probs = probabilities(run_generator_circuit(params))[None, :]
     if not cfg.sampled:
         return probs
     rng = np.random.default_rng(cfg.seed + 2)
@@ -297,12 +299,14 @@ def cmd_detect(cfg: RunConfig) -> int:
                    *(test_by_user.get(user, []) for user in train_by_user))]
     x = features.to_simplex([row.features for row in rows])
 
-    # every checkpoint loads before any scorer is looked up or trained
+    # every checkpoint's generator loads before any scorer is looked up or
+    # trained; the training state after it is read by train --resume alone
     users, reals, generated = [], [], []
     train_at, test_at = 0, n_train
     for user, user_train in train_by_user.items():
-        state = _load_state(cfg, _ckpt_path(cfg, user, len(train_by_user)))
-        references = _reference_distributions(state, cfg)
+        params, _ = _load_trained(cfg, _ckpt_path(cfg, user, len(train_by_user)),
+                                  load_generator)
+        references = _reference_distributions(params, cfg)
         n_test = len(test_by_user.get(user, []))
         real = x[train_at:train_at + len(user_train)]
         tiled = np.tile(references, (-(-len(real) // len(references)), 1))

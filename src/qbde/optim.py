@@ -14,18 +14,21 @@ class Adam:
     """First/second-moment gradient steps, applied to one array in place.
 
     The moments start at zero, shaped like ``param``, the array this
-    optimiser steps.  Moments and the step counter are plain attributes so
-    training state can be checkpointed and restored exactly.  A step
-    writes its intermediates into two scratch arrays of the same shape.
+    optimiser steps, unless a step count ``t`` and moments ``m`` and ``v``
+    of that shape are given, as a checkpoint restores them.  Moments and
+    the step counter are plain attributes so training state can be
+    checkpointed and restored exactly.  A step writes its intermediates
+    into two scratch arrays of the same shape.
     """
 
-    def __init__(self, lr: float, param: np.ndarray):
+    def __init__(self, lr: float, param: np.ndarray, t: int = 0,
+                 m: np.ndarray | None = None, v: np.ndarray | None = None):
         if not 0 < lr < math.inf:
             raise ValueError(f"learning rate must be finite and > 0, got {lr}")
         self.lr = lr
-        self.t = 0
-        self.m = np.zeros(np.shape(param))
-        self.v = np.zeros(np.shape(param))
+        self.t = t
+        self.m = np.zeros(np.shape(param)) if m is None else m
+        self.v = np.zeros(np.shape(param)) if v is None else v
         self._a = np.empty(np.shape(param))
         self._b = np.empty(np.shape(param))
 

@@ -51,7 +51,7 @@ from qbde.bde import (
 from qbde.checkpoint import float_fields, text_fields, write_columns, write_kv
 from qbde.errors import SchemaError
 from qbde.optim import Adam
-from qbde.qgan import SIGMOID_CLAMP, STACK_USERS, _sigmoid
+from qbde.qgan import SIGMOID_CLAMP, _sigmoid
 
 
 def zero_net():
@@ -869,17 +869,18 @@ def test_array_path_matches_oracle_on_band_edges(n_refs, lam):
 
 @pytest.mark.parametrize("n_refs", [[1], [64], [1, 4]], ids=["exact", "sampled", "mixed"])
 @pytest.mark.parametrize("counts", [
-    [40], [30, 46, 12, 46, 1, 70], [5 + user % 9 for user in range(STACK_USERS + 3)]],
+    [40], [30, 46, 12, 46, 1, 70], [bde.STACK_ROWS // 16 + user % 9 for user in range(20)]],
     ids=["one-user", "unequal", "over-one-stack"])
 def test_stacked_scores_match_each_user_scored_alone(counts, n_refs, monkeypatch):
     """Users' days in one ``score_rows`` call, their rows shuffled
-    together, score bit for bit as each user scored alone; a stack holds
-    at most ``STACK_USERS`` users, and users with unequal reference counts
-    go to separate stacks."""
+    together, score bit for bit as each user scored alone; a stack of more
+    than one user pads to at most ``STACK_ROWS`` rows, and users with
+    unequal reference counts go to separate stacks."""
     stacks, recon = [], bde._recon
 
     def counted(batch, n_refs, *args):
         stacks.append((len(batch), n_refs))
+        assert len(batch) == 1 or batch.shape[0] * batch.shape[1] <= bde.STACK_ROWS
         return recon(batch, n_refs, *args)
 
     monkeypatch.setattr(bde, "_recon", counted)
@@ -908,7 +909,6 @@ def test_stacked_scores_match_each_user_scored_alone(counts, n_refs, monkeypatch
         for name in ("r_d", "r_n", "d", "th_d", "band"):
             assert getattr(scores, name)[days].tobytes() == getattr(want, name).tobytes()
     assert sum(size for size, _ in stacks) == len(counts)
-    assert max(size for size, _ in stacks) <= STACK_USERS
     assert len({n for _, n in stacks}) == len(n_refs[:len(counts)])
 
 

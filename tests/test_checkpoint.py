@@ -2,8 +2,13 @@
 
 import ast
 import builtins
+import contextlib
 import csv
+import io
+import os
+import re
 import struct
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +26,7 @@ from qbde.checkpoint import (
     load_checkpoint,
     read_csv,
     read_kv,
+    replace_together,
     save_checkpoint,
     text_fields,
     write_blocks,
@@ -153,8 +159,9 @@ def test_kv_lines_end_only_at_line_ends(tmp_path, char):
 
 
 def split_read_kv(path, magic=None):
-    """``read_kv`` as it was, splitting the text with ``str.split``: the
-    oracle of its ``str.find`` scan."""
+    """``read_kv`` as it was, splitting the text with ``str.split``, with
+    its refusal of a repeated section header: the oracle of its
+    ``str.find`` scan and of its reads in blocks."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if magic is not None:
         if not lines or lines[0].strip() != magic:
@@ -168,7 +175,9 @@ def split_read_kv(path, magic=None):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1]
-            current = sections.setdefault(name, checkpoint.Section(f"{path}: {name}."))
+            if name in sections:
+                raise SchemaError(f"{path}:{lineno}: repeated section [{name}]")
+            current = sections[name] = checkpoint.Section(f"{path}: {name}.")
             continue
         key, sep, value = line.partition("=")
         if not sep:
@@ -197,18 +206,27 @@ _KV_LINES = st.one_of(
 @given(lines=st.lists(_KV_LINES, max_size=12), final_lf=st.booleans(),
        magic=st.sampled_from([None, "m", "k = v"]),
        line_end=st.sampled_from(["\n", "\r\n", "\r"]),
-       long_at=st.one_of(st.none(), st.integers(0, 12)))
+       long_at=st.one_of(st.none(), st.integers(0, 12)),
+       block=st.sampled_from([None, 1, 2, 3, 7, 4096]))
 def test_kv_scan_matches_the_split_reader(tmp_path_factory, lines, final_lf, magic,
-                                          line_end, long_at):
+                                          line_end, long_at, block):
     """Files with LF, CR LF or lone-CR line ends (and stray CRs inside
     lines) read as ``Path.read_text`` and ``str.split`` read them, short
     ones and, with a 64 K-character line at ``long_at``, long ones, which
-    ``read_kv`` cuts at each LF it finds."""
+    ``read_kv`` cuts at each LF it finds.  Read in blocks of ``block``
+    bytes up to a section no file has, they read alike too: a CR LF or a
+    line cut by a block's end, and every line number, included."""
     if long_at is not None:
         lines = [*lines[:long_at], "long = " + "0" * (1 << 16), *lines[long_at:]]
     path = tmp_path_factory.mktemp("kv") / "file.txt"
     path.write_bytes((line_end.join(lines) + line_end * final_lf).encode("utf-8"))
-    assert _kv_outcome(read_kv, path, magic) == _kv_outcome(split_read_kv, path, magic)
+    if block is None:
+        read = read_kv
+    else:
+        def read(path, magic):
+            with mock.patch.object(checkpoint, "_BLOCK_BYTES", block):
+                return read_kv(path, magic, until=frozenset({"no such section"}))
+    assert _kv_outcome(read, path, magic) == _kv_outcome(split_read_kv, path, magic)
 
 
 def _csv_outcome(path):
@@ -266,6 +284,151 @@ def test_only_plain_text_is_split_with_str_split(tmp_path, monkeypatch, text, pl
     path.write_bytes(text.encode("utf-8"))
     _csv_outcome(path)
     assert bool(calls) is not plain
+
+
+@pytest.mark.parametrize("block", [1, 3, 8192])
+@pytest.mark.parametrize("bad", [b"\xe9", b"\xe9\xa0", b"\xff", b"\xc3("])
+def test_kv_read_in_blocks_names_the_offset_a_whole_read_names(tmp_path, bad, block):
+    """Bytes that are not UTF-8 raise the error, offset included, that
+    decoding the whole file raises, wherever the blocks end."""
+    path = tmp_path / "file.txt"
+    for at in (0, 5, 9, 14):
+        data = bytearray(b"m\n[x]\nk = va\n[y]\nj = w\n")
+        data[at:at] = bad
+        path.write_bytes(data)
+        with pytest.raises(SchemaError) as whole:
+            read_kv(path, "m")
+        with mock.patch.object(checkpoint, "_BLOCK_BYTES", block), \
+                pytest.raises(SchemaError) as blocks:
+            read_kv(path, "m", until=frozenset({"never"}))
+        assert "not UTF-8 text" in str(whole.value)
+        assert str(blocks.value) == str(whole.value)
+
+
+def _reordered(text: str, move: str, after: str) -> str:
+    """``text`` with section ``move`` (its header and lines) put after
+    section ``after``."""
+    parts = re.split(r"(?m)^(?=\[)", text)
+    moved = next(p for p in parts if p.startswith(f"[{move}]"))
+    parts.remove(moved)
+    at = next(i for i, p in enumerate(parts) if p.startswith(f"[{after}]"))
+    return "".join([*parts[:at + 1], moved, *parts[at + 1:]])
+
+
+@pytest.mark.parametrize("layout", ["written", "crlf", "generator-after-rng",
+                                    "meta-longer-than-a-block"])
+def test_load_generator_agrees_with_load_checkpoint(tmp_path, layout):
+    _, cfg, state = trained_state(tmp_path)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, state, digest="d" * 64)
+    text = path.read_text(encoding="utf-8")
+    if layout == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif layout == "generator-after-rng":
+        text = _reordered(text, "generator", "rng")
+    elif layout == "meta-longer-than-a-block":
+        block = checkpoint._BLOCK_BYTES
+        text = text.replace("[meta]\n", f"[meta]\nnote = {'x' * 3 * block}\n# {'y' * block}\n")
+    path.write_bytes(text.encode("utf-8"))
+    have_cfg, params, epoch = checkpoint.load_generator(path)
+    want_cfg, want = load_checkpoint(path)
+    assert have_cfg == want_cfg == cfg
+    assert params.n_qubits == want.params.n_qubits
+    assert params.angles.tobytes() == want.params.angles.tobytes()
+    assert params.angles.tobytes() == state.params.angles.tobytes()
+    assert epoch == want.epoch == state.epoch
+
+
+def test_load_generator_reads_no_block_past_the_generator(tmp_path, monkeypatch):
+    """A written checkpoint's head is in its first block, so what follows
+    that block is neither read nor checked: bytes that are not UTF-8
+    there stop only ``load_checkpoint``."""
+    _, cfg, state = trained_state(tmp_path)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, state)
+    data = bytearray(path.read_bytes())
+    assert data.index(b"[discriminator]") < checkpoint._BLOCK_BYTES
+    data[checkpoint._BLOCK_BYTES:] = b"\xff" * (len(data) - checkpoint._BLOCK_BYTES)
+    path.write_bytes(data)
+    reads = []
+
+    class Counted(io.FileIO):
+        def read(self, size=-1):
+            reads.append(size)
+            return super().read(size)
+
+    monkeypatch.setattr(checkpoint, "open", lambda path, mode, **_: Counted(path, mode),
+                        raising=False)
+    have_cfg, params, epoch = checkpoint.load_generator(path)
+    monkeypatch.undo()
+    assert reads == [checkpoint._BLOCK_BYTES]
+    assert (have_cfg, epoch) == (cfg, state.epoch)
+    assert params.angles.tobytes() == state.params.angles.tobytes()
+    with pytest.raises(SchemaError, match="not UTF-8 text"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["meta", "config", "generator", "discriminator"])
+def test_a_repeated_section_header_is_refused(tmp_path, name):
+    """``load_checkpoint`` refuses a checkpoint that repeats a section, so
+    ``detect`` and ``train --resume`` cannot read two different values of
+    one key; ``load_generator`` refuses one that it reads, up to the
+    header that ends the head."""
+    _, cfg, state = trained_state(tmp_path)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, state)
+    text = path.read_text(encoding="utf-8")
+    lineno = text.count("\n") + 1
+    path.write_text(text + f"[{name}]\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{path}:{lineno}: repeated section [{name}]")):
+        load_checkpoint(path)
+    assert checkpoint.load_generator(path)[0] == cfg   # past the head
+    head = text.replace("[generator]\n", f"[{name}]\n[generator]\n")
+    path.write_text(head, encoding="utf-8")
+    for load in (load_checkpoint, checkpoint.load_generator):
+        with pytest.raises(SchemaError, match=re.escape(f"repeated section [{name}]")):
+            load(path)
+
+
+@pytest.mark.parametrize("fail", [None, ".b"], ids=["all-renamed", "second-rename-fails"])
+@pytest.mark.parametrize("first", ["old", "absent", "stale-backup", "no-hard-links"])
+def test_replace_together_puts_back_what_a_failed_rename_replaced(
+        tmp_path, monkeypatch, fail, first):
+    """A rename that fails on the second of three staged files leaves all
+    three targets as they were, ``a`` absent again if it was, and no
+    staged, temp or backup file behind; with no failure all three change.
+    Where ``os.link`` fails, the old files are kept as copies."""
+    if first == "no-hard-links":
+        def no_link(*args):
+            raise PermissionError("no hard links")
+
+        monkeypatch.setattr(os, "link", no_link)
+    paths = [tmp_path / name for name in "abc"]
+    for path in paths[first == "absent":]:
+        write_kv(path, "m", {"": {"v": f"old {path.name}"}})
+    if first == "stale-backup":   # from a run that crashed while renaming
+        (tmp_path / ".a.old").write_bytes(b"stale")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name in "abc"}
+    replace = Path.replace
+
+    def failing(self, target):
+        if self.name == fail:
+            raise OSError("rename failed")
+        return replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", failing)
+    failure = pytest.raises(OSError, match="rename failed")
+    with failure if fail else contextlib.nullcontext():
+        with replace_together() as stage:
+            for path in paths:
+                write_kv(stage(path), "m", {"": {"v": f"new {path.name}"}})
+    monkeypatch.undo()
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    if fail:
+        assert after == before
+    else:
+        assert after == {p.name: f"m\nv = new {p.name}\n".encode() for p in paths}
 
 
 def test_missing_file_raises_io_error(tmp_path):

@@ -8,7 +8,6 @@ import re
 import shutil
 from datetime import datetime
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -92,14 +91,38 @@ def test_non_utf8_config_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["qgan.ckpt", "features_test.csv"])
 def test_non_utf8_checkpoint_or_features_is_validation_error(tmp_path, capsys, name):
+    # the byte ends the file: past the head of a checkpoint, which detect
+    # does not read, so only train --resume refuses it there
+    out = run_pipeline(tmp_path)
     flags = fast_flags(tmp_path)
-    for step in ("synth", "ingest", "train"):
-        assert main([step, *flags]) == EXIT_OK
-    path = tmp_path / "out" / name
+    path = out / name
     path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
+    before = _outputs(out)
+    runs = ([(["detect"], EXIT_OK), (["train", "--resume"], EXIT_VALIDATION)]
+            if name == "qgan.ckpt" else [(["detect"], EXIT_VALIDATION)])
+    for argv, code in runs:
+        capsys.readouterr()
+        assert main([*argv, *flags]) == code
+        err = capsys.readouterr().err
+        assert (f"{path}: not UTF-8 text" in err) is (code == EXIT_VALIDATION)
+        assert _outputs(out) == before
+
+
+@pytest.mark.parametrize("argv", [["detect"], ["train", "--resume"]])
+def test_non_utf8_generator_section_is_validation_error(tmp_path, capsys, argv):
+    out = run_pipeline(tmp_path)
+    path = out / "qgan.ckpt"
+    data = path.read_bytes()
+    assert data.count(b"\n[generator]\n") == 1
+    path.write_bytes(data.replace(b"\n[generator]\n", b"\n[generator]\n# caf\xe9\n"))
+    before = _outputs(out)
     capsys.readouterr()
-    assert main(["detect", *flags]) == EXIT_VALIDATION
-    assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+    assert main([*argv, *fast_flags(tmp_path)]) == EXIT_VALIDATION
+    # the same offset as a whole read of the file gives
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_bytes().decode("utf-8")
+    assert f"{path}: not UTF-8 text ({whole.value})" in capsys.readouterr().err
+    assert _outputs(out) == before
 
 
 def test_cli_flag_overrides_file(tmp_path):
@@ -329,7 +352,7 @@ def test_sampled_references_are_the_histograms_drawn_one_by_one(n):
     rng = np.random.default_rng(cfg.seed + 2)
     want = np.stack([rng.multinomial(cli.SHOTS, probs / np.sum(probs)) / cli.SHOTS
                      for _ in range(n)])
-    got = cli._reference_distributions(SimpleNamespace(params=params), cfg)
+    got = cli._reference_distributions(params, cfg)
     assert got.tobytes() == want.tobytes()
 
 
@@ -670,20 +693,44 @@ def test_ingest_names_the_log_and_line_that_is_not_utf8(tmp_path, capsys):
 ZERO, INF, MINUS_INF, NAN, MINUS_ONE = (
     np.array(x).astype("<f8").tobytes().hex()
     for x in (0.0, np.inf, -np.inf, np.nan, -1.0))
+BOTH = (("detect",), ("train", "--resume"))
 
 
-def _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl,
-                                 argv=("detect",)):
+def _outputs(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def _check_tampered_checkpoint(tmp_path, capsys, pattern, repl, key,
+                               detect=EXIT_VALIDATION, argvs=BOTH):
+    """Run each of ``argvs`` on a trained and scored run whose checkpoint
+    has ``pattern`` replaced by ``repl``.  ``train --resume`` reads the
+    whole checkpoint, so it exits 4 naming ``key``.  ``detect`` reads
+    only the magic line, ``[meta]``, ``[config]`` and ``[generator]``, and
+    exits with ``detect``: 4 naming ``key`` for a tamper there, 0 for one
+    in the training state, or 2 for a ``[config]`` that disagrees with the
+    run's settings.  Either way every output file keeps its bytes: a
+    ``detect`` that exits 0 writes the same scores."""
     flags = fast_flags(tmp_path)
-    for step in ("synth", "ingest", "train"):
+    for step in ("synth", "ingest", "train", "detect"):
         assert main([step, *flags]) == EXIT_OK
-    ckpt = tmp_path / "out" / "qgan.ckpt"
+    out = tmp_path / "out"
+    ckpt = out / "qgan.ckpt"
     text, n = re.subn(pattern, repl, ckpt.read_text(encoding="utf-8"), count=1, flags=re.M)
     assert n == 1
     ckpt.write_text(text, encoding="utf-8")
-    capsys.readouterr()
-    code = main([*argv, *flags])
-    return code, capsys.readouterr().err
+    before = _outputs(out)
+    for argv in argvs:
+        want = detect if argv[0] == "detect" else EXIT_VALIDATION
+        capsys.readouterr()
+        assert main([*argv, *flags]) == want, argv
+        err = capsys.readouterr().err
+        if want == EXIT_OK:
+            assert err == ""
+        elif want == EXIT_CONFIG:
+            assert f"{ckpt}: checkpoint trained with " in err
+        else:
+            assert key in err
+        assert _outputs(out) == before, argv
 
 
 # the discriminator's flat vector for fast_flags' layers (16, *HIDDEN, 1):
@@ -694,56 +741,67 @@ W1_AT, W2_AT = np.cumsum([a * b for a, b in zip([16, *HIDDEN], [*HIDDEN, 1])])[:
 HIDDEN_LINE = rf"^hidden = {' '.join(map(str, HIDDEN))}$"
 OTHER_HIDDEN = tuple(width + 1 for width in HIDDEN)  # widths no checkpoint has
 OPT_D = r"^({key}\.shape = " + str(N_DISC) + r"\n{key}\.data = \w{{{skip}}})\w{{16}}"
+# detect's exit code for a tamper in the training state, which it does not read
+STATE = EXIT_OK
 
 
-@pytest.mark.parametrize("pattern, repl, key", [
-    (rf"^params\.shape = {N_DISC}$", "params.shape = -1", "discriminator.params.shape"),
-    (r"^m\.shape = 3 4$", "m.shape = -1 4", "opt_g.m.shape"),
-    (r"^angles\.shape = 3 4$", "angles.shape = 0 4", "generator.angles.shape"),
+@pytest.mark.parametrize("pattern, repl, key, detect", [
+    (rf"^params\.shape = {N_DISC}$", "params.shape = -1", "discriminator.params.shape",
+     STATE),
+    (r"^m\.shape = 3 4$", "m.shape = -1 4", "opt_g.m.shape", STATE),
+    (r"^angles\.shape = 3 4$", "angles.shape = 0 4", "generator.angles.shape",
+     EXIT_VALIDATION),
 ], ids=["negative", "negative-moment", "zero"])
 def test_checkpoint_with_non_positive_dimension_is_validation_error(
-        tmp_path, capsys, pattern, repl, key):
-    code, err = _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl)
-    assert code == EXIT_VALIDATION
-    assert key in err
+        tmp_path, capsys, pattern, repl, key, detect):
+    _check_tampered_checkpoint(tmp_path, capsys, pattern, repl, key, detect)
 
 
-@pytest.mark.parametrize("argv", [("detect",), ("train", "--resume")],
-                         ids=["detect", "resume"])
-@pytest.mark.parametrize("pattern, repl, key", [
+@pytest.mark.parametrize("argv", BOTH, ids=["detect", "resume"])
+@pytest.mark.parametrize("pattern, repl, key, detect", [
+    # no hidden layers, or other widths, clash only with [discriminator]'s
+    # shape; detect finds [config] disagreeing with the run's settings
     (HIDDEN_LINE, "hidden = ", f"discriminator.params.shape = ({N_DISC},), "
-     f"want ({DiscriminatorNet.n_params([16, 1])},)"),
-    (HIDDEN_LINE, "hidden = 64 -32", "hidden layer sizes must be >= 1"),
-    (r"^state = \d+$", "state = -1", "rng.state"),
-    (r"^state = \d+$", f"state = {2**128}", "rng.state"),
-    (r"^inc = \d+$", "inc = -1", "rng.inc"),
-    (r"^inc = \d+$", f"inc = {2**128 + 1}", "rng.inc"),
-    (r"^uinteger = \d+$", "uinteger = -1", "rng.uinteger"),
-    (r"^has_uint32 = \d+$", f"has_uint32 = {10**40}", "rng.has_uint32"),
-    (r"^t = \d+$", "t = -1", "opt_g.t"),
-    (r"^epoch = \d+$", "epoch = -1", "meta.epoch"),
-    (r"^t = \d+$", "t = 1" + "0" * 400, "opt_g.t"),
-    (r"^(\[opt_d\]\nt = )\d+$", rf"\g<1>{2**63}", "opt_d.t"),
-    (r"^epoch = \d+$", f"epoch = {2**63}", "meta.epoch"),
-    (r"^n_qubits = 4$", "n_qubits = 13", "generator.n_qubits"),
-    (r"^depth = 2$", "depth = 3", "generator.angles.shape = (3, 4), want (4, 4)"),
+     f"want ({DiscriminatorNet.n_params([16, 1])},)", EXIT_CONFIG),
+    (HIDDEN_LINE, "hidden = 64 -32", "hidden layer sizes must be >= 1", EXIT_VALIDATION),
+    (r"^state = \d+$", "state = -1", "rng.state", STATE),
+    (r"^state = \d+$", f"state = {2**128}", "rng.state", STATE),
+    (r"^inc = \d+$", "inc = -1", "rng.inc", STATE),
+    (r"^inc = \d+$", f"inc = {2**128 + 1}", "rng.inc", STATE),
+    (r"^uinteger = \d+$", "uinteger = -1", "rng.uinteger", STATE),
+    (r"^has_uint32 = \d+$", f"has_uint32 = {10**40}", "rng.has_uint32", STATE),
+    (r"^t = \d+$", "t = -1", "opt_g.t", STATE),
+    (r"^epoch = \d+$", "epoch = -1", "meta.epoch", EXIT_VALIDATION),
+    (r"^t = \d+$", "t = 1" + "0" * 400, "opt_g.t", STATE),
+    (r"^(\[opt_d\]\nt = )\d+$", rf"\g<1>{2**63}", "opt_d.t", STATE),
+    (r"^epoch = \d+$", f"epoch = {2**63}", "meta.epoch", EXIT_VALIDATION),
+    (r"^n_qubits = 4$", "n_qubits = 13", "generator.n_qubits", EXIT_VALIDATION),
+    (r"^depth = 2$", "depth = 3", "generator.angles.shape = (3, 4), want (4, 4)",
+     EXIT_VALIDATION),
     (HIDDEN_LINE, f"hidden = {' '.join(map(str, OTHER_HIDDEN))}",
      f"discriminator.params.shape = ({N_DISC},), "
-     f"want ({DiscriminatorNet.n_params([16, *OTHER_HIDDEN, 1])},)"),
-    (r"^qbde-ckpt-v4$", "qbde-ckpt-v1", "qgan.ckpt: not a qbde-ckpt-v4 file"),
-    (r"^qbde-ckpt-v4$", "qbde-ckpt-v2", "qgan.ckpt: not a qbde-ckpt-v4 file"),
-    (r"^qbde-ckpt-v4$", "qbde-ckpt-v3", "qgan.ckpt: not a qbde-ckpt-v4 file"),
+     f"want ({DiscriminatorNet.n_params([16, *OTHER_HIDDEN, 1])},)", EXIT_CONFIG),
+    (r"^qbde-ckpt-v4$", "qbde-ckpt-v1", "qgan.ckpt: not a qbde-ckpt-v4 file",
+     EXIT_VALIDATION),
+    (r"^qbde-ckpt-v4$", "qbde-ckpt-v2", "qgan.ckpt: not a qbde-ckpt-v4 file",
+     EXIT_VALIDATION),
+    (r"^qbde-ckpt-v4$", "qbde-ckpt-v3", "qgan.ckpt: not a qbde-ckpt-v4 file",
+     EXIT_VALIDATION),
+    # a second header of a section detect reads: after the head, detect
+    # never reaches it; before the end of [generator], it refuses it too
+    (r"\Z", "[generator]\nn_qubits = 4\n", "repeated section [generator]", STATE),
+    (r"\Z", "[config]\ndepth = 3\n", "repeated section [config]", STATE),
+    (r"^\[generator\]$", "[meta]\nepoch = 0\n[generator]",
+     "repeated section [meta]", EXIT_VALIDATION),
 ], ids=["no-layers", "negative-layers", "negative-state", "huge-state",
         "negative-inc", "huge-inc", "negative-uinteger", "huge-has_uint32",
         "negative-adam-step", "negative-epoch", "huge-adam-step",
         "huge-opt_d-step", "huge-epoch", "huge-n_qubits", "config-depth",
-        "config-hidden", "v1-format", "v2-format", "v3-format"])
+        "config-hidden", "v1-format", "v2-format", "v3-format",
+        "repeated-generator", "repeated-config", "repeated-meta-in-head"])
 def test_checkpoint_with_out_of_range_value_is_validation_error(
-        tmp_path, capsys, pattern, repl, key, argv):
-    code, err = _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl,
-                                              argv)
-    assert code == EXIT_VALIDATION
-    assert key in err
+        tmp_path, capsys, pattern, repl, key, detect, argv):
+    _check_tampered_checkpoint(tmp_path, capsys, pattern, repl, key, detect, (argv,))
 
 
 @pytest.mark.parametrize("pattern, repl, key", [
@@ -754,65 +812,58 @@ def test_checkpoint_with_out_of_range_value_is_validation_error(
 ], ids=["opt_d-m", "opt_g-v-flattened"])
 def test_checkpoint_moment_shape_mismatch_is_validation_error(
         tmp_path, capsys, pattern, repl, key):
-    code, err = _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl)
-    assert code == EXIT_VALIDATION
-    assert key in err
+    _check_tampered_checkpoint(tmp_path, capsys, pattern, repl, key, STATE)
 
 
-@pytest.mark.parametrize("argv", [("detect",), ("train", "--resume")],
-                         ids=["detect", "resume"])
-@pytest.mark.parametrize("pattern, repl, key", [
-    (r"^(params\.data = .*).$", r"\1", "discriminator.params.data"),
-    (r"^(params\.data = \w{5})\w", r"\1g", "discriminator.params.data"),
-    (r"^(m\.data = .*)\w{16}$", r"\1", "opt_g.m.data"),
-    (rf"^(v\.shape = {N_DISC}\nv\.data = .*)$", r"\g<1>" + ZERO, "opt_d.v.data"),
-    (r"^(params\.data = )\w{16}", r"\g<1>" + INF, "discriminator.params.data"),
-    (r"^(params\.data = .*)\w{16}$", r"\g<1>" + INF, "discriminator.params.data"),
+@pytest.mark.parametrize("argv", BOTH, ids=["detect", "resume"])
+@pytest.mark.parametrize("pattern, repl, key, detect", [
+    (r"^(params\.data = .*).$", r"\1", "discriminator.params.data", STATE),
+    (r"^(params\.data = \w{5})\w", r"\1g", "discriminator.params.data", STATE),
+    (r"^(m\.data = .*)\w{16}$", r"\1", "opt_g.m.data", STATE),
+    (rf"^(v\.shape = {N_DISC}\nv\.data = .*)$", r"\g<1>" + ZERO, "opt_d.v.data", STATE),
+    (r"^(params\.data = )\w{16}", r"\g<1>" + INF, "discriminator.params.data", STATE),
+    (r"^(params\.data = .*)\w{16}$", r"\g<1>" + INF, "discriminator.params.data", STATE),
     (rf"^(params\.data = \w{{{16 * (W2_AT + 1)}}})\w{{16}}", r"\g<1>" + NAN,
-     "discriminator.params.data"),
-    (r"^(m\.data = )\w{16}", r"\g<1>" + INF, "opt_g.m.data"),
-    (OPT_D.format(key="m", skip=16 * W2_AT), r"\g<1>" + MINUS_INF, "opt_d.m.data"),
-    (OPT_D.format(key="v", skip=16 * W1_AT), r"\g<1>" + INF, "opt_d.v.data"),
-    (r"^(v\.data = )\w{16}", r"\g<1>" + MINUS_ONE, "opt_g.v.data"),
-    (r"^(angles\.data = )\w{16}", r"\g<1>" + NAN, "generator.angles.data"),
+     "discriminator.params.data", STATE),
+    (r"^(m\.data = )\w{16}", r"\g<1>" + INF, "opt_g.m.data", STATE),
+    (OPT_D.format(key="m", skip=16 * W2_AT), r"\g<1>" + MINUS_INF, "opt_d.m.data",
+     STATE),
+    (OPT_D.format(key="v", skip=16 * W1_AT), r"\g<1>" + INF, "opt_d.v.data", STATE),
+    (r"^(v\.data = )\w{16}", r"\g<1>" + MINUS_ONE, "opt_g.v.data", STATE),
+    (r"^(angles\.data = )\w{16}", r"\g<1>" + NAN, "generator.angles.data",
+     EXIT_VALIDATION),
 ], ids=["digit-short", "non-hex", "value-short", "value-long", "inf-w0",
         "inf-b2", "nan-w2", "inf-opt_g-m0", "minus-inf-opt_d-m2",
         "inf-opt_d-v1", "negative-opt_g-v0", "nan-angle"])
 def test_checkpoint_with_bad_array_data_is_validation_error(
-        tmp_path, capsys, pattern, repl, key, argv):
+        tmp_path, capsys, pattern, repl, key, detect, argv):
     # before, a non-finite weight or moment loaded, and resumed training
     # wrote nan or clamped losses, or froze the weights; each id names the
     # layer (w0 .. b2) or moment whose part of the vector is tampered with
-    code, err = _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl,
-                                              argv)
-    assert code == EXIT_VALIDATION
-    assert f"{tmp_path / 'out' / 'qgan.ckpt'}: {key}" in err
+    _check_tampered_checkpoint(tmp_path, capsys, pattern, repl,
+                               f"{tmp_path / 'out' / 'qgan.ckpt'}: {key}", detect, (argv,))
 
 
-@pytest.mark.parametrize("argv", [("detect",), ("train", "--resume")],
-                         ids=["detect", "resume"])
-@pytest.mark.parametrize("pattern, repl, key", [
-    (r"^(params\.data = \w{16})", r"\1 ", "discriminator.params.data"),
-    (r"^(angles\.data = \w{8})", "\\1\t", "generator.angles.data"),
-    (r"^(v\.data = \w{2})", r"\1  ", "opt_g.v.data"),
+@pytest.mark.parametrize("argv", BOTH, ids=["detect", "resume"])
+@pytest.mark.parametrize("pattern, repl, key, detect", [
+    (r"^(params\.data = \w{16})", r"\1 ", "discriminator.params.data", STATE),
+    (r"^(angles\.data = \w{8})", "\\1\t", "generator.angles.data", EXIT_VALIDATION),
+    (r"^(v\.data = \w{2})", r"\1  ", "opt_g.v.data", STATE),
 ], ids=["space-params", "tab-angles", "spaces-opt_g-v"])
 def test_checkpoint_with_whitespace_inside_array_data_is_validation_error(
-        tmp_path, capsys, pattern, repl, key, argv):
+        tmp_path, capsys, pattern, repl, key, detect, argv):
     # no writer puts whitespace inside the hex, and a2b_hex refuses it even
     # between whole bytes, where bytes.fromhex skipped it
-    code, err = _run_with_tampered_checkpoint(tmp_path, capsys, pattern, repl,
-                                              argv)
-    assert code == EXIT_VALIDATION
-    assert f"{tmp_path / 'out' / 'qgan.ckpt'}: {key}" in err
+    _check_tampered_checkpoint(tmp_path, capsys, pattern, repl,
+                               f"{tmp_path / 'out' / 'qgan.ckpt'}: {key}", detect, (argv,))
 
 
 def test_checkpoint_moment_count_mismatch_is_validation_error(tmp_path, capsys):
     # one moment value fewer than the discriminator has parameters
-    code, err = _run_with_tampered_checkpoint(
+    _check_tampered_checkpoint(
         tmp_path, capsys, rf"^m\.shape = {N_DISC}\nm\.data = (.*)\w{{16}}$",
-        rf"m.shape = {N_DISC - 1}\nm.data = \1")
-    assert code == EXIT_VALIDATION
-    assert f"opt_d.m.shape = ({N_DISC - 1},), want ({N_DISC},)" in err
+        rf"m.shape = {N_DISC - 1}\nm.data = \1",
+        f"opt_d.m.shape = ({N_DISC - 1},), want ({N_DISC},)", STATE)
 
 
 def _oversize_field(path, line, column):
