@@ -38,21 +38,22 @@ print(f"parsed {report.total_events()} events "
       f"({sum(report.malformed.values())} malformed rows)")
 
 # ---------------------------------------------------------------------
-# One 16-feature vector per user-day.  The _on/_out split follows the
-# 08:00-18:00 working window; size totals device-transfer bytes.
+# One 16-feature row per user-day, all held as one table of columns:
+# user, day and label lists and an (n, 16) matrix x.  The _on/_out split
+# follows the 08:00-18:00 working window; size totals device-transfer
+# bytes.
 # ---------------------------------------------------------------------
-rows = extract_daily(events)
-attach_labels(rows, labels)
-print(f"\n{len(rows)} user-days; features: {', '.join(FEATURE_NAMES)}")
-example = rows[0]
-print(f"raw counts for {example.user} {example.day}:")
-print(" ", {name: int(x) for name, x in zip(FEATURE_NAMES, example.features)})
+days = extract_daily(events)
+attach_labels(days, labels)
+print(f"\n{len(days)} user-days; features: {', '.join(FEATURE_NAMES)}")
+print(f"raw counts for {days.user[0]} {days.day[0]}:")
+print(" ", {name: int(x) for name, x in zip(FEATURE_NAMES, days.x[0])})
 
 # ---------------------------------------------------------------------
 # Chronological split (train = earliest days), abnormal days excluded
 # from training, then per-user min-max normalization from train stats.
 # ---------------------------------------------------------------------
-dataset = normalize(split(rows, train_days=40, test_days=20))
+dataset = normalize(split(days, train_days=40, test_days=20))
 print(f"\ntrain {len(dataset.train)} rows "
       f"(+{len(dataset.excluded)} abnormal excluded), test {len(dataset.test)} rows")
 lo, hi = dataset.stats["U0000"]
@@ -65,12 +66,14 @@ print(f"test values clipped into [0, 1]: {dataset.clipped} "
 # Simplex projection: the generator outputs probability vectors, so the
 # behavior vectors are L1-normalized to live on the same simplex.
 # ---------------------------------------------------------------------
-train_simplex = to_simplex([r.features for r in dataset.train])
+train_simplex = to_simplex(dataset.train.x)
 print(f"\nsimplex projection of day 1: sum = {train_simplex[0].sum():.12f}, "
-      f"retained activity mass = {dataset.train[0].features.sum():.3f}")
-abnormal = [r for r in dataset.test if r.label == "abnormal"]
-if abnormal:
+      f"retained activity mass = {dataset.train.x[0].sum():.3f}")
+# selecting rows by position gives a table of the same columns
+abnormal = dataset.test[[i for i, label in enumerate(dataset.test.label)
+                         if label == "abnormal"]]
+if len(abnormal):
     mean = train_simplex.mean(axis=0)
-    v = to_simplex([abnormal[0].features])[0]
+    v = to_simplex(abnormal.x[:1])[0]
     print(f"an abnormal day sits {np.abs(v - mean).sum():.3f} (L1) from the "
           f"training mean direction; typical normal days are much closer.")

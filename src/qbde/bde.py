@@ -22,9 +22,10 @@ references of a stack of users, each bit-identical to scoring that user
 alone.  A user's abnormality threshold Th_d is its largest training
 score and the threat threshold Th_f is 2 Th_d; each day's band
 (d > Th_d) + (d > Th_f) indexes its verdict in VERDICTS: Normal,
-Low_threat or High_threat, each band including its upper bound.  Scores stay columns (``Scores``) from
-scoring to the score files and the summary, which format each column in
-one pass.
+Low_threat or High_threat, each band including its upper bound.  Scores
+stay columns (``Scores``, a ``features.Columns`` table like the ``Days``
+scored) from scoring to the score files and the summary, which format
+each column in one pass.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import date
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,7 @@ from .checkpoint import (Section, _get_array, _put_array, convert_cells,
                          float_fields, read_csv, read_kv, text_fields,
                          write_columns, write_kv)
 from .errors import SchemaError
-from .features import _feature_label, check_user_id
+from .features import Columns, Days, _feature_label, check_user_id
 from .optim import Adam
 from .qgan import _clamp, _rows, _sigmoid
 
@@ -436,7 +436,7 @@ class Thresholds:
 
 
 @dataclass(eq=False)
-class Scores:
+class Scores(Columns):
     """Scored user-days as columns, one item per day: ``user``, ``day``
     and ``label`` as lists; R_d, R_n, d and the ``th_d`` of the day's user
     (its ``th_f`` is twice that) as float arrays; and the day's ``band``,
@@ -449,19 +449,6 @@ class Scores:
     d: np.ndarray
     th_d: np.ndarray
     band: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.d)
-
-    def __getitem__(self, days: slice) -> "Scores":
-        return Scores(*(getattr(self, f.name)[days] for f in fields(self)))
-
-
-def join_scores(parts: list[Scores]) -> Scores:
-    """The days of each of ``parts`` (at least one) in turn."""
-    columns = [[getattr(part, f.name) for part in parts] for f in fields(Scores)]
-    return Scores(*([*chain(*column)] for column in columns[:3]),
-                  *map(np.concatenate, columns[3:]))
 
 
 def _recon(batch: np.ndarray, n_refs: int, flat: np.ndarray, counts):
@@ -567,10 +554,10 @@ def _row_stacks(users: list, widths: list[int]):
         yield users[first:]
 
 
-def score_rows(rows, x: np.ndarray, users: list[UserDays], lam: float) -> Scores:
-    """The scores of the rows ``x`` (the simplex vectors of ``rows``, each
-    the day of one of ``users``), in the order of ``rows``, with each
-    row's user, day and label.  A user's thresholds come from the scores
+def score_rows(days: Days, x: np.ndarray, users: list[UserDays], lam: float) -> Scores:
+    """The scores of the rows ``x`` (the simplex vectors of ``days``, each
+    the day of one of ``users``), in the order of ``days``, with each
+    day's user, day and label.  A user's thresholds come from the scores
     of its training window, and its ``d`` is Normal up to ``th_d``,
     Low_threat up to ``th_f`` and High_threat above.  A row is scored
     against its user's nearest reference (the single-reference case
@@ -584,11 +571,11 @@ def score_rows(rows, x: np.ndarray, users: list[UserDays], lam: float) -> Scores
     """
     at = [np.asarray(user.days, dtype=np.intp) for user in users]
     scored = np.bincount(np.concatenate([np.zeros(0, np.intp), *at]),
-                         minlength=len(rows))
-    if len(scored) != len(rows) or not (scored == 1).all():
+                         minlength=len(days))
+    if len(scored) != len(days) or not (scored == 1).all():
         raise ValueError("each row must be the day of exactly one user")
-    columns = np.empty((4, len(rows)))   # r_d, r_n, d, th_d
-    band = np.empty(len(rows), dtype=int)
+    columns = np.empty((4, len(days)))   # r_d, r_n, d, th_d
+    band = np.empty(len(days), dtype=int)
     stacks: dict[tuple, list[int]] = {}
     for i, user in enumerate(users):
         stacks.setdefault(np.shape(np.atleast_2d(user.references)), []).append(i)
@@ -607,12 +594,11 @@ def score_rows(rows, x: np.ndarray, users: list[UserDays], lam: float) -> Scores
             th_d = np.broadcast_to([[t.th_d] for t in th], d.shape)
             th_f = np.array([[t.th_f] for t in th])
             mine = np.arange(d.shape[1]) < counts[:, None]
-            days = np.concatenate([at[i] for i in stack])
+            rows = np.concatenate([at[i] for i in stack])
             for column, values in zip(columns, (r_d, r_n, d, th_d)):
-                column[days] = values[mine]
-            band[days] = ((d > th_d).astype(int) + (d > th_f))[mine]
-    return Scores([row.user for row in rows], [row.day for row in rows],
-                  [row.label for row in rows], *columns, band)
+                column[rows] = values[mine]
+            band[rows] = ((d > th_d).astype(int) + (d > th_f))[mine]
+    return Scores(days.user, days.day, days.label, *columns, band)
 
 
 # --------------------------------------------------------------------------
@@ -687,7 +673,7 @@ def write_summary(path: str | Path, scores: Scores, train: Scores, lam: float,
     accuracy and confusion counts.  Returns that accuracy, or None without
     ground truth."""
     entries = {"config_digest": comment} if comment else {}
-    both = join_scores([train, scores])
+    both = Scores.join([train, scores])
     thresholds = dict(zip(both.user, both.th_d.tolist()))
     users = sorted(thresholds)
     entries["lambda"] = repr(lam)

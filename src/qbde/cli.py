@@ -13,7 +13,7 @@ The config file is flat ``key = value`` text; command-line flags override
 file values, and ``train --resume`` continues from the checkpoint.  Every
 output file embeds a digest of the resolved configuration, and identical
 (config, seed) runs produce byte-identical outputs.  Exit codes: 0
-success, 2 configuration, 3 I/O, 4 validation.
+success, 2 configuration, 3 I/O or out of memory, 4 validation.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import functools
 import hashlib
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +76,7 @@ class RunConfig:
             raise ConfigError("bde_epochs must be >= 0")
         try:
             features.parse_working_hours(self.working_hours)
-            features.split([], self.train_days, self.test_days)
+            features.split(features.Days(), self.train_days, self.test_days)
             self.synth_config(), self.train_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -175,14 +174,14 @@ def cmd_ingest(cfg: RunConfig) -> int:
             features.check_user_id(user)
     except ValueError as exc:
         raise SchemaError(f"{cfg.input_dir}: {exc}") from exc
-    rows = features.extract_daily(events, cfg.working_hours)
+    days = features.extract_daily(events, cfg.working_hours)
     labels_path = Path(cfg.input_dir) / "labels.csv"
     if labels_path.exists():
-        features.attach_labels(rows, features.read_labels_csv(labels_path))
-    dataset = features.normalize(features.split(rows, cfg.train_days,
+        features.attach_labels(days, features.read_labels_csv(labels_path))
+    dataset = features.normalize(features.split(days, cfg.train_days,
                                                 cfg.test_days))
     digest = cfg.digest()
-    features.write_features_csv(out_dir / "features_raw.csv", rows, digest)
+    features.write_features_csv(out_dir / "features_raw.csv", days, digest)
     features.write_features_csv(out_dir / "features_train.csv", dataset.train,
                                 digest)
     features.write_features_csv(out_dir / "features_test.csv", dataset.test,
@@ -213,12 +212,12 @@ def _ckpt_path(cfg: RunConfig, user: str, n_users: int) -> Path:
     return base.with_name(f"{base.stem}-{user}{base.suffix}")
 
 
-def _train_rows(out_dir: Path) -> list[features.BehaviorVector]:
+def _train_days(out_dir: Path) -> features.Days:
     path = out_dir / "features_train.csv"
-    rows = features.read_features_csv(path)
-    if not rows:
+    days = features.read_features_csv(path)
+    if not len(days):
         raise SchemaError(f"{path}: no training rows")
-    return rows
+    return days
 
 
 def _load_trained(cfg: RunConfig, path: Path, load) -> tuple:
@@ -239,15 +238,16 @@ def _load_trained(cfg: RunConfig, path: Path, load) -> tuple:
 def cmd_train(cfg: RunConfig, resume: bool = False) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    by_user = features.rows_by_user(_train_rows(out_dir))
+    days = _train_days(out_dir)
+    by_user = days.by_user()
     digest = cfg.digest()
     train_cfg = cfg.train_config()
     ckpts = [_ckpt_path(cfg, user, len(by_user)) for user in by_user]
     # every checkpoint loads and matches the config before any user trains
     states = ([_load_trained(cfg, ckpt, load_checkpoint)[0] for ckpt in ckpts]
               if resume else None)
-    traces = qgan.train([features.to_simplex([row.features for row in rows])
-                         for rows in by_user.values()], train_cfg, states)
+    traces = qgan.train([features.to_simplex(days.x[at]) for at in by_user.values()],
+                        train_cfg, states)
     # every user ran the same epochs, so one call formats every loss
     losses = float_fields([(t.loss_g, t.loss_d, t.cross_entropy) for t in traces])
     # every user's loss file and checkpoint are written before any is
@@ -283,9 +283,9 @@ def _reference_distributions(params, cfg: RunConfig) -> np.ndarray:
 
 def cmd_detect(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
-    train_by_user = features.rows_by_user(_train_rows(out_dir))
     test_path = out_dir / "features_test.csv"
-    test_by_user = features.rows_by_user(features.read_features_csv(test_path))
+    train, test = _train_days(out_dir), features.read_features_csv(test_path)
+    train_by_user, test_by_user = train.by_user(), test.by_user()
     untrained = [user for user in test_by_user if user not in train_by_user]
     if untrained:
         raise SchemaError(f"{test_path}: user {untrained[0]} has no "
@@ -294,27 +294,23 @@ def cmd_detect(cfg: RunConfig) -> int:
 
     # every user's training window, then every user's test days: the
     # order of the score files
-    n_train = sum(map(len, train_by_user.values()))
-    rows = [*chain(*train_by_user.values(),
-                   *(test_by_user.get(user, []) for user in train_by_user))]
-    x = features.to_simplex([row.features for row in rows])
+    days = features.Days.join(
+        [*map(train.__getitem__, train_by_user.values()),
+         *(test[test_by_user.get(user, [])] for user in train_by_user)])
+    x = features.to_simplex(days.x)
 
     # every checkpoint's generator loads before any scorer is looked up or
     # trained; the training state after it is read by train --resume alone
     users, reals, generated = [], [], []
-    train_at, test_at = 0, n_train
-    for user, user_train in train_by_user.items():
+    for user, at in days.by_user().items():   # a training window, then test days
         params, _ = _load_trained(cfg, _ckpt_path(cfg, user, len(train_by_user)),
                                   load_generator)
         references = _reference_distributions(params, cfg)
-        n_test = len(test_by_user.get(user, []))
-        real = x[train_at:train_at + len(user_train)]
+        real = x[at[:len(train_by_user[user])]]
         tiled = np.tile(references, (-(-len(real) // len(references)), 1))
         reals.append(real)
         generated.append(tiled[:len(real)])
-        days = np.r_[train_at:train_at + len(real), test_at:test_at + n_test]
-        users.append((days, len(real), references))
-        train_at, test_at = train_at + len(real), test_at + n_test
+        users.append((at, len(real), references))
 
     # a scorer saved for exactly these inputs is reused; one call trains
     # the rest, and is made even when it has none to train
@@ -330,9 +326,9 @@ def cmd_detect(cfg: RunConfig) -> int:
         bde.save_scorer(paths[i], keys[i], net)
         nets[i] = net
 
-    scores = bde.score_rows(rows, x, [bde.UserDays(*user, net) for user, net
+    scores = bde.score_rows(days, x, [bde.UserDays(*user, net) for user, net
                                       in zip(users, nets)], cfg.lam)
-    train, test = scores[:n_train], scores[n_train:]
+    train, test = scores[:len(train)], scores[len(train):]
 
     bde.write_score_csv(out_dir / "scores.csv", test, digest)
     bde.write_score_csv(out_dir / "scores_train.csv", train, digest)
@@ -437,6 +433,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:   # settings that need more memory than the host has
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
         return EXIT_IO
     except (SchemaError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

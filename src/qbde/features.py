@@ -13,7 +13,7 @@ so files with extra columns parse unchanged.  The expected headers are:
 ``size`` on device rows is the transferred byte count; logs without that
 column still parse, with the size feature degraded to zero.
 
-Each (user, day) with any activity becomes one 16-feature vector.  The
+Each (user, day) with any activity becomes one row of a ``Days`` table.  The
 ``_on``/``_out`` suffix splits counts by the working-time window
 (default 08:00-18:00, half-open), ``weekend`` flags Saturday/Sunday, and
 ``size`` totals the day's device transfer bytes.
@@ -26,7 +26,7 @@ import io
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from datetime import date, datetime, time, timedelta
 from itertools import chain
 from pathlib import Path
@@ -51,24 +51,54 @@ TIMESTAMP_FMT = "%m/%d/%Y %H:%M:%S"
 LABEL_NORMAL = "normal"
 LABEL_ABNORMAL = "abnormal"
 _LABELS = (LABEL_NORMAL, LABEL_ABNORMAL)
-_FLOAT = np.dtype(float)
 
 
-@dataclass
-class BehaviorVector:
-    """One user-day: 16 features, optionally a ground-truth label."""
+class Columns:
+    """A dataclass of columns, one item per row: lists, and arrays whose
+    first axis is the row axis."""
 
-    user: str
-    day: date
-    features: np.ndarray
-    label: str | None = None
+    def columns(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self.columns()[0])
+
+    def __getitem__(self, at):
+        """The rows at ``at``, a slice or positions in any order."""
+        at = np.arange(len(self))[at]
+        return type(self)(*(column[at] if isinstance(column, np.ndarray)
+                            else [*map(column.__getitem__, at.tolist())]
+                            for column in self.columns()))
+
+    @classmethod
+    def join(cls, parts: list):
+        """The rows of each of ``parts`` (at least one) in turn."""
+        return cls(*(np.concatenate(column) if isinstance(column[0], np.ndarray)
+                     else [*chain(*column)] for column in zip(*map(cls.columns, parts))))
+
+
+@dataclass(eq=False)
+class Days(Columns):
+    """User-days as columns: ``user``, ``day`` and ``label`` (None if
+    unknown) as lists, and ``x``, their 16 features as an (n, 16) float
+    matrix.  ``Days()`` is the empty table."""
+
+    user: list = field(default_factory=list)
+    day: list = field(default_factory=list)
+    label: list = field(default_factory=list)
+    x: np.ndarray = field(default_factory=lambda: np.zeros((0, N_FEATURES)))
 
     def __post_init__(self):
-        x = self.features
-        if type(x) is not np.ndarray or x.dtype is not _FLOAT:  # else kept as given
-            x = self.features = np.asarray(x, dtype=float)
-        if x.ndim != 1 or len(x) != N_FEATURES:
-            raise ValueError(f"expected {N_FEATURES} features, got {x.shape}")
+        self.x = np.asarray(self.x, dtype=float)
+        if self.x.shape != (len(self.user), N_FEATURES):
+            raise ValueError(f"expected {N_FEATURES} features, got {self.x.shape}")
+
+    def by_user(self) -> dict[str, list]:
+        """Each user's row positions in their given order, users sorted."""
+        at: dict[str, list] = {}
+        for i, user in enumerate(self.user):
+            at.setdefault(user, []).append(i)
+        return dict(sorted(at.items()))
 
 
 @dataclass
@@ -98,18 +128,18 @@ class ParseReport:
 
 @dataclass
 class Dataset:
-    """Chronological train/test rows plus per-user normalization state.
+    """Chronological train/test days plus per-user normalization state.
 
     ``stats`` maps user -> (per-feature min, per-feature max) computed on
-    that user's training rows; ``excluded`` holds abnormal-labelled rows
-    dropped from the training window; ``clipped`` counts the test values
-    that fell outside [0, 1] before clipping.
+    that user's training days; ``excluded`` holds the abnormal-labelled
+    days dropped from the training window; ``clipped`` counts the test
+    values that fell outside [0, 1] before clipping.
     """
 
-    train: list
-    test: list
+    train: Days
+    test: Days
     stats: dict | None = None
-    excluded: list = field(default_factory=list)
+    excluded: Days = field(default_factory=Days)
     clipped: int = 0
 
 
@@ -531,13 +561,13 @@ def parse_working_hours(value: str) -> tuple[time, time]:
     return start, end
 
 
-def extract_daily(events: Events,
-                  working_hours: str = "08:00-18:00") -> list[BehaviorVector]:
-    """Aggregate events into one 16-feature vector per (user, day).
+def extract_daily(events: Events, working_hours: str = "08:00-18:00") -> Days:
+    """Aggregate events into one 16-feature row per (user, day).
 
-    Only days with at least one event produce a vector; output is sorted
-    by (user, day).  Counts and size totals are summed in event order; a
-    size total that overflows raises ``SchemaError`` naming user and day.
+    Only days with at least one event produce a row, with no label; rows
+    are sorted by (user, day).  Counts and size totals are summed in event
+    order; a size total that overflows raises ``SchemaError`` naming user
+    and day.
     """
     start, end = ((t.hour * 60 + t.minute) * 60
                   for t in parse_working_hours(working_hours))
@@ -560,77 +590,67 @@ def extract_daily(events: Events,
         raise SchemaError(f"user {names[u]} on {date.fromordinal(d)}: device "
                           f"size total is not finite")
     table[:, _FEATURE_INDEX["size"]] = sizes
-    return [BehaviorVector(names[u], date.fromordinal(d), vec)
-            for u, d, vec in zip((keys // _N_DAYS).tolist(), day.tolist(), table)]
+    return Days([names[u] for u in (keys // _N_DAYS).tolist()],
+                [*map(date.fromordinal, day.tolist())], [None] * n, table)
 
 
 # --------------------------------------------------------------------------
 # Split and normalization
 # --------------------------------------------------------------------------
 
-def rows_by_user(rows) -> dict[str, list]:
-    """Each user's rows in their given order, users sorted."""
-    by_user: dict[str, list] = {}
-    for row in rows:
-        by_user.setdefault(row.user, []).append(row)
-    return dict(sorted(by_user.items()))
-
-
-def split(rows: list[BehaviorVector], train_days: int,
-          test_days: int) -> Dataset:
-    """Chronological per-user split: the earliest ``train_days`` rows feed
-    training (abnormal-labelled ones are excluded and reported), the next
-    ``test_days`` rows form the test set, any later rows are dropped."""
+def split(days: Days, train_days: int, test_days: int) -> Dataset:
+    """Chronological per-user split into ``Days`` tables, users sorted and
+    each user's days by date: the earliest ``train_days`` feed training
+    (abnormal-labelled ones are excluded and reported), the next
+    ``test_days`` form the test set, any later days are dropped."""
     if train_days < 1 or test_days < 0:
         raise ValueError("need train_days >= 1 and test_days >= 0")
     train, test, excluded = [], [], []
-    for user, user_rows in rows_by_user(rows).items():
-        user_rows = sorted(user_rows, key=lambda r: r.day)
-        if len(user_rows) < train_days + test_days:
+    for user, at in days.by_user().items():
+        at = sorted(at, key=days.day.__getitem__)
+        if len(at) < train_days + test_days:
             raise ValueError(
-                f"user {user} has {len(user_rows)} rows, needs at least "
+                f"user {user} has {len(at)} rows, needs at least "
                 f"{train_days + test_days}")
-        for row in user_rows[:train_days]:
-            (excluded if row.label == LABEL_ABNORMAL else train).append(row)
-        test.extend(user_rows[train_days:train_days + test_days])
-    return Dataset(train=train, test=test, excluded=excluded)
+        for i in at[:train_days]:
+            (excluded if days.label[i] == LABEL_ABNORMAL else train).append(i)
+        test.extend(at[train_days:train_days + test_days])
+    return Dataset(train=days[train], test=days[test], excluded=days[excluded])
 
 
 def normalize(dataset: Dataset) -> Dataset:
-    """Min-max scale every feature to [0, 1] per user.
+    """Min-max scale every feature to [0, 1] per user, a table at a time.
 
-    Statistics come from the training rows only; test rows reuse them and
+    Statistics come from the training days only; test days reuse them and
     are clipped into [0, 1], with the out-of-range values counted in
     ``clipped`` since leaving the training range is itself evidence of
     anomaly.  A feature that is constant in training maps to 0.
     """
-    if not dataset.train:
+    if not len(dataset.train):
         raise ValueError("cannot normalize an empty training set")
     stats = {}
-    for user, rows in rows_by_user(dataset.train).items():
-        x = np.stack([row.features for row in rows])
+    for user, at in dataset.train.by_user().items():
+        x = dataset.train.x[at]
         stats[user] = np.min(x, axis=0), np.max(x, axis=0)
     code = {user: i for i, user in enumerate(stats)}
     lo = np.stack([lo for lo, _ in stats.values()])
     span = np.stack([hi for _, hi in stats.values()]) - lo
     safe = np.where(span > 0, span, 1.0)
 
-    def transform(rows: list) -> tuple[list, int]:
-        """``rows`` scaled as one matrix, each by its user's statistics,
-        and the number of values clipped into [0, 1]."""
+    def transform(days: Days) -> tuple[Days, int]:
+        """``days`` scaled, each by its user's statistics, and the number
+        of values clipped into [0, 1]."""
         try:
-            which = np.array([code[row.user] for row in rows], dtype=np.intp)
+            which = np.array([code[user] for user in days.user], dtype=np.intp)
         except KeyError as exc:
             raise ValueError(f"user {exc.args[0]} has no training rows") from None
-        x = np.stack([row.features for row in rows]) if rows else lo[which]
-        scaled = np.where(span[which] > 0, (x - lo[which]) / safe[which], 0.0)
-        return ([BehaviorVector(row.user, row.day, values, row.label)
-                 for row, values in zip(rows, np.clip(scaled, 0.0, 1.0))],
+        scaled = np.where(span[which] > 0, (days.x - lo[which]) / safe[which], 0.0)
+        return (replace(days, x=np.clip(scaled, 0.0, 1.0)),
                 np.count_nonzero((scaled < 0.0) | (scaled > 1.0)))
 
     test, clipped = transform(dataset.test)
     return Dataset(train=transform(dataset.train)[0], test=test, stats=stats,
-                   excluded=list(dataset.excluded), clipped=clipped)
+                   excluded=dataset.excluded, clipped=clipped)
 
 
 def to_simplex(values) -> np.ndarray:
@@ -650,16 +670,13 @@ def to_simplex(values) -> np.ndarray:
 # Feature and label files
 # --------------------------------------------------------------------------
 
-def write_features_csv(path: str | Path, rows: list[BehaviorVector],
-                       comment: str | None = None) -> None:
-    """One line per row, each distinct user, day, value and label
+def write_features_csv(path: str | Path, days: Days, comment: str | None = None) -> None:
+    """One line per user-day, each distinct user, day, value and label
     formatted once."""
-    x = np.array([row.features for row in rows]).reshape(-1, N_FEATURES)
     write_columns(path, ["user", "day", *FEATURE_NAMES, "label"], [
-        text_fields([row.user for row in rows]),
-        text_fields([row.day for row in rows], lambda day: day.isoformat()),
-        *float_fields(x).T.tolist(), text_fields([row.label or "" for row in rows])],
-        comment)
+        text_fields(days.user), text_fields(days.day, lambda day: day.isoformat()),
+        *float_fields(days.x).T.tolist(),
+        text_fields(days.label, lambda label: label or "")], comment)
 
 
 def check_user_id(user: str) -> str:
@@ -682,17 +699,17 @@ def _feature_label(label: str) -> str | None:
     return _check_label(label, (*_LABELS, "")) or None
 
 
-def _feature_row(rec: list[str]) -> BehaviorVector:
+def _feature_row(rec: list[str]) -> None:
+    """Check one record: its values, all converted first, then the rest."""
     values = np.array([float(x) for x in rec[2:2 + N_FEATURES]])
     if not np.isfinite(values).all():
         raise ValueError("feature values must be finite")
-    return BehaviorVector(check_user_id(rec[0]), date.fromisoformat(rec[1]), values,
-                          _feature_label(rec[-1]))
+    check_user_id(rec[0]), date.fromisoformat(rec[1]), _feature_label(rec[-1])
 
 
-def _feature_columns(cols: list) -> tuple[list[BehaviorVector], int]:
-    """The rows of these feature columns and the index of the first that
-    ``_feature_row`` rejects: a bad float reads as NaN, and every row
+def _feature_columns(cols: list) -> tuple[Days, int]:
+    """The days of these feature columns and the index of the first row
+    that ``_feature_row`` rejects: a bad float reads as NaN, and every row
     holding a non-finite value is rejected."""
     n = len(cols[0])
     cells = [*chain.from_iterable(cols[2:2 + N_FEATURES])]
@@ -704,10 +721,10 @@ def _feature_columns(cols: list) -> tuple[list[BehaviorVector], int]:
     labels, first_label = convert_cells(cols[-1], _feature_label)
     first = min(first_user, first_day, first_label,
                 n if finite.all() else int(finite.argmin()))
-    return [*map(BehaviorVector, users, days, x, labels)], first
+    return Days([*users], [*days], [*labels], x), first
 
 
-def read_features_csv(path: str | Path) -> list[BehaviorVector]:
+def read_features_csv(path: str | Path) -> Days:
     return read_csv(
         path, "features",
         lambda header: header[:2] == ["user", "day"]
@@ -730,10 +747,9 @@ def read_labels_csv(path: str | Path) -> dict[tuple[str, date], str]:
                     3, _label_columns, _label_row)
 
 
-def attach_labels(rows: list[BehaviorVector],
-                  labels: dict[tuple[str, date], str]) -> None:
-    for row in rows:
-        row.label = labels.get((row.user, row.day), row.label)
+def attach_labels(days: Days, labels: dict[tuple[str, date], str]) -> None:
+    days.label = [labels.get(key, label)
+                  for key, label in zip(zip(days.user, days.day), days.label)]
 
 
 # --------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from qbde.bde import (
     behavior_score,
     confusion,
     fit_thresholds,
-    join_scores,
     load_scorer,
     read_score_csv,
     read_summary,
@@ -50,6 +49,7 @@ from qbde.bde import (
 )
 from qbde.checkpoint import float_fields, text_fields, write_columns, write_kv
 from qbde.errors import SchemaError
+from qbde.features import Days
 from qbde.optim import Adam
 from qbde.qgan import SIGMOID_CLAMP, _sigmoid
 
@@ -719,8 +719,7 @@ def oracle_score_user(rows, x, references, net, lam, n_train):
     r_d, r_n, _ = oracle_recon_batch(x, np.atleast_2d(references), net)
     d = behavior_score(r_d, r_n, lam)
     th = fit_thresholds(d[:n_train])
-    return Scores([row.user for row in rows], [row.day for row in rows],
-                  [row.label for row in rows], r_d, r_n, d,
+    return Scores([*rows.user], [*rows.day], [*rows.label], r_d, r_n, d,
                   np.full(len(d), th.th_d),
                   (d > th.th_d).astype(int) + (d > th.th_f))
 
@@ -732,11 +731,12 @@ def score_user(rows, x, references, net, lam, n_train):
 
 
 def day_rows(vectors, user="U1", labels=None):
-    """Stand-ins for behavior rows; ``vec`` is the row's simplex vector."""
+    """``Days`` of one user whose ``x`` is ``vectors``, the rows' simplex
+    vectors, from 2011-01-01 on."""
     labels = labels or [None] * len(vectors)
-    return [SimpleNamespace(user=user, day=date(2011, 1, 1) + timedelta(i),
-                            label=label, vec=v)
-            for i, (v, label) in enumerate(zip(vectors, labels))]
+    return Days([user] * len(vectors), [date(2011, 1, 1) + timedelta(i)
+                                        for i in range(len(vectors))],
+                labels, np.reshape(vectors, (-1, 16)))
 
 
 @pytest.mark.parametrize("n_refs", [1, 64])
@@ -749,15 +749,15 @@ def test_batched_scores_match_per_row_recon_errors(n_refs):
     scores = score_user(rows, np.array(vectors), refs, net, 0.3, len(rows))
     _, _, batch_nearest = oracle_recon_batch(np.array(vectors), refs, net)
     assert len(scores) == len(rows)
-    for i, (row, got_nearest) in enumerate(zip(rows, batch_nearest)):
-        nearest = int(np.argmin(np.abs(row.vec - refs).sum(axis=1)))
+    for i, (vec, got_nearest) in enumerate(zip(rows.x, batch_nearest)):
+        nearest = int(np.argmin(np.abs(vec - refs).sum(axis=1)))
         assert got_nearest == nearest
-        r_d, r_n = recon_errors(row.vec, refs[nearest], net)
+        r_d, r_n = recon_errors(vec, refs[nearest], net)
         assert scores.r_d[i] == r_d
-        assert scores.r_d[i] == min(np.abs(row.vec - ref).sum() for ref in refs)
+        assert scores.r_d[i] == min(np.abs(vec - ref).sum() for ref in refs)
         assert abs(scores.r_n[i] - r_n) <= 1e-12
         assert scores.d[i] == behavior_score(scores.r_d[i], scores.r_n[i], 0.3)
-        assert (scores.user[i], scores.day[i]) == (row.user, row.day)
+        assert (scores.user[i], scores.day[i]) == (rows.user[i], rows.day[i])
     assert (scores.r_d[-1], scores.r_n[-1]) == (0.0, 0.0)
 
 
@@ -765,10 +765,9 @@ def test_batched_scores_match_per_row_recon_errors(n_refs):
 # The array scoring path vs. the per-row path it replaced
 # --------------------------------------------------------------------------
 
-def oracle_score_rows(rows, references, net, lam, to_vector):
-    """(R_d, R_n, d) per row: one row projected at a time, d in scalars."""
-    rows = list(rows)
-    x = np.reshape([to_vector(row) for row in rows], (len(rows), 16))
+def oracle_score_rows(days, references, net, lam):
+    """(R_d, R_n, d) per row: one row taken at a time, d in scalars."""
+    x = np.reshape([[*vec] for vec in days.x], (len(days), 16))
     r_d, r_n, _ = oracle_recon_batch(x, np.atleast_2d(references), net)
     return [(float(rd), float(rn), (1.0 - lam) * float(rd) + lam * float(rn))
             for rd, rn in zip(r_d, r_n)]
@@ -790,13 +789,13 @@ def oracle_classify(d, th_d, th_f):
 def oracle_records(train, test, references, net, lam):
     """The training window and the test rows scored in two calls, then
     thresholds from the first and a verdict for each row."""
-    scored_train = oracle_score_rows(train, references, net, lam, lambda r: r.vec)
-    scored_test = oracle_score_rows(test, references, net, lam, lambda r: r.vec)
+    scored_train = oracle_score_rows(train, references, net, lam)
+    scored_test = oracle_score_rows(test, references, net, lam)
     th_d, th_f = oracle_fit_thresholds([d for _, _, d in scored_train])
-    return [(row.user, row.day, r_d, r_n, d, th_d, th_f,
-             oracle_classify(d, th_d, th_f), row.label)
-            for row, (r_d, r_n, d) in zip([*train, *test],
-                                          [*scored_train, *scored_test])]
+    return [(user, day, r_d, r_n, d, th_d, th_f, oracle_classify(d, th_d, th_f), label)
+            for user, day, label, (r_d, r_n, d) in zip(
+                [*train.user, *test.user], [*train.day, *test.day],
+                [*train.label, *test.label], [*scored_train, *scored_test])]
 
 
 def score_tuples(scores):
@@ -807,9 +806,8 @@ def score_tuples(scores):
 
 
 def array_records(train, test, references, net, lam):
-    rows = [*train, *test]
-    return score_tuples(score_user(rows, np.array([row.vec for row in rows]),
-                                   references, net, lam, len(train)))
+    rows = Days.join([train, test])
+    return score_tuples(score_user(rows, rows.x, references, net, lam, len(train)))
 
 
 def assert_bit_identical(got, want):
@@ -832,7 +830,7 @@ def test_array_path_matches_per_row_oracle(n_refs, lam):
     # from far off the training cloud (High_threat) to inside it (Normal)
     vectors = [*np.vstack([rng.dirichlet(np.full(16, a), size=5)
                            for a in (0.05, 5.0, 8.0, 20.0)])]
-    test = day_rows([*vectors, *[row.vec.copy() for row in train]],
+    test = day_rows([*vectors, *train.x.copy()],
                     labels=["normal", "abnormal"] * 25)
     want = oracle_records(train, test, refs, net, lam)
     assert_bit_identical(array_records(train, test, refs, net, lam), want)
@@ -897,9 +895,9 @@ def test_stacked_scores_match_each_user_scored_alone(counts, n_refs, monkeypatch
     order = rng.permutation(sum(counts))
     where = np.argsort(order)   # each day's place among the shuffled rows
     ends = np.cumsum(counts)
-    rows = [row for user in users for row in user[0]]
+    rows = Days.join([user[0] for user in users])
     x = np.vstack([user[1] for user in users])
-    scores = score_rows([rows[i] for i in order], x[order], [
+    scores = score_rows(rows[order], x[order], [
         UserDays(where[end - count:end], n_train, refs, net)
         for (_, _, refs, net, n_train), count, end in zip(users, counts, ends)], 0.1)
     for want, count, end in zip(alone, counts, ends):
@@ -1156,7 +1154,7 @@ def test_column_writers_match_per_record_oracle(tmp_path):
     test.append(odd)
     test_records.append(ScoreRecord("U2", date(2011, 2, 1), -0.0, 5e-324, 1e16,
                                     Thresholds(1e16), "Low_threat", "normal"))
-    train, test = join_scores(train), join_scores(test)
+    train, test = Scores.join(train), Scores.join(test)
     verdicts = [rec.verdict for rec in test_records]
     assert verdicts[:4] == ["Normal", "Low_threat", "Low_threat", "High_threat"]
     assert test_records[0].d == test_records[0].th.th_d   # at th_d: Normal

@@ -4,6 +4,7 @@ import argparse
 import builtins
 import csv
 import dataclasses
+import itertools
 import re
 import shutil
 from datetime import datetime
@@ -26,7 +27,7 @@ from qbde.cli import (
     main,
 )
 from qbde.errors import ConfigError
-from qbde.features import N_FEATURES, BehaviorVector, to_simplex
+from qbde.features import N_FEATURES, Days, to_simplex
 from qbde.qgan import DiscriminatorNet, TrainConfig, init_train_state
 from qbde.qsim import GeneratorParams, probabilities, run_generator_circuit
 
@@ -216,13 +217,13 @@ def test_simplex_matrix_matches_per_row_projection():
     x = rng.uniform(0.0, 1.0, (200, 16))
     x[rng.uniform(size=200) < 0.3] *= rng.uniform(0.0, 1.0, 16) < 0.2
     x[[0, 7]] = 0.0  # all-zero rows map to uniform
-    rows = [BehaviorVector("U0000", datetime(2020, 1, 1).date(), v.copy(), None)
-            for v in x]
-    got = to_simplex([row.features for row in rows])
+    days = Days(["U0000"] * len(x), [datetime(2020, 1, 1).date()] * len(x),
+                [None] * len(x), x.copy())
+    got = to_simplex(days.x)
     want = np.stack([per_row_simplex(v) for v in x])
     assert got.tobytes() == want.tobytes()
     assert (got[[0, 7]] == 1.0 / 16).all()
-    assert all((row.features == v).all() for row, v in zip(rows, x))
+    assert (days.x == x).all()
 
 
 # --------------------------------------------------------------------------
@@ -557,8 +558,7 @@ def test_detect_checks_every_checkpoint_before_training_a_scorer(
     for step in ("synth", "ingest", "train"):
         assert main([step, *flags]) == EXIT_OK
     out = tmp_path / "out"
-    users = list(features.rows_by_user(
-        features.read_features_csv(out / "features_train.csv")))
+    users = list(features.read_features_csv(out / "features_train.csv").by_user())
     assert len(users) == 2
     last = out / f"qgan-{users[-1]}.ckpt"
     have = dataclasses.replace(load_config(cfgfile).train_config(), lr_g=0.5)
@@ -626,6 +626,75 @@ def test_a_stacked_train_writes_what_one_user_stacks_write(tmp_path, monkeypatch
         outputs[mode] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert len(outputs["stacked"]) == 3 + 3 + 5   # 3 checkpoints, 3 losses
     assert outputs["stacked"] == outputs["one by one"]
+
+
+def test_interleaved_users_in_the_feature_files_change_no_output(tmp_path):
+    """Feature files whose users alternate row by row, each user's rows in
+    their own order, train and detect to the bytes of the grouped files
+    ingest writes: checkpoints, loss files, saved scorers, both score
+    files and the summary."""
+    flags = fast_flags(tmp_path)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(cfgfile.read_text(encoding="utf-8") + "n_users = 3\n",
+                       encoding="utf-8")
+    for step in ("synth", "ingest"):
+        assert main([step, *flags]) == EXIT_OK
+    grouped, mixed = tmp_path / "out", tmp_path / "mixed"
+    shutil.copytree(grouped, mixed)
+    for name in ("features_train.csv", "features_test.csv"):
+        comment, header, *lines = (grouped / name).read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        by_user = {}
+        for line in lines:
+            by_user.setdefault(line.split(",", 1)[0], []).append(line)
+        alternating = [line for turn in itertools.zip_longest(*by_user.values())
+                       for line in turn if line is not None]
+        assert len(by_user) == 3 and alternating[:3] != lines[:3]
+        assert sorted(alternating) == sorted(lines)
+        (mixed / name).write_text("".join([comment, header, *alternating]),
+                                  encoding="utf-8")
+    for out in (grouped, mixed):
+        for step in ("train", "detect"):
+            assert main([step, *flags, "--out", str(out)]) == EXIT_OK
+    written = {p.name for p in grouped.iterdir()} - {
+        "features_raw.csv", "features_train.csv", "features_test.csv",
+        "norm_stats.csv", "parse_report.txt"}
+    assert len(written) == 3 + 3 + 3 + 3   # checkpoints, losses, scorers, scores
+    assert {p.name for p in mixed.iterdir()} == {p.name for p in grouped.iterdir()}
+    for name in written:
+        assert (mixed / name).read_bytes() == (grouped / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command, owner, name, message", [
+    ("ingest", features, "extract_daily", ""),
+    ("train", qgan, "train", "Unable to allocate 2.98 GiB for an array with shape "
+                             "(100000001, 4) and data type float64"),
+    ("detect", cli, "sample", "Unable to allocate 116. TiB for an array with shape "
+                              "(1000000000000, 16) and data type float64")])
+def test_running_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
+                                                     command, owner, name, message):
+    """Settings that need more memory than the host has end with exit 3
+    and one line on stderr, not a traceback, and change no output.  The
+    allocation fails by monkeypatch, as numpy's does: ``MemoryError``
+    with numpy's text, or with none."""
+    flags = fast_flags(tmp_path)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(cfgfile.read_text(encoding="utf-8") + "sampled = true\n",
+                       encoding="utf-8")
+    for step in ("synth", "ingest", "train", "detect"):
+        assert main([step, *flags]) == EXIT_OK
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(*[message] if message else [])
+
+    monkeypatch.setattr(owner, name, exhausted)
+    capsys.readouterr()
+    assert main([command, *flags]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"out of memory: {message}\n" if message else "out of memory\n")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 def test_resume_is_a_train_only_flag(tmp_path, capsys):
@@ -1252,7 +1321,7 @@ def test_user_id_starting_with_hash_survives_every_command(tmp_path, capsys):
         assert main([step, *flags]) == EXIT_OK
     out = tmp_path / "out"
     parsed = read_kv(out / "parse_report.txt", "qbde-parse-report")[""]
-    by_user = features.rows_by_user(features.read_features_csv(out / "features_train.csv"))
+    by_user = features.read_features_csv(out / "features_train.csv").by_user()
     assert list(by_user) == ["#U1", "U0000"]
     # every abnormal day of each user's 30-day training window is excluded
     window = {user: sorted(day for u, day in labels if u == user)[:30]

@@ -28,8 +28,8 @@ from qbde.features import (
     N_FEATURES,
     SYNTH_START,
     TIMESTAMP_FMT,
-    BehaviorVector,
     Dataset,
+    Days,
     ParseReport,
     SynthConfig,
     SynthResult,
@@ -40,7 +40,6 @@ from qbde.features import (
     parse_working_hours,
     read_features_csv,
     read_labels_csv,
-    rows_by_user,
     split,
     synth_generate,
     to_simplex,
@@ -84,7 +83,7 @@ def event_at(events, i):
 
 
 def daily(tmp_path, **rows):
-    """Feature rows of log files holding ``rows``."""
+    """The ``Days`` of log files holding ``rows``."""
     tmp_path.mkdir(exist_ok=True)
     minimal_logs(tmp_path, **rows)
     return extract_daily(parse_logs(tmp_path)[0])
@@ -168,9 +167,9 @@ def test_parse_device_without_size_column(tmp_path):
 
 def test_extract_single_weekday_login(tmp_path):
     # a Tuesday
-    rows = daily(tmp_path, login_rows=["L1,01/04/2011 09:00:00,U1,PC-1,Logon"])
-    assert len(rows) == 1
-    vec = rows[0].features
+    days = daily(tmp_path, login_rows=["L1,01/04/2011 09:00:00,U1,PC-1,Logon"])
+    assert len(days) == 1
+    vec = days.x[0]
     assert vec[FI["login_on"]] == 1
     assert vec[FI["weekend"]] == 0
     assert vec.sum() == 1
@@ -178,7 +177,7 @@ def test_extract_single_weekday_login(tmp_path):
 
 def test_extract_saturday_evening_login(tmp_path):
     # a Saturday
-    vec = daily(tmp_path, login_rows=["L1,01/08/2011 20:00:00,U1,PC-1,Logon"])[0].features
+    vec = daily(tmp_path, login_rows=["L1,01/08/2011 20:00:00,U1,PC-1,Logon"]).x[0]
     assert vec[FI["login_out"]] == 1
     assert vec[FI["weekend"]] == 1
     assert vec[FI["login_on"]] == 0
@@ -186,7 +185,7 @@ def test_extract_saturday_evening_login(tmp_path):
 
 def test_extract_splits_http_by_window(tmp_path):
     vec = daily(tmp_path, http_rows=["H1,01/04/2011 10:00:00,U1,PC-1,a.com",
-                                     "H2,01/04/2011 23:00:00,U1,PC-1,a.com"])[0].features
+                                     "H2,01/04/2011 23:00:00,U1,PC-1,a.com"]).x[0]
     assert vec[FI["http_on"]] == 1
     assert vec[FI["http_out"]] == 1
 
@@ -194,7 +193,7 @@ def test_extract_splits_http_by_window(tmp_path):
 def test_extract_window_boundaries(tmp_path):
     http_rows = [f"H{i},01/04/2011 {hm}:00,U1,PC-1,a.com"
                  for i, hm in enumerate(["08:00", "17:59", "18:00", "07:59"])]
-    vec = daily(tmp_path, http_rows=http_rows)[0].features
+    vec = daily(tmp_path, http_rows=http_rows).x[0]
     assert vec[FI["http_on"]] == 2   # 08:00 inclusive, 18:00 exclusive
     assert vec[FI["http_out"]] == 2
 
@@ -204,7 +203,7 @@ def test_extract_sums_device_sizes(tmp_path):
         "D1,01/04/2011 10:00:00,U1,PC-1,100,Connect",
         "D2,01/04/2011 11:00:00,U1,PC-1,250,Connect",
         "D3,01/04/2011 11:05:00,U1,PC-1,0,Disconnect",
-    ])[0].features
+    ]).x[0]
     assert vec[FI["size"]] == 350
     assert vec[FI["connect_on"]] == 2
     assert vec[FI["disconnect_on"]] == 1
@@ -214,11 +213,12 @@ def test_extract_sorted_and_order_independent(tmp_path):
     login_rows = ["L1,01/05/2011 09:00:00,U2,PC-2,Logon",
                   "L2,01/04/2011 09:00:00,U1,PC-1,Logon",
                   "L3,01/06/2011 09:00:00,U1,PC-1,Logon"]
-    keys = [(r.user, r.day) for r in daily(tmp_path / "a", login_rows=login_rows)]
+    days = daily(tmp_path / "a", login_rows=login_rows)
+    keys = [*zip(days.user, days.day)]
     assert keys == sorted(keys)
-    keys_rev = [(r.user, r.day)
-                for r in daily(tmp_path / "b", login_rows=login_rows[::-1])]
-    assert keys == keys_rev
+    assert days.label == [None] * 3
+    days_rev = daily(tmp_path / "b", login_rows=login_rows[::-1])
+    assert keys == [*zip(days_rev.user, days_rev.day)]
 
 
 def test_parse_working_hours_formats():
@@ -236,108 +236,179 @@ def test_parse_working_hours_formats():
 # --------------------------------------------------------------------------
 
 def mkrow(user, day_ord, feats=None, label=None):
+    """One user-day as a one-row ``Days``."""
     feats = np.zeros(N_FEATURES) if feats is None else feats
-    return BehaviorVector(user, date.fromordinal(date(2011, 1, 1).toordinal()
-                                                 + day_ord), feats, label)
+    return Days([user], [date.fromordinal(date(2011, 1, 1).toordinal() + day_ord)],
+                [label], [feats])
 
 
-def test_behavior_vector_keeps_a_float_row_and_checks_every_shape():
-    """A 1-D float64 array is kept as given; anything else becomes one,
-    and every value of the wrong shape is refused."""
-    row = np.arange(N_FEATURES, dtype=float)
-    assert mkrow("U1", 0, row).features is row
-    for other in ([*range(N_FEATURES)], np.arange(N_FEATURES),
-                  np.arange(N_FEATURES, dtype=">f8"), np.arange(N_FEATURES, dtype="f4")):
-        made = mkrow("U1", 0, other).features
+def rows_of(days):
+    """Each row of a ``Days`` as (user, day, feature bytes, label)."""
+    return [*zip(days.user, days.day, map(np.ndarray.tobytes, days.x), days.label)]
+
+
+def test_days_keep_a_float_matrix_and_check_every_shape():
+    """An (n, 16) float64 array is kept as given; anything else becomes
+    one, and every value of the wrong shape for n rows is refused."""
+    x = np.arange(2 * N_FEATURES, dtype=float).reshape(2, N_FEATURES)
+    assert Days(["U1"] * 2, [date(2011, 1, 1)] * 2, [None] * 2, x).x is x
+    assert Days().x.shape == (0, N_FEATURES) and len(Days()) == 0
+    row = [*range(N_FEATURES)]
+    for other in ([row], np.array([row]), np.array([row], dtype=">f8"),
+                  np.array([row], dtype="f4")):
+        made = Days(["U1"], [date(2011, 1, 1)], [None], other).x
         assert type(made) is np.ndarray and made.dtype == np.dtype(float)
-        assert made.dtype.isnative and made.tolist() == [*range(N_FEATURES)]
-    for bad in (np.zeros(N_FEATURES - 1), np.zeros((1, N_FEATURES)), np.float64(0.0),
-                [0.0] * (N_FEATURES + 1)):
+        assert made.dtype.isnative and made.tolist() == [row]
+    for bad in (np.zeros((1, N_FEATURES - 1)), np.zeros(N_FEATURES), np.float64(0.0),
+                [[0.0] * (N_FEATURES + 1)], np.zeros((1, 1, N_FEATURES)),
+                np.zeros((2, N_FEATURES)), np.zeros((0, N_FEATURES))):
         with pytest.raises(ValueError, match=f"expected {N_FEATURES} features"):
-            mkrow("U1", 0, bad)
+            Days(["U1"], [date(2011, 1, 1)], [None], bad)
+
+
+def test_selection_and_joining_on_days_and_scores():
+    """``Days`` and ``bde.Scores`` share one selection and one join: list
+    columns stay lists and array columns arrays, a selection may be empty
+    or out of order, and a join lays its parts end to end."""
+    from qbde.bde import Scores
+    days = Days(["a", "b", "c"], [date(2011, 1, d) for d in (1, 2, 3)],
+                ["normal", None, "abnormal"],
+                np.arange(3 * N_FEATURES, dtype=float).reshape(3, N_FEATURES))
+    scores = Scores(days.user, days.day, days.label,
+                    *np.arange(12, dtype=float).reshape(4, 3), np.array([0, 2, 1]))
+    for table in (days, scores):
+        columns = table.columns()
+        for at in ([2, 0], np.array([2, 0]), [], np.array([], dtype=np.intp),
+                   slice(1, None), slice(None, None, -1)):
+            picked = table[at]
+            assert type(picked) is type(table)
+            positions = range(3)[at] if isinstance(at, slice) else [*map(int, at)]
+            assert len(picked) == len(positions)
+            for column, got in zip(columns, picked.columns()):
+                if isinstance(column, list):
+                    assert got == [column[i] for i in positions]
+                else:
+                    assert type(got) is np.ndarray and got.dtype == column.dtype
+                    assert got.tobytes() == column[list(positions)].tobytes()
+                    assert got.shape == (len(positions), *column.shape[1:])
+        joined = type(table).join([table[[2]], table[[]], table[[0, 1]]])
+        for column, got in zip(table[[2, 0, 1]].columns(), joined.columns()):
+            assert type(got) is type(column)
+            assert (got == column if isinstance(got, list) else
+                    got.tobytes() == column.tobytes() and got.shape == column.shape)
+        assert len(type(table).join([table[[]]])) == 0
+
+
+def test_by_user_gives_each_users_positions_in_order():
+    days = Days.join([mkrow(user, i) for i, user in enumerate(["b", "a", "b", "#c", "a"])])
+    assert days.by_user() == {"#c": [3], "a": [1, 4], "b": [0, 2]}
+    assert list(days.by_user()) == ["#c", "a", "b"]
+    assert Days().by_user() == {}
 
 
 def test_split_chronological_and_exclusions():
-    rows = [mkrow("U1", i, label="abnormal" if i in (2, 5) else "normal")
-            for i in range(10)]
+    rows = Days.join([mkrow("U1", i, label="abnormal" if i in (2, 5) else "normal")
+                      for i in range(10)])
     ds = split(rows, 8, 2)
     assert len(ds.train) == 6
     assert len(ds.excluded) == 2
     assert len(ds.test) == 2
-    assert max(r.day for r in ds.train) < min(r.day for r in ds.test)
+    assert max(ds.train.day) < min(ds.test.day)
+
+
+def test_split_groups_users_and_orders_each_users_days():
+    """Users interleaved and days out of order: each part holds the users
+    in sorted order, each user's days by date."""
+    rows = Days.join([mkrow(user, day, np.full(N_FEATURES, 10 * day), label)
+                      for user, day, label in [("U2", 3, None), ("U1", 1, "normal"),
+                                               ("U2", 1, "abnormal"), ("U1", 0, None),
+                                               ("U2", 2, None), ("U1", 2, None)]])
+    ds = split(rows, 2, 1)
+    assert [*zip(ds.train.user, ds.train.day)] == [
+        ("U1", date(2011, 1, 1)), ("U1", date(2011, 1, 2)), ("U2", date(2011, 1, 3))]
+    assert ds.train.x[:, 0].tolist() == [0.0, 10.0, 20.0]
+    assert ds.train.label == [None, "normal", None]
+    assert [*zip(ds.excluded.user, ds.excluded.day)] == [("U2", date(2011, 1, 2))]
+    assert [*zip(ds.test.user, ds.test.day)] == [("U1", date(2011, 1, 3)),
+                                                 ("U2", date(2011, 1, 4))]
 
 
 def test_split_user_counts_match_paper_style_splits():
-    rows = [mkrow("U1", i) for i in range(300)]
+    rows = Days.join([mkrow("U1", i) for i in range(300)])
     ds = split(rows, 200, 100)
     assert (len(ds.train), len(ds.test)) == (200, 100)
-    rows = [mkrow("U2", i) for i in range(160)]
+    rows = Days.join([mkrow("U2", i) for i in range(160)])
     ds = split(rows, 100, 60)
     assert (len(ds.train), len(ds.test)) == (100, 60)
 
 
 def test_split_insufficient_rows():
     with pytest.raises(ValueError):
-        split([mkrow("U1", i) for i in range(5)], 4, 2)
+        split(Days.join([mkrow("U1", i) for i in range(5)]), 4, 2)
 
 
 def test_normalize_column_arithmetic():
-    rows = [mkrow("U1", i, np.full(N_FEATURES, v)) for i, v in enumerate([2.0, 4.0, 6.0])]
-    ds = normalize(Dataset(train=rows, test=[]))
-    col = np.array([r.features[0] for r in ds.train])
-    np.testing.assert_allclose(col, [0.0, 0.5, 1.0])
+    rows = Days.join([mkrow("U1", i, np.full(N_FEATURES, v))
+                      for i, v in enumerate([2.0, 4.0, 6.0])])
+    ds = normalize(Dataset(train=rows, test=Days()))
+    np.testing.assert_allclose(ds.train.x[:, 0], [0.0, 0.5, 1.0])
 
 
 def test_normalize_constant_column_maps_to_zero():
-    rows = [mkrow("U1", i, np.full(N_FEATURES, 3.0)) for i in range(3)]
-    ds = normalize(Dataset(train=rows, test=[]))
-    assert all(np.all(r.features == 0.0) for r in ds.train)
+    rows = Days.join([mkrow("U1", i, np.full(N_FEATURES, 3.0)) for i in range(3)])
+    ds = normalize(Dataset(train=rows, test=Days()))
+    assert np.all(ds.train.x == 0.0)
 
 
 def test_normalize_clips_and_records_test_overflow():
-    train = [mkrow("U1", i, np.full(N_FEATURES, v)) for i, v in enumerate([1.0, 3.0])]
-    test = [mkrow("U1", 5, np.full(N_FEATURES, 7.0))]
+    train = Days.join([mkrow("U1", i, np.full(N_FEATURES, v))
+                       for i, v in enumerate([1.0, 3.0])])
+    test = mkrow("U1", 5, np.full(N_FEATURES, 7.0))
     ds = normalize(Dataset(train=train, test=test))
-    assert np.all(ds.test[0].features == 1.0)  # each (7-1)/(3-1) = 3.0 clips to 1
+    assert np.all(ds.test.x[0] == 1.0)  # each (7-1)/(3-1) = 3.0 clips to 1
     assert ds.clipped == N_FEATURES
 
 
 def test_normalize_is_idempotent_on_training_stats():
     rng = np.random.default_rng(0)
-    rows = [mkrow("U1", i, rng.integers(0, 20, N_FEATURES).astype(float))
-            for i in range(12)]
-    once = normalize(Dataset(train=rows, test=[]))
-    twice = normalize(Dataset(train=once.train, test=[]))
-    for a, b in zip(once.train, twice.train):
-        np.testing.assert_allclose(a.features, b.features, atol=1e-15)
+    rows = Days.join([mkrow("U1", i, rng.integers(0, 20, N_FEATURES).astype(float))
+                      for i in range(12)])
+    once = normalize(Dataset(train=rows, test=Days()))
+    twice = normalize(Dataset(train=once.train, test=Days()))
+    np.testing.assert_allclose(once.train.x, twice.train.x, atol=1e-15)
 
 
 def oracle_normalize(dataset):
-    """The per-row transform ``normalize`` replaced: one np.where/np.clip
-    pass per row."""
-    stats = {user: (np.min(np.stack([r.features for r in rows]), axis=0),
-                    np.max(np.stack([r.features for r in rows]), axis=0))
-             for user, rows in rows_by_user(dataset.train).items()}
+    """The per-row transform ``normalize`` replaced: each user's rows
+    stacked one by one, then one np.where/np.clip pass per row."""
+    train = dataset.train
+    stats = {}
+    for user in sorted(set(train.user)):
+        x = np.stack([row for who, row in zip(train.user, train.x) if who == user])
+        stats[user] = np.min(x, axis=0), np.max(x, axis=0)
 
     clipped = 0
 
-    def transform(row, count=False):
+    def transform(days, count=False):
         nonlocal clipped
-        if row.user not in stats:
-            raise ValueError(f"user {row.user} has no training rows")
-        lo, hi = stats[row.user]
-        span = hi - lo
-        safe = np.where(span > 0, span, 1.0)
-        scaled = np.where(span > 0, (row.features - lo) / safe, 0.0)
-        if count:
-            for value in scaled:
-                clipped += not 0.0 <= value <= 1.0
-        return replace(row, features=np.clip(scaled, 0.0, 1.0))
+        out = []
+        for user, row in zip(days.user, days.x):
+            if user not in stats:
+                raise ValueError(f"user {user} has no training rows")
+            lo, hi = stats[user]
+            span = hi - lo
+            safe = np.where(span > 0, span, 1.0)
+            scaled = np.where(span > 0, (row - lo) / safe, 0.0)
+            if count:
+                for value in scaled:
+                    clipped += not 0.0 <= value <= 1.0
+            out.append(np.clip(scaled, 0.0, 1.0))
+        return replace(days, x=np.reshape(out, (-1, N_FEATURES)))
 
-    train = [transform(r) for r in dataset.train]
-    test = [transform(r, count=True) for r in dataset.test]
+    train = transform(dataset.train)
+    test = transform(dataset.test, count=True)
     return Dataset(train=train, test=test, stats=stats,
-                   excluded=list(dataset.excluded), clipped=clipped)
+                   excluded=dataset.excluded, clipped=clipped)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -351,24 +422,24 @@ def test_normalize_matches_per_row_oracle(seed):
         values = rng.choice([0.0, 1.0, 3.0, 7.5, 1e16, 0.1], (n, N_FEATURES))
         values[:, rng.integers(0, N_FEATURES)] = 2.0  # constant in training
         values *= rng.uniform(0.0, scale, (n, 1))
-        return [mkrow(str(rng.choice(users)), i, v, label=str(rng.choice(["normal", ""])))
-                for i, v in enumerate(values)]
+        return Days.join([Days(), *(mkrow(str(rng.choice(users)), i, v,
+                                          label=str(rng.choice(["normal", ""])))
+                                    for i, v in enumerate(values))])
 
     train = rows(int(rng.integers(len(users), 40)), 1.0)
-    test = [row for row in rows(int(rng.integers(0, 40)), 3.0)
-            if row.user in {r.user for r in train}]
+    test = rows(int(rng.integers(0, 40)), 3.0)
+    test = test[[i for i, user in enumerate(test.user) if user in set(train.user)]]
     data = Dataset(train=train, test=test, excluded=train[:1])
     got, want = normalize(data), oracle_normalize(data)
-    for a, b in zip(got.train + got.test, want.train + want.test, strict=True):
-        assert (a.user, a.day, a.label) == (b.user, b.day, b.label)
-        assert a.features.tobytes() == b.features.tobytes()
+    assert rows_of(got.train) == rows_of(want.train)
+    assert rows_of(got.test) == rows_of(want.test)
     assert got.clipped == want.clipped
-    assert got.excluded == want.excluded
+    assert rows_of(got.excluded) == rows_of(want.excluded) == rows_of(train[:1])
     assert list(got.stats) == list(want.stats)
     for user, (lo, hi) in want.stats.items():
         assert got.stats[user][0].tobytes() == lo.tobytes()
         assert got.stats[user][1].tobytes() == hi.tobytes()
-    stranger = test + [mkrow("nobody", 99), mkrow("U0", 98)]
+    stranger = Days.join([test, mkrow("nobody", 99), mkrow("U0", 98)])
     for normalized in (normalize, oracle_normalize):
         with pytest.raises(ValueError, match="user nobody has no training rows"):
             normalized(Dataset(train=train, test=stranger))
@@ -406,10 +477,10 @@ def assert_parses_to_truth(log_dir, truth, working_hours="08:00-18:00"):
     feature row per (user, day) of ``truth``, equal to it value for value."""
     events, report = parse_logs(log_dir)
     assert sum(report.malformed.values()) == 0
-    rows = extract_daily(events, working_hours)
-    assert [(r.user, r.day) for r in rows] == sorted(truth)
-    for row in rows:
-        np.testing.assert_array_equal(row.features, truth[(row.user, row.day)])
+    days = extract_daily(events, working_hours)
+    assert [*zip(days.user, days.day)] == sorted(truth)
+    for user, day, row in zip(days.user, days.day, days.x):
+        np.testing.assert_array_equal(row, truth[(user, day)])
 
 
 def test_synth_round_trip_reproduces_truth_exactly(tmp_path):
@@ -535,7 +606,7 @@ def test_working_time_partition_counts(tmp_path):
                     for i, t in enumerate(stamps)],
         file_rows=[f"F{i},{t},U0,PC,doc,File Write" for i, t in enumerate(stamps[::2])])
     events, _ = parse_logs(tmp_path)
-    rows = extract_daily(events)
+    days = extract_daily(events)
     per_day_kind = {}
     for i in range(len(events)):
         user, when, kind, _ = event_at(events, i)
@@ -545,10 +616,10 @@ def test_working_time_partition_counts(tmp_path):
              "http": ("http_on", "http_out"),
              "email_send": ("send_on", "send_out"),
              "file_op": ("file_on", "file_off")}
-    for row in rows:
+    for user, day, row in zip(days.user, days.day, days.x):
         for kind, (on, out) in pairs.items():
-            total = per_day_kind.get((row.user, row.day, kind), 0)
-            assert row.features[FI[on]] + row.features[FI[out]] == total
+            total = per_day_kind.get((user, day, kind), 0)
+            assert row[FI[on]] + row[FI[out]] == total
 
 
 # --------------------------------------------------------------------------
@@ -872,8 +943,9 @@ def oracle_extract_daily(events, working_hours="08:00-18:00"):
         vec[FI[name_on if on else name_out]] += 1.0
         if ev.kind in ("device_connect", "device_disconnect"):
             vec[FI["size"]] += ev.size
-    return [BehaviorVector(user, day, table[(user, day)])
-            for user, day in sorted(table)]
+    keys = sorted(table)
+    return Days([user for user, _ in keys], [day for _, day in keys], [None] * len(keys),
+                np.reshape([table[key] for key in keys], (-1, N_FEATURES)))
 
 
 def assert_matches_oracle(log_dir, working_hours="08:00-18:00"):
@@ -888,12 +960,12 @@ def assert_matches_oracle(log_dir, working_hours="08:00-18:00"):
         (ev.user, ev.timestamp, ev.kind, ev.size) for ev in want_events]
     out = Path(log_dir)
     with np.errstate(over="ignore"):
-        want_rows = oracle_extract_daily(want_events, working_hours)
-    if not all(np.isfinite(row.features).all() for row in want_rows):
+        want_days = oracle_extract_daily(want_events, working_hours)
+    if not np.isfinite(want_days.x).all():
         with pytest.raises(SchemaError, match="device size total is not finite"):
             extract_daily(events, working_hours)
         return
-    write_features_csv(out / "want.csv", want_rows)
+    write_features_csv(out / "want.csv", want_days)
     write_features_csv(out / "got.csv", extract_daily(events, working_hours))
     assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
@@ -1447,7 +1519,7 @@ def test_odd_stamps_get_strptime_verdict(tmp_path, monkeypatch):
 def test_size_totals_follow_event_order(tmp_path):
     sizes = ["1e16", "1", "1"]
     vec = daily(tmp_path, device_rows=[f"D{i},01/04/2011 10:00:0{i},U1,PC,{size},Connect"
-                                       for i, size in enumerate(sizes)])[0].features
+                                       for i, size in enumerate(sizes)]).x[0]
     # in file order each 1 rounds away; summed from the end they make 1e16 + 2
     assert vec[FI["size"]] == 1e16
     assert_matches_oracle(tmp_path)
@@ -1490,24 +1562,25 @@ def csv_writer_bytes(header, rows, comment):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(rows=st.lists(st.builds(
-    BehaviorVector, CSV_USERS, CSV_DAYS, st.lists(CSV_FLOATS, min_size=N_FEATURES,
-                                                 max_size=N_FEATURES),
+@given(rows=st.lists(st.tuples(
+    CSV_USERS, CSV_DAYS, st.lists(CSV_FLOATS, min_size=N_FEATURES, max_size=N_FEATURES),
     st.sampled_from([None, "", "normal", "abnormal"])), max_size=8),
        comment=st.sampled_from([None, "digest"]))
 def test_features_csv_round_trip(rows, comment):
+    days = Days([user for user, *_ in rows], [day for _, day, *_ in rows],
+                [label for *_, label in rows],
+                np.reshape([x for *_, x, _ in rows], (-1, N_FEATURES)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "features.csv"
-        write_features_csv(path, rows, comment=comment)
+        write_features_csv(path, days, comment=comment)
         assert path.read_bytes() == csv_writer_bytes(
             ["user", "day", *FEATURE_NAMES, "label"],
-            [[row.user, row.day.isoformat(), *row.features.tolist(), row.label or ""]
-             for row in rows], comment)
+            [[user, day.isoformat(), *x, label or ""] for user, day, x, label in rows],
+            comment)
         back = read_features_csv(path)
-    assert len(back) == len(rows)
-    for a, b in zip(rows, back):
-        assert (a.user, a.day, a.label or None) == (b.user, b.day, b.label)
-        assert a.features.tobytes() == b.features.tobytes()  # repr is exact
+    assert type(back) is Days and back.x.shape == (len(rows), N_FEATURES)
+    assert rows_of(back) == [(user, day, np.array(x, float).tobytes(), label or None)
+                             for user, day, x, label in rows]  # repr is exact
 
 
 GOOD_FEATURES = "U0,2011-01-03," + ",".join(["0.5"] * N_FEATURES) + ",normal"
@@ -1597,6 +1670,14 @@ def read_row_by_row(path, n_columns, convert):
     return out
 
 
+def feature_record(rec):
+    """A features record read on its own: ``_feature_row``'s error, else
+    the record as ``rows_of`` gives a row."""
+    features._feature_row(rec)
+    return (rec[0], date.fromisoformat(rec[1]),
+            np.array([*map(float, rec[2:2 + N_FEATURES])]).tobytes(), rec[-1] or None)
+
+
 def usually(good, *bad):
     return st.sampled_from([good] * 3 + [*bad])
 
@@ -1617,7 +1698,7 @@ def test_columns_report_the_error_a_row_by_row_read_reports(fields, each_csv_spl
     with tempfile.TemporaryDirectory() as tmp:
         for path, header, n_columns, rows, read, want in [
             (Path(tmp) / "features.csv", ["user", "day", *FEATURE_NAMES, "label"],
-             N_FEATURES + 3, records, read_features_csv, features._feature_row),
+             N_FEATURES + 3, records, read_features_csv, feature_record),
             (Path(tmp) / "labels.csv", ["user", "day", "label"], 3,
              [[*rec[:2], rec[-1]][:len(rec)] for rec in records], read_labels_csv,
              features._label_row)]:
@@ -1631,21 +1712,46 @@ def test_columns_report_the_error_a_row_by_row_read_reports(fields, each_csv_spl
                 elif read is read_labels_csv:
                     assert read(path) == dict(want)
                 else:
-                    assert [(r.user, r.day, r.features.tobytes(), r.label)
-                            for r in read(path)] \
-                        == [(r.user, r.day, r.features.tobytes(), r.label) for r in want]
+                    assert rows_of(read(path)) == want
+
+
+@pytest.mark.parametrize("user, day, values, label, error", [
+    ("U0", "2011-01-04", {2: "inf", 9: "x"}, "normal",
+     "could not convert string to float: 'x'"),
+    ("a b", "x", {3: "-inf"}, "Normal", "feature values must be finite"),
+    ("a b", "x", {}, "Normal", "user id 'a b' contains whitespace"),
+    ("U0", "x", {}, "Normal", "Invalid isoformat string: 'x'"),
+    ("U0", "2011-01-04", {}, "Normal", "label 'Normal' is not"),
+])
+def test_a_features_record_reports_its_errors_in_order(tmp_path, each_csv_splitter,
+                                                        user, day, values, label, error):
+    """Every value of a record is converted to a float before any is
+    checked finite, and the values come before its user, day and label:
+    a record with several faults reports the first of them, on its line,
+    through either splitter."""
+    cells = ["0.5"] * N_FEATURES
+    for at, value in values.items():
+        cells[at] = value
+    path = tmp_path / "features.csv"
+    write_lines(path, ["# c", ",".join(["user", "day", *FEATURE_NAMES, "label"]),
+                       GOOD_FEATURES, ",".join([user, day, *cells, label]), SHORT_ROW])
+    for _ in each_csv_splitter():
+        with pytest.raises(SchemaError) as raised:
+            read_features_csv(path)
+        assert str(raised.value).startswith(f"{path}: line 4: {error}")
 
 
 def test_hash_is_a_comment_only_before_the_header(tmp_path):
     """``#`` lines before the header are skipped; after it, a line that
     starts with ``#`` is a record, here of user ``#U1``."""
-    rows = [mkrow("#U1", 1, np.full(N_FEATURES, 0.5)), mkrow("U0", 2, label="abnormal")]
+    rows = Days.join([mkrow("#U1", 1, np.full(N_FEATURES, 0.5)),
+                      mkrow("U0", 2, label="abnormal")])
     path = tmp_path / "features.csv"
     write_features_csv(path, rows, comment="digest")
     path.write_text("# another comment\n" + path.read_text(encoding="utf-8"),
                     encoding="utf-8")
-    assert [(r.user, r.label) for r in read_features_csv(path)] == [
-        ("#U1", None), ("U0", "abnormal")]
+    back = read_features_csv(path)
+    assert [*zip(back.user, back.label)] == [("#U1", None), ("U0", "abnormal")]
     labels = tmp_path / "labels.csv"
     write_lines(labels, ["# c", "user,day,label", "#U1,2011-01-03,abnormal",
                          "U0,2011-01-03,normal"])
@@ -1664,13 +1770,15 @@ def test_label_other_than_normal_or_abnormal_is_schema_error(tmp_path, label):
     with pytest.raises(SchemaError, match="line 2: label '' is not"):
         read_labels_csv(labels)  # a labels file gives every day a label
     path = tmp_path / "features.csv"
-    write_features_csv(path, [mkrow("U0", 1, label="normal"), mkrow("U0", 2, label=label)])
+    write_features_csv(path, Days.join([mkrow("U0", 1, label="normal"),
+                                        mkrow("U0", 2, label=label)]))
     with pytest.raises(SchemaError, match=f"line 3: label {label!r} is not"):
         read_features_csv(path)
 
 
 def test_attach_labels():
-    rows = [mkrow("U1", 1), mkrow("U1", 2)]
-    attach_labels(rows, {("U1", rows[0].day): "abnormal"})
-    assert rows[0].label == "abnormal"
-    assert rows[1].label is None
+    rows = Days.join([mkrow("U1", 1), mkrow("U1", 2, label="normal"), mkrow("U1", 3)])
+    labels = rows.label
+    attach_labels(rows, {("U1", rows.day[0]): "abnormal", ("U1", rows.day[1]): "abnormal"})
+    assert rows.label == ["abnormal", "abnormal", None]
+    assert labels == [None, "normal", None]  # a new column: the old list is kept
