@@ -17,7 +17,7 @@ Every writer goes through ``atomic_open``, so no output is ever left
 half-written, and ``replace_together`` makes a set of outputs change all
 at once or not at all, putting back the old files if a rename fails.
 
-A checkpoint has the ``qbde-ckpt-v4`` magic line and one ``[section]`` per
+A checkpoint has the ``qbde-ckpt-v5`` magic line and one ``[section]`` per
 part of the training state.  Scalar floats are written with ``float.hex``;
 an array is a ``key.shape`` line plus a ``key.data`` line of its values as
 raw little-endian binary64 bytes in hex with no whitespace, so a save/load
@@ -32,6 +32,17 @@ may repeat.
 With the train config, seed and RNG state, that is what makes a resumed
 run indistinguishable from an uninterrupted one.
 
+``[meta]`` comes first and binds the file to the run that wrote it: the
+epoch, the run's config digest, and the count and ``data_sha256`` of the
+simplex rows it was trained on (``Rows``).  A fresh (not resumed) train
+also seals it: the ``recipe`` (``qgan.RECIPE_VERSION``), the
+``loss_sha256`` of its loss file, and last ``state_sha256``, the sha256
+of every line after ``[meta]`` with each array's hex data taken as its
+raw bytes (``_state_sha256``).  ``sealed`` tells such a file, byte for
+byte, from any other, and ``Sealed.write`` rewrites it under another
+config digest: of the run's settings, only those in ``[config]`` and the
+rows shape the rest of the file.
+
 Two loaders read a checkpoint.  ``load_checkpoint`` (``train --resume``)
 reads and checks the whole file.  ``load_generator`` (``detect``) reads
 it from its start in 8 KiB blocks and stops at the header after
@@ -40,11 +51,14 @@ writes first: it checks the magic line, those three sections and their
 UTF-8 exactly as ``load_checkpoint`` does, through the same line code and
 the same checks (``_head``), and never reads ``[discriminator]``,
 ``[opt_g]``, ``[opt_d]``, ``[rng]`` or any byte after the head's block.
+Given the run's train config and rows, either loader then refuses a file
+trained with other settings (``ConfigError``) or fit to other rows
+(``SchemaError``).
 
 Earlier formats are refused: ``qbde-ckpt-v1`` (also stored settings that
-are now constants), ``qbde-ckpt-v2`` (arrays as ``float.hex`` lists) and
+are now constants), ``qbde-ckpt-v2`` (arrays as ``float.hex`` lists),
 ``qbde-ckpt-v3`` (weights, biases and moments stored one array per
-layer).
+layer) and ``qbde-ckpt-v4`` (not bound to its training rows).
 """
 
 from __future__ import annotations
@@ -52,28 +66,31 @@ from __future__ import annotations
 import binascii
 import csv
 import functools
+import hashlib
 import io
 import os
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import dropwhile, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SchemaError
+from . import qgan
+from .errors import ConfigError, SchemaError
 from .optim import Adam
 from .qgan import DiscriminatorNet, TrainConfig, TrainState
 from .qsim import MAX_QUBITS, GeneratorParams
 
-MAGIC = "qbde-ckpt-v4"
+MAGIC = "qbde-ckpt-v5"
 # Adam step counts and epochs stay in the signed 64-bit range: far beyond
 # any run, and far below the ~1e308 at which Adam's ``BETA1**t`` can no
 # longer turn t into a float
 COUNT_LIMIT = 2**63
 # the sections detect reads (load_generator), and the block size it reads
-# them in: a qbde-ckpt-v4 file written by save_checkpoint puts them first,
-# in ~1.3 KB
+# them in: a qbde-ckpt-v5 file written by save_checkpoint puts them first,
+# in ~1.2 KB at depth 8
 _HEAD = frozenset({"meta", "config", "generator"})
 _BLOCK_BYTES = 1 << 13
 
@@ -422,21 +439,29 @@ def read_kv(path: str | Path, magic: str | None = None,
     return sections
 
 
-def write_kv(path: str | Path, magic: str, sections: dict[str, dict]) -> None:
-    """``magic``, then each section's ``key = value`` lines in order, under
-    a ``[name]`` header unless the name is ``""``, in one write."""
-    lines = [magic]
+def _kv_lines(sections: dict[str, dict]) -> list[str]:
+    """Each section's ``key = value`` lines in order, under a ``[name]``
+    header unless the name is ``""``; a bytes value is written as hex."""
+    lines = []
     for name, entries in sections.items():
         if name:
             lines.append(f"[{name}]")
-        lines += [f"{key} = {value}" for key, value in entries.items()]
+        lines += [f"{key} = {value.hex() if isinstance(value, bytes) else value}"
+                  for key, value in entries.items()]
+    return lines
+
+
+def write_kv(path: str | Path, magic: str, sections: dict[str, dict]) -> None:
+    """``magic``, then the ``_kv_lines`` of ``sections``, in one write."""
     with atomic_open(path) as handle:
-        handle.write("\n".join([*lines, ""]))
+        handle.write("\n".join([magic, *_kv_lines(sections), ""]))
 
 
-def _put_array(key: str, arr: np.ndarray) -> dict[str, str]:
+def _put_array(key: str, arr: np.ndarray) -> dict:
+    """An array's entries: its shape, and its values as little-endian
+    binary64 bytes, which ``write_kv`` writes as hex."""
     return {f"{key}.shape": " ".join(str(d) for d in arr.shape),
-            f"{key}.data": arr.astype("<f8").tobytes().hex()}
+            f"{key}.data": arr.astype("<f8").tobytes()}
 
 
 def _get_array(sec: Section, key: str, want: tuple[int, ...],
@@ -488,18 +513,81 @@ def _no_seed():
     return NoSeed()
 
 
+class Rows(NamedTuple):
+    """The simplex rows one user's generator is trained on, as ``[meta]``
+    binds a checkpoint to them: their count and ``data_sha256``, the sha256
+    of their shape and little-endian binary64 bytes; and the file they
+    were read from, which a mismatch names."""
+    count: int
+    sha256: str
+    source: str = ""
+
+    @classmethod
+    def of(cls, rows: np.ndarray, source: str | Path = "") -> "Rows":
+        rows = np.ascontiguousarray(rows, dtype="<f8")
+        h = hashlib.sha256(f"|{rows.shape}|".encode())
+        h.update(rows)
+        return cls(len(rows), h.hexdigest(), str(source))
+
+
+def _meta(epoch: int, digest: str | None, rows: Rows) -> dict:
+    """``[meta]``'s entries that every train writes, in the order written."""
+    return {"epoch": epoch, **({"config_digest": digest} if digest else {}),
+            "rows": rows.count, "data_sha256": rows.sha256}
+
+
+def _config(cfg: TrainConfig) -> dict:
+    return {f.name: _encode(f.type, getattr(cfg, f.name)) for f in fields(cfg)}
+
+
+def _state_sha256(sections: dict[str, dict]) -> str:
+    """sha256 of the ``_kv_lines`` of ``sections`` with each array's data
+    taken as its raw bytes, not their hex: half the bytes to hash."""
+    h = hashlib.sha256()
+    for name, entries in sections.items():
+        h.update(f"[{name}]\n".encode())
+        for key, value in entries.items():
+            h.update(f"{key} = ".encode())
+            h.update(value if isinstance(value, bytes) else str(value).encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+def _written_state_sha256(data: bytes, start: int) -> str | None:
+    """``_state_sha256`` of the sections written as ``data[start:]``; None
+    if an array's data is not the lower-case hex ``write_kv`` writes."""
+    h, text = hashlib.sha256(), memoryview(data)
+    while (at := data.find(b".data = ", start)) >= 0:
+        at += len(b".data = ")
+        if (end := data.find(b"\n", at)) < 0:
+            return None
+        try:
+            raw = binascii.a2b_hex(text[at:end])
+        except ValueError:
+            return None
+        if not data.startswith(binascii.b2a_hex(raw), at):
+            return None
+        h.update(text[start:at])
+        h.update(raw)
+        start = end
+    h.update(text[start:])
+    return h.hexdigest()
+
+
 def save_checkpoint(path: str | Path, cfg: TrainConfig, state: TrainState,
-                    digest: str | None = None) -> None:
+                    rows: Rows, digest: str | None = None,
+                    loss_sha256: str | None = None) -> None:
+    """Write ``state`` and ``cfg`` to ``path`` in one write.  ``[meta]``
+    holds the epoch, ``digest`` as ``config_digest``, and the count and
+    ``data_sha256`` of the ``rows`` trained on.  Given the ``loss_sha256``
+    of its loss file (a fresh train), the file is sealed: ``[meta]`` goes
+    on with ``qgan.RECIPE_VERSION`` as ``recipe``, that ``loss_sha256`` and
+    ``state_sha256``, which ``sealed`` checks."""
     rng_state = state.rng.bit_generator.state
     if rng_state["bit_generator"] != "PCG64":
         raise SchemaError("only PCG64 generators can be checkpointed")
-    meta = {"epoch": state.epoch}
-    if digest:
-        meta["config_digest"] = digest
-    write_kv(path, MAGIC, {
-        "meta": meta,
-        "config": {f.name: _encode(f.type, getattr(cfg, f.name))
-                   for f in fields(cfg)},
+    sections = {
+        "config": _config(cfg),
         "generator": {"n_qubits": state.params.n_qubits,
                       **_put_array("angles", state.params.angles)},
         "discriminator": _put_array("params", state.net.flat),
@@ -510,7 +598,57 @@ def save_checkpoint(path: str | Path, cfg: TrainConfig, state: TrainState,
                 "inc": rng_state["state"]["inc"],
                 "has_uint32": rng_state["has_uint32"],
                 "uinteger": rng_state["uinteger"]},
-    })
+    }
+    meta = _meta(state.epoch, digest, rows)
+    if loss_sha256 is not None:
+        meta.update(recipe=qgan.RECIPE_VERSION, loss_sha256=loss_sha256,
+                    state_sha256=_state_sha256(sections))
+    write_kv(path, MAGIC, {"meta": meta, **sections})
+
+
+class Sealed(NamedTuple):
+    """A sealed checkpoint, as ``sealed`` finds it: its ``[meta]`` entries
+    and the bytes after them."""
+    meta: dict
+    state: memoryview
+
+    def write(self, path: str | Path, digest: str, loss_sha256: str) -> None:
+        """Write this checkpoint to ``path`` with ``digest`` as its
+        ``config_digest`` and ``loss_sha256``, all else as it is: the file
+        a fresh train under a run config of that digest writes."""
+        meta = {**self.meta, "config_digest": digest, "loss_sha256": loss_sha256}
+        with atomic_open(path) as handle:
+            handle.write("\n".join([MAGIC, *_kv_lines({"meta": meta}), ""]))
+            handle.flush()
+            handle.buffer.write(self.state)
+
+
+def sealed(path: str | Path, cfg: TrainConfig, rows: Rows) -> Sealed | None:
+    """The checkpoint at ``path`` if it is, byte for byte, one that a fresh
+    train under ``cfg`` wrote for ``rows`` at epoch ``cfg.epochs`` with
+    this ``qgan.RECIPE_VERSION``, whatever run config digest and loss file
+    its ``[meta]`` names: its ``[config]`` is that of ``cfg`` and its
+    ``state_sha256`` matches every line after ``[meta]``.  None, never an
+    error, for any other file, or none."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        return None
+    # the three open values sit on fixed lines of a sealed [meta]; the
+    # comparison with the bytes written for them checks every other line
+    lines = data[:_BLOCK_BYTES].split(b"\n", 9)
+    if len(lines) < 10:
+        return None
+    digest, loss, state = (lines[at].partition(b" = ")[2].decode("latin-1")
+                           for at in (3, 7, 8))
+    meta = {**_meta(cfg.epochs, digest, rows), "recipe": qgan.RECIPE_VERSION,
+            "loss_sha256": loss, "state_sha256": state}
+    head = "\n".join([MAGIC, *_kv_lines({"meta": meta}), ""]).encode()
+    config = "\n".join([*_kv_lines({"config": _config(cfg)}), "[generator]"]).encode()
+    if (not data.startswith(head) or not data.startswith(config, len(head))
+            or state != _written_state_sha256(data, len(head))):
+        return None
+    return Sealed(meta, memoryview(data)[len(head):])
 
 
 def _head(path: str | Path, sec: Section) -> tuple[TrainConfig, GeneratorParams, int]:
@@ -531,16 +669,43 @@ def _head(path: str | Path, sec: Section) -> tuple[TrainConfig, GeneratorParams,
     return cfg, params, epoch
 
 
-def load_generator(path: str | Path) -> tuple[TrainConfig, GeneratorParams, int]:
+def _check_run(path: str | Path, have: TrainConfig, meta: Section,
+               want: TrainConfig, rows: Rows) -> None:
+    """Refuse a checkpoint trained with other settings than ``want`` (its
+    epoch count aside: resuming continues them, and the outputs' config
+    digest vouches for them), or fit to other rows than ``rows``."""
+    if have != (want := replace(want, epochs=have.epochs)):
+        differ = ", ".join(f"{name} = {getattr(have, name)!r} (config: "
+                           f"{getattr(want, name)!r})" for name in vars(want)
+                           if getattr(have, name) != getattr(want, name))
+        raise ConfigError(f"{path}: checkpoint trained with {differ}")
+    if (meta["rows"], meta["data_sha256"]) != (str(rows.count), rows.sha256):
+        raise SchemaError(
+            f"{path}: trained on {meta['rows']} rows with data_sha256 "
+            f"{meta['data_sha256'][:16]}..., but {rows.source} holds "
+            f"{rows.count} for its user, with data_sha256 {rows.sha256[:16]}...")
+
+
+def load_generator(path: str | Path, want: TrainConfig,
+                   rows: Rows) -> tuple[TrainConfig, GeneratorParams, int]:
     """The config, generator and epoch of the checkpoint at ``path``, read
     from its start up to the header after ``[meta]``, ``[config]`` and
-    ``[generator]``: a v4 file written by ``save_checkpoint`` is read one
+    ``[generator]``: a v5 file written by ``save_checkpoint`` is read one
     block deep.  Its magic line and those sections get ``load_checkpoint``'s
-    checks; the training state after them is neither read nor checked."""
-    return _head(path, read_kv(path, MAGIC, until=_HEAD))
+    checks; the training state after them is neither read nor checked.
+    The file must have been trained with the settings ``want`` gives and
+    on ``rows`` (``_check_run``)."""
+    sec = read_kv(path, MAGIC, until=_HEAD)
+    cfg, params, epoch = _head(path, sec)
+    _check_run(path, cfg, sec["meta"], want, rows)
+    return cfg, params, epoch
 
 
-def load_checkpoint(path: str | Path) -> tuple[TrainConfig, TrainState]:
+def load_checkpoint(path: str | Path, want: TrainConfig,
+                    rows: Rows) -> tuple[TrainConfig, TrainState]:
+    """The config and training state of the checkpoint at ``path``, every
+    section read and checked; the file must then have been trained with
+    the settings ``want`` gives and on ``rows`` (``_check_run``)."""
     sec = read_kv(path, MAGIC)
     cfg, params, epoch = _head(path, sec)
     try:
@@ -563,4 +728,5 @@ def load_checkpoint(path: str | Path) -> tuple[TrainConfig, TrainState]:
         }
     except (ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed field ({exc})") from exc
+    _check_run(path, cfg, sec["meta"], want, rows)
     return cfg, TrainState(params, net, opt_g, opt_d, np.random.Generator(bits), epoch)

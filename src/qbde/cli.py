@@ -29,8 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bde, features, qgan
-from .checkpoint import (float_fields, load_checkpoint, load_generator, read_kv,
-                         replace_together, save_checkpoint, text_fields, write_blocks,
+from .checkpoint import (Rows, Sealed, float_fields, load_checkpoint,
+                         load_generator, read_kv, replace_together,
+                         save_checkpoint, sealed, text_fields, write_blocks,
                          write_columns, write_kv)
 from .errors import ConfigError, SchemaError
 from .qsim import probabilities, run_generator_circuit, sample
@@ -220,53 +221,79 @@ def _train_days(out_dir: Path) -> features.Days:
     return days
 
 
-def _load_trained(cfg: RunConfig, path: Path, load) -> tuple:
-    """What ``load(path)`` gives after the checkpoint's config, if it was
-    trained with the settings the run config gives (its epoch count
-    aside): resuming continues them, and the outputs' config digest
-    vouches for them."""
-    have, *loaded = load(path)
-    want = dataclasses.replace(cfg.train_config(), epochs=have.epochs)
-    if have != want:
-        differ = ", ".join(f"{name} = {getattr(have, name)!r} (config: "
-                           f"{getattr(want, name)!r})" for name in vars(want)
-                           if getattr(have, name) != getattr(want, name))
-        raise ConfigError(f"{path}: checkpoint trained with {differ}")
-    return loaded
+def _reusable(ckpt: Path, loss_path: Path, train_cfg: qgan.TrainConfig,
+              rows: Rows) -> tuple[Sealed, bytes] | None:
+    """The checkpoint and loss file a fresh train of one user under
+    ``train_cfg`` on ``rows`` would write but for their config digest, if
+    that is what it finds: a loss file of ``train_cfg.epochs`` rows, probed
+    first since it is small, and a checkpoint sealed with that file's
+    digest."""
+    try:
+        loss = loss_path.read_bytes()
+    except OSError:
+        return None
+    if loss.count(b"\n") != 2 + train_cfg.epochs:
+        return None
+    kept = sealed(ckpt, train_cfg, rows)
+    if kept is None or kept.meta["loss_sha256"] != hashlib.sha256(loss).hexdigest():
+        return None
+    return kept, loss
 
 
 def cmd_train(cfg: RunConfig, resume: bool = False) -> int:
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     days = _train_days(out_dir)
+    # users in features_train.csv's order
     by_user = days.by_user()
     digest = cfg.digest()
     train_cfg = cfg.train_config()
+    data = [features.to_simplex(days.x[at]) for at in by_user.values()]
+    rows = [Rows.of(x, out_dir / "features_train.csv") for x in data]
     ckpts = [_ckpt_path(cfg, user, len(by_user)) for user in by_user]
-    # every checkpoint loads and matches the config before any user trains
-    states = ([_load_trained(cfg, ckpt, load_checkpoint)[0] for ckpt in ckpts]
-              if resume else None)
-    traces = qgan.train([features.to_simplex(days.x[at]) for at in by_user.values()],
-                        train_cfg, states)
+    losses = [out_dir / f"loss_{user}.csv" for user in by_user]
+    states, todo, stale = None, range(len(data)), []
+    if resume:
+        # every checkpoint loads, matches the config and was fit to these
+        # rows before any user trains
+        states = [load_checkpoint(ckpt, train_cfg, bound)[1]
+                  for ckpt, bound in zip(ckpts, rows)]
+    else:
+        # a checkpoint a fresh train sealed for these rows and train config
+        # is kept with its loss file, rewritten only if the run's config
+        # digest, which both files hold, has changed; the other users train
+        kept = [_reusable(*paths, train_cfg, bound)
+                for *paths, bound in zip(ckpts, losses, rows)]
+        todo = [i for i, hit in enumerate(kept) if hit is None]
+        stale = [i for i, hit in enumerate(kept)
+                 if hit and hit[0].meta["config_digest"] != digest]
+    traces = qgan.train([data[i] for i in todo], train_cfg, states) if todo else []
     # every user ran the same epochs, so one call formats every loss
-    losses = float_fields([(t.loss_g, t.loss_d, t.cross_entropy) for t in traces])
+    fields = float_fields([(t.loss_g, t.loss_d, t.cross_entropy) for t in traces])
+    head = f"# {digest}\nepoch,loss_g,loss_d,cross_entropy\n".encode()
     # every user's loss file and checkpoint are written before any is
     # replaced, so a failed write leaves all of them as they were
     with replace_together() as stage:
-        for user, ckpt, trace, fields in zip(by_user, ckpts, traces, losses):
+        for i, trace, columns in zip(todo, traces, fields):
             last = trace.state.epoch
-            rows = "".join(f"{epoch},{g},{d},{ce}\n" for epoch, g, d, ce in zip(
-                range(last - len(trace.loss_g) + 1, last + 1), *fields))
-            loss_path = out_dir / f"loss_{user}.csv"
-            old = [loss_path.read_bytes()] if resume and loss_path.exists() else []
-            write_blocks(stage(loss_path), None if old else
-                         ["epoch", "loss_g", "loss_d", "cross_entropy"],
-                         [*old, rows.encode()], digest)
-            save_checkpoint(stage(ckpt), train_cfg, trace.state, digest=digest)
-    for user, ckpt, trace in zip(by_user, ckpts, traces):
+            new = "".join(f"{epoch},{g},{d},{ce}\n" for epoch, g, d, ce in zip(
+                range(last - len(trace.loss_g) + 1, last + 1), *columns)).encode()
+            old = losses[i].read_bytes() if resume and losses[i].exists() else head
+            write_blocks(stage(losses[i]), None, [old, new])
+            save_checkpoint(stage(ckpts[i]), train_cfg, trace.state, rows[i], digest,
+                            None if resume else hashlib.sha256(old + new).hexdigest())
+        for i in stale:
+            ckpt, loss = kept[i]
+            loss = head + loss[loss.index(b"\n", loss.index(b"\n") + 1) + 1:]
+            write_blocks(stage(losses[i]), None, [loss])
+            ckpt.write(stage(ckpts[i]), digest, hashlib.sha256(loss).hexdigest())
+    users = [*by_user]
+    for i, trace in zip(todo, traces):
         final = (f"cross_entropy={trace.cross_entropy[-1]:.4f}"
                  if trace.cross_entropy else "no epochs run")
-        print(f"trained {user}: {len(trace.loss_g)} epochs, {final} -> {ckpt}")
+        print(f"trained {users[i]}: {len(trace.loss_g)} epochs, {final} -> {ckpts[i]}")
+    for i in stale:
+        print(f"reused {users[i]} under the new config digest -> {ckpts[i]}")
+    print(f"{len(todo)} user(s) trained, {len(data) - len(todo)} reused")
     return EXIT_OK
 
 
@@ -299,14 +326,16 @@ def cmd_detect(cfg: RunConfig) -> int:
          *(test[test_by_user.get(user, [])] for user in train_by_user)])
     x = features.to_simplex(days.x)
 
-    # every checkpoint's generator loads before any scorer is looked up or
-    # trained; the training state after it is read by train --resume alone
+    # every checkpoint's generator loads, and is checked against the config
+    # and the training rows, before any scorer is looked up or trained; the
+    # training state after it is read by train --resume alone
     users, reals, generated = [], [], []
+    train_path, train_cfg = out_dir / "features_train.csv", cfg.train_config()
     for user, at in days.by_user().items():   # a training window, then test days
-        params, _ = _load_trained(cfg, _ckpt_path(cfg, user, len(train_by_user)),
-                                  load_generator)
-        references = _reference_distributions(params, cfg)
         real = x[at[:len(train_by_user[user])]]
+        _, params, _ = load_generator(_ckpt_path(cfg, user, len(train_by_user)),
+                                      train_cfg, Rows.of(real, train_path))
+        references = _reference_distributions(params, cfg)
         tiled = np.tile(references, (-(-len(real) // len(references)), 1))
         reals.append(real)
         generated.append(tiled[:len(real)])

@@ -22,6 +22,12 @@ of up to ``STACK_USERS``: the angles, the discriminators' vectors, the
 Adam moments and each batch carry a leading user axis, so a batch step
 runs once for all of them, and each user's arithmetic is the one it has
 trained alone.
+
+``RECIPE_VERSION`` names this training arithmetic.  A fresh ``train``
+keeps a checkpoint only if it was sealed under the same version (the
+``recipe`` in its ``[meta]``), so any change to what ``train`` computes
+from the same rows and config, such as another loss, step or kept
+generator, bumps it.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .qsim import (GeneratorParams, _adjoint, _amplitudes, _layers, _product,
 # Re-exported: the per-layer benchmark traces it here, expecting 0 calls.
 from .qsim import prob_jacobian  # noqa: F401
 
+RECIPE_VERSION = 1
 SIGMOID_CLAMP = 1e-7
 CROSS_ENTROPY_CLAMP = 1e-12
 LEAK = 0.01         # slope of the hidden layers' leaky rectifier below 0

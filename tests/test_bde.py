@@ -761,6 +761,37 @@ def test_batched_scores_match_per_row_recon_errors(n_refs):
     assert (scores.r_d[-1], scores.r_n[-1]) == (0.0, 0.0)
 
 
+_simplex_points = st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16).filter(
+    lambda w: sum(w) > 0).map(lambda w: np.divide(w, sum(w)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_simplex_points, g=_simplex_points)
+def test_r_d_is_at_most_2_between_any_two_points_of_the_simplex(x, g):
+    """R_d = |x - g|_1 <= |x|_1 + |g|_1 = 2, reached at two distinct corners."""
+    assert 0.0 <= recon_errors(x, g, random_net(3))[0] <= 2.0
+    corners = np.eye(16)
+    assert recon_errors(corners[0], corners[15], random_net(3))[0] == 2.0
+
+
+def test_no_day_reaches_high_threat_at_lambda_0_when_th_d_is_at_least_1():
+    """At lambda = 0, d is R_d <= 2 and Th_f = 2 Th_d: a user whose Th_d is
+    >= 1 (1.14-1.65 for every user measured) has no High_threat day, not
+    even one at the corner of the simplex farthest from its reference."""
+    rng = np.random.default_rng(22)
+    reference = rng.dirichlet(np.ones(16))
+    train = rng.dirichlet(np.full(16, 0.3), size=30)
+    far = np.eye(16)[np.argmin(reference)]
+    vectors = np.vstack([train, far])
+    scores = score_user(day_rows(vectors), vectors, reference, random_net(5), 0.0,
+                        len(train))
+    assert scores.th_d[0] >= 1.0
+    assert scores.r_d[-1] == scores.r_d.max()
+    assert scores.r_d[-1] == pytest.approx(2.0 - 2.0 * reference.min(), abs=1e-12)
+    assert scores.d[-1] <= 2.0 * scores.th_d[-1]
+    assert scores.band[-1] < 2
+
+
 # --------------------------------------------------------------------------
 # The array scoring path vs. the per-row path it replaced
 # --------------------------------------------------------------------------

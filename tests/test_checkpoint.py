@@ -4,10 +4,12 @@ import ast
 import builtins
 import contextlib
 import csv
+import hashlib
 import io
 import os
 import re
 import struct
+from dataclasses import replace
 from unittest import mock
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from qbde import checkpoint
 from qbde.checkpoint import (
     MAGIC,
+    Rows,
     _csv_split,
     _get_array,
     _put_array,
@@ -34,7 +37,12 @@ from qbde.checkpoint import (
     write_kv,
 )
 from qbde.errors import SchemaError
+from qbde import qgan
 from qbde.qgan import TrainConfig, train
+
+
+# rows for a loader that refuses the file before it compares them
+ANY_ROWS = Rows.of(np.ones((1, 4)) / 4)
 
 
 def trained_state(tmp_path, epochs=4, seed=11):
@@ -45,11 +53,11 @@ def trained_state(tmp_path, epochs=4, seed=11):
 
 
 def test_round_trip_is_bit_exact(tmp_path):
-    _, cfg, state = trained_state(tmp_path)
+    data, cfg, state = trained_state(tmp_path)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, cfg, state)
+    save_checkpoint(path, cfg, state, Rows.of(data))
     assert path.read_text(encoding="utf-8").startswith(MAGIC)
-    cfg2, state2 = load_checkpoint(path)
+    cfg2, state2 = load_checkpoint(path, cfg, Rows.of(data))
     assert cfg2 == cfg
     np.testing.assert_array_equal(state2.params.angles, state.params.angles)
     np.testing.assert_array_equal(state2.net.flat, state.net.flat)
@@ -62,10 +70,10 @@ def test_round_trip_is_bit_exact(tmp_path):
 
 
 def test_double_save_is_byte_identical(tmp_path):
-    _, cfg, state = trained_state(tmp_path)
+    data, cfg, state = trained_state(tmp_path)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(p1, cfg, state)
-    save_checkpoint(p2, cfg, state)
+    save_checkpoint(p1, cfg, state, Rows.of(data))
+    save_checkpoint(p2, cfg, state, Rows.of(data))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -78,8 +86,8 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     cfg_a = TrainConfig(batch=4, epochs=6, depth=2, seed=3)
     first = train([data], cfg_a)[0]
     path = tmp_path / "part.ckpt"
-    save_checkpoint(path, cfg_a, first.state)
-    _, resumed_state = load_checkpoint(path)
+    save_checkpoint(path, cfg_a, first.state, Rows.of(data))
+    _, resumed_state = load_checkpoint(path, cfg_a, Rows.of(data))
     second = train([data], TrainConfig(batch=4, epochs=4, depth=2, seed=3),
                    [resumed_state])[0]
 
@@ -98,7 +106,7 @@ def test_each_network_is_one_vector_with_one_adam_state(tmp_path):
     cfg_a = TrainConfig(batch=4, epochs=6, depth=2, seed=3)
     first = train([data], cfg_a)[0]
     path = tmp_path / "flat.ckpt"
-    save_checkpoint(path, cfg_a, first.state)
+    save_checkpoint(path, cfg_a, first.state, Rows.of(data))
     sections = read_kv(path, MAGIC)
     arrays = {f"{name}.{key[:-6]}": tuple(map(int, value.split()))
               for name, sec in sections.items() for key, value in sec.items()
@@ -109,7 +117,7 @@ def test_each_network_is_one_vector_with_one_adam_state(tmp_path):
                       "opt_d.m": (n_disc,), "opt_d.v": (n_disc,)}
     assert list(sections["discriminator"]) == ["params.shape", "params.data"]
     assert list(sections["opt_d"]) == ["t", "m.shape", "m.data", "v.shape", "v.data"]
-    _, resumed_state = load_checkpoint(path)
+    _, resumed_state = load_checkpoint(path, cfg_a, Rows.of(data))
     second = train([data], TrainConfig(batch=4, epochs=4, depth=2, seed=3),
                    [resumed_state])[0]
     assert first.loss_g + second.loss_g == full.loss_g
@@ -123,9 +131,9 @@ def test_each_network_is_one_vector_with_one_adam_state(tmp_path):
 def test_checkpoint_holds_no_fixed_constant(tmp_path):
     # the entangler, Adam's betas and epsilon, the initial angle spread and
     # the leak are constants of the code, so no checkpoint names them
-    _, cfg, state = trained_state(tmp_path)
+    data, cfg, state = trained_state(tmp_path)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, cfg, state)
+    save_checkpoint(path, cfg, state, Rows.of(data))
     sections = read_kv(path, MAGIC)
     keys = {key for sec in sections.values() for key in sec}
     assert list(sections["config"]) == [
@@ -138,14 +146,14 @@ def test_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_text("some-other-format\n", encoding="utf-8")
     with pytest.raises(SchemaError):
-        load_checkpoint(path)
+        load_checkpoint(path, TrainConfig(), ANY_ROWS)
 
 
 def test_rejects_missing_fields(tmp_path):
     path = tmp_path / "trunc.ckpt"
     path.write_text(f"{MAGIC}\n[meta]\nepoch = 3\n", encoding="utf-8")
     with pytest.raises(SchemaError):
-        load_checkpoint(path)
+        load_checkpoint(path, TrainConfig(), ANY_ROWS)
 
 
 @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85", " ", " "])
@@ -318,9 +326,9 @@ def _reordered(text: str, move: str, after: str) -> str:
 @pytest.mark.parametrize("layout", ["written", "crlf", "generator-after-rng",
                                     "meta-longer-than-a-block"])
 def test_load_generator_agrees_with_load_checkpoint(tmp_path, layout):
-    _, cfg, state = trained_state(tmp_path)
+    data, cfg, state = trained_state(tmp_path)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, cfg, state, digest="d" * 64)
+    save_checkpoint(path, cfg, state, Rows.of(data), "d" * 64)
     text = path.read_text(encoding="utf-8")
     if layout == "crlf":
         text = text.replace("\n", "\r\n")
@@ -330,8 +338,8 @@ def test_load_generator_agrees_with_load_checkpoint(tmp_path, layout):
         block = checkpoint._BLOCK_BYTES
         text = text.replace("[meta]\n", f"[meta]\nnote = {'x' * 3 * block}\n# {'y' * block}\n")
     path.write_bytes(text.encode("utf-8"))
-    have_cfg, params, epoch = checkpoint.load_generator(path)
-    want_cfg, want = load_checkpoint(path)
+    have_cfg, params, epoch = checkpoint.load_generator(path, cfg, Rows.of(data))
+    want_cfg, want = load_checkpoint(path, cfg, Rows.of(data))
     assert have_cfg == want_cfg == cfg
     assert params.n_qubits == want.params.n_qubits
     assert params.angles.tobytes() == want.params.angles.tobytes()
@@ -343,9 +351,10 @@ def test_load_generator_reads_no_block_past_the_generator(tmp_path, monkeypatch)
     """A written checkpoint's head is in its first block, so what follows
     that block is neither read nor checked: bytes that are not UTF-8
     there stop only ``load_checkpoint``."""
-    _, cfg, state = trained_state(tmp_path)
+    data, cfg, state = trained_state(tmp_path)
+    rows = Rows.of(data)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, cfg, state)
+    save_checkpoint(path, cfg, state, rows)
     data = bytearray(path.read_bytes())
     assert data.index(b"[discriminator]") < checkpoint._BLOCK_BYTES
     data[checkpoint._BLOCK_BYTES:] = b"\xff" * (len(data) - checkpoint._BLOCK_BYTES)
@@ -359,13 +368,77 @@ def test_load_generator_reads_no_block_past_the_generator(tmp_path, monkeypatch)
 
     monkeypatch.setattr(checkpoint, "open", lambda path, mode, **_: Counted(path, mode),
                         raising=False)
-    have_cfg, params, epoch = checkpoint.load_generator(path)
+    have_cfg, params, epoch = checkpoint.load_generator(path, cfg, rows)
     monkeypatch.undo()
     assert reads == [checkpoint._BLOCK_BYTES]
     assert (have_cfg, epoch) == (cfg, state.epoch)
     assert params.angles.tobytes() == state.params.angles.tobytes()
     with pytest.raises(SchemaError, match="not UTF-8 text"):
-        load_checkpoint(path)
+        load_checkpoint(path, cfg, rows)
+
+
+def test_rows_digest_is_of_their_shape_and_binary64_bytes():
+    rows = np.random.default_rng(2).dirichlet(np.ones(4), size=3)
+    bound = Rows.of(rows[::1], "f.csv")
+    want = hashlib.sha256(b"|(3, 4)|" + rows.astype("<f8").tobytes()).hexdigest()
+    assert bound == (3, want, "f.csv")
+    assert Rows.of(rows[:2]).sha256 != want
+
+
+def _edits(text, cfg):
+    """``text`` changed after ``[meta]`` in ways a loader may still accept,
+    each with the train config it then loads with."""
+    data = re.search(r"(?m)^params\.data = ", text).end()
+    letter = next(i for i in range(data, len(text)) if text[i] in "abcdef")
+    yield re.sub(r"(?m)^batch = 4$", "batch = 5", text), replace(cfg, batch=5)
+    yield text[:data] + ("1" if text[data] != "1" else "2") + text[data + 1:], cfg
+    yield text[:letter] + text[letter].upper() + text[letter + 1:], cfg
+    yield text + "# a note\n", cfg
+    yield text.replace("\n", "\r\n"), cfg
+
+
+def test_sealed_tells_a_sealed_checkpoint_from_any_other(tmp_path, monkeypatch):
+    """``sealed`` finds the file ``save_checkpoint`` sealed for the same
+    train config, epoch, rows and recipe, whatever config and loss digests
+    it names, and no edit of it, not even one that decodes to the same
+    values, nor an unsealed save.  Written under another config digest, it
+    is the file a save under that digest writes."""
+    data, cfg, state = trained_state(tmp_path)
+    rows = Rows.of(data)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, state, rows, "d" * 64, "b" * 64)
+    kept = checkpoint.sealed(path, cfg, rows)
+    assert (kept.meta["config_digest"], kept.meta["loss_sha256"]) == ("d" * 64, "b" * 64)
+    kept.write(tmp_path / "relabelled.ckpt", "e" * 64, "c" * 64)
+    save_checkpoint(tmp_path / "saved.ckpt", cfg, state, rows, "e" * 64, "c" * 64)
+    assert (tmp_path / "relabelled.ckpt").read_bytes() == (tmp_path / "saved.ckpt").read_bytes()
+    others = [(replace(cfg, epochs=cfg.epochs + 1), rows),
+              (replace(cfg, seed=cfg.seed + 1), rows), (cfg, Rows.of(data[1:]))]
+    assert not any(checkpoint.sealed(path, *other) for other in others)
+    with monkeypatch.context() as patch:
+        patch.setattr(qgan, "RECIPE_VERSION", qgan.RECIPE_VERSION + 1)
+        assert checkpoint.sealed(path, cfg, rows) is None
+    text = path.read_text(encoding="utf-8")
+    for edited, trained_with in _edits(text, cfg):
+        path.write_bytes(edited.encode("utf-8"))
+        assert load_checkpoint(path, trained_with, rows)[0] == trained_with
+        assert checkpoint.sealed(path, cfg, rows) is None
+    for digest, loss in (("d" * 64, None), (None, "b" * 64)):
+        save_checkpoint(path, cfg, state, rows, digest, loss)
+        assert checkpoint.sealed(path, cfg, rows) is None
+    assert checkpoint.sealed(tmp_path / "none.ckpt", cfg, rows) is None
+
+
+def test_loaders_refuse_a_checkpoint_fit_to_other_rows(tmp_path):
+    data, cfg, state = trained_state(tmp_path)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, state, Rows.of(data))
+    other = Rows.of(data[:-1], "train.csv")
+    for load in (load_checkpoint, checkpoint.load_generator):
+        assert load(path, cfg, Rows.of(data))[0] == cfg
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: trained on 10 "
+                                              r"rows .*train\.csv holds 9 "):
+            load(path, cfg, other)
 
 
 @pytest.mark.parametrize("name", ["meta", "config", "generator", "discriminator"])
@@ -374,21 +447,21 @@ def test_a_repeated_section_header_is_refused(tmp_path, name):
     ``detect`` and ``train --resume`` cannot read two different values of
     one key; ``load_generator`` refuses one that it reads, up to the
     header that ends the head."""
-    _, cfg, state = trained_state(tmp_path)
+    data, cfg, state = trained_state(tmp_path)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, cfg, state)
+    save_checkpoint(path, cfg, state, Rows.of(data))
     text = path.read_text(encoding="utf-8")
     lineno = text.count("\n") + 1
     path.write_text(text + f"[{name}]\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=re.escape(
             f"{path}:{lineno}: repeated section [{name}]")):
-        load_checkpoint(path)
-    assert checkpoint.load_generator(path)[0] == cfg   # past the head
+        load_checkpoint(path, cfg, Rows.of(data))
+    assert checkpoint.load_generator(path, cfg, Rows.of(data))[0] == cfg   # past the head
     head = text.replace("[generator]\n", f"[{name}]\n[generator]\n")
     path.write_text(head, encoding="utf-8")
     for load in (load_checkpoint, checkpoint.load_generator):
         with pytest.raises(SchemaError, match=re.escape(f"repeated section [{name}]")):
-            load(path)
+            load(path, cfg, Rows.of(data))
 
 
 @pytest.mark.parametrize("fail", [None, ".b"], ids=["all-renamed", "second-rename-fails"])
@@ -433,7 +506,7 @@ def test_replace_together_puts_back_what_a_failed_rename_replaced(
 
 def test_missing_file_raises_io_error(tmp_path):
     with pytest.raises(OSError):
-        load_checkpoint(tmp_path / "nope.ckpt")
+        load_checkpoint(tmp_path / "nope.ckpt", TrainConfig(), ANY_ROWS)
 
 
 def test_fresh_state_round_trip(tmp_path):
@@ -444,14 +517,14 @@ def test_fresh_state_round_trip(tmp_path):
     cfg = TrainConfig(batch=4, epochs=0, depth=3, seed=5)
     fresh = train([data], cfg)[0].state
     path = tmp_path / "fresh.ckpt"
-    save_checkpoint(path, cfg, fresh)
+    save_checkpoint(path, cfg, fresh, Rows.of(data))
     sections = read_kv(path, MAGIC)
     for name, param in (("opt_g", fresh.params.angles), ("opt_d", fresh.net.flat)):
         assert sections[name]["t"] == "0"
         for key in "mv":
             stored = _get_array(sections[name], key, param.shape)
             assert stored.tobytes() == np.zeros(param.shape).tobytes()
-    _, back = load_checkpoint(path)
+    _, back = load_checkpoint(path, cfg, Rows.of(data))
     resumed = train([data], TrainConfig(batch=4, epochs=5, depth=3, seed=5), [back])[0]
     full = train([data], TrainConfig(batch=4, epochs=5, depth=3, seed=5))[0]
     assert resumed.loss_g == full.loss_g and resumed.loss_d == full.loss_d
@@ -502,14 +575,14 @@ class _FailingHandle:
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
-    _, cfg, state = trained_state(tmp_path)
+    data, cfg, state = trained_state(tmp_path)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, cfg, state, digest="before")
+    save_checkpoint(path, cfg, state, Rows.of(data), "before")
     before = path.read_bytes()
     monkeypatch.setattr(checkpoint, "open", raising=False,
                         value=lambda *a, **k: _FailingHandle(builtins.open(*a, **k)))
     with pytest.raises(OSError):
-        save_checkpoint(path, cfg, state, digest="after")
+        save_checkpoint(path, cfg, state, Rows.of(data), "after")
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 

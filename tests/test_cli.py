@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbde import bde, checkpoint, cli, features, qgan
 from qbde.bde import read_score_csv, read_summary
-from qbde.checkpoint import load_checkpoint, read_kv, save_checkpoint
+from qbde.checkpoint import Rows, load_checkpoint, read_kv, save_checkpoint
 from qbde.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -52,6 +52,14 @@ def fast_flags(tmp_path, seed=0):
         f"seed = {seed}\n",
         encoding="utf-8")
     return ["--config", str(cfg)]
+
+
+def fit_rows(out, user=None):
+    """The ``Rows`` that ``train`` fits a user's checkpoint to: the first
+    user's unless ``user`` is given."""
+    days = features.read_features_csv(out / "features_train.csv")
+    by_user = days.by_user()
+    return Rows.of(to_simplex(days.x[by_user[user or next(iter(by_user))]]))
 
 
 def run_pipeline(tmp_path, seed=0, extra=()):
@@ -277,7 +285,9 @@ def test_train_zero_epochs_initial_checkpoint(tmp_path):
     main(["ingest", *flags])
     assert main(["train", *flags, "--epochs", "0"]) == EXIT_OK
     out = tmp_path / "out"
-    _, state = load_checkpoint(out / "qgan.ckpt")
+    _, state = load_checkpoint(out / "qgan.ckpt",
+                               load_config(tmp_path / "run.cfg").train_config(),
+                               fit_rows(out))
     assert state.epoch == 0
     np.testing.assert_allclose(state.params.angles[0], np.pi / 2)
     assert len((out / "loss_U0000.csv").read_text(encoding="utf-8").splitlines()) == 2
@@ -510,7 +520,7 @@ def test_resume_with_another_discriminator_is_config_error(tmp_path, capsys):
     want = load_config(tmp_path / "run.cfg").train_config()
     have = dataclasses.replace(want, hidden=OTHER_HIDDEN)
     ckpt = tmp_path / "out" / "qgan.ckpt"
-    save_checkpoint(ckpt, have, init_train_state(4, have))
+    save_checkpoint(ckpt, have, init_train_state(4, have), fit_rows(ckpt.parent))
     before = ckpt.read_bytes()
     for argv in (["train", "--epochs", "1", "--resume"], ["detect"]):
         capsys.readouterr()
@@ -535,7 +545,8 @@ def test_checkpoint_trained_with_other_settings_is_config_error(
     if trained:   # a checkpoint trained with a rate run.cfg cannot set
         have = dataclasses.replace(
             load_config(tmp_path / "run.cfg").train_config(), **trained)
-        save_checkpoint(out / "qgan.ckpt", have, init_train_state(4, have))
+        save_checkpoint(out / "qgan.ckpt", have, init_train_state(4, have),
+                        fit_rows(out))
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(cfgfile.read_text(encoding="utf-8") + override + "\n",
@@ -562,7 +573,7 @@ def test_detect_checks_every_checkpoint_before_training_a_scorer(
     assert len(users) == 2
     last = out / f"qgan-{users[-1]}.ckpt"
     have = dataclasses.replace(load_config(cfgfile).train_config(), lr_g=0.5)
-    save_checkpoint(last, have, init_train_state(4, have))
+    save_checkpoint(last, have, init_train_state(4, have), fit_rows(out, users[-1]))
     before = {p.name: p.read_bytes() for p in out.iterdir()}
 
     def no_training(*args):
@@ -603,7 +614,8 @@ def test_resume_checks_every_checkpoint_before_training_any_user(
     else:
         have = dataclasses.replace(load_config(tmp_path / "run.cfg").train_config(),
                                    lr_g=0.5)
-        save_checkpoint(last, have, init_train_state(4, have))
+        save_checkpoint(last, have, init_train_state(4, have),
+                        fit_rows(out, last.stem.split("-")[1]))
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
     assert main(["train", "--resume", *flags]) == code
@@ -690,7 +702,10 @@ def test_running_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(owner, name, exhausted)
     capsys.readouterr()
-    assert main([command, *flags]) == EXIT_IO
+    # a train of the same inputs reuses the checkpoint and never reaches
+    # qgan.train; another epoch count misses it, so the user trains
+    miss = ["--epochs", "5"] if command == "train" else []
+    assert main([command, *flags, *miss]) == EXIT_IO
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (f"out of memory: {message}\n" if message else "out of memory\n")
@@ -850,11 +865,13 @@ def test_checkpoint_with_non_positive_dimension_is_validation_error(
     (HIDDEN_LINE, f"hidden = {' '.join(map(str, OTHER_HIDDEN))}",
      f"discriminator.params.shape = ({N_DISC},), "
      f"want ({DiscriminatorNet.n_params([16, *OTHER_HIDDEN, 1])},)", EXIT_CONFIG),
-    (r"^qbde-ckpt-v4$", "qbde-ckpt-v1", "qgan.ckpt: not a qbde-ckpt-v4 file",
+    (r"^qbde-ckpt-v5$", "qbde-ckpt-v1", "qgan.ckpt: not a qbde-ckpt-v5 file",
      EXIT_VALIDATION),
-    (r"^qbde-ckpt-v4$", "qbde-ckpt-v2", "qgan.ckpt: not a qbde-ckpt-v4 file",
+    (r"^qbde-ckpt-v5$", "qbde-ckpt-v2", "qgan.ckpt: not a qbde-ckpt-v5 file",
      EXIT_VALIDATION),
-    (r"^qbde-ckpt-v4$", "qbde-ckpt-v3", "qgan.ckpt: not a qbde-ckpt-v4 file",
+    (r"^qbde-ckpt-v5$", "qbde-ckpt-v3", "qgan.ckpt: not a qbde-ckpt-v5 file",
+     EXIT_VALIDATION),
+    (r"^qbde-ckpt-v5$", "qbde-ckpt-v4", "qgan.ckpt: not a qbde-ckpt-v5 file",
      EXIT_VALIDATION),
     # a second header of a section detect reads: after the head, detect
     # never reaches it; before the end of [generator], it refuses it too
@@ -866,7 +883,7 @@ def test_checkpoint_with_non_positive_dimension_is_validation_error(
         "negative-inc", "huge-inc", "negative-uinteger", "huge-has_uint32",
         "negative-adam-step", "negative-epoch", "huge-adam-step",
         "huge-opt_d-step", "huge-epoch", "huge-n_qubits", "config-depth",
-        "config-hidden", "v1-format", "v2-format", "v3-format",
+        "config-hidden", "v1-format", "v2-format", "v3-format", "v4-format",
         "repeated-generator", "repeated-config", "repeated-meta-in-head"])
 def test_checkpoint_with_out_of_range_value_is_validation_error(
         tmp_path, capsys, pattern, repl, key, detect, argv):
@@ -1174,7 +1191,9 @@ def test_failed_train_keeps_checkpoint_and_loss_file_together(tmp_path, monkeypa
         assert sorted(path.name for path in out.iterdir()) == listing
     assert main(["train", *flags, "--resume", "--epochs", "3"]) == EXIT_OK
     for user in ("U0000", "U0001"):
-        assert load_checkpoint(out / f"qgan-{user}.ckpt")[1].epoch == 7
+        assert load_checkpoint(out / f"qgan-{user}.ckpt",
+                               load_config(tmp_path / "run.cfg").train_config(),
+                               fit_rows(out, user))[1].epoch == 7
         loss = (out / f"loss_{user}.csv").read_text(encoding="utf-8").splitlines()[2:]
         assert [int(line.split(",")[0]) for line in loss] == [*range(1, 8)]
 
@@ -1196,8 +1215,10 @@ def test_failed_resumed_train_leaves_every_file_as_it_was(tmp_path, monkeypatch,
     if failing.startswith("loss"):
         assert given == [before[failing]]
     else:
+        # a resumed checkpoint drops the seal of the fresh one it replaces:
+        # its recipe, loss_sha256 and state_sha256 lines
         assert len(given) == 1 and given[0].startswith(f"{checkpoint.MAGIC}\n")
-        assert given[0].count("\n") == before[failing].count(b"\n")
+        assert given[0].count("\n") == before[failing].count(b"\n") - 3
 
 
 @pytest.mark.parametrize("argv, failing", [
@@ -1453,12 +1474,20 @@ def test_edited_training_row_retrains_that_user_alone(tmp_path, monkeypatch):
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(rows[0]) + "\n")   # the config digest comment
         csv.writer(handle, lineterminator="\n").writerows(rows[1:])
-    kept = (out / "scorer_U0000.ckpt").stat().st_ino
+    kept = {name: (out / name).stat().st_ino
+            for name in ("qgan-U0000.ckpt", "loss_U0000.csv", "scorer_U0000.ckpt")}
     retrained = (out / "scorer_U0001.ckpt").read_bytes()
     calls = _spy_on_scorer_training(monkeypatch)
+    # U0001's checkpoint was fit to the old rows: detect refuses it until
+    # train fits U0001 again, and U0001 alone
+    assert main(["detect", *flags]) == EXIT_VALIDATION
+    assert calls == []
+    trained = _spy_on_training(monkeypatch)
+    assert main(["train", *flags]) == EXIT_OK
+    assert trained == [1]
     assert main(["detect", *flags]) == EXIT_OK
     assert calls == [1]
-    assert (out / "scorer_U0000.ckpt").stat().st_ino == kept
+    assert {name: (out / name).stat().st_ino for name in kept} == kept
     assert (out / "scorer_U0001.ckpt").read_bytes() != retrained
 
 
@@ -1471,6 +1500,200 @@ def test_failed_scorer_write_keeps_every_output(tmp_path, monkeypatch):
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     _fail_writes_to(monkeypatch, "scorer_U0000.ckpt")
     assert main(["detect", *flags]) == EXIT_IO
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+# --------------------------------------------------------------------------
+# Checkpoints bound to their training rows, and reused
+# --------------------------------------------------------------------------
+
+def _spy_on_training(monkeypatch):
+    """How many users each ``qgan.train`` call trains, from now on."""
+    calls = []
+    train = qgan.train
+
+    def spy(datasets, *args):
+        calls.append(len(datasets))
+        return train(datasets, *args)
+
+    monkeypatch.setattr(qgan, "train", spy)
+    return calls
+
+
+def _stat(out):
+    return {p.name: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in out.iterdir()}
+
+
+def test_a_warm_train_writes_no_file_and_trains_no_user(tmp_path, monkeypatch, capsys):
+    flags, out = _users_trained(tmp_path, 2)
+    before = _stat(out)
+    calls = _spy_on_training(monkeypatch)
+    capsys.readouterr()
+    assert main(["train", *flags]) == EXIT_OK
+    assert capsys.readouterr().out == "0 user(s) trained, 2 reused\n"
+    assert calls == []
+    assert _stat(out) == before
+
+
+def _edit_training_row(out, cfgfile):
+    """One feature of U0001's first training row changed."""
+    path = out / "features_train.csv"
+    comment, header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("U0001,"))
+    fields = lines[at].split(",")
+    fields[2] = "0.25" if fields[2] != "0.25" else "0.75"
+    lines[at] = ",".join(fields)
+    path.write_text("".join([comment, header, *lines]), encoding="utf-8")
+
+
+def _edit_loss(out, cfgfile):
+    path = out / "loss_U0000.csv"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[:-2] + ("1" if text[-2] != "1" else "2") + "\n",
+                    encoding="utf-8")
+
+
+def _flip_opt_d_digit(out, cfgfile):
+    """One hex digit of U0000's [opt_d] moments changed to another valid one."""
+    path = out / "qgan-U0000.ckpt"
+    text, n = re.subn(rf"^(m\.shape = {N_DISC}\nm\.data = \w{{10}})(\w)",
+                      lambda m: m[1] + ("0" if m[2] != "0" else "1"),
+                      path.read_text(encoding="utf-8"), count=1, flags=re.M)
+    assert n == 1
+    path.write_text(text, encoding="utf-8")
+
+
+def _as_v4(out, cfgfile):
+    """U0000's checkpoint as the format before this one wrote it: no rows,
+    no seal."""
+    path = out / "qgan-U0000.ckpt"
+    text = path.read_text(encoding="utf-8").replace("qbde-ckpt-v5", "qbde-ckpt-v4", 1)
+    path.write_text(re.sub(r"(?m)^(rows|data_sha256|recipe|loss_sha256|"
+                           r"state_sha256) = .*\n", "", text), encoding="utf-8")
+
+
+RETRAIN_CAUSES = {
+    # what changes: extra train flags, an edit of the files, users retrained
+    "seed": (["--seed", "5"], None, 2),
+    "k": (["--k", "3"], None, 2),
+    "epochs": (["--epochs", "5"], None, 2),
+    "training-row": ([], _edit_training_row, 1),
+    "loss-edited": ([], _edit_loss, 1),
+    "loss-deleted": ([], lambda out, cfgfile: (out / "loss_U0000.csv").unlink(), 1),
+    "opt_d-digit": ([], _flip_opt_d_digit, 1),
+    "resumed": ([], lambda out, cfgfile: main(
+        ["train", "--resume", "--epochs", "0", "--config", str(cfgfile)]), 2),
+    "v4": ([], _as_v4, 1),
+    "other-user": ([], lambda out, cfgfile: shutil.copy(
+        out / "qgan-U0001.ckpt", out / "qgan-U0000.ckpt"), 1),
+    "recipe": ([], None, 2),
+}
+
+
+@pytest.mark.parametrize("cause", RETRAIN_CAUSES)
+def test_a_user_retrains_when_anything_its_checkpoint_was_fit_to_changes(
+        tmp_path, monkeypatch, capsys, cause):
+    """Each cause makes the users it touches train again, in one call, to
+    the bytes a cold train in a fresh directory writes; the files it
+    leaves are then reused."""
+    argv, edit, n_trained = RETRAIN_CAUSES[cause]
+    flags, out = _users_trained(tmp_path / "run", 2)
+    cfgfile = tmp_path / "run" / "run.cfg"
+    if edit is not None:
+        edit(out, cfgfile)
+    if cause == "recipe":
+        monkeypatch.setattr(qgan, "RECIPE_VERSION", qgan.RECIPE_VERSION + 1)
+    calls = _spy_on_training(monkeypatch)
+    capsys.readouterr()
+    assert main(["train", *flags, *argv]) == EXIT_OK
+    assert calls == [n_trained]
+    assert capsys.readouterr().out.endswith(
+        f"{n_trained} user(s) trained, {2 - n_trained} reused\n")
+    cold = tmp_path / "cold"
+    cold.mkdir()
+    shutil.copy(out / "features_train.csv", cold)
+    assert main(["train", *flags, *argv, "--out", str(cold)]) == EXIT_OK
+    written = {p.name for p in cold.iterdir()} - {"features_train.csv"}
+    assert len(written) == 4
+    for name in written:
+        assert (out / name).read_bytes() == (cold / name).read_bytes(), name
+    calls.clear()
+    assert main(["train", *flags, *argv]) == EXIT_OK
+    assert calls == []
+
+
+def _append(cfgfile, line):
+    cfgfile.write_text(cfgfile.read_text(encoding="utf-8") + line + "\n",
+                       encoding="utf-8")
+
+
+@pytest.mark.parametrize("setting", ["lambda = 0.5", "test_days = 14"])
+def test_a_setting_outside_the_train_config_keeps_the_training(
+        tmp_path, monkeypatch, capsys, setting):
+    """A setting that changes the run's config digest but neither the
+    train config nor the training rows, such as the lambda that detect
+    scores with or the test days a daily re-run scores, trains no user:
+    train rewrites each checkpoint and loss file under the new digest, to
+    the bytes a cold train in a fresh directory writes, all at once."""
+    flags, out = _users_trained(tmp_path / "run", 2)
+    cfgfile = tmp_path / "run" / "run.cfg"
+    _append(cfgfile, setting)
+    assert main(["ingest", *flags]) == EXIT_OK
+    files = ("qgan-U0000.ckpt", "loss_U0000.csv", "qgan-U0001.ckpt", "loss_U0001.csv")
+    before = _stat(out)
+    for failing, header in (("qgan-U0001.ckpt", False), ("loss_U0001.csv", True)):
+        with monkeypatch.context() as patch:
+            _fail_writes_to(patch, failing, header)
+            assert main(["train", *flags]) == EXIT_IO
+        assert _stat(out) == before
+    calls = _spy_on_training(monkeypatch)
+    capsys.readouterr()
+    assert main(["train", *flags]) == EXIT_OK
+    assert calls == []
+    assert capsys.readouterr().out == "".join(
+        f"reused {user} under the new config digest -> {out / f'qgan-{user}.ckpt'}\n"
+        for user in ("U0000", "U0001")) + "0 user(s) trained, 2 reused\n"
+    cold = tmp_path / "cold"
+    cold.mkdir()
+    shutil.copy(out / "features_train.csv", cold)
+    assert main(["train", *flags, "--out", str(cold)]) == EXIT_OK
+    assert calls == [2]
+    for name in files:
+        assert (out / name).read_bytes() == (cold / name).read_bytes(), name
+    after = _stat(out)
+    assert main(["train", *flags]) == EXIT_OK
+    assert calls == [2]
+    assert _stat(out) == after
+    assert main(["detect", *flags]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", BOTH, ids=["detect", "resume"])
+@pytest.mark.parametrize("change", ["train_days", "other-corpus"])
+def test_checkpoint_fit_to_other_rows_is_validation_error(tmp_path, capsys, argv,
+                                                          change):
+    """Rows that are not the ones a checkpoint was trained on, from a new
+    split or another corpus under the same settings, make detect and
+    train --resume exit 4 before writing a file, naming the checkpoint
+    and the features file."""
+    flags = fast_flags(tmp_path)
+    for step in ("synth", "ingest", "train", "detect"):
+        assert main([step, *flags]) == EXIT_OK
+    out, cfgfile = tmp_path / "out", tmp_path / "run.cfg"
+    if change == "train_days":
+        cfgfile.write_text(cfgfile.read_text(encoding="utf-8") + "train_days = 20\n",
+                           encoding="utf-8")
+        assert main(["ingest", *flags]) == EXIT_OK
+    else:
+        other = ["--input-dir", str(tmp_path / "other")]
+        assert main(["synth", *flags, *other, "--seed", "5"]) == EXIT_OK
+        assert main(["ingest", *flags, *other]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main([*argv, *flags]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{out / 'qgan.ckpt'}: trained on " in err
+    assert str(out / "features_train.csv") in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 

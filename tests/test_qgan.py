@@ -9,7 +9,7 @@ import pytest
 
 from qbde import qgan, qsim
 from qbde.bde import N_PARAMS, BdeNet
-from qbde.checkpoint import (Section, _get_adam, _put_adam, load_checkpoint,
+from qbde.checkpoint import (Rows, Section, _get_adam, _put_adam, load_checkpoint,
                              save_checkpoint)
 from qbde.optim import BETA1, BETA2, EPS, Adam
 from qbde.qgan import (
@@ -506,8 +506,8 @@ def test_train_split_by_a_checkpoint_matches_frozen_step(tmp_path):
     want = oracle_train(data, TrainConfig(**{**vars(cfg), "epochs": 6}),
                         init_train_state(4, cfg))
     first = train([data], cfg)[0]
-    save_checkpoint(tmp_path / "part.ckpt", cfg, first.state)
-    _, state = load_checkpoint(tmp_path / "part.ckpt")
+    save_checkpoint(tmp_path / "part.ckpt", cfg, first.state, Rows.of(data))
+    _, state = load_checkpoint(tmp_path / "part.ckpt", cfg, Rows.of(data))
     second = train([data], cfg, [state])[0]
     second.loss_g[:0] = first.loss_g
     second.loss_d[:0] = first.loss_d
@@ -585,7 +585,9 @@ def _checkpointed_adam(rng, param):
     for _ in range(3):
         opt.step(param.copy(), rng.normal(size=param.shape))
     sec = Section("test: ")
-    sec.update({key: str(value) for key, value in _put_adam(opt).items()})
+    # as write_kv writes them: an array's bytes as hex
+    sec.update({key: value.hex() if isinstance(value, bytes) else str(value)
+                for key, value in _put_adam(opt).items()})
     return _get_adam(sec, 0.01, param)
 
 
