@@ -11,7 +11,9 @@ The same passes take an optional leading user axis: ``train_bde`` steps
 a stack of users' scorers at once, each bit-identical to training alone.
 A trained scorer can be saved under ``scorer_key``, the digest of exactly
 what ``train_bde`` fitted it to, and ``load_scorer`` gives it back only
-for that key, so a caller reuses it instead of training it again.
+for that key, so a caller reuses it instead of training it again.  The
+file holds its vector as raw little-endian binary64 bytes (``write_kv``);
+one of an earlier format (``qbde-scorer-v1``, hex) is a miss.
 
 A day x is scored against the trained generator's output distribution g:
 R_d = |x - g|_1 in feature space, R_n = |f(x) - f(g)|_1 in embedding
@@ -60,7 +62,7 @@ STACK_ROWS = 512
 # of any sum) must bump it, or saved scorers the new recipe would not
 # train are reused
 SCORER_VERSION = 1
-SCORER_MAGIC = "qbde-scorer-v1"
+SCORER_MAGIC = "qbde-scorer-v2"
 
 # indexed by a score's band: (d > th_d) + (d > th_f)
 VERDICTS = ("Normal", "Low_threat", "High_threat")
@@ -399,7 +401,7 @@ def _vector_digest(flat: np.ndarray) -> str:
 
 def save_scorer(path: str | Path, key: str, net: BdeNet) -> None:
     """``net``, trained on the inputs ``key`` names, as a ``key = value``
-    file: its exact vector and that vector's sha256."""
+    file: its exact vector as raw bytes and that vector's sha256."""
     write_kv(path, SCORER_MAGIC, {"": {
         "key": key, **_put_array("params", net.flat),
         "params.sha256": _vector_digest(net.flat)}})

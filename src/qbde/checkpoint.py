@@ -2,7 +2,10 @@
 
 ``read_kv`` and ``write_kv`` read and write every ``key = value`` file:
 ``run.cfg``, checkpoints, saved scorers, and the synth, parse and
-detection reports.
+detection reports.  A bytes value is written as its count, ``N bytes``,
+and its raw bytes follow the text, after a ``[bytes]`` line, in the
+order of their lines; no raw byte is decoded as text, and each value
+gets exactly its N bytes.
 ``read_csv`` reads every other CSV (labels, features and scores): it
 splits the records with ``str.split``, or with ``csv.reader`` where a
 quote, a CR, a NUL or an over-long line needs it, converts each column
@@ -17,12 +20,12 @@ Every writer goes through ``atomic_open``, so no output is ever left
 half-written, and ``replace_together`` makes a set of outputs change all
 at once or not at all, putting back the old files if a rename fails.
 
-A checkpoint has the ``qbde-ckpt-v5`` magic line and one ``[section]`` per
+A checkpoint has the ``qbde-ckpt-v6`` magic line and one ``[section]`` per
 part of the training state.  Scalar floats are written with ``float.hex``;
-an array is a ``key.shape`` line plus a ``key.data`` line of its values as
-raw little-endian binary64 bytes in hex with no whitespace, so a save/load
-round trip is bit-exact.  Each trained network is one vector with one Adam
-state, and the file stores exactly that: ``[generator]`` the ``angles``,
+an array is a ``key.shape`` line plus a ``key.data`` value of its values
+as raw little-endian binary64 bytes, so a save/load round trip is
+bit-exact.  Each trained network is one vector with one Adam state, and
+the file stores exactly that: ``[generator]`` the ``angles``,
 ``[discriminator]`` the flat ``params``, and ``[opt_g]`` and ``[opt_d]``
 each the step count ``t`` and the moments ``m`` and ``v``, shaped like the
 array the optimiser steps.  Every shape must be the one ``[config]`` and
@@ -37,20 +40,21 @@ epoch, the run's config digest, and the count and ``data_sha256`` of the
 simplex rows it was trained on (``Rows``).  A fresh (not resumed) train
 also seals it: the ``recipe`` (``qgan.RECIPE_VERSION``), the
 ``loss_sha256`` of its loss file, and last ``state_sha256``, the sha256
-of every line after ``[meta]`` with each array's hex data taken as its
-raw bytes (``_state_sha256``).  ``sealed`` tells such a file, byte for
+of every byte after ``[meta]``.  ``sealed`` tells such a file, byte for
 byte, from any other, and ``Sealed.write`` rewrites it under another
-config digest: of the run's settings, only those in ``[config]`` and the
-rows shape the rest of the file.
+config digest, copying those bytes: of the run's settings, only those in
+``[config]`` and the rows shape the rest of the file.
 
 Two loaders read a checkpoint.  ``load_checkpoint`` (``train --resume``)
 reads and checks the whole file.  ``load_generator`` (``detect``) reads
-it from its start in 8 KiB blocks and stops at the header after
-``[meta]``, ``[config]`` and ``[generator]``, which ``save_checkpoint``
-writes first: it checks the magic line, those three sections and their
-UTF-8 exactly as ``load_checkpoint`` does, through the same line code and
-the same checks (``_head``), and never reads ``[discriminator]``,
-``[opt_g]``, ``[opt_d]``, ``[rng]`` or any byte after the head's block.
+it from its start in 8 KiB blocks up to the ``[bytes]`` line, and its
+lines up to the header after ``[meta]``, ``[config]`` and
+``[generator]``, which ``save_checkpoint`` writes first, with the angles
+first among the raw values: it checks the magic line, those three
+sections and their UTF-8 exactly as ``load_checkpoint`` does, through
+the same line code and the same checks (``_head``), and never checks
+``[discriminator]``, ``[opt_g]``, ``[opt_d]`` or ``[rng]``, nor reads their
+raw values: one block of a written file.
 Given the run's train config and rows, either loader then refuses a file
 trained with other settings (``ConfigError``) or fit to other rows
 (``SchemaError``).
@@ -58,12 +62,12 @@ trained with other settings (``ConfigError``) or fit to other rows
 Earlier formats are refused: ``qbde-ckpt-v1`` (also stored settings that
 are now constants), ``qbde-ckpt-v2`` (arrays as ``float.hex`` lists),
 ``qbde-ckpt-v3`` (weights, biases and moments stored one array per
-layer) and ``qbde-ckpt-v4`` (not bound to its training rows).
+layer), ``qbde-ckpt-v4`` (not bound to its training rows) and
+``qbde-ckpt-v5`` (arrays as hex text).
 """
 
 from __future__ import annotations
 
-import binascii
 import csv
 import functools
 import hashlib
@@ -83,16 +87,18 @@ from .optim import Adam
 from .qgan import DiscriminatorNet, TrainConfig, TrainState
 from .qsim import MAX_QUBITS, GeneratorParams
 
-MAGIC = "qbde-ckpt-v5"
+MAGIC = "qbde-ckpt-v6"
 # Adam step counts and epochs stay in the signed 64-bit range: far beyond
 # any run, and far below the ~1e308 at which Adam's ``BETA1**t`` can no
 # longer turn t into a float
 COUNT_LIMIT = 2**63
 # the sections detect reads (load_generator), and the block size it reads
-# them in: a qbde-ckpt-v5 file written by save_checkpoint puts them first,
-# in ~1.2 KB at depth 8
+# them in: a file written by save_checkpoint puts them first, in ~1 KB of
+# text at depth 8, and the angles' 288 bytes first after the text
 _HEAD = frozenset({"meta", "config", "generator"})
 _BLOCK_BYTES = 1 << 13
+# the line that ends the text of a key = value file with raw values
+_RAW = b"\n[bytes]\n"
 
 
 # [config] holds TrainConfig's fields in their declared order
@@ -106,46 +112,57 @@ def _encode(kind: str, value) -> str:
     return " ".join(map(str, value)) if kind == "tuple[int, ...]" else str(value)
 
 
+class _Staged(type(Path())):
+    """A file ``replace_together`` staged, which ``atomic_open`` writes in
+    place: it replaces its target only once every staged file is whole."""
+
+
 @contextmanager
 def atomic_open(path: str | Path):
-    """Write through a sibling temp file that replaces ``path`` on success."""
-    tmp = Path(f"{path}.tmp")
+    """Write through a sibling temp file that replaces ``path`` on success,
+    or straight into a staged file; on failure, the file written is removed."""
+    tmp = path if isinstance(path, _Staged) else Path(f"{path}.tmp")
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as handle:
             yield handle
-        tmp.replace(path)
-    finally:
+        if tmp is not path:
+            tmp.replace(path)
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 @contextmanager
 def replace_together():
     """Files that all change or none does: inside the block,
     ``stage(path)`` names the file to write in place of ``path``, its
-    hidden sibling ``.<name>``.  Once the block ends without an error,
-    each staged file replaces its ``path``; if it raises, none does, and
-    the staged files are removed.  Each old file stays reachable through a
-    hard link, ``.<name>.old`` (a copy where the file system has no hard
-    links), until every staged file has replaced its target; if a rename
-    fails, the targets already replaced get their old files back (a
-    target that did not exist is removed again)."""
-    staged, kept = [], []
+    hidden sibling ``.<name>``, which ``atomic_open`` writes directly.
+    Once the block ends without an error, each staged file replaces its
+    ``path``; if it raises, none does, and the staged files are removed.
+    Each old file stays reachable through a hard link, ``.<name>.old`` (a
+    copy where the file system has no hard links), until every staged file
+    has replaced its target; if a rename fails, the targets already
+    replaced get their old files back (a target that did not exist is
+    removed again)."""
+    staged, kept, replaced = [], [], 0
 
     def stage(path: str | Path) -> Path:
         path = Path(path)
-        staged.append((path.with_name(f".{path.name}"), path))
+        staged.append((_Staged(path.with_name(f".{path.name}")), path))
         return staged[-1][0]
 
     try:
         yield stage
-        replaced = 0
         try:
             for new, path in staged:
                 old = path.with_name(f".{path.name}.old")
-                old.unlink(missing_ok=True)   # left by a run that crashed here
                 kept.append(old)
                 try:
-                    os.link(path, old)
+                    try:
+                        os.link(path, old)
+                    except FileExistsError:   # left by a run that crashed here
+                        old.unlink()
+                        os.link(path, old)
                 except FileNotFoundError:
                     kept[-1] = None
                 except OSError:   # a file system without hard links
@@ -160,11 +177,10 @@ def replace_together():
                     old.replace(path)
             raise
     finally:
-        for new, _ in staged:
+        for new, _ in staged[replaced:]:
             new.unlink(missing_ok=True)
-        for old in kept:
-            if old is not None:
-                old.unlink(missing_ok=True)
+        for old in filter(None, kept):
+            old.unlink(missing_ok=True)
 
 
 def write_blocks(path: str | Path, header: list | None, blocks,
@@ -194,15 +210,19 @@ def float_fields(values) -> np.ndarray:
 
 def text_fields(values: list, text=str) -> list[str]:
     """``text(value)`` of each of ``values`` as ``csv.writer`` writes it
-    as a field, made once per distinct value."""
+    as a field, made once per distinct value: as it is if it is not empty
+    and holds no comma, quote, CR or LF, else by ``csv.writer``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     table = {}
     for value in dict.fromkeys(values):
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((text(value), ""))  # a row of one empty field is ""
-        table[value] = buf.getvalue()[:-2]
+        field = text(value)
+        if not field or "," in field or '"' in field or "\r" in field or "\n" in field:
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow((field, ""))  # a row of one empty field is ""
+            field = buf.getvalue()[:-2]
+        table[value] = field
     return [*map(table.__getitem__, values)]
 
 
@@ -344,124 +364,121 @@ class Section(dict):
         raise SchemaError(f"{self.where}{key} is missing")
 
 
-def _utf8(path: str | Path, data: bytes, start: int = 0, stop: int | None = None) -> str:
-    """``data[start:stop]`` decoded from UTF-8.  Bytes that are not UTF-8
-    raise ``SchemaError`` with the error a decoding of ``data[:stop]``
-    gives, so its offsets count from the start of ``data``."""
-    try:
-        return data[start:stop].decode("utf-8")
-    except UnicodeDecodeError:
-        try:
-            data[:stop].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
-        raise
-
-
-def _lines(text: str) -> list[str]:
-    """The lines of ``text``, ended at LF, CR LF or a lone CR.  Text under
-    16 K characters is split with ``str.split``; longer text, such as a
-    checkpoint of a few dozen lines of up to ~100 K characters, which
-    ``str.split`` would scan one character at a time, is cut at each LF
-    found with ``str.find``."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if len(text) < 1 << 14:
-        return text.split("\n")
-    lines, start = [], 0
-    while (stop := text.find("\n", start)) >= 0:
-        lines.append(text[start:stop])
-        start = stop + 1
-    lines.append(text[start:])
-    return lines
-
-
-def _block_lines(path: str | Path, handle):
-    """The lines of the file open as ``handle``, read in blocks of
-    ``_BLOCK_BYTES``: a list for each block that holds an LF, of the lines
-    that LF ends, then one of the lines after the file's last LF.  Only
-    whole lines are decoded, and a byte that is not UTF-8 raises as a
-    whole-file read would."""
-    data, done = bytearray(), 0
-    while block := handle.read(_BLOCK_BYTES):
-        data += block
-        end = data.rfind(b"\n", len(data) - len(block)) + 1
-        if end:
-            lines = _lines(_utf8(path, data, done, end))
-            lines.pop()   # what follows the last LF, which the next block holds
-            yield lines
-            done = end
-    yield _lines(_utf8(path, data, done))
-
-
 def read_kv(path: str | Path, magic: str | None = None,
             until: frozenset = frozenset()) -> Section:
     """Sections of a ``key = value`` file, by name; entries before the
     first ``[section]`` header are in section ``""``.  Blank and ``#``
     lines are skipped, a repeated key keeps its last value, and a
-    repeated section header is refused.  The file is decoded from UTF-8
-    and its lines end at LF, CR LF or a lone CR (``_lines``).
+    repeated section header is refused.  The text is decoded from UTF-8
+    and its lines end at LF, CR LF or a lone CR.  It ends at the first
+    ``[bytes]`` line ended by an LF, if there is one; then the raw bytes
+    after that line are the values written as ``N bytes``, in the order
+    of their lines, each a memoryview of exactly its N bytes, and no byte
+    is left over.
 
     The file is read whole, unless ``until`` names sections: then it is
-    read from its start in blocks of ``_BLOCK_BYTES``, and reading stops
-    at the first header after all of them, once it is checked not to
-    repeat one before it: no line after that header is read, decoded or
-    checked, and no block after the one that holds it is read."""
+    read in blocks of ``_BLOCK_BYTES`` up to its ``[bytes]`` line, and the
+    lines stop at the first header after all of them, once it is checked
+    not to repeat one before it: no line after that header is checked, and
+    no raw byte after the values before it is read."""
     sections = Section(f"{path}: section ")
     current = sections[""] = Section(f"{path}: ")
-    lineno = 0
+    last = f"{path}: [bytes]"   # the value the bytes read so far end
     with open(path, "rb", buffering=0) as handle:
-        for lines in (_block_lines(path, handle) if until else
-                      [_lines(_utf8(path, handle.readall()))]):
-            if magic is not None and not lineno:
-                if lines[0].strip() != magic:
-                    raise SchemaError(f"{path}: not a {magic} file")
-                lines[0] = ""
-            for lineno, raw in enumerate(lines, start=lineno + 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if line.startswith("[") and line.endswith("]"):
-                    name = line[1:-1]
-                    if name in sections:
-                        raise SchemaError(f"{path}:{lineno}: repeated section [{name}]")
-                    if until and sections.keys() >= until:
-                        return sections
-                    current = sections[name] = Section(f"{path}: {name}.")
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise SchemaError(f"{path}:{lineno}: unparseable line {line!r}")
-                # a repeated key moves to its last place: aliases apply in file order
-                key = key.strip()
-                current.pop(key, None)
-                current[key] = value.strip()
+        data = handle.read(_BLOCK_BYTES) if until else handle.readall()
+        if until:   # each block is searched once for the [bytes] line
+            data, seen = bytearray(data), 0
+            while data.find(_RAW, seen) < 0 and (block := handle.read(_BLOCK_BYTES)):
+                seen = max(len(data) - len(_RAW), 0)
+                data += block
+            data = bytes(data)
+        stop = data.find(_RAW) + 1 or len(data)
+        at = min(stop + len(_RAW) - 1, len(data))   # where the raw bytes start
+        try:
+            text, bad = data[:stop].decode("utf-8"), None
+        except UnicodeDecodeError as exc:
+            # the lines before the one that is not UTF-8 are read; the
+            # error is raised once a line from it on is needed
+            start = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
+            bad = SchemaError(f"{path}: not UTF-8 text ({exc})")
+            if not until or not start:
+                raise bad from exc
+            text = data[:start].decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
+        if magic is not None:
+            if lines[0].strip() != magic:
+                raise SchemaError(f"{path}: not a {magic} file")
+            lines[0] = ""
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                name = line[1:-1]
+                if name in sections:
+                    raise SchemaError(f"{path}:{lineno}: repeated section [{name}]")
+                if until and sections.keys() >= until:
+                    return sections
+                current = sections[name] = Section(f"{path}: {name}.")
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise SchemaError(f"{path}:{lineno}: unparseable line {line!r}")
+            # a repeated key moves to its last place: aliases apply in file order
+            key, value = key.strip(), value.strip()
+            if stop < len(data) and value.endswith(" bytes"):
+                last = f"{current.where}{key}"
+                if not value[:-6].isdecimal():
+                    raise SchemaError(f"{last}: byte count {value[:-6]!r} is not a number")
+                end = at + int(value[:-6])
+                if until and end > len(data):
+                    data += handle.readall()
+                if end > len(data):
+                    raise SchemaError(f"{last}: {end - at} bytes, {len(data) - at} left")
+                value, at = memoryview(data)[at:end], end
+            current.pop(key, None)
+            current[key] = value
+    if bad is not None:
+        raise bad
+    if at < len(data) and not until:
+        raise SchemaError(f"{last}: {len(data) - at} bytes follow it")
     return sections
 
 
-def _kv_lines(sections: dict[str, dict]) -> list[str]:
+def _kv_bytes(sections: dict[str, dict]) -> bytes:
     """Each section's ``key = value`` lines in order, under a ``[name]``
-    header unless the name is ``""``; a bytes value is written as hex."""
-    lines = []
+    header unless the name is ``""``.  A bytes value is written as its
+    count, ``N bytes``, and its bytes follow the last line, after a
+    ``[bytes]`` line, in the order of their lines."""
+    lines, raw = [], []
     for name, entries in sections.items():
         if name:
             lines.append(f"[{name}]")
-        lines += [f"{key} = {value.hex() if isinstance(value, bytes) else value}"
-                  for key, value in entries.items()]
-    return lines
+        for key, value in entries.items():
+            if isinstance(value, bytes):
+                raw.append(value)
+                value = f"{len(value)} bytes"
+            lines.append(f"{key} = {value}")
+    if raw:
+        lines.append(_RAW.strip().decode())
+    return b"".join(["\n".join([*lines, ""]).encode(), *raw])
 
 
-def write_kv(path: str | Path, magic: str, sections: dict[str, dict]) -> None:
-    """``magic``, then the ``_kv_lines`` of ``sections``, in one write."""
+def write_kv(path: str | Path, magic: str, sections: dict[str, dict],
+             tail: bytes = b"") -> None:
+    """``magic``, the ``_kv_bytes`` of ``sections``, then the ready bytes
+    ``tail``, in one write."""
     with atomic_open(path) as handle:
-        handle.write("\n".join([magic, *_kv_lines(sections), ""]))
+        handle.buffer.write(b"".join([f"{magic}\n".encode(), _kv_bytes(sections), tail]))
 
 
 def _put_array(key: str, arr: np.ndarray) -> dict:
     """An array's entries: its shape, and its values as little-endian
-    binary64 bytes, which ``write_kv`` writes as hex."""
+    binary64 bytes."""
     return {f"{key}.shape": " ".join(str(d) for d in arr.shape),
-            f"{key}.data": arr.astype("<f8").tobytes()}
+            f"{key}.data": np.asarray(arr, "<f8").tobytes()}
 
 
 def _get_array(sec: Section, key: str, want: tuple[int, ...],
@@ -471,9 +488,8 @@ def _get_array(sec: Section, key: str, want: tuple[int, ...],
     if shape != want:
         raise SchemaError(f"{sec.where}{key}.shape = {shape}, want {want}")
     try:
-        data = np.frombuffer(binascii.a2b_hex(sec[f"{key}.data"]), "<f8")
-        data = data.astype(float).reshape(shape)
-    except ValueError as exc:
+        data = np.frombuffer(sec[f"{key}.data"], "<f8").astype(float).reshape(shape)
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"{sec.where}{key}.data: {exc}") from exc
     if not np.isfinite(data).all() or nonnegative and (data < 0).any():
         raise SchemaError(f"{sec.where}{key}.data: values must be finite"
@@ -540,40 +556,6 @@ def _config(cfg: TrainConfig) -> dict:
     return {f.name: _encode(f.type, getattr(cfg, f.name)) for f in fields(cfg)}
 
 
-def _state_sha256(sections: dict[str, dict]) -> str:
-    """sha256 of the ``_kv_lines`` of ``sections`` with each array's data
-    taken as its raw bytes, not their hex: half the bytes to hash."""
-    h = hashlib.sha256()
-    for name, entries in sections.items():
-        h.update(f"[{name}]\n".encode())
-        for key, value in entries.items():
-            h.update(f"{key} = ".encode())
-            h.update(value if isinstance(value, bytes) else str(value).encode())
-            h.update(b"\n")
-    return h.hexdigest()
-
-
-def _written_state_sha256(data: bytes, start: int) -> str | None:
-    """``_state_sha256`` of the sections written as ``data[start:]``; None
-    if an array's data is not the lower-case hex ``write_kv`` writes."""
-    h, text = hashlib.sha256(), memoryview(data)
-    while (at := data.find(b".data = ", start)) >= 0:
-        at += len(b".data = ")
-        if (end := data.find(b"\n", at)) < 0:
-            return None
-        try:
-            raw = binascii.a2b_hex(text[at:end])
-        except ValueError:
-            return None
-        if not data.startswith(binascii.b2a_hex(raw), at):
-            return None
-        h.update(text[start:at])
-        h.update(raw)
-        start = end
-    h.update(text[start:])
-    return h.hexdigest()
-
-
 def save_checkpoint(path: str | Path, cfg: TrainConfig, state: TrainState,
                     rows: Rows, digest: str | None = None,
                     loss_sha256: str | None = None) -> None:
@@ -599,11 +581,12 @@ def save_checkpoint(path: str | Path, cfg: TrainConfig, state: TrainState,
                 "has_uint32": rng_state["has_uint32"],
                 "uinteger": rng_state["uinteger"]},
     }
+    body = _kv_bytes(sections)
     meta = _meta(state.epoch, digest, rows)
     if loss_sha256 is not None:
         meta.update(recipe=qgan.RECIPE_VERSION, loss_sha256=loss_sha256,
-                    state_sha256=_state_sha256(sections))
-    write_kv(path, MAGIC, {"meta": meta, **sections})
+                    state_sha256=hashlib.sha256(body).hexdigest())
+    write_kv(path, MAGIC, {"meta": meta}, body)
 
 
 class Sealed(NamedTuple):
@@ -616,11 +599,8 @@ class Sealed(NamedTuple):
         """Write this checkpoint to ``path`` with ``digest`` as its
         ``config_digest`` and ``loss_sha256``, all else as it is: the file
         a fresh train under a run config of that digest writes."""
-        meta = {**self.meta, "config_digest": digest, "loss_sha256": loss_sha256}
-        with atomic_open(path) as handle:
-            handle.write("\n".join([MAGIC, *_kv_lines({"meta": meta}), ""]))
-            handle.flush()
-            handle.buffer.write(self.state)
+        write_kv(path, MAGIC, {"meta": {**self.meta, "config_digest": digest,
+                                        "loss_sha256": loss_sha256}}, self.state)
 
 
 def sealed(path: str | Path, cfg: TrainConfig, rows: Rows) -> Sealed | None:
@@ -643,10 +623,10 @@ def sealed(path: str | Path, cfg: TrainConfig, rows: Rows) -> Sealed | None:
                            for at in (3, 7, 8))
     meta = {**_meta(cfg.epochs, digest, rows), "recipe": qgan.RECIPE_VERSION,
             "loss_sha256": loss, "state_sha256": state}
-    head = "\n".join([MAGIC, *_kv_lines({"meta": meta}), ""]).encode()
-    config = "\n".join([*_kv_lines({"config": _config(cfg)}), "[generator]"]).encode()
+    head = f"{MAGIC}\n".encode() + _kv_bytes({"meta": meta})
+    config = _kv_bytes({"config": _config(cfg), "generator": {}})   # up to [generator]
     if (not data.startswith(head) or not data.startswith(config, len(head))
-            or state != _written_state_sha256(data, len(head))):
+            or state != hashlib.sha256(memoryview(data)[len(head):]).hexdigest()):
         return None
     return Sealed(meta, memoryview(data)[len(head):])
 
@@ -690,8 +670,8 @@ def load_generator(path: str | Path, want: TrainConfig,
                    rows: Rows) -> tuple[TrainConfig, GeneratorParams, int]:
     """The config, generator and epoch of the checkpoint at ``path``, read
     from its start up to the header after ``[meta]``, ``[config]`` and
-    ``[generator]``: a v5 file written by ``save_checkpoint`` is read one
-    block deep.  Its magic line and those sections get ``load_checkpoint``'s
+    ``[generator]``, with their raw values: a file written by
+    ``save_checkpoint`` is read one block deep.  Its magic line and those sections get ``load_checkpoint``'s
     checks; the training state after them is neither read nor checked.
     The file must have been trained with the settings ``want`` gives and
     on ``rows`` (``_check_run``)."""

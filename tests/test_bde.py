@@ -47,7 +47,7 @@ from qbde.bde import (
     write_score_csv,
     write_summary,
 )
-from qbde.checkpoint import float_fields, text_fields, write_columns, write_kv
+from qbde.checkpoint import float_fields, read_kv, text_fields, write_columns, write_kv
 from qbde.errors import SchemaError
 from qbde.features import Days
 from qbde.optim import Adam
@@ -506,48 +506,64 @@ def test_saved_scorer_loads_bit_identical(tmp_path):
     net = random_net(4)
     path = tmp_path / "scorer.ckpt"
     save_scorer(path, "k1", net)
-    assert path.read_text(encoding="utf-8").splitlines()[0] == SCORER_MAGIC
+    assert path.read_bytes().split(b"\n")[0] == SCORER_MAGIC.encode()
     assert load_scorer(path, "k1").flat.tobytes() == net.flat.tobytes()
     assert load_scorer(path, "k2") is None
     assert [p.name for p in tmp_path.iterdir()] == ["scorer.ckpt"]
 
 
 def _edit_scorer(path, key, change):
-    lines = path.read_text(encoding="utf-8").splitlines()
-    entries = dict(line.split(" = ") for line in lines[1:])
+    """The scorer at ``path`` with ``change`` applied to the value of
+    ``key``: the text of a text value, the raw bytes of a bytes value,
+    each written again with its new count."""
+    sec = read_kv(path, SCORER_MAGIC)[""]
+    entries = {k: bytes(v) if isinstance(v, memoryview) else v for k, v in sec.items()}
     entries[key] = change(entries[key])
-    path.write_text("\n".join([lines[0], *(f"{k} = {v}" for k, v in
-                                           entries.items())]) + "\n",
-                    encoding="utf-8")
+    write_kv(path, SCORER_MAGIC, {"": entries})
+
+
+def _flip_byte(data, at=5):
+    data = bytearray(data)
+    data[at] ^= 0x10
+    return bytes(data)
 
 
 @pytest.mark.parametrize("spoil", [
     "missing", "directory", "not utf-8", "magic", "no key", "data bit",
-    "data short", "shape", "digest", "trailing value"])
+    "data short", "shape", "digest", "trailing value", "block short", "block long",
+    "nan", "count"])
 def test_spoilt_scorer_file_is_a_miss(tmp_path, spoil):
     path = tmp_path / "scorer.ckpt"
     save_scorer(path, "k1", random_net(5))
+    data = path.read_bytes()
     if spoil == "missing":
         path.unlink()
     elif spoil == "directory":
         path.unlink()
         path.mkdir()
     elif spoil == "not utf-8":
-        path.write_bytes(path.read_bytes() + b"# \xe9\n")
+        path.write_bytes(data.replace(b"key = k1\n", b"key = k1\n# \xe9\n"))
     elif spoil == "magic":
-        path.write_text(path.read_text(encoding="utf-8").replace(
-            SCORER_MAGIC, "qbde-ckpt-v4"), encoding="utf-8")
+        path.write_bytes(data.replace(SCORER_MAGIC.encode(), b"qbde-ckpt-v4"))
     elif spoil == "no key":
-        path.write_text(path.read_text(encoding="utf-8").replace("key = k1\n", ""),
-                        encoding="utf-8")
+        path.write_bytes(data.replace(b"key = k1\n", b""))
     elif spoil == "data bit":
-        _edit_scorer(path, "params.data", lambda h: h[:5] + "0f"[h[5] == "0"] + h[6:])
+        _edit_scorer(path, "params.data", _flip_byte)
     elif spoil == "data short":
-        _edit_scorer(path, "params.data", lambda h: h[:-16])
+        _edit_scorer(path, "params.data", lambda raw: raw[:-8])
     elif spoil == "shape":
         _edit_scorer(path, "params.shape", lambda shape: "2 77")
     elif spoil == "digest":
         _edit_scorer(path, "params.sha256", lambda h: h[::-1])
+    elif spoil == "block short":
+        path.write_bytes(data[:-8])
+    elif spoil == "block long":
+        path.write_bytes(data + bytes(8))
+    elif spoil == "nan":
+        _edit_scorer(path, "params.data", lambda raw: raw[:8] + np.array(np.nan).tobytes()
+                     + raw[16:])
+    elif spoil == "count":
+        path.write_bytes(data.replace(b"params.data = ", b"params.data = x"))
     else:
         # a consistent file whose vector BdeNet refuses: the value after
         # the parameters, which the conv gather reads, must be 0.0
@@ -555,6 +571,19 @@ def test_spoilt_scorer_file_is_a_miss(tmp_path, spoil):
         flat[-1] = 1.0
         save_scorer(path, "k1", SimpleNamespace(flat=flat))
     assert load_scorer(path, "k1") is None
+
+
+def test_a_scorer_of_the_hex_format_is_a_miss(tmp_path):
+    """A ``qbde-scorer-v1`` file, its vector in hex, is a miss, never an
+    error, even for the key it was saved for."""
+    net = random_net(5)
+    path = tmp_path / "scorer.ckpt"
+    path.write_text(f"qbde-scorer-v1\nkey = k1\nparams.shape = {net.flat.size}\n"
+                    f"params.data = {net.flat.astype('<f8').tobytes().hex()}\n"
+                    f"params.sha256 = {bde._vector_digest(net.flat)}\n", encoding="utf-8")
+    assert load_scorer(path, "k1") is None
+    save_scorer(path, "k1", net)
+    assert load_scorer(path, "k1").flat.tobytes() == net.flat.tobytes()
 
 
 def loss_cases():

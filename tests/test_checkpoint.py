@@ -43,6 +43,40 @@ from qbde.qgan import TrainConfig, train
 
 # rows for a loader that refuses the file before it compares them
 ANY_ROWS = Rows.of(np.ones((1, 4)) / 4)
+RAW = b"\n[bytes]\n"   # the line after which a file's raw values follow
+
+
+def split_raw(data: bytes) -> tuple[str, bytearray]:
+    """A file's text, up to and with the LF before its ``[bytes]`` line,
+    and the raw bytes after that line."""
+    text, _, raw = data.partition(RAW)
+    return text.decode("utf-8") + "\n", bytearray(raw)
+
+
+def join_raw(text: str, raw) -> bytes:
+    return text.encode("utf-8") + RAW[1:] + bytes(raw)
+
+
+def raw_slices(text: str) -> dict[str, slice]:
+    """Where each value written as ``N bytes`` sits in the raw bytes, by
+    ``section.key``."""
+    at, start, section = {}, 0, ""
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line[1:-1] + "."
+        elif match := re.fullmatch(r"(\S+) = (\d+) bytes", line):
+            at[section + match[1]] = slice(start, start := start + int(match[2]))
+    return at
+
+
+def rewritten(path, order=None):
+    """The checkpoint at ``path`` written again by ``write_kv``, its
+    sections in ``order`` if given."""
+    sections = read_kv(path, MAGIC)
+    order = order or [name for name in sections if name]
+    write_kv(path, MAGIC, {name: {key: bytes(value) if isinstance(value, memoryview)
+                                  else value for key, value in sections[name].items()}
+                           for name in order})
 
 
 def trained_state(tmp_path, epochs=4, seed=11):
@@ -56,7 +90,7 @@ def test_round_trip_is_bit_exact(tmp_path):
     data, cfg, state = trained_state(tmp_path)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, cfg, state, Rows.of(data))
-    assert path.read_text(encoding="utf-8").startswith(MAGIC)
+    assert path.read_bytes().startswith(f"{MAGIC}\n".encode())
     cfg2, state2 = load_checkpoint(path, cfg, Rows.of(data))
     assert cfg2 == cfg
     np.testing.assert_array_equal(state2.params.angles, state.params.angles)
@@ -67,6 +101,96 @@ def test_round_trip_is_bit_exact(tmp_path):
         for a, b in ((opt2.m, opt.m), (opt2.v, opt.v)):
             np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
     assert state2.rng.bit_generator.state == state.rng.bit_generator.state
+
+
+def test_round_trip_keeps_every_bit_of_zeros_and_subnormals(tmp_path):
+    """-0.0, +0.0 and subnormal values in every stored array load back with
+    the very bits they were saved with."""
+    data, cfg, state = trained_state(tmp_path)
+    tiny = [-0.0, 5e-324, -2.5e-310, np.nextafter(2.2250738585072014e-308, 0)]
+    arrays = [state.params.angles.reshape(-1), state.net.flat, state.opt_g.m.reshape(-1),
+              state.opt_d.m, state.opt_g.v.reshape(-1), state.opt_d.v]
+    for arr in arrays[:4]:
+        arr[:4] = tiny
+    for arr in arrays[4:]:   # second moments stay >= 0, which -0.0 is
+        arr[:4] = np.abs(tiny) * [-1, 1, 1, 1]
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, state, Rows.of(data))
+    _, back = load_checkpoint(path, cfg, Rows.of(data))
+    got = [back.params.angles, back.net.flat, back.opt_g.m, back.opt_d.m, back.opt_g.v,
+           back.opt_d.v]
+    for have, want in zip(got, arrays, strict=True):
+        assert have.reshape(-1).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert np.signbit(back.params.angles.reshape(-1)[0])
+
+
+@pytest.mark.parametrize("edit, errors", [
+    (lambda data: data[:-1], ["s.b.data: 16 bytes, 15 left"] * 2),
+    (lambda data: data[:-17], ["s.a.data: 8 bytes, 7 left"] * 2),
+    (lambda data: data + b"\0", ["s.b.data: 1 bytes follow it", None]),
+    (lambda data: data.replace(b"b.data = 16", b"b.data = 8"),
+     ["s.b.data: 8 bytes follow it", None]),
+    (lambda data: data.replace(b"a.data = 8", b"a.data = 8x"),
+     ["s.a.data: byte count '8x' is not a number"] * 2),
+    (lambda data: data.replace(b"a.data = 8", b"a.data = -8"),
+     ["s.a.data: byte count '-8' is not a number"] * 2),
+    # with no [bytes] line, the raw bytes are text: -0.0's last is not UTF-8
+    (lambda data: data.replace(b"\n[bytes]\n", b"\n[bytes]\r\n"), ["not UTF-8 text"] * 2),
+], ids=["short", "short-in-first", "long", "count-short", "count-not-a-number",
+        "negative-count", "no-bytes-line"])
+def test_raw_values_get_exactly_their_bytes(tmp_path, edit, errors):
+    """Each value written as ``N bytes`` gets exactly N raw bytes, in the
+    order of its line, and no raw byte is left over; any other file is
+    refused, naming the file and the value, whether it is read whole or
+    in blocks (where what follows the last value is not read)."""
+    path = tmp_path / "a.kv"
+    write_kv(path, "m", {"s": {"a.data": struct.pack("<d", -0.0), "note": "x",
+                               "b.data": np.array([1.5, 2**-1074]).tobytes()}})
+    sec = read_kv(path, "m")["s"]
+    assert (bytes(sec["a.data"]), sec["note"], bytes(sec["b.data"])) == (
+        b"\0" * 7 + b"\x80", "x", np.array([1.5, 2**-1074]).tobytes())
+    path.write_bytes(edit(path.read_bytes()))
+    for until, error in zip((frozenset(), frozenset({"never"})), errors):
+        if error is None:
+            read_kv(path, "m", until)
+            continue
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: {error}")):
+            read_kv(path, "m", until)
+
+
+def test_a_file_with_no_bytes_line_has_only_text_values(tmp_path):
+    """Only a file with a ``[bytes]`` line has raw values: elsewhere, as in
+    a run config, a value ending in ``bytes`` is text, and an array stored
+    as text is refused, naming it."""
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"note = 5 bytes\na.shape = 1\na.data = 8 bytes\n")
+    sec = read_kv(path)[""]
+    assert sec["note"] == "5 bytes"
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: a.data: ")):
+        _get_array(sec, "a", (1,))
+
+
+def test_a_depth_8_checkpoint_is_under_80_kb_and_detect_reads_one_block(tmp_path,
+                                                                       monkeypatch):
+    rng = np.random.default_rng(1)
+    data = rng.dirichlet(np.ones(16), size=20)
+    cfg = TrainConfig(batch=8, epochs=1, depth=8, hidden=(64, 32), seed=3)
+    state = train([data], cfg)[0].state
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, state, Rows.of(data), "d" * 64, "b" * 64)
+    assert path.stat().st_size <= 80_000
+    reads = []
+
+    class Counted(io.FileIO):
+        def read(self, size=-1):
+            reads.append(size)
+            return super().read(size)
+
+    monkeypatch.setattr(checkpoint, "open", lambda path, mode, **_: Counted(path, mode),
+                        raising=False)
+    _, params, _ = checkpoint.load_generator(path, cfg, Rows.of(data))
+    assert reads == [checkpoint._BLOCK_BYTES]
+    assert params.angles.tobytes() == state.params.angles.tobytes()
 
 
 def test_double_save_is_byte_identical(tmp_path):
@@ -169,7 +293,7 @@ def test_kv_lines_end_only_at_line_ends(tmp_path, char):
 def split_read_kv(path, magic=None):
     """``read_kv`` as it was, splitting the text with ``str.split``, with
     its refusal of a repeated section header: the oracle of its
-    ``str.find`` scan and of its reads in blocks."""
+    line split and of its reads in blocks."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if magic is not None:
         if not lines or lines[0].strip() != magic:
@@ -220,8 +344,8 @@ def test_kv_scan_matches_the_split_reader(tmp_path_factory, lines, final_lf, mag
                                           line_end, long_at, block):
     """Files with LF, CR LF or lone-CR line ends (and stray CRs inside
     lines) read as ``Path.read_text`` and ``str.split`` read them, short
-    ones and, with a 64 K-character line at ``long_at``, long ones, which
-    ``read_kv`` cuts at each LF it finds.  Read in blocks of ``block``
+    ones and, with a 64 K-character line at ``long_at``, long ones.  Read
+    in blocks of ``block``
     bytes up to a section no file has, they read alike too: a CR LF or a
     line cut by a block's end, and every line number, included."""
     if long_at is not None:
@@ -313,31 +437,25 @@ def test_kv_read_in_blocks_names_the_offset_a_whole_read_names(tmp_path, bad, bl
         assert str(blocks.value) == str(whole.value)
 
 
-def _reordered(text: str, move: str, after: str) -> str:
-    """``text`` with section ``move`` (its header and lines) put after
-    section ``after``."""
-    parts = re.split(r"(?m)^(?=\[)", text)
-    moved = next(p for p in parts if p.startswith(f"[{move}]"))
-    parts.remove(moved)
-    at = next(i for i, p in enumerate(parts) if p.startswith(f"[{after}]"))
-    return "".join([*parts[:at + 1], moved, *parts[at + 1:]])
-
-
 @pytest.mark.parametrize("layout", ["written", "crlf", "generator-after-rng",
                                     "meta-longer-than-a-block"])
 def test_load_generator_agrees_with_load_checkpoint(tmp_path, layout):
     data, cfg, state = trained_state(tmp_path)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, cfg, state, Rows.of(data), "d" * 64)
-    text = path.read_text(encoding="utf-8")
+    text, raw = split_raw(path.read_bytes())
     if layout == "crlf":
-        text = text.replace("\n", "\r\n")
+        path.write_bytes(join_raw(text.replace("\n", "\r\n"), raw))
     elif layout == "generator-after-rng":
-        text = _reordered(text, "generator", "rng")
+        # the angles' raw bytes then come last too
+        rewritten(path, ["meta", "config", "discriminator", "opt_g", "opt_d", "rng",
+                         "generator"])
+        assert raw_slices(split_raw(path.read_bytes())[0])["generator.angles.data"].stop \
+            == len(raw)
     elif layout == "meta-longer-than-a-block":
         block = checkpoint._BLOCK_BYTES
         text = text.replace("[meta]\n", f"[meta]\nnote = {'x' * 3 * block}\n# {'y' * block}\n")
-    path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(join_raw(text, raw))
     have_cfg, params, epoch = checkpoint.load_generator(path, cfg, Rows.of(data))
     want_cfg, want = load_checkpoint(path, cfg, Rows.of(data))
     assert have_cfg == want_cfg == cfg
@@ -348,15 +466,17 @@ def test_load_generator_agrees_with_load_checkpoint(tmp_path, layout):
 
 
 def test_load_generator_reads_no_block_past_the_generator(tmp_path, monkeypatch):
-    """A written checkpoint's head is in its first block, so what follows
-    that block is neither read nor checked: bytes that are not UTF-8
-    there stop only ``load_checkpoint``."""
+    """A written checkpoint's head and angles are in its first block, so
+    what follows that block is neither read nor checked: values that are
+    not finite there stop only ``load_checkpoint``."""
     data, cfg, state = trained_state(tmp_path)
     rows = Rows.of(data)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, cfg, state, rows)
     data = bytearray(path.read_bytes())
-    assert data.index(b"[discriminator]") < checkpoint._BLOCK_BYTES
+    start = data.index(RAW) + len(RAW)
+    assert start + raw_slices(split_raw(data)[0])["generator.angles.data"].stop \
+        < checkpoint._BLOCK_BYTES
     data[checkpoint._BLOCK_BYTES:] = b"\xff" * (len(data) - checkpoint._BLOCK_BYTES)
     path.write_bytes(data)
     reads = []
@@ -373,7 +493,8 @@ def test_load_generator_reads_no_block_past_the_generator(tmp_path, monkeypatch)
     assert reads == [checkpoint._BLOCK_BYTES]
     assert (have_cfg, epoch) == (cfg, state.epoch)
     assert params.angles.tobytes() == state.params.angles.tobytes()
-    with pytest.raises(SchemaError, match="not UTF-8 text"):
+    with pytest.raises(SchemaError, match=r"discriminator\.params\.data: values must "
+                                          "be finite"):
         load_checkpoint(path, cfg, rows)
 
 
@@ -385,16 +506,17 @@ def test_rows_digest_is_of_their_shape_and_binary64_bytes():
     assert Rows.of(rows[:2]).sha256 != want
 
 
-def _edits(text, cfg):
-    """``text`` changed after ``[meta]`` in ways a loader may still accept,
-    each with the train config it then loads with."""
-    data = re.search(r"(?m)^params\.data = ", text).end()
-    letter = next(i for i in range(data, len(text)) if text[i] in "abcdef")
-    yield re.sub(r"(?m)^batch = 4$", "batch = 5", text), replace(cfg, batch=5)
-    yield text[:data] + ("1" if text[data] != "1" else "2") + text[data + 1:], cfg
-    yield text[:letter] + text[letter].upper() + text[letter + 1:], cfg
-    yield text + "# a note\n", cfg
-    yield text.replace("\n", "\r\n"), cfg
+def _edits(data, cfg):
+    """A checkpoint's bytes ``data`` changed after ``[meta]`` in ways a
+    loader may still accept, each with the train config it then loads
+    with."""
+    text, raw = split_raw(data)
+    flipped = bytearray(raw)
+    flipped[raw_slices(text)["discriminator.params.data"].start] ^= 1   # a last mantissa bit
+    yield join_raw(re.sub(r"(?m)^batch = 4$", "batch = 5", text), raw), replace(cfg, batch=5)
+    yield join_raw(text, flipped), cfg
+    yield join_raw(text + "# a note\n", raw), cfg
+    yield join_raw(text.replace("\n", "\r\n"), raw), cfg
 
 
 def test_sealed_tells_a_sealed_checkpoint_from_any_other(tmp_path, monkeypatch):
@@ -418,9 +540,8 @@ def test_sealed_tells_a_sealed_checkpoint_from_any_other(tmp_path, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(qgan, "RECIPE_VERSION", qgan.RECIPE_VERSION + 1)
         assert checkpoint.sealed(path, cfg, rows) is None
-    text = path.read_text(encoding="utf-8")
-    for edited, trained_with in _edits(text, cfg):
-        path.write_bytes(edited.encode("utf-8"))
+    for edited, trained_with in _edits(path.read_bytes(), cfg):
+        path.write_bytes(edited)
         assert load_checkpoint(path, trained_with, rows)[0] == trained_with
         assert checkpoint.sealed(path, cfg, rows) is None
     for digest, loss in (("d" * 64, None), (None, "b" * 64)):
@@ -450,15 +571,15 @@ def test_a_repeated_section_header_is_refused(tmp_path, name):
     data, cfg, state = trained_state(tmp_path)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, cfg, state, Rows.of(data))
-    text = path.read_text(encoding="utf-8")
+    text, raw = split_raw(path.read_bytes())
     lineno = text.count("\n") + 1
-    path.write_text(text + f"[{name}]\n", encoding="utf-8")
+    path.write_bytes(join_raw(text + f"[{name}]\n", raw))
     with pytest.raises(SchemaError, match=re.escape(
             f"{path}:{lineno}: repeated section [{name}]")):
         load_checkpoint(path, cfg, Rows.of(data))
     assert checkpoint.load_generator(path, cfg, Rows.of(data))[0] == cfg   # past the head
     head = text.replace("[generator]\n", f"[{name}]\n[generator]\n")
-    path.write_text(head, encoding="utf-8")
+    path.write_bytes(join_raw(head, raw))
     for load in (load_checkpoint, checkpoint.load_generator):
         with pytest.raises(SchemaError, match=re.escape(f"repeated section [{name}]")):
             load(path, cfg, Rows.of(data))
@@ -538,20 +659,19 @@ def test_fresh_state_round_trip(tmp_path):
         np.testing.assert_array_equal(a.v, b.v)
 
 
-def test_array_lines_are_little_endian_binary64_hex(tmp_path):
+def test_array_data_is_little_endian_binary64_bytes(tmp_path):
     rng = np.random.default_rng(3)
     arr = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40),
                           [0.0, -0.0, 5e-324, 1.0, -2.5, np.pi]]).reshape(2, 23)
     path = tmp_path / "a.ckpt"
     write_kv(path, MAGIC, {"": _put_array("a", arr)})
-    lines = path.read_text(encoding="utf-8").splitlines()[1:]
-    # 16 hex digits per value, least significant byte first
-    assert lines == ["a.shape = 2 23",
-                     "a.data = " + "".join(struct.pack("<d", x).hex()
-                                           for x in arr.ravel())]
-    assert lines[1].endswith("0000000000000000" "0000000000000080"
-                             "0100000000000000" "000000000000f03f"
-                             "00000000000004c0" "182d4454fb210940")
+    # 8 bytes per value, least significant byte first, after the text
+    raw = b"".join(struct.pack("<d", x) for x in arr.ravel())
+    assert path.read_bytes() == (f"{MAGIC}\na.shape = 2 23\na.data = 368 bytes\n"
+                                 "[bytes]\n").encode() + raw
+    assert raw.endswith(bytes.fromhex("0000000000000000" "0000000000000080"
+                                      "0100000000000000" "000000000000f03f"
+                                      "00000000000004c0" "182d4454fb210940"))
     back = _get_array(read_kv(path, MAGIC)[""], "a", (2, 23))
     assert back.dtype == float and back.flags.writeable
     np.testing.assert_array_equal(back.view(np.uint64), arr.view(np.uint64))
@@ -562,6 +682,7 @@ class _FailingHandle:
 
     def __init__(self, handle):
         self.handle = handle
+        self.buffer = self   # bytes are written through the same failing write
 
     def __enter__(self):
         return self
@@ -569,8 +690,9 @@ class _FailingHandle:
     def __exit__(self, *exc):
         self.handle.close()
 
-    def write(self, text):
-        self.handle.write(text[:len(text) // 2])
+    def write(self, data):
+        (self.handle.buffer if isinstance(data, bytes) else self.handle).write(
+            data[:len(data) // 2])
         raise OSError("no space left on device")
 
 
@@ -614,6 +736,23 @@ def test_write_blocks_writes_the_header_then_bytes_atomically(tmp_path):
         write_blocks(path, ["id", "note"], failing())
     assert path.read_bytes() == b"id,note\nL1,a\nL2,b\n"
     assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.text(max_size=6),
+                                 st.text(alphabet=',"\r\n a\0', max_size=4)), max_size=8))
+def test_text_fields_are_the_fields_csv_writer_writes(values):
+    """Each field, whether it is returned as it is or made by
+    ``csv.writer``, is the one ``csv.writer`` writes for its value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    want = []
+    for value in values:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((value, ""))
+        want.append(buf.getvalue()[:-2])
+    assert text_fields(values) == want
 
 
 def test_write_columns_bytes_and_appended_blocks(tmp_path):

@@ -100,12 +100,16 @@ def test_non_utf8_config_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["qgan.ckpt", "features_test.csv"])
 def test_non_utf8_checkpoint_or_features_is_validation_error(tmp_path, capsys, name):
-    # the byte ends the file: past the head of a checkpoint, which detect
-    # does not read, so only train --resume refuses it there
+    # the byte ends the file, or a checkpoint's text: past the head of a
+    # checkpoint, which detect does not read, so only train --resume
+    # refuses it there
     out = run_pipeline(tmp_path)
     flags = fast_flags(tmp_path)
     path = out / name
-    path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
+    if name == "qgan.ckpt":   # the last line of its text
+        path.write_bytes(path.read_bytes().replace(RAW, b"\n# caf\xe9" + RAW))
+    else:
+        path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
     before = _outputs(out)
     runs = ([(["detect"], EXIT_OK), (["train", "--resume"], EXIT_VALIDATION)]
             if name == "qgan.ckpt" else [(["detect"], EXIT_VALIDATION)])
@@ -608,9 +612,8 @@ def test_resume_checks_every_checkpoint_before_training_any_user(
     flags, out = _users_trained(tmp_path, 2)
     last = sorted(out.glob("qgan-*.ckpt"))[-1]
     if fault == "malformed":
-        text = last.read_text(encoding="utf-8")
-        last.write_text(re.sub(r"(?m)^epoch = .*$", "epoch = x", text),
-                        encoding="utf-8")
+        last.write_bytes(re.sub(rb"(?m)^epoch = .*$", b"epoch = x", last.read_bytes(),
+                                count=1))
     else:
         have = dataclasses.replace(load_config(tmp_path / "run.cfg").train_config(),
                                    lr_g=0.5)
@@ -773,11 +776,48 @@ def test_ingest_names_the_log_and_line_that_is_not_utf8(tmp_path, capsys):
     assert not list((tmp_path / "out").glob("*"))
 
 
-# little-endian binary64 bytes in hex, as checkpoints store array values
+# little-endian binary64 bytes, as checkpoints store array values
 ZERO, INF, MINUS_INF, NAN, MINUS_ONE = (
-    np.array(x).astype("<f8").tobytes().hex()
-    for x in (0.0, np.inf, -np.inf, np.nan, -1.0))
+    np.array(x).astype("<f8").tobytes() for x in (0.0, np.inf, -np.inf, np.nan, -1.0))
 BOTH = (("detect",), ("train", "--resume"))
+RAW = b"\n[bytes]\n"   # the line after which a file's raw values follow
+
+
+def split_raw(data: bytes) -> tuple[str, bytearray]:
+    """A file's text, up to and with the LF before its ``[bytes]`` line,
+    and the raw bytes after that line."""
+    text, _, raw = data.partition(RAW)
+    return text.decode("utf-8") + "\n", bytearray(raw)
+
+
+def join_raw(text: str, raw) -> bytes:
+    return text.encode("utf-8") + RAW[1:] + bytes(raw)
+
+
+def raw_slices(text: str) -> dict[str, slice]:
+    """Where each value written as ``N bytes`` sits in the raw bytes, by
+    ``section.key``."""
+    at, start, section = {}, 0, ""
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line[1:-1] + "."
+        elif match := re.fullmatch(r"(\S+) = (\d+) bytes", line):
+            at[section + match[1]] = slice(start, start := start + int(match[2]))
+    return at
+
+
+def _raw(key, change):
+    """A raw edit: the bytes of the value ``key`` replaced by ``change`` of
+    them."""
+    def edit(raw, at):
+        raw[at[key]] = change(bytes(raw[at[key]]))
+    return edit
+
+
+def _value(key, index, value):
+    """A raw edit: the array value ``index`` of ``key`` set to ``value``'s
+    binary64 bytes."""
+    return _raw(key, lambda data: data[:8 * index] + value + data[8 * index + 8:])
 
 
 def _outputs(out):
@@ -785,23 +825,29 @@ def _outputs(out):
 
 
 def _check_tampered_checkpoint(tmp_path, capsys, pattern, repl, key,
-                               detect=EXIT_VALIDATION, argvs=BOTH):
+                               detect=EXIT_VALIDATION, argvs=BOTH, raw_edit=None):
     """Run each of ``argvs`` on a trained and scored run whose checkpoint
-    has ``pattern`` replaced by ``repl``.  ``train --resume`` reads the
-    whole checkpoint, so it exits 4 naming ``key``.  ``detect`` reads
-    only the magic line, ``[meta]``, ``[config]`` and ``[generator]``, and
-    exits with ``detect``: 4 naming ``key`` for a tamper there, 0 for one
-    in the training state, or 2 for a ``[config]`` that disagrees with the
-    run's settings.  Either way every output file keeps its bytes: a
-    ``detect`` that exits 0 writes the same scores."""
+    has ``raw_edit(raw, slices)`` applied to its raw bytes, if given, then
+    ``pattern`` replaced by ``repl`` in its text, if given.  ``train
+    --resume`` reads the whole checkpoint, so it exits 4 naming ``key``.
+    ``detect`` reads only the magic line, ``[meta]``, ``[config]`` and
+    ``[generator]`` with its angles, and exits with ``detect``: 4 naming
+    ``key`` for a tamper there, 0 for one in the training state, or 2 for
+    a ``[config]`` that disagrees with the run's settings.  Either way
+    every output file keeps its bytes: a ``detect`` that exits 0 writes
+    the same scores."""
     flags = fast_flags(tmp_path)
     for step in ("synth", "ingest", "train", "detect"):
         assert main([step, *flags]) == EXIT_OK
     out = tmp_path / "out"
     ckpt = out / "qgan.ckpt"
-    text, n = re.subn(pattern, repl, ckpt.read_text(encoding="utf-8"), count=1, flags=re.M)
-    assert n == 1
-    ckpt.write_text(text, encoding="utf-8")
+    text, raw = split_raw(ckpt.read_bytes())
+    if raw_edit is not None:
+        raw_edit(raw, raw_slices(text))
+    if pattern is not None:
+        text, n = re.subn(pattern, repl, text, count=1, flags=re.M)
+        assert n == 1
+    ckpt.write_bytes(join_raw(text, raw))
     before = _outputs(out)
     for argv in argvs:
         want = detect if argv[0] == "detect" else EXIT_VALIDATION
@@ -824,7 +870,7 @@ N_DISC = DiscriminatorNet.n_params([16, *HIDDEN, 1])
 W1_AT, W2_AT = np.cumsum([a * b for a, b in zip([16, *HIDDEN], [*HIDDEN, 1])])[:2]
 HIDDEN_LINE = rf"^hidden = {' '.join(map(str, HIDDEN))}$"
 OTHER_HIDDEN = tuple(width + 1 for width in HIDDEN)  # widths no checkpoint has
-OPT_D = r"^({key}\.shape = " + str(N_DISC) + r"\n{key}\.data = \w{{{skip}}})\w{{16}}"
+N_ANGLES = 3 * 4   # fast_flags' (depth + 1) x qubits
 # detect's exit code for a tamper in the training state, which it does not read
 STATE = EXIT_OK
 
@@ -865,13 +911,15 @@ def test_checkpoint_with_non_positive_dimension_is_validation_error(
     (HIDDEN_LINE, f"hidden = {' '.join(map(str, OTHER_HIDDEN))}",
      f"discriminator.params.shape = ({N_DISC},), "
      f"want ({DiscriminatorNet.n_params([16, *OTHER_HIDDEN, 1])},)", EXIT_CONFIG),
-    (r"^qbde-ckpt-v5$", "qbde-ckpt-v1", "qgan.ckpt: not a qbde-ckpt-v5 file",
+    (r"^qbde-ckpt-v6$", "qbde-ckpt-v1", "qgan.ckpt: not a qbde-ckpt-v6 file",
      EXIT_VALIDATION),
-    (r"^qbde-ckpt-v5$", "qbde-ckpt-v2", "qgan.ckpt: not a qbde-ckpt-v5 file",
+    (r"^qbde-ckpt-v6$", "qbde-ckpt-v2", "qgan.ckpt: not a qbde-ckpt-v6 file",
      EXIT_VALIDATION),
-    (r"^qbde-ckpt-v5$", "qbde-ckpt-v3", "qgan.ckpt: not a qbde-ckpt-v5 file",
+    (r"^qbde-ckpt-v6$", "qbde-ckpt-v3", "qgan.ckpt: not a qbde-ckpt-v6 file",
      EXIT_VALIDATION),
-    (r"^qbde-ckpt-v5$", "qbde-ckpt-v4", "qgan.ckpt: not a qbde-ckpt-v5 file",
+    (r"^qbde-ckpt-v6$", "qbde-ckpt-v4", "qgan.ckpt: not a qbde-ckpt-v6 file",
+     EXIT_VALIDATION),
+    (r"^qbde-ckpt-v6$", "qbde-ckpt-v5", "qgan.ckpt: not a qbde-ckpt-v6 file",
      EXIT_VALIDATION),
     # a second header of a section detect reads: after the head, detect
     # never reaches it; before the end of [generator], it refuses it too
@@ -884,72 +932,176 @@ def test_checkpoint_with_non_positive_dimension_is_validation_error(
         "negative-adam-step", "negative-epoch", "huge-adam-step",
         "huge-opt_d-step", "huge-epoch", "huge-n_qubits", "config-depth",
         "config-hidden", "v1-format", "v2-format", "v3-format", "v4-format",
-        "repeated-generator", "repeated-config", "repeated-meta-in-head"])
+        "v5-format", "repeated-generator", "repeated-config", "repeated-meta-in-head"])
 def test_checkpoint_with_out_of_range_value_is_validation_error(
         tmp_path, capsys, pattern, repl, key, detect, argv):
     _check_tampered_checkpoint(tmp_path, capsys, pattern, repl, key, detect, (argv,))
 
 
-@pytest.mark.parametrize("pattern, repl, key", [
-    (rf"^m\.shape = {N_DISC}\nm\.data = .*$", "m.shape = 1\nm.data = " + ZERO,
-     "opt_d.m.shape"),
-    (r"^v\.shape = 3 4\nv\.data = .*$", "v.shape = 12\nv.data = "
-     + ZERO * 12, "opt_g.v.shape"),
+@pytest.mark.parametrize("pattern, repl, raw_edit, key", [
+    (rf"^m\.shape = {N_DISC}\nm\.data = \d+ bytes$", "m.shape = 1\nm.data = 8 bytes",
+     _raw("opt_d.m.data", lambda data: ZERO), "opt_d.m.shape"),
+    (r"^v\.shape = 3 4\nv\.data = \d+ bytes$", f"v.shape = 12\nv.data = {8 * N_ANGLES} bytes",
+     _raw("opt_g.v.data", lambda data: ZERO * 12), "opt_g.v.shape"),
 ], ids=["opt_d-m", "opt_g-v-flattened"])
 def test_checkpoint_moment_shape_mismatch_is_validation_error(
-        tmp_path, capsys, pattern, repl, key):
-    _check_tampered_checkpoint(tmp_path, capsys, pattern, repl, key, STATE)
+        tmp_path, capsys, pattern, repl, raw_edit, key):
+    _check_tampered_checkpoint(tmp_path, capsys, pattern, repl, key, STATE,
+                               raw_edit=raw_edit)
+
+
+def _cut_raw(stop):
+    def edit(raw, at):
+        del raw[stop:]
+    return edit
 
 
 @pytest.mark.parametrize("argv", BOTH, ids=["detect", "resume"])
-@pytest.mark.parametrize("pattern, repl, key, detect", [
-    (r"^(params\.data = .*).$", r"\1", "discriminator.params.data", STATE),
-    (r"^(params\.data = \w{5})\w", r"\1g", "discriminator.params.data", STATE),
-    (r"^(m\.data = .*)\w{16}$", r"\1", "opt_g.m.data", STATE),
-    (rf"^(v\.shape = {N_DISC}\nv\.data = .*)$", r"\g<1>" + ZERO, "opt_d.v.data", STATE),
-    (r"^(params\.data = )\w{16}", r"\g<1>" + INF, "discriminator.params.data", STATE),
-    (r"^(params\.data = .*)\w{16}$", r"\g<1>" + INF, "discriminator.params.data", STATE),
-    (rf"^(params\.data = \w{{{16 * (W2_AT + 1)}}})\w{{16}}", r"\g<1>" + NAN,
+@pytest.mark.parametrize("pattern, repl, raw_edit, key, detect", [
+    # a count a digit short, whose bytes are there: not a whole vector
+    (rf"^params\.data = {8 * N_DISC} bytes$", f"params.data = {8 * N_DISC // 10} bytes",
+     _raw("discriminator.params.data", lambda data: data[:8 * N_DISC // 10]),
      "discriminator.params.data", STATE),
-    (r"^(m\.data = )\w{16}", r"\g<1>" + INF, "opt_g.m.data", STATE),
-    (OPT_D.format(key="m", skip=16 * W2_AT), r"\g<1>" + MINUS_INF, "opt_d.m.data",
-     STATE),
-    (OPT_D.format(key="v", skip=16 * W1_AT), r"\g<1>" + INF, "opt_d.v.data", STATE),
-    (r"^(v\.data = )\w{16}", r"\g<1>" + MINUS_ONE, "opt_g.v.data", STATE),
-    (r"^(angles\.data = )\w{16}", r"\g<1>" + NAN, "generator.angles.data",
+    (r"^(params\.data = \d{3})\d", r"\1x", None,
+     "discriminator.params.data: byte count", STATE),
+    (rf"^m\.data = {8 * N_ANGLES} bytes$", f"m.data = {8 * N_ANGLES - 8} bytes",
+     _raw("opt_g.m.data", lambda data: data[:-8]), "opt_g.m.data", STATE),
+    (rf"^v\.data = {8 * N_DISC} bytes$", f"v.data = {8 * N_DISC + 8} bytes",
+     _raw("opt_d.v.data", lambda data: data + ZERO), "opt_d.v.data", STATE),
+    (None, None, _value("discriminator.params.data", 0, INF),
+     "discriminator.params.data", STATE),
+    (None, None, _value("discriminator.params.data", N_DISC - 1, INF),
+     "discriminator.params.data", STATE),
+    (None, None, _value("discriminator.params.data", W2_AT + 1, NAN),
+     "discriminator.params.data", STATE),
+    (None, None, _value("opt_g.m.data", 0, INF), "opt_g.m.data", STATE),
+    (None, None, _value("opt_d.m.data", W2_AT, MINUS_INF), "opt_d.m.data", STATE),
+    (None, None, _value("opt_d.v.data", W1_AT, INF), "opt_d.v.data", STATE),
+    (None, None, _value("opt_g.v.data", 0, MINUS_ONE), "opt_g.v.data", STATE),
+    (None, None, _value("generator.angles.data", 0, NAN), "generator.angles.data",
      EXIT_VALIDATION),
-], ids=["digit-short", "non-hex", "value-short", "value-long", "inf-w0",
+    # the raw bytes end short of the last value, or run on past it
+    (None, None, _cut_raw(-8), "opt_d.v.data", STATE),
+    (None, None, lambda raw, at: raw.extend(ZERO), "opt_d.v.data: 8 bytes follow it",
+     STATE),
+    (None, None, _cut_raw(8 * N_ANGLES - 1), "generator.angles.data", EXIT_VALIDATION),
+], ids=["digit-short", "count-not-a-number", "value-short", "value-long", "inf-w0",
         "inf-b2", "nan-w2", "inf-opt_g-m0", "minus-inf-opt_d-m2",
-        "inf-opt_d-v1", "negative-opt_g-v0", "nan-angle"])
+        "inf-opt_d-v1", "negative-opt_g-v0", "nan-angle", "block-short", "block-long",
+        "block-short-in-angles"])
 def test_checkpoint_with_bad_array_data_is_validation_error(
-        tmp_path, capsys, pattern, repl, key, detect, argv):
+        tmp_path, capsys, pattern, repl, raw_edit, key, detect, argv):
     # before, a non-finite weight or moment loaded, and resumed training
     # wrote nan or clamped losses, or froze the weights; each id names the
     # layer (w0 .. b2) or moment whose part of the vector is tampered with
     _check_tampered_checkpoint(tmp_path, capsys, pattern, repl,
-                               f"{tmp_path / 'out' / 'qgan.ckpt'}: {key}", detect, (argv,))
+                               f"{tmp_path / 'out' / 'qgan.ckpt'}: {key}", detect, (argv,),
+                               raw_edit)
 
 
 @pytest.mark.parametrize("argv", BOTH, ids=["detect", "resume"])
 @pytest.mark.parametrize("pattern, repl, key, detect", [
-    (r"^(params\.data = \w{16})", r"\1 ", "discriminator.params.data", STATE),
-    (r"^(angles\.data = \w{8})", "\\1\t", "generator.angles.data", EXIT_VALIDATION),
-    (r"^(v\.data = \w{2})", r"\1  ", "opt_g.v.data", STATE),
+    (r"^(params\.data = \d{2})", r"\1 ", "discriminator.params.data", STATE),
+    (r"^(angles\.data = \d)", "\\1\t", "generator.angles.data", EXIT_VALIDATION),
+    (r"^(v\.data = \d)", r"\1  ", "opt_g.v.data", STATE),
 ], ids=["space-params", "tab-angles", "spaces-opt_g-v"])
 def test_checkpoint_with_whitespace_inside_array_data_is_validation_error(
         tmp_path, capsys, pattern, repl, key, detect, argv):
-    # no writer puts whitespace inside the hex, and a2b_hex refuses it even
-    # between whole bytes, where bytes.fromhex skipped it
+    # no writer puts whitespace inside the byte count of an array's data,
+    # and it cannot be read as a number of bytes
     _check_tampered_checkpoint(tmp_path, capsys, pattern, repl,
-                               f"{tmp_path / 'out' / 'qgan.ckpt'}: {key}", detect, (argv,))
+                               f"{tmp_path / 'out' / 'qgan.ckpt'}: {key}: byte count",
+                               detect, (argv,))
 
 
 def test_checkpoint_moment_count_mismatch_is_validation_error(tmp_path, capsys):
     # one moment value fewer than the discriminator has parameters
     _check_tampered_checkpoint(
-        tmp_path, capsys, rf"^m\.shape = {N_DISC}\nm\.data = (.*)\w{{16}}$",
-        rf"m.shape = {N_DISC - 1}\nm.data = \1",
-        f"opt_d.m.shape = ({N_DISC - 1},), want ({N_DISC},)", STATE)
+        tmp_path, capsys, rf"^m\.shape = {N_DISC}\nm\.data = {8 * N_DISC} bytes$",
+        f"m.shape = {N_DISC - 1}\nm.data = {8 * N_DISC - 8} bytes",
+        f"opt_d.m.shape = ({N_DISC - 1},), want ({N_DISC},)", STATE,
+        raw_edit=_raw("opt_d.m.data", lambda data: data[:-8]))
+
+
+def test_a_spoilt_discriminator_block_stops_only_train_resume(tmp_path, capsys):
+    """A NaN written over one weight of ``[discriminator]``'s raw values:
+    ``detect``, which reads only as far as the angles, exits 0 with the
+    very scores it wrote before; ``train --resume`` exits 4 naming the
+    value, and no file changes."""
+    out = run_pipeline(tmp_path)
+    flags = fast_flags(tmp_path)
+    path = out / "qgan.ckpt"
+    text, raw = split_raw(path.read_bytes())
+    _value("discriminator.params.data", 5, NAN)(raw, raw_slices(text))
+    path.write_bytes(join_raw(text, raw))
+    before = _outputs(out)
+    capsys.readouterr()
+    assert main(["detect", *flags]) == EXIT_OK
+    assert _outputs(out) == before
+    assert main(["train", "--resume", *flags]) == EXIT_VALIDATION
+    assert f"{path}: discriminator.params.data: values must be finite" \
+        in capsys.readouterr().err
+    assert _outputs(out) == before
+
+
+def _as_v5(data: bytes) -> bytes:
+    """A checkpoint in the format before this one: each array's bytes as
+    hex on its ``key.data`` line, and no raw bytes."""
+    text, raw = split_raw(data)
+    at = raw_slices(text)
+    section = ""
+
+    def line(match):
+        nonlocal section
+        if match[0].startswith("["):
+            section = match[0][1:-1] + "."
+            return match[0]
+        return f"{match[1]} = {bytes(raw[at[section + match[1]]]).hex()}"
+
+    text = re.sub(r"(?m)^(?:\[.*\]|(\S+) = \d+ bytes)$", line, text)
+    return text.replace("qbde-ckpt-v6", "qbde-ckpt-v5", 1).encode("utf-8")
+
+
+def test_a_v5_checkpoint_is_refused_and_trained_again(tmp_path, capsys):
+    """A ``qbde-ckpt-v5`` checkpoint, arrays in hex: ``train --resume`` and
+    ``detect`` exit 4 naming the format, and a fresh ``train`` trains the
+    user again, writing the checkpoint a cold train writes."""
+    out = run_pipeline(tmp_path)
+    flags = fast_flags(tmp_path)
+    path = out / "qgan.ckpt"
+    cold = path.read_bytes()
+    path.write_bytes(_as_v5(cold))
+    assert bytes.fromhex(re.search(r"(?m)^angles\.data = (\w+)$", path.read_text(
+        encoding="utf-8"))[1]) == bytes(split_raw(cold)[1][:8 * N_ANGLES])
+    before = _outputs(out)
+    for argv in (["train", "--resume"], ["detect"]):
+        capsys.readouterr()
+        assert main([*argv, *flags]) == EXIT_VALIDATION
+        assert f"{path}: not a qbde-ckpt-v6 file" in capsys.readouterr().err
+        assert _outputs(out) == before
+    assert main(["train", *flags]) == EXIT_OK
+    assert "1 user(s) trained, 0 reused" in capsys.readouterr().out
+    assert path.read_bytes() == cold
+
+
+def test_a_scorer_of_the_hex_format_is_trained_again(tmp_path, capsys):
+    """A ``qbde-scorer-v1`` file, its vector in hex, is a miss, never an
+    error: ``detect`` trains that scorer again, writes the same outputs,
+    and saves the scorer in the current format."""
+    out = run_pipeline(tmp_path)
+    flags = fast_flags(tmp_path)
+    path = out / "scorer_U0000.ckpt"
+    cold, scorer = _outputs(out), path.read_bytes()
+    sec = read_kv(path, bde.SCORER_MAGIC)[""]
+    path.write_text(f"qbde-scorer-v1\nkey = {sec['key']}\n"
+                    f"params.shape = {sec['params.shape']}\n"
+                    f"params.data = {bytes(sec['params.data']).hex()}\n"
+                    f"params.sha256 = {sec['params.sha256']}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["detect", *flags]) == EXIT_OK
+    assert "(1 scorer(s) trained, 0 reused)" in capsys.readouterr().out
+    assert _outputs(out) == cold
+    assert path.read_bytes() == scorer
 
 
 def _oversize_field(path, line, column):
@@ -1105,14 +1257,15 @@ class _FailingHandle:
 
 
 def _fail_writes_to(monkeypatch, name, header=False):
-    """Make the atomic write of ``name`` fail halfway through its first
-    write, or with ``header`` through its first block of bytes; returns
-    the list of what the failing write was given."""
+    """Make the atomic write of ``name``, through its temp file or the
+    staged file ``.<name>``, fail halfway through its first write, or with
+    ``header`` through its first block of bytes; returns the list of what
+    the failing write was given."""
     given = []
 
     def failing_open(path, *args, **kwargs):
         handle = builtins.open(path, *args, **kwargs)
-        if str(path).endswith(name + ".tmp"):
+        if Path(path).name in (f"{name}.tmp", f".{name}"):
             return _FailingHandle(handle, given, header)
         return handle
 
@@ -1205,7 +1358,7 @@ def test_failed_resumed_train_leaves_every_file_as_it_was(tmp_path, monkeypatch,
     checkpoint fails halfway through its first write leaves every loss
     file and checkpoint byte-identical, with no staged ``.<name>`` or
     ``*.tmp`` file.  That write is the old loss file's bytes, read once
-    and written as a block, or the whole checkpoint in one text write."""
+    and written as a block, or the whole checkpoint in one write."""
     flags, out = _users_trained(tmp_path, 3)
     before = {path.name: path.read_bytes() for path in out.iterdir()}
     given = _fail_writes_to(monkeypatch, failing)
@@ -1217,8 +1370,9 @@ def test_failed_resumed_train_leaves_every_file_as_it_was(tmp_path, monkeypatch,
     else:
         # a resumed checkpoint drops the seal of the fresh one it replaces:
         # its recipe, loss_sha256 and state_sha256 lines
-        assert len(given) == 1 and given[0].startswith(f"{checkpoint.MAGIC}\n")
-        assert given[0].count("\n") == before[failing].count(b"\n") - 3
+        assert len(given) == 1 and given[0].startswith(f"{checkpoint.MAGIC}\n".encode())
+        assert split_raw(given[0])[0].count("\n") \
+            == split_raw(before[failing])[0].count("\n") - 3
 
 
 @pytest.mark.parametrize("argv, failing", [
@@ -1555,22 +1709,22 @@ def _edit_loss(out, cfgfile):
 
 
 def _flip_opt_d_digit(out, cfgfile):
-    """One hex digit of U0000's [opt_d] moments changed to another valid one."""
+    """One binary digit of U0000's [opt_d] moments flipped: another finite
+    value."""
     path = out / "qgan-U0000.ckpt"
-    text, n = re.subn(rf"^(m\.shape = {N_DISC}\nm\.data = \w{{10}})(\w)",
-                      lambda m: m[1] + ("0" if m[2] != "0" else "1"),
-                      path.read_text(encoding="utf-8"), count=1, flags=re.M)
-    assert n == 1
-    path.write_text(text, encoding="utf-8")
+    text, raw = split_raw(path.read_bytes())
+    raw[raw_slices(text)["opt_d.m.data"].start] ^= 1
+    path.write_bytes(join_raw(text, raw))
 
 
 def _as_v4(out, cfgfile):
-    """U0000's checkpoint as the format before this one wrote it: no rows,
-    no seal."""
+    """U0000's checkpoint as the format before v5 wrote it: no rows, no
+    seal."""
     path = out / "qgan-U0000.ckpt"
-    text = path.read_text(encoding="utf-8").replace("qbde-ckpt-v5", "qbde-ckpt-v4", 1)
-    path.write_text(re.sub(r"(?m)^(rows|data_sha256|recipe|loss_sha256|"
-                           r"state_sha256) = .*\n", "", text), encoding="utf-8")
+    text, raw = split_raw(path.read_bytes())
+    text = text.replace("qbde-ckpt-v6", "qbde-ckpt-v4", 1)
+    path.write_bytes(join_raw(re.sub(r"(?m)^(rows|data_sha256|recipe|loss_sha256|"
+                                     r"state_sha256) = .*\n", "", text), raw))
 
 
 RETRAIN_CAUSES = {
@@ -1702,7 +1856,10 @@ def test_checkpoint_fit_to_other_rows_is_validation_error(tmp_path, capsys, argv
 # --------------------------------------------------------------------------
 
 KV_MUTATIONS = ("drop", "empty", "-1", "0", "x", "1" * 40, "repeat", "no =",
-                "truncate", "corrupt")
+                "truncate", "corrupt", "flip", "cut", "extend")
+# the mutations of a checkpoint's or scorer's arrays: of the byte count on
+# a key.data line, or of the raw bytes
+ARRAY_MUTATIONS = ("truncate", "corrupt", "flip", "cut", "extend")
 # each mutated file, and the commands that read it
 KV_COMMANDS = {
     "run.cfg": [["report"]],
@@ -1736,6 +1893,19 @@ def _restore(kv_run):
         path.write_bytes(content)
 
 
+def _mutate_raw(raw, how, j):
+    """``raw`` with its byte ``j`` (cyclically) flipped, cut from there, or
+    ``j % 9 + 1`` zero bytes added at its end."""
+    raw = bytearray(raw)
+    if how == "flip":
+        raw[j % len(raw)] ^= 0xFF
+    elif how == "cut":
+        del raw[j % len(raw):]
+    else:
+        raw += bytes(j % 9 + 1)
+    return bytes(raw)
+
+
 def _mutate(text, i, how, j, char):
     """``text`` with line ``i`` changed by ``how``; ``truncate`` cuts the
     value of that line after ``j`` characters, and ``corrupt`` puts
@@ -1764,17 +1934,21 @@ def _mutate(text, i, how, j, char):
 def test_mutated_kv_file_never_escapes_main(kv_run, target, how, data):
     work, files = kv_run
     _restore(kv_run)
-    # truncate and corrupt mutate the array data of a checkpoint or scorer
-    in_array = how in ("truncate", "corrupt")
+    in_array = how in ARRAY_MUTATIONS
     if in_array and target != SCORER:
         target = "out/qgan.ckpt"
-    text = files[work / target].decode("utf-8")
+    text, sep, raw = files[work / target].partition(RAW)
+    text = text.decode("utf-8")
     lines = [n for n, line in enumerate(text.splitlines())
              if ".data = " in line or not in_array]
     i = data.draw(st.sampled_from(lines), label="line")
     j = data.draw(st.integers(0, 10**6), label="position")
     char = data.draw(st.sampled_from("gx -.0f"), label="char")
-    (work / target).write_text(_mutate(text, i, how, j, char), encoding="utf-8")
+    if how in ("flip", "cut", "extend"):
+        (work / target).write_bytes(files[work / target][:-len(raw)] + _mutate_raw(raw, how, j))
+    else:
+        (work / target).write_bytes(_mutate(text, i, how, j, char).encode("utf-8")
+                                    + sep[1:] + raw)
     for argv in KV_COMMANDS[target]:
         code = main([*argv, "--config", str(work / "run.cfg")])
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION)
@@ -1784,10 +1958,8 @@ def test_mutated_kv_file_never_escapes_main(kv_run, target, how, data):
         assert code == EXIT_OK
         assert _outputs(work / "out") == {
             name: files[work / "out" / name] for name in DETECT_OUTPUTS}
-        key, data = (re.search(rf"^{name} = (\w+)$", text, re.M)[1]
-                     for name in ("key", r"params\.data"))
-        assert bde.load_scorer(work / target, key).flat.tobytes() \
-            == bytes.fromhex(data)
+        key = re.search(r"^key = (\w+)$", text, re.M)[1]
+        assert bde.load_scorer(work / target, key).flat.tobytes() == raw
 
 
 # --------------------------------------------------------------------------

@@ -585,8 +585,8 @@ def _checkpointed_adam(rng, param):
     for _ in range(3):
         opt.step(param.copy(), rng.normal(size=param.shape))
     sec = Section("test: ")
-    # as write_kv writes them: an array's bytes as hex
-    sec.update({key: value.hex() if isinstance(value, bytes) else str(value)
+    # as read_kv gives them: an array's raw bytes as a memoryview
+    sec.update({key: memoryview(value) if isinstance(value, bytes) else str(value)
                 for key, value in _put_adam(opt).items()})
     return _get_adam(sec, 0.01, param)
 
